@@ -19,7 +19,7 @@ process matrix; the package verifies both sides of that boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,38 +123,30 @@ def _bits(value: Sequence[int], count: int, name: str) -> tuple[int, ...]:
     return bits
 
 
-def _assignment(
-    r: ResourcePM, ang: Mapping[str, float], m: tuple[int, ...], z: tuple[int, ...]
-) -> dict[str, procmat.CJOperator]:
-    out = {}
-    for j, c in enumerate(r.base_graph.computation):
-        out[f"A{j + 1}"] = procmat.alice_instrument(ang[c]).elements[m[j]]
-    for t in range(r.n_output):
-        out[f"B{t + 1}"] = procmat.bob_instrument().elements[z[t]]
-    return out
+def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
+    """P(m, z) with one axis per party (Alices, then Bobs), from one contraction."""
+    ang = mbqc.as_angle_map(r.base_graph, angles)
+    instruments = {
+        party: procmat.alice_instrument(ang[c])
+        for party, c in zip(r.alice_parties, r.base_graph.computation)
+    }
+    bob = procmat.bob_instrument()
+    instruments.update({party: bob for party in r.bob_parties})
+    return procmat.outcome_table(r.w, instruments, backend=backend)
 
 
 def acausal_probability(
     r: ResourcePM, angles, m: Sequence[int], z: Sequence[int], backend: str = "auto"
 ) -> float:
     """P(m, z) under equatorial Alice measurements at the given base angles."""
-    ang = mbqc.as_angle_map(r.base_graph, angles)
     m = _bits(m, r.n_computation, "m")
     z = _bits(z, r.n_output, "z")
-    return procmat.pm_probability(r.w, _assignment(r, ang, m, z), backend=backend)
+    return float(_table(r, angles, backend)[m + z])
 
 
 def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.ndarray:
     """All P(m, z) as a (2^N, 2^n) array, bit 0 most significant."""
-    ang = mbqc.as_angle_map(r.base_graph, angles)
-    n_comp, n_out = r.n_computation, r.n_output
-    probs = np.empty((2**n_comp, 2**n_out))
-    for mi in range(2**n_comp):
-        m = tuple((mi >> (n_comp - 1 - j)) & 1 for j in range(n_comp))
-        for zi in range(2**n_out):
-            z = tuple((zi >> (n_out - 1 - t)) & 1 for t in range(n_out))
-            probs[mi, zi] = procmat.pm_probability(r.w, _assignment(r, ang, m, z), backend=backend)
-    return probs
+    return _table(r, angles, backend).reshape(2**r.n_computation, 2**r.n_output)
 
 
 def branch_independence_report(r: ResourcePM, angles, backend: str = "auto") -> float:

@@ -92,12 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
+    angles, angles_b = _validate_numeric_flags(ns)
     return RunConfig(
         command=ns.command,
         graph_path=ns.graph,
         pattern_path=ns.pattern,
-        angles=_parse_csv(ns.angles),
-        angles_b=_parse_csv(ns.angles_b),
+        angles=angles,
+        angles_b=angles_b,
         seed=ns.seed,
         shots=ns.shots,
         tol=ns.tol,
@@ -108,15 +109,28 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _parse_csv(text: str | None) -> list[float] | None:
+def _validate_numeric_flags(ns) -> tuple[list[float] | None, list[float] | None]:
+    """Reject out-of-range numeric flags before any work; returns the parsed angle lists."""
+    if ns.shots < 0:
+        raise ValueError(
+            f"--shots must be >= 0 (0 selects the command's default), got {ns.shots}"
+        )
+    if not (math.isfinite(ns.tol) and ns.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {ns.tol!r}")
+    return _parse_csv(ns.angles, "--angles"), _parse_csv(ns.angles_b, "--angles-b")
+
+
+def _parse_csv(text: str | None, flag: str) -> list[float] | None:
     if text is None:
         return None
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"bad angle list {text!r}: {exc}") from exc
+        raise ValueError(f"{flag}: bad angle list {text!r}: {exc}") from exc
     if not values:
-        raise ValueError(f"bad angle list {text!r}: no values")
+        raise ValueError(f"{flag}: bad angle list {text!r}: no values")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag}: angles must be finite, got {text!r}")
     return values
 
 
@@ -341,6 +355,7 @@ _INPUT_ERRORS = (
     config.RegisterCapError,
     ValueError,
     OSError,
+    MemoryError,
 )
 
 
@@ -356,7 +371,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     except _INPUT_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
 
 

@@ -10,8 +10,8 @@ NORM_ATOL = 1e-12             # allowed |norm - 1| for physical state vectors
 BASIS_ORTHO_ATOL = 1e-10      # allowed overlap between measurement basis kets
 MIN_FORCE_PROBABILITY = 1e-14 # forcing an outcome below this branch weight is an error
 
-# pm_probability result handling: values in [-slack, 0) are clamped to zero
-# (and counted), anything outside [-slack, 1 + slack] errors.
+# Outcome-table entries in [-slack, 0) are clamped to zero (and counted once
+# each); any entry outside [-slack, 1 + slack] errors.
 PROBABILITY_RANGE_SLACK = 1e-8
 
 # Dense register-size limits. The cap bounds state vectors (2^cap amplitudes);

@@ -7,10 +7,12 @@ measure/reprepare evaluates exactly to |phi><phi| (x) |r><r|.  CJ registers
 are ordered input qubits first, then output qubits.
 
 A process matrix W assigns each party one input and one output qubit of a
-global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].  Two
-evaluation backends are kept deliberately independent: a dense trace, and a
-factorized overlap for W of the form scale * |pure><pure| (x) (I/2)^k with
-rank-1 product instruments.
+global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
+``outcome_table`` computes them for every element of every party's
+instrument at once, as one contraction sweep over the parties.  Its two
+backends are kept deliberately independent: a dense trace against the
+materialized W (the oracle), and a factorized overlap for W of the form
+scale * |pure><pure| (x) (I/2)^k with rank-1 product instruments.
 """
 
 from __future__ import annotations
@@ -316,78 +318,130 @@ def reset_clamped_probability_count() -> None:
         _clamp_count = 0
 
 
-def _validated_probability(value: float) -> float:
+def _validated_table(values: np.ndarray) -> np.ndarray:
+    """Range-check a probability table; entries in [-slack, 0) are clamped to
+    zero and counted once each, anything outside [-slack, 1 + slack] errors."""
     global _clamp_count
     lo = -config.PROBABILITY_RANGE_SLACK
     hi = 1.0 + config.PROBABILITY_RANGE_SLACK
-    if value < lo or value > hi:
-        raise ProcmatError(f"probability {value!r} outside [{lo}, {hi}]")
-    if value < 0.0:
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= lo) & (values <= hi))
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ProcmatError(
+            f"probability {float(values[at])!r} at outcome {at} outside [{lo}, {hi}]"
+        )
+    negative = values < 0.0
+    clamped = int(negative.sum())
+    if clamped:
         with _clamp_lock:
-            _clamp_count += 1
-        return 0.0
-    return float(value)
+            _clamp_count += clamped
+        values = np.where(negative, 0.0, values)
+    return values
 
 
-def pm_probability(
-    w: ProcessMatrix, assignment: Mapping[str, CJOperator], backend: str = "auto"
-) -> float:
-    """P = Tr[W (x)_parties CJ], one CJ element per party.
+def outcome_table(
+    w: ProcessMatrix, instruments: Mapping[str, Instrument], backend: str = "auto"
+) -> np.ndarray:
+    """P[e_0, ..., e_{k-1}] = Tr[W (x)_slots CJ], every element of every instrument.
+
+    The table has one axis per slot of ``w``, in slot order, with one entry
+    per element of that party's instrument.
 
     backend: "dense" (trace against the materialized operator), "factorized"
     (overlap against the pure (x) mixed form; needs rank-1 kets), or "auto"
     (factorized when possible, dense otherwise).
     """
-    if set(assignment) != set(w.parties):
+    if set(instruments) != set(w.parties):
         raise ProcmatError(
-            f"assignment parties {sorted(assignment)} do not match {sorted(w.parties)}"
+            f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
         )
-    for party, cj in assignment.items():
-        if cj.in_count != 1 or cj.out_count != 1:
+    for party, inst in instruments.items():
+        if inst.in_count != 1 or inst.out_count != 1:
             raise ProcmatError(f"party {party!r}: slots are single-qubit in/out")
 
     if backend == "auto":
-        usable = w.factor is not None and all(cj.factorizable for cj in assignment.values())
+        usable = w.factor is not None and all(
+            e.factorizable for inst in instruments.values() for e in inst.elements
+        )
         backend = "factorized" if usable else "dense"
     if backend == "factorized":
-        return _validated_probability(_factorized_probability(w, assignment))
+        return _validated_table(_factorized_probability(w, instruments))
     if backend == "dense":
-        return _validated_probability(_dense_probability(w, assignment))
+        return _validated_table(_dense_probability(w, instruments))
     raise ProcmatError(f"unknown backend {backend!r}")
 
 
-def _factorized_probability(w: ProcessMatrix, assignment: Mapping[str, CJOperator]) -> float:
+def pm_probability(
+    w: ProcessMatrix, assignment: Mapping[str, CJOperator], backend: str = "auto"
+) -> float:
+    """P = Tr[W (x)_parties CJ], one CJ element per party (see ``outcome_table``)."""
+    instruments = {party: Instrument(elements=(cj,)) for party, cj in assignment.items()}
+    return float(outcome_table(w, instruments, backend).reshape(-1)[0])
+
+
+def _factorized_probability(
+    w: ProcessMatrix, instruments: Mapping[str, Instrument]
+) -> np.ndarray:
+    """Factorized backend of ``outcome_table``: contract the pure factor with
+    each party's stacked conjugate measure and reprepare kets in turn."""
     f = w.factor
     if f is None:
         raise ProcmatError("factorized backend needs a factored process matrix")
-    at_pos: dict[int, Ket] = {}
+    amp = f.pure.as_tensor()
+    # axis label per axis of amp: a register qubit, or None for an element axis
+    labels: list[int | None] = list(f.pure_qubits)
     for slot in w.slots:
-        cj = assignment[slot.party]
-        if not cj.factorizable:
-            raise ProcmatError(
-                f"party {slot.party!r} element {cj.outcome_label!r} has no kets; "
-                "use the dense backend"
-            )
-        at_pos[slot.input_qubit] = cj.measure_ket
-        at_pos[slot.output_qubit] = cj.reprepare_ket
-    # <u|pure> with u the product ket over the pure qubits; each mixed qubit
-    # contributes <k|I/2|k> = 1/2 for its unit ket.
-    bra = qlin.kron_all([at_pos[q] for q in f.pure_qubits])
-    amp = qlin.overlap(bra, f.pure)
-    return float(f.scale * 0.5 ** len(f.mixed_qubits) * abs(amp) ** 2)
+        elements = instruments[slot.party].elements
+        for cj in elements:
+            if not cj.factorizable:
+                raise ProcmatError(
+                    f"party {slot.party!r} element {cj.outcome_label!r} has no kets; "
+                    "use the dense backend"
+                )
+        # <u| on the slot's pure qubits, one row per element; a mixed qubit
+        # contributes <k|I/2|k> = 1/2 for its unit ket, counted below
+        bra = np.ones(len(elements), dtype=np.complex128)
+        axes = []
+        for qubit, kets in (
+            (slot.input_qubit, [cj.measure_ket for cj in elements]),
+            (slot.output_qubit, [cj.reprepare_ket for cj in elements]),
+        ):
+            if qubit in labels:
+                rows = np.stack([ket.amplitudes for ket in kets]).conj()
+                bra = np.einsum("e...,ef->e...f", bra, rows)
+                axes.append(labels.index(qubit))
+        amp = np.tensordot(amp, bra, axes=(axes, list(range(1, bra.ndim))))
+        labels = [q for i, q in enumerate(labels) if i not in axes] + [None]
+    return f.scale * 0.5 ** len(f.mixed_qubits) * np.abs(amp) ** 2
 
 
-def _dense_probability(w: ProcessMatrix, assignment: Mapping[str, CJOperator]) -> float:
-    big = qlin.kron_all([assignment[s.party].op for s in w.slots])
-    # kron laid the CJs out as [in0, out0, in1, out1, ...]; route them to their slots
-    perm: list[int] = []
-    for s in w.slots:
-        perm.extend((s.input_qubit, s.output_qubit))
-    projector_op = qlin.permute_qubits(big, perm)
-    value = complex(np.einsum("ij,ji->", w.dense().entries, projector_op.entries))
-    if abs(value.imag) > 1e-10:
-        raise ProcmatError(f"probability has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _dense_probability(
+    w: ProcessMatrix, instruments: Mapping[str, Instrument]
+) -> np.ndarray:
+    """Dense backend of ``outcome_table`` and the independent oracle: trace W
+    against each party's stacked CJ tensors [e, r_in, r_out, c_in, c_out]."""
+    op = w.dense()
+    k = w.num_qubits
+    table = op.as_tensor()
+    # axis label per axis of table: (row/col, register qubit), or None for an element axis
+    labels: list[tuple[str, int] | None] = [("r", q) for q in range(k)]
+    labels += [("c", q) for q in range(k)]
+    for slot in w.slots:
+        cj = np.stack([e.op.as_tensor() for e in instruments[slot.party].elements])
+        # Tr[W X] pairs W's column indices with X's row indices and vice versa
+        axes = [
+            labels.index(("c", slot.input_qubit)),
+            labels.index(("c", slot.output_qubit)),
+            labels.index(("r", slot.input_qubit)),
+            labels.index(("r", slot.output_qubit)),
+        ]
+        table = np.tensordot(table, cj, axes=(axes, [1, 2, 3, 4]))
+        labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]
+    worst_imag = float(np.max(np.abs(table.imag)))
+    if worst_imag > 1e-10:
+        raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
+    return table.real
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +484,11 @@ def pm_validate(
         instruments = dict(family(rng))
         if set(instruments) != set(w.parties):
             raise ProcmatError("family must assign an instrument to every party")
-        total = 0.0
-        parties = list(w.parties)
-        # sum over the full outcome product, one pm_probability per combination
-        combos: list[dict] = [{}]
-        for party in parties:
-            combos = [
-                {**c, party: elem} for c in combos for elem in instruments[party].elements
-            ]
-        for combo in combos:
-            total += pm_probability(w, combo, backend=backend)
+        total = float(outcome_table(w, instruments, backend).sum())
         dev = abs(total - 1.0)
         if dev > worst:
             worst = dev
-            worst_desc = {p: instruments[p].description for p in parties}
+            worst_desc = {p: instruments[p].description for p in w.parties}
     min_eig = w.min_eigenvalue()
     return PmValidityReport(
         min_eigenvalue=min_eig,

@@ -1,9 +1,11 @@
 """Resource process matrix: construction, identities, controls, and the sampler."""
 
+import time
+
 import numpy as np
 import pytest
 
-from acausal_mbqc import acausal, graphstate, mbqc, procmat, qlin
+from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix, PureMixedFactor
 
 
@@ -221,3 +223,13 @@ def test_build_rejects_decorated_graph():
     d = graphstate.decorate(graphstate.chain(2))
     with pytest.raises(graphstate.GraphError):
         acausal.build_resource_pm(d)
+
+
+def test_dense_oracle_refuses_chain7_before_allocating():
+    """W of chain(7) is above the dense cap; the oracle must refuse at once."""
+    r = acausal.build_resource_pm(graphstate.chain(7))
+    start = time.perf_counter()
+    with pytest.raises(config.RegisterCapError):
+        acausal.backend_agreement(r, 0.0)
+    assert time.perf_counter() - start < 1.0
+

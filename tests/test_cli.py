@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -183,3 +184,38 @@ def test_cap_flag_blocks_oversized_build(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "subcommand" not in capsys.readouterr().err
+
+
+def assert_flag_rejected(capsys, argv, flag):
+    """Exit 2 at parse time with an error line naming the flag, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and flag in err, err
+
+
+def test_negative_shots_exits_2(capsys, p2_file):
+    assert_flag_rejected(capsys, ["postselect", "--graph", p2_file, "--shots", "-5"], "--shots")
+    assert_flag_rejected(capsys, ["pm-validate", "--graph", p2_file, "--shots", "-3"], "--shots")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_exits_2(capsys, p2_file, tol):
+    assert_flag_rejected(capsys, ["verify", "--graph", p2_file, "--tol", tol], "--tol")
+
+
+@pytest.mark.parametrize("flag", ["--angles", "--angles-b"])
+@pytest.mark.parametrize("value", ["inf", "0.1,nan", "-inf"])
+def test_non_finite_angles_exit_2(capsys, p2_file, flag, value):
+    assert_flag_rejected(capsys, ["signal", "--graph", p2_file, f"{flag}={value}"], flag)
+
+
+def test_memory_error_exits_2(capsys, p2_file, monkeypatch):
+    def out_of_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", out_of_memory)
+    assert cli.main(["verify", "--graph", p2_file]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"

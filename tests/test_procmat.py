@@ -176,14 +176,14 @@ def test_slots_must_partition_register():
 def test_clamp_counter_and_range_guard():
     procmat.reset_clamped_probability_count()
     before = procmat.clamped_probability_count()
-    assert procmat._validated_probability(-5e-11) == 0.0
+    assert procmat._validated_table(-5e-11) == 0.0
     assert procmat.clamped_probability_count() == before + 1
-    assert procmat._validated_probability(0.3) == 0.3
+    assert procmat._validated_table(0.3) == 0.3
     assert procmat.clamped_probability_count() == before + 1
     with pytest.raises(ProcmatError):
-        procmat._validated_probability(-2e-8)
+        procmat._validated_table(-2e-8)
     with pytest.raises(ProcmatError):
-        procmat._validated_probability(1.0 + 2e-8)
+        procmat._validated_table(1.0 + 2e-8)
     procmat.reset_clamped_probability_count()
     assert procmat.clamped_probability_count() == 0
 

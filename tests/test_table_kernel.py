@@ -1,0 +1,87 @@
+"""Property tests for the outcome-table kernel ``procmat.outcome_table``.
+
+Its two backends, the factorized overlap and the dense-trace oracle, must
+agree with each other and with the first-principles Born amplitude of
+criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
+guard must clamp and count each tiny negative entry once.
+"""
+
+import itertools
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acausal_mbqc import acausal, graphstate, procmat
+from test_acceptance import born_oracle
+
+ATOL = 1e-12
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def resources(draw):
+    """A random uniform-branch graph with N + n <= 5, its resource and random angles."""
+    n_comp = draw(st.integers(1, 4))
+    n_out = draw(st.integers(1, 5 - n_comp))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = graphstate.random_resource_graph(np.random.default_rng(seed), n_comp, n_out)
+    angle = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
+    ang = {c: draw(angle) for c in g.computation}
+    return g, acausal.build_resource_pm(g), ang
+
+
+@PROPERTY_SETTINGS
+@given(resources())
+def test_backends_match_first_principles_born_rule(case):
+    g, r, ang = case
+    born = np.array(
+        [
+            [born_oracle(g, ang, m, z) for z in itertools.product((0, 1), repeat=g.n_output)]
+            for m in itertools.product((0, 1), repeat=g.n_computation)
+        ]
+    )
+    for backend in ("factorized", "dense"):
+        table = acausal.outcome_probabilities(r, ang, backend=backend)
+        assert table.shape == born.shape
+        assert float(np.max(np.abs(table - born))) <= ATOL, backend
+
+
+@PROPERTY_SETTINGS
+@given(resources(), st.integers(0, 2**32 - 1))
+def test_backends_agree_on_random_rank_one_instruments(case, seed):
+    _, r, _ = case
+    parties = r.alice_parties + r.bob_parties
+    instruments = procmat.rank_one_instrument_family(parties)(np.random.default_rng(seed))
+    fact = procmat.outcome_table(r.w, instruments, backend="factorized")
+    dense = procmat.outcome_table(r.w, instruments, backend="dense")
+    assert fact.shape == (2,) * len(parties)
+    assert float(np.max(np.abs(fact - dense))) <= ATOL
+
+
+def with_raw_table(monkeypatch, backend, raw):
+    """Make ``backend`` return ``raw``, so that only the table's range guard acts on it."""
+    monkeypatch.setattr(procmat, f"_{backend}_probability", lambda w, instruments: raw.copy())
+    return acausal.build_resource_pm(graphstate.chain(2))
+
+
+@pytest.mark.parametrize("backend", ["factorized", "dense"])
+def test_table_clamps_and_counts_each_tiny_negative_entry(monkeypatch, backend):
+    r = with_raw_table(monkeypatch, backend, np.array([[-5e-11, 0.5], [-1e-9, 0.5]]))
+    before = procmat.clamped_probability_count()
+    table = acausal.outcome_probabilities(r, 0.0, backend=backend)
+    assert procmat.clamped_probability_count() == before + 2
+    assert table.tolist() == [[0.0, 0.5], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("backend", ["factorized", "dense"])
+@pytest.mark.parametrize("value", [-2e-8, 1.0 + 2e-8, math.nan])
+def test_table_rejects_out_of_range_entry(monkeypatch, backend, value):
+    r = with_raw_table(monkeypatch, backend, np.array([[0.25, 0.25], [value, 0.25]]))
+    before = procmat.clamped_probability_count()
+    with pytest.raises(procmat.ProcmatError, match=re.escape(f"{value!r} at outcome (1, 0)")):
+        acausal.outcome_probabilities(r, 0.0, backend=backend)
+    assert procmat.clamped_probability_count() == before
