@@ -72,7 +72,6 @@ from .procmat import (
     ProcmatError,
     alice_instrument,
     bob_instrument,
-    choi_of_measure_reprepare,
     clamped_probability_count,
     cptp_check,
     density_process_matrix,
@@ -92,7 +91,6 @@ from .acausal import (
     backend_agreement,
     branch_independence_report,
     build_resource_pm,
-    full_report,
     normalization_report,
     outcome_probabilities,
     postselected_sampler,
@@ -113,94 +111,3 @@ from .game import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_QUBIT_CAP",
-    "DEFAULT_SEED",
-    "RegisterCapError",
-    "qubit_cap",
-    "HermOp",
-    "Ket",
-    "QlinError",
-    "basis_ket",
-    "equatorial_basis",
-    "equatorial_ket",
-    "fidelity",
-    "kron_all",
-    "min_eigenvalue",
-    "overlap",
-    "partial_trace",
-    "permute_qubits",
-    "sample_projective",
-    "Graph",
-    "GraphError",
-    "chain",
-    "cycle_with_output",
-    "decorate",
-    "graph",
-    "graph_from_json",
-    "graph_state",
-    "graph_to_json",
-    "has_uniform_branches",
-    "ket_order",
-    "load_graph",
-    "parallel_chains",
-    "random_resource_graph",
-    "stabilizer_check",
-    "validate",
-    "vee_graph",
-    "BranchResult",
-    "Pattern",
-    "PatternError",
-    "RunRecord",
-    "adapted_angle",
-    "as_angle_map",
-    "branch_probability",
-    "chain_pattern",
-    "enumerate_causal",
-    "load_pattern",
-    "make_pattern",
-    "pattern_from_json",
-    "pattern_to_json",
-    "positive_branch_output",
-    "run_causal",
-    "validate_pattern",
-    "CJOperator",
-    "Instrument",
-    "ProcessMatrix",
-    "ProcmatError",
-    "alice_instrument",
-    "bob_instrument",
-    "choi_of_measure_reprepare",
-    "clamped_probability_count",
-    "cptp_check",
-    "density_process_matrix",
-    "instrument_from_kets",
-    "mbqc_instrument_family",
-    "outcome_table",
-    "pm_probability",
-    "pm_validate",
-    "rank_one_instrument_family",
-    "reset_clamped_probability_count",
-    "AcausalError",
-    "PostselectResult",
-    "ResourcePM",
-    "acausal_probability",
-    "backend_agreement",
-    "branch_independence_report",
-    "build_resource_pm",
-    "full_report",
-    "normalization_report",
-    "outcome_probabilities",
-    "postselected_sampler",
-    "postselection_report",
-    "signaling_tv",
-    "GameError",
-    "GameInstance",
-    "acausal_p0",
-    "boys_first_p0",
-    "causal_bound",
-    "game_instance",
-    "game_report",
-    "girls_first_p0",
-    "standard_instances",
-]

@@ -294,36 +294,3 @@ def postselection_report(
         "seed": result.seed,
     }
 
-
-def full_report(
-    g: Graph,
-    angles,
-    angles_b=None,
-    shots: int = 0,
-    seed: int | None = None,
-    backend: str = "auto",
-) -> dict:
-    """Union verification document over one graph and angle assignment.
-
-    ``angles_b`` defaults to the same angles with pi added at the first
-    computation vertex (the canonical signaling witness); ``shots = 0`` skips
-    sampling and reports null for the postselect block.
-    """
-    r = build_resource_pm(g)
-    ang = mbqc.as_angle_map(g, angles)
-    if angles_b is None:
-        first = g.computation[0]
-        ang_b = dict(ang)
-        ang_b[first] = ang[first] + np.pi
-    else:
-        ang_b = mbqc.as_angle_map(g, angles_b)
-    return {
-        "branch_independence_max_dev": branch_independence_report(r, ang, backend=backend),
-        "normalization_dev": normalization_report(r, ang, backend=backend),
-        "min_eigenvalue": r.min_eigenvalue(),
-        "trace": r.trace(),
-        "signaling_tv": signaling_tv(r, ang, ang_b, backend=backend),
-        "postselect": (
-            postselection_report(g, ang, shots, seed, backend=backend) if shots > 0 else None
-        ),
-    }

@@ -1,18 +1,20 @@
 """Process matrices and local instruments in the Choi representation.
 
-A party's local operation with outcome ``a`` is the Choi-Jamiolkowski (CJ)
-operator of the map rho -> |r><phi| rho |phi><r| (measure ``phi``, reprepare
-``r``), built as sum_{k,l} |k><l| (x) M(|l><k|), which for rank-1
-measure/reprepare evaluates exactly to |phi><phi| (x) |r><r|.  CJ registers
-are ordered input qubits first, then output qubits.
+Every party's local operation is a measure-and-reprepare instrument: element
+``a`` maps rho -> |r_a><phi_a| rho |phi_a><r_a|, and a ``CJOperator`` stores
+just those two single-qubit kets.  Its Choi-Jamiolkowski (CJ) operator
+sum_{k,l} |k><l| (x) M(|l><k|), which evaluates exactly to
+|phi><phi| (x) |r><r|, is built on demand by ``CJOperator.op``; CJ registers
+are ordered input qubit first, then output qubit.
 
 A process matrix W assigns each party one input and one output qubit of a
 global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 ``outcome_table`` computes them for every element of every party's
 instrument at once, as one contraction sweep over the parties.  Its two
-backends are kept deliberately independent: a dense trace against the
-materialized W (the oracle), and a factorized overlap for W of the form
-scale * |pure><pure| (x) (I/2)^k with rank-1 product instruments.
+backends are kept deliberately independent: a dense trace of the
+materialized W against each element's ``op`` (the oracle), and a factorized
+overlap of each element's kets with W of the form
+scale * |pure><pure| (x) (I/2)^k.
 """
 
 from __future__ import annotations
@@ -39,65 +41,34 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class CJOperator:
-    """Choi operator of one instrument element.
+    """One rank-1 instrument element rho -> |r><phi| rho |phi><r|.
 
-    ``measure_ket`` / ``reprepare_ket`` are retained for rank-1
-    measure-reprepare elements so the factorized backend can use them; they
-    are None for general elements (e.g. summed instruments).
+    The element is its two single-qubit kets, ``measure_ket`` (phi) and
+    ``reprepare_ket`` (r).  The factorized backend reads the kets; the dense
+    oracle reads ``op``, which builds the Choi operator from its definition.
     """
 
-    op: HermOp
-    in_count: int
-    out_count: int
-    outcome_label: str
-    measure_ket: Ket | None = None
-    reprepare_ket: Ket | None = None
+    measure_ket: Ket
+    reprepare_ket: Ket
 
     def __post_init__(self):
-        if self.in_count < 1 or self.out_count < 1:
-            raise ProcmatError("CJ operators need at least one input and output qubit")
-        if self.op.num_qubits != self.in_count + self.out_count:
-            raise ProcmatError(
-                f"CJ operator on {self.op.num_qubits} qubits does not match "
-                f"{self.in_count} inputs + {self.out_count} outputs"
-            )
         for name, ket in (("measure_ket", self.measure_ket), ("reprepare_ket", self.reprepare_ket)):
-            if ket is not None and ket.num_qubits != 1:
+            if ket.num_qubits != 1:
                 raise ProcmatError(f"{name} must be single-qubit")
-        if self.measure_ket is not None and self.reprepare_ket is not None:
-            ref = np.kron(
-                np.outer(self.measure_ket.amplitudes, self.measure_ket.amplitudes.conj()),
-                np.outer(self.reprepare_ket.amplitudes, self.reprepare_ket.amplitudes.conj()),
-            )
-            if float(np.max(np.abs(ref - self.op.entries))) > 1e-12:
-                raise ProcmatError("stored kets do not reproduce the CJ operator")
 
     @property
-    def factorizable(self) -> bool:
-        return self.measure_ket is not None and self.reprepare_ket is not None
-
-
-def choi_of_measure_reprepare(measure: Ket, reprepare: Ket, outcome_label: str) -> CJOperator:
-    """CJ operator of rho -> |r><phi| rho |phi><r| via the literal double sum."""
-    if measure.num_qubits != 1 or reprepare.num_qubits != 1:
-        raise ProcmatError("measure and reprepare kets must be single-qubit")
-    phi = measure.amplitudes
-    rr = np.outer(reprepare.amplitudes, reprepare.amplitudes.conj())
-    op = np.zeros((4, 4), dtype=np.complex128)
-    for k in range(2):
-        for l in range(2):
-            ketbra = np.zeros((2, 2), dtype=np.complex128)
-            ketbra[k, l] = 1.0
-            # M(|l><k|) = <phi|l><k|phi> |r><r|
-            op += np.kron(ketbra, (phi.conj()[l] * phi[k]) * rr)
-    return CJOperator(
-        op=HermOp(op),
-        in_count=1,
-        out_count=1,
-        outcome_label=str(outcome_label),
-        measure_ket=measure,
-        reprepare_ket=reprepare,
-    )
+    def op(self) -> HermOp:
+        """Choi operator on (input, output) via the literal double sum."""
+        phi = self.measure_ket.amplitudes
+        rr = np.outer(self.reprepare_ket.amplitudes, self.reprepare_ket.amplitudes.conj())
+        op = np.zeros((4, 4), dtype=np.complex128)
+        for k in range(2):
+            for l in range(2):
+                ketbra = np.zeros((2, 2), dtype=np.complex128)
+                ketbra[k, l] = 1.0
+                # M(|l><k|) = <phi|l><k|phi> |r><r|
+                op += np.kron(ketbra, (phi.conj()[l] * phi[k]) * rr)
+        return HermOp(op)
 
 
 @dataclass(frozen=True)
@@ -110,36 +81,13 @@ class Instrument:
     def __post_init__(self):
         if not self.elements:
             raise ProcmatError("instrument needs at least one element")
-        shapes = {(e.in_count, e.out_count) for e in self.elements}
-        if len(shapes) != 1:
-            raise ProcmatError(f"instrument elements disagree on register shape: {shapes}")
-
-    @property
-    def in_count(self) -> int:
-        return self.elements[0].in_count
-
-    @property
-    def out_count(self) -> int:
-        return self.elements[0].out_count
-
-    def summed_op(self) -> HermOp:
-        return HermOp(sum(e.op.entries for e in self.elements))
-
-    def summed_cj(self) -> CJOperator:
-        return CJOperator(
-            op=self.summed_op(),
-            in_count=self.in_count,
-            out_count=self.out_count,
-            outcome_label="sum",
-        )
 
 
 def alice_instrument(phi: float) -> Instrument:
     """Equatorial measurement at angle phi, reprepared as the outcome bit."""
     return Instrument(
         elements=tuple(
-            choi_of_measure_reprepare(qlin.equatorial_ket(phi, m), qlin.basis_ket([m]), f"m={m}")
-            for m in (0, 1)
+            CJOperator(qlin.equatorial_ket(phi, m), qlin.basis_ket([m])) for m in (0, 1)
         ),
         description=f"equatorial(phi={float(phi):.6f})",
     )
@@ -149,8 +97,7 @@ def bob_instrument() -> Instrument:
     """Computational-basis readout, reprepared as the outcome bit."""
     return Instrument(
         elements=tuple(
-            choi_of_measure_reprepare(qlin.basis_ket([z]), qlin.basis_ket([z]), f"z={z}")
-            for z in (0, 1)
+            CJOperator(qlin.basis_ket([z]), qlin.basis_ket([z])) for z in (0, 1)
         ),
         description="computational readout",
     )
@@ -162,10 +109,7 @@ def instrument_from_kets(
     """Rank-1 instrument from per-outcome measure and reprepare kets."""
     if len(measure_kets) != len(reprepare_kets):
         raise ProcmatError("need one reprepare ket per measure ket")
-    elems = tuple(
-        choi_of_measure_reprepare(mk, rk, f"k={i}")
-        for i, (mk, rk) in enumerate(zip(measure_kets, reprepare_kets))
-    )
+    elems = tuple(CJOperator(mk, rk) for mk, rk in zip(measure_kets, reprepare_kets))
     return Instrument(elements=elems, description=description)
 
 
@@ -182,10 +126,9 @@ class CptpReport:
 
 def cptp_check(inst: Instrument) -> CptpReport:
     """CPTP iff the summed CJ operator is PSD and traces out to the identity."""
-    total = inst.summed_op()
-    out_positions = list(range(inst.in_count, inst.in_count + inst.out_count))
-    reduced = qlin.partial_trace(total, out_positions)
-    dev = float(np.max(np.abs(reduced.entries - np.eye(2**inst.in_count))))
+    total = HermOp(sum(e.op.entries for e in inst.elements))
+    reduced = qlin.partial_trace(total, [1])  # trace out the output qubit
+    dev = float(np.max(np.abs(reduced.entries - np.eye(2))))
     return CptpReport(identity_deviation=dev, min_eigenvalue=qlin.min_eigenvalue(total))
 
 
@@ -349,22 +292,15 @@ def outcome_table(
     per element of that party's instrument.
 
     backend: "dense" (trace against the materialized operator), "factorized"
-    (overlap against the pure (x) mixed form; needs rank-1 kets), or "auto"
-    (factorized when possible, dense otherwise).
+    (overlap against the pure (x) mixed form; needs a factored ``w``), or
+    "auto" (factorized when ``w`` is factored, dense otherwise).
     """
     if set(instruments) != set(w.parties):
         raise ProcmatError(
             f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
         )
-    for party, inst in instruments.items():
-        if inst.in_count != 1 or inst.out_count != 1:
-            raise ProcmatError(f"party {party!r}: slots are single-qubit in/out")
-
     if backend == "auto":
-        usable = w.factor is not None and all(
-            e.factorizable for inst in instruments.values() for e in inst.elements
-        )
-        backend = "factorized" if usable else "dense"
+        backend = "factorized" if w.factor is not None else "dense"
     if backend == "factorized":
         return _validated_table(_factorized_probability(w, instruments))
     if backend == "dense":
@@ -393,12 +329,6 @@ def _factorized_probability(
     labels: list[int | None] = list(f.pure_qubits)
     for slot in w.slots:
         elements = instruments[slot.party].elements
-        for cj in elements:
-            if not cj.factorizable:
-                raise ProcmatError(
-                    f"party {slot.party!r} element {cj.outcome_label!r} has no kets; "
-                    "use the dense backend"
-                )
         # <u| on the slot's pure qubits, one row per element; a mixed qubit
         # contributes <k|I/2|k> = 1/2 for its unit ket, counted below
         bra = np.ones(len(elements), dtype=np.complex128)
@@ -452,11 +382,15 @@ InstrumentFamily = Callable[[np.random.Generator], Mapping[str, Instrument]]
 
 @dataclass(frozen=True)
 class PmValidityReport:
-    """Positivity floor plus worst total-probability deviation over sampled instruments."""
+    """Positivity floor plus worst total-probability deviation over sampled instruments.
+
+    ``worst_assignment`` describes each party's instrument in the worst trial
+    when that trial's deviation exceeds the tolerance, and is None otherwise.
+    """
 
     min_eigenvalue: float
     max_deviation: float
-    worst_assignment: dict[str, str]
+    worst_assignment: dict[str, str] | None
     trials: int
     tolerance: float
     passed: bool
@@ -493,7 +427,7 @@ def pm_validate(
     return PmValidityReport(
         min_eigenvalue=min_eig,
         max_deviation=worst,
-        worst_assignment=worst_desc,
+        worst_assignment=worst_desc if worst > tol else None,
         trials=trials,
         tolerance=tol,
         passed=(worst <= tol and min_eig >= -tol),

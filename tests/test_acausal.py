@@ -204,21 +204,6 @@ def test_default_seed_applied_when_omitted():
     assert res.seed == config.DEFAULT_SEED
 
 
-def test_full_report_schema():
-    rep = acausal.full_report(graphstate.chain(2), 0.0, shots=20_000, seed=3)
-    assert set(rep) == {
-        "branch_independence_max_dev",
-        "normalization_dev",
-        "min_eigenvalue",
-        "trace",
-        "signaling_tv",
-        "postselect",
-    }
-    assert rep["postselect"]["shots"] == 20_000
-    zero = acausal.full_report(graphstate.chain(2), 0.0)
-    assert zero["postselect"] is None
-
-
 def test_build_rejects_decorated_graph():
     d = graphstate.decorate(graphstate.chain(2))
     with pytest.raises(graphstate.GraphError):

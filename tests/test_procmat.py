@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from acausal_mbqc import procmat, qlin
+from acausal_mbqc import acausal, graphstate, procmat, qlin
 from acausal_mbqc.procmat import (
     ProcmatError,
     ProcessMatrix,
@@ -18,13 +18,12 @@ def test_choi_of_measure_reprepare_closed_form():
     for _ in range(10):
         m = qlin.random_ket(rng, 1)
         r = qlin.random_ket(rng, 1)
-        cj = procmat.choi_of_measure_reprepare(m, r, "x")
+        cj = procmat.CJOperator(m, r)
         oracle = np.kron(
             np.outer(m.amplitudes, m.amplitudes.conj()),
             np.outer(r.amplitudes, r.amplitudes.conj()),
         )
         assert np.allclose(cj.op.entries, oracle, atol=1e-12)
-        assert cj.factorizable
 
 
 def test_conjugated_measure_ket_equals_negated_angle():
@@ -33,21 +32,9 @@ def test_conjugated_measure_ket_equals_negated_angle():
     for m in (0, 1):
         conj = qlin.Ket(qlin.equatorial_ket(phi, m).amplitudes.conj())
         neg = qlin.equatorial_ket(-phi, m)
-        cj_conj = procmat.choi_of_measure_reprepare(conj, qlin.KET0, "c")
-        cj_neg = procmat.choi_of_measure_reprepare(neg, qlin.KET0, "n")
+        cj_conj = procmat.CJOperator(conj, qlin.KET0)
+        cj_neg = procmat.CJOperator(neg, qlin.KET0)
         assert np.allclose(cj_conj.op.entries, cj_neg.op.entries, atol=1e-12)
-
-
-def test_choi_rejects_inconsistent_kets():
-    with pytest.raises(ProcmatError):
-        procmat.CJOperator(
-            op=qlin.identity_op(2),
-            in_count=1,
-            out_count=1,
-            outcome_label="bad",
-            measure_ket=qlin.KET0,
-            reprepare_ket=qlin.KET0,
-        )
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.8, np.pi, 4.4])
@@ -70,15 +57,6 @@ def test_cptp_check_flags_dropped_element():
     assert report.identity_deviation == pytest.approx(0.5, abs=1e-12)
 
 
-def test_instrument_element_shapes_must_agree():
-    a = procmat.choi_of_measure_reprepare(qlin.KET0, qlin.KET0, "0")
-    b = procmat.CJOperator(
-        op=qlin.identity_op(3), in_count=2, out_count=1, outcome_label="big"
-    )
-    with pytest.raises(ProcmatError):
-        procmat.Instrument(elements=(a, b))
-
-
 def test_density_pm_reproduces_born_rule():
     """Measure-reprepare parties on 2^k rho (x) (I/2)^k recover <b|rho|b>."""
     rng = np.random.default_rng(53)
@@ -90,12 +68,8 @@ def test_density_pm_reproduces_born_rule():
     for ka in (0, 1):
         for kb in (0, 1):
             assignment = {
-                "P1": procmat.choi_of_measure_reprepare(
-                    basis_a[ka], qlin.random_ket(rng, 1), f"a{ka}"
-                ),
-                "P2": procmat.choi_of_measure_reprepare(
-                    basis_b[kb], qlin.random_ket(rng, 1), f"b{kb}"
-                ),
+                "P1": procmat.CJOperator(basis_a[ka], qlin.random_ket(rng, 1)),
+                "P2": procmat.CJOperator(basis_b[kb], qlin.random_ket(rng, 1)),
             }
             p = procmat.pm_probability(w, assignment)
             bra = np.kron(basis_a[ka].amplitudes, basis_b[kb].amplitudes)
@@ -129,22 +103,12 @@ def test_factorized_and_dense_backends_agree():
     w, psi = small_factored_pm(rng)
     basis = qlin.random_single_qubit_basis(rng)
     for k in (0, 1):
-        cj = procmat.choi_of_measure_reprepare(basis[k], qlin.random_ket(rng, 1), str(k))
+        cj = procmat.CJOperator(basis[k], qlin.random_ket(rng, 1))
         pf = procmat.pm_probability(w, {"A": cj}, backend="factorized")
         pd = procmat.pm_probability(w, {"A": cj}, backend="dense")
         born = float(abs(np.vdot(basis[k].amplitudes, psi.amplitudes)) ** 2)
         assert pf == pytest.approx(pd, abs=1e-12)
         assert pf == pytest.approx(born, abs=1e-12)
-
-
-def test_factorized_backend_requires_kets():
-    rng = np.random.default_rng(67)
-    w, _ = small_factored_pm(rng)
-    summed = procmat.alice_instrument(0.2).summed_cj()  # no kets retained
-    with pytest.raises(ProcmatError):
-        procmat.pm_probability(w, {"A": summed}, backend="factorized")
-    # auto silently falls back to dense and still normalizes
-    assert procmat.pm_probability(w, {"A": summed}) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_and_min_eigenvalue_from_factor_match_dense():
@@ -158,7 +122,7 @@ def test_trace_and_min_eigenvalue_from_factor_match_dense():
 def test_pm_probability_validates_parties():
     rng = np.random.default_rng(73)
     w, _ = small_factored_pm(rng)
-    cj = procmat.choi_of_measure_reprepare(qlin.KET0, qlin.KET0, "z")
+    cj = procmat.CJOperator(qlin.KET0, qlin.KET0)
     with pytest.raises(ProcmatError):
         procmat.pm_probability(w, {"B": cj})
     with pytest.raises(ProcmatError):
@@ -195,5 +159,41 @@ def test_pm_validate_worst_assignment_is_reported():
         w, procmat.mbqc_instrument_family(["P1"], []), 5, 1e-9, rng
     )
     assert report.trials == 5
-    assert set(report.worst_assignment) == {"P1"}
     assert report.passed
+    # every trial is within tolerance, so no trial is named as the worst
+    assert report.worst_assignment is None
+
+
+def test_pm_validate_names_the_failing_trial():
+    """Rank-1 instruments break the normalization of the chain(2) resource."""
+    r = acausal.build_resource_pm(graphstate.chain(2))
+    family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+    report = procmat.pm_validate(r.w, family, 20, 1e-9, np.random.default_rng(83))
+    assert not report.passed
+    assert report.max_deviation > 0.5
+    assert set(report.worst_assignment) == {"A1", "B1"}
+    assert all(desc.startswith("measure ") for desc in report.worst_assignment.values())
+
+
+def test_backend_dispatch_on_a_dense_only_process_matrix():
+    rng = np.random.default_rng(89)
+    w = procmat.density_process_matrix(qlin.random_density(rng, 2))
+    instruments = {"P1": procmat.alice_instrument(0.4), "P2": procmat.bob_instrument()}
+    with pytest.raises(ProcmatError, match="needs a factored process matrix"):
+        procmat.outcome_table(w, instruments, backend="factorized")
+    dense = procmat.outcome_table(w, instruments, backend="dense")
+    assert np.array_equal(procmat.outcome_table(w, instruments), dense)
+    with pytest.raises(ProcmatError, match="unknown backend"):
+        procmat.outcome_table(w, instruments, backend="sparse")
+
+
+@pytest.mark.parametrize("backend", ["auto", "factorized"])
+def test_factorized_table_never_builds_a_choi_operator(monkeypatch, backend):
+    r = acausal.build_resource_pm(graphstate.chain(4))
+
+    def refuse(cj):
+        raise AssertionError("the factorized backend read CJOperator.op")
+
+    monkeypatch.setattr(procmat.CJOperator, "op", property(refuse))
+    table = acausal.outcome_probabilities(r, 0.7, backend=backend)
+    assert float(table.sum()) == pytest.approx(1.0, abs=1e-10)
