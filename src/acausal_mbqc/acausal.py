@@ -84,8 +84,9 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
     n_comp, n_out = g.n_computation, g.n_output
-    config.check_cap(2 * (n_comp + n_out), cap, what="resource process matrix register")
 
+    # W stays factored; the largest array is the decorated state on 2N + n
+    # qubits, which graph_state caps before allocating
     decorated = graphstate.decorate(g)
     route_a = graphstate.graph_state(decorated, cap)
 

@@ -233,12 +233,18 @@ class ProcessMatrix:
         return float(self._op.trace().real)
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; for factored W this is scale * 2^-mixed * min eig |pure><pure|,
-        since tensoring with I/2 factors only rescales the spectrum."""
+        """Smallest eigenvalue, the positivity floor of W.
+
+        A factored W = scale |pure><pure| (x) (I/2)^k on p pure qubits has the
+        exact spectrum scale 2^-k ||pure||^2 (multiplicity 2^k) and 0
+        (multiplicity (2^p - 1) 2^k), so its floor is exactly 0.0 when p >= 1
+        and scale 2^-k ||pure||^2 when the pure register has dimension 1; no
+        operator is built.  A dense-only W is diagonalized.
+        """
         if self.factor is not None:
-            f = self.factor
-            base = qlin.min_eigenvalue(qlin.projector(f.pure))
-            return float(f.scale * 0.5 ** len(f.mixed_qubits) * base)
+            if self.factor.pure_qubits:
+                return 0.0
+            return self.trace() * 0.5 ** len(self.factor.mixed_qubits)
         return qlin.min_eigenvalue(self._op)
 
 

@@ -218,3 +218,14 @@ def test_dense_oracle_refuses_chain7_before_allocating():
         acausal.backend_agreement(r, 0.0)
     assert time.perf_counter() - start < 1.0
 
+
+def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
+    """The factored floor reads the spectrum; no projector, HermOp or eigvalsh."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored min_eigenvalue must not build or diagonalize W")
+
+    monkeypatch.setattr(qlin, "projector", refuse)
+    monkeypatch.setattr(qlin.HermOp, "__init__", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert acausal.build_resource_pm(graphstate.chain(4)).min_eigenvalue() == 0.0

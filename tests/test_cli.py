@@ -1,32 +1,33 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
 import json
+import time
 import warnings
 
 import pytest
 
-from acausal_mbqc import cli, graphstate, mbqc
+from acausal_mbqc import cli, config, graphstate, mbqc
+
+
+def graph_file(tmp_path, g, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(graphstate.graph_to_json(g)))
+    return str(path)
 
 
 @pytest.fixture
 def p2_file(tmp_path):
-    path = tmp_path / "p2.json"
-    path.write_text(json.dumps(graphstate.graph_to_json(graphstate.chain(2))))
-    return str(path)
+    return graph_file(tmp_path, graphstate.chain(2), "p2")
 
 
 @pytest.fixture
 def p3_file(tmp_path):
-    path = tmp_path / "p3.json"
-    path.write_text(json.dumps(graphstate.graph_to_json(graphstate.chain(3))))
-    return str(path)
+    return graph_file(tmp_path, graphstate.chain(3), "p3")
 
 
 @pytest.fixture
 def vee_file(tmp_path):
-    path = tmp_path / "vee.json"
-    path.write_text(json.dumps(graphstate.graph_to_json(graphstate.vee_graph())))
-    return str(path)
+    return graph_file(tmp_path, graphstate.vee_graph(), "vee")
 
 
 def run_json(capsys, argv):
@@ -173,12 +174,46 @@ def test_missing_required_graph_flag_exits_2(capsys):
 
 
 def test_cap_flag_blocks_oversized_build(capsys, tmp_path):
-    big = graphstate.parallel_chains([2] * 4)  # 8 vertices -> 16-qubit register
+    big = graphstate.parallel_chains([2] * 4)  # decorated state on 2N + n = 12 qubits
     path = tmp_path / "big.json"
     path.write_text(json.dumps(graphstate.graph_to_json(big)))
     code = cli.main(["resource-pm", "--graph", str(path), "--cap", "10"])
     assert code == 2
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resource-pm", "verify"])
+def test_cap_counts_the_decorated_state_not_w(capsys, tmp_path, monkeypatch, command):
+    """W of parallel_chains([2]*4) has 16 qubits, its decorated state 12."""
+    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+    path = graph_file(tmp_path, graphstate.parallel_chains([2] * 4), "pc4")
+    code, rep = run_json(capsys, [command, "--graph", path, "--json"])
+    assert code == 0
+    assert rep["trace"] == 256.0
+    assert rep["min_eigenvalue"] == 0.0
+    assert cli.main([command, "--graph", path, "--cap", "11"]) == 2
+    assert "needs 12 qubits, above the cap of 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resource-pm", "verify"])
+def test_decorated_state_above_the_default_cap_exits_2(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+    path = graph_file(tmp_path, graphstate.chain(8), "chain8")  # 2N + n = 15
+    assert cli.main([command, "--graph", path, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "graph state on 15 vertices needs 15 qubits" in err
+    assert f"above the cap of {config.DEFAULT_QUBIT_CAP}" in err
+
+
+@pytest.mark.parametrize("command", ["resource-pm", "verify"])
+def test_chain7_positivity_floor_is_exact_and_fast(capsys, tmp_path, command):
+    """W of chain(7) is 2^14-square; its floor comes from the factor, not from an eigvalsh."""
+    path = graph_file(tmp_path, graphstate.chain(7), "chain7")
+    start = time.perf_counter()
+    code, rep = run_json(capsys, [command, "--graph", path, "--json"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert rep["min_eigenvalue"] == 0.0
 
 
 def test_help_exits_zero(capsys):

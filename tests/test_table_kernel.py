@@ -3,7 +3,9 @@
 Its two backends, the factorized overlap and the dense-trace oracle, must
 agree with each other and with the first-principles Born amplitude of
 criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
-guard must clamp and count each tiny negative entry once.
+guard must clamp and count each tiny negative entry once.  The trace and
+positivity floor that a factored W reads off its factor must match the
+materialized dense operator.
 """
 
 import itertools
@@ -12,10 +14,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acausal_mbqc import acausal, graphstate, procmat
+from acausal_mbqc import acausal, config, graphstate, procmat, qlin
 from test_acceptance import born_oracle
 
 ATOL = 1e-12
@@ -60,6 +62,48 @@ def test_backends_agree_on_random_rank_one_instruments(case, seed):
     dense = procmat.outcome_table(r.w, instruments, backend="dense")
     assert fact.shape == (2,) * len(parties)
     assert float(np.max(np.abs(fact - dense))) <= ATOL
+
+
+def factored_w(n_slots, n_pure, order, scale, seed):
+    """W = scale |pure><pure| (x) (I/2)^k with the pure qubits first in ``order``."""
+    rng = np.random.default_rng(seed)
+    pure = qlin.random_ket(rng, n_pure) if n_pure else qlin.Ket([1.0])
+    factor = procmat.PureMixedFactor(
+        pure=pure,
+        pure_qubits=tuple(order[:n_pure]),
+        mixed_qubits=tuple(order[n_pure:]),
+        scale=scale,
+    )
+    slots = [procmat.Slot(f"P{i + 1}", 2 * i, 2 * i + 1) for i in range(n_slots)]
+    return procmat.ProcessMatrix(slots, factor=factor)
+
+
+@st.composite
+def factored_process_matrices(draw):
+    """A random factored W whose dense form fits the operator cap."""
+    n_slots = draw(st.integers(1, min(4, config.DENSE_OPERATOR_CAP // 2)))
+    k = 2 * n_slots
+    return factored_w(
+        n_slots,
+        n_pure=draw(st.integers(0, k)),
+        order=draw(st.permutations(range(k))),
+        scale=draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(factored_process_matrices())
+@example(factored_w(n_slots=2, n_pure=0, order=[3, 1, 0, 2], scale=3.0, seed=0))
+def test_factored_trace_and_floor_match_dense_oracle(w):
+    f = w.factor
+    tol = ATOL * f.scale
+    dense = w.dense()
+    assert abs(w.min_eigenvalue() - qlin.min_eigenvalue(dense)) <= tol
+    assert abs(w.trace() - float(dense.trace().real)) <= tol
+    if not f.pure_qubits:
+        # every qubit mixed: W = scale (I/2)^k has floor scale 2^-k, not 0
+        assert w.min_eigenvalue() == pytest.approx(f.scale * 0.5 ** len(f.mixed_qubits))
 
 
 def with_raw_table(monkeypatch, backend, raw):
