@@ -63,6 +63,7 @@ from .mbqc import (
     pattern_to_json,
     positive_branch_output,
     run_causal,
+    sample_causal,
     validate_pattern,
 )
 from .procmat import (

@@ -207,13 +207,7 @@ class PostselectResult:
 
 
 def postselected_sampler(
-    g: Graph,
-    angles,
-    shots: int,
-    seed: int | None = None,
-    *,
-    batch_size: int = 65536,
-    cap: int | None = None,
+    g: Graph, angles, shots: int, seed: int | None = None, *, cap: int | None = None
 ) -> PostselectResult:
     """Sample the decorated state, keep runs where pendants echo outcomes and
     ancilla bits match the readout.
@@ -224,9 +218,13 @@ def postselected_sampler(
     Acceptance requires pendant == outcome per vertex and ancilla == readout
     per output, and happens at rate 2^-(N+n) for uniform-branch graphs.
 
-    Batch b draws from ``numpy.random.SeedSequence([seed, b])``: results are
-    reproducible for a fixed (seed, batch_size) pair, and batch_size is purely
-    a memory knob that also fixes the stream partitioning.
+    Contract: one ``numpy.random.default_rng(seed)`` Generator draws
+    ``multinomial(shots, probs)`` over the 2^(2N+n) basis states, whose
+    (m, z, pendant = m) cells are the runs that pass the pendant test; then
+    ``binomial(kept, 2^-n)`` per (m, z) cell keeps the runs whose n ancilla
+    coins equal the readout.  The accepted counts have exactly the joint law
+    of ``shots`` independent per-run draws, and a fixed seed gives identical
+    counts.
     """
     graphstate.validate(g)
     if shots < 1:
@@ -248,41 +246,22 @@ def postselected_sampler(
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
 
-    k = 2 * n_comp + n_out
-    shift = k - 1 - np.arange(k)
-    black_pos = np.arange(n_comp)
-    out_pos = n_comp + np.arange(n_out)
-    red_pos = n_comp + n_out + np.arange(n_comp)
-    counts = np.zeros((2**n_comp, 2**n_out), dtype=np.int64)
-    accepted = 0
-    done = 0
-    batch_index = 0
-    while done < shots:
-        take = min(batch_size, shots - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
-        idx = rng.choice(probs.size, size=take, p=probs)
-        anc = rng.integers(0, 2, size=(take, n_out))
-        bits = (idx[:, None] >> shift[None, :]) & 1
-        ok = np.all(bits[:, red_pos] == bits[:, black_pos], axis=1) & np.all(
-            anc == bits[:, out_pos], axis=1
-        )
-        m_idx = bits[ok][:, black_pos] @ (1 << np.arange(n_comp - 1, -1, -1))
-        z_idx = bits[ok][:, out_pos] @ (1 << np.arange(n_out - 1, -1, -1))
-        np.add.at(counts, (m_idx, z_idx), 1)
-        accepted += int(ok.sum())
-        done += take
-        batch_index += 1
-    return PostselectResult(counts=counts, shots=shots, accepted=accepted, seed=seed)
+    rng = np.random.default_rng(seed)
+    # register order is C, O, pendants: axes (m, z, pendant), pendant == m kept
+    cells = rng.multinomial(shots, probs).reshape(2**n_comp, 2**n_out, 2**n_comp)
+    kept = cells[np.arange(2**n_comp), :, np.arange(2**n_comp)]
+    counts = rng.binomial(kept, 2.0**-n_out)
+    return PostselectResult(counts=counts, shots=shots, accepted=int(counts.sum()), seed=seed)
 
 
 def postselection_report(
-    g: Graph, angles, shots: int, seed: int | None = None, backend: str = "auto"
+    r: ResourcePM, angles, shots: int, seed: int | None = None, backend: str = "auto"
 ) -> dict:
-    """Sampler-vs-exact comparison: acceptance rate, expected rate, and the
-    total variation between the accepted empirical distribution and the exact
-    acausal distribution (normalized)."""
+    """Sampler-vs-exact comparison on a built resource: acceptance rate,
+    expected rate, and the total variation between the accepted empirical
+    distribution and the exact acausal distribution (normalized)."""
+    g = r.base_graph
     result = postselected_sampler(g, angles, shots, seed)
-    r = build_resource_pm(g)
     exact = outcome_probabilities(r, angles, backend=backend)
     exact = exact / exact.sum()
     emp = result.empirical_distribution()
@@ -294,4 +273,3 @@ def postselection_report(
         "shots": result.shots,
         "seed": result.seed,
     }
-

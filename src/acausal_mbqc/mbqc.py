@@ -4,18 +4,21 @@ Computation vertices are measured one at a time in equatorial bases
 |phi^m> = (|0> + (-1)^m e^{i phi}|1>)/sqrt(2); later angles adapt to earlier
 outcomes through X/Z dependency sets, and the surviving output register gets
 a final Pauli byproduct correction before computational-basis readout.
+
+One shot-batched walk serves three modes: sampled runs (``sample_causal``,
+``run_causal``), all 2^N forced histories (``enumerate_causal``) and the
+all-zeros branch (``positive_branch_output``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import graphstate, qlin
+from . import config, graphstate, qlin
 from .graphstate import Graph
 from .qlin import Ket
 
@@ -111,11 +114,14 @@ def validate_pattern(g: Graph, p: Pattern) -> Pattern:
     return p
 
 
-def adapted_angle(phi: float, s_x: int, s_z: int) -> float:
-    """Angle actually measured: (-1)^{s_x} phi + pi * s_z, reduced mod 2*pi."""
-    if s_x not in (0, 1) or s_z not in (0, 1):
+def adapted_angle(phi: float, s_x, s_z):
+    """Angle actually measured: (-1)^{s_x} phi + pi * s_z, reduced mod 2*pi;
+    the parities may be equal-shape arrays of bits, one per run."""
+    s_x, s_z = np.asarray(s_x), np.asarray(s_z)
+    if not (np.isin(s_x, (0, 1)).all() and np.isin(s_z, (0, 1)).all()):
         raise PatternError(f"parities must be bits, got s_x={s_x}, s_z={s_z}")
-    return ((-phi if s_x else phi) + np.pi * s_z) % TWO_PI
+    angle = (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % TWO_PI
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def as_angle_map(g: Graph, angles) -> dict[str, float]:
@@ -133,10 +139,6 @@ def as_angle_map(g: Graph, angles) -> dict[str, float]:
     return dict(zip(comp, vals))
 
 
-def _parity(m_by: Mapping[str, int], deps: frozenset[str]) -> int:
-    return sum(m_by[u] for u in deps) % 2
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One causal run: outcome bits in graph C order, readout bits in O order."""
@@ -147,57 +149,91 @@ class RunRecord:
     corrected: bool
 
 
-def run_causal(
-    g: Graph, p: Pattern, rng: np.random.Generator, *, correct: bool = True
-) -> RunRecord:
-    """Simulate one adaptive run: measure C in order, correct, read out O.
+ZERO_BRANCH_WEIGHT = 1e-28  # a lighter branch is dropped: weight 0, zero amplitudes
 
-    ``branch_probability`` is the Born weight of the realized C-outcome
-    history only (readout randomness excluded).
+
+def _measure(state: np.ndarray, pos: int, bras: np.ndarray, u: np.ndarray):
+    """Measure axis ``pos`` of every row of ``state`` (rows, 2^r): outcome 0
+    exactly when ``u < p0``, where ``bras[row, m]`` is outcome m's conjugated
+    basis ket.  Returns the renormalized post-states, outcomes and weights."""
+    s = state.reshape(len(state), 2**pos, 2, -1)
+    br = bras[:, :, :1, None] * s[:, None, :, 0] + bras[:, :, 1:, None] * s[:, None, :, 1]
+    w = np.sum(np.abs(br) ** 2, axis=(2, 3))
+    m = (u >= w[:, 0]).astype(np.int64)
+    amp, w = br[np.arange(len(m)), m], w[np.arange(len(m)), m]
+    dead = w < ZERO_BRANCH_WEIGHT
+    amp = np.where(dead[:, None, None], 0.0, amp / np.sqrt(np.where(dead, 1.0, w))[:, None, None])
+    return amp.reshape(len(m), -1), m, np.where(dead, 0.0, w)
+
+
+def _walk(g: Graph, p: Pattern, rows: int, *, correct: bool, rng=None, forced=None):
+    """The one measurement walk: ``rows`` runs of pattern ``p`` side by side.
+
+    Row r measures ``p.order`` at its adapted angles, taking outcome
+    ``forced[r, i]`` at step i if given, else 0 exactly when a uniform
+    ``u < p0``; then, if ``correct``, the output byproducts as per-row flips
+    and signs.  Sampling also reads out O.  The uniforms ``rng.random((block,
+    N + n))`` are drawn row-major block after block, as ``rows`` single runs
+    draw them, so no result depends on the block size (at most 2^cap
+    amplitudes).  Returns outcome bits (rows, N) in C order, history weights
+    (rows,), and readout bits (rows, n) in O order (sampling) or output
+    amplitudes (rows, 2^n) (forced).
     """
     validate_pattern(g, p)
-    state = graphstate.graph_state(g)
-    pos = {v: i for i, v in enumerate(graphstate.ket_order(g))}
-    m_by: dict[str, int] = {}
-    branch_prob = 1.0
-    for v in p.order:
-        phi = adapted_angle(
-            p.angles[v],
-            _parity(m_by, p.x_deps.get(v, frozenset())),
-            _parity(m_by, p.z_deps.get(v, frozenset())),
-        )
-        res = qlin.sample_projective(state, qlin.equatorial_basis(phi), pos[v], rng)
-        state = res.state
-        m_by[v] = res.outcome
-        branch_prob *= res.probability
-        removed = pos.pop(v)
-        pos = {u: (i - 1 if i > removed else i) for u, i in pos.items()}
-    if correct:
-        state = _apply_corrections(g, p, m_by, state, pos)
-    z_by: dict[str, int] = {}
-    for o in g.output:
-        res = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, pos[o], rng)
-        state = res.state
-        z_by[o] = res.outcome
-        removed = pos.pop(o)
-        pos = {u: (i - 1 if i > removed else i) for u, i in pos.items()}
-    return RunRecord(
-        m=tuple(m_by[c] for c in g.computation),
-        z=tuple(z_by[o] for o in g.output),
-        branch_probability=branch_prob,
-        corrected=correct,
-    )
+    base = graphstate.graph_state(g).amplitudes
+    n_comp, n_out = g.n_computation, g.n_output
+    col = {v: i for i, v in enumerate(p.order)}
+    block = max(1, 2 ** config.qubit_cap() // base.size)
+    parts = []
+    for start in range(0, rows, block):
+        b = min(block, rows - start)
+        if forced is None:
+            u = rng.random((b, n_comp + n_out))
+        else:  # a forced outcome is a uniform that always falls on its side
+            u = np.where(forced[start:start + b] == 1, np.inf, -np.inf)
+        state, live = np.broadcast_to(base, (b, base.size)), list(graphstate.ket_order(g))
+        bits, weight = np.zeros((b, n_comp), dtype=np.int64), np.ones(b)
+
+        def parity(deps):
+            return bits[:, [col[x] for x in deps]].sum(axis=1) % 2
+
+        for i, v in enumerate(p.order):
+            phi = adapted_angle(
+                p.angles[v], parity(p.x_deps.get(v, ())), parity(p.z_deps.get(v, ()))
+            )
+            e = np.exp(1j * phi)
+            bras = (np.stack([np.ones_like(e), e, np.ones_like(e), -e], 1) / np.sqrt(2.0)).conj()
+            state, bits[:, i], w = _measure(state, live.index(v), bras.reshape(b, 2, 2), u[:, i])
+            weight *= w
+            live.remove(v)
+        for o in g.output if correct else ():
+            s = state.reshape(b, 2 ** live.index(o), 2, -1)
+            s = np.where(parity(p.out_x_deps.get(o, ()))[:, None, None, None], s[:, :, ::-1], s)
+            s[:, :, 1] *= (1 - 2 * parity(p.out_z_deps.get(o, ())))[:, None, None]
+            state = s.reshape(b, -1)
+        if forced is None:  # only O is left, in O order, so each readout is axis 0
+            z = np.zeros((b, n_out), dtype=np.int64)
+            for t in range(n_out):
+                state, z[:, t], _ = _measure(state, 0, np.eye(2)[None], u[:, n_comp + t])
+            state = z
+        parts.append((bits[:, [col[c] for c in g.computation]], weight, state))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _apply_corrections(
-    g: Graph, p: Pattern, m_by: Mapping[str, int], state: Ket, pos: Mapping[str, int]
-) -> Ket:
-    for o in g.output:
-        if _parity(m_by, p.out_x_deps.get(o, frozenset())):
-            state = qlin.apply_on_qubits(qlin.PAULI_X, [pos[o]], state)
-        if _parity(m_by, p.out_z_deps.get(o, frozenset())):
-            state = qlin.apply_on_qubits(qlin.PAULI_Z, [pos[o]], state)
-    return state
+def sample_causal(g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *, correct=True):
+    """``shots`` adaptive runs (measure C in order, correct, read out O): outcome
+    bits (shots, N) in C order, readout bits (shots, n) in O order and each C
+    history's Born weight.  Row r equals the r-th of ``shots`` single runs."""
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    m, weight, z = _walk(g, p, shots, correct=correct, rng=rng)
+    return m, z, weight
+
+
+def run_causal(g: Graph, p: Pattern, rng, *, correct: bool = True) -> RunRecord:
+    """One adaptive run: the ``shots=1`` view of :func:`sample_causal`."""
+    m, z, weight = sample_causal(g, p, 1, rng, correct=correct)
+    return RunRecord(tuple(m[0].tolist()), tuple(z[0].tolist()), float(weight[0]), correct)
 
 
 @dataclass(frozen=True)
@@ -215,49 +251,20 @@ class BranchResult:
 
 
 def enumerate_causal(g: Graph, p: Pattern, *, correct: bool = True) -> tuple[BranchResult, ...]:
-    """Exact walk over all 2^N adaptive outcome histories.
+    """Exact walk over all 2^N adaptive outcome histories, the first vertex of
+    ``p.order`` most significant.
 
     Zero-probability branches are reported with probability 0 and an all-zero
     distribution.  The distributions are indexed by the O-register bits, first
     output vertex most significant.
     """
-    validate_pattern(g, p)
-    base = graphstate.graph_state(g)
     n_comp = g.n_computation
-    results = []
-    for bits in itertools.product((0, 1), repeat=n_comp):
-        forced = dict(zip(p.order, bits))
-        state = base
-        pos = {v: i for i, v in enumerate(graphstate.ket_order(g))}
-        m_by: dict[str, int] = {}
-        prob = 1.0
-        alive = True
-        for v in p.order:
-            phi = adapted_angle(
-                p.angles[v],
-                _parity(m_by, p.x_deps.get(v, frozenset())),
-                _parity(m_by, p.z_deps.get(v, frozenset())),
-            )
-            ket = qlin.equatorial_ket(phi, forced[v])
-            amp = np.tensordot(ket.amplitudes.conj(), state.as_tensor(), axes=(0, pos[v]))
-            w = float(np.sum(np.abs(amp) ** 2))
-            m_by[v] = forced[v]
-            removed = pos.pop(v)
-            pos = {u: (i - 1 if i > removed else i) for u, i in pos.items()}
-            prob *= w
-            if w < 1e-28:
-                alive = False
-                break
-            state = Ket(amp.reshape(-1) / np.sqrt(w))
-        m_tuple = tuple(forced[c] for c in g.computation)
-        if not alive:
-            results.append(BranchResult(m_tuple, 0.0, np.zeros(2**g.n_output)))
-            continue
-        if correct:
-            state = _apply_corrections(g, p, m_by, state, pos)
-        dist = np.abs(state.amplitudes) ** 2
-        results.append(BranchResult(m_tuple, prob, dist))
-    return tuple(results)
+    forced = (np.arange(2**n_comp)[:, None] >> np.arange(n_comp - 1, -1, -1)) & 1
+    m, weight, amps = _walk(g, p, 2**n_comp, correct=correct, forced=forced)
+    return tuple(
+        BranchResult(tuple(row.tolist()), float(w), np.abs(a) ** 2)
+        for row, w, a in zip(m, weight, amps)
+    )
 
 
 def branch_probability(g: Graph, angles, m: Sequence[int], z: Sequence[int]) -> float:
@@ -282,21 +289,13 @@ def branch_probability(g: Graph, angles, m: Sequence[int], z: Sequence[int]) -> 
 
 
 def positive_branch_output(g: Graph, angles) -> Ket:
-    """Normalized output state of the all-zeros outcome branch (no corrections needed).
-
-    Errors if that branch has (numerically) zero probability.
-    """
-    graphstate.validate(g)
-    ang = as_angle_map(g, angles)
-    state = graphstate.graph_state(g).as_tensor()
-    for c in g.computation:
-        ket = qlin.equatorial_ket(ang[c], 0)
-        state = np.tensordot(ket.amplitudes.conj(), state, axes=(0, 0))
-        w = float(np.sum(np.abs(state) ** 2))
-        if w < 1e-28:
-            raise PatternError("positive branch has zero probability at these angles")
-        state = state / np.sqrt(w)
-    return Ket(state.reshape(-1))
+    """Normalized output state of the all-zeros outcome branch (no corrections
+    needed); errors if that branch has (numerically) zero probability."""
+    p = make_pattern(g.computation, as_angle_map(g, angles))
+    _, weight, amps = _walk(g, p, 1, correct=False, forced=np.zeros((1, g.n_computation), int))
+    if weight[0] == 0.0:
+        raise PatternError("positive branch has zero probability at these angles")
+    return Ket(amps[0])
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def test_postselected_sampler_different_seeds_differ():
 
 
 def test_postselection_report_tv_small_on_p2():
-    rep = acausal.postselection_report(graphstate.chain(2), 0.0, 60_000, seed=11)
+    r = acausal.build_resource_pm(graphstate.chain(2))
+    rep = acausal.postselection_report(r, 0.0, 60_000, seed=11)
     assert rep["expected"] == pytest.approx(0.25)
     assert rep["tv"] is not None and rep["tv"] < 0.02
     assert rep["seed"] == 11

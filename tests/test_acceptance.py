@@ -247,12 +247,15 @@ def test_criterion_08_signaling_from_inside_the_process():
 
 
 def test_criterion_09_postselected_sampler_calibration():
-    """10^5-shot sampler: acceptance within 5 sigma of 2^-(N+n), TV <= 0.02,
+    """10^6-shot sampler: acceptance within 5 sigma of 2^-(N+n), TV <= 0.02,
     reproducible under a fixed seed."""
     start = time.perf_counter()
-    shots = 100_000
+    # at 10^5 shots the exact sampler's TV on chain(4) averages 0.013 and
+    # exceeds 0.02 for 1 seed in 20; at 10^6 it averages 0.004
+    shots = 1_000_000
     for g in [graphstate.chain(2), graphstate.chain(4)]:
-        rep = acausal.postselection_report(g, 0.0, shots, seed=config.DEFAULT_SEED)
+        r = acausal.build_resource_pm(g)
+        rep = acausal.postselection_report(r, 0.0, shots, seed=config.DEFAULT_SEED)
         p = rep["expected"]
         sigma = np.sqrt(p * (1 - p) / shots)
         print(

@@ -1,0 +1,165 @@
+"""The shot-batched measurement walk of ``mbqc`` and the multinomial sampler.
+
+``sample_causal`` must reproduce, bit for bit, a causal run written one shot
+at a time on ``qlin.sample_projective`` with the same Generator, whatever the
+block size the register cap allows.  ``enumerate_causal`` must equal the same
+run with every outcome forced.  The postselected sampler must be calibrated:
+acceptance near 2^-(N+n) and its accepted counts near the exact table.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acausal_mbqc import acausal, config, game, graphstate, mbqc, qlin
+
+ATOL = 1e-12
+WALK_GRAPHS = [graphstate.chain(k) for k in range(2, 7)] + [graphstate.parallel_chains([2, 2])]
+
+
+def _parity(bits, deps):
+    return sum(bits[u] for u in deps) % 2
+
+
+def _one_run(g, p, rng, correct, forced=None):
+    """One causal run on qlin.sample_projective: (m by vertex, state, weight)."""
+    state = graphstate.graph_state(g)
+    live = list(graphstate.ket_order(g))
+    m_by, weight = {}, 1.0
+    for v in p.order:
+        phi = mbqc.adapted_angle(
+            p.angles[v], _parity(m_by, p.x_deps.get(v, ())), _parity(m_by, p.z_deps.get(v, ()))
+        )
+        force = None if forced is None else forced[v]
+        basis = qlin.equatorial_basis(phi)
+        res = qlin.sample_projective(state, basis, live.index(v), rng, force=force)
+        state, m_by[v] = res.state, res.outcome
+        weight *= res.probability
+        live.remove(v)
+    for o in g.output if correct else ():
+        if _parity(m_by, p.out_x_deps.get(o, ())):
+            state = qlin.apply_on_qubits(qlin.PAULI_X, [live.index(o)], state)
+        if _parity(m_by, p.out_z_deps.get(o, ())):
+            state = qlin.apply_on_qubits(qlin.PAULI_Z, [live.index(o)], state)
+    return m_by, state, weight
+
+
+def per_shot_oracle(g, p, shots, rng, correct):
+    """``shots`` runs one at a time, reading out O in order after each."""
+    ms, zs = [], []
+    for _ in range(shots):
+        m_by, state, _ = _one_run(g, p, rng, correct)
+        z = []
+        for _ in g.output:  # only O is left, so each readout is position 0
+            res = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, 0, rng)
+            state = res.state
+            z.append(res.outcome)
+        ms.append([m_by[c] for c in g.computation])
+        zs.append(z)
+    return np.array(ms), np.array(zs)
+
+
+@pytest.mark.parametrize("cap", [None, "6"], ids=["default-cap", "cap6"])
+@pytest.mark.parametrize("correct", [True, False])
+@pytest.mark.parametrize("g", WALK_GRAPHS, ids=lambda g: f"{g.n_computation}+{g.n_output}")
+def test_sample_causal_equals_per_shot_runs(monkeypatch, g, correct, cap):
+    """Same outcome arrays and the same stream position as one run per shot;
+    under cap 6 the blocks hold 2^(6 - N - n) rows, under the default 2^(14 - N - n)."""
+    if cap is not None:
+        monkeypatch.setenv(config.CAP_ENV_VAR, cap)
+    for seed, angle in [(3, 0.0), (4, 0.9), (5, 2.2)]:
+        p = mbqc.chain_pattern(g, angle)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        m, z, weight = mbqc.sample_causal(g, p, 70, a, correct=correct)
+        m_ref, z_ref = per_shot_oracle(g, p, 70, b, correct)
+        assert np.array_equal(m, m_ref), (seed, angle)
+        assert np.array_equal(z, z_ref), (seed, angle)
+        assert a.random() == b.random()
+        # chain patterns have uniform branches: every history weighs 2^-N
+        assert np.allclose(weight, 2.0**-g.n_computation, atol=ATOL)
+
+
+def test_run_causal_is_one_row_of_sample_causal():
+    g = graphstate.chain(4)
+    p = mbqc.chain_pattern(g, 0.4)
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    m, z, weight = mbqc.sample_causal(g, p, 5, a, correct=False)
+    for row in range(5):
+        rec = mbqc.run_causal(g, p, b, correct=False)
+        assert rec.m == tuple(m[row]) and rec.z == tuple(z[row])
+        assert rec.branch_probability == weight[row] and not rec.corrected
+
+
+def test_sampled_game_builds_the_graph_state_once(monkeypatch):
+    inst = game.game_instance(graphstate.chain(4))
+    calls = []
+    real = graphstate.graph_state
+    monkeypatch.setattr(
+        graphstate, "graph_state", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    assert game.girls_first_p0(inst, shots=3000, seed=1) == 1.0
+    assert len(calls) == 1
+
+
+@st.composite
+def chain_patterns(draw):
+    """parallel_chains with N + n <= 6, random base angles, either correction flag."""
+    lengths = draw(
+        st.lists(st.integers(2, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 6)
+    )
+    g = graphstate.parallel_chains(lengths)
+    angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
+    return g, mbqc.chain_pattern(g, [draw(angle) for _ in g.computation]), draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(chain_patterns())
+def test_enumerate_causal_equals_forced_runs(case):
+    g, p, correct = case
+    branches = {b.m: b for b in mbqc.enumerate_causal(g, p, correct=correct)}
+    assert len(branches) == 2**g.n_computation
+    for bits in itertools.product((0, 1), repeat=g.n_computation):
+        m_by, state, weight = _one_run(g, p, None, correct, forced=dict(zip(p.order, bits)))
+        branch = branches[tuple(m_by[c] for c in g.computation)]
+        assert abs(branch.probability - weight) <= ATOL
+        assert np.max(np.abs(branch.output_distribution - np.abs(state.amplitudes) ** 2)) <= ATOL
+
+
+def test_enumerate_causal_drops_zero_weight_branches():
+    """On the vee graph at angle 0 two of four histories cannot happen."""
+    g = graphstate.vee_graph()
+    p = mbqc.make_pattern(g.computation, {c: 0.0 for c in g.computation})
+    branches = {b.m: b for b in mbqc.enumerate_causal(g, p, correct=False)}
+    for m in [(0, 1), (1, 0)]:
+        assert branches[m].probability == 0.0
+        assert not branches[m].output_distribution.any()
+    assert sum(b.probability for b in branches.values()) == pytest.approx(1.0, abs=ATOL)
+
+
+def test_positive_branch_output_raises_on_a_zero_weight_branch():
+    g = graphstate.cycle_with_output(4)
+    with pytest.raises(mbqc.PatternError, match="zero probability"):
+        mbqc.positive_branch_output(g, [math.pi / 2, 0.0, math.pi / 2])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        graphstate.chain(4),
+        graphstate.parallel_chains([2, 2]),
+        graphstate.random_resource_graph(np.random.default_rng(2024), 3, 2),
+    ],
+    ids=["chain4", "pc22", "random3x2"],
+)
+def test_postselected_sampler_calibration(g):
+    """10^6 shots: acceptance within 5 sigma of 2^-(N+n), TV to the exact table <= 0.02."""
+    shots = 1_000_000
+    rep = acausal.postselection_report(acausal.build_resource_pm(g), 0.0, shots, seed=99)
+    p = rep["expected"]
+    assert p == 2.0 ** -(g.n_computation + g.n_output)
+    assert abs(rep["acceptance"] - p) <= 5 * math.sqrt(p * (1 - p) / shots)
+    assert rep["tv"] <= 0.02

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from acausal_mbqc import cli, config, graphstate, mbqc
+from acausal_mbqc import acausal, cli, config, graphstate, mbqc
 
 
 def graph_file(tmp_path, g, name):
@@ -54,6 +54,17 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
     assert rep["signaling_tv"] == pytest.approx(1.0, abs=1e-9)
     assert rep["postselect"]["shots"] == 20000
     assert rep["postselect"]["tv"] < 0.05
+
+
+def test_verify_with_shots_builds_the_resource_once(capsys, p2_file, monkeypatch):
+    calls = []
+    real = acausal.build_resource_pm
+    monkeypatch.setattr(
+        acausal, "build_resource_pm", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    code, _ = run_json(capsys, ["verify", "--graph", p2_file, "--shots", "20000", "--json"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_fails_on_vee_at_random_angles(capsys, vee_file):
@@ -234,6 +245,11 @@ def assert_flag_rejected(capsys, argv, flag):
 def test_negative_shots_exits_2(capsys, p2_file):
     assert_flag_rejected(capsys, ["postselect", "--graph", p2_file, "--shots", "-5"], "--shots")
     assert_flag_rejected(capsys, ["pm-validate", "--graph", p2_file, "--shots", "-3"], "--shots")
+
+
+@pytest.mark.parametrize("command", ["postselect", "pm-validate"])
+def test_negative_seed_exits_2(capsys, p2_file, command):
+    assert_flag_rejected(capsys, [command, "--graph", p2_file, "--seed", "-5"], "--seed")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
