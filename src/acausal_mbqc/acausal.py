@@ -49,6 +49,11 @@ class ResourcePM:
         return self.base_graph.n_output
 
     @property
+    def decorated_state(self) -> qlin.Ket:
+        """W's pure factor: the decorated graph state the build checked against the cap."""
+        return self.w.factor.pure
+
+    @property
     def alice_parties(self) -> tuple[str, ...]:
         return tuple(f"A{j + 1}" for j in range(self.n_computation))
 
@@ -78,12 +83,14 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
 
     The graph state of the decorated graph must equal controlled-Z entangling
     of fresh |+> pendants onto the plain graph state (fidelity >= 1 - 1e-12);
-    both routes are computed and compared on every build.
+    both routes are computed and compared on every build.  The cap is resolved
+    once here and carried by W, so the dense oracle obeys the same cap.
     """
     graphstate.validate(g)
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
     n_comp, n_out = g.n_computation, g.n_output
+    cap = config.qubit_cap(cap)
 
     # W stays factored; the largest array is the decorated state on 2N + n
     # qubits, which graph_state caps before allocating
@@ -112,9 +119,9 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     )
     slots = [Slot(f"A{j + 1}", 2 * j, 2 * j + 1) for j in range(n_comp)]
     slots += [Slot(f"B{t + 1}", 2 * n_comp + 2 * t, 2 * n_comp + 2 * t + 1) for t in range(n_out)]
-    return ResourcePM(
-        w=ProcessMatrix(slots, factor=factor), base_graph=g, decorated_graph=decorated
-    )
+    w = ProcessMatrix(slots, factor=factor)
+    w.cap = cap
+    return ResourcePM(w=w, base_graph=g, decorated_graph=decorated)
 
 
 def _bits(value: Sequence[int], count: int, name: str) -> tuple[int, ...]:
@@ -150,25 +157,22 @@ def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.nd
     return _table(r, angles, backend).reshape(2**r.n_computation, 2**r.n_output)
 
 
-def branch_independence_report(r: ResourcePM, angles, backend: str = "auto") -> float:
-    """max over (m, z) of |P(m, z) - P(0, z)|; zero means no branch dependence."""
-    probs = outcome_probabilities(r, angles, backend=backend)
+def branch_independence_report(probs: np.ndarray) -> float:
+    """max over (m, z) of |P(m, z) - P(0, z)| in a table; zero means no branch dependence."""
     return float(np.max(np.abs(probs - probs[0:1, :])))
 
 
-def normalization_report(r: ResourcePM, angles, backend: str = "auto") -> float:
+def normalization_report(probs: np.ndarray) -> float:
     """|sum over (m, z) of P - 1|; nonzero flags an unnormalized process matrix."""
-    probs = outcome_probabilities(r, angles, backend=backend)
     return float(abs(probs.sum() - 1.0))
 
 
-def signaling_tv(r: ResourcePM, angles_a, angles_b, backend: str = "auto") -> float:
-    """Total variation between the Bobs' z-marginals under two Alice angle choices.
+def signaling_tv(probs_a: np.ndarray, probs_b: np.ndarray) -> float:
+    """Total variation between the Bobs' z-marginals of tables at two Alice angle choices.
 
     Any positive value certifies Alice-to-Bob signaling within the process.
     """
-    za = outcome_probabilities(r, angles_a, backend=backend).sum(axis=0)
-    zb = outcome_probabilities(r, angles_b, backend=backend).sum(axis=0)
+    za, zb = probs_a.sum(axis=0), probs_b.sum(axis=0)
     return float(0.5 * np.sum(np.abs(za - zb)))
 
 
@@ -207,10 +211,10 @@ class PostselectResult:
 
 
 def postselected_sampler(
-    g: Graph, angles, shots: int, seed: int | None = None, *, cap: int | None = None
+    r: ResourcePM, angles, shots: int, seed: int | None = None
 ) -> PostselectResult:
-    """Sample the decorated state, keep runs where pendants echo outcomes and
-    ancilla bits match the readout.
+    """Sample the resource's decorated state, keep runs where pendants echo
+    outcomes and ancilla bits match the readout.
 
     Every computation vertex is rotated into its equatorial basis once, so a
     basis-state draw of the whole register is exactly a joint Born sample of
@@ -226,22 +230,17 @@ def postselected_sampler(
     of ``shots`` independent per-run draws, and a fixed seed gives identical
     counts.
     """
-    graphstate.validate(g)
     if shots < 1:
         raise ValueError("shots must be positive")
+    g = r.base_graph
     ang = mbqc.as_angle_map(g, angles)
     n_comp, n_out = g.n_computation, g.n_output
     seed = config.DEFAULT_SEED if seed is None else int(seed)
 
-    state = graphstate.graph_state(graphstate.decorate(g), cap)
+    state = r.decorated_state
     for j, c in enumerate(g.computation):
         # basis change: row m is <phi^m|, so basis-state bit j becomes outcome m_j
-        rows = np.array(
-            [
-                qlin.equatorial_ket(ang[c], 0).amplitudes.conj(),
-                qlin.equatorial_ket(ang[c], 1).amplitudes.conj(),
-            ]
-        )
+        rows = np.array([qlin.equatorial_ket(ang[c], m).amplitudes.conj() for m in (0, 1)])
         state = qlin.apply_on_qubits(qlin.HermOp(rows, require_hermitian=False), [j], state)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
@@ -254,21 +253,16 @@ def postselected_sampler(
     return PostselectResult(counts=counts, shots=shots, accepted=int(counts.sum()), seed=seed)
 
 
-def postselection_report(
-    r: ResourcePM, angles, shots: int, seed: int | None = None, backend: str = "auto"
-) -> dict:
-    """Sampler-vs-exact comparison on a built resource: acceptance rate,
-    expected rate, and the total variation between the accepted empirical
-    distribution and the exact acausal distribution (normalized)."""
-    g = r.base_graph
-    result = postselected_sampler(g, angles, shots, seed)
-    exact = outcome_probabilities(r, angles, backend=backend)
+def postselection_report(result: PostselectResult, exact: np.ndarray) -> dict:
+    """Sampler-vs-exact comparison: acceptance rate, expected rate, and the
+    total variation between the accepted empirical distribution and the exact
+    outcome table ``exact`` (normalized)."""
     exact = exact / exact.sum()
     emp = result.empirical_distribution()
     tv = None if emp is None else float(0.5 * np.sum(np.abs(emp - exact)))
     return {
         "acceptance": result.acceptance,
-        "expected": float(2.0 ** -(g.n_computation + g.n_output)),
+        "expected": 1.0 / exact.size,
         "tv": tv,
         "shots": result.shots,
         "seed": result.seed,

@@ -237,11 +237,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     g = graphstate.load_graph(cfg.graph_path)
     r = acausal.build_resource_pm(g, cfg.cap)
     ang = _angles_arg(cfg.angles, g)
+    probs = acausal.outcome_probabilities(r, ang, backend=cfg.backend)
     report = {
-        "branch_independence_max_dev": acausal.branch_independence_report(
-            r, ang, backend=cfg.backend
-        ),
-        "normalization_dev": acausal.normalization_report(r, ang, backend=cfg.backend),
+        "branch_independence_max_dev": acausal.branch_independence_report(probs),
+        "normalization_dev": acausal.normalization_report(probs),
         "min_eigenvalue": r.min_eigenvalue(),
         "trace": r.trace(),
     }
@@ -252,10 +251,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     report["backend_agreement_max_dev"] = agreement
     if cfg.shots > 0:
         ang_b = _second_angles(cfg, g, ang)
-        report["signaling_tv"] = acausal.signaling_tv(r, ang, ang_b, backend=cfg.backend)
-        report["postselect"] = acausal.postselection_report(
-            r, ang, cfg.shots, cfg.seed, backend=cfg.backend
-        )
+        probs_b = acausal.outcome_probabilities(r, ang_b, backend=cfg.backend)
+        report["signaling_tv"] = acausal.signaling_tv(probs, probs_b)
+        sample = acausal.postselected_sampler(r, ang, cfg.shots, cfg.seed)
+        report["postselect"] = acausal.postselection_report(sample, probs)
     _emit(report, cfg.json_output)
     expected = float(2 ** (g.n_computation + g.n_output))
     ok = (
@@ -273,7 +272,8 @@ def _cmd_signal(cfg: RunConfig) -> int:
     r = acausal.build_resource_pm(g, cfg.cap)
     ang = _angles_arg(cfg.angles, g)
     ang_b = _second_angles(cfg, g, ang)
-    report = {"signaling_tv": acausal.signaling_tv(r, ang, ang_b, backend=cfg.backend)}
+    tables = [acausal.outcome_probabilities(r, a, backend=cfg.backend) for a in (ang, ang_b)]
+    report = {"signaling_tv": acausal.signaling_tv(*tables)}
     _emit(report, cfg.json_output)
     return 0
 
@@ -291,7 +291,9 @@ def _cmd_postselect(cfg: RunConfig) -> int:
     r = acausal.build_resource_pm(g, cfg.cap)
     ang = _angles_arg(cfg.angles, g)
     shots = cfg.shots if cfg.shots > 0 else POSTSELECT_DEFAULT_SHOTS
-    block = acausal.postselection_report(r, ang, shots, cfg.seed, backend=cfg.backend)
+    sample = acausal.postselected_sampler(r, ang, shots, cfg.seed)
+    probs = acausal.outcome_probabilities(r, ang, backend=cfg.backend)
+    block = acausal.postselection_report(sample, probs)
     _emit({"postselect": block}, cfg.json_output)
     p = block["expected"]
     sigma = math.sqrt(p * (1.0 - p) / shots)
@@ -305,10 +307,12 @@ def _cmd_postselect(cfg: RunConfig) -> int:
 
 def _cmd_game(cfg: RunConfig) -> int:
     g = graphstate.load_graph(cfg.graph_path)
+    # the resource is the largest register, so a cap refuses it before anything else
+    r = acausal.build_resource_pm(g, cfg.cap)
     ang = _angles_arg(cfg.angles, g)
     pattern = mbqc.load_pattern(cfg.pattern_path) if cfg.pattern_path else None
     inst = game.game_instance(g, ang, pattern)
-    report = game.game_report(inst, backend=cfg.backend)
+    report = game.game_report(inst, r, backend=cfg.backend)
     _emit(report, cfg.json_output)
     return 0 if report["violated"] else 1
 

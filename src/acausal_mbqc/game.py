@@ -70,10 +70,9 @@ def causal_bound(n: int) -> float:
     return 0.5 * (1.0 + 2.0 ** -int(n))
 
 
-def acausal_p0(inst: GameInstance, backend: str = "auto") -> float:
+def acausal_p0(r: acausal.ResourcePM, angles, backend: str = "auto") -> float:
     """Success probability with the acausal resource: sum over m of P(m, 0^n)."""
-    r = acausal.build_resource_pm(inst.graph)
-    probs = acausal.outcome_probabilities(r, inst.angles, backend=backend)
+    probs = acausal.outcome_probabilities(r, angles, backend=backend)
     return float(probs[:, 0].sum())
 
 
@@ -97,16 +96,17 @@ def girls_first_p0(
 
 def boys_first_p0(inst: GameInstance) -> float:
     """Success probability when the outputs are read out first: <0^n| Tr_C |G><G| |0^n>."""
-    g = inst.graph
-    state = graphstate.graph_state(g)
-    rho = qlin.partial_trace(qlin.projector(state), range(g.n_computation))
-    return float(rho.entries[0, 0].real)
+    g = inst.graph  # the squared norm of the z = 0^n column of |G> as a (2^N, 2^n) array
+    amps = graphstate.graph_state(g).amplitudes.reshape(2**g.n_computation, 2**g.n_output)
+    return float(np.sum(np.abs(amps[:, 0]) ** 2))
 
 
-def game_report(inst: GameInstance, backend: str = "auto") -> dict:
-    """Full comparison for one instance; ``violated`` is the headline claim."""
+def game_report(inst: GameInstance, r: acausal.ResourcePM, backend: str = "auto") -> dict:
+    """Full comparison for one instance on its graph's resource; ``violated`` is the headline."""
+    if r.base_graph != inst.graph:
+        raise GameError("the resource was built from a different graph than the instance")
     bound = causal_bound(inst.n_output)
-    p0 = acausal_p0(inst, backend=backend)
+    p0 = acausal_p0(r, inst.angles, backend=backend)
     return {
         "p0_acausal": p0,
         "p0_girls_first_corrected": girls_first_p0(inst, correct=True),

@@ -195,6 +195,7 @@ class ProcessMatrix:
         self.slots = slots
         self.factor = factor
         self._op = op
+        self.cap: int | None = None  # register cap set by the builder; None reads env/default
 
     @property
     def num_qubits(self) -> int:
@@ -210,12 +211,12 @@ class ProcessMatrix:
                 return s
         raise ProcmatError(f"unknown party {party!r}; have {self.parties}")
 
-    def dense(self, cap: int | None = None) -> HermOp:
-        """Materialize the dense operator (cached); capped by the dense-operator limit."""
+    def dense(self) -> HermOp:
+        """Materialize the dense operator (cached); capped by ``self.cap`` and the operator cap."""
         if self._op is None:
             f = self.factor
             k = self.num_qubits
-            limit = min(config.qubit_cap(cap), config.DENSE_OPERATOR_CAP)
+            limit = min(config.qubit_cap(self.cap), config.DENSE_OPERATOR_CAP)
             if k > limit:
                 raise config.RegisterCapError(
                     f"dense process matrix needs {k} qubits, above the operator cap {limit}"

@@ -94,8 +94,8 @@ def test_identities_on_random_resource_graphs(seed):
     g = graphstate.random_resource_graph(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
     r = acausal.build_resource_pm(g)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
-    assert acausal.branch_independence_report(r, angles) < 1e-10
-    assert acausal.normalization_report(r, angles) < 1e-10
+    assert acausal.branch_independence_report(acausal.outcome_probabilities(r, angles)) < 1e-10
+    assert acausal.normalization_report(acausal.outcome_probabilities(r, angles)) < 1e-10
     assert r.min_eigenvalue() >= -1e-10
 
 
@@ -105,22 +105,22 @@ def test_branch_independence_holds_even_without_uniform_branches():
     r = acausal.build_resource_pm(g)
     rng = np.random.default_rng(89)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
-    assert acausal.branch_independence_report(r, angles) < 1e-10
-    assert acausal.normalization_report(r, angles) > 0.01
+    assert acausal.branch_independence_report(acausal.outcome_probabilities(r, angles)) < 1e-10
+    assert acausal.normalization_report(acausal.outcome_probabilities(r, angles)) > 0.01
 
 
 def test_pure_ancilla_control_breaks_only_normalization():
     r = acausal.build_resource_pm(graphstate.chain(2))
     bad = perturbed_pure_ancilla(r)
-    assert acausal.branch_independence_report(bad, 0.0) < 1e-10
-    assert acausal.normalization_report(bad, 0.0) > 0.5
+    assert acausal.branch_independence_report(acausal.outcome_probabilities(bad, 0.0)) < 1e-10
+    assert acausal.normalization_report(acausal.outcome_probabilities(bad, 0.0)) > 0.5
 
 
 def test_missing_decoration_control_breaks_only_branch_independence():
     r = acausal.build_resource_pm(graphstate.chain(2))
     bad = perturbed_no_decoration(r)
-    assert acausal.branch_independence_report(bad, 0.0) > 0.1
-    assert acausal.normalization_report(bad, 0.0) < 1e-10
+    assert acausal.branch_independence_report(acausal.outcome_probabilities(bad, 0.0)) > 0.1
+    assert acausal.normalization_report(acausal.outcome_probabilities(bad, 0.0)) < 1e-10
 
 
 def test_angle_negation_leaves_probabilities_unchanged():
@@ -141,8 +141,9 @@ def test_backend_agreement_on_presets():
 
 def test_signaling_tv_is_maximal_for_p2():
     r = acausal.build_resource_pm(graphstate.chain(2))
-    assert acausal.signaling_tv(r, 0.0, np.pi) == pytest.approx(1.0, abs=1e-10)
-    assert acausal.signaling_tv(r, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    p0, p_pi = acausal.outcome_probabilities(r, 0.0), acausal.outcome_probabilities(r, np.pi)
+    assert acausal.signaling_tv(p0, p_pi) == pytest.approx(1.0, abs=1e-10)
+    assert acausal.signaling_tv(p0, p0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rank_one_family_exposes_restricted_normalization():
@@ -170,9 +171,9 @@ def test_mbqc_family_normalizes_on_resource():
 
 
 def test_postselected_sampler_deterministic_and_calibrated():
-    g = graphstate.chain(2)
-    res1 = acausal.postselected_sampler(g, 0.0, 40_000, seed=7)
-    res2 = acausal.postselected_sampler(g, 0.0, 40_000, seed=7)
+    r = acausal.build_resource_pm(graphstate.chain(2))
+    res1 = acausal.postselected_sampler(r, 0.0, 40_000, seed=7)
+    res2 = acausal.postselected_sampler(r, 0.0, 40_000, seed=7)
     assert np.array_equal(res1.counts, res2.counts)
     assert res1.accepted == res2.accepted
     assert res1.seed == 7
@@ -184,15 +185,18 @@ def test_postselected_sampler_deterministic_and_calibrated():
 
 
 def test_postselected_sampler_different_seeds_differ():
-    g = graphstate.chain(2)
-    a = acausal.postselected_sampler(g, 0.0, 40_000, seed=1)
-    b = acausal.postselected_sampler(g, 0.0, 40_000, seed=2)
+    r = acausal.build_resource_pm(graphstate.chain(2))
+    a = acausal.postselected_sampler(r, 0.0, 40_000, seed=1)
+    b = acausal.postselected_sampler(r, 0.0, 40_000, seed=2)
     assert not np.array_equal(a.counts, b.counts)
 
 
 def test_postselection_report_tv_small_on_p2():
     r = acausal.build_resource_pm(graphstate.chain(2))
-    rep = acausal.postselection_report(r, 0.0, 60_000, seed=11)
+    rep = acausal.postselection_report(
+        acausal.postselected_sampler(r, 0.0, 60_000, seed=11),
+        acausal.outcome_probabilities(r, 0.0),
+    )
     assert rep["expected"] == pytest.approx(0.25)
     assert rep["tv"] is not None and rep["tv"] < 0.02
     assert rep["seed"] == 11
@@ -201,7 +205,7 @@ def test_postselection_report_tv_small_on_p2():
 def test_default_seed_applied_when_omitted():
     import acausal_mbqc.config as config
 
-    res = acausal.postselected_sampler(graphstate.chain(2), 0.0, 1000)
+    res = acausal.postselected_sampler(acausal.build_resource_pm(graphstate.chain(2)), 0.0, 1000)
     assert res.seed == config.DEFAULT_SEED
 
 

@@ -84,7 +84,7 @@ def test_criterion_02_branch_independence_sweep():
     worst_at = ""
     for name, g, r in resource_suite():
         for ang in angle_sets_for(g):
-            dev = acausal.branch_independence_report(r, ang)
+            dev = acausal.branch_independence_report(acausal.outcome_probabilities(r, ang))
             if dev > worst:
                 worst, worst_at = dev, name
     elapsed = time.perf_counter() - start
@@ -107,7 +107,10 @@ def test_criterion_03_normalization_sweep():
     """
     uniform, nonuniform = {}, {}
     for name, g, r in resource_suite():
-        devs = [acausal.normalization_report(r, ang) for ang in angle_sets_for(g)]
+        devs = [
+            acausal.normalization_report(acausal.outcome_probabilities(r, ang))
+            for ang in angle_sets_for(g)
+        ]
         worst = int(np.argmax(devs))
         side = uniform if graphstate.has_uniform_branches(g) else nonuniform
         side[name] = (worst, devs[worst])
@@ -222,8 +225,11 @@ def test_criterion_06_acausal_equals_corrected_causal():
 def test_criterion_07_game_violates_causal_bound():
     """The acausal strategy beats the causal bound; causal strategies do not."""
     start = time.perf_counter()
-    p2 = game.game_report(game.game_instance(graphstate.chain(2)))
-    pair = game.game_report(game.game_instance(graphstate.parallel_chains([2, 2])))
+    p2_graph, pair_graph = graphstate.chain(2), graphstate.parallel_chains([2, 2])
+    p2 = game.game_report(game.game_instance(p2_graph), acausal.build_resource_pm(p2_graph))
+    pair = game.game_report(
+        game.game_instance(pair_graph), acausal.build_resource_pm(pair_graph)
+    )
     elapsed = time.perf_counter() - start
     print(
         f"criterion 07: p0 {p2['p0_acausal']:.6f} vs bound {p2['bound']} (1 output); "
@@ -241,7 +247,9 @@ def test_criterion_07_game_violates_causal_bound():
 def test_criterion_08_signaling_from_inside_the_process():
     """Alice's angle choice shifts Bob's readout with total variation 1."""
     r = acausal.build_resource_pm(graphstate.chain(2))
-    tv = acausal.signaling_tv(r, 0.0, np.pi)
+    tv = acausal.signaling_tv(
+        acausal.outcome_probabilities(r, 0.0), acausal.outcome_probabilities(r, np.pi)
+    )
     print(f"criterion 08: total variation {tv:.12f}")
     assert tv == pytest.approx(1.0, abs=ATOL)
 
@@ -255,7 +263,10 @@ def test_criterion_09_postselected_sampler_calibration():
     shots = 1_000_000
     for g in [graphstate.chain(2), graphstate.chain(4)]:
         r = acausal.build_resource_pm(g)
-        rep = acausal.postselection_report(r, 0.0, shots, seed=config.DEFAULT_SEED)
+        rep = acausal.postselection_report(
+            acausal.postselected_sampler(r, 0.0, shots, seed=config.DEFAULT_SEED),
+            acausal.outcome_probabilities(r, 0.0),
+        )
         p = rep["expected"]
         sigma = np.sqrt(p * (1 - p) / shots)
         print(
@@ -264,8 +275,9 @@ def test_criterion_09_postselected_sampler_calibration():
         )
         assert abs(rep["acceptance"] - p) <= 5 * sigma
         assert rep["tv"] <= 0.02
-    a = acausal.postselected_sampler(graphstate.chain(2), 0.0, shots, seed=config.DEFAULT_SEED)
-    b = acausal.postselected_sampler(graphstate.chain(2), 0.0, shots, seed=config.DEFAULT_SEED)
+    r2 = acausal.build_resource_pm(graphstate.chain(2))
+    a = acausal.postselected_sampler(r2, 0.0, shots, seed=config.DEFAULT_SEED)
+    b = acausal.postselected_sampler(r2, 0.0, shots, seed=config.DEFAULT_SEED)
     elapsed = time.perf_counter() - start
     assert np.array_equal(a.counts, b.counts)
     assert elapsed < 60.0

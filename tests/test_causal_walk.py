@@ -158,7 +158,10 @@ def test_positive_branch_output_raises_on_a_zero_weight_branch():
 def test_postselected_sampler_calibration(g):
     """10^6 shots: acceptance within 5 sigma of 2^-(N+n), TV to the exact table <= 0.02."""
     shots = 1_000_000
-    rep = acausal.postselection_report(acausal.build_resource_pm(g), 0.0, shots, seed=99)
+    r = acausal.build_resource_pm(g)
+    rep = acausal.postselection_report(
+        acausal.postselected_sampler(r, 0.0, shots, seed=99), acausal.outcome_probabilities(r, 0.0)
+    )
     p = rep["expected"]
     assert p == 2.0 ** -(g.n_computation + g.n_output)
     assert abs(rep["acceptance"] - p) <= 5 * math.sqrt(p * (1 - p) / shots)

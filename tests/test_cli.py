@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from acausal_mbqc import acausal, cli, config, graphstate, mbqc
+from acausal_mbqc import acausal, cli, config, graphstate, mbqc, procmat
 
 
 def graph_file(tmp_path, g, name):
@@ -56,15 +56,46 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
     assert rep["postselect"]["tv"] < 0.05
 
 
-def test_verify_with_shots_builds_the_resource_once(capsys, p2_file, monkeypatch):
-    calls = []
-    real = acausal.build_resource_pm
-    monkeypatch.setattr(
-        acausal, "build_resource_pm", lambda *a, **k: calls.append(1) or real(*a, **k)
-    )
-    code, _ = run_json(capsys, ["verify", "--graph", p2_file, "--shots", "20000", "--json"])
+@pytest.mark.parametrize(
+    "argv, builds, graph_states, factorized, dense",
+    [
+        (["verify", "--shots", "1000"], 1, 2, 3, 1),
+        (["verify"], 1, 2, 2, 1),
+        (["postselect"], 1, 2, 1, 0),
+        (["game"], 1, 6, 1, 0),
+        (["signal"], 1, 2, 2, 0),
+    ],
+    ids=["verify-shots", "verify", "postselect", "game", "signal"],
+)
+def test_builds_and_contractions_per_command(
+    capsys, tmp_path, monkeypatch, argv, builds, graph_states, factorized, dense
+):
+    """On chain(4) each command builds one resource and contracts one outcome
+    table per angle set; only the dense oracle adds its own two tables."""
+    calls = {}
+    for owner, name in [
+        (acausal, "build_resource_pm"),
+        (graphstate, "graph_state"),
+        (procmat, "_factorized_probability"),
+        (procmat, "_dense_probability"),
+    ]:
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*a, _real=real, _name=name, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(owner, name, counted)
+    path = graph_file(tmp_path, graphstate.chain(4), "p4")
+    code, _ = run_json(capsys, [*argv, "--graph", path, "--json"])
     assert code == 0
-    assert len(calls) == 1
+    assert calls == {
+        "build_resource_pm": builds,
+        "graph_state": graph_states,
+        "_factorized_probability": factorized,
+        "_dense_probability": dense,
+    }
 
 
 def test_verify_fails_on_vee_at_random_angles(capsys, vee_file):
@@ -225,6 +256,47 @@ def test_chain7_positivity_floor_is_exact_and_fast(capsys, tmp_path, command):
     assert time.perf_counter() - start < 5.0
     assert code == 0
     assert rep["min_eigenvalue"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "graph, cap, argv, exit_code",
+    [
+        (graphstate.chain(4), 6, [command], 2)
+        for command in ("resource-pm", "verify", "signal", "postselect", "game")
+    ]
+    + [
+        (graphstate.chain(4), 6, ["pm-validate", "--shots", "5"], 2),
+        (graphstate.chain(6), 5, ["game"], 2),
+        (graphstate.chain(8), 15, ["game"], 0),
+        (graphstate.chain(8), 15, ["postselect", "--shots", "1000"], 1),
+        (graphstate.chain(3), 5, ["verify"], 0),
+    ],
+    ids=[
+        "resource-pm", "verify", "signal", "postselect", "game", "pm-validate",
+        "game-chain6", "game-chain8", "postselect-chain8", "verify-dense-oracle",
+    ],
+)
+def test_cap_flag_behaves_like_the_env_var(
+    capsys, tmp_path, monkeypatch, graph, cap, argv, exit_code
+):
+    """--cap N and ACAUSAL_MBQC_CAP=N give the same exit code, stdout and stderr."""
+    path = graph_file(tmp_path, graph, "g")
+    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+    flag_code = cli.main([*argv, "--graph", path, "--json", "--cap", str(cap)])
+    flag = capsys.readouterr()
+    monkeypatch.setenv(config.CAP_ENV_VAR, str(cap))
+    env_code = cli.main([*argv, "--graph", path, "--json"])
+    env = capsys.readouterr()
+    assert flag_code == env_code == exit_code
+    assert flag.out == env.out
+    assert flag.err == env.err
+    if exit_code == 2:
+        # the decorated state on 2N + n qubits is the register the cap refuses
+        qubits = 2 * graph.n_computation + graph.n_output
+        assert f"needs {qubits} qubits, above the cap of {cap}" in flag.err
+    if argv == ["verify"] and exit_code == 0:
+        # W of chain(3) has 6 qubits, above the cap of 5: the dense oracle is refused
+        assert json.loads(flag.out)["backend_agreement_max_dev"] is None
 
 
 def test_help_exits_zero(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from acausal_mbqc import game, graphstate, mbqc
+from acausal_mbqc import acausal, game, graphstate, mbqc, qlin
 from acausal_mbqc.game import GameError
 
 
@@ -30,7 +30,8 @@ def test_game_instance_rejects_odd_chain():
 
 def test_p2_game_numbers():
     inst = game.game_instance(graphstate.chain(2))
-    assert game.acausal_p0(inst) == pytest.approx(1.0, abs=1e-10)
+    r = acausal.build_resource_pm(inst.graph)
+    assert game.acausal_p0(r, inst.angles) == pytest.approx(1.0, abs=1e-10)
     assert game.girls_first_p0(inst) == pytest.approx(1.0, abs=1e-10)
     assert game.girls_first_p0(inst, correct=False) == pytest.approx(0.5, abs=1e-10)
     assert game.boys_first_p0(inst) == pytest.approx(0.5, abs=1e-10)
@@ -39,13 +40,15 @@ def test_p2_game_numbers():
 def test_two_chain_game_numbers():
     inst = game.game_instance(graphstate.parallel_chains([2, 2]))
     assert game.causal_bound(inst.n_output) == pytest.approx(0.625)
-    assert game.acausal_p0(inst) == pytest.approx(1.0, abs=1e-10)
+    r = acausal.build_resource_pm(inst.graph)
+    assert game.acausal_p0(r, inst.angles) == pytest.approx(1.0, abs=1e-10)
     assert game.boys_first_p0(inst) == pytest.approx(0.25, abs=1e-10)
     assert game.girls_first_p0(inst, correct=False) == pytest.approx(0.25, abs=1e-10)
 
 
 def test_game_report_declares_violation():
-    rep = game.game_report(game.game_instance(graphstate.chain(4)))
+    g = graphstate.chain(4)
+    rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
     assert rep["violated"] is True
     assert rep["p0_acausal"] > rep["bound"] + 1e-9
     assert rep["p0_boys_first"] <= rep["bound"] + 1e-10
@@ -77,7 +80,7 @@ def test_girls_first_sampling_is_seeded():
 
 def test_standard_instances_all_violate():
     for name, inst in game.standard_instances().items():
-        rep = game.game_report(inst)
+        rep = game.game_report(inst, acausal.build_resource_pm(inst.graph))
         assert rep["violated"], name
 
 
@@ -85,4 +88,24 @@ def test_custom_pattern_accepted():
     g = graphstate.chain(2)
     p = mbqc.chain_pattern(g)
     inst = game.game_instance(g, 0.0, p)
-    assert game.acausal_p0(inst) == pytest.approx(1.0, abs=1e-10)
+    r = acausal.build_resource_pm(g)
+    assert game.acausal_p0(r, inst.angles) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_game_report_builds_no_projector(monkeypatch):
+    """p0_boys_first is the squared norm of the z = 0^n column of |G>."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("game_report must not build a projector")
+
+    monkeypatch.setattr(qlin, "projector", refuse)
+    for g, boys in [(graphstate.chain(4), 0.5), (graphstate.parallel_chains([2, 2]), 0.25)]:
+        rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
+        assert rep["violated"] is True
+        assert rep["p0_boys_first"] == pytest.approx(boys, abs=1e-12)
+
+
+def test_game_report_rejects_a_resource_of_another_graph():
+    inst = game.game_instance(graphstate.chain(2))
+    with pytest.raises(GameError, match="different graph"):
+        game.game_report(inst, acausal.build_resource_pm(graphstate.chain(4)))
