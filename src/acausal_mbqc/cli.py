@@ -12,6 +12,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,7 +39,10 @@ class RunConfig:
     family: str
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call; parsing does not mutate it, so
+    every later ``main`` call of the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="acausal-mbqc",
         description=(

@@ -221,11 +221,15 @@ class ProcessMatrix:
                 raise config.RegisterCapError(
                     f"dense process matrix needs {k} qubits, above the operator cap {limit}"
                 )
-            big = qlin.kron_all(
-                [qlin.projector(f.pure)] + [qlin.maximally_mixed(1) for _ in f.mixed_qubits]
+            p = len(f.pure_qubits)
+            amp = f.pure.as_tensor()
+            # |pure><pure| as the broadcast product of a column and a conjugated row
+            self._op = _embed(
+                (amp.reshape(amp.shape + (1,) * p), amp.conj().reshape((1,) * p + amp.shape)),
+                f.pure_qubits,
+                f.mixed_qubits,
+                f.scale * 0.5 ** len(f.mixed_qubits),
             )
-            perm = list(f.pure_qubits) + list(f.mixed_qubits)
-            self._op = HermOp(f.scale * qlin.permute_qubits(big, perm).entries)
         return self._op
 
     def trace(self) -> float:
@@ -247,6 +251,42 @@ class ProcessMatrix:
                 return 0.0
             return self.trace() * 0.5 ** len(self.factor.mixed_qubits)
         return qlin.min_eigenvalue(self._op)
+
+
+def _embed(
+    factors: Sequence[np.ndarray],
+    block_qubits: Sequence[int],
+    identity_qubits: Sequence[int],
+    coeff: float,
+) -> HermOp:
+    """coeff * B (x) I as one HermOp in register order.
+
+    B, the broadcast product of ``factors`` (each shaped (2,)*2p or
+    broadcastable to it: row axes first, then column axes), acts on
+    ``block_qubits``; I acts on ``identity_qubits``.  B is computed
+    contiguously, then written into one zeroed (2,)*2k array through the view
+    that einsum gives of its diagonal over the identity qubits, so no kron or
+    permutation copy of the full operator is made.
+    """
+    block_qubits = list(block_qubits)
+    identity_qubits = list(identity_qubits)
+    k = len(block_qubits) + len(identity_qubits)
+    block = factors[0]
+    for factor in factors[1:]:
+        block = block * factor
+    # coeff after the product: since its 2^-n part is exact, every entry has
+    # the value of scale * (|pure><pure| (x) (I/2)^n) taken factor by factor
+    block = block * coeff
+    out = np.zeros((2,) * (2 * k), dtype=np.complex128)
+    # einsum labels: row axis q is q and column axis q is k + q, except that an
+    # identity qubit's column shares its row label, which selects the diagonal
+    cols = [q if q in identity_qubits else k + q for q in range(k)]
+    view = np.einsum(
+        out, list(range(k)) + cols, block_qubits + [k + q for q in block_qubits] + identity_qubits
+    )
+    view[...] = block[(...,) + (None,) * len(identity_qubits)]
+    del block, view  # free the block before HermOp copies the operator
+    return HermOp(out.reshape(2**k, 2**k))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +532,7 @@ def density_process_matrix(rho: HermOp, party_prefix: str = "P") -> ProcessMatri
     trace = float(rho.trace().real)
     if abs(trace - 1.0) > 1e-10:
         raise ProcmatError(f"rho must have unit trace, got {trace}")
-    big = qlin.kron_all([rho] + [qlin.maximally_mixed(1) for _ in range(k)])
-    perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-    op = HermOp((2.0**k) * qlin.permute_qubits(big, perm).entries)
+    # 2^k rho (x) (I/2)^k = rho (x) I^k
+    op = _embed((rho.as_tensor(),), range(0, 2 * k, 2), range(1, 2 * k, 2), 1.0)
     slots = [Slot(f"{party_prefix}{i + 1}", 2 * i, 2 * i + 1) for i in range(k)]
     return ProcessMatrix(slots, op=op)

@@ -85,6 +85,29 @@ class Ket:
         return f"Ket(num_qubits={self.num_qubits})"
 
 
+# side of the square tiles over which ``_hermitian_defect`` compares M with M^dag
+_HERMITIAN_TILE = 128
+
+
+def _hermitian_defect(mat: np.ndarray) -> float:
+    """max |M - M^dag| over a square matrix, one pair of mirrored tiles at a time.
+
+    Each tile on or above the diagonal is compared with its mirror tile, so
+    each pair of tiles is read once and no full-size transpose or difference
+    is allocated.  |M_ij - conj(M_ji)| equals |M_ji - conj(M_ij)| exactly, so
+    the upper-triangle tile pairs give the same maximum as the whole matrix.
+    """
+    n = mat.shape[0]
+    t = _HERMITIAN_TILE
+    defect = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper = mat[i:i + t, j:j + t]
+            mirror = mat[j:j + t, i:i + t]
+            defect = max(defect, float(np.max(np.abs(upper - mirror.conj().T))))
+    return defect
+
+
 class HermOp:
     """Linear operator on an ordered qubit register, stored dense.
 
@@ -103,7 +126,7 @@ class HermOp:
         if not np.all(np.isfinite(mat)):
             raise QlinError("operator entries must be finite")
         if require_hermitian:
-            defect = float(np.max(np.abs(mat - mat.conj().T)))
+            defect = _hermitian_defect(mat)
             if defect > config.HERMITIAN_ATOL:
                 raise QlinError(
                     f"operator is not Hermitian within {config.HERMITIAN_ATOL} "

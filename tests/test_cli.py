@@ -116,6 +116,18 @@ def test_json_output_is_byte_identical(capsys, p2_file):
     assert first == second
 
 
+def test_parser_built_once_survives_usage_errors(capsys, p2_file):
+    argv = ["verify", "--graph", p2_file, "--json"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["verify", "--graph", p2_file, "--no-such-flag"]) == 2
+    assert cli.main(["verify"]) == 2
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_table_output_lists_sorted_keys(capsys, p2_file):
     code = cli.main(["signal", "--graph", p2_file])
     out = capsys.readouterr().out

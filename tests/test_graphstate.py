@@ -164,6 +164,17 @@ def test_random_resource_graph_respects_predicate_and_sizes():
         assert graphstate.has_uniform_branches(g)
 
 
+@pytest.mark.parametrize("seed, tries", [(246, 810), (1750, 525)])
+def test_random_resource_graph_finds_rare_uniform_branch_graphs(seed, tries):
+    """For N=4, n=1 about 1.5% of draws qualify; these seeds need more than 500 tries."""
+    g = graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1)
+    assert graphstate.has_uniform_branches(g)
+    # the first qualifying draw is returned, so a larger bound keeps every graph
+    assert graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1, max_tries=tries) == g
+    with pytest.raises(graphstate.GraphError, match=f"in {tries - 1} tries for N=4, n=1"):
+        graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1, max_tries=tries - 1)
+
+
 def test_chain_preset_shape():
     g = graphstate.chain(4)
     assert g.computation == ("c0", "c1", "c2")

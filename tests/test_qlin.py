@@ -48,6 +48,29 @@ def test_hermop_flag():
         qlin.min_eigenvalue(general)
 
 
+T = qlin._HERMITIAN_TILE
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, T - 1, T, T + 1, 2 * T + 3, 3 * T, 2**9])
+def test_tiled_hermitian_defect_equals_one_shot(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    near = m + m.conj().T + 1e-12 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    for mat in (m, near):
+        assert qlin._hermitian_defect(mat) == float(np.max(np.abs(mat - mat.conj().T)))
+
+
+def test_hermop_rejects_a_defect_in_the_corner_tile():
+    """The only asymmetric pair, (0, n-1) against (n-1, 0), lies in an off-diagonal tile."""
+    n = 2**9
+    m = np.eye(n, dtype=np.complex128)
+    m[0, n - 1] = 1e-6
+    with pytest.raises(QlinError, match=r"defect 1\.000e-06"):
+        HermOp(m)
+    m[n - 1, 0] = 1e-6
+    assert HermOp(m).hermitian
+
+
 def test_kron_all_matches_numpy():
     rng = np.random.default_rng(3)
     a, b = qlin.random_ket(rng, 1), qlin.random_ket(rng, 2)

@@ -5,7 +5,8 @@ agree with each other and with the first-principles Born amplitude of
 criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
 guard must clamp and count each tiny negative entry once.  The trace and
 positivity floor that a factored W reads off its factor must match the
-materialized dense operator.
+materialized dense operator, and that operator must equal, entry for entry,
+the projector-kron-permute construction, built with one ``HermOp``.
 """
 
 import itertools
@@ -104,6 +105,55 @@ def test_factored_trace_and_floor_match_dense_oracle(w):
     if not f.pure_qubits:
         # every qubit mixed: W = scale (I/2)^k has floor scale 2^-k, not 0
         assert w.min_eigenvalue() == pytest.approx(f.scale * 0.5 ** len(f.mixed_qubits))
+
+
+def kron_permute_dense(w):
+    """Reference W: projector, a kron with I/2 per mixed qubit, then a qubit permutation."""
+    f = w.factor
+    big = qlin.kron_all([qlin.projector(f.pure)] + [qlin.maximally_mixed(1) for _ in f.mixed_qubits])
+    return f.scale * qlin.permute_qubits(big, list(f.pure_qubits) + list(f.mixed_qubits)).entries
+
+
+@PROPERTY_SETTINGS
+@given(factored_process_matrices())
+@example(factored_w(n_slots=3, n_pure=6, order=[4, 0, 5, 2, 1, 3], scale=3.7, seed=1))
+@example(factored_w(n_slots=2, n_pure=0, order=[3, 1, 0, 2], scale=0.3, seed=0))
+@example(factored_w(n_slots=4, n_pure=5, order=[7, 2, 0, 5, 3, 6, 1, 4], scale=13.0, seed=2))
+def test_dense_equals_kron_permute_reference(w):
+    assert np.array_equal(w.dense().entries, kron_permute_dense(w))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_density_process_matrix_equals_kron_permute_reference(k):
+    rho = qlin.random_density(np.random.default_rng(k), k)
+    big = qlin.kron_all([rho] + [qlin.maximally_mixed(1) for _ in range(k)])
+    perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+    reference = 2.0**k * qlin.permute_qubits(big, perm).entries
+    assert np.array_equal(procmat.density_process_matrix(rho).dense().entries, reference)
+
+
+@pytest.mark.parametrize("kind", ["factored", "density"])
+def test_dense_builds_one_hermop_and_no_kron_or_permutation(monkeypatch, kind):
+    rho = qlin.random_density(np.random.default_rng(5), 3)
+    w = factored_w(n_slots=3, n_pure=4, order=[5, 0, 3, 1, 4, 2], scale=1.5, seed=3)
+    calls = {"kron_all": 0, "permute_qubits": 0}
+    sizes = []
+    real_init = qlin.HermOp.__init__
+
+    def counted_init(self, entries, **kwargs):
+        sizes.append(np.shape(entries)[0])
+        real_init(self, entries, **kwargs)
+
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(qlin, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(qlin, name, counted)
+    monkeypatch.setattr(qlin.HermOp, "__init__", counted_init)
+    op = w.dense() if kind == "factored" else procmat.density_process_matrix(rho).dense()
+    assert sizes == [2**6] and op.num_qubits == 6
+    assert calls == {"kron_all": 0, "permute_qubits": 0}
 
 
 def with_raw_table(monkeypatch, backend, raw):
