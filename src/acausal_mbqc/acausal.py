@@ -143,13 +143,11 @@ def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
     return procmat.outcome_table(r.w, instruments, backend=backend)
 
 
-def acausal_probability(
-    r: ResourcePM, angles, m: Sequence[int], z: Sequence[int], backend: str = "auto"
-) -> float:
+def acausal_probability(r: ResourcePM, angles, m: Sequence[int], z: Sequence[int]) -> float:
     """P(m, z) under equatorial Alice measurements at the given base angles."""
     m = _bits(m, r.n_computation, "m")
     z = _bits(z, r.n_output, "z")
-    return float(_table(r, angles, backend)[m + z])
+    return float(_table(r, angles, "auto")[m + z])
 
 
 def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.ndarray:
@@ -176,11 +174,12 @@ def signaling_tv(probs_a: np.ndarray, probs_b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(za - zb)))
 
 
-def backend_agreement(r: ResourcePM, angles) -> float:
-    """max over (m, z) of |dense - factorized| probability; exercises both routes."""
+def backend_agreement(r: ResourcePM, angles, probs: np.ndarray) -> float:
+    """max over (m, z) of |dense - probs| for the caller's table ``probs`` at
+    ``angles``; only the dense-trace oracle is contracted here, so it checks
+    the very numbers the caller reports."""
     dense = outcome_probabilities(r, angles, backend="dense")
-    fact = outcome_probabilities(r, angles, backend="factorized")
-    return float(np.max(np.abs(dense - fact)))
+    return float(np.max(np.abs(dense - probs)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,27 +16,89 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import acausal, config, game, graphstate, mbqc, procmat, qlin
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    graph_path: str | None
-    pattern_path: str | None
-    angles: list[float] | None
-    angles_b: list[float] | None
-    seed: int
-    shots: int
-    tol: float
-    json_output: bool
-    cap: int | None
-    backend: str
-    family: str
+# postselect acceptance must sit within this many binomial sigmas of 2^-(N+n)
+ACCEPTANCE_SIGMAS = 5.0
+POSTSELECT_TV_LIMIT = 0.02
+# at 10^5 shots an exact sampler's TV on chain(4) passes the limit for only
+# 19 seeds in 20; at 10^6 the limit is many standard deviations away
+POSTSELECT_DEFAULT_SHOTS = 1_000_000
+PM_VALIDATE_DEFAULT_TRIALS = 200
+
+_ANGLES_HELP = (
+    "comma-separated radians for the computation vertices in order; "
+    "one value broadcasts (default 0)"
+)
+_ANGLES_B_HELP = "second angle set; default adds pi at the first vertex"
+
+# subcommand -> (summary, {flag: help}); every subcommand also takes --graph,
+# --json and --cap, and argparse refuses any flag not listed for it
+_SUBCOMMANDS = {
+    "graph-state": (
+        "dump graph-state amplitudes and the stabilizer defect",
+        {"--tol": "largest stabilizer deviation that passes"},
+    ),
+    "resource-pm": (
+        "build the resource process matrix; report trace and min eigenvalue",
+        {"--tol": "tolerance on the trace and the positivity floor"},
+    ),
+    "verify": (
+        "branch independence, normalization, and backend agreement",
+        {
+            "--angles": _ANGLES_HELP,
+            "--angles-b": "second angle set of the signaling check, read only with "
+            "--shots; default adds pi at the first vertex",
+            "--seed": "sampler seed, read only with --shots",
+            "--shots": "postselected-sampler shots; 0 (default) skips the sampler "
+            "and the signaling check",
+            "--tol": "tolerance on every identity the command checks",
+        },
+    ),
+    "signal": (
+        "total variation between readout marginals for two angle sets",
+        {"--angles": _ANGLES_HELP, "--angles-b": _ANGLES_B_HELP},
+    ),
+    "postselect": (
+        "postselected sampler versus the exact distribution",
+        {
+            "--angles": _ANGLES_HELP,
+            "--seed": "sampler seed",
+            "--shots": f"sampler shots; 0 (default) selects {POSTSELECT_DEFAULT_SHOTS:,}",
+        },
+    ),
+    "game": (
+        "causal-game report for a graph instance",
+        {
+            "--angles": _ANGLES_HELP,
+            "--pattern": "measurement pattern JSON file (default: the chain pattern)",
+        },
+    ),
+    "pm-validate": (
+        "total-probability sweep over sampled instrument families",
+        {
+            "--seed": "seed of the instrument-tuple draws",
+            "--shots": "number of sampled instrument tuples; 0 (default) selects "
+            f"{PM_VALIDATE_DEFAULT_TRIALS}",
+            "--tol": "largest total-probability deviation that passes",
+            "--family": "mbqc asserts normalization; rank1 is exploratory (report only)",
+        },
+    ),
+}
+
+_FLAG_KWARGS = {
+    "--pattern": dict(metavar="FILE"),
+    "--angles": dict(metavar="CSV"),
+    "--angles-b": dict(metavar="CSV"),
+    "--seed": dict(metavar="N", type=int, default=config.DEFAULT_SEED),
+    "--shots": dict(metavar="N", type=int, default=0),
+    "--tol": dict(metavar="R", type=float, default=1e-9),
+    "--family": dict(choices=["mbqc", "rank1"], default="mbqc"),
+}
 
 
 @functools.cache
@@ -52,78 +114,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "graph-state": "dump graph-state amplitudes and the stabilizer defect",
-        "resource-pm": "build the resource process matrix; report trace and min eigenvalue",
-        "verify": "branch independence, normalization, and backend agreement",
-        "signal": "total variation between readout marginals for two angle sets",
-        "postselect": "postselected sampler versus the exact distribution",
-        "game": "causal-game report for a graph instance",
-        "pm-validate": "total-probability sweep over sampled instrument families",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (summary, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--graph", metavar="FILE", required=True, help="graph JSON file")
-        p.add_argument("--pattern", metavar="FILE", help="measurement pattern JSON file")
-        p.add_argument(
-            "--angles",
-            metavar="CSV",
-            help="comma-separated radians for the computation vertices in order; "
-            "one value broadcasts (default 0)",
-        )
-        p.add_argument(
-            "--angles-b",
-            metavar="CSV",
-            help="second angle set (signal/verify); default adds pi at the first vertex",
-        )
-        p.add_argument("--seed", metavar="N", type=int, default=config.DEFAULT_SEED)
-        p.add_argument("--shots", metavar="N", type=int, default=0)
-        p.add_argument("--tol", metavar="R", type=float, default=1e-9)
+        for flag, help_text in flags.items():
+            p.add_argument(flag, help=help_text, **_FLAG_KWARGS[flag])
         p.add_argument("--json", action="store_true", help="emit the JSON document")
         p.add_argument("--cap", metavar="N", type=int, help="dense register-size cap")
-        p.add_argument(
-            "--backend", choices=["auto", "dense", "factorized"], default="auto"
-        )
-        if name == "pm-validate":
-            p.add_argument(
-                "--family",
-                choices=["mbqc", "rank1"],
-                default="mbqc",
-                help="mbqc asserts normalization; rank1 is exploratory (report only)",
-            )
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    angles, angles_b = _validate_numeric_flags(ns)
-    return RunConfig(
-        command=ns.command,
-        graph_path=ns.graph,
-        pattern_path=ns.pattern,
-        angles=angles,
-        angles_b=angles_b,
-        seed=ns.seed,
-        shots=ns.shots,
-        tol=ns.tol,
-        json_output=ns.json,
-        cap=ns.cap,
-        backend=ns.backend,
-        family=getattr(ns, "family", "mbqc"),
-    )
-
-
-def _validate_numeric_flags(ns) -> tuple[list[float] | None, list[float] | None]:
-    """Reject out-of-range numeric flags before any work; returns the parsed angle lists."""
-    if ns.shots < 0:
+def _validate_numeric_flags(ns: argparse.Namespace) -> None:
+    """Reject out-of-range numeric flags of the command before any work, and
+    replace its angle CSVs with the parsed lists."""
+    if getattr(ns, "shots", 0) < 0:
         raise ValueError(
             f"--shots must be >= 0 (0 selects the command's default), got {ns.shots}"
         )
-    if ns.seed < 0:
+    if getattr(ns, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {ns.seed}")
-    if not (math.isfinite(ns.tol) and ns.tol >= 0.0):
+    if hasattr(ns, "tol") and not (math.isfinite(ns.tol) and ns.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {ns.tol!r}")
-    return _parse_csv(ns.angles, "--angles"), _parse_csv(ns.angles_b, "--angles-b")
+    for attr, flag in (("angles", "--angles"), ("angles_b", "--angles-b")):
+        if hasattr(ns, attr):
+            setattr(ns, attr, _parse_csv(getattr(ns, attr), flag))
 
 
 def _parse_csv(text: str | None, flag: str) -> list[float] | None:
@@ -148,9 +162,9 @@ def _angles_arg(values: list[float] | None, g) -> dict[str, float]:
     return mbqc.as_angle_map(g, values)
 
 
-def _second_angles(cfg: RunConfig, g, ang: dict[str, float]) -> dict[str, float]:
-    if cfg.angles_b is not None:
-        return _angles_arg(cfg.angles_b, g)
+def _second_angles(ns: argparse.Namespace, g, ang: dict[str, float]) -> dict[str, float]:
+    if ns.angles_b is not None:
+        return _angles_arg(ns.angles_b, g)
     first = g.computation[0]
     out = dict(ang)
     out[first] = ang[first] + math.pi
@@ -209,22 +223,22 @@ def _table_lines(obj, prefix: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_graph_state(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
-    state = graphstate.graph_state(g, cfg.cap)
+def _cmd_graph_state(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
+    state = graphstate.graph_state(g, ns.cap)
     defect = graphstate.stabilizer_check(state, g)
     report = {
         "vertices": list(graphstate.ket_order(g)),
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
         "stabilizer_max_deviation": defect,
     }
-    _emit(report, cfg.json_output)
-    return 0 if defect <= cfg.tol else 1
+    _emit(report, ns.json)
+    return 0 if defect <= ns.tol else 1
 
 
-def _cmd_resource_pm(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
-    r = acausal.build_resource_pm(g, cfg.cap)
+def _cmd_resource_pm(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
+    r = acausal.build_resource_pm(g, ns.cap)
     expected = float(2 ** (g.n_computation + g.n_output))
     report = {
         "trace": r.trace(),
@@ -232,16 +246,16 @@ def _cmd_resource_pm(cfg: RunConfig) -> int:
         "num_qubits": r.w.num_qubits,
         "layout": r.layout(),
     }
-    _emit(report, cfg.json_output)
-    ok = report["min_eigenvalue"] >= -cfg.tol and abs(report["trace"] - expected) <= cfg.tol
+    _emit(report, ns.json)
+    ok = report["min_eigenvalue"] >= -ns.tol and abs(report["trace"] - expected) <= ns.tol
     return 0 if ok else 1
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
-    r = acausal.build_resource_pm(g, cfg.cap)
-    ang = _angles_arg(cfg.angles, g)
-    probs = acausal.outcome_probabilities(r, ang, backend=cfg.backend)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
+    r = acausal.build_resource_pm(g, ns.cap)
+    ang = _angles_arg(ns.angles, g)
+    probs = acausal.outcome_probabilities(r, ang)
     report = {
         "branch_independence_max_dev": acausal.branch_independence_report(probs),
         "normalization_dev": acausal.normalization_report(probs),
@@ -249,56 +263,48 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "trace": r.trace(),
     }
     try:
-        agreement = acausal.backend_agreement(r, ang)
+        agreement = acausal.backend_agreement(r, ang, probs)
     except config.RegisterCapError:
         agreement = None  # dense side too large; factorized-only verification
     report["backend_agreement_max_dev"] = agreement
-    if cfg.shots > 0:
-        ang_b = _second_angles(cfg, g, ang)
-        probs_b = acausal.outcome_probabilities(r, ang_b, backend=cfg.backend)
+    if ns.shots > 0:
+        ang_b = _second_angles(ns, g, ang)
+        probs_b = acausal.outcome_probabilities(r, ang_b)
         report["signaling_tv"] = acausal.signaling_tv(probs, probs_b)
-        sample = acausal.postselected_sampler(r, ang, cfg.shots, cfg.seed)
+        sample = acausal.postselected_sampler(r, ang, ns.shots, ns.seed)
         report["postselect"] = acausal.postselection_report(sample, probs)
-    _emit(report, cfg.json_output)
+    _emit(report, ns.json)
     expected = float(2 ** (g.n_computation + g.n_output))
     ok = (
-        report["branch_independence_max_dev"] <= cfg.tol
-        and report["normalization_dev"] <= cfg.tol
-        and (agreement is None or agreement <= cfg.tol)
-        and report["min_eigenvalue"] >= -cfg.tol
-        and abs(report["trace"] - expected) <= cfg.tol
+        report["branch_independence_max_dev"] <= ns.tol
+        and report["normalization_dev"] <= ns.tol
+        and (agreement is None or agreement <= ns.tol)
+        and report["min_eigenvalue"] >= -ns.tol
+        and abs(report["trace"] - expected) <= ns.tol
     )
     return 0 if ok else 1
 
 
-def _cmd_signal(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
-    r = acausal.build_resource_pm(g, cfg.cap)
-    ang = _angles_arg(cfg.angles, g)
-    ang_b = _second_angles(cfg, g, ang)
-    tables = [acausal.outcome_probabilities(r, a, backend=cfg.backend) for a in (ang, ang_b)]
+def _cmd_signal(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
+    r = acausal.build_resource_pm(g, ns.cap)
+    ang = _angles_arg(ns.angles, g)
+    ang_b = _second_angles(ns, g, ang)
+    tables = [acausal.outcome_probabilities(r, a) for a in (ang, ang_b)]
     report = {"signaling_tv": acausal.signaling_tv(*tables)}
-    _emit(report, cfg.json_output)
+    _emit(report, ns.json)
     return 0
 
 
-# postselect acceptance must sit within this many binomial sigmas of 2^-(N+n)
-ACCEPTANCE_SIGMAS = 5.0
-POSTSELECT_TV_LIMIT = 0.02
-# at 10^5 shots an exact sampler's TV on chain(4) passes the limit for only
-# 19 seeds in 20; at 10^6 the limit is many standard deviations away
-POSTSELECT_DEFAULT_SHOTS = 1_000_000
-
-
-def _cmd_postselect(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
-    r = acausal.build_resource_pm(g, cfg.cap)
-    ang = _angles_arg(cfg.angles, g)
-    shots = cfg.shots if cfg.shots > 0 else POSTSELECT_DEFAULT_SHOTS
-    sample = acausal.postselected_sampler(r, ang, shots, cfg.seed)
-    probs = acausal.outcome_probabilities(r, ang, backend=cfg.backend)
+def _cmd_postselect(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
+    r = acausal.build_resource_pm(g, ns.cap)
+    ang = _angles_arg(ns.angles, g)
+    shots = ns.shots if ns.shots > 0 else POSTSELECT_DEFAULT_SHOTS
+    sample = acausal.postselected_sampler(r, ang, shots, ns.seed)
+    probs = acausal.outcome_probabilities(r, ang)
     block = acausal.postselection_report(sample, probs)
-    _emit({"postselect": block}, cfg.json_output)
+    _emit({"postselect": block}, ns.json)
     p = block["expected"]
     sigma = math.sqrt(p * (1.0 - p) / shots)
     ok = (
@@ -309,33 +315,30 @@ def _cmd_postselect(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_game(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
+def _cmd_game(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
     # the resource is the largest register, so a cap refuses it before anything else
-    r = acausal.build_resource_pm(g, cfg.cap)
-    ang = _angles_arg(cfg.angles, g)
-    pattern = mbqc.load_pattern(cfg.pattern_path) if cfg.pattern_path else None
+    r = acausal.build_resource_pm(g, ns.cap)
+    ang = _angles_arg(ns.angles, g)
+    pattern = mbqc.load_pattern(ns.pattern) if ns.pattern else None
     inst = game.game_instance(g, ang, pattern)
-    report = game.game_report(inst, r, backend=cfg.backend)
-    _emit(report, cfg.json_output)
+    report = game.game_report(inst, r)
+    _emit(report, ns.json)
     return 0 if report["violated"] else 1
 
 
-PM_VALIDATE_DEFAULT_TRIALS = 200
-
-
-def _cmd_pm_validate(cfg: RunConfig) -> int:
-    g = graphstate.load_graph(cfg.graph_path)
-    r = acausal.build_resource_pm(g, cfg.cap)
-    trials = cfg.shots if cfg.shots > 0 else PM_VALIDATE_DEFAULT_TRIALS
-    if cfg.family == "mbqc":
+def _cmd_pm_validate(ns: argparse.Namespace) -> int:
+    g = graphstate.load_graph(ns.graph)
+    r = acausal.build_resource_pm(g, ns.cap)
+    trials = ns.shots if ns.shots > 0 else PM_VALIDATE_DEFAULT_TRIALS
+    if ns.family == "mbqc":
         family = procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
     else:
         family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
-    rng = np.random.default_rng(cfg.seed)
-    rep = procmat.pm_validate(r.w, family, trials, cfg.tol, rng, backend=cfg.backend)
+    rng = np.random.default_rng(ns.seed)
+    rep = procmat.pm_validate(r.w, family, trials, ns.tol, rng)
     report = {
-        "family": cfg.family,
+        "family": ns.family,
         "min_eigenvalue": rep.min_eigenvalue,
         "max_deviation": rep.max_deviation,
         "worst_assignment": rep.worst_assignment,
@@ -343,8 +346,8 @@ def _cmd_pm_validate(cfg: RunConfig) -> int:
         "tolerance": rep.tolerance,
         "passed": rep.passed,
     }
-    _emit(report, cfg.json_output)
-    if cfg.family == "rank1":
+    _emit(report, ns.json)
+    if ns.family == "rank1":
         return 0  # exploratory family: violations are report content
     return 0 if rep.passed else 1
 
@@ -372,14 +375,11 @@ _INPUT_ERRORS = (
 )
 
 
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
+        ns = build_parser().parse_args(argv)
+        _validate_numeric_flags(ns)
+        return _COMMANDS[ns.command](ns)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

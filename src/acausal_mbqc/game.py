@@ -70,9 +70,9 @@ def causal_bound(n: int) -> float:
     return 0.5 * (1.0 + 2.0 ** -int(n))
 
 
-def acausal_p0(r: acausal.ResourcePM, angles, backend: str = "auto") -> float:
+def acausal_p0(r: acausal.ResourcePM, angles) -> float:
     """Success probability with the acausal resource: sum over m of P(m, 0^n)."""
-    probs = acausal.outcome_probabilities(r, angles, backend=backend)
+    probs = acausal.outcome_probabilities(r, angles)
     return float(probs[:, 0].sum())
 
 
@@ -101,12 +101,12 @@ def boys_first_p0(inst: GameInstance) -> float:
     return float(np.sum(np.abs(amps[:, 0]) ** 2))
 
 
-def game_report(inst: GameInstance, r: acausal.ResourcePM, backend: str = "auto") -> dict:
+def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
     """Full comparison for one instance on its graph's resource; ``violated`` is the headline."""
     if r.base_graph != inst.graph:
         raise GameError("the resource was built from a different graph than the instance")
     bound = causal_bound(inst.n_output)
-    p0 = acausal_p0(r, inst.angles, backend=backend)
+    p0 = acausal_p0(r, inst.angles)
     return {
         "p0_acausal": p0,
         "p0_girls_first_corrected": girls_first_p0(inst, correct=True),

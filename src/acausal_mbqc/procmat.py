@@ -205,12 +205,6 @@ class ProcessMatrix:
     def parties(self) -> tuple[str, ...]:
         return tuple(s.party for s in self.slots)
 
-    def slot_for(self, party: str) -> Slot:
-        for s in self.slots:
-            if s.party == party:
-                return s
-        raise ProcmatError(f"unknown party {party!r}; have {self.parties}")
-
     def dense(self) -> HermOp:
         """Materialize the dense operator (cached); capped by ``self.cap`` and the operator cap."""
         if self._op is None:
@@ -449,7 +443,6 @@ def pm_validate(
     trials: int,
     tol: float,
     rng: np.random.Generator,
-    backend: str = "auto",
 ) -> PmValidityReport:
     """Check that outcome probabilities total 1 for sampled CPTP instrument tuples.
 
@@ -465,7 +458,7 @@ def pm_validate(
         instruments = dict(family(rng))
         if set(instruments) != set(w.parties):
             raise ProcmatError("family must assign an instrument to every party")
-        total = float(outcome_table(w, instruments, backend).sum())
+        total = float(outcome_table(w, instruments).sum())
         dev = abs(total - 1.0)
         if dev > worst:
             worst = dev

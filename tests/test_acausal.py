@@ -136,7 +136,8 @@ def test_angle_negation_leaves_probabilities_unchanged():
 def test_backend_agreement_on_presets():
     for g in [graphstate.chain(2), graphstate.chain(3), graphstate.parallel_chains([2, 2])]:
         r = acausal.build_resource_pm(g)
-        assert acausal.backend_agreement(r, 0.7) < 1e-10
+        probs = acausal.outcome_probabilities(r, 0.7)
+        assert acausal.backend_agreement(r, 0.7, probs) < 1e-10
 
 
 def test_signaling_tv_is_maximal_for_p2():
@@ -218,9 +219,10 @@ def test_build_rejects_decorated_graph():
 def test_dense_oracle_refuses_chain7_before_allocating():
     """W of chain(7) is above the dense cap; the oracle must refuse at once."""
     r = acausal.build_resource_pm(graphstate.chain(7))
+    probs = acausal.outcome_probabilities(r, 0.0)
     start = time.perf_counter()
     with pytest.raises(config.RegisterCapError):
-        acausal.backend_agreement(r, 0.0)
+        acausal.backend_agreement(r, 0.0, probs)
     assert time.perf_counter() - start < 1.0
 
 

@@ -291,7 +291,8 @@ def test_criterion_10_backend_agreement():
         if g.n_computation + g.n_output > 5:
             continue
         for ang in angle_sets_for(g, count=3):
-            worst = max(worst, acausal.backend_agreement(r, ang))
+            probs = acausal.outcome_probabilities(r, ang)
+            worst = max(worst, acausal.backend_agreement(r, ang, probs))
         checked += 1
     print(f"criterion 10: worst backend disagreement {worst:.2e} over {checked} graphs")
     assert checked >= 3

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
 import json
+import re
 import time
 import warnings
 
@@ -59,8 +60,8 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
 @pytest.mark.parametrize(
     "argv, builds, graph_states, factorized, dense",
     [
-        (["verify", "--shots", "1000"], 1, 2, 3, 1),
-        (["verify"], 1, 2, 2, 1),
+        (["verify", "--shots", "1000"], 1, 2, 2, 1),
+        (["verify"], 1, 2, 1, 1),
         (["postselect"], 1, 2, 1, 0),
         (["game"], 1, 6, 1, 0),
         (["signal"], 1, 2, 2, 0),
@@ -71,7 +72,7 @@ def test_builds_and_contractions_per_command(
     capsys, tmp_path, monkeypatch, argv, builds, graph_states, factorized, dense
 ):
     """On chain(4) each command builds one resource and contracts one outcome
-    table per angle set; only the dense oracle adds its own two tables."""
+    table per angle set; only the dense oracle adds its own dense table."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
@@ -314,6 +315,41 @@ def test_cap_flag_behaves_like_the_env_var(
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "subcommand" not in capsys.readouterr().err
+
+
+# the flags each subcommand reads besides --graph, --json and --cap
+OWN_FLAGS = {
+    "graph-state": {"--tol"},
+    "resource-pm": {"--tol"},
+    "verify": {"--tol", "--angles", "--angles-b", "--shots", "--seed"},
+    "signal": {"--angles", "--angles-b"},
+    "postselect": {"--angles", "--shots", "--seed"},
+    "game": {"--angles", "--pattern"},
+    "pm-validate": {"--tol", "--shots", "--seed", "--family"},
+}
+VALUE_FLAGS = [
+    "--pattern", "--angles", "--angles-b", "--seed", "--shots", "--tol", "--backend", "--family",
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in OWN_FLAGS for f in VALUE_FLAGS if f not in OWN_FLAGS[c]],
+)
+def test_unread_flag_is_a_usage_error(capsys, tmp_path, command, flag):
+    """A flag the command does not read exits 2 at parse time, before the graph is opened."""
+    missing = str(tmp_path / "missing.json")
+    assert cli.main([command, "--graph", missing, flag, "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err and flag in err, err
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_help_lists_exactly_the_flags_the_command_reads(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M))
+    assert listed == {"--help", "--graph", "--json", "--cap"} | OWN_FLAGS[command]
 
 
 def assert_flag_rejected(capsys, argv, flag):
