@@ -29,6 +29,7 @@ POSTSELECT_TV_LIMIT = 0.02
 # 19 seeds in 20; at 10^6 the limit is many standard deviations away
 POSTSELECT_DEFAULT_SHOTS = 1_000_000
 PM_VALIDATE_DEFAULT_TRIALS = 200
+MAX_SHOTS = 2**63 - 1
 
 _ANGLES_HELP = (
     "comma-separated radians for the computation vertices in order; "
@@ -131,6 +132,9 @@ def _validate_numeric_flags(ns: argparse.Namespace) -> None:
         raise ValueError(
             f"--shots must be >= 0 (0 selects the command's default), got {ns.shots}"
         )
+    if getattr(ns, "shots", 0) > MAX_SHOTS:
+        # numpy samples counts as int64
+        raise ValueError(f"--shots must be <= 2^63 - 1 = {MAX_SHOTS}, got {ns.shots}")
     if getattr(ns, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {ns.seed}")
     if hasattr(ns, "tol") and not (math.isfinite(ns.tol) and ns.tol >= 0.0):

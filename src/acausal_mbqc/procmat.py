@@ -10,15 +10,17 @@ are ordered input qubit first, then output qubit.
 A process matrix W assigns each party one input and one output qubit of a
 global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 ``outcome_table`` computes them for every element of every party's
-instrument at once, as one contraction sweep over the parties.  Its two
-backends are kept deliberately independent: a dense trace of the
-materialized W against each element's ``op`` (the oracle), and a factorized
-overlap of each element's kets with W of the form
-scale * |pure><pure| (x) (I/2)^k.
+instrument at once, as one contraction sweep over the parties, and
+``pm_validate`` runs the same sweep over a leading axis of sampled trials.
+The two backends are kept deliberately independent: a dense trace of the
+materialized W against each element's Choi operator, built from its
+double-sum definition (the oracle), and a factorized overlap of each
+element's kets with W of the form scale * |pure><pure| (x) (I/2)^k.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -59,16 +61,27 @@ class CJOperator:
     @property
     def op(self) -> HermOp:
         """Choi operator on (input, output) via the literal double sum."""
-        phi = self.measure_ket.amplitudes
-        rr = np.outer(self.reprepare_ket.amplitudes, self.reprepare_ket.amplitudes.conj())
-        op = np.zeros((4, 4), dtype=np.complex128)
-        for k in range(2):
-            for l in range(2):
-                ketbra = np.zeros((2, 2), dtype=np.complex128)
-                ketbra[k, l] = 1.0
-                # M(|l><k|) = <phi|l><k|phi> |r><r|
-                op += np.kron(ketbra, (phi.conj()[l] * phi[k]) * rr)
-        return HermOp(op)
+        cj = _choi_tensors(self.measure_ket.amplitudes, self.reprepare_ket.amplitudes)
+        return HermOp(cj.reshape(4, 4), _owned=True)
+
+
+def _choi_tensors(measure: np.ndarray, reprepare: np.ndarray) -> np.ndarray:
+    """Choi tensors [..., r_in, r_out, c_in, c_out] of a stack of elements
+    given by their kets (each shaped (..., 2)), every one built as the
+    literal double sum sum_{k,l} |k><l| (x) M(|l><k|)."""
+    rr = reprepare[..., :, None] * reprepare.conj()[..., None, :]
+    op = np.zeros(measure.shape[:-1] + (2, 2, 2, 2), dtype=np.complex128)
+    re, im = measure.real, measure.imag
+    for k in range(2):
+        for l in range(2):
+            # M(|l><k|) = <phi|l><k|phi> |r><r|.  The coefficient is multiplied
+            # out in real arithmetic, one rounding per product and sum, so it
+            # does not depend on whether numpy's complex loop fuses them
+            coeff = np.empty(measure.shape[:-1], dtype=np.complex128)
+            coeff.real = re[..., l] * re[..., k] + im[..., l] * im[..., k]
+            coeff.imag = re[..., l] * im[..., k] - im[..., l] * re[..., k]
+            op[..., k, :, l, :] += coeff[..., None, None] * rr
+    return op
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,8 @@ class ProcessMatrix:
             amp = f.pure.as_tensor()
             # |pure><pure| as the broadcast product of a column and a conjugated row
             self._op = _embed(
-                (amp.reshape(amp.shape + (1,) * p), amp.conj().reshape((1,) * p + amp.shape)),
+                amp.reshape(amp.shape + (1,) * p),
+                amp.conj().reshape((1,) * p + amp.shape),
                 f.pure_qubits,
                 f.mixed_qubits,
                 f.scale * 0.5 ** len(f.mixed_qubits),
@@ -247,40 +261,54 @@ class ProcessMatrix:
         return qlin.min_eigenvalue(self._op)
 
 
+# elements per operand buffer of numpy's iterator while ``_embed`` multiplies
+_EMBED_BUFSIZE = 1024
+
+
 def _embed(
-    factors: Sequence[np.ndarray],
+    left: np.ndarray,
+    right: np.ndarray,
     block_qubits: Sequence[int],
     identity_qubits: Sequence[int],
     coeff: float,
 ) -> HermOp:
     """coeff * B (x) I as one HermOp in register order.
 
-    B, the broadcast product of ``factors`` (each shaped (2,)*2p or
-    broadcastable to it: row axes first, then column axes), acts on
-    ``block_qubits``; I acts on ``identity_qubits``.  B is computed
-    contiguously, then written into one zeroed (2,)*2k array through the view
-    that einsum gives of its diagonal over the identity qubits, so no kron or
-    permutation copy of the full operator is made.
+    B = left * right, the broadcast product of two arrays (each shaped
+    (2,)*2p or broadcastable to it: row axes first, then column axes), acts
+    on ``block_qubits``; I acts on ``identity_qubits``.  B is written
+    straight into the view that einsum gives of one zeroed (2,)*2k array's
+    diagonal over the identity qubits, and the HermOp keeps that array, so
+    the full operator is allocated once and no block, kron or permutation
+    copy of it is made.
     """
     block_qubits = list(block_qubits)
     identity_qubits = list(identity_qubits)
     k = len(block_qubits) + len(identity_qubits)
-    block = factors[0]
-    for factor in factors[1:]:
-        block = block * factor
-    # coeff after the product: since its 2^-n part is exact, every entry has
-    # the value of scale * (|pure><pure| (x) (I/2)^n) taken factor by factor
-    block = block * coeff
-    out = np.zeros((2,) * (2 * k), dtype=np.complex128)
+    out = np.zeros((2**k, 2**k), dtype=np.complex128)
     # einsum labels: row axis q is q and column axis q is k + q, except that an
     # identity qubit's column shares its row label, which selects the diagonal
     cols = [q if q in identity_qubits else k + q for q in range(k)]
     view = np.einsum(
-        out, list(range(k)) + cols, block_qubits + [k + q for q in block_qubits] + identity_qubits
+        out.reshape((2,) * (2 * k)),
+        list(range(k)) + cols,
+        block_qubits + [k + q for q in block_qubits] + identity_qubits,
     )
-    view[...] = block[(...,) + (None,) * len(identity_qubits)]
-    del block, view  # free the block before HermOp copies the operator
-    return HermOp(out.reshape(2**k, 2**k))
+    expand = (...,) + (None,) * len(identity_qubits)
+    # the broadcast product runs through numpy's buffered iterator; small
+    # buffers keep its scratch near 50 KB instead of 400 KB beside W
+    bufsize = np.setbufsize(_EMBED_BUFSIZE)
+    try:
+        np.multiply(left[expand], right[expand], out=view)
+    finally:
+        np.setbufsize(bufsize)
+    del view
+    # coeff after the product: since its 2^-n part is exact, every entry has
+    # the value of scale * (|pure><pure| (x) (I/2)^n) taken factor by factor.
+    # It scales the whole contiguous array in place; numpy would buffer a copy
+    # of the strided diagonal view for an in-place product
+    out *= coeff
+    return HermOp(out, _owned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +330,22 @@ def reset_clamped_probability_count() -> None:
         _clamp_count = 0
 
 
-def _validated_table(values: np.ndarray) -> np.ndarray:
-    """Range-check a probability table; entries in [-slack, 0) are clamped to
-    zero and counted once each, anything outside [-slack, 1 + slack] errors."""
+def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
+    """Range-check a stack of probability tables, one per trial along axis 0
+    (the first numbered ``first_trial``); entries in [-slack, 0) are clamped
+    to zero and counted once each, anything outside [-slack, 1 + slack]
+    errors, naming its trial and outcome."""
     global _clamp_count
     lo = -config.PROBABILITY_RANGE_SLACK
     hi = 1.0 + config.PROBABILITY_RANGE_SLACK
     values = np.asarray(values, dtype=float)
     bad = ~((values >= lo) & (values <= hi))
     if bad.any():
-        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        by_trial = values.reshape((-1,) + values.shape[1:])
+        at = tuple(int(i) for i in np.argwhere(bad.reshape(by_trial.shape))[0])
         raise ProcmatError(
-            f"probability {float(values[at])!r} at outcome {at} outside [{lo}, {hi}]"
+            f"probability {float(by_trial[at])!r} at outcome {at[1:]} of trial "
+            f"{first_trial + at[0]} outside [{lo}, {hi}]"
         )
     negative = values < 0.0
     clamped = int(negative.sum())
@@ -330,7 +362,8 @@ def outcome_table(
     """P[e_0, ..., e_{k-1}] = Tr[W (x)_slots CJ], every element of every instrument.
 
     The table has one axis per slot of ``w``, in slot order, with one entry
-    per element of that party's instrument.
+    per element of that party's instrument.  It is the one-trial case of the
+    batched kernel that ``pm_validate`` runs.
 
     backend: "dense" (trace against the materialized operator), "factorized"
     (overlap against the pure (x) mixed form; needs a factored ``w``), or
@@ -340,13 +373,14 @@ def outcome_table(
         raise ProcmatError(
             f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
         )
-    if backend == "auto":
-        backend = "factorized" if w.factor is not None else "dense"
-    if backend == "factorized":
-        return _validated_table(_factorized_probability(w, instruments))
-    if backend == "dense":
-        return _validated_table(_dense_probability(w, instruments))
-    raise ProcmatError(f"unknown backend {backend!r}")
+    kets = {
+        party: (
+            np.stack([cj.measure_ket.amplitudes for cj in inst.elements])[None],
+            np.stack([cj.reprepare_ket.amplitudes for cj in inst.elements])[None],
+        )
+        for party, inst in instruments.items()
+    }
+    return _trial_tables(w, kets, _resolved_backend(w, backend))[0]
 
 
 def pm_probability(
@@ -357,49 +391,83 @@ def pm_probability(
     return float(outcome_table(w, instruments, backend).reshape(-1)[0])
 
 
-def _factorized_probability(
-    w: ProcessMatrix, instruments: Mapping[str, Instrument]
-) -> np.ndarray:
-    """Factorized backend of ``outcome_table``: contract the pure factor with
-    each party's stacked conjugate measure and reprepare kets in turn."""
+Kets = Mapping[str, tuple[np.ndarray, np.ndarray]]
+
+
+def _resolved_backend(w: ProcessMatrix, backend: str) -> str:
+    if backend == "auto":
+        return "factorized" if w.factor is not None else "dense"
+    if backend not in ("factorized", "dense"):
+        raise ProcmatError(f"unknown backend {backend!r}")
+    return backend
+
+
+def _trial_tables(w: ProcessMatrix, kets: Kets, backend: str, first_trial: int = 0) -> np.ndarray:
+    """Validated outcome tables of a block of trials, shaped (trials, E_0, ..., E_{k-1}).
+
+    ``kets`` maps each party to its stacked measure and reprepare kets, each
+    shaped (trials, elements, 2); ``backend`` is "factorized" or "dense".
+    """
+    kernel = _factorized_probability if backend == "factorized" else _dense_probability
+    return _validated_table(kernel(w, kets), first_trial)
+
+
+def _batched_tensordot(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``np.tensordot(a[t], b[t], (axes, range(1, b.ndim - 1)))`` for every trial t.
+
+    Axis 0 of both arrays is the trial axis; a's may have length 1, and is
+    then shared by every trial of b.  ``axes`` index a's other axes; b is
+    (trials, elements, contracted...).  The result is (trials, a's free
+    axes..., elements), computed as tensordot computes each trial: free
+    axes in order against the contracted ones, one matrix product per trial.
+    """
+    axes = [i + 1 for i in axes]
+    free = [i for i in range(1, a.ndim) if i not in axes]
+    m = math.prod(a.shape[i] for i in free)
+    k = math.prod(a.shape[i] for i in axes)
+    lhs = a.transpose([0] + free + axes).reshape(a.shape[0], m, k)
+    rhs = b.reshape(b.shape[0], b.shape[1], k).transpose(0, 2, 1)
+    out = np.matmul(lhs, rhs)
+    return out.reshape((out.shape[0],) + tuple(a.shape[i] for i in free) + (b.shape[1],))
+
+
+def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
+    """Factorized backend of the outcome tables: contract the pure factor with
+    each party's stacked conjugate measure and reprepare kets in turn,
+    keeping the trial axis in front."""
     f = w.factor
     if f is None:
         raise ProcmatError("factorized backend needs a factored process matrix")
-    amp = f.pure.as_tensor()
-    # axis label per axis of amp: a register qubit, or None for an element axis
+    amp = f.pure.as_tensor()[None]
+    # axis label per non-trial axis of amp: a register qubit, or None for an element axis
     labels: list[int | None] = list(f.pure_qubits)
     for slot in w.slots:
-        elements = instruments[slot.party].elements
-        # <u| on the slot's pure qubits, one row per element; a mixed qubit
-        # contributes <k|I/2|k> = 1/2 for its unit ket, counted below
-        bra = np.ones(len(elements), dtype=np.complex128)
+        measure, reprepare = kets[slot.party]
+        # <u| on the slot's pure qubits, one row per (trial, element); a mixed
+        # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below
+        bra = np.ones(measure.shape[:2], dtype=np.complex128)
         axes = []
-        for qubit, kets in (
-            (slot.input_qubit, [cj.measure_ket for cj in elements]),
-            (slot.output_qubit, [cj.reprepare_ket for cj in elements]),
-        ):
+        for qubit, rows in ((slot.input_qubit, measure), (slot.output_qubit, reprepare)):
             if qubit in labels:
-                rows = np.stack([ket.amplitudes for ket in kets]).conj()
-                bra = np.einsum("e...,ef->e...f", bra, rows)
+                bra = np.einsum("te...,tef->te...f", bra, rows.conj())
                 axes.append(labels.index(qubit))
-        amp = np.tensordot(amp, bra, axes=(axes, list(range(1, bra.ndim))))
+        amp = _batched_tensordot(amp, bra, axes)
         labels = [q for i, q in enumerate(labels) if i not in axes] + [None]
     return f.scale * 0.5 ** len(f.mixed_qubits) * np.abs(amp) ** 2
 
 
-def _dense_probability(
-    w: ProcessMatrix, instruments: Mapping[str, Instrument]
-) -> np.ndarray:
-    """Dense backend of ``outcome_table`` and the independent oracle: trace W
-    against each party's stacked CJ tensors [e, r_in, r_out, c_in, c_out]."""
+def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
+    """Dense backend of the outcome tables and the independent oracle: trace
+    W against each party's stacked CJ tensors [t, e, r_in, r_out, c_in, c_out],
+    built from the kets by the double-sum definition."""
     op = w.dense()
     k = w.num_qubits
-    table = op.as_tensor()
-    # axis label per axis of table: (row/col, register qubit), or None for an element axis
+    table = op.as_tensor()[None]
+    # axis label per non-trial axis of table: (row/col, register qubit), or None for an element axis
     labels: list[tuple[str, int] | None] = [("r", q) for q in range(k)]
     labels += [("c", q) for q in range(k)]
     for slot in w.slots:
-        cj = np.stack([e.op.as_tensor() for e in instruments[slot.party].elements])
+        cj = _choi_tensors(*kets[slot.party])
         # Tr[W X] pairs W's column indices with X's row indices and vice versa
         axes = [
             labels.index(("c", slot.input_qubit)),
@@ -407,7 +475,7 @@ def _dense_probability(
             labels.index(("r", slot.input_qubit)),
             labels.index(("r", slot.output_qubit)),
         ]
-        table = np.tensordot(table, cj, axes=(axes, [1, 2, 3, 4]))
+        table = _batched_tensordot(table, cj, axes)
         labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]
     worst_imag = float(np.max(np.abs(table.imag)))
     if worst_imag > 1e-10:
@@ -418,7 +486,72 @@ def _dense_probability(
 # ---------------------------------------------------------------------------
 # normalization sweeps
 
-InstrumentFamily = Callable[[np.random.Generator], Mapping[str, Instrument]]
+# byte budget of one block of pm_validate trials, counted by ``_trial_bytes``
+_BLOCK_BYTES = 4 << 20
+
+
+def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
+    """Bytes that one trial adds to a block: its largest contraction
+    intermediate three times over (a step's input, the transposed copy that
+    is multiplied, and the output) and its measure and reprepare kets."""
+    if backend == "factorized":
+        pure = set(w.factor.pure_qubits)
+        size = 2 ** len(pure)
+        contracted = [2 ** len({s.input_qubit, s.output_qubit} & pure) for s in w.slots]
+    else:
+        size = 4**w.num_qubits
+        contracted = [16] * len(w.slots)
+    largest = 0
+    for k in contracted:
+        size = size // k * elements
+        largest = max(largest, size)
+    kets = 2 * len(w.slots) * elements * 2
+    return np.dtype(np.complex128).itemsize * (3 * largest + kets)
+
+
+def _block_trials(w: ProcessMatrix, elements: int, backend: str) -> int:
+    """Trials per block, the most that keep a block within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // _trial_bytes(w, elements, backend))
+
+
+@dataclass(frozen=True)
+class InstrumentBlock:
+    """The instrument tuples of a block of trials, as arrays.
+
+    ``kets`` maps each party to its stacked measure and reprepare kets, each
+    shaped (trials, elements, 2); ``describe(t)`` names each party's
+    instrument in trial t of the block.  Construction runs ``Ket``'s tests
+    once over every ket of the block.
+    """
+
+    kets: Kets
+    describe: Callable[[int], dict[str, str]]
+
+    def __post_init__(self):
+        stacks = [stack for pair in self.kets.values() for stack in pair]
+        shape = stacks[0].shape
+        if len(shape) != 3 or shape[2] != 2 or any(s.shape != shape for s in stacks):
+            raise ProcmatError(
+                f"block kets must share one (trials, elements, 2) shape, got "
+                f"{sorted({s.shape for s in stacks})}"
+            )
+        for stack in stacks:
+            qlin.check_unit_kets(stack)
+
+
+@dataclass(frozen=True)
+class InstrumentFamily:
+    """A distribution over instrument tuples, sampled a block of trials at a time.
+
+    ``draw(rng, trials)`` returns an ``InstrumentBlock`` over ``parties``
+    whose instruments each have ``elements`` outcomes.  Drawing T trials
+    consumes ``rng`` exactly as T one-trial draws do, so the block size
+    never changes which instruments a seed gives.
+    """
+
+    parties: tuple[str, ...]
+    elements: int
+    draw: Callable[[np.random.Generator, int], InstrumentBlock]
 
 
 @dataclass(frozen=True)
@@ -437,6 +570,19 @@ class PmValidityReport:
     passed: bool
 
 
+def _trial_totals(w: ProcessMatrix, family: InstrumentFamily, trials: int, rng: np.random.Generator):
+    """Yield (block, totals) per drawn block: the total probability of each of its trials."""
+    backend = _resolved_backend(w, "auto")
+    size = _block_trials(w, family.elements, backend)
+    for start in range(0, trials, size):
+        block = family.draw(rng, min(size, trials - start))
+        tables = _trial_tables(w, block.kets, backend, first_trial=start)
+        totals = tables.reshape(len(tables), -1).sum(axis=1)
+        del tables
+        yield block, totals
+        del block  # before the next draw, as the caller does
+
+
 def pm_validate(
     w: ProcessMatrix,
     family: InstrumentFamily,
@@ -446,23 +592,28 @@ def pm_validate(
 ) -> PmValidityReport:
     """Check that outcome probabilities total 1 for sampled CPTP instrument tuples.
 
+    The trials are drawn and contracted a block at a time.  The worst trial
+    is the first with the largest deviation; only the worst trial of a block
+    that raises the running worst is described.
+
     Reports the worst deviation rather than raising: a violation means the
     operator is not a valid process matrix for that instrument family, which
     is legitimate report content for exploratory families.
     """
     if trials < 1:
         raise ProcmatError("pm_validate needs at least one trial")
+    if set(family.parties) != set(w.parties):
+        raise ProcmatError("family must assign an instrument to every party")
     worst = -1.0
     worst_desc: dict[str, str] = {}
-    for _ in range(trials):
-        instruments = dict(family(rng))
-        if set(instruments) != set(w.parties):
-            raise ProcmatError("family must assign an instrument to every party")
-        total = float(outcome_table(w, instruments).sum())
-        dev = abs(total - 1.0)
-        if dev > worst:
-            worst = dev
-            worst_desc = {p: instruments[p].description for p in w.parties}
+    for block, totals in _trial_totals(w, family, trials, rng):
+        dev = np.abs(totals - 1.0)
+        t = int(np.argmax(dev))
+        if dev[t] > worst:
+            worst = float(dev[t])
+            desc = block.describe(t)
+            worst_desc = {p: desc[p] for p in w.parties}
+        del block  # so that only one block is held while the next is drawn
     min_eig = w.min_eigenvalue()
     return PmValidityReport(
         min_eigenvalue=min_eig,
@@ -480,38 +631,76 @@ def mbqc_instrument_family(
     """Random equatorial angles for the Alices, computational readout for the Bobs."""
     alices = tuple(alice_parties)
     bobs = tuple(bob_parties)
+    readout = np.eye(2, dtype=np.complex128)  # |z>, measured and reprepared for outcome z
 
-    def sample(rng: np.random.Generator) -> dict[str, Instrument]:
-        out = {a: alice_instrument(float(rng.uniform(0.0, TWO_PI))) for a in alices}
-        out.update({b: bob_instrument() for b in bobs})
-        return out
+    def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
+        # one uniform angle per trial and Alice, in the order of one-trial draws
+        phis = rng.uniform(0.0, TWO_PI, size=(trials, len(alices)))
+        measure = qlin.equatorial_kets(phis)
+        readouts = np.broadcast_to(readout, (trials, 2, 2))
+        kets = {a: (measure[:, i], readouts) for i, a in enumerate(alices)}
+        kets.update({b: (readouts, readouts) for b in bobs})
 
-    return sample
+        def describe(t: int) -> dict[str, str]:
+            out = {a: alice_instrument(phis[t, i]).description for i, a in enumerate(alices)}
+            out.update({b: bob_instrument().description for b in bobs})
+            return out
+
+        return InstrumentBlock(kets, describe)
+
+    return InstrumentFamily(alices + bobs, 2, draw)
+
+
+def _vector_norms(vecs: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each complex vector along the last axis, bit for
+    bit: it sums the same BLAS dot products of the real and imaginary parts."""
+    re = vecs.real[..., None, :]
+    im = vecs.imag[..., None, :]
+    squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(squares[..., 0, 0])
 
 
 def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     """Haar-random rank-1 measure bases with independent random reprepare kets.
+
+    Each party draws the measure basis of ``qlin.random_single_qubit_basis``
+    and two reprepare kets of ``qlin.random_ket(rng, 1)``, from the same
+    normals in the same order, so a seed gives the same instruments as those
+    one-trial calls.
 
     Exploratory: such instruments are CPTP but can expose operators that are
     only normalized for restricted families.
     """
     parties = tuple(parties)
 
-    def fmt(ket: Ket) -> str:
-        a, b = ket.amplitudes
+    def fmt(amplitudes: np.ndarray) -> str:
+        a, b = amplitudes
         return f"({a.real:+.3f}{a.imag:+.3f}j, {b.real:+.3f}{b.imag:+.3f}j)"
 
-    def sample(rng: np.random.Generator) -> dict[str, Instrument]:
-        out = {}
-        for p in parties:
-            mk = qlin.random_single_qubit_basis(rng)
-            rk = (qlin.random_ket(rng, 1), qlin.random_ket(rng, 1))
-            out[p] = instrument_from_kets(
-                mk, rk, description=f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}"
-            )
-        return out
+    def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
+        # per trial and party: 4 + 4 normals for the real and imaginary 2x2
+        # matrix of the basis, then 2 + 2 for each of the two reprepare kets
+        x = rng.normal(size=(trials, len(parties), 16))
+        g = (x[..., 0:4] + 1j * x[..., 4:8]).reshape(trials, len(parties), 2, 2)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        # the basis kets are the columns of the phase-fixed unitary
+        measure = np.swapaxes(q * (d / np.abs(d))[..., None, :], -1, -2)
+        parts = x[..., 8:16].reshape(trials, len(parties), 2, 2, 2)
+        vec = parts[..., 0, :] + 1j * parts[..., 1, :]
+        reprepare = vec / _vector_norms(vec)[..., None]
+        kets = {p: (measure[:, i], reprepare[:, i]) for i, p in enumerate(parties)}
 
-    return sample
+        def describe(t: int) -> dict[str, str]:
+            return {
+                p: f"measure {fmt(measure[t, i, 0])}/{fmt(measure[t, i, 1])}, "
+                f"reprepare {fmt(reprepare[t, i, 0])}/{fmt(reprepare[t, i, 1])}"
+                for i, p in enumerate(parties)
+            }
+
+        return InstrumentBlock(kets, describe)
+
+    return InstrumentFamily(parties, 2, draw)
 
 
 def density_process_matrix(rho: HermOp, party_prefix: str = "P") -> ProcessMatrix:
@@ -526,6 +715,6 @@ def density_process_matrix(rho: HermOp, party_prefix: str = "P") -> ProcessMatri
     if abs(trace - 1.0) > 1e-10:
         raise ProcmatError(f"rho must have unit trace, got {trace}")
     # 2^k rho (x) (I/2)^k = rho (x) I^k
-    op = _embed((rho.as_tensor(),), range(0, 2 * k, 2), range(1, 2 * k, 2), 1.0)
+    op = _embed(rho.as_tensor(), np.ones(()), range(0, 2 * k, 2), range(1, 2 * k, 2), 1.0)
     slots = [Slot(f"{party_prefix}{i + 1}", 2 * i, 2 * i + 1) for i in range(k)]
     return ProcessMatrix(slots, op=op)

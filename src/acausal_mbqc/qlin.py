@@ -33,10 +33,29 @@ def _num_qubits_for(dim: int) -> int:
     return k
 
 
-def _frozen_array(data, shape) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128).reshape(shape)
+def _frozen_array(data, shape, *, copy: bool = True) -> np.ndarray:
+    """A read-only complex128 array of ``shape``: a copy of ``data``, or with
+    ``copy=False`` ``data`` itself, frozen in place."""
+    arr = np.array(data, dtype=np.complex128, copy=copy)
     arr.flags.writeable = False
-    return arr
+    return arr.reshape(shape)
+
+
+def check_unit_kets(vecs: np.ndarray) -> None:
+    """The tests a normalized ``Ket`` applies, run on one vector or on every
+    vector along the last axis of a stack: finite amplitudes and
+    |norm - 1| <= NORM_ATOL."""
+    if not np.all(np.isfinite(vecs)):
+        raise QlinError("ket amplitudes must be finite")
+    if vecs.ndim == 1:  # one vector takes numpy's fast whole-array norm
+        worst = abs(float(np.linalg.norm(vecs)) - 1.0)
+    else:
+        worst = float(np.max(np.abs(np.linalg.norm(vecs, axis=-1) - 1.0)))
+    if worst > config.NORM_ATOL:
+        raise QlinError(
+            f"ket norm deviates from 1 by {worst!r}, more than {config.NORM_ATOL}; "
+            "pass require_normalized=False for raw vectors"
+        )
 
 
 class Ket:
@@ -56,15 +75,10 @@ class Ket:
     def __init__(self, amplitudes, *, require_normalized: bool = True):
         vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         k = _num_qubits_for(vec.size)
-        if not np.all(np.isfinite(vec)):
-            raise QlinError("ket amplitudes must be finite")
         if require_normalized:
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > config.NORM_ATOL:
-                raise QlinError(
-                    f"ket norm {norm!r} deviates from 1 by more than {config.NORM_ATOL}; "
-                    "pass require_normalized=False for raw vectors"
-                )
+            check_unit_kets(vec)
+        elif not np.all(np.isfinite(vec)):
+            raise QlinError("ket amplitudes must be finite")
         self.amplitudes = _frozen_array(vec, vec.shape)
         self.num_qubits = k
 
@@ -85,8 +99,10 @@ class Ket:
         return f"Ket(num_qubits={self.num_qubits})"
 
 
-# side of the square tiles over which ``_hermitian_defect`` compares M with M^dag
+# largest and smallest side of the square tiles over which ``_hermitian_defect``
+# compares M with M^dag
 _HERMITIAN_TILE = 128
+_HERMITIAN_MIN_TILE = 16
 
 
 def _hermitian_defect(mat: np.ndarray) -> float:
@@ -96,9 +112,11 @@ def _hermitian_defect(mat: np.ndarray) -> float:
     each pair of tiles is read once and no full-size transpose or difference
     is allocated.  |M_ij - conj(M_ji)| equals |M_ji - conj(M_ij)| exactly, so
     the upper-triangle tile pairs give the same maximum as the whole matrix.
+    A tile side of about n/8 keeps the temporaries of one pair near 1/16 of
+    M, so checking an operator adds little to holding it.
     """
     n = mat.shape[0]
-    t = _HERMITIAN_TILE
+    t = max(_HERMITIAN_MIN_TILE, min(_HERMITIAN_TILE, n // 8))
     defect = 0.0
     for i in range(0, n, t):
         for j in range(i, n, t):
@@ -114,11 +132,16 @@ class HermOp:
     Flagged-Hermitian by default: ``||M - M^dag||_max <= config.HERMITIAN_ATOL``
     is enforced unless ``require_hermitian=False`` (used for general linear
     maps such as basis-change unitaries).
+
+    The operator keeps a frozen copy of ``entries``.  Package code that has
+    just built a complex128 array nobody else holds passes ``_owned=True``:
+    the same checks run, and that array itself is frozen and kept, so a
+    large operator is never held twice.
     """
 
     __slots__ = ("entries", "num_qubits", "hermitian")
 
-    def __init__(self, entries, *, require_hermitian: bool = True):
+    def __init__(self, entries, *, require_hermitian: bool = True, _owned: bool = False):
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QlinError(f"operator must be square, got shape {mat.shape}")
@@ -132,7 +155,7 @@ class HermOp:
                     f"operator is not Hermitian within {config.HERMITIAN_ATOL} "
                     f"(defect {defect:.3e}); pass require_hermitian=False for general maps"
                 )
-        self.entries = _frozen_array(mat, mat.shape)
+        self.entries = _frozen_array(mat, mat.shape, copy=not _owned)
         self.num_qubits = k
         self.hermitian = bool(require_hermitian)
 
@@ -163,12 +186,22 @@ def basis_ket(bits: Sequence[int]) -> Ket:
     return Ket(vec)
 
 
+def equatorial_kets(phis) -> np.ndarray:
+    """Amplitudes of |phi^m> = (|0> + (-1)^m e^{i phi} |1>) / sqrt(2) for an
+    array of angles, shaped ``phis.shape + (2, 2)``: outcome m, then amplitude."""
+    phase = np.exp(1j * np.asarray(phis, dtype=float))
+    kets = np.empty(phase.shape + (2, 2), dtype=np.complex128)
+    kets[..., 0] = 1.0
+    kets[..., 0, 1] = phase
+    kets[..., 1, 1] = -phase
+    return kets / np.sqrt(2.0)
+
+
 def equatorial_ket(phi: float, outcome: int = 0) -> Ket:
     """|phi^m> = (|0> + (-1)^m e^{i phi} |1>) / sqrt(2)."""
     if outcome not in (0, 1):
         raise QlinError(f"outcome must be 0 or 1, got {outcome}")
-    sign = -1.0 if outcome else 1.0
-    return Ket(np.array([1.0, sign * np.exp(1j * float(phi))]) / np.sqrt(2.0))
+    return Ket(equatorial_kets(float(phi))[outcome])
 
 
 def equatorial_basis(phi: float) -> tuple[Ket, Ket]:

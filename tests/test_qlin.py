@@ -39,6 +39,23 @@ def test_ket_arrays_frozen():
         k.amplitudes[0] = 5.0
 
 
+def test_hermop_copies_caller_data_and_freezes_owned_data():
+    data = np.eye(4, dtype=np.complex128)
+    op = HermOp(data)
+    assert not np.shares_memory(op.entries, data)
+    data[0, 0] = 5.0
+    assert op.entries[0, 0] == 1.0
+    owned = np.eye(4, dtype=np.complex128)
+    op = HermOp(owned, _owned=True)
+    assert np.shares_memory(op.entries, owned)
+    assert not op.entries.flags.writeable and not owned.flags.writeable
+    # an owned array still gets every check
+    with pytest.raises(QlinError, match="not Hermitian"):
+        HermOp(np.array([[0, 1], [0, 0]], dtype=np.complex128), _owned=True)
+    with pytest.raises(QlinError, match="finite"):
+        HermOp(np.full((2, 2), np.nan, dtype=np.complex128), _owned=True)
+
+
 def test_hermop_flag():
     with pytest.raises(QlinError):
         HermOp([[0, 1], [0, 0]])

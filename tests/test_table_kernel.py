@@ -12,6 +12,7 @@ the projector-kron-permute construction, built with one ``HermOp``.
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, procmat, qlin
+from pm_reference import rank_one_sampler
 from test_acceptance import born_oracle
 
 ATOL = 1e-12
@@ -58,7 +60,7 @@ def test_backends_match_first_principles_born_rule(case):
 def test_backends_agree_on_random_rank_one_instruments(case, seed):
     _, r, _ = case
     parties = r.alice_parties + r.bob_parties
-    instruments = procmat.rank_one_instrument_family(parties)(np.random.default_rng(seed))
+    instruments = rank_one_sampler(parties)(np.random.default_rng(seed))
     fact = procmat.outcome_table(r.w, instruments, backend="factorized")
     dense = procmat.outcome_table(r.w, instruments, backend="dense")
     assert fact.shape == (2,) * len(parties)
@@ -156,9 +158,26 @@ def test_dense_builds_one_hermop_and_no_kron_or_permutation(monkeypatch, kind):
     assert calls == {"kron_all": 0, "permute_qubits": 0}
 
 
+def test_dense_holds_one_copy_of_w():
+    """W is written once, into the array its HermOp keeps: no block, kron or
+    frozen copy of it exists beside it."""
+    r = acausal.build_resource_pm(graphstate.chain(4))
+    w_bytes = np.dtype(np.complex128).itemsize * 4**r.w.num_qubits
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op = r.w.dense()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert op.entries.nbytes == w_bytes
+    assert peak < 1.25 * w_bytes, peak / w_bytes
+
+
 def with_raw_table(monkeypatch, backend, raw):
-    """Make ``backend`` return ``raw``, so that only the table's range guard acts on it."""
-    monkeypatch.setattr(procmat, f"_{backend}_probability", lambda w, instruments: raw.copy())
+    """Make ``backend`` return ``raw`` as its one-trial stack, so that only the
+    table's range guard acts on it."""
+    monkeypatch.setattr(procmat, f"_{backend}_probability", lambda w, kets: raw[None].copy())
     return acausal.build_resource_pm(graphstate.chain(2))
 
 
