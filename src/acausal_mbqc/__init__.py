@@ -88,7 +88,6 @@ from .acausal import (
     AcausalError,
     PostselectResult,
     ResourcePM,
-    acausal_probability,
     backend_agreement,
     branch_independence_report,
     build_resource_pm,
@@ -107,7 +106,6 @@ from .game import (
     game_instance,
     game_report,
     girls_first_p0,
-    standard_instances,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ process matrix; the package verifies both sides of that boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -124,13 +123,6 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     return ResourcePM(w=w, base_graph=g, decorated_graph=decorated)
 
 
-def _bits(value: Sequence[int], count: int, name: str) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in value)
-    if len(bits) != count or any(b not in (0, 1) for b in bits):
-        raise mbqc.PatternError(f"{name} must be {count} bits, got {value!r}")
-    return bits
-
-
 def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
     """P(m, z) with one axis per party (Alices, then Bobs), from one contraction."""
     ang = mbqc.as_angle_map(r.base_graph, angles)
@@ -141,13 +133,6 @@ def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
     bob = procmat.bob_instrument()
     instruments.update({party: bob for party in r.bob_parties})
     return procmat.outcome_table(r.w, instruments, backend=backend)
-
-
-def acausal_probability(r: ResourcePM, angles, m: Sequence[int], z: Sequence[int]) -> float:
-    """P(m, z) under equatorial Alice measurements at the given base angles."""
-    m = _bits(m, r.n_computation, "m")
-    z = _bits(z, r.n_output, "z")
-    return float(_table(r, angles, "auto")[m + z])
 
 
 def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.ndarray:

@@ -325,7 +325,7 @@ def _cmd_game(ns: argparse.Namespace) -> int:
     r = acausal.build_resource_pm(g, ns.cap)
     ang = _angles_arg(ns.angles, g)
     pattern = mbqc.load_pattern(ns.pattern) if ns.pattern else None
-    inst = game.game_instance(g, ang, pattern)
+    inst = game.game_instance(g, ang, pattern, r.w.cap)
     report = game.game_report(inst, r)
     _emit(report, ns.json)
     return 0 if report["violated"] else 1

@@ -41,7 +41,9 @@ class GameInstance:
         return self.graph.n_output
 
 
-def game_instance(g: Graph, angles=0.0, pattern: Pattern | None = None) -> GameInstance:
+def game_instance(
+    g: Graph, angles=0.0, pattern: Pattern | None = None, cap: int | None = None
+) -> GameInstance:
     """Build an instance, enforcing the validity gate.
 
     The positive-branch output must have fidelity >= 1 - 1e-10 with |0^n>;
@@ -54,7 +56,7 @@ def game_instance(g: Graph, angles=0.0, pattern: Pattern | None = None) -> GameI
     else:
         mbqc.validate_pattern(g, pattern)
     target = qlin.basis_ket([0] * g.n_output)
-    fid = qlin.fidelity(mbqc.positive_branch_output(g, ang), target)
+    fid = qlin.fidelity(mbqc.positive_branch_output(g, ang, cap), target)
     if fid < 1.0 - VALIDITY_ATOL:
         raise GameError(
             f"positive-branch output has fidelity {fid!r} with |0^n|; "
@@ -77,7 +79,11 @@ def acausal_p0(r: acausal.ResourcePM, angles) -> float:
 
 
 def girls_first_p0(
-    inst: GameInstance, correct: bool = True, shots: int = 0, seed: int | None = None
+    inst: GameInstance,
+    correct: bool = True,
+    shots: int = 0,
+    seed: int | None = None,
+    cap: int | None = None,
 ) -> float:
     """Success probability when all measurements happen before readout.
 
@@ -85,42 +91,35 @@ def girls_first_p0(
     from that many seeded causal runs, sampled in one batched walk.
     """
     if shots == 0:
-        branches = mbqc.enumerate_causal(inst.graph, inst.pattern, correct=correct)
+        branches = mbqc.enumerate_causal(inst.graph, inst.pattern, correct=correct, cap=cap)
         return float(sum(b.probability * b.output_distribution[0] for b in branches))
     if shots < 0:
         raise GameError("shots must be nonnegative")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
-    _, z, _ = mbqc.sample_causal(inst.graph, inst.pattern, shots, rng, correct=correct)
+    _, z, _ = mbqc.sample_causal(inst.graph, inst.pattern, shots, rng, correct=correct, cap=cap)
     return int(np.count_nonzero(~z.any(axis=1))) / shots
 
 
-def boys_first_p0(inst: GameInstance) -> float:
+def boys_first_p0(inst: GameInstance, cap: int | None = None) -> float:
     """Success probability when the outputs are read out first: <0^n| Tr_C |G><G| |0^n>."""
     g = inst.graph  # the squared norm of the z = 0^n column of |G> as a (2^N, 2^n) array
-    amps = graphstate.graph_state(g).amplitudes.reshape(2**g.n_computation, 2**g.n_output)
+    amps = graphstate.graph_state(g, cap).amplitudes.reshape(2**g.n_computation, 2**g.n_output)
     return float(np.sum(np.abs(amps[:, 0]) ** 2))
 
 
 def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
-    """Full comparison for one instance on its graph's resource; ``violated`` is the headline."""
+    """Full comparison for one instance on its graph's resource, whose cap every
+    walk obeys; ``violated`` is the headline."""
     if r.base_graph != inst.graph:
         raise GameError("the resource was built from a different graph than the instance")
     bound = causal_bound(inst.n_output)
     p0 = acausal_p0(r, inst.angles)
     return {
         "p0_acausal": p0,
-        "p0_girls_first_corrected": girls_first_p0(inst, correct=True),
-        "p0_girls_first_uncorrected": girls_first_p0(inst, correct=False),
-        "p0_boys_first": boys_first_p0(inst),
+        "p0_girls_first_corrected": girls_first_p0(inst, correct=True, cap=r.w.cap),
+        "p0_girls_first_uncorrected": girls_first_p0(inst, correct=False, cap=r.w.cap),
+        "p0_boys_first": boys_first_p0(inst, r.w.cap),
         "bound": bound,
         "violated": bool(p0 > bound + VIOLATION_ATOL),
     }
 
-
-def standard_instances() -> dict[str, GameInstance]:
-    """Shipped instances: single chains of length 2 and 4, and two parallel 2-chains."""
-    return {
-        "p2": game_instance(graphstate.chain(2)),
-        "p4": game_instance(graphstate.chain(4)),
-        "two_chains": game_instance(graphstate.parallel_chains([2, 2])),
-    }

@@ -5,9 +5,11 @@ Computation vertices are measured one at a time in equatorial bases
 outcomes through X/Z dependency sets, and the surviving output register gets
 a final Pauli byproduct correction before computational-basis readout.
 
-One shot-batched walk serves three modes: sampled runs (``sample_causal``,
-``run_causal``), all 2^N forced histories (``enumerate_causal``) and the
-all-zeros branch (``positive_branch_output``).
+One measurement walk serves all three uses.  Sampled, it keeps one outcome
+per row and step (``sample_causal``, ``run_causal``).  Split, it keeps both,
+so one start row ends as all 2^N adaptive histories (``enumerate_causal``;
+``positive_branch_output`` reads the all-zeros one) while every step holds
+2^(N+n) amplitudes: O(N 2^(N+n)) work in all.
 """
 
 from __future__ import annotations
@@ -152,50 +154,58 @@ class RunRecord:
 ZERO_BRANCH_WEIGHT = 1e-28  # a lighter branch is dropped: weight 0, zero amplitudes
 
 
-def _measure(state: np.ndarray, pos: int, bras: np.ndarray, u: np.ndarray):
-    """Measure axis ``pos`` of every row of ``state`` (rows, 2^r): outcome 0
-    exactly when ``u < p0``, where ``bras[row, m]`` is outcome m's conjugated
-    basis ket.  Returns the renormalized post-states, outcomes and weights."""
+def _measure(state: np.ndarray, pos: int, bras: np.ndarray):
+    """Measure axis ``pos`` of every row of ``state`` (rows, 2^r), where
+    ``bras[row, m]`` is outcome m's conjugated basis ket.  Returns both children
+    of every row: the renormalized post-states (rows, 2, 2^(r-1)) and the
+    weights (rows, 2)."""
     s = state.reshape(len(state), 2**pos, 2, -1)
     br = bras[:, :, :1, None] * s[:, None, :, 0] + bras[:, :, 1:, None] * s[:, None, :, 1]
     w = np.sum(np.abs(br) ** 2, axis=(2, 3))
-    m = (u >= w[:, 0]).astype(np.int64)
-    amp, w = br[np.arange(len(m)), m], w[np.arange(len(m)), m]
     dead = w < ZERO_BRANCH_WEIGHT
-    amp = np.where(dead[:, None, None], 0.0, amp / np.sqrt(np.where(dead, 1.0, w))[:, None, None])
-    return amp.reshape(len(m), -1), m, np.where(dead, 0.0, w)
+    br /= np.sqrt(np.where(dead, 1.0, w))[..., None, None]
+    br[dead] = 0.0
+    return br.reshape(len(state), 2, -1), np.where(dead, 0.0, w)
 
 
-def _walk(g: Graph, p: Pattern, rows: int, *, correct: bool, rng=None, forced=None):
+def _walk(g: Graph, p: Pattern, rows: int = 1, *, correct: bool, rng=None, cap=None):
     """The one measurement walk: ``rows`` runs of pattern ``p`` side by side.
 
-    Row r measures ``p.order`` at its adapted angles, taking outcome
-    ``forced[r, i]`` at step i if given, else 0 exactly when a uniform
-    ``u < p0``; then, if ``correct``, the output byproducts as per-row flips
-    and signs.  Sampling also reads out O.  The uniforms ``rng.random((block,
+    Every row measures ``p.order`` at its adapted angles, then, if ``correct``,
+    applies the output byproducts as per-row flips and signs.  Sampled (``rng``
+    given): each step keeps one child per row, outcome 0 exactly when a uniform
+    ``u < p0``, and each row finally reads out O.  The uniforms ``rng.random((block,
     N + n))`` are drawn row-major block after block, as ``rows`` single runs
     draw them, so no result depends on the block size (at most 2^cap
-    amplitudes).  Returns outcome bits (rows, N) in C order, history weights
-    (rows,), and readout bits (rows, n) in O order (sampling) or output
-    amplitudes (rows, 2^n) (forced).
+    amplitudes).  Split (no ``rng``): each step keeps both children, so one
+    start row ends as all 2^N histories, the first vertex of ``p.order`` most
+    significant, and every step holds 2^(N+n) amplitudes.  Returns outcome
+    bits (rows, N) in C order, history weights (rows,), and readout bits
+    (rows, n) in O order (sampled) or output amplitudes (rows, 2^n) (split).
     """
     validate_pattern(g, p)
-    base = graphstate.graph_state(g).amplitudes
+    base = graphstate.graph_state(g, cap).amplitudes
     n_comp, n_out = g.n_computation, g.n_output
     col = {v: i for i, v in enumerate(p.order)}
-    block = max(1, 2 ** config.qubit_cap() // base.size)
+    block = max(1, 2 ** config.qubit_cap(cap) // base.size)
     parts = []
     for start in range(0, rows, block):
         b = min(block, rows - start)
-        if forced is None:
-            u = rng.random((b, n_comp + n_out))
-        else:  # a forced outcome is a uniform that always falls on its side
-            u = np.where(forced[start:start + b] == 1, np.inf, -np.inf)
+        u = None if rng is None else rng.random((b, n_comp + n_out))
         state, live = np.broadcast_to(base, (b, base.size)), list(graphstate.ket_order(g))
-        bits, weight = np.zeros((b, n_comp), dtype=np.int64), np.ones(b)
+        bits, weight = np.zeros((b, 0), dtype=np.int64), np.ones(b)
 
         def parity(deps):
             return bits[:, [col[x] for x in deps]].sum(axis=1) % 2
+
+        def step(state, pos, bras, t):
+            """Measure; return the (parent row, outcome) pairs kept, their states and weights."""
+            amps, w = _measure(state, pos, bras)
+            if u is None:
+                row, m = np.repeat(np.arange(len(w)), 2), np.tile([0, 1], len(w))
+            else:
+                row, m = np.arange(len(w)), (u[:, t] >= w[:, 0]).astype(np.int64)
+            return row, m, amps[row, m], w[row, m]
 
         for i, v in enumerate(p.order):
             phi = adapted_angle(
@@ -203,30 +213,33 @@ def _walk(g: Graph, p: Pattern, rows: int, *, correct: bool, rng=None, forced=No
             )
             e = np.exp(1j * phi)
             bras = (np.stack([np.ones_like(e), e, np.ones_like(e), -e], 1) / np.sqrt(2.0)).conj()
-            state, bits[:, i], w = _measure(state, live.index(v), bras.reshape(b, 2, 2), u[:, i])
-            weight *= w
+            row, m, state, w = step(state, live.index(v), bras.reshape(-1, 2, 2), i)
+            bits = np.column_stack([bits[row], m])
+            weight = weight[row] * w
             live.remove(v)
         for o in g.output if correct else ():
-            s = state.reshape(b, 2 ** live.index(o), 2, -1)
+            s = state.reshape(len(state), 2 ** live.index(o), 2, -1)
             s = np.where(parity(p.out_x_deps.get(o, ()))[:, None, None, None], s[:, :, ::-1], s)
             s[:, :, 1] *= (1 - 2 * parity(p.out_z_deps.get(o, ())))[:, None, None]
-            state = s.reshape(b, -1)
-        if forced is None:  # only O is left, in O order, so each readout is axis 0
+            state = s.reshape(len(s), -1)
+        if u is not None:  # only O is left, in O order, so each readout is axis 0
             z = np.zeros((b, n_out), dtype=np.int64)
             for t in range(n_out):
-                state, z[:, t], _ = _measure(state, 0, np.eye(2)[None], u[:, n_comp + t])
+                _, z[:, t], state, _ = step(state, 0, np.eye(2)[None], n_comp + t)
             state = z
         parts.append((bits[:, [col[c] for c in g.computation]], weight, state))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def sample_causal(g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *, correct=True):
+def sample_causal(
+    g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *, correct=True, cap=None
+):
     """``shots`` adaptive runs (measure C in order, correct, read out O): outcome
     bits (shots, N) in C order, readout bits (shots, n) in O order and each C
     history's Born weight.  Row r equals the r-th of ``shots`` single runs."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    m, weight, z = _walk(g, p, shots, correct=correct, rng=rng)
+    m, weight, z = _walk(g, p, shots, correct=correct, rng=rng, cap=cap)
     return m, z, weight
 
 
@@ -238,7 +251,7 @@ def run_causal(g: Graph, p: Pattern, rng, *, correct: bool = True) -> RunRecord:
 
 @dataclass(frozen=True)
 class BranchResult:
-    """One forced outcome history and its exact post-correction readout distribution."""
+    """One outcome history and its exact post-correction readout distribution."""
 
     m: tuple[int, ...]
     probability: float
@@ -250,17 +263,17 @@ class BranchResult:
         object.__setattr__(self, "output_distribution", arr)
 
 
-def enumerate_causal(g: Graph, p: Pattern, *, correct: bool = True) -> tuple[BranchResult, ...]:
+def enumerate_causal(
+    g: Graph, p: Pattern, *, correct: bool = True, cap=None
+) -> tuple[BranchResult, ...]:
     """Exact walk over all 2^N adaptive outcome histories, the first vertex of
-    ``p.order`` most significant.
+    ``p.order`` most significant: one split walk, O(N 2^(N+n)) work.
 
     Zero-probability branches are reported with probability 0 and an all-zero
     distribution.  The distributions are indexed by the O-register bits, first
     output vertex most significant.
     """
-    n_comp = g.n_computation
-    forced = (np.arange(2**n_comp)[:, None] >> np.arange(n_comp - 1, -1, -1)) & 1
-    m, weight, amps = _walk(g, p, 2**n_comp, correct=correct, forced=forced)
+    m, weight, amps = _walk(g, p, correct=correct, cap=cap)
     return tuple(
         BranchResult(tuple(row.tolist()), float(w), np.abs(a) ** 2)
         for row, w, a in zip(m, weight, amps)
@@ -288,11 +301,12 @@ def branch_probability(g: Graph, angles, m: Sequence[int], z: Sequence[int]) -> 
     return float(abs(qlin.overlap(bra, graphstate.graph_state(g))) ** 2)
 
 
-def positive_branch_output(g: Graph, angles) -> Ket:
+def positive_branch_output(g: Graph, angles, cap=None) -> Ket:
     """Normalized output state of the all-zeros outcome branch (no corrections
-    needed); errors if that branch has (numerically) zero probability."""
+    needed), row 0 of the uncorrected split; errors if that branch has
+    (numerically) zero probability."""
     p = make_pattern(g.computation, as_angle_map(g, angles))
-    _, weight, amps = _walk(g, p, 1, correct=False, forced=np.zeros((1, g.n_computation), int))
+    _, weight, amps = _walk(g, p, correct=False, cap=cap)
     if weight[0] == 0.0:
         raise PatternError("positive branch has zero probability at these angles")
     return Ket(amps[0])

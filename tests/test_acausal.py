@@ -69,8 +69,8 @@ def test_p2_probability_table_at_angle_zero():
     r = acausal.build_resource_pm(graphstate.chain(2))
     probs = acausal.outcome_probabilities(r, 0.0)
     assert np.allclose(probs, [[0.5, 0.0], [0.5, 0.0]], atol=1e-12)
-    assert acausal.acausal_probability(r, 0.0, [0], [0]) == pytest.approx(0.5, abs=1e-12)
-    assert acausal.acausal_probability(r, 0.0, [1], [1]) == pytest.approx(0.0, abs=1e-12)
+    assert probs[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert probs[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_acausal_matches_causal_enumeration_per_branch():

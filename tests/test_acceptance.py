@@ -199,7 +199,7 @@ def test_criterion_05_born_rule_against_first_principles():
         ang = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
         m = tuple(int(b) for b in rng.integers(0, 2, g.n_computation))
         z = tuple(int(b) for b in rng.integers(0, 2, g.n_output))
-        got = acausal.acausal_probability(r, ang, m, z)
+        got = acausal.outcome_probabilities(r, ang).reshape((2,) * len(m + z))[m + z]
         expect = born_oracle(g, ang, m, z)
         worst = max(worst, abs(got - expect))
     print(f"criterion 05: worst Born deviation {worst:.2e} over 50 cases")

@@ -3,12 +3,15 @@
 ``sample_causal`` must reproduce, bit for bit, a causal run written one shot
 at a time on ``qlin.sample_projective`` with the same Generator, whatever the
 block size the register cap allows.  ``enumerate_causal`` must equal the same
-run with every outcome forced.  The postselected sampler must be calibrated:
-acceptance near 2^-(N+n) and its accepted counts near the exact table.
+run with every outcome forced, on chain and on random patterns, and its split
+must hold one state's worth of amplitudes per step.  The postselected sampler
+must be calibrated: acceptance near 2^-(N+n) and its accepted counts near the
+exact table.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +130,97 @@ def test_enumerate_causal_equals_forced_runs(case):
         branch = branches[tuple(m_by[c] for c in g.computation)]
         assert abs(branch.probability - weight) <= ATOL
         assert np.max(np.abs(branch.output_distribution - np.abs(state.amplitudes) ** 2)) <= ATOL
+
+
+@st.composite
+def random_patterns(draw):
+    """Random connected graphs with N + n <= 6, a random order, random strictly
+    earlier x/z deps and output deps, and angles that include multiples of
+    pi/2, at which some histories cannot happen."""
+    n_comp = draw(st.integers(1, 5))
+    n_out = draw(st.integers(1, 6 - n_comp))
+    g = graphstate.random_connected_graph(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n_comp, n_out
+    )
+    order = draw(st.permutations(g.computation))
+
+    def subset(vertices):
+        return draw(st.lists(st.sampled_from(vertices), unique=True)) if vertices else []
+
+    x_deps = {v: subset(order[:i]) for i, v in enumerate(order)}
+    z_deps = {v: subset(order[:i]) for i, v in enumerate(order)}
+    out_x = {o: subset(g.computation) for o in g.output}
+    out_z = {o: subset(g.computation) for o in g.output}
+    angle = st.one_of(
+        st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
+        st.floats(0.0, 2 * math.pi, allow_nan=False),
+    )
+    angles = {c: draw(angle) for c in g.computation}
+    p = mbqc.make_pattern(order, angles, x_deps, z_deps, out_x, out_z)
+    return g, mbqc.validate_pattern(g, p), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(random_patterns())
+def test_enumerate_causal_equals_forced_runs_on_random_patterns(case):
+    """A history the per-shot oracle refuses to force weighs below its forcing
+    floor; the split must give it (nearly) zero probability."""
+    g, p, correct = case
+    branches = {b.m: b for b in mbqc.enumerate_causal(g, p, correct=correct)}
+    assert len(branches) == 2**g.n_computation
+    assert sum(b.probability for b in branches.values()) == pytest.approx(1.0, abs=ATOL)
+    for bits in itertools.product((0, 1), repeat=g.n_computation):
+        forced = dict(zip(p.order, bits))
+        branch = branches[tuple(forced[c] for c in g.computation)]
+        try:
+            _, state, weight = _one_run(g, p, None, correct, forced=forced)
+        except qlin.QlinError:
+            assert branch.probability <= ATOL
+            continue
+        assert abs(branch.probability - weight) <= ATOL
+        assert np.max(np.abs(branch.output_distribution - np.abs(state.amplitudes) ** 2)) <= ATOL
+
+
+@pytest.mark.parametrize(
+    "g", [graphstate.chain(4), graphstate.parallel_chains([2, 2])], ids=["chain4", "pc22"]
+)
+def test_split_holds_one_state_of_amplitudes_per_step(monkeypatch, g):
+    """Each step of the split measures 2^i rows of 2^(N+n-i) amplitudes."""
+    sizes = []
+    real = mbqc._measure
+    monkeypatch.setattr(
+        mbqc, "_measure", lambda state, *a: sizes.append(state.size) or real(state, *a)
+    )
+    for correct in (True, False):
+        mbqc.enumerate_causal(g, mbqc.chain_pattern(g, 0.7), correct=correct)
+    assert sizes == [2 ** (g.n_computation + g.n_output)] * (2 * g.n_computation)
+
+
+def test_exact_game_on_chain14_under_the_default_cap(monkeypatch):
+    """2^13 histories of a 14-qubit state, split in 13 steps."""
+    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    inst = game.game_instance(graphstate.chain(14))
+    assert game.girls_first_p0(inst, correct=True) == pytest.approx(1.0, abs=ATOL)
+    assert game.girls_first_p0(inst, correct=False) == pytest.approx(0.5, abs=ATOL)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graphstate.chain(k) for k in (2, 4, 6, 14)] + [graphstate.parallel_chains([2, 2])],
+    ids=["chain2", "chain4", "chain6", "chain14", "pc22"],
+)
+@pytest.mark.parametrize("angles", [0.0, 1.3], ids=["angle0", "angle1.3"])
+def test_uncorrected_girls_first_equals_boys_first(monkeypatch, g, angles):
+    """No signaling: measuring C cannot move O's marginal, so without
+    corrections the split's p0 equals the z = 0 column of |G>, a route that
+    shares no code with the walk."""
+    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+    ang = mbqc.as_angle_map(g, angles)
+    # built directly: the validity gate refuses nonzero angles
+    inst = game.GameInstance(graph=g, angles=ang, pattern=mbqc.chain_pattern(g, ang))
+    assert abs(game.girls_first_p0(inst, correct=False) - game.boys_first_p0(inst)) <= ATOL
 
 
 def test_enumerate_causal_drops_zero_weight_branches():

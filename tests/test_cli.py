@@ -318,6 +318,17 @@ def test_cap_flag_behaves_like_the_env_var(
         assert json.loads(flag.out)["backend_agreement_max_dev"] is None
 
 
+def test_cap_flag_wins_over_the_env_var_in_every_game_walk(capsys, tmp_path, monkeypatch):
+    """The flag's cap reaches the positive-branch gate, both girls-first splits
+    and the boys-first read, each on the 4-qubit graph state, above the env's 3."""
+    path = graph_file(tmp_path, graphstate.parallel_chains([2, 2]), "pc22")
+    monkeypatch.setenv(config.CAP_ENV_VAR, "3")
+    code, rep = run_json(capsys, ["game", "--graph", path, "--json", "--cap", "6"])
+    assert code == 0
+    assert rep["p0_girls_first_corrected"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["p0_boys_first"] == pytest.approx(0.25, abs=1e-12)
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "subcommand" not in capsys.readouterr().err

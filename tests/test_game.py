@@ -79,9 +79,10 @@ def test_girls_first_sampling_is_seeded():
 
 
 def test_standard_instances_all_violate():
-    for name, inst in game.standard_instances().items():
-        rep = game.game_report(inst, acausal.build_resource_pm(inst.graph))
-        assert rep["violated"], name
+    """Single chains of length 2 and 4, and two parallel 2-chains."""
+    for g in [graphstate.chain(2), graphstate.chain(4), graphstate.parallel_chains([2, 2])]:
+        rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
+        assert rep["violated"], g
 
 
 def test_custom_pattern_accepted():
