@@ -124,15 +124,20 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
 
 
 def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
-    """P(m, z) with one axis per party (Alices, then Bobs), from one contraction."""
+    """P(m, z) with one axis per party (Alices, then Bobs), from one contraction.
+
+    Each party's instrument is given to the kernel as its stacked measure and
+    reprepare kets, one (1, 2, 2) array each: ``alice_instrument``'s
+    equatorial kets and outcome bits, and ``bob_instrument``'s readout.
+    """
     ang = mbqc.as_angle_map(r.base_graph, angles)
-    instruments = {
-        party: procmat.alice_instrument(ang[c])
-        for party, c in zip(r.alice_parties, r.base_graph.computation)
-    }
-    bob = procmat.bob_instrument()
-    instruments.update({party: bob for party in r.bob_parties})
-    return procmat.outcome_table(r.w, instruments, backend=backend)
+    measure = qlin.equatorial_kets([ang[c] for c in r.base_graph.computation])
+    readout = np.eye(2, dtype=np.complex128)[None]  # |z>, measured and reprepared for outcome z
+    for stack in (measure, readout):
+        qlin.check_unit_kets(stack)
+    kets = {party: (measure[j][None], readout) for j, party in enumerate(r.alice_parties)}
+    kets.update({party: (readout, readout) for party in r.bob_parties})
+    return procmat._trial_tables(r.w, kets, procmat._resolved_backend(r.w, backend))[0]
 
 
 def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.ndarray:

@@ -30,6 +30,10 @@ POSTSELECT_TV_LIMIT = 0.02
 POSTSELECT_DEFAULT_SHOTS = 1_000_000
 PM_VALIDATE_DEFAULT_TRIALS = 200
 MAX_SHOTS = 2**63 - 1
+# pm-validate contracts every trial: on 2 cores it runs about 170 000 trials/s
+# on chain(4) and 21 000 on chain(6), so this ceiling is some 10 to 80 minutes
+# of work.  postselect keeps MAX_SHOTS, since its cost is one multinomial draw
+MAX_TRIALS = 10**8
 
 _ANGLES_HELP = (
     "comma-separated radians for the computation vertices in order; "
@@ -83,8 +87,8 @@ _SUBCOMMANDS = {
         "total-probability sweep over sampled instrument families",
         {
             "--seed": "seed of the instrument-tuple draws",
-            "--shots": "number of sampled instrument tuples; 0 (default) selects "
-            f"{PM_VALIDATE_DEFAULT_TRIALS}",
+            "--shots": "number of sampled instrument tuples, at most "
+            f"{MAX_TRIALS:,}; 0 (default) selects {PM_VALIDATE_DEFAULT_TRIALS}",
             "--tol": "largest total-probability deviation that passes",
             "--family": "mbqc asserts normalization; rank1 is exploratory (report only)",
         },
@@ -131,6 +135,10 @@ def _validate_numeric_flags(ns: argparse.Namespace) -> None:
     if getattr(ns, "shots", 0) < 0:
         raise ValueError(
             f"--shots must be >= 0 (0 selects the command's default), got {ns.shots}"
+        )
+    if ns.command == "pm-validate" and ns.shots > MAX_TRIALS:
+        raise ValueError(
+            f"--shots of pm-validate must be <= MAX_TRIALS = {MAX_TRIALS}, got {ns.shots}"
         )
     if getattr(ns, "shots", 0) > MAX_SHOTS:
         # numpy samples counts as int64

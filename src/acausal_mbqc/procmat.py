@@ -20,6 +20,7 @@ element's kets with W of the form scale * |pure><pure| (x) (I/2)^k.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -459,28 +460,73 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
 def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     """Dense backend of the outcome tables and the independent oracle: trace
     W against each party's stacked CJ tensors [t, e, r_in, r_out, c_in, c_out],
-    built from the kets by the double-sum definition."""
-    op = w.dense()
+    built from the kets by the double-sum definition.
+
+    The first party is traced through views of the materialized W
+    (``_trace_leading_axes``), so no copy of W is made.  That step's output
+    keeps the second party's axes last, in the order its ``_batched_tensordot``
+    step contracts them, so the second step multiplies the table without a
+    transposed copy; every later step's input holds at most 1/256 of W's
+    entries per trial and pair of elements.
+    """
     k = w.num_qubits
-    table = op.as_tensor()[None]
-    # axis label per non-trial axis of table: (row/col, register qubit), or None for an element axis
-    labels: list[tuple[str, int] | None] = [("r", q) for q in range(k)]
-    labels += [("c", q) for q in range(k)]
-    for slot in w.slots:
+    # axis label per axis of W: (row/col, register qubit)
+    w_labels = [(side, q) for side in "rc" for q in range(k)]
+    first, *rest = w.slots
+    second = _traced_labels(rest[0]) if rest else []
+    untraced = [lab for lab in w_labels if lab not in _traced_labels(first) + second] + second
+    order = [w_labels.index(lab) for lab in _traced_labels(first) + untraced]
+    table = _trace_leading_axes(
+        w.dense().as_tensor().transpose(order), _choi_tensors(*kets[first.party])
+    )
+    # axis label per non-trial axis of table: a label of W, or None for an element axis
+    labels: list[tuple[str, int] | None] = [None] + untraced
+    for slot in rest:
         cj = _choi_tensors(*kets[slot.party])
-        # Tr[W X] pairs W's column indices with X's row indices and vice versa
-        axes = [
-            labels.index(("c", slot.input_qubit)),
-            labels.index(("c", slot.output_qubit)),
-            labels.index(("r", slot.input_qubit)),
-            labels.index(("r", slot.output_qubit)),
-        ]
+        axes = [labels.index(lab) for lab in _traced_labels(slot)]
         table = _batched_tensordot(table, cj, axes)
         labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]
     worst_imag = float(np.max(np.abs(table.imag)))
     if worst_imag > 1e-10:
         raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
     return table.real
+
+
+def _traced_labels(slot: Slot) -> list[tuple[str, int]]:
+    """W's axes that a slot's CJ tensor [r_in, r_out, c_in, c_out] contracts,
+    in that order: Tr[W X] pairs W's column indices with X's row indices and
+    vice versa."""
+    return [
+        ("c", slot.input_qubit),
+        ("c", slot.output_qubit),
+        ("r", slot.input_qubit),
+        ("r", slot.output_qubit),
+    ]
+
+
+def _trace_leading_axes(wt: np.ndarray, cj: np.ndarray) -> np.ndarray:
+    """sum over v of wt[v] * cj[t, e, v], v running over the 16 values of
+    wt's first four axes, for every trial t and element e; wt is read only
+    through views.
+
+    ``cj`` is (trials, elements, 2, 2, 2, 2) and the result is (trials,
+    elements) + wt.shape[4:].  Each term, the view wt[v] scaled by every
+    trial's entry, is added into the output one element at a time, so the
+    step holds its output and one term of 1/elements of its size; a term
+    whose entry is zero in every trial adds nothing and is skipped.
+    """
+    trials, elements = cj.shape[:2]
+    rest = wt.shape[4:]
+    out = np.zeros((trials, elements) + rest, dtype=np.complex128)
+    term = np.empty((trials,) + rest, dtype=np.complex128)
+    expand = (slice(None),) + (None,) * len(rest)
+    for v in itertools.product((0, 1), repeat=4):
+        coeff = cj[(slice(None), slice(None)) + v]
+        for e in range(elements):
+            if coeff[:, e].any():
+                np.multiply(wt[v], coeff[:, e][expand], out=term)
+                out[:, e] += term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +538,30 @@ _BLOCK_BYTES = 4 << 20
 
 def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
     """Bytes that one trial adds to a block: its largest contraction
-    intermediate three times over (a step's input, the transposed copy that
-    is multiplied, and the output) and its measure and reprepare kets."""
+    intermediate three times over, its measure and reprepare kets and, for the
+    dense backend, one party's Choi tensors.
+
+    Three copies bound every step.  A ``_batched_tensordot`` step holds its
+    input, the transposed copy that is multiplied, and its output.  The dense
+    backend's first step reads W through views and holds its output and one
+    term of at most the output's size, and the second step multiplies that
+    output without a transposed copy.
+    """
     if backend == "factorized":
         pure = set(w.factor.pure_qubits)
         size = 2 ** len(pure)
         contracted = [2 ** len({s.input_qubit, s.output_qubit} & pure) for s in w.slots]
+        choi = 0
     else:
         size = 4**w.num_qubits
         contracted = [16] * len(w.slots)
+        choi = 16 * elements
     largest = 0
     for k in contracted:
         size = size // k * elements
         largest = max(largest, size)
     kets = 2 * len(w.slots) * elements * 2
-    return np.dtype(np.complex128).itemsize * (3 * largest + kets)
+    return np.dtype(np.complex128).itemsize * (3 * largest + kets + choi)
 
 
 def _block_trials(w: ProcessMatrix, elements: int, backend: str) -> int:

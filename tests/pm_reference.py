@@ -1,11 +1,16 @@
-"""The per-trial reference for ``procmat.pm_validate``.
+"""References for ``procmat.pm_validate`` and the dense outcome-table kernel.
 
-Each trial draws one instrument tuple as ``Instrument`` objects, with the
+``reference_sweep`` is the per-trial reference for ``pm_validate``.  Each trial draws one instrument tuple as ``Instrument`` objects, with the
 ``qlin`` samplers and in the order that the instrument families used before
 they drew whole blocks, contracts it through ``procmat.outcome_table``, and
 keeps the first trial whose deviation is strictly larger than every earlier
 one.  The batched ``pm_validate`` must reproduce it: the same totals, the same
 worst trial and its descriptions, and the same random stream.
+
+``tensordot_dense_probability`` is the reference for
+``procmat._dense_probability``: every party, the first included, is one
+``procmat._batched_tensordot`` step, so its first step multiplies a transposed
+copy of all of W.
 """
 
 import numpy as np
@@ -54,3 +59,21 @@ def reference_sweep(w, sample, trials, rng):
             worst, worst_trial = dev, t
             worst_desc = {p: instruments[p].description for p in w.parties}
     return np.array(totals), worst_trial, worst_desc
+
+
+def tensordot_dense_probability(w, kets):
+    """(trials, E_0, ..., E_{k-1}) tables of Tr[W (x) CJ], one tensordot step per party."""
+    k = w.num_qubits
+    table = w.dense().as_tensor()[None]
+    labels = [("r", q) for q in range(k)] + [("c", q) for q in range(k)]
+    for slot in w.slots:
+        cj = procmat._choi_tensors(*kets[slot.party])
+        axes = [
+            labels.index(("c", slot.input_qubit)),
+            labels.index(("c", slot.output_qubit)),
+            labels.index(("r", slot.input_qubit)),
+            labels.index(("r", slot.output_qubit)),
+        ]
+        table = procmat._batched_tensordot(table, cj, axes)
+        labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]
+    return table.real

@@ -236,3 +236,31 @@ def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
     monkeypatch.setattr(qlin.HermOp, "__init__", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert acausal.build_resource_pm(graphstate.chain(4)).min_eigenvalue() == 0.0
+
+
+@pytest.mark.parametrize("backend", ["factorized", "dense"])
+def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
+    """``outcome_probabilities`` builds no instrument objects, yet gives the
+    bytes of ``outcome_table`` over ``alice_instrument``/``bob_instrument``."""
+    rng = np.random.default_rng(23)
+    graphs = [graphstate.chain(3), graphstate.parallel_chains([2, 2])]
+    graphs += [graphstate.random_resource_graph(rng, 3, 2) for _ in range(3)]
+    for g in graphs:
+        r = acausal.build_resource_pm(g)
+        ang = {c: float(rng.uniform(-10.0, 10.0)) for c in g.computation}
+        instruments = {
+            party: procmat.alice_instrument(ang[c])
+            for party, c in zip(r.alice_parties, g.computation)
+        }
+        instruments.update({party: procmat.bob_instrument() for party in r.bob_parties})
+        reference = procmat.outcome_table(r.w, instruments, backend)
+        table = acausal.outcome_probabilities(r, ang, backend)
+        assert np.array_equal(table, reference.reshape(table.shape)), (g.edges, ang)
+
+
+def test_table_kets_get_the_ket_tests(monkeypatch):
+    r = acausal.build_resource_pm(graphstate.chain(2))
+    long = qlin.equatorial_kets(np.array([0.3])) * (1.0 + 1e-9)
+    monkeypatch.setattr(qlin, "equatorial_kets", lambda phis: long)
+    with pytest.raises(qlin.QlinError, match="deviates from 1"):
+        acausal.outcome_probabilities(r, 0.3)

@@ -392,8 +392,28 @@ def test_shots_above_int64_exit_2_before_the_graph_is_read(capsys, tmp_path, com
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--shots" in err, err
-    # the largest count numpy can sample passes the check; the missing graph fails after it
-    assert cli.main([command, "--graph", missing, "--shots", str(2**63 - 1)]) == 2
+    # the command's largest count (numpy's int64 limit, or pm-validate's trial
+    # ceiling) passes the check; the missing graph fails after it
+    largest = cli.MAX_TRIALS if command == "pm-validate" else cli.MAX_SHOTS
+    assert cli.main([command, "--graph", missing, "--shots", str(largest)]) == 2
+    assert "--shots" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [cli.MAX_TRIALS + 1, 2**62, 2**63 - 1])
+def test_pm_validate_trials_above_the_ceiling_exit_2_at_once(capsys, p2_file, tmp_path, value):
+    """A trial count pm-validate cannot finish is refused before any work;
+    postselect, whose cost is one draw, still accepts it."""
+    start = time.perf_counter()
+    code = cli.main(["pm-validate", "--graph", p2_file, "--shots", str(value)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 1.0, elapsed
+    assert err.startswith("error:") and "--shots" in err and "MAX_TRIALS" in err, err
+    # refused before the graph is read
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["pm-validate", "--graph", missing, "--shots", str(value)]) == 2
+    assert "--shots" in capsys.readouterr().err
+    assert cli.main(["postselect", "--graph", missing, "--shots", str(value)]) == 2
     assert "--shots" not in capsys.readouterr().err
 
 

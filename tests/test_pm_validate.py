@@ -104,6 +104,30 @@ def test_sweep_memory_is_bounded_by_the_block_budget(family):
     assert peak < procmat._BLOCK_BYTES + procmat._BLOCK_BYTES // 16, peak
 
 
+@pytest.mark.parametrize("family", ["mbqc", "rank1"])
+def test_dense_sweep_memory_is_bounded_by_the_block_budget(family):
+    """The same bound for a W given only as a dense operator, which the dense
+    backend contracts; W itself is built before the sweep is measured."""
+    w = procmat.density_process_matrix(qlin.random_density(np.random.default_rng(8), 4))
+    fam = (
+        procmat.mbqc_instrument_family(w.parties[:2], w.parties[2:])
+        if family == "mbqc"
+        else procmat.rank_one_instrument_family(w.parties)
+    )
+    trials = 200
+    assert 1 < procmat._block_trials(w, fam.elements, "dense") < trials
+    procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # builds W, warms caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = procmat.pm_validate(w, fam, trials, 1e-9, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.trials == trials and report.passed
+    assert peak < procmat._BLOCK_BYTES + procmat._BLOCK_BYTES // 16, peak
+
+
 def chain2_sweep(monkeypatch, raw_trial):
     """chain(2) with 2-trial blocks and a factorized backend that returns
     ``raw_trial(t)`` for global trial t, so only the range guard acts."""

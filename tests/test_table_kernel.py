@@ -3,7 +3,9 @@
 Its two backends, the factorized overlap and the dense-trace oracle, must
 agree with each other and with the first-principles Born amplitude of
 criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
-guard must clamp and count each tiny negative entry once.  The trace and
+guard must clamp and count each tiny negative entry once.  The dense kernel
+must equal the one-tensordot-per-party reference on any slot layout and
+trace W without copying it.  The trace and
 positivity floor that a factored W reads off its factor must match the
 materialized dense operator, and that operator must equal, entry for entry,
 the projector-kron-permute construction, built with one ``HermOp``.
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, procmat, qlin
-from pm_reference import rank_one_sampler
+from pm_reference import rank_one_sampler, tensordot_dense_probability
 from test_acceptance import born_oracle
 
 ATOL = 1e-12
@@ -172,6 +174,77 @@ def test_dense_holds_one_copy_of_w():
         tracemalloc.stop()
     assert op.entries.nbytes == w_bytes
     assert peak < 1.25 * w_bytes, peak / w_bytes
+
+
+def test_dense_table_makes_no_copy_of_w():
+    """With W built, the dense table of chain(5) allocates less than a quarter
+    of W beyond it: the first party is traced through views of W, where a
+    transposed copy alone would be all of W."""
+    r = acausal.build_resource_pm(graphstate.chain(5))
+    w_bytes = r.w.dense().entries.nbytes
+    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
+    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = procmat.outcome_table(r.w, instruments, "dense")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2,) * 5
+    assert peak < w_bytes / 4, peak / w_bytes
+
+
+def with_slots(w, qubits):
+    """``w``'s factor with slot i on qubits (qubits[2i], qubits[2i + 1])."""
+    slots = [
+        procmat.Slot(f"P{i + 1}", qubits[2 * i], qubits[2 * i + 1])
+        for i in range(len(qubits) // 2)
+    ]
+    return procmat.ProcessMatrix(slots, factor=w.factor)
+
+
+def unit_kets(rng, shape):
+    vecs = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+
+@st.composite
+def dense_kernel_cases(draw):
+    """A W with a dense form (factored with adjacent slots, factored with
+    slots on any qubits, or a density process matrix) and a block of 1 to 6
+    trials of random unit kets, 1 to 3 elements per party."""
+    kind = draw(st.sampled_from(["factored", "scattered", "density"]))
+    if kind == "density":
+        k = draw(st.integers(1, 3))
+        w = procmat.density_process_matrix(
+            qlin.random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
+        )
+    else:
+        w = draw(factored_process_matrices())
+        if kind == "scattered":
+            w = with_slots(w, draw(st.permutations(range(w.num_qubits))))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
+
+
+def scattered_case():
+    """Slot P1 on qubits (1, 3) and P2 on (0, 2), with three trials of two elements."""
+    w = with_slots(factored_w(2, n_pure=3, order=[2, 0, 3, 1], scale=2.0, seed=4), [1, 3, 0, 2])
+    rng = np.random.default_rng(7)
+    return w, {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
+
+
+@PROPERTY_SETTINGS
+@given(dense_kernel_cases())
+@example(scattered_case())
+def test_dense_kernel_equals_the_tensordot_reference(case):
+    w, kets = case
+    ref = tensordot_dense_probability(w, kets)
+    table = procmat._dense_probability(w, kets)
+    assert table.shape == ref.shape
+    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
 def with_raw_table(monkeypatch, backend, raw):
