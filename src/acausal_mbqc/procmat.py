@@ -12,19 +12,24 @@ global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 ``outcome_table`` computes them for every element of every party's
 instrument at once, as one contraction sweep over the parties, and
 ``pm_validate`` runs the same sweep over a leading axis of sampled trials.
-The two backends are kept deliberately independent: a dense trace of the
-materialized W against each element's Choi operator, built from its
-double-sum definition (the oracle), and a factorized overlap of each
-element's kets with W of the form scale * |pure><pure| (x) (I/2)^k.
+The two backends are kept deliberately independent: a dense trace of W
+against each element's Choi operator, built from its double-sum definition
+(the oracle), and a factorized overlap of each element's kets with W of the
+form scale * |pure><pure| (x) (I/2)^k.  The dense trace reads W as the 16
+slabs that fix the first party's indices: views of W when it is held, and
+otherwise slabs written from the factor one mirrored pair at a time, each
+checked as W's ``HermOp`` would check it, so a factored W is never held
+whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -219,23 +224,27 @@ class ProcessMatrix:
     def parties(self) -> tuple[str, ...]:
         return tuple(s.party for s in self.slots)
 
+    def _require_dense_cap(self) -> None:
+        """Refuse a dense W above ``self.cap`` or the operator cap, before anything is allocated."""
+        k = self.num_qubits
+        limit = min(config.qubit_cap(self.cap), config.DENSE_OPERATOR_CAP)
+        if k > limit:
+            raise config.RegisterCapError(
+                f"dense process matrix needs {k} qubits, above the operator cap {limit}"
+            )
+
     def dense(self) -> HermOp:
         """Materialize the dense operator (cached); capped by ``self.cap`` and the operator cap."""
         if self._op is None:
+            self._require_dense_cap()
             f = self.factor
-            k = self.num_qubits
-            limit = min(config.qubit_cap(self.cap), config.DENSE_OPERATOR_CAP)
-            if k > limit:
-                raise config.RegisterCapError(
-                    f"dense process matrix needs {k} qubits, above the operator cap {limit}"
-                )
-            p = len(f.pure_qubits)
-            amp = f.pure.as_tensor()
+            pure, amp = _register_ordered(f)
+            ones = (1,) * len(pure)
             # |pure><pure| as the broadcast product of a column and a conjugated row
             self._op = _embed(
-                amp.reshape(amp.shape + (1,) * p),
-                amp.conj().reshape((1,) * p + amp.shape),
-                f.pure_qubits,
+                amp.reshape(amp.shape + ones),
+                amp.conj().reshape(ones + amp.shape),
+                pure,
                 f.mixed_qubits,
                 f.scale * 0.5 ** len(f.mixed_qubits),
             )
@@ -262,8 +271,28 @@ class ProcessMatrix:
         return qlin.min_eigenvalue(self._op)
 
 
-# elements per operand buffer of numpy's iterator while ``_embed`` multiplies
-_EMBED_BUFSIZE = 1024
+def _register_ordered(f: PureMixedFactor) -> tuple[list[int], np.ndarray]:
+    """The factor's pure qubits in register order, and its pure tensor as a
+    contiguous copy with one axis per qubit in that order.  Written through
+    a view whose axes also run in register order, the product then moves
+    along whole runs of adjacent qubits instead of one axis of 2 at a time."""
+    order = np.argsort(f.pure_qubits)
+    return sorted(f.pure_qubits), np.ascontiguousarray(f.pure.as_tensor().transpose(order))
+
+
+# elements per operand buffer of numpy's iterator while W or a slab of it is
+# written or traced: strided operands are copied through these buffers, and
+# small ones keep that scratch near 50 KB instead of 400 KB
+_ITER_BUFSIZE = 1024
+
+
+@contextlib.contextmanager
+def _small_iterator_buffers():
+    bufsize = np.setbufsize(_ITER_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _embed(
@@ -273,43 +302,56 @@ def _embed(
     identity_qubits: Sequence[int],
     coeff: float,
 ) -> HermOp:
-    """coeff * B (x) I as one HermOp in register order.
+    """coeff * B (x) I as one HermOp in register order, written by
+    ``_write_embedded`` into one zeroed array that the HermOp keeps, so the
+    full operator is allocated once and no block, kron or permutation copy
+    of it is made."""
+    k = len(block_qubits) + len(identity_qubits)
+    out = np.zeros((2**k, 2**k), dtype=np.complex128)
+    _write_embedded(out, _embedding_view(out, block_qubits, identity_qubits), left, right, coeff)
+    return HermOp(out, _owned=True)
 
-    B = left * right, the broadcast product of two arrays (each shaped
-    (2,)*2p or broadcastable to it: row axes first, then column axes), acts
-    on ``block_qubits``; I acts on ``identity_qubits``.  B is written
-    straight into the view that einsum gives of one zeroed (2,)*2k array's
-    diagonal over the identity qubits, and the HermOp keeps that array, so
-    the full operator is allocated once and no block, kron or permutation
-    copy of it is made.
-    """
+
+def _embedding_view(
+    out: np.ndarray, block_qubits: Sequence[int], identity_qubits: Sequence[int]
+) -> np.ndarray:
+    """The view of a (2^k, 2^k) array through which ``_write_embedded``
+    writes B (x) I: B's row axes, its column axes, then one axis per
+    identity qubit that runs along the diagonal of its row and column."""
     block_qubits = list(block_qubits)
     identity_qubits = list(identity_qubits)
     k = len(block_qubits) + len(identity_qubits)
-    out = np.zeros((2**k, 2**k), dtype=np.complex128)
+    if k == 0:
+        return out.reshape(())  # einsum would return a scalar, not a view
     # einsum labels: row axis q is q and column axis q is k + q, except that an
     # identity qubit's column shares its row label, which selects the diagonal
     cols = [q if q in identity_qubits else k + q for q in range(k)]
-    view = np.einsum(
+    return np.einsum(
         out.reshape((2,) * (2 * k)),
         list(range(k)) + cols,
         block_qubits + [k + q for q in block_qubits] + identity_qubits,
     )
-    expand = (...,) + (None,) * len(identity_qubits)
-    # the broadcast product runs through numpy's buffered iterator; small
-    # buffers keep its scratch near 50 KB instead of 400 KB beside W
-    bufsize = np.setbufsize(_EMBED_BUFSIZE)
-    try:
+
+
+def _write_embedded(
+    out: np.ndarray, view: np.ndarray, left: np.ndarray, right: np.ndarray, coeff: float
+) -> None:
+    """Write coeff * B (x) I into ``out`` through ``view``, its
+    ``_embedding_view``; entries off that view keep their values, so ``out``
+    must be zero there.
+
+    B = left * right, the broadcast product of two arrays (each with B's 2p
+    axes, row axes first, or broadcastable to them), acts on the view's
+    block qubits and I on its identity qubits.
+    """
+    expand = (...,) + (None,) * (view.ndim - left.ndim)
+    with _small_iterator_buffers():
         np.multiply(left[expand], right[expand], out=view)
-    finally:
-        np.setbufsize(bufsize)
-    del view
     # coeff after the product: since its 2^-n part is exact, every entry has
     # the value of scale * (|pure><pure| (x) (I/2)^n) taken factor by factor.
     # It scales the whole contiguous array in place; numpy would buffer a copy
     # of the strided diagonal view for an in-place product
     out *= coeff
-    return HermOp(out, _owned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +504,28 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     W against each party's stacked CJ tensors [t, e, r_in, r_out, c_in, c_out],
     built from the kets by the double-sum definition.
 
-    The first party is traced through views of the materialized W
-    (``_trace_leading_axes``), so no copy of W is made.  That step's output
-    keeps the second party's axes last, in the order its ``_batched_tensordot``
-    step contracts them, so the second step multiplies the table without a
-    transposed copy; every later step's input holds at most 1/256 of W's
-    entries per trial and pair of elements.
+    The first party is traced over the 16 slabs W[v] that fix its row and
+    column indices (``_trace_leading_axes``): views of W when W is held, and
+    otherwise slabs written one pair at a time from the factor
+    (``_written_slabs``), so a factored W is never held whole.  That step's
+    output keeps the second party's axes last, in the order its
+    ``_batched_tensordot`` step contracts them, so the second step
+    multiplies the table without a transposed copy; every later step's input
+    holds at most 1/256 of W's entries per trial and pair of elements.
     """
-    k = w.num_qubits
-    # axis label per axis of W: (row/col, register qubit)
-    w_labels = [(side, q) for side in "rc" for q in range(k)]
     first, *rest = w.slots
+    traced = _traced_labels(first)
     second = _traced_labels(rest[0]) if rest else []
-    untraced = [lab for lab in w_labels if lab not in _traced_labels(first) + second] + second
-    order = [w_labels.index(lab) for lab in _traced_labels(first) + untraced]
-    table = _trace_leading_axes(
-        w.dense().as_tensor().transpose(order), _choi_tensors(*kets[first.party])
+    # the register qubits left once the first party is traced, in register order
+    others = [q for q in range(w.num_qubits) if q not in (first.input_qubit, first.output_qubit)]
+    # axis label per axis of a slab: (row/col, register qubit)
+    slab_labels = [(side, q) for side in "rc" for q in others]
+    untraced = [lab for lab in slab_labels if lab not in second] + second
+    slabs = (
+        _held_slabs(w, traced + untraced) if w._op is not None
+        else _written_slabs(w, others, [slab_labels.index(lab) for lab in untraced])
     )
+    table = _trace_leading_axes(slabs, _choi_tensors(*kets[first.party]), (2,) * len(untraced))
     # axis label per non-trial axis of table: a label of W, or None for an element axis
     labels: list[tuple[str, int] | None] = [None] + untraced
     for slot in rest:
@@ -504,28 +551,111 @@ def _traced_labels(slot: Slot) -> list[tuple[str, int]]:
     ]
 
 
-def _trace_leading_axes(wt: np.ndarray, cj: np.ndarray) -> np.ndarray:
-    """sum over v of wt[v] * cj[t, e, v], v running over the 16 values of
-    wt's first four axes, for every trial t and element e; wt is read only
-    through views.
+# The 16 values v = (c_in, c_out, r_in, r_out) of a party's column and row
+# indices, in product order, each followed at once by its mirror, which swaps
+# the row and column indices: W[v] must be the conjugate transpose of
+# W[mirror], and a slab that is its own mirror must be Hermitian itself
+_SLAB_PAIRS = tuple(
+    (v,) if v == v[2:] + v[:2] else (v, v[2:] + v[:2])
+    for v in itertools.product((0, 1), repeat=4)
+    if v <= v[2:] + v[:2]
+)
+
+
+Slabs = Iterator[tuple[tuple[int, ...], np.ndarray]]
+
+
+def _held_slabs(w: ProcessMatrix, order: Sequence[tuple[str, int]]) -> Slabs:
+    """(v, W[v]) in the order of ``_SLAB_PAIRS``: views of the held W with its
+    axes in ``order`` of labels, the first party's four traced ones first."""
+    labels = [(side, q) for side in "rc" for q in range(w.num_qubits)]
+    wt = w.dense().as_tensor().transpose([labels.index(lab) for lab in order])
+    return ((v, wt[v]) for pair in _SLAB_PAIRS for v in pair)
+
+
+def _written_slabs(w: ProcessMatrix, others: Sequence[int], order: Sequence[int]) -> Slabs:
+    """(v, W[v]) in the order of ``_SLAB_PAIRS`` for a factored W that is not
+    held, each pair written from ``factor.pure`` by the writer of ``dense()``.
+
+    A slab is the operator that W induces on the ``others`` qubits once the
+    first party's indices are fixed: coeff * (left * right) (x) I, where
+    ``left`` is the pure tensor with the party's row indices fixed and
+    ``right`` its conjugate with the column indices fixed.  Each pair is
+    written into the same two zeroed buffers of 1/16 of W, each a square
+    matrix over the others in register order, and yielded as views with
+    axes in ``order``.  Every slab is checked for finite entries
+    and every pair for Hermiticity, and the largest pair defect, which is
+    W's own ``_hermitian_defect``, is held to ``HERMITIAN_ATOL``: W passes
+    the checks its ``HermOp`` would run.  A pair with a mixed party qubit
+    whose row and column indices differ is exactly zero and is skipped.  The
+    cap is checked before the buffers are allocated.
+    """
+    w._require_dense_cap()
+    f = w.factor
+    slot = w.slots[0]
+    party = (slot.input_qubit, slot.output_qubit)
+    mixed = [i for i, q in enumerate(party) if q in f.mixed_qubits]
+    pure, amp = _register_ordered(f)
+    block = [others.index(q) for q in pure if q not in party]
+    identity = [others.index(q) for q in f.mixed_qubits if q not in party]
+    m = len(others)
+    bufs = [np.zeros((2**m, 2**m), dtype=np.complex128) for _ in range(2)]
+    views = [_embedding_view(buf, block, identity) for buf in bufs]
+    slabs = [buf.reshape((2,) * (2 * m)).transpose(order) for buf in bufs]
+    twos, ones = (2,) * len(block), (1,) * len(block)
+    coeff = f.scale * 0.5 ** len(f.mixed_qubits)
+
+    def fixed(tensor: np.ndarray, values: tuple[int, ...]) -> np.ndarray:
+        """``tensor`` with the party's pure qubits fixed to ``values``; the
+        trailing Ellipsis keeps a fully indexed tensor a 0-d array."""
+        index = [values[party.index(q)] if q in party else slice(None) for q in pure]
+        return tensor[tuple(index) + (...,)]
+
+    # the row factor per value of the party's (r_in, r_out), the column factor
+    # per value of its (c_in, c_out), each a view shaped as dense() shapes them
+    values = list(itertools.product((0, 1), repeat=2))
+    rows = {u: fixed(amp, u).reshape(twos + ones) for u in values}
+    conj = amp.conj()
+    cols = {u: fixed(conj, u).reshape(ones + twos) for u in values}
+
+    def pairs() -> Slabs:
+        defect = 0.0
+        for pair in _SLAB_PAIRS:
+            if any(pair[0][i] != pair[0][2 + i] for i in mixed):
+                continue
+            for buf, view, v in zip(bufs, views, pair):
+                _write_embedded(buf, view, rows[v[2:]], cols[v[:2]], coeff)
+                qlin._require_finite(buf)
+            defect = max(defect, qlin._hermitian_defect(*bufs[:len(pair)]))
+            yield from zip(pair, slabs)
+        qlin._require_hermitian(defect)
+
+    return pairs()
+
+
+def _trace_leading_axes(slabs: Slabs, cj: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """sum over v of slab_v * cj[t, e, v], for every trial t and element e,
+    over the (v, slab_v) pairs of ``slabs``: v is a value of a party's
+    (c_in, c_out, r_in, r_out) and slab_v, shaped ``shape``, is W[v].  A v
+    that ``slabs`` leaves out adds nothing.
 
     ``cj`` is (trials, elements, 2, 2, 2, 2) and the result is (trials,
-    elements) + wt.shape[4:].  Each term, the view wt[v] scaled by every
-    trial's entry, is added into the output one element at a time, so the
-    step holds its output and one term of 1/elements of its size; a term
-    whose entry is zero in every trial adds nothing and is skipped.
+    elements) + shape.  Each term, slab_v scaled by every trial's entry, is
+    added into the output one element at a time, so the step holds its
+    output and one term of 1/elements of its size; a term whose entry is
+    zero in every trial adds nothing and is skipped.
     """
     trials, elements = cj.shape[:2]
-    rest = wt.shape[4:]
-    out = np.zeros((trials, elements) + rest, dtype=np.complex128)
-    term = np.empty((trials,) + rest, dtype=np.complex128)
-    expand = (slice(None),) + (None,) * len(rest)
-    for v in itertools.product((0, 1), repeat=4):
-        coeff = cj[(slice(None), slice(None)) + v]
-        for e in range(elements):
-            if coeff[:, e].any():
-                np.multiply(wt[v], coeff[:, e][expand], out=term)
-                out[:, e] += term
+    out = np.zeros((trials, elements) + shape, dtype=np.complex128)
+    term = np.empty((trials,) + shape, dtype=np.complex128)
+    expand = (slice(None),) + (None,) * len(shape)
+    with _small_iterator_buffers():
+        for v, slab in slabs:
+            coeff = cj[(slice(None), slice(None)) + v]
+            for e in range(elements):
+                if coeff[:, e].any():
+                    np.multiply(slab, coeff[:, e][expand], out=term)
+                    out[:, e] += term
     return out
 
 
@@ -537,31 +667,39 @@ _BLOCK_BYTES = 4 << 20
 
 
 def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
-    """Bytes that one trial adds to a block: its largest contraction
-    intermediate three times over, its measure and reprepare kets and, for the
-    dense backend, one party's Choi tensors.
+    """Bytes that one trial adds to a block: the most that its contraction
+    steps hold at once, its measure and reprepare kets and, for the dense
+    backend, one party's Choi tensors.
 
-    Three copies bound every step.  A ``_batched_tensordot`` step holds its
-    input, the transposed copy that is multiplied, and its output.  The dense
-    backend's first step reads W through views and holds its output and one
-    term of at most the output's size, and the second step multiplies that
-    output without a transposed copy.
+    A factorized ``_batched_tensordot`` step holds its input, the transposed
+    copy that is multiplied, and its output, so three copies of the largest
+    intermediate bound every step.  The dense backend's first step reads W
+    through slabs and holds its output and one term of 1/elements of it; the
+    second multiplies that output without a transposed copy and holds its
+    input and output; each later step holds its input, a transposed copy and
+    its output.
     """
+    kets = 2 * len(w.slots) * elements * 2
+    itemsize = np.dtype(np.complex128).itemsize
     if backend == "factorized":
         pure = set(w.factor.pure_qubits)
         size = 2 ** len(pure)
-        contracted = [2 ** len({s.input_qubit, s.output_qubit} & pure) for s in w.slots]
-        choi = 0
-    else:
-        size = 4**w.num_qubits
-        contracted = [16] * len(w.slots)
-        choi = 16 * elements
-    largest = 0
-    for k in contracted:
-        size = size // k * elements
-        largest = max(largest, size)
-    kets = 2 * len(w.slots) * elements * 2
-    return np.dtype(np.complex128).itemsize * (3 * largest + kets + choi)
+        largest = 0
+        for s in w.slots:
+            size = size // 2 ** len({s.input_qubit, s.output_qubit} & pure) * elements
+            largest = max(largest, size)
+        return itemsize * (3 * largest + kets)
+    # the output of each party's step
+    outs = [4**w.num_qubits // 16 * elements]
+    for _ in w.slots[1:]:
+        outs.append(outs[-1] // 16 * elements)
+    # what each step holds: the first its output and one term, the second its
+    # input and output, each later one also a transposed copy of its input
+    held = [outs[0] + outs[0] // elements]
+    if len(outs) > 1:
+        held.append(outs[0] + outs[1])
+    held += [2 * a + b for a, b in zip(outs[1:], outs[2:])]
+    return itemsize * (max(held) + kets + 16 * elements)
 
 
 def _block_trials(w: ProcessMatrix, elements: int, backend: str) -> int:

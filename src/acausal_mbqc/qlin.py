@@ -105,25 +105,45 @@ _HERMITIAN_TILE = 128
 _HERMITIAN_MIN_TILE = 16
 
 
-def _hermitian_defect(mat: np.ndarray) -> float:
-    """max |M - M^dag| over a square matrix, one pair of mirrored tiles at a time.
+def _hermitian_defect(mat: np.ndarray, mirror: np.ndarray | None = None) -> float:
+    """max |M - N^dag| over square matrices M and N of one shape (N is M
+    unless ``mirror`` is given), one pair of mirrored tiles at a time.
 
-    Each tile on or above the diagonal is compared with its mirror tile, so
-    each pair of tiles is read once and no full-size transpose or difference
-    is allocated.  |M_ij - conj(M_ji)| equals |M_ji - conj(M_ij)| exactly, so
-    the upper-triangle tile pairs give the same maximum as the whole matrix.
-    A tile side of about n/8 keeps the temporaries of one pair near 1/16 of
-    M, so checking an operator adds little to holding it.
+    Each tile of M is compared with its mirror tile of N, so each pair of
+    tiles is read once and no full-size transpose or difference is
+    allocated.  |M_ij - conj(N_ji)| equals |N_ji - conj(M_ij)| exactly, so
+    for N = M the tiles on or above the diagonal give the same maximum as
+    the whole matrix, and the defect of a matrix whose blocks are compared
+    pair by pair is the maximum of the pairs' defects.  A tile side of about
+    n/8 keeps the temporaries of one pair near 1/16 of M, so checking an
+    operator adds little to holding it.  Mirrored blocks M and N of n rows
+    are taken as blocks of an operator of 4n rows, such as the 16 blocks
+    that fix one party's indices, and get that operator's tile side, n/2.
     """
     n = mat.shape[0]
-    t = max(_HERMITIAN_MIN_TILE, min(_HERMITIAN_TILE, n // 8))
+    t = max(_HERMITIAN_MIN_TILE, min(_HERMITIAN_TILE, n // (8 if mirror is None else 2)))
+    other = mat if mirror is None else mirror
     defect = 0.0
     for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper = mat[i:i + t, j:j + t]
-            mirror = mat[j:j + t, i:i + t]
-            defect = max(defect, float(np.max(np.abs(upper - mirror.conj().T))))
+        for j in range(i if mirror is None else 0, n, t):
+            tile = mat[i:i + t, j:j + t]
+            mirrored = other[j:j + t, i:i + t]
+            defect = max(defect, float(np.max(np.abs(tile - mirrored.conj().T))))
     return defect
+
+
+def _require_finite(mat: np.ndarray) -> None:
+    if not np.all(np.isfinite(mat)):
+        raise QlinError("operator entries must be finite")
+
+
+def _require_hermitian(defect: float) -> None:
+    """Refuse an operator whose ``_hermitian_defect`` exceeds ``HERMITIAN_ATOL``."""
+    if defect > config.HERMITIAN_ATOL:
+        raise QlinError(
+            f"operator is not Hermitian within {config.HERMITIAN_ATOL} "
+            f"(defect {defect:.3e}); pass require_hermitian=False for general maps"
+        )
 
 
 class HermOp:
@@ -146,15 +166,9 @@ class HermOp:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QlinError(f"operator must be square, got shape {mat.shape}")
         k = _num_qubits_for(mat.shape[0])
-        if not np.all(np.isfinite(mat)):
-            raise QlinError("operator entries must be finite")
+        _require_finite(mat)
         if require_hermitian:
-            defect = _hermitian_defect(mat)
-            if defect > config.HERMITIAN_ATOL:
-                raise QlinError(
-                    f"operator is not Hermitian within {config.HERMITIAN_ATOL} "
-                    f"(defect {defect:.3e}); pass require_hermitian=False for general maps"
-                )
+            _require_hermitian(_hermitian_defect(mat))
         self.entries = _frozen_array(mat, mat.shape, copy=not _owned)
         self.num_qubits = k
         self.hermitian = bool(require_hermitian)

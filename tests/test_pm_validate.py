@@ -128,6 +128,33 @@ def test_dense_sweep_memory_is_bounded_by_the_block_budget(family):
     assert peak < procmat._BLOCK_BYTES + procmat._BLOCK_BYTES // 16, peak
 
 
+def test_dense_sweep_peak_is_near_the_block_budget():
+    """``_trial_bytes`` counts what the dense steps hold: a sweep over a W
+    given only as a dense operator, of 1 to 5 parties, stays within the
+    budget and on one of them fills more than 0.9 of it (three copies of the
+    largest intermediate, the old count, left such sweeps below 0.8)."""
+    ratios = []
+    for k in range(1, 6):
+        w = procmat.density_process_matrix(qlin.random_density(np.random.default_rng(8), k))
+        for fam in (
+            procmat.mbqc_instrument_family(w.parties[: k // 2], w.parties[k // 2:]),
+            procmat.rank_one_instrument_family(w.parties),
+        ):
+            trials = min(200, 3 * procmat._block_trials(w, fam.elements, "dense") + 1)
+            procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # builds W, warms caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                report = procmat.pm_validate(w, fam, trials, 1e-9, np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert report.trials == trials and report.passed
+            ratios.append(peak / procmat._BLOCK_BYTES)
+    assert max(ratios) < 1 + 1 / 16, ratios
+    assert max(ratios) > 0.9, ratios
+
+
 def chain2_sweep(monkeypatch, raw_trial):
     """chain(2) with 2-trial blocks and a factorized backend that returns
     ``raw_trial(t)`` for global trial t, so only the range guard acts."""

@@ -247,6 +247,135 @@ def test_dense_kernel_equals_the_tensordot_reference(case):
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
+def fresh(w):
+    """``w``'s slots and factor, with no dense operator built yet."""
+    return procmat.ProcessMatrix(w.slots, factor=w.factor)
+
+
+@st.composite
+def slab_cases(draw):
+    """A factored W with slots on any qubits and a block of 1 to 6 trials of
+    random unit kets, 1 to 3 elements per party."""
+    w = draw(factored_process_matrices())
+    w = with_slots(w, draw(st.permutations(range(w.num_qubits))))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
+
+
+def slab_case(n_slots, n_pure, order, trials=3, elements=2):
+    w = factored_w(n_slots, n_pure=n_pure, order=order, scale=1.5, seed=n_slots + n_pure)
+    rng = np.random.default_rng(11)
+    shape = (trials, elements)
+    return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
+
+
+@PROPERTY_SETTINGS
+@given(slab_cases())
+@example(slab_case(2, n_pure=2, order=[2, 3, 0, 1]))  # both of P1's qubits mixed
+@example(slab_case(2, n_pure=3, order=[3, 0, 2, 1]))  # P1's output qubit mixed
+@example(slab_case(3, n_pure=4, order=[5, 1, 3, 2, 0, 4], trials=6, elements=3))  # input mixed
+@example(slab_case(1, n_pure=2, order=[1, 0], trials=1))  # one slot: each slab is a scalar
+@example(slab_case(1, n_pure=1, order=[0, 1]))
+@example(slab_case(1, n_pure=0, order=[1, 0], elements=1))
+def test_slab_path_equals_the_view_path_and_the_reference(case):
+    """On a factored W that is not held, the dense kernel writes W slab by
+    slab; its table must be the bytes of the trace through views of the
+    built W, and match the one-tensordot-per-party reference."""
+    w, kets = case
+    w = fresh(w)
+    table = procmat._dense_probability(w, kets)
+    assert w._op is None
+    ref = tensordot_dense_probability(w, kets)  # builds W
+    assert np.array_equal(table, procmat._dense_probability(w, kets))
+    assert table.shape == ref.shape
+    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
+
+
+@PROPERTY_SETTINGS
+@given(slab_cases())
+def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
+    """The largest defect over the mirrored slab pairs is W's own
+    ``_hermitian_defect``, bit for bit."""
+    w, kets = case
+    w = fresh(w)
+    defects = []
+    real = qlin._hermitian_defect
+
+    def spy(*args):
+        defects.append(real(*args))
+        return defects[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlin, "_hermitian_defect", spy)
+        procmat._dense_probability(w, kets)
+    assert w._op is None
+    assert max(defects, default=0.0) == real(w.dense().entries)
+
+
+@pytest.mark.parametrize(
+    "planted, message",
+    [(1e-6, "operator is not Hermitian within"), (math.nan, "operator entries must be finite")],
+    ids=["asymmetric", "nan"],
+)
+def test_slab_checks_refuse_a_planted_entry(monkeypatch, planted, message):
+    """An entry planted into one slab of a mirrored pair, after it is
+    written, makes the dense oracle refuse W."""
+    w, kets = slab_case(2, n_pure=4, order=[0, 1, 2, 3])
+    real = procmat._write_embedded
+    writes = []
+
+    def planting(out, *args):
+        real(out, *args)
+        writes.append(len(writes))
+        if len(writes) == 2:  # the first slab of the pair (0, 0, 0, 1), (0, 1, 0, 0)
+            out[0, 1] += planted
+
+    monkeypatch.setattr(procmat, "_write_embedded", planting)
+    with pytest.raises(qlin.QlinError, match=re.escape(message)):
+        procmat._dense_probability(fresh(w), kets)
+    assert len(writes) >= 2
+
+
+def test_slab_path_refuses_above_the_cap_before_allocating():
+    """W of chain(7) has 14 qubits, above the dense operator cap: its slab
+    buffers would be 256 MiB each, and none is allocated."""
+    r = acausal.build_resource_pm(graphstate.chain(7))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(config.RegisterCapError):
+            acausal.outcome_probabilities(r, 0.0, backend="dense")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+
+
+def test_dense_table_of_a_factored_w_never_builds_w(monkeypatch):
+    """The dense table of a fresh chain(5) resource is written slab by slab:
+    ``dense()`` is never called, and the table allocates less than half of
+    the 16 MiB that W would take."""
+    r = acausal.build_resource_pm(graphstate.chain(5))
+    w_bytes = np.dtype(np.complex128).itemsize * 4**r.w.num_qubits
+    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
+    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
+
+    def refuse(self):
+        raise AssertionError("the dense table of a factored W must not build W")
+
+    monkeypatch.setattr(procmat.ProcessMatrix, "dense", refuse)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = procmat.outcome_table(r.w, instruments, "dense")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2,) * 5
+    assert peak < w_bytes / 2, peak / w_bytes
+
+
 def with_raw_table(monkeypatch, backend, raw):
     """Make ``backend`` return ``raw`` as its one-trial stack, so that only the
     table's range guard acts on it."""
