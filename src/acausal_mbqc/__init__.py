@@ -48,13 +48,11 @@ from .graphstate import (
     vee_graph,
 )
 from .mbqc import (
-    BranchResult,
     Pattern,
     PatternError,
     RunRecord,
     adapted_angle,
     as_angle_map,
-    branch_probability,
     chain_pattern,
     enumerate_causal,
     load_pattern,
@@ -67,16 +65,13 @@ from .mbqc import (
     validate_pattern,
 )
 from .procmat import (
-    CJOperator,
     Instrument,
     ProcessMatrix,
     ProcmatError,
     alice_instrument,
     bob_instrument,
     clamped_probability_count,
-    cptp_check,
     density_process_matrix,
-    instrument_from_kets,
     mbqc_instrument_family,
     outcome_table,
     pm_probability,

@@ -124,19 +124,11 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
 
 
 def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
-    """P(m, z) with one axis per party (Alices, then Bobs), from one contraction.
-
-    Each party's instrument is given to the kernel as its stacked measure and
-    reprepare kets, one (1, 2, 2) array each: ``alice_instrument``'s
-    equatorial kets and outcome bits, and ``bob_instrument``'s readout.
-    """
+    """P(m, z) with one axis per party (Alices, then Bobs), from one contraction
+    over the kets of ``procmat.mbqc_kets`` for one trial."""
     ang = mbqc.as_angle_map(r.base_graph, angles)
-    measure = qlin.equatorial_kets([ang[c] for c in r.base_graph.computation])
-    readout = np.eye(2, dtype=np.complex128)[None]  # |z>, measured and reprepared for outcome z
-    for stack in (measure, readout):
-        qlin.check_unit_kets(stack)
-    kets = {party: (measure[j][None], readout) for j, party in enumerate(r.alice_parties)}
-    kets.update({party: (readout, readout) for party in r.bob_parties})
+    phis = np.array([[ang[c] for c in r.base_graph.computation]])
+    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
     return procmat._trial_tables(r.w, kets, procmat._resolved_backend(r.w, backend))[0]
 
 

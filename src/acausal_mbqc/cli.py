@@ -145,6 +145,8 @@ def _validate_numeric_flags(ns: argparse.Namespace) -> None:
         raise ValueError(f"--shots must be <= 2^63 - 1 = {MAX_SHOTS}, got {ns.shots}")
     if getattr(ns, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {ns.seed}")
+    if ns.cap is not None and ns.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {ns.cap}")
     if hasattr(ns, "tol") and not (math.isfinite(ns.tol) and ns.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {ns.tol!r}")
     for attr, flag in (("angles", "--angles"), ("angles_b", "--angles-b")):

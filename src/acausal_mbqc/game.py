@@ -91,8 +91,10 @@ def girls_first_p0(
     from that many seeded causal runs, sampled in one batched walk.
     """
     if shots == 0:
-        branches = mbqc.enumerate_causal(inst.graph, inst.pattern, correct=correct, cap=cap)
-        return float(sum(b.probability * b.output_distribution[0] for b in branches))
+        _, weight, dist = mbqc.enumerate_causal(inst.graph, inst.pattern, correct=correct, cap=cap)
+        # added left to right in the walk's row order, as a running sum: no
+        # pairwise (np.sum) or compensated (Python >= 3.12 sum) reordering
+        return float(np.cumsum(weight * dist[:, 0])[-1])
     if shots < 0:
         raise GameError("shots must be nonnegative")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)

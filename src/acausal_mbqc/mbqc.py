@@ -7,9 +7,11 @@ a final Pauli byproduct correction before computational-basis readout.
 
 One measurement walk serves all three uses.  Sampled, it keeps one outcome
 per row and step (``sample_causal``, ``run_causal``).  Split, it keeps both,
-so one start row ends as all 2^N adaptive histories (``enumerate_causal``;
-``positive_branch_output`` reads the all-zeros one) while every step holds
-2^(N+n) amplitudes: O(N 2^(N+n)) work in all.
+so one start row ends as all 2^N adaptive histories while every step holds
+2^(N+n) amplitudes: O(N 2^(N+n)) work in all.  ``enumerate_causal`` returns
+those histories as the walk's arrays, one row per history (outcome bits,
+weight, readout distribution), and ``positive_branch_output`` reads the
+all-zeros one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import config, graphstate, qlin
+from . import config, graphstate
 from .graphstate import Graph
 from .qlin import Ket
 
@@ -249,56 +251,18 @@ def run_causal(g: Graph, p: Pattern, rng, *, correct: bool = True) -> RunRecord:
     return RunRecord(tuple(m[0].tolist()), tuple(z[0].tolist()), float(weight[0]), correct)
 
 
-@dataclass(frozen=True)
-class BranchResult:
-    """One outcome history and its exact post-correction readout distribution."""
-
-    m: tuple[int, ...]
-    probability: float
-    output_distribution: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.output_distribution, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "output_distribution", arr)
-
-
-def enumerate_causal(
-    g: Graph, p: Pattern, *, correct: bool = True, cap=None
-) -> tuple[BranchResult, ...]:
+def enumerate_causal(g: Graph, p: Pattern, *, correct: bool = True, cap=None):
     """Exact walk over all 2^N adaptive outcome histories, the first vertex of
     ``p.order`` most significant: one split walk, O(N 2^(N+n)) work.
 
-    Zero-probability branches are reported with probability 0 and an all-zero
-    distribution.  The distributions are indexed by the O-register bits, first
-    output vertex most significant.
+    Returns the histories as arrays, one row each: outcome bits (2^N, N) in
+    C order, Born weights (2^N,), and exact post-correction readout
+    distributions (2^N, 2^n), indexed by the O-register bits with the first
+    output vertex most significant.  A zero-probability history has weight 0
+    and an all-zero distribution.
     """
     m, weight, amps = _walk(g, p, correct=correct, cap=cap)
-    return tuple(
-        BranchResult(tuple(row.tolist()), float(w), np.abs(a) ** 2)
-        for row, w, a in zip(m, weight, amps)
-    )
-
-
-def branch_probability(g: Graph, angles, m: Sequence[int], z: Sequence[int]) -> float:
-    """Joint probability of outcome tuple (m, z) under non-adaptive equatorial
-    measurement of C at the given base angles plus computational readout of O.
-
-    Summing over all (m, z) gives exactly 1 for any graph (the projectors form
-    a complete orthonormal basis).
-    """
-    graphstate.validate(g)
-    ang = as_angle_map(g, angles)
-    m = tuple(int(b) for b in m)
-    z = tuple(int(b) for b in z)
-    if len(m) != g.n_computation or any(b not in (0, 1) for b in m):
-        raise PatternError(f"m must be {g.n_computation} bits")
-    if len(z) != g.n_output or any(b not in (0, 1) for b in z):
-        raise PatternError(f"z must be {g.n_output} bits")
-    factors = [qlin.equatorial_ket(ang[c], mc) for c, mc in zip(g.computation, m)]
-    factors += [qlin.basis_ket([bit]) for bit in z]
-    bra = qlin.kron_all(factors)
-    return float(abs(qlin.overlap(bra, graphstate.graph_state(g))) ** 2)
+    return m, weight, np.abs(amps) ** 2
 
 
 def positive_branch_output(g: Graph, angles, cap=None) -> Ket:

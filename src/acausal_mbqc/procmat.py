@@ -1,11 +1,15 @@
 """Process matrices and local instruments in the Choi representation.
 
 Every party's local operation is a measure-and-reprepare instrument: element
-``a`` maps rho -> |r_a><phi_a| rho |phi_a><r_a|, and a ``CJOperator`` stores
-just those two single-qubit kets.  Its Choi-Jamiolkowski (CJ) operator
+``a`` maps rho -> |r_a><phi_a| rho |phi_a><r_a|, and an ``Instrument`` is
+just those single-qubit kets, stacked into (elements, 2) arrays ``measure``
+and ``reprepare``; an ``InstrumentBlock`` stacks them over a leading axis of
+trials, and ``mbqc_kets`` is the one definition of the MBQC instruments in
+that form.  The element's Choi-Jamiolkowski (CJ) operator
 sum_{k,l} |k><l| (x) M(|l><k|), which evaluates exactly to
-|phi><phi| (x) |r><r|, is built on demand by ``CJOperator.op``; CJ registers
-are ordered input qubit first, then output qubit.
+|phi><phi| (x) |r><r|, is built only by the dense oracle, through
+``_choi_tensors``; CJ registers are ordered input qubit first, then output
+qubit.
 
 A process matrix W assigns each party one input and one output qubit of a
 global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
@@ -45,31 +49,7 @@ TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# CJ operators and instruments
-
-@dataclass(frozen=True)
-class CJOperator:
-    """One rank-1 instrument element rho -> |r><phi| rho |phi><r|.
-
-    The element is its two single-qubit kets, ``measure_ket`` (phi) and
-    ``reprepare_ket`` (r).  The factorized backend reads the kets; the dense
-    oracle reads ``op``, which builds the Choi operator from its definition.
-    """
-
-    measure_ket: Ket
-    reprepare_ket: Ket
-
-    def __post_init__(self):
-        for name, ket in (("measure_ket", self.measure_ket), ("reprepare_ket", self.reprepare_ket)):
-            if ket.num_qubits != 1:
-                raise ProcmatError(f"{name} must be single-qubit")
-
-    @property
-    def op(self) -> HermOp:
-        """Choi operator on (input, output) via the literal double sum."""
-        cj = _choi_tensors(self.measure_ket.amplitudes, self.reprepare_ket.amplitudes)
-        return HermOp(cj.reshape(4, 4), _owned=True)
-
+# instruments
 
 def _choi_tensors(measure: np.ndarray, reprepare: np.ndarray) -> np.ndarray:
     """Choi tensors [..., r_in, r_out, c_in, c_out] of a stack of elements
@@ -92,63 +72,68 @@ def _choi_tensors(measure: np.ndarray, reprepare: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Instrument:
-    """All outcome elements of one party's local operation."""
+    """All outcome elements of one party's local operation.
 
-    elements: tuple[CJOperator, ...]
+    Element e maps rho -> |r_e><phi_e| rho |phi_e><r_e|, where phi_e is
+    ``measure[e]`` and r_e is ``reprepare[e]``: single-qubit kets stacked
+    into two (elements, 2) arrays, the one-trial form of
+    ``InstrumentBlock.kets``.  Construction copies and freezes both arrays
+    and runs ``Ket``'s tests once over every ket.
+    """
+
+    measure: np.ndarray
+    reprepare: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        if not self.elements:
-            raise ProcmatError("instrument needs at least one element")
+        for name in ("measure", "reprepare"):
+            kets = np.array(getattr(self, name), dtype=np.complex128)
+            if kets.ndim != 2 or kets.shape[1] != 2 or not len(kets):
+                raise ProcmatError(
+                    f"{name} must stack at least one single-qubit ket as an "
+                    f"(elements, 2) array, got shape {kets.shape}"
+                )
+            qlin.check_unit_kets(kets)
+            kets.flags.writeable = False
+            object.__setattr__(self, name, kets)
+        if len(self.measure) != len(self.reprepare):
+            raise ProcmatError(
+                f"measure has {len(self.measure)} elements but reprepare has "
+                f"{len(self.reprepare)}"
+            )
+
+
+# |z>, measured and reprepared for outcome z
+_READOUT = np.eye(2, dtype=np.complex128)
+
+
+def mbqc_kets(phis: np.ndarray, alices: Sequence[str], bobs: Sequence[str]) -> Kets:
+    """The MBQC instrument tuple of each trial of a block, as stacked kets.
+
+    ``phis`` is (trials, N): in trial t, Alice i measures the equatorial kets
+    |phi^m> at angle ``phis[t, i]`` and reprepares her outcome bit |m>, and
+    every Bob reads out |z> in the computational basis and reprepares it.
+    Every stack is (trials, 2, 2); the equatorial kets get ``Ket``'s tests
+    here, in one pass, and the readout is the exact basis.
+    """
+    measure = qlin.equatorial_kets(phis)
+    qlin.check_unit_kets(measure)
+    readout = np.broadcast_to(_READOUT, (len(phis), 2, 2))
+    kets = {a: (measure[:, i], readout) for i, a in enumerate(alices)}
+    kets.update({b: (readout, readout) for b in bobs})
+    return kets
 
 
 def alice_instrument(phi: float) -> Instrument:
     """Equatorial measurement at angle phi, reprepared as the outcome bit."""
-    return Instrument(
-        elements=tuple(
-            CJOperator(qlin.equatorial_ket(phi, m), qlin.basis_ket([m])) for m in (0, 1)
-        ),
-        description=f"equatorial(phi={float(phi):.6f})",
-    )
+    measure, reprepare = mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())["A"]
+    return Instrument(measure[0], reprepare[0], f"equatorial(phi={float(phi):.6f})")
 
 
 def bob_instrument() -> Instrument:
     """Computational-basis readout, reprepared as the outcome bit."""
-    return Instrument(
-        elements=tuple(
-            CJOperator(qlin.basis_ket([z]), qlin.basis_ket([z])) for z in (0, 1)
-        ),
-        description="computational readout",
-    )
-
-
-def instrument_from_kets(
-    measure_kets: Sequence[Ket], reprepare_kets: Sequence[Ket], description: str = ""
-) -> Instrument:
-    """Rank-1 instrument from per-outcome measure and reprepare kets."""
-    if len(measure_kets) != len(reprepare_kets):
-        raise ProcmatError("need one reprepare ket per measure ket")
-    elems = tuple(CJOperator(mk, rk) for mk, rk in zip(measure_kets, reprepare_kets))
-    return Instrument(elements=elems, description=description)
-
-
-@dataclass(frozen=True)
-class CptpReport:
-    """Trace-preservation defect and positivity floor of a summed instrument."""
-
-    identity_deviation: float
-    min_eigenvalue: float
-
-    def passes(self, tol: float = 1e-10) -> bool:
-        return self.identity_deviation <= tol and self.min_eigenvalue >= -tol
-
-
-def cptp_check(inst: Instrument) -> CptpReport:
-    """CPTP iff the summed CJ operator is PSD and traces out to the identity."""
-    total = HermOp(sum(e.op.entries for e in inst.elements))
-    reduced = qlin.partial_trace(total, [1])  # trace out the output qubit
-    dev = float(np.max(np.abs(reduced.entries - np.eye(2))))
-    return CptpReport(identity_deviation=dev, min_eigenvalue=qlin.min_eigenvalue(total))
+    measure, reprepare = mbqc_kets(np.zeros((1, 0)), (), ("B",))["B"]
+    return Instrument(measure[0], reprepare[0], "computational readout")
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +401,22 @@ def outcome_table(
         raise ProcmatError(
             f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
         )
-    kets = {
-        party: (
-            np.stack([cj.measure_ket.amplitudes for cj in inst.elements])[None],
-            np.stack([cj.reprepare_ket.amplitudes for cj in inst.elements])[None],
-        )
-        for party, inst in instruments.items()
-    }
+    kets = {party: (inst.measure[None], inst.reprepare[None]) for party, inst in instruments.items()}
     return _trial_tables(w, kets, _resolved_backend(w, backend))[0]
 
 
 def pm_probability(
-    w: ProcessMatrix, assignment: Mapping[str, CJOperator], backend: str = "auto"
+    w: ProcessMatrix,
+    assignment: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    backend: str = "auto",
 ) -> float:
-    """P = Tr[W (x)_parties CJ], one CJ element per party (see ``outcome_table``)."""
-    instruments = {party: Instrument(elements=(cj,)) for party, cj in assignment.items()}
+    """P = Tr[W (x)_parties CJ] for one element per party, given as its
+    (measure, reprepare) pair of single-qubit amplitude arrays (see
+    ``outcome_table``)."""
+    instruments = {
+        party: Instrument(np.asarray(measure)[None], np.asarray(reprepare)[None])
+        for party, (measure, reprepare) in assignment.items()
+    }
     return float(outcome_table(w, instruments, backend).reshape(-1)[0])
 
 
@@ -666,10 +652,12 @@ def _trace_leading_axes(slabs: Slabs, cj: np.ndarray, shape: tuple[int, ...]) ->
 _BLOCK_BYTES = 4 << 20
 
 
-def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
-    """Bytes that one trial adds to a block: the most that its contraction
-    steps hold at once, its measure and reprepare kets and, for the dense
-    backend, one party's Choi tensors.
+def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> int:
+    """Bytes that one trial adds to a block: what its draw allocates besides
+    its kets (``family.draw_bytes``), its measure and reprepare kets, two
+    copies of one stack of them for the block's unit-ket check, the most
+    that its contraction steps hold at once and, for the dense backend, one
+    party's Choi tensors and the temporaries that build them.
 
     A factorized ``_batched_tensordot`` step holds its input, the transposed
     copy that is multiplied, and its output, so three copies of the largest
@@ -679,7 +667,10 @@ def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
     input and output; each later step holds its input, a transposed copy and
     its output.
     """
-    kets = 2 * len(w.slots) * elements * 2
+    elements = family.elements
+    stack = elements * 2  # entries of one party's measure or reprepare kets
+    # the block's kets, and two copies of one stack in its unit-ket check
+    kets = (2 * len(w.slots) + 2) * stack
     itemsize = np.dtype(np.complex128).itemsize
     if backend == "factorized":
         pure = set(w.factor.pure_qubits)
@@ -688,7 +679,7 @@ def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
         for s in w.slots:
             size = size // 2 ** len({s.input_qubit, s.output_qubit} & pure) * elements
             largest = max(largest, size)
-        return itemsize * (3 * largest + kets)
+        return itemsize * (3 * largest + kets) + family.draw_bytes
     # the output of each party's step
     outs = [4**w.num_qubits // 16 * elements]
     for _ in w.slots[1:]:
@@ -699,12 +690,14 @@ def _trial_bytes(w: ProcessMatrix, elements: int, backend: str) -> int:
     if len(outs) > 1:
         held.append(outs[0] + outs[1])
     held += [2 * a + b for a, b in zip(outs[1:], outs[2:])]
-    return itemsize * (max(held) + kets + 16 * elements)
+    # 16 entries per element, and |r><r|, one product term and one coefficient
+    choi = (16 + 4 + 4 + 1) * elements
+    return itemsize * (max(held) + kets + choi) + family.draw_bytes
 
 
-def _block_trials(w: ProcessMatrix, elements: int, backend: str) -> int:
+def _block_trials(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> int:
     """Trials per block, the most that keep a block within ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // _trial_bytes(w, elements, backend))
+    return max(1, _BLOCK_BYTES // _trial_bytes(w, family, backend))
 
 
 @dataclass(frozen=True)
@@ -739,12 +732,15 @@ class InstrumentFamily:
     ``draw(rng, trials)`` returns an ``InstrumentBlock`` over ``parties``
     whose instruments each have ``elements`` outcomes.  Drawing T trials
     consumes ``rng`` exactly as T one-trial draws do, so the block size
-    never changes which instruments a seed gives.
+    never changes which instruments a seed gives.  ``draw_bytes`` is what
+    a draw allocates per trial besides the kets it returns, counted from the
+    shapes of its arrays, so that the block budget covers the draw.
     """
 
     parties: tuple[str, ...]
     elements: int
     draw: Callable[[np.random.Generator, int], InstrumentBlock]
+    draw_bytes: int
 
 
 @dataclass(frozen=True)
@@ -766,7 +762,7 @@ class PmValidityReport:
 def _trial_totals(w: ProcessMatrix, family: InstrumentFamily, trials: int, rng: np.random.Generator):
     """Yield (block, totals) per drawn block: the total probability of each of its trials."""
     backend = _resolved_backend(w, "auto")
-    size = _block_trials(w, family.elements, backend)
+    size = _block_trials(w, family, backend)
     for start in range(0, trials, size):
         block = family.draw(rng, min(size, trials - start))
         tables = _trial_tables(w, block.kets, backend, first_trial=start)
@@ -824,24 +820,22 @@ def mbqc_instrument_family(
     """Random equatorial angles for the Alices, computational readout for the Bobs."""
     alices = tuple(alice_parties)
     bobs = tuple(bob_parties)
-    readout = np.eye(2, dtype=np.complex128)  # |z>, measured and reprepared for outcome z
 
     def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
         # one uniform angle per trial and Alice, in the order of one-trial draws
         phis = rng.uniform(0.0, TWO_PI, size=(trials, len(alices)))
-        measure = qlin.equatorial_kets(phis)
-        readouts = np.broadcast_to(readout, (trials, 2, 2))
-        kets = {a: (measure[:, i], readouts) for i, a in enumerate(alices)}
-        kets.update({b: (readouts, readouts) for b in bobs})
 
         def describe(t: int) -> dict[str, str]:
             out = {a: alice_instrument(phis[t, i]).description for i, a in enumerate(alices)}
             out.update({b: bob_instrument().description for b in bobs})
             return out
 
-        return InstrumentBlock(kets, describe)
+        return InstrumentBlock(mbqc_kets(phis, alices, bobs), describe)
 
-    return InstrumentFamily(alices + bobs, 2, draw)
+    # per Alice: her angle, its phase, her equatorial kets before their
+    # 1/sqrt(2) scaling and the two copies of them that ``mbqc_kets``'s check
+    # makes; the readouts are one broadcast array
+    return InstrumentFamily(alices + bobs, 2, draw, len(alices) * (8 + 16 * (1 + 4 + 8)))
 
 
 def _vector_norms(vecs: np.ndarray) -> np.ndarray:
@@ -856,10 +850,11 @@ def _vector_norms(vecs: np.ndarray) -> np.ndarray:
 def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     """Haar-random rank-1 measure bases with independent random reprepare kets.
 
-    Each party draws the measure basis of ``qlin.random_single_qubit_basis``
-    and two reprepare kets of ``qlin.random_ket(rng, 1)``, from the same
-    normals in the same order, so a seed gives the same instruments as those
-    one-trial calls.
+    Each party draws its measure basis (the phase-fixed Q of a complex
+    Ginibre QR) and two Haar-random reprepare kets from the same normals, in
+    the same order, as the one-trial reference sampler of
+    ``tests/pm_reference.py``, so a seed gives the same instruments as that
+    sampler.
 
     Exploratory: such instruments are CPTP but can expose operators that are
     only normalized for restricted families.
@@ -893,7 +888,10 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
 
         return InstrumentBlock(kets, describe)
 
-    return InstrumentFamily(parties, 2, draw)
+    # per party: 16 normals, |d| and 4 pairs of norm sums (26 reals), and
+    # the complex i*x terms and sums that make g and vec (16), the copy, tau,
+    # Q and R of numpy's QR (14) and d/|d| (2)
+    return InstrumentFamily(parties, 2, draw, len(parties) * (8 * 26 + 16 * 32))
 
 
 def density_process_matrix(rho: HermOp, party_prefix: str = "P") -> ProcessMatrix:

@@ -50,7 +50,7 @@ def check_unit_kets(vecs: np.ndarray) -> None:
     if vecs.ndim == 1:  # one vector takes numpy's fast whole-array norm
         worst = abs(float(np.linalg.norm(vecs)) - 1.0)
     else:
-        worst = float(np.max(np.abs(np.linalg.norm(vecs, axis=-1) - 1.0)))
+        worst = float(np.max(np.abs(np.linalg.norm(vecs, axis=-1) - 1.0), initial=0.0))
     if worst > config.NORM_ATOL:
         raise QlinError(
             f"ket norm deviates from 1 by {worst!r}, more than {config.NORM_ATOL}; "
@@ -457,28 +457,3 @@ def sample_projective(
     post = branches[outcome].reshape(-1) / np.sqrt(probs[outcome])
     return MeasureResult(outcome=outcome, state=Ket(post), probability=probs[outcome])
 
-
-# ---------------------------------------------------------------------------
-# random states (test families and instrument sampling)
-
-def random_ket(rng: np.random.Generator, num_qubits: int) -> Ket:
-    """Haar-distributed unit ket."""
-    dim = 2**num_qubits
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(vec / np.linalg.norm(vec))
-
-
-def random_density(rng: np.random.Generator, num_qubits: int) -> HermOp:
-    """Full-rank random density operator (normalized Ginibre product)."""
-    dim = 2**num_qubits
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return HermOp(rho / np.trace(rho).real)
-
-
-def random_single_qubit_basis(rng: np.random.Generator) -> tuple[Ket, Ket]:
-    """Haar-random orthonormal single-qubit basis (columns of a random unitary)."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Ket(q[:, 0]), Ket(q[:, 1])

@@ -1,21 +1,81 @@
-"""References for ``procmat.pm_validate`` and the dense outcome-table kernel.
+"""Reference constructions that the tests compare the package against.
 
-``reference_sweep`` is the per-trial reference for ``pm_validate``.  Each trial draws one instrument tuple as ``Instrument`` objects, with the
-``qlin`` samplers and in the order that the instrument families used before
+``reference_sweep`` is the per-trial reference for ``pm_validate``.  Each
+trial draws one instrument tuple as ``Instrument`` objects, with the random
+samplers below and in the order that the instrument families used before
 they drew whole blocks, contracts it through ``procmat.outcome_table``, and
 keeps the first trial whose deviation is strictly larger than every earlier
-one.  The batched ``pm_validate`` must reproduce it: the same totals, the same
-worst trial and its descriptions, and the same random stream.
+one.  The batched ``pm_validate`` must reproduce it: the same totals, the
+same worst trial and its descriptions, and the same random stream.
 
 ``tensordot_dense_probability`` is the reference for
 ``procmat._dense_probability``: every party, the first included, is one
-``procmat._batched_tensordot`` step, so its first step multiplies a transposed
-copy of all of W.
+``procmat._batched_tensordot`` step, so its first step multiplies a
+transposed copy of all of W.
+
+``branch_probability`` is the non-adaptive Born probability of one outcome
+tuple, read from the graph state with one product bra, and ``cptp_check``
+tests an instrument's summed Choi operator.  ``random_ket``,
+``random_density`` and ``random_single_qubit_basis`` draw the random states
+of the test families.
 """
 
 import numpy as np
 
-from acausal_mbqc import procmat, qlin
+from acausal_mbqc import graphstate, mbqc, procmat, qlin
+
+
+def random_ket(rng: np.random.Generator, num_qubits: int) -> qlin.Ket:
+    """Haar-distributed unit ket."""
+    dim = 2**num_qubits
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return qlin.Ket(vec / np.linalg.norm(vec))
+
+
+def random_density(rng: np.random.Generator, num_qubits: int) -> qlin.HermOp:
+    """Full-rank random density operator (normalized Ginibre product)."""
+    dim = 2**num_qubits
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return qlin.HermOp(rho / np.trace(rho).real)
+
+
+def random_single_qubit_basis(rng: np.random.Generator) -> tuple[qlin.Ket, qlin.Ket]:
+    """Haar-random orthonormal single-qubit basis (columns of a random unitary)."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return qlin.Ket(q[:, 0]), qlin.Ket(q[:, 1])
+
+
+def branch_probability(g, angles, m, z) -> float:
+    """Joint probability of outcome tuple (m, z) under non-adaptive equatorial
+    measurement of C at the given base angles plus computational readout of O.
+
+    Summing over all (m, z) gives exactly 1 for any graph (the projectors form
+    a complete orthonormal basis).
+    """
+    graphstate.validate(g)
+    ang = mbqc.as_angle_map(g, angles)
+    m = tuple(int(b) for b in m)
+    z = tuple(int(b) for b in z)
+    if len(m) != g.n_computation or any(b not in (0, 1) for b in m):
+        raise mbqc.PatternError(f"m must be {g.n_computation} bits")
+    if len(z) != g.n_output or any(b not in (0, 1) for b in z):
+        raise mbqc.PatternError(f"z must be {g.n_output} bits")
+    factors = [qlin.equatorial_ket(ang[c], mc) for c, mc in zip(g.computation, m)]
+    factors += [qlin.basis_ket([bit]) for bit in z]
+    bra = qlin.kron_all(factors)
+    return float(abs(qlin.overlap(bra, graphstate.graph_state(g))) ** 2)
+
+
+def cptp_check(inst: procmat.Instrument) -> tuple[float, float]:
+    """(identity deviation, min eigenvalue) of an instrument's summed Choi
+    operator: CPTP iff it traces out to the identity and is PSD."""
+    total = qlin.HermOp(procmat._choi_tensors(inst.measure, inst.reprepare).sum(0).reshape(4, 4))
+    reduced = qlin.partial_trace(total, [1])  # trace out the output qubit
+    dev = float(np.max(np.abs(reduced.entries - np.eye(2))))
+    return dev, qlin.min_eigenvalue(total)
 
 
 def mbqc_sampler(alices, bobs):
@@ -35,11 +95,12 @@ def rank_one_sampler(parties):
     def sample(rng):
         out = {}
         for p in parties:
-            mk = qlin.random_single_qubit_basis(rng)
-            rk = (qlin.random_ket(rng, 1), qlin.random_ket(rng, 1))
-            out[p] = procmat.instrument_from_kets(
-                mk, rk,
-                description=f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}",
+            mk = random_single_qubit_basis(rng)
+            rk = (random_ket(rng, 1), random_ket(rng, 1))
+            out[p] = procmat.Instrument(
+                np.array([k.amplitudes for k in mk]),
+                np.array([k.amplitudes for k in rk]),
+                f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}",
             )
         return out
 

@@ -79,13 +79,13 @@ def test_acausal_matches_causal_enumeration_per_branch():
         r = acausal.build_resource_pm(g)
         p = mbqc.chain_pattern(g, angles=0.9)
         probs = acausal.outcome_probabilities(r, 0.9)
-        branches = mbqc.enumerate_causal(g, p)
-        by_m = {b.m: b for b in branches}
+        bits, _, dists = mbqc.enumerate_causal(g, p)
+        by_m = {tuple(row): dist for row, dist in zip(bits.tolist(), dists)}
         n_comp = g.n_computation
         for mi in range(2**n_comp):
             m = tuple((mi >> (n_comp - 1 - j)) & 1 for j in range(n_comp))
             scaled = (2.0**n_comp) * probs[mi, :]
-            assert np.allclose(scaled, by_m[m].output_distribution, atol=1e-10)
+            assert np.allclose(scaled, by_m[m], atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -260,7 +260,7 @@ def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
 
 def test_table_kets_get_the_ket_tests(monkeypatch):
     r = acausal.build_resource_pm(graphstate.chain(2))
-    long = qlin.equatorial_kets(np.array([0.3])) * (1.0 + 1e-9)
+    long = qlin.equatorial_kets(np.array([[0.3]])) * (1.0 + 1e-9)
     monkeypatch.setattr(qlin, "equatorial_kets", lambda phis: long)
     with pytest.raises(qlin.QlinError, match="deviates from 1"):
         acausal.outcome_probabilities(r, 0.3)

@@ -214,8 +214,8 @@ def test_criterion_06_acausal_equals_corrected_causal():
         for angles in [0.0, 1.1]:
             p = mbqc.chain_pattern(g, angles=angles)
             probs = acausal.outcome_probabilities(r, angles)
-            branches = mbqc.enumerate_causal(g, p)
-            dist = sum(b.probability * b.output_distribution for b in branches)
+            _, weight, dists = mbqc.enumerate_causal(g, p)
+            dist = sum(w * d for w, d in zip(weight, dists))
             scaled = (2.0**g.n_computation) * probs[0, :]
             worst = max(worst, float(np.max(np.abs(scaled - dist))))
     print(f"criterion 06: worst acausal-vs-causal deviation {worst:.2e}")

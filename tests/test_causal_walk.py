@@ -108,6 +108,12 @@ def test_sampled_game_builds_the_graph_state_once(monkeypatch):
     assert len(calls) == 1
 
 
+def histories(g, p, correct):
+    """``enumerate_causal``'s rows keyed by outcome bits: (weight, readout distribution)."""
+    m, weight, dist = mbqc.enumerate_causal(g, p, correct=correct)
+    return {tuple(row): (w, d) for row, w, d in zip(m.tolist(), weight, dist)}
+
+
 @st.composite
 def chain_patterns(draw):
     """parallel_chains with N + n <= 6, random base angles, either correction flag."""
@@ -123,13 +129,13 @@ def chain_patterns(draw):
 @given(chain_patterns())
 def test_enumerate_causal_equals_forced_runs(case):
     g, p, correct = case
-    branches = {b.m: b for b in mbqc.enumerate_causal(g, p, correct=correct)}
+    branches = histories(g, p, correct)
     assert len(branches) == 2**g.n_computation
     for bits in itertools.product((0, 1), repeat=g.n_computation):
         m_by, state, weight = _one_run(g, p, None, correct, forced=dict(zip(p.order, bits)))
-        branch = branches[tuple(m_by[c] for c in g.computation)]
-        assert abs(branch.probability - weight) <= ATOL
-        assert np.max(np.abs(branch.output_distribution - np.abs(state.amplitudes) ** 2)) <= ATOL
+        probability, dist = branches[tuple(m_by[c] for c in g.computation)]
+        assert abs(probability - weight) <= ATOL
+        assert np.max(np.abs(dist - np.abs(state.amplitudes) ** 2)) <= ATOL
 
 
 @st.composite
@@ -166,19 +172,19 @@ def test_enumerate_causal_equals_forced_runs_on_random_patterns(case):
     """A history the per-shot oracle refuses to force weighs below its forcing
     floor; the split must give it (nearly) zero probability."""
     g, p, correct = case
-    branches = {b.m: b for b in mbqc.enumerate_causal(g, p, correct=correct)}
+    branches = histories(g, p, correct)
     assert len(branches) == 2**g.n_computation
-    assert sum(b.probability for b in branches.values()) == pytest.approx(1.0, abs=ATOL)
+    assert sum(w for w, _ in branches.values()) == pytest.approx(1.0, abs=ATOL)
     for bits in itertools.product((0, 1), repeat=g.n_computation):
         forced = dict(zip(p.order, bits))
-        branch = branches[tuple(forced[c] for c in g.computation)]
+        probability, dist = branches[tuple(forced[c] for c in g.computation)]
         try:
             _, state, weight = _one_run(g, p, None, correct, forced=forced)
         except qlin.QlinError:
-            assert branch.probability <= ATOL
+            assert probability <= ATOL
             continue
-        assert abs(branch.probability - weight) <= ATOL
-        assert np.max(np.abs(branch.output_distribution - np.abs(state.amplitudes) ** 2)) <= ATOL
+        assert abs(probability - weight) <= ATOL
+        assert np.max(np.abs(dist - np.abs(state.amplitudes) ** 2)) <= ATOL
 
 
 @pytest.mark.parametrize(
@@ -227,11 +233,12 @@ def test_enumerate_causal_drops_zero_weight_branches():
     """On the vee graph at angle 0 two of four histories cannot happen."""
     g = graphstate.vee_graph()
     p = mbqc.make_pattern(g.computation, {c: 0.0 for c in g.computation})
-    branches = {b.m: b for b in mbqc.enumerate_causal(g, p, correct=False)}
+    branches = histories(g, p, False)
     for m in [(0, 1), (1, 0)]:
-        assert branches[m].probability == 0.0
-        assert not branches[m].output_distribution.any()
-    assert sum(b.probability for b in branches.values()) == pytest.approx(1.0, abs=ATOL)
+        probability, dist = branches[m]
+        assert probability == 0.0
+        assert not dist.any()
+    assert sum(w for w, _ in branches.values()) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_positive_branch_output_raises_on_a_zero_weight_branch():

@@ -422,6 +422,19 @@ def test_negative_seed_exits_2(capsys, p2_file, command):
     assert_flag_rejected(capsys, [command, "--graph", p2_file, "--seed", "-5"], "--seed")
 
 
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_cap_below_one_exits_2_before_the_graph_is_read(capsys, p2_file, tmp_path, command):
+    """The --cap message wins over a missing graph file, and names the flag."""
+    missing = str(tmp_path / "missing.json")
+    for cap in ("0", "-3"):
+        assert_flag_rejected(capsys, [command, "--graph", p2_file, "--cap", cap], "--cap")
+        assert cli.main([command, "--graph", missing, "--cap", cap]) == 2
+        assert capsys.readouterr().err == f"error: --cap must be >= 1, got {cap}\n"
+    # a positive cap passes the check, and the missing graph fails after it
+    assert cli.main([command, "--graph", missing, "--cap", "1"]) == 2
+    assert "--cap" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_bad_tol_exits_2(capsys, p2_file, tol):
     assert_flag_rejected(capsys, ["verify", "--graph", p2_file, "--tol", tol], "--tol")

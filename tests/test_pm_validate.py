@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, graphstate, procmat, qlin
-from pm_reference import mbqc_sampler, rank_one_sampler, reference_sweep
+from pm_reference import mbqc_sampler, random_density, rank_one_sampler, reference_sweep
 
 
 @st.composite
@@ -34,7 +34,7 @@ def sweeps(draw):
         w, alices, bobs = r.w, r.alice_parties, r.bob_parties
     else:
         k = draw(st.integers(1, 3))
-        rho = qlin.random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
+        rho = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
         w = procmat.density_process_matrix(rho)
         split = draw(st.integers(0, k))
         alices, bobs = w.parties[:split], w.parties[split:]
@@ -52,9 +52,9 @@ def small_blocks(monkeypatch, w, family, block):
     """Shrink the byte budget so that ``pm_validate`` draws ``block`` trials at a time."""
     backend = "factorized" if w.factor is not None else "dense"
     monkeypatch.setattr(
-        procmat, "_BLOCK_BYTES", block * procmat._trial_bytes(w, family.elements, backend)
+        procmat, "_BLOCK_BYTES", block * procmat._trial_bytes(w, family, backend)
     )
-    assert procmat._block_trials(w, family.elements, backend) == block
+    assert procmat._block_trials(w, family, backend) == block
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -82,16 +82,22 @@ def test_batched_sweep_equals_the_per_trial_loop(case):
     assert rng_report.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("family", ["mbqc", "rank1"])
-def test_sweep_memory_is_bounded_by_the_block_budget(family):
-    r = acausal.build_resource_pm(graphstate.chain(4))
+@pytest.mark.parametrize(
+    "family, length",
+    [("mbqc", 4), ("rank1", 4), ("mbqc", 2), ("rank1", 2)],
+    ids=["mbqc", "rank1", "mbqc-chain2", "rank1-chain2"],
+)
+def test_sweep_memory_is_bounded_by_the_block_budget(family, length):
+    """On chain(2) the rank-1 draw outweighs the contraction: a budget that
+    left the draw out peaked at 2.5 times the budget there."""
+    r = acausal.build_resource_pm(graphstate.chain(length))
     fam = (
         procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
         if family == "mbqc"
         else procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
     )
     trials = 20_000
-    assert procmat._block_trials(r.w, fam.elements, "factorized") < trials
+    assert procmat._block_trials(r.w, fam, "factorized") < trials
     procmat.pm_validate(r.w, fam, 3, 1e-9, np.random.default_rng(0))  # warm caches
     tracemalloc.start()
     try:
@@ -108,14 +114,14 @@ def test_sweep_memory_is_bounded_by_the_block_budget(family):
 def test_dense_sweep_memory_is_bounded_by_the_block_budget(family):
     """The same bound for a W given only as a dense operator, which the dense
     backend contracts; W itself is built before the sweep is measured."""
-    w = procmat.density_process_matrix(qlin.random_density(np.random.default_rng(8), 4))
+    w = procmat.density_process_matrix(random_density(np.random.default_rng(8), 4))
     fam = (
         procmat.mbqc_instrument_family(w.parties[:2], w.parties[2:])
         if family == "mbqc"
         else procmat.rank_one_instrument_family(w.parties)
     )
     trials = 200
-    assert 1 < procmat._block_trials(w, fam.elements, "dense") < trials
+    assert 1 < procmat._block_trials(w, fam, "dense") < trials
     procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # builds W, warms caches
     tracemalloc.start()
     try:
@@ -129,18 +135,20 @@ def test_dense_sweep_memory_is_bounded_by_the_block_budget(family):
 
 
 def test_dense_sweep_peak_is_near_the_block_budget():
-    """``_trial_bytes`` counts what the dense steps hold: a sweep over a W
-    given only as a dense operator, of 1 to 5 parties, stays within the
-    budget and on one of them fills more than 0.9 of it (three copies of the
-    largest intermediate, the old count, left such sweeps below 0.8)."""
+    """``_trial_bytes`` counts what a block holds, its draw included: a sweep
+    of two full blocks and one more trial over a W given only as a dense
+    operator, of 1 to 5 parties, stays within the budget for either family
+    and on one of them fills more than 0.9 of it (three copies of the largest
+    intermediate, an older count, left such sweeps below 0.8; a count
+    without the draw let small W overrun the budget by up to 1.44 times)."""
     ratios = []
     for k in range(1, 6):
-        w = procmat.density_process_matrix(qlin.random_density(np.random.default_rng(8), k))
+        w = procmat.density_process_matrix(random_density(np.random.default_rng(8), k))
         for fam in (
             procmat.mbqc_instrument_family(w.parties[: k // 2], w.parties[k // 2:]),
             procmat.rank_one_instrument_family(w.parties),
         ):
-            trials = min(200, 3 * procmat._block_trials(w, fam.elements, "dense") + 1)
+            trials = 2 * procmat._block_trials(w, fam, "dense") + 1
             procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # builds W, warms caches
             tracemalloc.start()
             try:

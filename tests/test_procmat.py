@@ -10,66 +10,115 @@ from acausal_mbqc.procmat import (
     PureMixedFactor,
     Slot,
 )
+from pm_reference import cptp_check, random_density, random_ket, random_single_qubit_basis
+
+
+def choi_operator(measure, reprepare):
+    """The 4x4 Choi operator on (input, output) of one element, from its kets."""
+    return procmat._choi_tensors(measure, reprepare).reshape(4, 4)
 
 
 def test_choi_of_measure_reprepare_closed_form():
     """The double-sum construction must equal |measure><measure| (x) |rep><rep|."""
     rng = np.random.default_rng(51)
     for _ in range(10):
-        m = qlin.random_ket(rng, 1)
-        r = qlin.random_ket(rng, 1)
-        cj = procmat.CJOperator(m, r)
-        oracle = np.kron(
-            np.outer(m.amplitudes, m.amplitudes.conj()),
-            np.outer(r.amplitudes, r.amplitudes.conj()),
-        )
-        assert np.allclose(cj.op.entries, oracle, atol=1e-12)
+        m = random_ket(rng, 1).amplitudes
+        r = random_ket(rng, 1).amplitudes
+        oracle = np.kron(np.outer(m, m.conj()), np.outer(r, r.conj()))
+        assert np.allclose(choi_operator(m, r), oracle, atol=1e-12)
+
+
+def test_stacked_choi_tensors_equal_one_element_at_a_time():
+    rng = np.random.default_rng(52)
+    measure = np.array([random_ket(rng, 1).amplitudes for _ in range(6)]).reshape(3, 2, 2)
+    reprepare = np.array([random_ket(rng, 1).amplitudes for _ in range(6)]).reshape(3, 2, 2)
+    stacked = procmat._choi_tensors(measure, reprepare)
+    assert stacked.shape == (3, 2, 2, 2, 2, 2)
+    for t in range(3):
+        for e in range(2):
+            one = choi_operator(measure[t, e], reprepare[t, e])
+            assert np.array_equal(stacked[t, e].reshape(4, 4), one)
 
 
 def test_conjugated_measure_ket_equals_negated_angle():
     """Transposing the Choi construction is the same as negating the angle."""
     phi = 1.1
     for m in (0, 1):
-        conj = qlin.Ket(qlin.equatorial_ket(phi, m).amplitudes.conj())
-        neg = qlin.equatorial_ket(-phi, m)
-        cj_conj = procmat.CJOperator(conj, qlin.KET0)
-        cj_neg = procmat.CJOperator(neg, qlin.KET0)
-        assert np.allclose(cj_conj.op.entries, cj_neg.op.entries, atol=1e-12)
+        conj = qlin.equatorial_ket(phi, m).amplitudes.conj()
+        neg = qlin.equatorial_ket(-phi, m).amplitudes
+        ket0 = qlin.KET0.amplitudes
+        assert np.allclose(choi_operator(conj, ket0), choi_operator(neg, ket0), atol=1e-12)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.8, np.pi, 4.4])
 def test_alice_instrument_is_cptp(phi):
-    report = procmat.cptp_check(procmat.alice_instrument(phi))
-    assert report.passes()
-    assert report.identity_deviation < 1e-12
-    assert report.min_eigenvalue > -1e-12
+    identity_deviation, min_eigenvalue = cptp_check(procmat.alice_instrument(phi))
+    assert identity_deviation < 1e-12
+    assert min_eigenvalue > -1e-12
 
 
 def test_bob_instrument_is_cptp():
-    assert procmat.cptp_check(procmat.bob_instrument()).passes()
+    identity_deviation, min_eigenvalue = cptp_check(procmat.bob_instrument())
+    assert identity_deviation <= 1e-10 and min_eigenvalue >= -1e-10
 
 
 def test_cptp_check_flags_dropped_element():
     full = procmat.alice_instrument(0.3)
-    half = procmat.Instrument(elements=full.elements[:1], description="half")
-    report = procmat.cptp_check(half)
-    assert not report.passes()
-    assert report.identity_deviation == pytest.approx(0.5, abs=1e-12)
+    half = procmat.Instrument(full.measure[:1], full.reprepare[:1], "half")
+    identity_deviation, _ = cptp_check(half)
+    assert identity_deviation == pytest.approx(0.5, abs=1e-12)
+
+
+def test_mbqc_kets_are_the_instruments_of_the_paper():
+    """Alice measures |phi^m> and reprepares |m>; Bob reads out and reprepares |z>."""
+    alice = procmat.alice_instrument(0.9)
+    assert alice.description == "equatorial(phi=0.900000)"
+    for m in (0, 1):
+        assert np.array_equal(alice.measure[m], qlin.equatorial_ket(0.9, m).amplitudes)
+        assert np.array_equal(alice.reprepare[m], qlin.basis_ket([m]).amplitudes)
+    bob = procmat.bob_instrument()
+    assert bob.description == "computational readout"
+    assert np.array_equal(bob.measure, np.eye(2)) and np.array_equal(bob.reprepare, np.eye(2))
+    kets = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), ("A1", "A2"), ("B1",))
+    assert list(kets) == ["A1", "A2", "B1"]
+    assert all(stack.shape == (2, 2, 2) for pair in kets.values() for stack in pair)
+    assert np.array_equal(kets["A1"][0][0], alice.measure)
+    assert np.array_equal(kets["A1"][1][1], alice.reprepare)
+    assert np.array_equal(kets["A2"][0][1], procmat.alice_instrument(0.2).measure)
+    assert np.array_equal(kets["B1"][0][1], bob.measure)
+    assert np.array_equal(kets["B1"][1][0], bob.reprepare)
+
+
+def test_instrument_arrays_are_checked_copied_and_frozen():
+    kets = np.eye(2, dtype=np.complex128)
+    inst = procmat.Instrument(kets, kets)
+    kets[0, 0] = 5.0  # the instrument holds a copy
+    assert inst.measure[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        inst.measure[0, 0] = 0.0
+    with pytest.raises(ProcmatError, match="reprepare must stack"):
+        procmat.Instrument(np.eye(2), np.ones(2))
+    with pytest.raises(ProcmatError, match="measure must stack"):
+        procmat.Instrument(np.zeros((0, 2)), np.eye(2))
+    with pytest.raises(ProcmatError, match="measure has 2 elements but reprepare has 1"):
+        procmat.Instrument(np.eye(2), np.eye(2)[:1])
+    with pytest.raises(qlin.QlinError, match="deviates from 1"):
+        procmat.Instrument(np.eye(2), np.eye(2) * (1.0 + 1e-9))
 
 
 def test_density_pm_reproduces_born_rule():
     """Measure-reprepare parties on 2^k rho (x) (I/2)^k recover <b|rho|b>."""
     rng = np.random.default_rng(53)
-    rho = qlin.random_density(rng, 2)
+    rho = random_density(rng, 2)
     w = procmat.density_process_matrix(rho)
-    basis_a = qlin.random_single_qubit_basis(rng)
-    basis_b = qlin.random_single_qubit_basis(rng)
+    basis_a = random_single_qubit_basis(rng)
+    basis_b = random_single_qubit_basis(rng)
     total = 0.0
     for ka in (0, 1):
         for kb in (0, 1):
             assignment = {
-                "P1": procmat.CJOperator(basis_a[ka], qlin.random_ket(rng, 1)),
-                "P2": procmat.CJOperator(basis_b[kb], qlin.random_ket(rng, 1)),
+                "P1": (basis_a[ka].amplitudes, random_ket(rng, 1).amplitudes),
+                "P2": (basis_b[kb].amplitudes, random_ket(rng, 1).amplitudes),
             }
             p = procmat.pm_probability(w, assignment)
             bra = np.kron(basis_a[ka].amplitudes, basis_b[kb].amplitudes)
@@ -81,7 +130,7 @@ def test_density_pm_reproduces_born_rule():
 
 def test_density_pm_normalizes_for_arbitrary_rank1_instruments():
     rng = np.random.default_rng(59)
-    w = procmat.density_process_matrix(qlin.random_density(rng, 2))
+    w = procmat.density_process_matrix(random_density(rng, 2))
     report = procmat.pm_validate(
         w, procmat.rank_one_instrument_family(["P1", "P2"]), 20, 1e-9, rng
     )
@@ -91,7 +140,7 @@ def test_density_pm_normalizes_for_arbitrary_rank1_instruments():
 
 def small_factored_pm(rng):
     """W = 2 |psi><psi|_{in} (x) (I/2)_{out} on one party slot."""
-    psi = qlin.random_ket(rng, 1)
+    psi = random_ket(rng, 1)
     return ProcessMatrix(
         slots=[Slot("A", 0, 1)],
         factor=PureMixedFactor(pure=psi, pure_qubits=(0,), mixed_qubits=(1,), scale=2.0),
@@ -101,11 +150,11 @@ def small_factored_pm(rng):
 def test_factorized_and_dense_backends_agree():
     rng = np.random.default_rng(61)
     w, psi = small_factored_pm(rng)
-    basis = qlin.random_single_qubit_basis(rng)
+    basis = random_single_qubit_basis(rng)
     for k in (0, 1):
-        cj = procmat.CJOperator(basis[k], qlin.random_ket(rng, 1))
-        pf = procmat.pm_probability(w, {"A": cj}, backend="factorized")
-        pd = procmat.pm_probability(w, {"A": cj}, backend="dense")
+        element = (basis[k].amplitudes, random_ket(rng, 1).amplitudes)
+        pf = procmat.pm_probability(w, {"A": element}, backend="factorized")
+        pd = procmat.pm_probability(w, {"A": element}, backend="dense")
         born = float(abs(np.vdot(basis[k].amplitudes, psi.amplitudes)) ** 2)
         assert pf == pytest.approx(pd, abs=1e-12)
         assert pf == pytest.approx(born, abs=1e-12)
@@ -122,11 +171,13 @@ def test_trace_and_min_eigenvalue_from_factor_match_dense():
 def test_pm_probability_validates_parties():
     rng = np.random.default_rng(73)
     w, _ = small_factored_pm(rng)
-    cj = procmat.CJOperator(qlin.KET0, qlin.KET0)
+    element = (qlin.KET0.amplitudes, qlin.KET0.amplitudes)
     with pytest.raises(ProcmatError):
-        procmat.pm_probability(w, {"B": cj})
+        procmat.pm_probability(w, {"B": element})
     with pytest.raises(ProcmatError):
-        procmat.pm_probability(w, {"A": cj, "B": cj})
+        procmat.pm_probability(w, {"A": element, "B": element})
+    with pytest.raises(ProcmatError, match="measure must stack"):
+        procmat.pm_probability(w, {"A": (np.eye(2), qlin.KET0.amplitudes)})
 
 
 def test_slots_must_partition_register():
@@ -154,7 +205,7 @@ def test_clamp_counter_and_range_guard():
 
 def test_pm_validate_worst_assignment_is_reported():
     rng = np.random.default_rng(79)
-    w = procmat.density_process_matrix(qlin.random_density(rng, 1))
+    w = procmat.density_process_matrix(random_density(rng, 1))
     report = procmat.pm_validate(
         w, procmat.mbqc_instrument_family(["P1"], []), 5, 1e-9, rng
     )
@@ -177,7 +228,7 @@ def test_pm_validate_names_the_failing_trial():
 
 def test_backend_dispatch_on_a_dense_only_process_matrix():
     rng = np.random.default_rng(89)
-    w = procmat.density_process_matrix(qlin.random_density(rng, 2))
+    w = procmat.density_process_matrix(random_density(rng, 2))
     instruments = {"P1": procmat.alice_instrument(0.4), "P2": procmat.bob_instrument()}
     with pytest.raises(ProcmatError, match="needs a factored process matrix"):
         procmat.outcome_table(w, instruments, backend="factorized")
@@ -191,9 +242,9 @@ def test_backend_dispatch_on_a_dense_only_process_matrix():
 def test_factorized_table_never_builds_a_choi_operator(monkeypatch, backend):
     r = acausal.build_resource_pm(graphstate.chain(4))
 
-    def refuse(cj):
-        raise AssertionError("the factorized backend read CJOperator.op")
+    def refuse(measure, reprepare):
+        raise AssertionError("the factorized backend built Choi tensors")
 
-    monkeypatch.setattr(procmat.CJOperator, "op", property(refuse))
+    monkeypatch.setattr(procmat, "_choi_tensors", refuse)
     table = acausal.outcome_probabilities(r, 0.7, backend=backend)
     assert float(table.sum()) == pytest.approx(1.0, abs=1e-10)

@@ -5,6 +5,7 @@ import pytest
 
 from acausal_mbqc import qlin
 from acausal_mbqc.qlin import HermOp, Ket, QlinError
+from pm_reference import random_density, random_ket, random_single_qubit_basis
 
 
 def test_basis_ket_index_convention():
@@ -99,7 +100,7 @@ def test_hermop_rejects_a_defect_in_the_corner_tile():
 
 def test_kron_all_matches_numpy():
     rng = np.random.default_rng(3)
-    a, b = qlin.random_ket(rng, 1), qlin.random_ket(rng, 2)
+    a, b = random_ket(rng, 1), random_ket(rng, 2)
     joint = qlin.kron_all([a, b])
     assert np.allclose(joint.amplitudes, np.kron(a.amplitudes, b.amplitudes))
     ops = [HermOp(np.diag([1.0, -1.0])), qlin.identity_op(1)]
@@ -114,7 +115,7 @@ def test_kron_all_rejects_mixed_types():
 
 def test_permute_qubits_roundtrip_and_oracle():
     rng = np.random.default_rng(5)
-    k = qlin.random_ket(rng, 3)
+    k = random_ket(rng, 3)
     # perm[i] = new position of qubit i; oracle by explicit bit shuffling
     perm = (2, 0, 1)
     moved = qlin.permute_qubits(k, perm)
@@ -133,7 +134,7 @@ def test_permute_qubits_roundtrip_and_oracle():
 
 def test_apply_on_qubits_matches_kron_oracle():
     rng = np.random.default_rng(7)
-    state = qlin.random_ket(rng, 3)
+    state = random_ket(rng, 3)
     # single-qubit op on middle qubit
     got = qlin.apply_on_qubits(qlin.PAULI_X, [1], state)
     big = np.kron(np.kron(np.eye(2), qlin.PAULI_X.entries), np.eye(2))
@@ -152,7 +153,7 @@ def test_apply_on_qubits_matches_kron_oracle():
 
 def test_apply_cz_symmetric():
     rng = np.random.default_rng(11)
-    state = qlin.random_ket(rng, 2)
+    state = random_ket(rng, 2)
     a = qlin.apply_on_qubits(qlin.CZ, [0, 1], state)
     b = qlin.apply_on_qubits(qlin.CZ, [1, 0], state)
     assert np.allclose(a.amplitudes, b.amplitudes)
@@ -160,8 +161,8 @@ def test_apply_cz_symmetric():
 
 def test_partial_trace_oracle():
     rng = np.random.default_rng(13)
-    rho_a = qlin.random_density(rng, 1)
-    rho_b = qlin.random_density(rng, 2)
+    rho_a = random_density(rng, 1)
+    rho_b = random_density(rng, 2)
     joint = HermOp(np.kron(rho_a.entries, rho_b.entries))
     keep_a = qlin.partial_trace(joint, [1, 2])
     keep_b = qlin.partial_trace(joint, [0])
@@ -172,7 +173,7 @@ def test_partial_trace_oracle():
 
 def test_min_eigenvalue_matches_numpy():
     rng = np.random.default_rng(17)
-    rho = qlin.random_density(rng, 2)
+    rho = random_density(rng, 2)
     assert qlin.min_eigenvalue(rho) == pytest.approx(
         float(np.linalg.eigvalsh(rho.entries)[0])
     )
@@ -188,7 +189,7 @@ def test_projector_and_fidelity():
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_sample_projective_forced_branches(target):
     rng = np.random.default_rng(19)
-    state = qlin.random_ket(rng, 3)
+    state = random_ket(rng, 3)
     r0 = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, target, force=0)
     r1 = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, target, force=1)
     assert r0.probability + r1.probability == pytest.approx(1.0)
@@ -229,7 +230,7 @@ def test_sample_projective_rejects_sloppy_basis():
 def test_random_single_qubit_basis_orthonormal():
     rng = np.random.default_rng(29)
     for _ in range(25):
-        b0, b1 = qlin.random_single_qubit_basis(rng)
+        b0, b1 = random_single_qubit_basis(rng)
         assert b0.norm() == pytest.approx(1.0)
         assert b1.norm() == pytest.approx(1.0)
         assert abs(qlin.overlap(b0, b1)) < 1e-10

@@ -1,0 +1,46 @@
+"""The README's ``## Library`` example runs as printed, on the names the package exports.
+
+A trimmed ``__init__`` or a renamed function must fail here rather than
+leave the documented API broken.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import acausal_mbqc
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_block() -> str:
+    """The first python code block of the README's ``## Library`` section."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "the Library section has no python code block"
+    return match.group(1)
+
+
+def test_every_name_the_readme_uses_is_exported():
+    names = set(re.findall(r"\bam\.(\w+)", README.read_text(encoding="utf-8")))
+    assert names
+    missing = sorted(name for name in names if not hasattr(acausal_mbqc, name))
+    assert not missing, f"README uses names acausal_mbqc does not export: {missing}"
+
+
+def test_library_block_runs_and_gives_the_documented_results():
+    namespace: dict = {}
+    exec(compile(library_block(), str(README), "exec"), namespace)
+    am, r, p, s = (namespace[k] for k in ("am", "r", "p", "s"))
+    assert am is acausal_mbqc
+    # the results its comments state
+    assert am.branch_independence_report(p) == pytest.approx(0.0, abs=1e-12)
+    assert am.normalization_report(p) == pytest.approx(0.0, abs=1e-12)
+    tables = [am.outcome_probabilities(r, a) for a in (0.0, [3.14159, 0.0, 0.0])]
+    assert am.signaling_tv(*tables) == pytest.approx(1.0, abs=1e-9)
+    report = am.game_report(namespace["inst"], r)
+    assert report["p0_acausal"] == pytest.approx(1.0, abs=1e-12)
+    assert report["bound"] == 0.75 and report["violated"]
+    assert am.postselection_report(s, p)["shots"] == 1_000_000

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, procmat, qlin
-from pm_reference import rank_one_sampler, tensordot_dense_probability
+from pm_reference import random_density, random_ket, rank_one_sampler, tensordot_dense_probability
 from test_acceptance import born_oracle
 
 ATOL = 1e-12
@@ -72,7 +72,7 @@ def test_backends_agree_on_random_rank_one_instruments(case, seed):
 def factored_w(n_slots, n_pure, order, scale, seed):
     """W = scale |pure><pure| (x) (I/2)^k with the pure qubits first in ``order``."""
     rng = np.random.default_rng(seed)
-    pure = qlin.random_ket(rng, n_pure) if n_pure else qlin.Ket([1.0])
+    pure = random_ket(rng, n_pure) if n_pure else qlin.Ket([1.0])
     factor = procmat.PureMixedFactor(
         pure=pure,
         pure_qubits=tuple(order[:n_pure]),
@@ -129,7 +129,7 @@ def test_dense_equals_kron_permute_reference(w):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_density_process_matrix_equals_kron_permute_reference(k):
-    rho = qlin.random_density(np.random.default_rng(k), k)
+    rho = random_density(np.random.default_rng(k), k)
     big = qlin.kron_all([rho] + [qlin.maximally_mixed(1) for _ in range(k)])
     perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
     reference = 2.0**k * qlin.permute_qubits(big, perm).entries
@@ -138,7 +138,7 @@ def test_density_process_matrix_equals_kron_permute_reference(k):
 
 @pytest.mark.parametrize("kind", ["factored", "density"])
 def test_dense_builds_one_hermop_and_no_kron_or_permutation(monkeypatch, kind):
-    rho = qlin.random_density(np.random.default_rng(5), 3)
+    rho = random_density(np.random.default_rng(5), 3)
     w = factored_w(n_slots=3, n_pure=4, order=[5, 0, 3, 1, 4, 2], scale=1.5, seed=3)
     calls = {"kron_all": 0, "permute_qubits": 0}
     sizes = []
@@ -218,7 +218,7 @@ def dense_kernel_cases(draw):
     if kind == "density":
         k = draw(st.integers(1, 3))
         w = procmat.density_process_matrix(
-            qlin.random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
+            random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
         )
     else:
         w = draw(factored_process_matrices())
