@@ -7,6 +7,10 @@ Construction: decorate the graph (one pendant per computation vertex), then
 on 2(N+n) qubits.  Party j of the N "Alice" parties holds computation vertex
 j as input and its pendant as output; party t of the n "Bob" parties holds
 output vertex t as input and one maximally mixed ancilla qubit as output.
+The register holds every input, then every output (``procmat``'s order), so
+the decorated state's own order (computation, output, pendants) is its
+prefix, the ancillas are its last n qubits, and W is literally the kron
+above.
 
 When every Alice measures equatorially and reprepares her outcome bit, the
 pendant projection turns into a Z^m byproduct on the measured vertex, which
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import config, graphstate, mbqc, procmat, qlin
 from .graphstate import Graph
-from .procmat import ProcessMatrix, PureMixedFactor, Slot
+from .procmat import ProcessMatrix, PureMixedFactor
 
 
 class AcausalError(RuntimeError):
@@ -67,7 +71,8 @@ class ResourcePM:
         return self.w.min_eigenvalue()
 
     def layout(self) -> dict[str, dict[str, str]]:
-        """Party -> {input: vertex, output: vertex-or-ancilla} in register order."""
+        """Party -> {input: vertex, output: vertex-or-ancilla}, in party order:
+        party i of k holds register qubits i (input) and k + i (output)."""
         dec = self.decorated_graph.decoration_map
         out: dict[str, dict[str, str]] = {}
         for j, c in enumerate(self.base_graph.computation):
@@ -104,22 +109,9 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     if fid < 1.0 - 1e-12:
         raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
 
-    pure_qubits = (
-        [2 * j for j in range(n_comp)]
-        + [2 * n_comp + 2 * t for t in range(n_out)]
-        + [2 * j + 1 for j in range(n_comp)]
-    )
-    mixed_qubits = [2 * n_comp + 2 * t + 1 for t in range(n_out)]
-    factor = PureMixedFactor(
-        pure=route_a,
-        pure_qubits=tuple(pure_qubits),
-        mixed_qubits=tuple(mixed_qubits),
-        scale=float(2 ** (n_comp + n_out)),
-    )
-    slots = [Slot(f"A{j + 1}", 2 * j, 2 * j + 1) for j in range(n_comp)]
-    slots += [Slot(f"B{t + 1}", 2 * n_comp + 2 * t, 2 * n_comp + 2 * t + 1) for t in range(n_out)]
-    w = ProcessMatrix(slots, factor=factor)
-    w.cap = cap
+    parties = [f"A{j + 1}" for j in range(n_comp)] + [f"B{t + 1}" for t in range(n_out)]
+    factor = PureMixedFactor(pure=route_a, scale=float(2 ** (n_comp + n_out)))
+    w = ProcessMatrix(parties, factor=factor, cap=cap)
     return ResourcePM(w=w, base_graph=g, decorated_graph=decorated)
 
 

@@ -130,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_numeric_flags(ns: argparse.Namespace) -> None:
-    """Reject out-of-range numeric flags of the command before any work, and
-    replace its angle CSVs with the parsed lists."""
+    """Reject out-of-range numeric flags of the command before any work,
+    resolve its register cap, and replace its angle CSVs with the parsed
+    lists."""
     if getattr(ns, "shots", 0) < 0:
         raise ValueError(
             f"--shots must be >= 0 (0 selects the command's default), got {ns.shots}"
@@ -147,6 +148,8 @@ def _validate_numeric_flags(ns: argparse.Namespace) -> None:
         raise ValueError(f"--seed must be >= 0, got {ns.seed}")
     if ns.cap is not None and ns.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {ns.cap}")
+    # the flag wins; without it the environment variable is read and checked here
+    ns.cap = config.qubit_cap(ns.cap)
     if hasattr(ns, "tol") and not (math.isfinite(ns.tol) and ns.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {ns.tol!r}")
     for attr, flag in (("angles", "--angles"), ("angles_b", "--angles-b")):

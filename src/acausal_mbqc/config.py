@@ -31,17 +31,17 @@ class RegisterCapError(RuntimeError):
 def qubit_cap(override: int | None = None) -> int:
     """Effective cap on dense register size: explicit override, else env var, else default."""
     if override is not None:
-        cap = int(override)
+        cap, source = int(override), "qubit cap"
     else:
         raw = os.environ.get(CAP_ENV_VAR)
         if raw is None:
             return DEFAULT_QUBIT_CAP
         try:
-            cap = int(raw)
+            cap, source = int(raw), CAP_ENV_VAR
         except ValueError as exc:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ValueError(f"qubit cap must be positive, got {cap}")
+        raise ValueError(f"{source} must be >= 1, got {cap}")
     return cap
 
 

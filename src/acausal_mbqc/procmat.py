@@ -11,15 +11,17 @@ sum_{k,l} |k><l| (x) M(|l><k|), which evaluates exactly to
 ``_choi_tensors``; CJ registers are ordered input qubit first, then output
 qubit.
 
-A process matrix W assigns each party one input and one output qubit of a
-global register; probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
+A process matrix W of k parties acts on one register of 2k qubits that holds
+every input, then every output: party i owns input qubit i and output qubit
+k + i.  Probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 ``outcome_table`` computes them for every element of every party's
 instrument at once, as one contraction sweep over the parties, and
 ``pm_validate`` runs the same sweep over a leading axis of sampled trials.
 The two backends are kept deliberately independent: a dense trace of W
 against each element's Choi operator, built from its double-sum definition
 (the oracle), and a factorized overlap of each element's kets with W of the
-form scale * |pure><pure| (x) (I/2)^k.  The dense trace reads W as the 16
+form scale * |pure><pure| (x) (I/2)^m, the pure ket on the first qubits of
+the register and I/2 on the m after them.  The dense trace reads W as the 16
 slabs that fix the first party's indices: views of W when it is held, and
 otherwise slabs written from the factor one mirrored pair at a time, each
 checked as W's ``HermOp`` would check it, so a factored W is never held
@@ -93,7 +95,7 @@ class Instrument:
                     f"{name} must stack at least one single-qubit ket as an "
                     f"(elements, 2) array, got shape {kets.shape}"
                 )
-            qlin.check_unit_kets(kets)
+            qlin.check_unit_kets(kets, f"{name} ket")
             kets.flags.writeable = False
             object.__setattr__(self, name, kets)
         if len(self.measure) != len(self.reprepare):
@@ -140,74 +142,71 @@ def bob_instrument() -> Instrument:
 # process matrices
 
 @dataclass(frozen=True)
-class Slot:
-    """One party's input/output qubit positions in the global register."""
-
-    party: str
-    input_qubit: int
-    output_qubit: int
-
-
-@dataclass(frozen=True)
 class PureMixedFactor:
-    """W = scale * |pure><pure| on ``pure_qubits`` (x) I/2 on each ``mixed_qubit``."""
+    """W = scale * |pure><pure| (x) (I/2)^m: the pure ket on the register's
+    first qubits and I/2 on each of the m qubits after them."""
 
     pure: Ket
-    pure_qubits: tuple[int, ...]
-    mixed_qubits: tuple[int, ...]
     scale: float
 
 
 class ProcessMatrix:
-    """Process matrix over single-qubit-in/single-qubit-out party slots.
+    """Process matrix of k parties, each with one input and one output qubit.
 
-    Holds a dense operator, a pure (x) maximally-mixed factorization, or both;
-    the factorization enables large instances and the independent fast backend.
+    The register holds every input, then every output: party i owns input
+    qubit i and output qubit k + i (``qubits(i)``).  W is held as a dense
+    operator or as a pure (x) maximally-mixed factorization, exactly one of
+    them; the factorization enables large instances and the independent fast
+    backend.  ``cap`` bounds the register of the dense operator that
+    ``dense()`` and the dense oracle write; None reads the environment or
+    the default.
     """
 
     def __init__(
         self,
-        slots: Sequence[Slot],
+        parties: Sequence[str],
         op: HermOp | None = None,
         factor: PureMixedFactor | None = None,
+        cap: int | None = None,
     ):
-        slots = tuple(slots)
-        if not slots:
-            raise ProcmatError("process matrix needs at least one slot")
-        if op is None and factor is None:
-            raise ProcmatError("process matrix needs a dense operator or a factorization")
-        parties = [s.party for s in slots]
-        if len(set(parties)) != len(parties):
-            raise ProcmatError(f"duplicate party names: {parties}")
-        claimed = [q for s in slots for q in (s.input_qubit, s.output_qubit)]
-        if sorted(claimed) != list(range(2 * len(slots))):
+        parties = tuple(parties)
+        if not parties:
+            raise ProcmatError("process matrix needs at least one party")
+        if (op is None) == (factor is None):
             raise ProcmatError(
-                f"slot qubits must partition range({2 * len(slots)}), got {sorted(claimed)}"
+                "process matrix needs exactly one of a dense operator and a factorization"
             )
-        if op is not None and op.num_qubits != 2 * len(slots):
+        if len(set(parties)) != len(parties):
+            raise ProcmatError(f"duplicate party names: {list(parties)}")
+        k = 2 * len(parties)
+        if op is not None and op.num_qubits != k:
             raise ProcmatError(
-                f"dense operator on {op.num_qubits} qubits does not match {len(slots)} slots"
+                f"dense operator on {op.num_qubits} qubits does not match {len(parties)} parties"
             )
         if factor is not None:
-            both = sorted(factor.pure_qubits + factor.mixed_qubits)
-            if both != list(range(2 * len(slots))):
-                raise ProcmatError("factor qubits must partition the register")
-            if factor.pure.num_qubits != len(factor.pure_qubits):
-                raise ProcmatError("factor pure ket size disagrees with its qubit list")
+            if factor.pure.num_qubits > k:
+                raise ProcmatError(
+                    f"factor pure ket on {factor.pure.num_qubits} qubits exceeds the "
+                    f"{k}-qubit register"
+                )
             if factor.scale <= 0:
                 raise ProcmatError("factor scale must be positive")
-        self.slots = slots
+        self.parties = parties
         self.factor = factor
         self._op = op
-        self.cap: int | None = None  # register cap set by the builder; None reads env/default
+        self.cap = cap
 
     @property
     def num_qubits(self) -> int:
-        return 2 * len(self.slots)
+        return 2 * len(self.parties)
 
-    @property
-    def parties(self) -> tuple[str, ...]:
-        return tuple(s.party for s in self.slots)
+    def qubits(self, i: int) -> tuple[int, int]:
+        """Party i's input and output qubits in the register."""
+        return i, len(self.parties) + i
+
+    def _mixed_coeff(self) -> float:
+        """scale * 2^-m of a factored W with m maximally mixed qubits."""
+        return self.factor.scale * 0.5 ** (self.num_qubits - self.factor.pure.num_qubits)
 
     def _require_dense_cap(self) -> None:
         """Refuse a dense W above ``self.cap`` or the operator cap, before anything is allocated."""
@@ -219,21 +218,15 @@ class ProcessMatrix:
             )
 
     def dense(self) -> HermOp:
-        """Materialize the dense operator (cached); capped by ``self.cap`` and the operator cap."""
-        if self._op is None:
-            self._require_dense_cap()
-            f = self.factor
-            pure, amp = _register_ordered(f)
-            ones = (1,) * len(pure)
-            # |pure><pure| as the broadcast product of a column and a conjugated row
-            self._op = _embed(
-                amp.reshape(amp.shape + ones),
-                amp.conj().reshape(ones + amp.shape),
-                pure,
-                f.mixed_qubits,
-                f.scale * 0.5 ** len(f.mixed_qubits),
-            )
-        return self._op
+        """The dense operator: the one held, or a factored W written afresh
+        as kron(scale |pure><pure|, (I/2)^m), capped by ``self.cap`` and the
+        operator cap."""
+        if self._op is not None:
+            return self._op
+        self._require_dense_cap()
+        amp = self.factor.pure.amplitudes
+        # |pure><pure| as the broadcast product of a column and a conjugated row
+        return _embed(amp[:, None], amp.conj()[None, :], self.num_qubits, self._mixed_coeff())
 
     def trace(self) -> float:
         if self.factor is not None:
@@ -243,26 +236,17 @@ class ProcessMatrix:
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue, the positivity floor of W.
 
-        A factored W = scale |pure><pure| (x) (I/2)^k on p pure qubits has the
-        exact spectrum scale 2^-k ||pure||^2 (multiplicity 2^k) and 0
-        (multiplicity (2^p - 1) 2^k), so its floor is exactly 0.0 when p >= 1
-        and scale 2^-k ||pure||^2 when the pure register has dimension 1; no
-        operator is built.  A dense-only W is diagonalized.
+        A factored W = scale |pure><pure| (x) (I/2)^m on p pure qubits has the
+        exact spectrum scale 2^-m ||pure||^2 (multiplicity 2^m) and 0
+        (multiplicity (2^p - 1) 2^m), so its floor is exactly 0.0 when p >= 1
+        and scale 2^-m ||pure||^2 when the pure register has dimension 1; no
+        operator is built.  A dense W is diagonalized.
         """
         if self.factor is not None:
-            if self.factor.pure_qubits:
+            if self.factor.pure.num_qubits:
                 return 0.0
-            return self.trace() * 0.5 ** len(self.factor.mixed_qubits)
+            return self.trace() * 0.5 ** self.num_qubits
         return qlin.min_eigenvalue(self._op)
-
-
-def _register_ordered(f: PureMixedFactor) -> tuple[list[int], np.ndarray]:
-    """The factor's pure qubits in register order, and its pure tensor as a
-    contiguous copy with one axis per qubit in that order.  Written through
-    a view whose axes also run in register order, the product then moves
-    along whole runs of adjacent qubits instead of one axis of 2 at a time."""
-    order = np.argsort(f.pure_qubits)
-    return sorted(f.pure_qubits), np.ascontiguousarray(f.pure.as_tensor().transpose(order))
 
 
 # elements per operand buffer of numpy's iterator while W or a slab of it is
@@ -280,60 +264,31 @@ def _small_iterator_buffers():
         np.setbufsize(bufsize)
 
 
-def _embed(
-    left: np.ndarray,
-    right: np.ndarray,
-    block_qubits: Sequence[int],
-    identity_qubits: Sequence[int],
-    coeff: float,
-) -> HermOp:
-    """coeff * B (x) I as one HermOp in register order, written by
+def _embed(left: np.ndarray, right: np.ndarray, num_qubits: int, coeff: float) -> HermOp:
+    """coeff * B (x) I on ``num_qubits`` qubits as one HermOp, written by
     ``_write_embedded`` into one zeroed array that the HermOp keeps, so the
-    full operator is allocated once and no block, kron or permutation copy
-    of it is made."""
-    k = len(block_qubits) + len(identity_qubits)
-    out = np.zeros((2**k, 2**k), dtype=np.complex128)
-    _write_embedded(out, _embedding_view(out, block_qubits, identity_qubits), left, right, coeff)
+    full operator is allocated once and no block or kron copy of it is made."""
+    out = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
+    _write_embedded(out, left, right, coeff)
     return HermOp(out, _owned=True)
 
 
-def _embedding_view(
-    out: np.ndarray, block_qubits: Sequence[int], identity_qubits: Sequence[int]
-) -> np.ndarray:
-    """The view of a (2^k, 2^k) array through which ``_write_embedded``
-    writes B (x) I: B's row axes, its column axes, then one axis per
-    identity qubit that runs along the diagonal of its row and column."""
-    block_qubits = list(block_qubits)
-    identity_qubits = list(identity_qubits)
-    k = len(block_qubits) + len(identity_qubits)
-    if k == 0:
-        return out.reshape(())  # einsum would return a scalar, not a view
-    # einsum labels: row axis q is q and column axis q is k + q, except that an
-    # identity qubit's column shares its row label, which selects the diagonal
-    cols = [q if q in identity_qubits else k + q for q in range(k)]
-    return np.einsum(
-        out.reshape((2,) * (2 * k)),
-        list(range(k)) + cols,
-        block_qubits + [k + q for q in block_qubits] + identity_qubits,
-    )
+def _write_embedded(out: np.ndarray, left: np.ndarray, right: np.ndarray, coeff: float) -> None:
+    """Write coeff * B (x) I into the square array ``out``, B on its leading
+    qubits and I on the trailing ones; entries off the diagonal of the
+    trailing qubits keep their values, so ``out`` must be zero there.
 
-
-def _write_embedded(
-    out: np.ndarray, view: np.ndarray, left: np.ndarray, right: np.ndarray, coeff: float
-) -> None:
-    """Write coeff * B (x) I into ``out`` through ``view``, its
-    ``_embedding_view``; entries off that view keep their values, so ``out``
-    must be zero there.
-
-    B = left * right, the broadcast product of two arrays (each with B's 2p
-    axes, row axes first, or broadcastable to them), acts on the view's
-    block qubits and I on its identity qubits.
+    B = left * right, the broadcast product of two arrays broadcastable to
+    B's (b, b) shape.  It is written through the view of ``out`` with axes
+    (B's row, B's column, the trailing qubits' diagonal).
     """
-    expand = (...,) + (None,) * (view.ndim - left.ndim)
+    b = np.broadcast_shapes(left.shape, right.shape)[0]
+    d = len(out) // b
+    view = np.einsum("ajbj->abj", out.reshape(b, d, b, d))
     with _small_iterator_buffers():
-        np.multiply(left[expand], right[expand], out=view)
-    # coeff after the product: since its 2^-n part is exact, every entry has
-    # the value of scale * (|pure><pure| (x) (I/2)^n) taken factor by factor.
+        np.multiply(left[..., None], right[..., None], out=view)
+    # coeff after the product: since its 2^-m part is exact, every entry has
+    # the value of scale * (|pure><pure| (x) (I/2)^m) taken factor by factor.
     # It scales the whole contiguous array in place; numpy would buffer a copy
     # of the strided diagonal view for an in-place product
     out *= coeff
@@ -387,9 +342,9 @@ def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
 def outcome_table(
     w: ProcessMatrix, instruments: Mapping[str, Instrument], backend: str = "auto"
 ) -> np.ndarray:
-    """P[e_0, ..., e_{k-1}] = Tr[W (x)_slots CJ], every element of every instrument.
+    """P[e_0, ..., e_{k-1}] = Tr[W (x)_parties CJ], every element of every instrument.
 
-    The table has one axis per slot of ``w``, in slot order, with one entry
+    The table has one axis per party of ``w``, in party order, with one entry
     per element of that party's instrument.  It is the one-trial case of the
     batched kernel that ``pm_validate`` runs.
 
@@ -469,20 +424,20 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
         raise ProcmatError("factorized backend needs a factored process matrix")
     amp = f.pure.as_tensor()[None]
     # axis label per non-trial axis of amp: a register qubit, or None for an element axis
-    labels: list[int | None] = list(f.pure_qubits)
-    for slot in w.slots:
-        measure, reprepare = kets[slot.party]
-        # <u| on the slot's pure qubits, one row per (trial, element); a mixed
+    labels: list[int | None] = list(range(f.pure.num_qubits))
+    for i, party in enumerate(w.parties):
+        measure, reprepare = kets[party]
+        # <u| on the party's pure qubits, one row per (trial, element); a mixed
         # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below
         bra = np.ones(measure.shape[:2], dtype=np.complex128)
         axes = []
-        for qubit, rows in ((slot.input_qubit, measure), (slot.output_qubit, reprepare)):
+        for qubit, rows in zip(w.qubits(i), (measure, reprepare)):
             if qubit in labels:
                 bra = np.einsum("te...,tef->te...f", bra, rows.conj())
                 axes.append(labels.index(qubit))
         amp = _batched_tensordot(amp, bra, axes)
-        labels = [q for i, q in enumerate(labels) if i not in axes] + [None]
-    return f.scale * 0.5 ** len(f.mixed_qubits) * np.abs(amp) ** 2
+        labels = [q for a, q in enumerate(labels) if a not in axes] + [None]
+    return w._mixed_coeff() * np.abs(amp) ** 2
 
 
 def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
@@ -499,42 +454,37 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     multiplies the table without a transposed copy; every later step's input
     holds at most 1/256 of W's entries per trial and pair of elements.
     """
-    first, *rest = w.slots
-    traced = _traced_labels(first)
-    second = _traced_labels(rest[0]) if rest else []
+    traced = _traced_labels(w.qubits(0))
+    second = _traced_labels(w.qubits(1)) if len(w.parties) > 1 else []
     # the register qubits left once the first party is traced, in register order
-    others = [q for q in range(w.num_qubits) if q not in (first.input_qubit, first.output_qubit)]
+    others = [q for q in range(w.num_qubits) if q not in w.qubits(0)]
     # axis label per axis of a slab: (row/col, register qubit)
     slab_labels = [(side, q) for side in "rc" for q in others]
     untraced = [lab for lab in slab_labels if lab not in second] + second
     slabs = (
         _held_slabs(w, traced + untraced) if w._op is not None
-        else _written_slabs(w, others, [slab_labels.index(lab) for lab in untraced])
+        else _written_slabs(w, [slab_labels.index(lab) for lab in untraced])
     )
-    table = _trace_leading_axes(slabs, _choi_tensors(*kets[first.party]), (2,) * len(untraced))
+    table = _trace_leading_axes(slabs, _choi_tensors(*kets[w.parties[0]]), (2,) * len(untraced))
     # axis label per non-trial axis of table: a label of W, or None for an element axis
     labels: list[tuple[str, int] | None] = [None] + untraced
-    for slot in rest:
-        cj = _choi_tensors(*kets[slot.party])
-        axes = [labels.index(lab) for lab in _traced_labels(slot)]
+    for i in range(1, len(w.parties)):
+        cj = _choi_tensors(*kets[w.parties[i]])
+        axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
         table = _batched_tensordot(table, cj, axes)
-        labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]
+        labels = [lab for a, lab in enumerate(labels) if a not in axes] + [None]
     worst_imag = float(np.max(np.abs(table.imag)))
     if worst_imag > 1e-10:
         raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
     return table.real
 
 
-def _traced_labels(slot: Slot) -> list[tuple[str, int]]:
-    """W's axes that a slot's CJ tensor [r_in, r_out, c_in, c_out] contracts,
-    in that order: Tr[W X] pairs W's column indices with X's row indices and
-    vice versa."""
-    return [
-        ("c", slot.input_qubit),
-        ("c", slot.output_qubit),
-        ("r", slot.input_qubit),
-        ("r", slot.output_qubit),
-    ]
+def _traced_labels(qubits: tuple[int, int]) -> list[tuple[str, int]]:
+    """W's axes that the CJ tensor [r_in, r_out, c_in, c_out] of a party on
+    (input, output) ``qubits`` contracts, in that order: Tr[W X] pairs W's
+    column indices with X's row indices and vice versa."""
+    q_in, q_out = qubits
+    return [("c", q_in), ("c", q_out), ("r", q_in), ("r", q_out)]
 
 
 # The 16 values v = (c_in, c_out, r_in, r_out) of a party's column and row
@@ -559,58 +509,53 @@ def _held_slabs(w: ProcessMatrix, order: Sequence[tuple[str, int]]) -> Slabs:
     return ((v, wt[v]) for pair in _SLAB_PAIRS for v in pair)
 
 
-def _written_slabs(w: ProcessMatrix, others: Sequence[int], order: Sequence[int]) -> Slabs:
-    """(v, W[v]) in the order of ``_SLAB_PAIRS`` for a factored W that is not
-    held, each pair written from ``factor.pure`` by the writer of ``dense()``.
+def _written_slabs(w: ProcessMatrix, order: Sequence[int]) -> Slabs:
+    """(v, W[v]) in the order of ``_SLAB_PAIRS`` for a factored W, each pair
+    written from ``factor.pure`` by the writer of ``dense()``.
 
-    A slab is the operator that W induces on the ``others`` qubits once the
-    first party's indices are fixed: coeff * (left * right) (x) I, where
-    ``left`` is the pure tensor with the party's row indices fixed and
-    ``right`` its conjugate with the column indices fixed.  Each pair is
-    written into the same two zeroed buffers of 1/16 of W, each a square
-    matrix over the others in register order, and yielded as views with
-    axes in ``order``.  Every slab is checked for finite entries
-    and every pair for Hermiticity, and the largest pair defect, which is
-    W's own ``_hermitian_defect``, is held to ``HERMITIAN_ATOL``: W passes
-    the checks its ``HermOp`` would run.  A pair with a mixed party qubit
-    whose row and column indices differ is exactly zero and is skipped.  The
-    cap is checked before the buffers are allocated.
+    A slab is the operator that W induces on the other qubits once the first
+    party's indices are fixed: coeff * (left * right) (x) I, where ``left``
+    is the pure ket with the party's row indices fixed and ``right`` its
+    conjugate with the column indices fixed; the other pure qubits still
+    lead the others in register order.  Each pair is written into the same
+    two zeroed buffers of 1/16 of W, each a square matrix over the others in
+    register order, and yielded as views with axes in ``order``.  Every slab
+    is checked for finite entries and every pair for Hermiticity, and the
+    largest pair defect, which is W's own ``_hermitian_defect``, is held to
+    ``HERMITIAN_ATOL``: W passes the checks its ``HermOp`` would run.  A
+    pair with a mixed party qubit whose row and column indices differ is
+    exactly zero and is skipped.  The cap is checked before the buffers are
+    allocated.
     """
     w._require_dense_cap()
-    f = w.factor
-    slot = w.slots[0]
-    party = (slot.input_qubit, slot.output_qubit)
-    mixed = [i for i, q in enumerate(party) if q in f.mixed_qubits]
-    pure, amp = _register_ordered(f)
-    block = [others.index(q) for q in pure if q not in party]
-    identity = [others.index(q) for q in f.mixed_qubits if q not in party]
-    m = len(others)
+    amp = w.factor.pure.as_tensor()
+    party = w.qubits(0)
+    mixed = [i for i, q in enumerate(party) if q >= amp.ndim]
+    m = w.num_qubits - 2
     bufs = [np.zeros((2**m, 2**m), dtype=np.complex128) for _ in range(2)]
-    views = [_embedding_view(buf, block, identity) for buf in bufs]
     slabs = [buf.reshape((2,) * (2 * m)).transpose(order) for buf in bufs]
-    twos, ones = (2,) * len(block), (1,) * len(block)
-    coeff = f.scale * 0.5 ** len(f.mixed_qubits)
+    coeff = w._mixed_coeff()
 
     def fixed(tensor: np.ndarray, values: tuple[int, ...]) -> np.ndarray:
-        """``tensor`` with the party's pure qubits fixed to ``values``; the
-        trailing Ellipsis keeps a fully indexed tensor a 0-d array."""
-        index = [values[party.index(q)] if q in party else slice(None) for q in pure]
-        return tensor[tuple(index) + (...,)]
+        """``tensor`` with the party's pure qubits fixed to ``values``, flat;
+        the trailing Ellipsis keeps a fully indexed tensor an array."""
+        index = [values[party.index(q)] if q in party else slice(None) for q in range(amp.ndim)]
+        return tensor[tuple(index) + (...,)].reshape(-1)
 
     # the row factor per value of the party's (r_in, r_out), the column factor
-    # per value of its (c_in, c_out), each a view shaped as dense() shapes them
+    # per value of its (c_in, c_out), shaped as dense() shapes them
     values = list(itertools.product((0, 1), repeat=2))
-    rows = {u: fixed(amp, u).reshape(twos + ones) for u in values}
+    rows = {u: fixed(amp, u)[:, None] for u in values}
     conj = amp.conj()
-    cols = {u: fixed(conj, u).reshape(ones + twos) for u in values}
+    cols = {u: fixed(conj, u)[None, :] for u in values}
 
     def pairs() -> Slabs:
         defect = 0.0
         for pair in _SLAB_PAIRS:
             if any(pair[0][i] != pair[0][2 + i] for i in mixed):
                 continue
-            for buf, view, v in zip(bufs, views, pair):
-                _write_embedded(buf, view, rows[v[2:]], cols[v[:2]], coeff)
+            for buf, v in zip(bufs, pair):
+                _write_embedded(buf, rows[v[2:]], cols[v[:2]], coeff)
                 qlin._require_finite(buf)
             defect = max(defect, qlin._hermitian_defect(*bufs[:len(pair)]))
             yield from zip(pair, slabs)
@@ -670,19 +615,19 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> in
     elements = family.elements
     stack = elements * 2  # entries of one party's measure or reprepare kets
     # the block's kets, and two copies of one stack in its unit-ket check
-    kets = (2 * len(w.slots) + 2) * stack
+    kets = (2 * len(w.parties) + 2) * stack
     itemsize = np.dtype(np.complex128).itemsize
     if backend == "factorized":
-        pure = set(w.factor.pure_qubits)
-        size = 2 ** len(pure)
+        p = w.factor.pure.num_qubits
+        size = 2**p
         largest = 0
-        for s in w.slots:
-            size = size // 2 ** len({s.input_qubit, s.output_qubit} & pure) * elements
+        for i in range(len(w.parties)):
+            size = size // 2 ** sum(q < p for q in w.qubits(i)) * elements
             largest = max(largest, size)
         return itemsize * (3 * largest + kets) + family.draw_bytes
     # the output of each party's step
     outs = [4**w.num_qubits // 16 * elements]
-    for _ in w.slots[1:]:
+    for _ in w.parties[1:]:
         outs.append(outs[-1] // 16 * elements)
     # what each step holds: the first its output and one term, the second its
     # input and output, each later one also a transposed copy of its input
@@ -894,8 +839,9 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     return InstrumentFamily(parties, 2, draw, len(parties) * (8 * 26 + 16 * 32))
 
 
-def density_process_matrix(rho: HermOp, party_prefix: str = "P") -> ProcessMatrix:
-    """W = 2^k rho (x) (I/2)^k with each party reading one qubit of rho.
+def density_process_matrix(rho: HermOp) -> ProcessMatrix:
+    """W = 2^k rho (x) (I/2)^k = rho (x) I^k, each party reading one qubit of
+    rho as its input: P1 the first, P2 the second and so on.
 
     With measure-reprepare instruments this reproduces the Born probabilities
     of rho exactly; the repreparations meet the maximally mixed outputs and
@@ -905,7 +851,5 @@ def density_process_matrix(rho: HermOp, party_prefix: str = "P") -> ProcessMatri
     trace = float(rho.trace().real)
     if abs(trace - 1.0) > 1e-10:
         raise ProcmatError(f"rho must have unit trace, got {trace}")
-    # 2^k rho (x) (I/2)^k = rho (x) I^k
-    op = _embed(rho.as_tensor(), np.ones(()), range(0, 2 * k, 2), range(1, 2 * k, 2), 1.0)
-    slots = [Slot(f"{party_prefix}{i + 1}", 2 * i, 2 * i + 1) for i in range(k)]
-    return ProcessMatrix(slots, op=op)
+    op = _embed(rho.entries, np.ones(()), 2 * k, 1.0)
+    return ProcessMatrix([f"P{i + 1}" for i in range(k)], op=op)

@@ -41,20 +41,20 @@ def _frozen_array(data, shape, *, copy: bool = True) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def check_unit_kets(vecs: np.ndarray) -> None:
+def check_unit_kets(vecs: np.ndarray, name: str = "ket", hint: str = "") -> None:
     """The tests a normalized ``Ket`` applies, run on one vector or on every
     vector along the last axis of a stack: finite amplitudes and
-    |norm - 1| <= NORM_ATOL."""
+    |norm - 1| <= NORM_ATOL.  Errors name the vectors ``name``; ``hint``
+    ends the norm error."""
     if not np.all(np.isfinite(vecs)):
-        raise QlinError("ket amplitudes must be finite")
+        raise QlinError(f"{name} amplitudes must be finite")
     if vecs.ndim == 1:  # one vector takes numpy's fast whole-array norm
         worst = abs(float(np.linalg.norm(vecs)) - 1.0)
     else:
         worst = float(np.max(np.abs(np.linalg.norm(vecs, axis=-1) - 1.0), initial=0.0))
     if worst > config.NORM_ATOL:
         raise QlinError(
-            f"ket norm deviates from 1 by {worst!r}, more than {config.NORM_ATOL}; "
-            "pass require_normalized=False for raw vectors"
+            f"{name} norm deviates from 1 by {worst!r}, more than {config.NORM_ATOL}{hint}"
         )
 
 
@@ -76,7 +76,7 @@ class Ket:
         vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         k = _num_qubits_for(vec.size)
         if require_normalized:
-            check_unit_kets(vec)
+            check_unit_kets(vec, hint="; pass require_normalized=False for raw vectors")
         elif not np.all(np.isfinite(vec)):
             raise QlinError("ket amplitudes must be finite")
         self.amplitudes = _frozen_array(vec, vec.shape)
@@ -137,12 +137,13 @@ def _require_finite(mat: np.ndarray) -> None:
         raise QlinError("operator entries must be finite")
 
 
-def _require_hermitian(defect: float) -> None:
-    """Refuse an operator whose ``_hermitian_defect`` exceeds ``HERMITIAN_ATOL``."""
+def _require_hermitian(defect: float, hint: str = "") -> None:
+    """Refuse an operator whose ``_hermitian_defect`` exceeds ``HERMITIAN_ATOL``;
+    ``hint`` ends the error."""
     if defect > config.HERMITIAN_ATOL:
         raise QlinError(
             f"operator is not Hermitian within {config.HERMITIAN_ATOL} "
-            f"(defect {defect:.3e}); pass require_hermitian=False for general maps"
+            f"(defect {defect:.3e}){hint}"
         )
 
 
@@ -168,7 +169,9 @@ class HermOp:
         k = _num_qubits_for(mat.shape[0])
         _require_finite(mat)
         if require_hermitian:
-            _require_hermitian(_hermitian_defect(mat))
+            _require_hermitian(
+                _hermitian_defect(mat), "; pass require_hermitian=False for general maps"
+            )
         self.entries = _frozen_array(mat, mat.shape, copy=not _owned)
         self.num_qubits = k
         self.hermitian = bool(require_hermitian)

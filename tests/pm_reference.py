@@ -108,7 +108,7 @@ def rank_one_sampler(parties):
 
 
 def reference_sweep(w, sample, trials, rng):
-    """(per-trial totals, index of the worst trial, its descriptions in slot order)."""
+    """(per-trial totals, index of the worst trial, its descriptions in party order)."""
     totals = []
     worst, worst_trial, worst_desc = -1.0, None, {}
     for t in range(trials):
@@ -127,13 +127,14 @@ def tensordot_dense_probability(w, kets):
     k = w.num_qubits
     table = w.dense().as_tensor()[None]
     labels = [("r", q) for q in range(k)] + [("c", q) for q in range(k)]
-    for slot in w.slots:
-        cj = procmat._choi_tensors(*kets[slot.party])
+    for i, party in enumerate(w.parties):
+        cj = procmat._choi_tensors(*kets[party])
+        q_in, q_out = w.qubits(i)
         axes = [
-            labels.index(("c", slot.input_qubit)),
-            labels.index(("c", slot.output_qubit)),
-            labels.index(("r", slot.input_qubit)),
-            labels.index(("r", slot.output_qubit)),
+            labels.index(("c", q_in)),
+            labels.index(("c", q_out)),
+            labels.index(("r", q_in)),
+            labels.index(("r", q_out)),
         ]
         table = procmat._batched_tensordot(table, cj, axes)
         labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]

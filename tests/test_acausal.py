@@ -12,33 +12,16 @@ from acausal_mbqc.procmat import ProcessMatrix, PureMixedFactor
 def perturbed_pure_ancilla(r):
     """Control: replace each maximally mixed ancilla with a pure |0>."""
     f = r.w.factor
-    pure = qlin.kron_all([f.pure] + [qlin.KET0 for _ in f.mixed_qubits])
-    w = ProcessMatrix(
-        slots=r.w.slots,
-        factor=PureMixedFactor(
-            pure=pure,
-            pure_qubits=f.pure_qubits + f.mixed_qubits,
-            mixed_qubits=(),
-            scale=f.scale,
-        ),
-    )
+    pure = qlin.kron_all([f.pure] + [qlin.KET0] * r.n_output)
+    w = ProcessMatrix(r.w.parties, factor=PureMixedFactor(pure, f.scale))
     return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
 
 
 def perturbed_no_decoration(r):
     """Control: skip the pendant entangling step (pendants stay |+>)."""
-    f = r.w.factor
     gs = graphstate.graph_state(r.base_graph)
     pure = qlin.kron_all([gs] + [qlin.PLUS] * r.n_computation)
-    w = ProcessMatrix(
-        slots=r.w.slots,
-        factor=PureMixedFactor(
-            pure=pure,
-            pure_qubits=f.pure_qubits,
-            mixed_qubits=f.mixed_qubits,
-            scale=f.scale,
-        ),
-    )
+    w = ProcessMatrix(r.w.parties, factor=PureMixedFactor(pure, r.w.factor.scale))
     return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
 
 
@@ -63,6 +46,30 @@ def test_trace_and_positivity(g):
     r = acausal.build_resource_pm(g)
     assert r.trace() == pytest.approx(2.0 ** (g.n_computation + g.n_output), abs=1e-9)
     assert r.min_eigenvalue() >= -1e-10
+
+
+PAPER_GRAPHS = {f"chain{n}": graphstate.chain(n) for n in range(2, 6)}
+PAPER_GRAPHS.update(
+    pc22=graphstate.parallel_chains([2, 2]),
+    vee=graphstate.vee_graph(),
+    cycle4=graphstate.cycle_with_output(4),
+)
+PAPER_GRAPHS.update(
+    (f"random{seed}", graphstate.random_resource_graph(np.random.default_rng(seed), n_comp, n_out))
+    for seed, n_comp, n_out in [(0, 1, 1), (1, 2, 2), (2, 3, 1)]
+)
+
+
+@pytest.mark.parametrize("g", PAPER_GRAPHS.values(), ids=PAPER_GRAPHS.keys())
+def test_resource_is_the_papers_kron(g):
+    """W = 2^(N+n) |G'><G'| (x) (I/2)^n, written as the literal kron, bit for bit."""
+    r = acausal.build_resource_pm(g)
+    amp = graphstate.graph_state(graphstate.decorate(g)).amplitudes
+    n_comp, n_out = g.n_computation, g.n_output
+    paper = np.kron(
+        2.0 ** (n_comp + n_out) * np.outer(amp, amp.conj()), np.eye(2**n_out) / 2**n_out
+    )
+    assert np.array_equal(r.w.dense().entries, paper)
 
 
 def test_p2_probability_table_at_angle_zero():

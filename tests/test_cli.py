@@ -435,6 +435,24 @@ def test_cap_below_one_exits_2_before_the_graph_is_read(capsys, p2_file, tmp_pat
     assert "--cap" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_bad_cap_env_var_exits_2_before_the_graph_is_read(capsys, tmp_path, monkeypatch, command):
+    """A bad ACAUSAL_MBQC_CAP wins over a missing graph file and is named;
+    a --cap flag wins over it, and a bad flag value names the flag."""
+    missing = str(tmp_path / "missing.json")
+    for value, problem in (("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
+                           ("abc", "must be an integer, got 'abc'")):
+        monkeypatch.setenv(config.CAP_ENV_VAR, value)
+        assert cli.main([command, "--graph", missing]) == 2
+        assert capsys.readouterr().err == f"error: {config.CAP_ENV_VAR} {problem}\n"
+        assert cli.main([command, "--graph", missing, "--cap", "5"]) == 2
+        err = capsys.readouterr().err
+        assert config.CAP_ENV_VAR not in err and "missing.json" in err, err
+        assert cli.main([command, "--graph", missing, "--cap", value]) == 2
+        err = capsys.readouterr().err
+        assert "--cap" in err and config.CAP_ENV_VAR not in err, err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_bad_tol_exits_2(capsys, p2_file, tol):
     assert_flag_rejected(capsys, ["verify", "--graph", p2_file, "--tol", tol], "--tol")

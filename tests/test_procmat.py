@@ -8,7 +8,6 @@ from acausal_mbqc.procmat import (
     ProcmatError,
     ProcessMatrix,
     PureMixedFactor,
-    Slot,
 )
 from pm_reference import cptp_check, random_density, random_ket, random_single_qubit_basis
 
@@ -139,12 +138,9 @@ def test_density_pm_normalizes_for_arbitrary_rank1_instruments():
 
 
 def small_factored_pm(rng):
-    """W = 2 |psi><psi|_{in} (x) (I/2)_{out} on one party slot."""
+    """W = 2 |psi><psi|_{in} (x) (I/2)_{out} for one party."""
     psi = random_ket(rng, 1)
-    return ProcessMatrix(
-        slots=[Slot("A", 0, 1)],
-        factor=PureMixedFactor(pure=psi, pure_qubits=(0,), mixed_qubits=(1,), scale=2.0),
-    ), psi
+    return ProcessMatrix(["A"], factor=PureMixedFactor(pure=psi, scale=2.0)), psi
 
 
 def test_factorized_and_dense_backends_agree():
@@ -180,12 +176,37 @@ def test_pm_probability_validates_parties():
         procmat.pm_probability(w, {"A": (np.eye(2), qlin.KET0.amplitudes)})
 
 
-def test_slots_must_partition_register():
-    with pytest.raises(ProcmatError):
-        ProcessMatrix(
-            slots=[Slot("A", 0, 1), Slot("B", 1, 2)],
-            op=qlin.identity_op(4),
-        )
+@pytest.mark.parametrize(
+    "parties, kwargs, message",
+    [
+        (["A", "B"], dict(op=qlin.identity_op(2)), "does not match 2 parties"),
+        (["A"], dict(op=qlin.identity_op(2), factor=PureMixedFactor(qlin.KET0, 1.0)), "exactly one"),
+        (["A"], {}, "exactly one"),
+        (["A", "A"], dict(op=qlin.identity_op(4)), "duplicate party names"),
+        ([], dict(op=qlin.identity_op(0)), "at least one party"),
+        (["A"], dict(factor=PureMixedFactor(qlin.basis_ket([0] * 3), 1.0)), "exceeds the 2-qubit"),
+        (["A"], dict(factor=PureMixedFactor(qlin.KET0, 0.0)), "scale must be positive"),
+    ],
+    ids=["op-size", "both", "neither", "duplicate", "no-party", "pure-too-large", "scale"],
+)
+def test_process_matrix_refuses_a_malformed_register(parties, kwargs, message):
+    with pytest.raises(ProcmatError, match=message):
+        ProcessMatrix(parties, **kwargs)
+
+
+def test_instrument_errors_name_the_field_and_no_foreign_option():
+    with pytest.raises(qlin.QlinError) as info:
+        procmat.Instrument(np.eye(2) * 1.001, np.eye(2))
+    assert str(info.value).startswith("measure ket norm deviates from 1")
+    assert "require_normalized" not in str(info.value)
+    with pytest.raises(qlin.QlinError, match="^reprepare ket amplitudes must be finite$"):
+        procmat.Instrument(np.eye(2), np.full((2, 2), np.nan))
+    with pytest.raises(qlin.QlinError, match="pass require_normalized=False"):
+        qlin.Ket([1.0, 1.0])
+    kets = np.broadcast_to(np.eye(2) * 1.001, (1, 2, 2))
+    with pytest.raises(qlin.QlinError) as info:
+        procmat.InstrumentBlock({"A": (kets, kets)}, lambda t: {})
+    assert "require_normalized" not in str(info.value)
 
 
 def test_clamp_counter_and_range_guard():

@@ -4,11 +4,11 @@ Its two backends, the factorized overlap and the dense-trace oracle, must
 agree with each other and with the first-principles Born amplitude of
 criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
 guard must clamp and count each tiny negative entry once.  The dense kernel
-must equal the one-tensordot-per-party reference on any slot layout and
-trace W without copying it.  The trace and
-positivity floor that a factored W reads off its factor must match the
-materialized dense operator, and that operator must equal, entry for entry,
-the projector-kron-permute construction, built with one ``HermOp``.
+must equal the one-tensordot-per-party reference and trace W without
+copying it.  The trace and positivity floor that a factored W reads off its
+factor must match the materialized dense operator, and that operator must
+equal, entry for entry, the plain kron of the projector with I/2 per mixed
+qubit, built with one ``HermOp``.
 """
 
 import itertools
@@ -69,29 +69,22 @@ def test_backends_agree_on_random_rank_one_instruments(case, seed):
     assert float(np.max(np.abs(fact - dense))) <= ATOL
 
 
-def factored_w(n_slots, n_pure, order, scale, seed):
-    """W = scale |pure><pure| (x) (I/2)^k with the pure qubits first in ``order``."""
+def factored_w(n_parties, n_pure, scale, seed):
+    """W = scale |pure><pure| (x) (I/2)^m with the pure ket on the first ``n_pure`` qubits."""
     rng = np.random.default_rng(seed)
     pure = random_ket(rng, n_pure) if n_pure else qlin.Ket([1.0])
-    factor = procmat.PureMixedFactor(
-        pure=pure,
-        pure_qubits=tuple(order[:n_pure]),
-        mixed_qubits=tuple(order[n_pure:]),
-        scale=scale,
-    )
-    slots = [procmat.Slot(f"P{i + 1}", 2 * i, 2 * i + 1) for i in range(n_slots)]
-    return procmat.ProcessMatrix(slots, factor=factor)
+    parties = [f"P{i + 1}" for i in range(n_parties)]
+    return procmat.ProcessMatrix(parties, factor=procmat.PureMixedFactor(pure, scale))
 
 
 @st.composite
 def factored_process_matrices(draw):
-    """A random factored W whose dense form fits the operator cap."""
-    n_slots = draw(st.integers(1, min(4, config.DENSE_OPERATOR_CAP // 2)))
-    k = 2 * n_slots
+    """A random factored W whose dense form fits the operator cap, with a
+    pure prefix of any length: none, up to the first party's output, or all."""
+    n_parties = draw(st.integers(1, min(4, config.DENSE_OPERATOR_CAP // 2)))
     return factored_w(
-        n_slots,
-        n_pure=draw(st.integers(0, k)),
-        order=draw(st.permutations(range(k))),
+        n_parties,
+        n_pure=draw(st.integers(0, 2 * n_parties)),
         scale=draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -99,47 +92,47 @@ def factored_process_matrices(draw):
 
 @PROPERTY_SETTINGS
 @given(factored_process_matrices())
-@example(factored_w(n_slots=2, n_pure=0, order=[3, 1, 0, 2], scale=3.0, seed=0))
+@example(factored_w(n_parties=2, n_pure=0, scale=3.0, seed=0))
 def test_factored_trace_and_floor_match_dense_oracle(w):
     f = w.factor
     tol = ATOL * f.scale
     dense = w.dense()
     assert abs(w.min_eigenvalue() - qlin.min_eigenvalue(dense)) <= tol
     assert abs(w.trace() - float(dense.trace().real)) <= tol
-    if not f.pure_qubits:
+    if not f.pure.num_qubits:
         # every qubit mixed: W = scale (I/2)^k has floor scale 2^-k, not 0
-        assert w.min_eigenvalue() == pytest.approx(f.scale * 0.5 ** len(f.mixed_qubits))
+        assert w.min_eigenvalue() == pytest.approx(f.scale * 0.5**w.num_qubits)
 
 
-def kron_permute_dense(w):
-    """Reference W: projector, a kron with I/2 per mixed qubit, then a qubit permutation."""
+def kron_dense(w):
+    """Reference W: scale times the kron of the projector with I/2 per mixed qubit."""
     f = w.factor
-    big = qlin.kron_all([qlin.projector(f.pure)] + [qlin.maximally_mixed(1) for _ in f.mixed_qubits])
-    return f.scale * qlin.permute_qubits(big, list(f.pure_qubits) + list(f.mixed_qubits)).entries
+    mixed = w.num_qubits - f.pure.num_qubits
+    big = qlin.kron_all([qlin.projector(f.pure)] + [qlin.maximally_mixed(1)] * mixed)
+    return f.scale * big.entries
 
 
 @PROPERTY_SETTINGS
 @given(factored_process_matrices())
-@example(factored_w(n_slots=3, n_pure=6, order=[4, 0, 5, 2, 1, 3], scale=3.7, seed=1))
-@example(factored_w(n_slots=2, n_pure=0, order=[3, 1, 0, 2], scale=0.3, seed=0))
-@example(factored_w(n_slots=4, n_pure=5, order=[7, 2, 0, 5, 3, 6, 1, 4], scale=13.0, seed=2))
-def test_dense_equals_kron_permute_reference(w):
-    assert np.array_equal(w.dense().entries, kron_permute_dense(w))
+@example(factored_w(n_parties=3, n_pure=6, scale=3.7, seed=1))
+@example(factored_w(n_parties=2, n_pure=0, scale=0.3, seed=0))
+@example(factored_w(n_parties=4, n_pure=5, scale=13.0, seed=2))
+def test_dense_equals_kron_reference(w):
+    assert np.array_equal(w.dense().entries, kron_dense(w))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_density_process_matrix_equals_kron_permute_reference(k):
+def test_density_process_matrix_equals_kron_reference(k):
+    """W = rho (x) I^k: every input, then every output."""
     rho = random_density(np.random.default_rng(k), k)
-    big = qlin.kron_all([rho] + [qlin.maximally_mixed(1) for _ in range(k)])
-    perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-    reference = 2.0**k * qlin.permute_qubits(big, perm).entries
+    reference = np.kron(rho.entries, np.eye(2**k))
     assert np.array_equal(procmat.density_process_matrix(rho).dense().entries, reference)
 
 
 @pytest.mark.parametrize("kind", ["factored", "density"])
 def test_dense_builds_one_hermop_and_no_kron_or_permutation(monkeypatch, kind):
     rho = random_density(np.random.default_rng(5), 3)
-    w = factored_w(n_slots=3, n_pure=4, order=[5, 0, 3, 1, 4, 2], scale=1.5, seed=3)
+    w = factored_w(n_parties=3, n_pure=4, scale=1.5, seed=3)
     calls = {"kron_all": 0, "permute_qubits": 0}
     sizes = []
     real_init = qlin.HermOp.__init__
@@ -177,31 +170,23 @@ def test_dense_holds_one_copy_of_w():
 
 
 def test_dense_table_makes_no_copy_of_w():
-    """With W built, the dense table of chain(5) allocates less than a quarter
+    """With W held, the dense table of chain(5) allocates less than a quarter
     of W beyond it: the first party is traced through views of W, where a
     transposed copy alone would be all of W."""
     r = acausal.build_resource_pm(graphstate.chain(5))
-    w_bytes = r.w.dense().entries.nbytes
+    held = procmat.ProcessMatrix(r.w.parties, op=r.w.dense())
+    w_bytes = held.dense().entries.nbytes
     instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
     instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        table = procmat.outcome_table(r.w, instruments, "dense")
+        table = procmat.outcome_table(held, instruments, "dense")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert table.shape == (2,) * 5
     assert peak < w_bytes / 4, peak / w_bytes
-
-
-def with_slots(w, qubits):
-    """``w``'s factor with slot i on qubits (qubits[2i], qubits[2i + 1])."""
-    slots = [
-        procmat.Slot(f"P{i + 1}", qubits[2 * i], qubits[2 * i + 1])
-        for i in range(len(qubits) // 2)
-    ]
-    return procmat.ProcessMatrix(slots, factor=w.factor)
 
 
 def unit_kets(rng, shape):
@@ -211,34 +196,22 @@ def unit_kets(rng, shape):
 
 @st.composite
 def dense_kernel_cases(draw):
-    """A W with a dense form (factored with adjacent slots, factored with
-    slots on any qubits, or a density process matrix) and a block of 1 to 6
-    trials of random unit kets, 1 to 3 elements per party."""
-    kind = draw(st.sampled_from(["factored", "scattered", "density"]))
-    if kind == "density":
+    """A W with a dense form (factored, or a density process matrix) and a
+    block of 1 to 6 trials of random unit kets, 1 to 3 elements per party."""
+    if draw(st.booleans()):
         k = draw(st.integers(1, 3))
         w = procmat.density_process_matrix(
             random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
         )
     else:
         w = draw(factored_process_matrices())
-        if kind == "scattered":
-            w = with_slots(w, draw(st.permutations(range(w.num_qubits))))
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
 
 
-def scattered_case():
-    """Slot P1 on qubits (1, 3) and P2 on (0, 2), with three trials of two elements."""
-    w = with_slots(factored_w(2, n_pure=3, order=[2, 0, 3, 1], scale=2.0, seed=4), [1, 3, 0, 2])
-    rng = np.random.default_rng(7)
-    return w, {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
-
-
 @PROPERTY_SETTINGS
 @given(dense_kernel_cases())
-@example(scattered_case())
 def test_dense_kernel_equals_the_tensordot_reference(case):
     w, kets = case
     ref = tensordot_dense_probability(w, kets)
@@ -247,24 +220,18 @@ def test_dense_kernel_equals_the_tensordot_reference(case):
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
-def fresh(w):
-    """``w``'s slots and factor, with no dense operator built yet."""
-    return procmat.ProcessMatrix(w.slots, factor=w.factor)
-
-
 @st.composite
 def slab_cases(draw):
-    """A factored W with slots on any qubits and a block of 1 to 6 trials of
-    random unit kets, 1 to 3 elements per party."""
+    """A factored W and a block of 1 to 6 trials of random unit kets, 1 to 3
+    elements per party."""
     w = draw(factored_process_matrices())
-    w = with_slots(w, draw(st.permutations(range(w.num_qubits))))
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
 
 
-def slab_case(n_slots, n_pure, order, trials=3, elements=2):
-    w = factored_w(n_slots, n_pure=n_pure, order=order, scale=1.5, seed=n_slots + n_pure)
+def slab_case(n_parties, n_pure, trials=3, elements=2):
+    w = factored_w(n_parties, n_pure=n_pure, scale=1.5, seed=n_parties + n_pure)
     rng = np.random.default_rng(11)
     shape = (trials, elements)
     return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
@@ -272,22 +239,21 @@ def slab_case(n_slots, n_pure, order, trials=3, elements=2):
 
 @PROPERTY_SETTINGS
 @given(slab_cases())
-@example(slab_case(2, n_pure=2, order=[2, 3, 0, 1]))  # both of P1's qubits mixed
-@example(slab_case(2, n_pure=3, order=[3, 0, 2, 1]))  # P1's output qubit mixed
-@example(slab_case(3, n_pure=4, order=[5, 1, 3, 2, 0, 4], trials=6, elements=3))  # input mixed
-@example(slab_case(1, n_pure=2, order=[1, 0], trials=1))  # one slot: each slab is a scalar
-@example(slab_case(1, n_pure=1, order=[0, 1]))
-@example(slab_case(1, n_pure=0, order=[1, 0], elements=1))
+@example(slab_case(2, n_pure=0))  # both of P1's qubits mixed
+@example(slab_case(2, n_pure=2))  # P1's output qubit mixed
+@example(slab_case(3, n_pure=4, trials=6, elements=3))  # P1's qubits pure, P2's output mixed
+@example(slab_case(1, n_pure=2, trials=1))  # one party: each slab is a scalar
+@example(slab_case(1, n_pure=1))
+@example(slab_case(1, n_pure=0, elements=1))
 def test_slab_path_equals_the_view_path_and_the_reference(case):
-    """On a factored W that is not held, the dense kernel writes W slab by
-    slab; its table must be the bytes of the trace through views of the
-    built W, and match the one-tensordot-per-party reference."""
+    """On a factored W, the dense kernel writes W slab by slab; its table
+    must be the bytes of the trace through views of the same W held dense,
+    and match the one-tensordot-per-party reference."""
     w, kets = case
-    w = fresh(w)
     table = procmat._dense_probability(w, kets)
-    assert w._op is None
-    ref = tensordot_dense_probability(w, kets)  # builds W
-    assert np.array_equal(table, procmat._dense_probability(w, kets))
+    held = procmat.ProcessMatrix(w.parties, op=w.dense())
+    assert np.array_equal(table, procmat._dense_probability(held, kets))
+    ref = tensordot_dense_probability(w, kets)
     assert table.shape == ref.shape
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
@@ -298,7 +264,6 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
     """The largest defect over the mirrored slab pairs is W's own
     ``_hermitian_defect``, bit for bit."""
     w, kets = case
-    w = fresh(w)
     defects = []
     real = qlin._hermitian_defect
 
@@ -309,7 +274,6 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qlin, "_hermitian_defect", spy)
         procmat._dense_probability(w, kets)
-    assert w._op is None
     assert max(defects, default=0.0) == real(w.dense().entries)
 
 
@@ -321,7 +285,7 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
 def test_slab_checks_refuse_a_planted_entry(monkeypatch, planted, message):
     """An entry planted into one slab of a mirrored pair, after it is
     written, makes the dense oracle refuse W."""
-    w, kets = slab_case(2, n_pure=4, order=[0, 1, 2, 3])
+    w, kets = slab_case(2, n_pure=4)
     real = procmat._write_embedded
     writes = []
 
@@ -332,9 +296,11 @@ def test_slab_checks_refuse_a_planted_entry(monkeypatch, planted, message):
             out[0, 1] += planted
 
     monkeypatch.setattr(procmat, "_write_embedded", planting)
-    with pytest.raises(qlin.QlinError, match=re.escape(message)):
-        procmat._dense_probability(fresh(w), kets)
+    with pytest.raises(qlin.QlinError, match=re.escape(message)) as info:
+        procmat._dense_probability(w, kets)
     assert len(writes) >= 2
+    # W here has no require_hermitian option to name
+    assert "require_hermitian" not in str(info.value)
 
 
 def test_slab_path_refuses_above_the_cap_before_allocating():
@@ -353,7 +319,7 @@ def test_slab_path_refuses_above_the_cap_before_allocating():
 
 
 def test_dense_table_of_a_factored_w_never_builds_w(monkeypatch):
-    """The dense table of a fresh chain(5) resource is written slab by slab:
+    """The dense table of a chain(5) resource is written slab by slab:
     ``dense()`` is never called, and the table allocates less than half of
     the 16 MiB that W would take."""
     r = acausal.build_resource_pm(graphstate.chain(5))
