@@ -23,9 +23,12 @@ against each element's Choi operator, built from its double-sum definition
 form scale * |pure><pure| (x) (I/2)^m, the pure ket on the first qubits of
 the register and I/2 on the m after them.  The dense trace reads W as the 16
 slabs that fix the first party's indices: views of W when it is held, and
-otherwise slabs written from the factor one mirrored pair at a time, each
-checked as W's ``HermOp`` would check it, so a factored W is never held
-whole.
+otherwise slabs written from the factor one mirrored pair at a time, so a
+factored W is never held whole; the mirror is written transposed, so the
+pair's Hermiticity and finiteness are one elementwise check of every entry.
+Either way each slab is gathered into one buffer, the second party's axes
+first, and one matrix product contracts it with the first two parties'
+Choi tensors.
 """
 
 from __future__ import annotations
@@ -445,30 +448,44 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     W against each party's stacked CJ tensors [t, e, r_in, r_out, c_in, c_out],
     built from the kets by the double-sum definition.
 
-    The first party is traced over the 16 slabs W[v] that fix its row and
-    column indices (``_trace_leading_axes``): views of W when W is held, and
-    otherwise slabs written one pair at a time from the factor
-    (``_written_slabs``), so a factored W is never held whole.  That step's
-    output keeps the second party's axes last, in the order its
-    ``_batched_tensordot`` step contracts them, so the second step
-    multiplies the table without a transposed copy; every later step's input
-    holds at most 1/256 of W's entries per trial and pair of elements.
+    The first two parties are traced by one kernel (``_trace_slabs``) over
+    the 16 slabs W[v] that fix the first party's row and column indices,
+    whatever their source: views of W when W is held, and otherwise slabs
+    written one mirrored pair at a time from the factor (``_written_slabs``),
+    so a factored W is never held whole.  Each slab is gathered into one
+    buffer of 1/16 of W with the second party's four axes first and the
+    others in register order, and one matmul contracts it; every later
+    step's input holds at most 1/256 of W's entries per trial and pair of
+    elements.
     """
-    traced = _traced_labels(w.qubits(0))
-    second = _traced_labels(w.qubits(1)) if len(w.parties) > 1 else []
-    # the register qubits left once the first party is traced, in register order
+    k = len(w.parties)
+    first = _traced_labels(w.qubits(0))
+    second = _traced_labels(w.qubits(1)) if k > 1 else []
     others = [q for q in range(w.num_qubits) if q not in w.qubits(0)]
-    # axis label per axis of a slab: (row/col, register qubit)
-    slab_labels = [(side, q) for side in "rc" for q in others]
-    untraced = [lab for lab in slab_labels if lab not in second] + second
+    # W's axes left once the first two parties are traced, in register order
+    rest = [(side, q) for side in "rc" for q in others if (side, q) not in second]
+    if w._op is None:
+        w._require_dense_cap()  # before a buffer the size of a slab is allocated
+    gather = np.empty(4 ** len(others), dtype=np.complex128)
     slabs = (
-        _held_slabs(w, traced + untraced) if w._op is not None
-        else _written_slabs(w, [slab_labels.index(lab) for lab in untraced])
+        _held_slabs(w, first + second + rest) if w._op is not None
+        else _written_slabs(w, second + rest, gather)
     )
-    table = _trace_leading_axes(slabs, _choi_tensors(*kets[w.parties[0]]), (2,) * len(untraced))
+    cj = _choi_tensors(*kets[w.parties[0]])
+    trials, elements = cj.shape[:2]
+    # the second party's CJ tensors, flat over the four axes they contract;
+    # with one party the slabs are scalars and a factor of 1 contracts them
+    pair = (
+        _choi_tensors(*kets[w.parties[1]]).reshape(trials, -1, 16) if k > 1
+        else np.ones((trials, 1, 1), dtype=np.complex128)
+    )
+    table = _trace_slabs(slabs, cj, pair, gather)
+    del gather
+    # one element axis per traced party, then W's axes left
+    table = table.reshape((trials, elements) + pair.shape[1:2] * (k > 1) + (2,) * len(rest))
     # axis label per non-trial axis of table: a label of W, or None for an element axis
-    labels: list[tuple[str, int] | None] = [None] + untraced
-    for i in range(1, len(w.parties)):
+    labels: list[tuple[str, int] | None] = [None] * min(k, 2) + rest
+    for i in range(2, k):
         cj = _choi_tensors(*kets[w.parties[i]])
         axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
         table = _batched_tensordot(table, cj, axes)
@@ -509,7 +526,9 @@ def _held_slabs(w: ProcessMatrix, order: Sequence[tuple[str, int]]) -> Slabs:
     return ((v, wt[v]) for pair in _SLAB_PAIRS for v in pair)
 
 
-def _written_slabs(w: ProcessMatrix, order: Sequence[int]) -> Slabs:
+def _written_slabs(
+    w: ProcessMatrix, order: Sequence[tuple[str, int]], scratch: np.ndarray
+) -> Slabs:
     """(v, W[v]) in the order of ``_SLAB_PAIRS`` for a factored W, each pair
     written from ``factor.pure`` by the writer of ``dense()``.
 
@@ -517,23 +536,32 @@ def _written_slabs(w: ProcessMatrix, order: Sequence[int]) -> Slabs:
     party's indices are fixed: coeff * (left * right) (x) I, where ``left``
     is the pure ket with the party's row indices fixed and ``right`` its
     conjugate with the column indices fixed; the other pure qubits still
-    lead the others in register order.  Each pair is written into the same
-    two zeroed buffers of 1/16 of W, each a square matrix over the others in
-    register order, and yielded as views with axes in ``order``.  Every slab
-    is checked for finite entries and every pair for Hermiticity, and the
-    largest pair defect, which is W's own ``_hermitian_defect``, is held to
-    ``HERMITIAN_ATOL``: W passes the checks its ``HermOp`` would run.  A
-    pair with a mixed party qubit whose row and column indices differ is
-    exactly zero and is skipped.  The cap is checked before the buffers are
-    allocated.
+    lead the others in register order.  Each pair v, v' is written into the
+    same two zeroed buffers of 1/16 of W, square matrices over the others in
+    register order: W[v] as it is, and W[v'] transposed, by the same writer
+    with its operands transposed, so every entry has the value ``dense()``
+    gives it.  W[v] - W[v']^dag is then the elementwise difference of the
+    first buffer and the conjugate of the second, and ``_pair_defect``
+    checks every entry of the pair in ``scratch``; a slab that is its own
+    mirror is written both ways too.  The largest pair defect, which is W's
+    own ``_hermitian_defect``, is held to ``HERMITIAN_ATOL``: W passes the
+    checks its ``HermOp`` would run.  A pair with a mixed party qubit whose
+    row and column indices differ is exactly zero and is skipped.  The slabs
+    are yielded as views of the buffers with axes in ``order`` of labels.
     """
-    w._require_dense_cap()
     amp = w.factor.pure.as_tensor()
     party = w.qubits(0)
     mixed = [i for i, q in enumerate(party) if q >= amp.ndim]
-    m = w.num_qubits - 2
-    bufs = [np.zeros((2**m, 2**m), dtype=np.complex128) for _ in range(2)]
-    slabs = [buf.reshape((2,) * (2 * m)).transpose(order) for buf in bufs]
+    others = [q for q in range(w.num_qubits) if q not in party]
+    m = len(others)
+    slab, mirror = (np.zeros((2**m, 2**m), dtype=np.complex128) for _ in range(2))
+    # axis labels of the two buffers: the transposed mirror's rows are its columns
+    views = [
+        buf.reshape((2,) * (2 * m)).transpose(
+            [[(side, q) for side in sides for q in others].index(lab) for lab in order]
+        )
+        for buf, sides in ((slab, "rc"), (mirror, "cr"))
+    ]
     coeff = w._mixed_coeff()
 
     def fixed(tensor: np.ndarray, values: tuple[int, ...]) -> np.ndarray:
@@ -552,42 +580,74 @@ def _written_slabs(w: ProcessMatrix, order: Sequence[int]) -> Slabs:
     def pairs() -> Slabs:
         defect = 0.0
         for pair in _SLAB_PAIRS:
-            if any(pair[0][i] != pair[0][2 + i] for i in mixed):
+            v, u = pair[0], pair[-1]
+            if any(v[i] != v[2 + i] for i in mixed):
                 continue
-            for buf, v in zip(bufs, pair):
-                _write_embedded(buf, rows[v[2:]], cols[v[:2]], coeff)
-                qlin._require_finite(buf)
-            defect = max(defect, qlin._hermitian_defect(*bufs[:len(pair)]))
-            yield from zip(pair, slabs)
+            _write_embedded(slab, rows[v[2:]], cols[v[:2]], coeff)
+            _write_embedded(mirror, rows[u[2:]].T, cols[u[:2]].T, coeff)
+            defect = max(defect, _pair_defect(slab, mirror, scratch))
+            yield from zip(pair, views)
         qlin._require_hermitian(defect)
 
     return pairs()
 
 
-def _trace_leading_axes(slabs: Slabs, cj: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """sum over v of slab_v * cj[t, e, v], for every trial t and element e,
-    over the (v, slab_v) pairs of ``slabs``: v is a value of a party's
-    (c_in, c_out, r_in, r_out) and slab_v, shaped ``shape``, is W[v].  A v
+def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> float:
+    """max |slab - conj(mirror)| over two arrays of one shape, computed by
+    elementwise passes in place in ``scratch`` (as many entries, overwritten),
+    so no array of the pair's size is allocated.  For a slab W[v] and its
+    mirror W[v'] written transposed, this is max |W[v] - W[v']^dag|, entry
+    for entry the values that ``qlin._hermitian_defect`` takes over W.
+
+    A non-finite entry of either array makes the maximum non-finite, and is
+    then refused as ``HermOp`` refuses it; finite entries whose difference
+    overflows give an infinite defect.  The result is never NaN, which
+    Python's ``max`` over the pairs would drop.
+    """
+    out = scratch.reshape(slab.shape)
+    np.conjugate(mirror, out=out)
+    np.subtract(slab, out, out=out)
+    # |.| into the same array: numpy casts it back to complex a buffer at a time
+    np.absolute(out, out=out)
+    # the imaginary parts are now zero, so the flat real view has the same maximum
+    defect = float(np.max(out.view(np.float64)))
+    if not math.isfinite(defect):
+        qlin._require_finite(slab)
+        qlin._require_finite(mirror)
+        return math.inf
+    return defect
+
+
+def _trace_slabs(slabs: Slabs, cj: np.ndarray, pair: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """sum over v of cj[t, e1, v] * sum_s pair[t, e2, s] slab_v[s, ...], for
+    every trial t and elements e1, e2, over the (v, slab_v) pairs of
+    ``slabs``: v is a value of the first party's (c_in, c_out, r_in, r_out),
+    and slab_v is W[v] with the axes that ``pair`` contracts first.  A v
     that ``slabs`` leaves out adds nothing.
 
-    ``cj`` is (trials, elements, 2, 2, 2, 2) and the result is (trials,
-    elements) + shape.  Each term, slab_v scaled by every trial's entry, is
-    added into the output one element at a time, so the step holds its
-    output and one term of 1/elements of its size; a term whose entry is
-    zero in every trial adds nothing and is skipped.
+    ``cj`` is (trials, E1, 2, 2, 2, 2) and ``pair`` is (trials, E2, s) for
+    the s entries of slab_v's first axes; the result is (trials * E1 * E2,
+    rest), rest the entries of a slab per s.  Each slab whose coefficient
+    is nonzero in some trial is copied once into ``gather``, which holds a
+    slab's entries, and one matmul contracts the copy with every trial's
+    products cj[t, e1, v] * pair[t, e2, :]; the products are summed into the
+    table, so the step holds the table, one product of its size and one
+    slab.
     """
     trials, elements = cj.shape[:2]
-    out = np.zeros((trials, elements) + shape, dtype=np.complex128)
-    term = np.empty((trials,) + shape, dtype=np.complex128)
-    expand = (slice(None),) + (None,) * len(shape)
+    flat = gather.reshape(pair.shape[2], -1)
+    lhs = np.empty((trials, elements) + pair.shape[1:], dtype=np.complex128)
+    table = np.zeros((lhs.size // len(flat), flat.shape[1]), dtype=np.complex128)
+    product = np.empty_like(table)
     with _small_iterator_buffers():
         for v, slab in slabs:
             coeff = cj[(slice(None), slice(None)) + v]
-            for e in range(elements):
-                if coeff[:, e].any():
-                    np.multiply(slab, coeff[:, e][expand], out=term)
-                    out[:, e] += term
-    return out
+            if coeff.any():
+                np.copyto(gather.reshape(slab.shape), slab)
+                np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
+                np.matmul(lhs.reshape(-1, len(flat)), flat, out=product)
+                table += product
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +661,16 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> in
     """Bytes that one trial adds to a block: what its draw allocates besides
     its kets (``family.draw_bytes``), its measure and reprepare kets, two
     copies of one stack of them for the block's unit-ket check, the most
-    that its contraction steps hold at once and, for the dense backend, one
-    party's Choi tensors and the temporaries that build them.
+    that its contraction steps hold at once and, for the dense backend, the
+    Choi tensors and left operands of its first step.
 
     A factorized ``_batched_tensordot`` step holds its input, the transposed
     copy that is multiplied, and its output, so three copies of the largest
-    intermediate bound every step.  The dense backend's first step reads W
-    through slabs and holds its output and one term of 1/elements of it; the
-    second multiplies that output without a transposed copy and holds its
-    input and output; each later step holds its input, a transposed copy and
-    its output.
+    intermediate bound every step.  The dense backend's first step traces
+    the first two parties through slabs and holds its table and one product
+    of the table's size; each later step holds its input, a transposed copy
+    and its output.  The slab buffers do not grow with the trials
+    (``_fixed_bytes``).
     """
     elements = family.elements
     stack = elements * 2  # entries of one party's measure or reprepare kets
@@ -625,24 +685,35 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> in
             size = size // 2 ** sum(q < p for q in w.qubits(i)) * elements
             largest = max(largest, size)
         return itemsize * (3 * largest + kets) + family.draw_bytes
-    # the output of each party's step
-    outs = [4**w.num_qubits // 16 * elements]
-    for _ in w.parties[1:]:
+    # the table of the first two parties' step, and the output of each later one
+    first = min(len(w.parties), 2)
+    outs = [4**w.num_qubits // 16**first * elements**first]
+    for _ in w.parties[2:]:
         outs.append(outs[-1] // 16 * elements)
-    # what each step holds: the first its output and one term, the second its
-    # input and output, each later one also a transposed copy of its input
-    held = [outs[0] + outs[0] // elements]
-    if len(outs) > 1:
-        held.append(outs[0] + outs[1])
-    held += [2 * a + b for a, b in zip(outs[1:], outs[2:])]
-    # 16 entries per element, and |r><r|, one product term and one coefficient
-    choi = (16 + 4 + 4 + 1) * elements
+    # what each step holds: the first its table and one product, each later
+    # one its input, a transposed copy of it and its output
+    held = [2 * outs[0]] + [2 * a + b for a, b in zip(outs, outs[1:])]
+    # two parties' Choi tensors of 16 entries per element, |r><r|, one product
+    # term and one coefficient while the second is built, and the matmul's
+    # left operand of 16 entries per pair of elements
+    choi = (2 * 16 + 4 + 4 + 1) * elements + 16 * elements**2
     return itemsize * (max(held) + kets + choi) + family.draw_bytes
+
+
+def _fixed_bytes(w: ProcessMatrix, backend: str) -> int:
+    """Bytes that a block holds whatever its trials: for the dense backend,
+    the buffer that gathers one slab of 1/16 of W and, when W is written from
+    its factor, the two buffers of a mirrored pair of slabs."""
+    if backend == "factorized":
+        return 0
+    slabs = 1 if w._op is not None else 3
+    return np.dtype(np.complex128).itemsize * slabs * 4**w.num_qubits // 16
 
 
 def _block_trials(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> int:
     """Trials per block, the most that keep a block within ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // _trial_bytes(w, family, backend))
+    spare = _BLOCK_BYTES - _fixed_bytes(w, backend)
+    return max(1, spare // _trial_bytes(w, family, backend))
 
 
 @dataclass(frozen=True)

@@ -105,29 +105,23 @@ _HERMITIAN_TILE = 128
 _HERMITIAN_MIN_TILE = 16
 
 
-def _hermitian_defect(mat: np.ndarray, mirror: np.ndarray | None = None) -> float:
-    """max |M - N^dag| over square matrices M and N of one shape (N is M
-    unless ``mirror`` is given), one pair of mirrored tiles at a time.
+def _hermitian_defect(mat: np.ndarray) -> float:
+    """max |M - M^dag| over a square matrix M, one pair of mirrored tiles at a time.
 
-    Each tile of M is compared with its mirror tile of N, so each pair of
-    tiles is read once and no full-size transpose or difference is
-    allocated.  |M_ij - conj(N_ji)| equals |N_ji - conj(M_ij)| exactly, so
-    for N = M the tiles on or above the diagonal give the same maximum as
-    the whole matrix, and the defect of a matrix whose blocks are compared
-    pair by pair is the maximum of the pairs' defects.  A tile side of about
-    n/8 keeps the temporaries of one pair near 1/16 of M, so checking an
-    operator adds little to holding it.  Mirrored blocks M and N of n rows
-    are taken as blocks of an operator of 4n rows, such as the 16 blocks
-    that fix one party's indices, and get that operator's tile side, n/2.
+    Each tile on or above the diagonal is compared with its mirror tile, so
+    each pair of tiles is read once and no full-size transpose or difference
+    is allocated; |M_ij - conj(M_ji)| equals |M_ji - conj(M_ij)| exactly, so
+    those tiles give the same maximum as the whole matrix.  A tile side of
+    about n/8 keeps the temporaries of one pair near 1/16 of M, so checking
+    an operator adds little to holding it.
     """
     n = mat.shape[0]
-    t = max(_HERMITIAN_MIN_TILE, min(_HERMITIAN_TILE, n // (8 if mirror is None else 2)))
-    other = mat if mirror is None else mirror
+    t = max(_HERMITIAN_MIN_TILE, min(_HERMITIAN_TILE, n // 8))
     defect = 0.0
     for i in range(0, n, t):
-        for j in range(i if mirror is None else 0, n, t):
+        for j in range(i, n, t):
             tile = mat[i:i + t, j:j + t]
-            mirrored = other[j:j + t, i:i + t]
+            mirrored = mat[j:j + t, i:i + t]
             defect = max(defect, float(np.max(np.abs(tile - mirrored.conj().T))))
     return defect
 

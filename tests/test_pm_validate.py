@@ -52,7 +52,9 @@ def small_blocks(monkeypatch, w, family, block):
     """Shrink the byte budget so that ``pm_validate`` draws ``block`` trials at a time."""
     backend = "factorized" if w.factor is not None else "dense"
     monkeypatch.setattr(
-        procmat, "_BLOCK_BYTES", block * procmat._trial_bytes(w, family, backend)
+        procmat,
+        "_BLOCK_BYTES",
+        procmat._fixed_bytes(w, backend) + block * procmat._trial_bytes(w, family, backend),
     )
     assert procmat._block_trials(w, family, backend) == block
 

@@ -78,15 +78,6 @@ def test_tiled_hermitian_defect_equals_one_shot(dim):
         assert qlin._hermitian_defect(mat) == float(np.max(np.abs(mat - mat.conj().T)))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 16, 64, 256, 512])
-def test_tiled_mirror_defect_equals_one_shot(dim):
-    """With a mirror operand every tile of M is compared with N^dag."""
-    rng = np.random.default_rng(dim)
-    a, b = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
-    assert qlin._hermitian_defect(a, b) == float(np.max(np.abs(a - b.conj().T)))
-    assert qlin._hermitian_defect(a, a.conj().T.copy()) == 0.0
-
-
 def test_hermop_rejects_a_defect_in_the_corner_tile():
     """The only asymmetric pair, (0, n-1) against (n-1, 0), lies in an off-diagonal tile."""
     n = 2**9

@@ -265,42 +265,75 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
     ``_hermitian_defect``, bit for bit."""
     w, kets = case
     defects = []
-    real = qlin._hermitian_defect
+    real = procmat._pair_defect
 
     def spy(*args):
         defects.append(real(*args))
         return defects[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qlin, "_hermitian_defect", spy)
+        mp.setattr(procmat, "_pair_defect", spy)
         procmat._dense_probability(w, kets)
-    assert max(defects, default=0.0) == real(w.dense().entries)
+    assert max(defects, default=0.0) == qlin._hermitian_defect(w.dense().entries)
 
 
 @pytest.mark.parametrize(
     "planted, message",
-    [(1e-6, "operator is not Hermitian within"), (math.nan, "operator entries must be finite")],
-    ids=["asymmetric", "nan"],
+    [
+        (1e-6, "operator is not Hermitian within"),
+        (math.nan, "operator entries must be finite"),
+        (math.inf, "operator entries must be finite"),
+    ],
+    ids=["asymmetric", "nan", "inf"],
 )
-def test_slab_checks_refuse_a_planted_entry(monkeypatch, planted, message):
-    """An entry planted into one slab of a mirrored pair, after it is
-    written, makes the dense oracle refuse W."""
+def test_slab_checks_refuse_a_planted_entry(planted, message):
+    """An entry planted after it is written into either buffer of a mirrored
+    pair, or into a self-mirrored slab, makes the dense oracle refuse W."""
     w, kets = slab_case(2, n_pure=4)
     real = procmat._write_embedded
-    writes = []
+    # both of P1's qubits are pure, so every pair is written, the slab W[v]
+    # and then its mirror transposed: writes 1 and 2 are the self-mirrored
+    # slab (0, 0, 0, 0) and its transpose, writes 3 and 4 the slab (0, 0, 0, 1)
+    # and its mirror (0, 1, 0, 0)
+    for target in (1, 3, 4):
+        writes = []
 
-    def planting(out, *args):
-        real(out, *args)
-        writes.append(len(writes))
-        if len(writes) == 2:  # the first slab of the pair (0, 0, 0, 1), (0, 1, 0, 0)
-            out[0, 1] += planted
+        def planting(out, *args):
+            real(out, *args)
+            writes.append(len(writes))
+            if len(writes) == target:
+                out[0, 1] += planted
 
-    monkeypatch.setattr(procmat, "_write_embedded", planting)
-    with pytest.raises(qlin.QlinError, match=re.escape(message)) as info:
-        procmat._dense_probability(w, kets)
-    assert len(writes) >= 2
-    # W here has no require_hermitian option to name
-    assert "require_hermitian" not in str(info.value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(procmat, "_write_embedded", planting)
+            with pytest.raises(qlin.QlinError, match=re.escape(message)) as info:
+                procmat._dense_probability(w, kets)
+        assert len(writes) >= target
+        # W here has no require_hermitian option to name
+        assert "require_hermitian" not in str(info.value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 64, 256, 512])
+def test_pair_defect_equals_one_shot(dim):
+    """The pair check is max |A - conj(B)| over every entry, computed in a
+    scratch of the pair's size; A against conj(A) has no defect."""
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    scratch = np.empty(dim * dim, dtype=np.complex128)
+    assert procmat._pair_defect(a, b, scratch) == float(np.max(np.abs(a - b.conj())))
+    assert procmat._pair_defect(a, a.conj(), scratch) == 0.0
+
+
+def test_pair_defect_of_an_overflowing_difference_is_infinite():
+    """Finite entries whose difference overflows give an infinite defect,
+    which the Hermiticity check refuses; they are not reported as
+    non-finite entries."""
+    a = np.full((4, 4), 1.5e308 + 0j)
+    with np.errstate(over="ignore"):
+        defect = procmat._pair_defect(a, -a, np.empty(16, dtype=np.complex128))
+    assert defect == math.inf
+    with pytest.raises(qlin.QlinError, match=re.escape("defect inf")):
+        qlin._require_hermitian(defect)
 
 
 def test_slab_path_refuses_above_the_cap_before_allocating():
@@ -320,8 +353,8 @@ def test_slab_path_refuses_above_the_cap_before_allocating():
 
 def test_dense_table_of_a_factored_w_never_builds_w(monkeypatch):
     """The dense table of a chain(5) resource is written slab by slab:
-    ``dense()`` is never called, and the table allocates less than half of
-    the 16 MiB that W would take."""
+    ``dense()`` is never called, and the table allocates less than a quarter
+    of the 16 MiB that W would take."""
     r = acausal.build_resource_pm(graphstate.chain(5))
     w_bytes = np.dtype(np.complex128).itemsize * 4**r.w.num_qubits
     instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
@@ -339,7 +372,7 @@ def test_dense_table_of_a_factored_w_never_builds_w(monkeypatch):
     finally:
         tracemalloc.stop()
     assert table.shape == (2,) * 5
-    assert peak < w_bytes / 2, peak / w_bytes
+    assert peak < w_bytes / 4, peak / w_bytes
 
 
 def with_raw_table(monkeypatch, backend, raw):
