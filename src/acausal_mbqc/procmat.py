@@ -21,13 +21,16 @@ The two backends are kept deliberately independent: a dense trace of W
 against each element's Choi operator, built from its double-sum definition
 (the oracle), and a factorized overlap of each element's kets with W of the
 form scale * |pure><pure| (x) (I/2)^m, the pure ket on the first qubits of
-the register and I/2 on the m after them.  The dense trace reads W as the 16
-slabs that fix the first party's indices: views of W when it is held, and
+the register and I/2 on the m after them.  The dense trace takes the last
+party first, whose output is the register's last qubit, and reads W as the
+16 slabs that fix that party's indices: views of W when it is held, and
 otherwise slabs written from the factor one mirrored pair at a time, so a
 factored W is never held whole; the mirror is written transposed, so the
 pair's Hermiticity and finiteness are one elementwise check of every entry.
-Either way each slab is gathered into one buffer, the second party's axes
-first, and one matrix product contracts it with the first two parties'
+When the last qubit is maximally mixed, the 8 slabs whose row and column
+indices differ there are exactly zero and are never written.  Either way
+each slab is gathered into one buffer, the next traced party's axes first,
+and one matrix product contracts it with the first two traced parties'
 Choi tensors.
 """
 
@@ -448,35 +451,42 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     W against each party's stacked CJ tensors [t, e, r_in, r_out, c_in, c_out],
     built from the kets by the double-sum definition.
 
-    The first two parties are traced by one kernel (``_trace_slabs``) over
-    the 16 slabs W[v] that fix the first party's row and column indices,
-    whatever their source: views of W when W is held, and otherwise slabs
-    written one mirrored pair at a time from the factor (``_written_slabs``),
-    so a factored W is never held whole.  Each slab is gathered into one
-    buffer of 1/16 of W with the second party's four axes first and the
-    others in register order, and one matmul contracts it; every later
-    step's input holds at most 1/256 of W's entries per trial and pair of
-    elements.
+    The parties are traced in the order k-1, 0, 1, ..., k-2.  The slab
+    party k-1 owns the register's last qubit, which is maximally mixed
+    whenever the factor has a mixed qubit, so that half of its slabs are
+    exactly zero.  The first two traced parties are traced by one kernel
+    (``_trace_slabs``) over the 16 slabs W[v] that fix the slab party's row
+    and column indices, whatever their source: views of W when W is held,
+    and otherwise slabs written one mirrored pair at a time from the factor
+    (``_written_slabs``), which skips the zero ones, so a factored W is
+    never held whole.  Each slab is gathered into one buffer of 1/16 of W
+    with the second traced party's four axes first and the others in
+    register order, and one matmul contracts it; every later step's input
+    holds at most 1/256 of W's entries per trial and pair of elements.  The
+    table comes back C-contiguous with its element axes in party order.
     """
     k = len(w.parties)
-    first = _traced_labels(w.qubits(0))
-    second = _traced_labels(w.qubits(1)) if k > 1 else []
-    others = [q for q in range(w.num_qubits) if q not in w.qubits(0)]
-    # W's axes left once the first two parties are traced, in register order
+    order = [k - 1] + list(range(k - 1))
+    party = w.qubits(order[0])
+    first = _traced_labels(party)
+    second = _traced_labels(w.qubits(order[1])) if k > 1 else []
+    others = [q for q in range(w.num_qubits) if q not in party]
+    # W's axes left once the first two traced parties are, in register order
     rest = [(side, q) for side in "rc" for q in others if (side, q) not in second]
     if w._op is None:
         w._require_dense_cap()  # before a buffer the size of a slab is allocated
     gather = np.empty(4 ** len(others), dtype=np.complex128)
     slabs = (
         _held_slabs(w, first + second + rest) if w._op is not None
-        else _written_slabs(w, second + rest, gather)
+        else _written_slabs(w, party, second + rest, gather)
     )
-    cj = _choi_tensors(*kets[w.parties[0]])
+    cj = _choi_tensors(*kets[w.parties[order[0]]])
     trials, elements = cj.shape[:2]
-    # the second party's CJ tensors, flat over the four axes they contract;
-    # with one party the slabs are scalars and a factor of 1 contracts them
+    # the second traced party's CJ tensors, flat over the four axes they
+    # contract; with one party the slabs are scalars and a factor of 1
+    # contracts them
     pair = (
-        _choi_tensors(*kets[w.parties[1]]).reshape(trials, -1, 16) if k > 1
+        _choi_tensors(*kets[w.parties[order[1]]]).reshape(trials, -1, 16) if k > 1
         else np.ones((trials, 1, 1), dtype=np.complex128)
     )
     table = _trace_slabs(slabs, cj, pair, gather)
@@ -485,7 +495,7 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     table = table.reshape((trials, elements) + pair.shape[1:2] * (k > 1) + (2,) * len(rest))
     # axis label per non-trial axis of table: a label of W, or None for an element axis
     labels: list[tuple[str, int] | None] = [None] * min(k, 2) + rest
-    for i in range(2, k):
+    for i in order[2:]:
         cj = _choi_tensors(*kets[w.parties[i]])
         axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
         table = _batched_tensordot(table, cj, axes)
@@ -493,7 +503,9 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     worst_imag = float(np.max(np.abs(table.imag)))
     if worst_imag > 1e-10:
         raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
-    return table.real
+    # the slab party's element axis back to the end, in a C-ordered copy: a
+    # strided view would change the order in which a caller's sum adds entries
+    return np.ascontiguousarray(np.moveaxis(table.real, 1, -1))
 
 
 def _traced_labels(qubits: tuple[int, int]) -> list[tuple[str, int]]:
@@ -520,19 +532,21 @@ Slabs = Iterator[tuple[tuple[int, ...], np.ndarray]]
 
 def _held_slabs(w: ProcessMatrix, order: Sequence[tuple[str, int]]) -> Slabs:
     """(v, W[v]) in the order of ``_SLAB_PAIRS``: views of the held W with its
-    axes in ``order`` of labels, the first party's four traced ones first."""
+    axes in ``order`` of labels, the slab party's four traced ones first."""
     labels = [(side, q) for side in "rc" for q in range(w.num_qubits)]
     wt = w.dense().as_tensor().transpose([labels.index(lab) for lab in order])
     return ((v, wt[v]) for pair in _SLAB_PAIRS for v in pair)
 
 
 def _written_slabs(
-    w: ProcessMatrix, order: Sequence[tuple[str, int]], scratch: np.ndarray
+    w: ProcessMatrix, party: tuple[int, int], order: Sequence[tuple[str, int]],
+    scratch: np.ndarray,
 ) -> Slabs:
     """(v, W[v]) in the order of ``_SLAB_PAIRS`` for a factored W, each pair
-    written from ``factor.pure`` by the writer of ``dense()``.
+    written from ``factor.pure`` by the writer of ``dense()``; v fixes the
+    indices of the slab party on (input, output) qubits ``party``.
 
-    A slab is the operator that W induces on the other qubits once the first
+    A slab is the operator that W induces on the other qubits once the slab
     party's indices are fixed: coeff * (left * right) (x) I, where ``left``
     is the pure ket with the party's row indices fixed and ``right`` its
     conjugate with the column indices fixed; the other pure qubits still
@@ -546,11 +560,11 @@ def _written_slabs(
     mirror is written both ways too.  The largest pair defect, which is W's
     own ``_hermitian_defect``, is held to ``HERMITIAN_ATOL``: W passes the
     checks its ``HermOp`` would run.  A pair with a mixed party qubit whose
-    row and column indices differ is exactly zero and is skipped.  The slabs
+    row and column indices differ is exactly zero and is skipped: for a
+    mixed output that is 4 of the 10 pairs, 8 of the 20 writes.  The slabs
     are yielded as views of the buffers with axes in ``order`` of labels.
     """
     amp = w.factor.pure.as_tensor()
-    party = w.qubits(0)
     mixed = [i for i, q in enumerate(party) if q >= amp.ndim]
     others = [q for q in range(w.num_qubits) if q not in party]
     m = len(others)
@@ -598,6 +612,8 @@ def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> f
     so no array of the pair's size is allocated.  For a slab W[v] and its
     mirror W[v'] written transposed, this is max |W[v] - W[v']^dag|, entry
     for entry the values that ``qlin._hermitian_defect`` takes over W.
+    A difference that is exactly zero everywhere (signed zeros included)
+    gives 0.0 after the subtraction pass alone.
 
     A non-finite entry of either array makes the maximum non-finite, and is
     then refused as ``HermOp`` refuses it; finite entries whose difference
@@ -607,6 +623,11 @@ def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> f
     out = scratch.reshape(slab.shape)
     np.conjugate(mirror, out=out)
     np.subtract(slab, out, out=out)
+    # exactly zero everywhere, as most pairs written from one factor are: no
+    # defect, without the abs and max passes.  NaN counts as nonzero, so a
+    # non-finite entry, even one that equals its mirror, goes on to the check
+    if not out.any():
+        return 0.0
     # |.| into the same array: numpy casts it back to complex a buffer at a time
     np.absolute(out, out=out)
     # the imaginary parts are now zero, so the flat real view has the same maximum
@@ -621,7 +642,7 @@ def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> f
 def _trace_slabs(slabs: Slabs, cj: np.ndarray, pair: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """sum over v of cj[t, e1, v] * sum_s pair[t, e2, s] slab_v[s, ...], for
     every trial t and elements e1, e2, over the (v, slab_v) pairs of
-    ``slabs``: v is a value of the first party's (c_in, c_out, r_in, r_out),
+    ``slabs``: v is a value of the slab party's (c_in, c_out, r_in, r_out),
     and slab_v is W[v] with the axes that ``pair`` contracts first.  A v
     that ``slabs`` leaves out adds nothing.
 
@@ -667,10 +688,11 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> in
     A factorized ``_batched_tensordot`` step holds its input, the transposed
     copy that is multiplied, and its output, so three copies of the largest
     intermediate bound every step.  The dense backend's first step traces
-    the first two parties through slabs and holds its table and one product
-    of the table's size; each later step holds its input, a transposed copy
-    and its output.  The slab buffers do not grow with the trials
-    (``_fixed_bytes``).
+    the first two traced parties through slabs and holds its table and one
+    product of the table's size; each later step holds its input, a
+    transposed copy and its output, and the C-ordered copy of the last
+    output's real part, in party order, is smaller than either.  The slab
+    buffers do not grow with the trials (``_fixed_bytes``).
     """
     elements = family.elements
     stack = elements * 2  # entries of one party's measure or reprepare kets
@@ -685,7 +707,7 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> in
             size = size // 2 ** sum(q < p for q in w.qubits(i)) * elements
             largest = max(largest, size)
         return itemsize * (3 * largest + kets) + family.draw_bytes
-    # the table of the first two parties' step, and the output of each later one
+    # the table of the first two traced parties' step, and each later output
     first = min(len(w.parties), 2)
     outs = [4**w.num_qubits // 16**first * elements**first]
     for _ in w.parties[2:]:
@@ -693,9 +715,9 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> in
     # what each step holds: the first its table and one product, each later
     # one its input, a transposed copy of it and its output
     held = [2 * outs[0]] + [2 * a + b for a, b in zip(outs, outs[1:])]
-    # two parties' Choi tensors of 16 entries per element, |r><r|, one product
-    # term and one coefficient while the second is built, and the matmul's
-    # left operand of 16 entries per pair of elements
+    # two traced parties' Choi tensors of 16 entries per element, |r><r|, one
+    # product term and one coefficient while the second is built, and the
+    # matmul's left operand of 16 entries per pair of elements
     choi = (2 * 16 + 4 + 4 + 1) * elements + 16 * elements**2
     return itemsize * (max(held) + kets + choi) + family.draw_bytes
 

@@ -171,7 +171,7 @@ def test_dense_holds_one_copy_of_w():
 
 def test_dense_table_makes_no_copy_of_w():
     """With W held, the dense table of chain(5) allocates less than a quarter
-    of W beyond it: the first party is traced through views of W, where a
+    of W beyond it: the slab party is traced through views of W, where a
     transposed copy alone would be all of W."""
     r = acausal.build_resource_pm(graphstate.chain(5))
     held = procmat.ProcessMatrix(r.w.parties, op=r.w.dense())
@@ -239,16 +239,19 @@ def slab_case(n_parties, n_pure, trials=3, elements=2):
 
 @PROPERTY_SETTINGS
 @given(slab_cases())
-@example(slab_case(2, n_pure=0))  # both of P1's qubits mixed
-@example(slab_case(2, n_pure=2))  # P1's output qubit mixed
-@example(slab_case(3, n_pure=4, trials=6, elements=3))  # P1's qubits pure, P2's output mixed
+@example(slab_case(2, n_pure=0))  # every qubit mixed
+@example(slab_case(2, n_pure=1))  # both of P2's qubits mixed, P1's input pure
+@example(slab_case(2, n_pure=2))  # P2's output qubit mixed, its input pure
+@example(slab_case(3, n_pure=4, trials=6, elements=3))  # P3's output mixed, a third step
+@example(slab_case(3, n_pure=6, trials=2, elements=3))  # every qubit pure
 @example(slab_case(1, n_pure=2, trials=1))  # one party: each slab is a scalar
 @example(slab_case(1, n_pure=1))
 @example(slab_case(1, n_pure=0, elements=1))
 def test_slab_path_equals_the_view_path_and_the_reference(case):
-    """On a factored W, the dense kernel writes W slab by slab; its table
-    must be the bytes of the trace through views of the same W held dense,
-    and match the one-tensordot-per-party reference."""
+    """On a factored W, the dense kernel writes W slab by slab, each slab
+    fixing the indices of the last party, whose qubits the examples name;
+    its table must be the bytes of the trace through views of the same W
+    held dense, and match the one-tensordot-per-party reference."""
     w, kets = case
     table = procmat._dense_probability(w, kets)
     held = procmat.ProcessMatrix(w.parties, op=w.dense())
@@ -277,6 +280,55 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
     assert max(defects, default=0.0) == qlin._hermitian_defect(w.dense().entries)
 
 
+def dense_table_calls(w, instruments):
+    """How often one dense table of ``w`` writes a slab and checks a pair."""
+    calls = {"_write_embedded": 0, "_pair_defect": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(procmat, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            mp.setattr(procmat, name, counted)
+        procmat.outcome_table(w, instruments, "dense")
+    return calls
+
+
+def test_a_mixed_slab_party_output_halves_the_slabs():
+    """The slab party is the last, whose output is the register's last qubit:
+    on the resource it is maximally mixed, so the 4 pairs whose rows and
+    columns differ there are never written (12 writes and 6 pair checks, not
+    20 and 10).  A W with no mixed qubit still writes every pair."""
+    r = acausal.build_resource_pm(graphstate.chain(5))
+    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
+    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
+    assert dense_table_calls(r.w, instruments) == {"_write_embedded": 12, "_pair_defect": 6}
+    pure = factored_w(2, n_pure=4, scale=1.5, seed=4)
+    instruments = {p: procmat.bob_instrument() for p in pure.parties}
+    assert dense_table_calls(pure, instruments) == {"_write_embedded": 20, "_pair_defect": 10}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["written", "held"])
+def test_dense_table_is_c_contiguous_in_party_order(k, kind):
+    """The slab party is traced first, but the table comes back with one
+    axis per party in party order, as a C-contiguous array: party i has
+    i + 1 elements here, so the shape names the order."""
+    w = factored_w(k, n_pure=k + 1, scale=1.5, seed=k)
+    if kind == "held":
+        w = procmat.ProcessMatrix(w.parties, op=w.dense())
+    rng = np.random.default_rng(k)
+    kets = {
+        p: (unit_kets(rng, (2, i + 1)), unit_kets(rng, (2, i + 1)))
+        for i, p in enumerate(w.parties)
+    }
+    table = procmat._dense_probability(w, kets)
+    assert table.shape == (2,) + tuple(range(1, k + 1))
+    assert table.flags.c_contiguous
+    ref = tensordot_dense_probability(w, kets)
+    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
+
+
 @pytest.mark.parametrize(
     "planted, message",
     [
@@ -288,27 +340,37 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
 )
 def test_slab_checks_refuse_a_planted_entry(planted, message):
     """An entry planted after it is written into either buffer of a mirrored
-    pair, or into a self-mirrored slab, makes the dense oracle refuse W."""
-    w, kets = slab_case(2, n_pure=4)
+    pair, or into a self-mirrored slab, makes the dense oracle refuse W; so
+    does the same non-finite entry planted into both buffers of a pair."""
+    w = acausal.build_resource_pm(graphstate.chain(2)).w
+    rng = np.random.default_rng(11)
+    kets = {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
     real = procmat._write_embedded
-    # both of P1's qubits are pure, so every pair is written, the slab W[v]
-    # and then its mirror transposed: writes 1 and 2 are the self-mirrored
-    # slab (0, 0, 0, 0) and its transpose, writes 3 and 4 the slab (0, 0, 0, 1)
-    # and its mirror (0, 1, 0, 0)
-    for target in (1, 3, 4):
+    # the output of B1, the slab party, is maximally mixed, so the pairs
+    # whose rows and columns differ there are skipped; the others are each
+    # written as the slab W[v] and then its mirror transposed: writes 1 and 2
+    # are the self-mirrored slab (0, 0, 0, 0) and its transpose, writes 3 and
+    # 4 the slab (0, 0, 1, 0) and its mirror (1, 0, 0, 0).  Every pair of
+    # this W is bit-exact, so the planted entry is its only difference
+    targets = [{1}, {3}, {4}]
+    if not math.isfinite(planted):
+        # the same entry at mirrored positions, so that A == conj(B) holds
+        # entry by entry: the difference is NaN, not zero, and is not passed
+        targets += [{1, 2}, {3, 4}]
+    for target in targets:
         writes = []
 
         def planting(out, *args):
             real(out, *args)
             writes.append(len(writes))
-            if len(writes) == target:
+            if len(writes) in target:
                 out[0, 1] += planted
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(procmat, "_write_embedded", planting)
             with pytest.raises(qlin.QlinError, match=re.escape(message)) as info:
                 procmat._dense_probability(w, kets)
-        assert len(writes) >= target
+        assert len(writes) >= max(target)
         # W here has no require_hermitian option to name
         assert "require_hermitian" not in str(info.value)
 
@@ -322,6 +384,19 @@ def test_pair_defect_equals_one_shot(dim):
     scratch = np.empty(dim * dim, dtype=np.complex128)
     assert procmat._pair_defect(a, b, scratch) == float(np.max(np.abs(a - b.conj())))
     assert procmat._pair_defect(a, a.conj(), scratch) == 0.0
+    # signed zeros: every difference is a zero of some sign, and there is no defect
+    zeros = np.zeros((dim, dim), dtype=np.complex128)
+    zeros.real[::2] = -0.0
+    zeros.imag[:, ::2] = -0.0
+    assert procmat._pair_defect(zeros, zeros, scratch) == 0.0
+    assert procmat._pair_defect(zeros, np.zeros_like(zeros), scratch) == 0.0
+    # one ulp apart in one part of one entry: the zero test must not hide it
+    for part in ("real", "imag"):
+        near = a.conj()
+        getattr(near, part)[-1, -1] = np.nextafter(getattr(near, part)[-1, -1], math.inf)
+        one_shot = float(np.max(np.abs(a - near.conj())))
+        assert one_shot > 0.0
+        assert procmat._pair_defect(a, near, scratch) == one_shot
 
 
 def test_pair_defect_of_an_overflowing_difference_is_infinite():
