@@ -23,6 +23,7 @@ process matrix; the package verifies both sides of that boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -82,12 +83,28 @@ class ResourcePM:
         return out
 
 
+def _pendant_route(g: Graph, cap: int) -> qlin.Ket:
+    """The decorated state from the plain graph state alone: CZ(c_j, p_j) on
+    fresh |+> pendants.  On the register (c, o, p) those CZs flip the sign
+    wherever c and p share an odd number of set bits, so the state is
+    plain[c, o] (-1)^(c.p) 2^(-N/2): one product with a (2^N, 2^N) sign table."""
+    n_comp, n_out = g.n_computation, g.n_output
+    plain = graphstate.graph_state(g, cap).amplitudes.reshape(2**n_comp, 2**n_out, 1)
+    bits = np.arange(2**n_comp)
+    scale = 2.0 ** (-n_comp / 2)
+    pendants = np.where(np.bitwise_count(bits[:, None] & bits) & 1, -scale, scale)
+    return qlin.Ket(plain * pendants[:, None, :])
+
+
 def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     """Build W for an undecorated graph, verifying the decoration identity.
 
-    The graph state of the decorated graph must equal controlled-Z entangling
-    of fresh |+> pendants onto the plain graph state (fidelity >= 1 - 1e-12);
-    both routes are computed and compared on every build.  The cap is resolved
+    Two routes give the decorated state, and they must agree (fidelity
+    >= 1 - 1e-12) on every build.  Route a, which W keeps, is the graph state
+    of the decorated graph; it runs first, so the cap refuses an oversized
+    register before anything is allocated.  Route b (``_pendant_route``)
+    never reads the decorated graph: it entangles fresh |+> pendants onto the
+    plain graph state, as one product with a sign table.  The cap is resolved
     once here and carried by W, so the dense oracle obeys the same cap.
     """
     graphstate.validate(g)
@@ -100,12 +117,8 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     # qubits, which graph_state caps before allocating
     decorated = graphstate.decorate(g)
     route_a = graphstate.graph_state(decorated, cap)
-
-    # independent route: plain graph state, pendants appended, one CZ each
-    route_b = qlin.kron_all([graphstate.graph_state(g, cap)] + [qlin.PLUS] * n_comp)
-    for j in range(n_comp):
-        route_b = qlin.apply_on_qubits(qlin.CZ, [j, n_comp + n_out + j], route_b)
-    fid = qlin.fidelity(route_a, qlin.Ket(route_b.amplitudes))
+    # independent route: the plain graph state and the pendants' CZ signs
+    fid = qlin.fidelity(route_a, _pendant_route(g, cap))
     if fid < 1.0 - 1e-12:
         raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
 
@@ -115,18 +128,30 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     return ResourcePM(w=w, base_graph=g, decorated_graph=decorated)
 
 
-def _table(r: ResourcePM, angles, backend: str) -> np.ndarray:
-    """P(m, z) with one axis per party (Alices, then Bobs), from one contraction
-    over the kets of ``procmat.mbqc_kets`` for one trial."""
-    ang = mbqc.as_angle_map(r.base_graph, angles)
-    phis = np.array([[ang[c] for c in r.base_graph.computation]])
+def _table(r: ResourcePM, angle_sets, backend: str) -> np.ndarray:
+    """P(m, z) for each angle set, shaped (sets, one axis per party: Alices,
+    then Bobs), from one contraction over the kets of ``procmat.mbqc_kets``
+    with one trial per set."""
+    maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
+    phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    return procmat._trial_tables(r.w, kets, procmat._resolved_backend(r.w, backend))[0]
+    return procmat._trial_tables(r.w, kets, procmat._resolved_backend(r.w, backend))
 
 
 def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.ndarray:
-    """All P(m, z) as a (2^N, 2^n) array, bit 0 most significant."""
-    return _table(r, angles, backend).reshape(2**r.n_computation, 2**r.n_output)
+    """All P(m, z) as a (2^N, 2^n) array, bit 0 most significant.
+
+    ``angles`` is one angle set (as ``mbqc.as_angle_map`` reads it), or a
+    list of angle mappings: then each set is one trial of the same
+    contraction, and the result is (sets, 2^N, 2^n), every table equal bit
+    for bit to the one its set gives alone.
+    """
+    stacked = isinstance(angles, list) and bool(angles) and all(
+        isinstance(a, Mapping) for a in angles
+    )
+    table = _table(r, angles if stacked else [angles], backend)
+    shape = (2**r.n_computation, 2**r.n_output)
+    return table.reshape((len(table), *shape) if stacked else shape)
 
 
 def branch_independence_report(probs: np.ndarray) -> float:

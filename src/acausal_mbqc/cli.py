@@ -272,7 +272,12 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     g = graphstate.load_graph(ns.graph)
     r = acausal.build_resource_pm(g, ns.cap)
     ang = _angles_arg(ns.angles, g)
-    probs = acausal.outcome_probabilities(r, ang)
+    if ns.shots > 0:
+        # the signaling check's second angle set is a second trial of one contraction
+        ang_b = _second_angles(ns, g, ang)
+        probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b])
+    else:
+        probs = acausal.outcome_probabilities(r, ang)
     report = {
         "branch_independence_max_dev": acausal.branch_independence_report(probs),
         "normalization_dev": acausal.normalization_report(probs),
@@ -285,8 +290,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         agreement = None  # dense side too large; factorized-only verification
     report["backend_agreement_max_dev"] = agreement
     if ns.shots > 0:
-        ang_b = _second_angles(ns, g, ang)
-        probs_b = acausal.outcome_probabilities(r, ang_b)
         report["signaling_tv"] = acausal.signaling_tv(probs, probs_b)
         sample = acausal.postselected_sampler(r, ang, ns.shots, ns.seed)
         report["postselect"] = acausal.postselection_report(sample, probs)
@@ -307,8 +310,8 @@ def _cmd_signal(ns: argparse.Namespace) -> int:
     r = acausal.build_resource_pm(g, ns.cap)
     ang = _angles_arg(ns.angles, g)
     ang_b = _second_angles(ns, g, ang)
-    tables = [acausal.outcome_probabilities(r, a) for a in (ang, ang_b)]
-    report = {"signaling_tv": acausal.signaling_tv(*tables)}
+    probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b])
+    report = {"signaling_tv": acausal.signaling_tv(probs, probs_b)}
     _emit(report, ns.json)
     return 0
 

@@ -78,6 +78,13 @@ def acausal_p0(r: acausal.ResourcePM, angles) -> float:
     return float(probs[:, 0].sum())
 
 
+def _exact_p0(weight: np.ndarray, dist: np.ndarray) -> float:
+    """sum over the histories of weight * P(z = 0^n | history), added left to
+    right in the walk's row order, as a running sum: no pairwise (np.sum) or
+    compensated (Python >= 3.12 sum) reordering."""
+    return float(np.cumsum(weight * dist[:, 0])[-1])
+
+
 def girls_first_p0(
     inst: GameInstance,
     correct: bool = True,
@@ -92,9 +99,7 @@ def girls_first_p0(
     """
     if shots == 0:
         _, weight, dist = mbqc.enumerate_causal(inst.graph, inst.pattern, correct=correct, cap=cap)
-        # added left to right in the walk's row order, as a running sum: no
-        # pairwise (np.sum) or compensated (Python >= 3.12 sum) reordering
-        return float(np.cumsum(weight * dist[:, 0])[-1])
+        return _exact_p0(weight, dist)
     if shots < 0:
         raise GameError("shots must be nonnegative")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
@@ -111,15 +116,23 @@ def boys_first_p0(inst: GameInstance, cap: int | None = None) -> float:
 
 def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
     """Full comparison for one instance on its graph's resource, whose cap every
-    walk obeys; ``violated`` is the headline."""
+    walk obeys; ``violated`` is the headline.
+
+    Both exact girls-first scores come from one split walk of the instance's
+    pattern, which keeps the uncorrected and the corrected readout of every
+    history; each equals ``girls_first_p0(inst, correct=...)`` bit for bit.
+    """
     if r.base_graph != inst.graph:
         raise GameError("the resource was built from a different graph than the instance")
     bound = causal_bound(inst.n_output)
     p0 = acausal_p0(r, inst.angles)
+    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(
+        inst.graph, inst.pattern, correct=(True, False), cap=r.w.cap
+    )
     return {
         "p0_acausal": p0,
-        "p0_girls_first_corrected": girls_first_p0(inst, correct=True, cap=r.w.cap),
-        "p0_girls_first_uncorrected": girls_first_p0(inst, correct=False, cap=r.w.cap),
+        "p0_girls_first_corrected": _exact_p0(weight, corrected),
+        "p0_girls_first_uncorrected": _exact_p0(weight, uncorrected),
         "p0_boys_first": boys_first_p0(inst, r.w.cap),
         "bound": bound,
         "violated": bool(p0 > bound + VIOLATION_ATOL),

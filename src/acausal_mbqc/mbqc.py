@@ -10,8 +10,8 @@ per row and step (``sample_causal``, ``run_causal``).  Split, it keeps both,
 so one start row ends as all 2^N adaptive histories while every step holds
 2^(N+n) amplitudes: O(N 2^(N+n)) work in all.  ``enumerate_causal`` returns
 those histories as the walk's arrays, one row per history (outcome bits,
-weight, readout distribution), and ``positive_branch_output`` reads the
-all-zeros one.
+weight, readout distribution), corrected, uncorrected or both from the same
+walk, and ``positive_branch_output`` reads the all-zeros one.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def adapted_angle(phi: float, s_x, s_z):
     """Angle actually measured: (-1)^{s_x} phi + pi * s_z, reduced mod 2*pi;
     the parities may be equal-shape arrays of bits, one per run."""
     s_x, s_z = np.asarray(s_x), np.asarray(s_z)
-    if not (np.isin(s_x, (0, 1)).all() and np.isin(s_z, (0, 1)).all()):
+    if not (((s_x == 0) | (s_x == 1)).all() and ((s_z == 0) | (s_z == 1)).all()):
         raise PatternError(f"parities must be bits, got s_x={s_x}, s_z={s_z}")
     angle = (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % TWO_PI
     return float(angle) if angle.ndim == 0 else angle
@@ -170,20 +170,40 @@ def _measure(state: np.ndarray, pos: int, bras: np.ndarray):
     return br.reshape(len(state), 2, -1), np.where(dead, 0.0, w)
 
 
+def _byproducts(g: Graph, p: Pattern, m: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The output byproducts X^(s_x) Z^(s_z) of pattern ``p`` on each row of
+    ``state`` (rows, 2^n), the output register alone in O order, with the
+    parities read from that row's outcome bits ``m`` (rows, N) in C order.
+    Flips and exact sign changes, into a new array."""
+    col = {c: i for i, c in enumerate(g.computation)}
+
+    def parity(deps):
+        return m[:, [col[x] for x in deps]].sum(axis=1) % 2
+
+    for t, o in enumerate(g.output):
+        s = state.reshape(len(state), 2**t, 2, -1)
+        s = np.where(parity(p.out_x_deps.get(o, ()))[:, None, None, None], s[:, :, ::-1], s)
+        s[:, :, 1] *= (1 - 2 * parity(p.out_z_deps.get(o, ())))[:, None, None]
+        state = s.reshape(len(s), -1)
+    return state
+
+
 def _walk(g: Graph, p: Pattern, rows: int = 1, *, correct: bool, rng=None, cap=None):
     """The one measurement walk: ``rows`` runs of pattern ``p`` side by side.
 
     Every row measures ``p.order`` at its adapted angles, then, if ``correct``,
-    applies the output byproducts as per-row flips and signs.  Sampled (``rng``
+    applies the output byproducts (``_byproducts``).  Sampled (``rng``
     given): each step keeps one child per row, outcome 0 exactly when a uniform
     ``u < p0``, and each row finally reads out O.  The uniforms ``rng.random((block,
     N + n))`` are drawn row-major block after block, as ``rows`` single runs
     draw them, so no result depends on the block size (at most 2^cap
     amplitudes).  Split (no ``rng``): each step keeps both children, so one
     start row ends as all 2^N histories, the first vertex of ``p.order`` most
-    significant, and every step holds 2^(N+n) amplitudes.  Returns outcome
-    bits (rows, N) in C order, history weights (rows,), and readout bits
-    (rows, n) in O order (sampled) or output amplitudes (rows, 2^n) (split).
+    significant, and every step holds 2^(N+n) amplitudes; ``enumerate_causal``
+    splits uncorrected and applies the byproducts to the split's final
+    amplitudes itself, so one walk serves both flags.  Returns outcome bits
+    (rows, N) in C order, history weights (rows,), and readout bits (rows, n)
+    in O order (sampled) or output amplitudes (rows, 2^n) (split).
     """
     validate_pattern(g, p)
     base = graphstate.graph_state(g, cap).amplitudes
@@ -219,17 +239,15 @@ def _walk(g: Graph, p: Pattern, rows: int = 1, *, correct: bool, rng=None, cap=N
             bits = np.column_stack([bits[row], m])
             weight = weight[row] * w
             live.remove(v)
-        for o in g.output if correct else ():
-            s = state.reshape(len(state), 2 ** live.index(o), 2, -1)
-            s = np.where(parity(p.out_x_deps.get(o, ()))[:, None, None, None], s[:, :, ::-1], s)
-            s[:, :, 1] *= (1 - 2 * parity(p.out_z_deps.get(o, ())))[:, None, None]
-            state = s.reshape(len(s), -1)
+        outcomes = bits[:, [col[c] for c in g.computation]]
+        if correct:
+            state = _byproducts(g, p, outcomes, state)
         if u is not None:  # only O is left, in O order, so each readout is axis 0
             z = np.zeros((b, n_out), dtype=np.int64)
             for t in range(n_out):
                 _, z[:, t], state, _ = step(state, 0, np.eye(2)[None], n_comp + t)
             state = z
-        parts.append((bits[:, [col[c] for c in g.computation]], weight, state))
+        parts.append((outcomes, weight, state))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -251,18 +269,29 @@ def run_causal(g: Graph, p: Pattern, rng, *, correct: bool = True) -> RunRecord:
     return RunRecord(tuple(m[0].tolist()), tuple(z[0].tolist()), float(weight[0]), correct)
 
 
-def enumerate_causal(g: Graph, p: Pattern, *, correct: bool = True, cap=None):
+def enumerate_causal(g: Graph, p: Pattern, *, correct=True, cap=None):
     """Exact walk over all 2^N adaptive outcome histories, the first vertex of
     ``p.order`` most significant: one split walk, O(N 2^(N+n)) work.
 
     Returns the histories as arrays, one row each: outcome bits (2^N, N) in
-    C order, Born weights (2^N,), and exact post-correction readout
-    distributions (2^N, 2^n), indexed by the O-register bits with the first
-    output vertex most significant.  A zero-probability history has weight 0
-    and an all-zero distribution.
+    C order, Born weights (2^N,), and exact readout distributions (2^N, 2^n),
+    indexed by the O-register bits with the first output vertex most
+    significant, after the output byproducts if ``correct``.  A
+    zero-probability history has weight 0 and an all-zero distribution.
+
+    ``correct`` may also be a tuple of flags: the distributions are then
+    stacked (flags, 2^N, 2^n), one per flag.  The corrected and uncorrected
+    histories share every measurement step, so one walk serves them all, and
+    each distribution equals the single-flag one bit for bit.
     """
-    m, weight, amps = _walk(g, p, correct=correct, cap=cap)
-    return m, weight, np.abs(amps) ** 2
+    m, weight, amps = _walk(g, p, correct=False, cap=cap)
+
+    def dist(flag):
+        return np.abs(_byproducts(g, p, m, amps) if flag else amps) ** 2
+
+    if isinstance(correct, tuple):
+        return m, weight, np.stack([dist(flag) for flag in correct])
+    return m, weight, dist(correct)
 
 
 def positive_branch_output(g: Graph, angles, cap=None) -> Ket:

@@ -622,7 +622,10 @@ def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> f
     """
     out = scratch.reshape(slab.shape)
     np.conjugate(mirror, out=out)
-    np.subtract(slab, out, out=out)
+    # inf - inf is NaN, which the finiteness check below refuses; numpy's
+    # warning about it would only repeat that refusal
+    with np.errstate(invalid="ignore"):
+        np.subtract(slab, out, out=out)
     # exactly zero everywhere, as most pairs written from one factor are: no
     # defect, without the abs and max passes.  NaN counts as nonzero, so a
     # non-finite entry, even one that equals its mirror, goes on to the check

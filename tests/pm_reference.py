@@ -13,6 +13,10 @@ same worst trial and its descriptions, and the same random stream.
 ``procmat._batched_tensordot`` step, so its first step multiplies a
 transposed copy of all of W.
 
+``kron_cz_decorated_state`` is the reference for ``acausal._pendant_route``:
+the plain graph state with N |+> pendants appended by ``qlin.kron_all`` and
+one ``qlin.apply_on_qubits(CZ)`` per computation vertex and its pendant.
+
 ``branch_probability`` is the non-adaptive Born probability of one outcome
 tuple, read from the graph state with one product bra, and ``cptp_check``
 tests an instrument's summed Choi operator.  ``random_ket``,
@@ -67,6 +71,16 @@ def branch_probability(g, angles, m, z) -> float:
     factors += [qlin.basis_ket([bit]) for bit in z]
     bra = qlin.kron_all(factors)
     return float(abs(qlin.overlap(bra, graphstate.graph_state(g))) ** 2)
+
+
+def kron_cz_decorated_state(g) -> qlin.Ket:
+    """The decorated graph state of an undecorated graph ``g``, built gate by
+    gate: |G> (x) |+>^N, then CZ between computation vertex j and pendant j."""
+    n_comp, n_out = g.n_computation, g.n_output
+    state = qlin.kron_all([graphstate.graph_state(g)] + [qlin.PLUS] * n_comp)
+    for j in range(n_comp):
+        state = qlin.apply_on_qubits(qlin.CZ, [j, n_comp + n_out + j], state)
+    return state
 
 
 def cptp_check(inst: procmat.Instrument) -> tuple[float, float]:

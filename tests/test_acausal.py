@@ -7,6 +7,7 @@ import pytest
 
 from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix, PureMixedFactor
+from pm_reference import kron_cz_decorated_state
 
 
 def perturbed_pure_ancilla(r):
@@ -217,6 +218,68 @@ def test_default_seed_applied_when_omitted():
     assert res.seed == config.DEFAULT_SEED
 
 
+PENDANT_GRAPHS = dict(PAPER_GRAPHS)
+PENDANT_GRAPHS.update(
+    chain6=graphstate.chain(6),
+    chain7=graphstate.chain(7),
+    pc222=graphstate.parallel_chains([2, 2, 2]),
+)
+PENDANT_GRAPHS.update(
+    (f"random{seed}-{n_comp}x{n_out}",
+     graphstate.random_resource_graph(np.random.default_rng(seed), n_comp, n_out))
+    for seed, n_comp, n_out in [(3, 2, 1), (4, 3, 2), (5, 4, 1), (6, 5, 2), (7, 4, 3)]
+)
+
+
+@pytest.mark.parametrize("g", PENDANT_GRAPHS.values(), ids=PENDANT_GRAPHS.keys())
+def test_pendant_route_is_the_kron_and_cz_route(g):
+    """The build's independent route, one product with a sign table, is the
+    gate-by-gate construction to within 1e-15 per amplitude, and it is the
+    decorated graph state."""
+    new = acausal._pendant_route(g, config.qubit_cap(None)).amplitudes
+    reference = kron_cz_decorated_state(g).amplitudes
+    assert np.max(np.abs(new - reference)) <= 1e-15
+    assert qlin.fidelity(qlin.Ket(new), graphstate.graph_state(graphstate.decorate(g))) >= 1 - 1e-12
+
+
+def test_pendant_route_reads_no_decorated_graph(monkeypatch):
+    """Route b builds only the plain graph state and never decorates."""
+    calls = []
+    real = graphstate.graph_state
+    monkeypatch.setattr(
+        graphstate, "graph_state", lambda h, *a: calls.append(h.decoration) or real(h, *a)
+    )
+    monkeypatch.setattr(graphstate, "decorate", None)
+    acausal._pendant_route(graphstate.chain(4), config.qubit_cap(None))
+    assert calls == [None]
+
+
+def _flip_one_sign(amps):
+    out = amps.copy()
+    out[3] *= -1.0
+    return out
+
+
+def _z_on_last_pendant(amps):
+    return amps * np.where(np.arange(amps.size) & 1, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("perturb", [_flip_one_sign, _z_on_last_pendant], ids=["one-sign", "z"])
+@pytest.mark.parametrize("g", [graphstate.chain(2), graphstate.chain(5)], ids=["chain2", "chain5"])
+def test_a_perturbed_decorated_state_is_refused(monkeypatch, g, perturb):
+    """The build compares its two routes: a decorated graph state with one
+    amplitude's sign flipped, or with Z on a pendant, raises AcausalError."""
+    real = graphstate.graph_state
+
+    def perturbed(h, *a):
+        state = real(h, *a)
+        return qlin.Ket(perturb(state.amplitudes)) if h.decoration else state
+
+    monkeypatch.setattr(graphstate, "graph_state", perturbed)
+    with pytest.raises(acausal.AcausalError, match="decoration identity violated"):
+        acausal.build_resource_pm(g)
+
+
 def test_build_rejects_decorated_graph():
     d = graphstate.decorate(graphstate.chain(2))
     with pytest.raises(graphstate.GraphError):
@@ -271,3 +334,30 @@ def test_table_kets_get_the_ket_tests(monkeypatch):
     monkeypatch.setattr(qlin, "equatorial_kets", lambda phis: long)
     with pytest.raises(qlin.QlinError, match="deviates from 1"):
         acausal.outcome_probabilities(r, 0.3)
+
+
+STACK_GRAPHS = {
+    "chain3": graphstate.chain(3),
+    "chain6": graphstate.chain(6),
+    "chain7": graphstate.chain(7),
+    "pc222": graphstate.parallel_chains([2, 2, 2]),
+    "random5x2": graphstate.random_resource_graph(np.random.default_rng(8), 5, 2),
+    "random4x3": graphstate.random_resource_graph(np.random.default_rng(9), 4, 3),
+}
+
+
+@pytest.mark.parametrize("g", STACK_GRAPHS.values(), ids=STACK_GRAPHS.keys())
+def test_stacked_angle_sets_equal_their_single_tables(g):
+    """``signal``'s two angle sets, as two trials of one contraction, give
+    the two tables that each set gives alone, bit for bit; on the smallest
+    W the dense oracle is held to the same."""
+    rng = np.random.default_rng(g.n_computation)
+    r = acausal.build_resource_pm(g)
+    sets = [{c: float(rng.uniform(0.0, 2 * np.pi)) for c in g.computation} for _ in range(2)]
+    sets.append({c: 0.0 for c in g.computation})
+    backends = ["factorized", "dense"] if r.w.num_qubits <= 8 else ["factorized"]
+    for backend in backends:
+        stacked = acausal.outcome_probabilities(r, sets, backend)
+        assert stacked.shape == (len(sets), 2**g.n_computation, 2**g.n_output)
+        for ang, table in zip(sets, stacked):
+            assert np.array_equal(table, acausal.outcome_probabilities(r, ang, backend))

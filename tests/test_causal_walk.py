@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, game, graphstate, mbqc, qlin
@@ -166,11 +166,55 @@ def random_patterns(draw):
     return g, mbqc.validate_pattern(g, p), draw(st.booleans())
 
 
+def _five_alices_one_bob(edges, order, x_deps, z_deps, out_x, out_z, angles, correct):
+    g = graphstate.graph(
+        ("c0", "c1", "c2", "c3", "c4", "o0"), edges, ("c0", "c1", "c2", "c3", "c4"), ("o0",)
+    )
+    return g, mbqc.make_pattern(order, angles, x_deps, z_deps, out_x, out_z), correct
+
+
+# Two patterns of random_patterns' kind with one vertex at 3.4e-05 rad, where a history
+# weighs about 1.8e-11: its renormalized readout distribution differs from the
+# forced run's by 6.9e-12 and 1.2e-11, above ATOL, while the joint
+# probabilities weight * dist differ by at most 2.5e-17
+SMALL_ANGLE_CASES = [
+    _five_alices_one_bob(
+        [("c0", "c1"), ("c0", "c2"), ("c0", "c3"), ("c0", "c4"),
+         ("c1", "c2"), ("c1", "c3"), ("c1", "o0"), ("c2", "o0")],
+        ["c2", "c4", "c0", "c1", "c3"],
+        {"c4": ["c2"], "c0": ["c2", "c4"], "c1": ["c4", "c0"], "c3": ["c2", "c4", "c0"]},
+        {"c4": ["c2"], "c0": ["c2"], "c1": ["c2", "c0"], "c3": ["c2", "c4", "c1"]},
+        {"o0": ["c0", "c4"]},
+        {"o0": ["c2"]},
+        {"c0": math.pi, "c1": 3.4e-05, "c2": 3 * math.pi / 2, "c3": math.pi / 2, "c4": 0.0},
+        False,
+    ),
+    _five_alices_one_bob(
+        [("c0", "c1"), ("c0", "c2"), ("c0", "c4"), ("c2", "c3"),
+         ("c2", "c4"), ("c3", "o0"), ("c4", "o0")],
+        ["c0", "c4", "c2", "c1", "c3"],
+        {"c2": ["c4"], "c1": ["c2"], "c3": ["c4", "c2", "c1"]},
+        {"c4": ["c0"], "c1": ["c0"], "c3": ["c4", "c2", "c1"]},
+        {"o0": ["c0", "c3"]},
+        {"o0": ["c1", "c2", "c4"]},
+        {"c0": 0.0, "c1": 0.0, "c2": math.pi / 2, "c3": 0.0, "c4": 3.4e-05},
+        False,
+    ),
+]
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(random_patterns())
+@example(SMALL_ANGLE_CASES[0])
+@example(SMALL_ANGLE_CASES[1])
 def test_enumerate_causal_equals_forced_runs_on_random_patterns(case):
     """A history the per-shot oracle refuses to force weighs below its forcing
-    floor; the split must give it (nearly) zero probability."""
+    floor; the split must give it (nearly) zero probability.
+
+    The readouts are compared as joint probabilities, weight * dist: the
+    readout of a history of weight w is renormalized by 1 / w, which
+    magnifies the rounding error of its amplitudes; multiplied back by the
+    weight, the error stays near machine epsilon."""
     g, p, correct = case
     branches = histories(g, p, correct)
     assert len(branches) == 2**g.n_computation
@@ -184,7 +228,30 @@ def test_enumerate_causal_equals_forced_runs_on_random_patterns(case):
             assert probability <= ATOL
             continue
         assert abs(probability - weight) <= ATOL
-        assert np.max(np.abs(dist - np.abs(state.amplitudes) ** 2)) <= ATOL
+        joint = weight * np.abs(state.amplitudes) ** 2
+        assert np.max(np.abs(probability * dist - joint)) <= ATOL
+
+
+@pytest.mark.parametrize("g", WALK_GRAPHS, ids=lambda g: f"{g.n_computation}+{g.n_output}")
+def test_one_split_walk_gives_every_correction_flag(monkeypatch, g):
+    """``correct=(True, False)`` walks once, and each stacked distribution
+    equals its single-flag call bit for bit."""
+    p = mbqc.make_pattern(
+        g.computation,
+        {c: 0.3 + i for i, c in enumerate(g.computation)},
+        out_x_deps={o: g.computation[::2] for o in g.output},
+        out_z_deps={o: g.computation[1::2] for o in g.output},
+    )
+    walks = []
+    real = mbqc._walk
+    monkeypatch.setattr(mbqc, "_walk", lambda *a, **k: walks.append(1) or real(*a, **k))
+    m, weight, both = mbqc.enumerate_causal(g, p, correct=(True, False))
+    assert len(walks) == 1 and both.shape == (2, 2**g.n_computation, 2**g.n_output)
+    for flag, dist in zip((True, False), both):
+        m_1, weight_1, dist_1 = mbqc.enumerate_causal(g, p, correct=flag)
+        assert np.array_equal(m, m_1) and np.array_equal(weight, weight_1)
+        assert np.array_equal(dist, dist_1)
+    assert not np.array_equal(both[0], both[1])
 
 
 @pytest.mark.parametrize(

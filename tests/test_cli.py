@@ -58,27 +58,30 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
 
 
 @pytest.mark.parametrize(
-    "argv, builds, graph_states, factorized, dense",
+    "argv, builds, graph_states, factorized, dense, walks",
     [
-        (["verify", "--shots", "1000"], 1, 2, 2, 1),
-        (["verify"], 1, 2, 1, 1),
-        (["postselect"], 1, 2, 1, 0),
-        (["game"], 1, 6, 1, 0),
-        (["signal"], 1, 2, 2, 0),
+        (["verify", "--shots", "1000"], 1, 2, 1, 1, 0),
+        (["verify"], 1, 2, 1, 1, 0),
+        (["postselect"], 1, 2, 1, 0, 0),
+        (["game"], 1, 5, 1, 0, 2),
+        (["signal"], 1, 2, 1, 0, 0),
     ],
     ids=["verify-shots", "verify", "postselect", "game", "signal"],
 )
 def test_builds_and_contractions_per_command(
-    capsys, tmp_path, monkeypatch, argv, builds, graph_states, factorized, dense
+    capsys, tmp_path, monkeypatch, argv, builds, graph_states, factorized, dense, walks
 ):
     """On chain(4) each command builds one resource and contracts one outcome
-    table per angle set; only the dense oracle adds its own dense table."""
+    table, its angle sets stacked as trials; only the dense oracle adds its
+    own dense table.  ``game`` walks twice: the validity gate, and one split
+    walk for both girls-first scores."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
         (graphstate, "graph_state"),
         (procmat, "_factorized_probability"),
         (procmat, "_dense_probability"),
+        (mbqc, "_walk"),
     ]:
         real = getattr(owner, name)
         calls[name] = 0
@@ -96,6 +99,7 @@ def test_builds_and_contractions_per_command(
         "graph_state": graph_states,
         "_factorized_probability": factorized,
         "_dense_probability": dense,
+        "_walk": walks,
     }
 
 
@@ -319,8 +323,9 @@ def test_cap_flag_behaves_like_the_env_var(
 
 
 def test_cap_flag_wins_over_the_env_var_in_every_game_walk(capsys, tmp_path, monkeypatch):
-    """The flag's cap reaches the positive-branch gate, both girls-first splits
-    and the boys-first read, each on the 4-qubit graph state, above the env's 3."""
+    """The flag's cap reaches the positive-branch gate, the split walk of both
+    girls-first scores and the boys-first read, each on the 4-qubit graph
+    state, above the env's 3."""
     path = graph_file(tmp_path, graphstate.parallel_chains([2, 2]), "pc22")
     monkeypatch.setenv(config.CAP_ENV_VAR, "3")
     code, rep = run_json(capsys, ["game", "--graph", path, "--json", "--cap", "6"])

@@ -110,3 +110,44 @@ def test_game_report_rejects_a_resource_of_another_graph():
     inst = game.game_instance(graphstate.chain(2))
     with pytest.raises(GameError, match="different graph"):
         game.game_report(inst, acausal.build_resource_pm(graphstate.chain(4)))
+
+
+def _random_pattern(g, seed):
+    """A pattern on g with random angles and random strictly earlier deps."""
+    rng = np.random.default_rng(seed)
+    order = list(g.computation)
+
+    def subset(vertices):
+        return [v for v in vertices if rng.random() < 0.5]
+
+    return mbqc.make_pattern(
+        order,
+        {c: float(rng.uniform(0.0, 2 * np.pi)) for c in order},
+        {v: subset(order[:i]) for i, v in enumerate(order)},
+        {v: subset(order[:i]) for i, v in enumerate(order)},
+        {o: subset(order) for o in g.output},
+        {o: subset(order) for o in g.output},
+    )
+
+
+PC22 = graphstate.parallel_chains([2, 2])
+GAME_CASES = {
+    "chain2": (graphstate.chain(2), None),
+    "chain4": (graphstate.chain(4), None),
+    "chain6": (graphstate.chain(6), None),
+    "pc22": (PC22, None),
+    "pc222": (graphstate.parallel_chains([2, 2, 2]), None),
+    "chain4-pattern-0.9": (graphstate.chain(4), mbqc.chain_pattern(graphstate.chain(4), 0.9)),
+    "chain4-random": (graphstate.chain(4), _random_pattern(graphstate.chain(4), 1)),
+    "pc22-random": (PC22, _random_pattern(PC22, 2)),
+}
+
+
+@pytest.mark.parametrize("g, pattern", GAME_CASES.values(), ids=GAME_CASES.keys())
+def test_game_report_scores_are_girls_first_p0(g, pattern):
+    """The report's two girls-first scores come from one split walk, and each
+    is exactly the score of its own walk."""
+    inst = game.game_instance(g, 0.0, pattern)
+    rep = game.game_report(inst, acausal.build_resource_pm(g))
+    assert rep["p0_girls_first_corrected"] == game.girls_first_p0(inst, correct=True)
+    assert rep["p0_girls_first_uncorrected"] == game.girls_first_p0(inst, correct=False)

@@ -338,10 +338,12 @@ def test_dense_table_is_c_contiguous_in_party_order(k, kind):
     ],
     ids=["asymmetric", "nan", "inf"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_slab_checks_refuse_a_planted_entry(planted, message):
     """An entry planted after it is written into either buffer of a mirrored
     pair, or into a self-mirrored slab, makes the dense oracle refuse W; so
-    does the same non-finite entry planted into both buffers of a pair."""
+    does the same non-finite entry planted into both buffers of a pair, with
+    no warning from the inf - inf on the way to the refusal."""
     w = acausal.build_resource_pm(graphstate.chain(2)).w
     rng = np.random.default_rng(11)
     kets = {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
