@@ -71,7 +71,6 @@ from .procmat import (
     alice_instrument,
     bob_instrument,
     clamped_probability_count,
-    density_process_matrix,
     mbqc_instrument_family,
     outcome_table,
     pm_probability,

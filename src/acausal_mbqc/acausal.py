@@ -29,7 +29,7 @@ import numpy as np
 
 from . import config, graphstate, mbqc, procmat, qlin
 from .graphstate import Graph
-from .procmat import ProcessMatrix, PureMixedFactor
+from .procmat import ProcessMatrix
 
 
 class AcausalError(RuntimeError):
@@ -55,7 +55,7 @@ class ResourcePM:
     @property
     def decorated_state(self) -> qlin.Ket:
         """W's pure factor: the decorated graph state the build checked against the cap."""
-        return self.w.factor.pure
+        return self.w.pure
 
     @property
     def alice_parties(self) -> tuple[str, ...]:
@@ -123,8 +123,7 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
         raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
 
     parties = [f"A{j + 1}" for j in range(n_comp)] + [f"B{t + 1}" for t in range(n_out)]
-    factor = PureMixedFactor(pure=route_a, scale=float(2 ** (n_comp + n_out)))
-    w = ProcessMatrix(parties, factor=factor, cap=cap)
+    w = ProcessMatrix(parties, pure=route_a, scale=float(2 ** (n_comp + n_out)), cap=cap)
     return ResourcePM(w=w, base_graph=g, decorated_graph=decorated)
 
 
@@ -135,10 +134,10 @@ def _table(r: ResourcePM, angle_sets, backend: str) -> np.ndarray:
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    return procmat._trial_tables(r.w, kets, procmat._resolved_backend(r.w, backend))
+    return procmat._trial_tables(r.w, kets, procmat._resolved_backend(backend))
 
 
-def outcome_probabilities(r: ResourcePM, angles, backend: str = "auto") -> np.ndarray:
+def outcome_probabilities(r: ResourcePM, angles, backend: str = "factorized") -> np.ndarray:
     """All P(m, z) as a (2^N, 2^n) array, bit 0 most significant.
 
     ``angles`` is one angle set (as ``mbqc.as_angle_map`` reads it), or a
@@ -239,7 +238,7 @@ def postselected_sampler(
     for j, c in enumerate(g.computation):
         # basis change: row m is <phi^m|, so basis-state bit j becomes outcome m_j
         rows = np.array([qlin.equatorial_ket(ang[c], m).amplitudes.conj() for m in (0, 1)])
-        state = qlin.apply_on_qubits(qlin.HermOp(rows, require_hermitian=False), [j], state)
+        state = qlin.apply_on_qubits(rows, [j], state)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
 

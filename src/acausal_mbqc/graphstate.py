@@ -237,9 +237,9 @@ def stabilizer_check(state: Ket, g: Graph) -> float:
         )
     worst = 0.0
     for v in g.vertices:
-        moved = qlin.apply_on_qubits(qlin.PAULI_X, [idx[v]], state)
+        moved = qlin.apply_on_qubits(qlin.PAULI_X.entries, [idx[v]], state)
         for u in _adjacency_sets(g)[v]:
-            moved = qlin.apply_on_qubits(qlin.PAULI_Z, [idx[u]], moved)
+            moved = qlin.apply_on_qubits(qlin.PAULI_Z.entries, [idx[u]], moved)
         worst = max(worst, float(np.linalg.norm(moved.amplitudes - state.amplitudes)))
     return worst
 

@@ -17,21 +17,20 @@ k + i.  Probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 ``outcome_table`` computes them for every element of every party's
 instrument at once, as one contraction sweep over the parties, and
 ``pm_validate`` runs the same sweep over a leading axis of sampled trials.
-The two backends are kept deliberately independent: a dense trace of W
-against each element's Choi operator, built from its double-sum definition
-(the oracle), and a factorized overlap of each element's kets with W of the
-form scale * |pure><pure| (x) (I/2)^m, the pure ket on the first qubits of
-the register and I/2 on the m after them.  The dense trace takes the last
-party first, whose output is the register's last qubit, and reads W as the
-16 slabs that fix that party's indices: views of W when it is held, and
-otherwise slabs written from the factor one mirrored pair at a time, so a
-factored W is never held whole; the mirror is written transposed, so the
-pair's Hermiticity and finiteness are one elementwise check of every entry.
-When the last qubit is maximally mixed, the 8 slabs whose row and column
-indices differ there are exactly zero and are never written.  Either way
-each slab is gathered into one buffer, the next traced party's axes first,
-and one matrix product contracts it with the first two traced parties'
-Choi tensors.
+W has one form, scale * |pure><pure| (x) (I/2)^m: the pure ket on the
+first qubits of the register and I/2 on the m after them.  The two backends
+are kept deliberately independent: a dense trace of W against each element's
+Choi operator, built from its double-sum definition (the oracle), and a
+factorized overlap of each element's kets with the pure factor.  The dense
+trace takes the last party first, whose output is the register's last qubit,
+and reads W as the 16 slabs that fix that party's indices, written from the
+factor one mirrored pair at a time, so W is never held whole; the mirror is
+written transposed, so the pair's Hermiticity and finiteness are one
+elementwise check of every entry.  When the last qubit is maximally mixed,
+the 8 slabs whose row and column indices differ there are exactly zero and
+are never written.  Each slab is gathered into one buffer, the next traced
+party's axes first, and one matrix product contracts it with the first two
+traced parties' Choi tensors.
 """
 
 from __future__ import annotations
@@ -147,59 +146,36 @@ def bob_instrument() -> Instrument:
 # ---------------------------------------------------------------------------
 # process matrices
 
-@dataclass(frozen=True)
-class PureMixedFactor:
-    """W = scale * |pure><pure| (x) (I/2)^m: the pure ket on the register's
-    first qubits and I/2 on each of the m qubits after them."""
-
-    pure: Ket
-    scale: float
-
-
 class ProcessMatrix:
     """Process matrix of k parties, each with one input and one output qubit.
 
-    The register holds every input, then every output: party i owns input
-    qubit i and output qubit k + i (``qubits(i)``).  W is held as a dense
-    operator or as a pure (x) maximally-mixed factorization, exactly one of
-    them; the factorization enables large instances and the independent fast
-    backend.  ``cap`` bounds the register of the dense operator that
-    ``dense()`` and the dense oracle write; None reads the environment or
-    the default.
+    W = scale * |pure><pure| (x) (I/2)^m: the ``pure`` ket on the register's
+    first qubits and I/2 on each of the m qubits after them.  The register
+    holds every input, then every output: party i owns input qubit i and
+    output qubit k + i (``qubits(i)``).  ``cap`` bounds the register of the
+    dense operator that ``dense()`` and the dense oracle write; None reads
+    the environment or the default.
     """
 
     def __init__(
-        self,
-        parties: Sequence[str],
-        op: HermOp | None = None,
-        factor: PureMixedFactor | None = None,
-        cap: int | None = None,
+        self, parties: Sequence[str], pure: Ket, scale: float, cap: int | None = None
     ):
         parties = tuple(parties)
         if not parties:
             raise ProcmatError("process matrix needs at least one party")
-        if (op is None) == (factor is None):
-            raise ProcmatError(
-                "process matrix needs exactly one of a dense operator and a factorization"
-            )
         if len(set(parties)) != len(parties):
             raise ProcmatError(f"duplicate party names: {list(parties)}")
         k = 2 * len(parties)
-        if op is not None and op.num_qubits != k:
+        if pure.num_qubits > k:
             raise ProcmatError(
-                f"dense operator on {op.num_qubits} qubits does not match {len(parties)} parties"
+                f"pure ket on {pure.num_qubits} qubits exceeds the {k}-qubit register"
             )
-        if factor is not None:
-            if factor.pure.num_qubits > k:
-                raise ProcmatError(
-                    f"factor pure ket on {factor.pure.num_qubits} qubits exceeds the "
-                    f"{k}-qubit register"
-                )
-            if factor.scale <= 0:
-                raise ProcmatError("factor scale must be positive")
+        # NaN fails every comparison, so ``scale <= 0`` alone would pass it
+        if not (math.isfinite(scale) and scale > 0):
+            raise ProcmatError(f"scale must be finite and positive, got {scale!r}")
         self.parties = parties
-        self.factor = factor
-        self._op = op
+        self.pure = pure
+        self.scale = scale
         self.cap = cap
 
     @property
@@ -211,8 +187,8 @@ class ProcessMatrix:
         return i, len(self.parties) + i
 
     def _mixed_coeff(self) -> float:
-        """scale * 2^-m of a factored W with m maximally mixed qubits."""
-        return self.factor.scale * 0.5 ** (self.num_qubits - self.factor.pure.num_qubits)
+        """scale * 2^-m, m the number of maximally mixed qubits."""
+        return self.scale * 0.5 ** (self.num_qubits - self.pure.num_qubits)
 
     def _require_dense_cap(self) -> None:
         """Refuse a dense W above ``self.cap`` or the operator cap, before anything is allocated."""
@@ -224,35 +200,31 @@ class ProcessMatrix:
             )
 
     def dense(self) -> HermOp:
-        """The dense operator: the one held, or a factored W written afresh
-        as kron(scale |pure><pure|, (I/2)^m), capped by ``self.cap`` and the
-        operator cap."""
-        if self._op is not None:
-            return self._op
+        """W written as kron(scale |pure><pure|, (I/2)^m), capped by
+        ``self.cap`` and the operator cap.  ``_write_embedded`` writes it into
+        one zeroed array that the HermOp keeps, so the full operator is
+        allocated once and no block or kron copy of it is made."""
         self._require_dense_cap()
-        amp = self.factor.pure.amplitudes
+        amp = self.pure.amplitudes
+        out = np.zeros((2**self.num_qubits,) * 2, dtype=np.complex128)
         # |pure><pure| as the broadcast product of a column and a conjugated row
-        return _embed(amp[:, None], amp.conj()[None, :], self.num_qubits, self._mixed_coeff())
+        _write_embedded(out, amp[:, None], amp.conj()[None, :], self._mixed_coeff())
+        return HermOp(out, _owned=True)
 
     def trace(self) -> float:
-        if self.factor is not None:
-            return float(self.factor.scale * np.sum(np.abs(self.factor.pure.amplitudes) ** 2))
-        return float(self._op.trace().real)
+        return float(self.scale * np.sum(np.abs(self.pure.amplitudes) ** 2))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue, the positivity floor of W.
 
-        A factored W = scale |pure><pure| (x) (I/2)^m on p pure qubits has the
-        exact spectrum scale 2^-m ||pure||^2 (multiplicity 2^m) and 0
-        (multiplicity (2^p - 1) 2^m), so its floor is exactly 0.0 when p >= 1
-        and scale 2^-m ||pure||^2 when the pure register has dimension 1; no
-        operator is built.  A dense W is diagonalized.
+        W on p pure qubits has the exact spectrum scale 2^-m ||pure||^2
+        (multiplicity 2^m) and 0 (multiplicity (2^p - 1) 2^m), so its floor
+        is exactly 0.0 when p >= 1 and scale 2^-m ||pure||^2 when the pure
+        register has dimension 1; no operator is built.
         """
-        if self.factor is not None:
-            if self.factor.pure.num_qubits:
-                return 0.0
-            return self.trace() * 0.5 ** self.num_qubits
-        return qlin.min_eigenvalue(self._op)
+        if self.pure.num_qubits:
+            return 0.0
+        return self.trace() * 0.5 ** self.num_qubits
 
 
 # elements per operand buffer of numpy's iterator while W or a slab of it is
@@ -268,15 +240,6 @@ def _small_iterator_buffers():
         yield
     finally:
         np.setbufsize(bufsize)
-
-
-def _embed(left: np.ndarray, right: np.ndarray, num_qubits: int, coeff: float) -> HermOp:
-    """coeff * B (x) I on ``num_qubits`` qubits as one HermOp, written by
-    ``_write_embedded`` into one zeroed array that the HermOp keeps, so the
-    full operator is allocated once and no block or kron copy of it is made."""
-    out = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
-    _write_embedded(out, left, right, coeff)
-    return HermOp(out, _owned=True)
 
 
 def _write_embedded(out: np.ndarray, left: np.ndarray, right: np.ndarray, coeff: float) -> None:
@@ -346,7 +309,7 @@ def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
 
 
 def outcome_table(
-    w: ProcessMatrix, instruments: Mapping[str, Instrument], backend: str = "auto"
+    w: ProcessMatrix, instruments: Mapping[str, Instrument], backend: str = "factorized"
 ) -> np.ndarray:
     """P[e_0, ..., e_{k-1}] = Tr[W (x)_parties CJ], every element of every instrument.
 
@@ -354,22 +317,21 @@ def outcome_table(
     per element of that party's instrument.  It is the one-trial case of the
     batched kernel that ``pm_validate`` runs.
 
-    backend: "dense" (trace against the materialized operator), "factorized"
-    (overlap against the pure (x) mixed form; needs a factored ``w``), or
-    "auto" (factorized when ``w`` is factored, dense otherwise).
+    backend: "factorized" (overlap against the pure factor) or "dense" (the
+    oracle's trace against W, written slab by slab).
     """
     if set(instruments) != set(w.parties):
         raise ProcmatError(
             f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
         )
     kets = {party: (inst.measure[None], inst.reprepare[None]) for party, inst in instruments.items()}
-    return _trial_tables(w, kets, _resolved_backend(w, backend))[0]
+    return _trial_tables(w, kets, _resolved_backend(backend))[0]
 
 
 def pm_probability(
     w: ProcessMatrix,
     assignment: Mapping[str, tuple[np.ndarray, np.ndarray]],
-    backend: str = "auto",
+    backend: str = "factorized",
 ) -> float:
     """P = Tr[W (x)_parties CJ] for one element per party, given as its
     (measure, reprepare) pair of single-qubit amplitude arrays (see
@@ -384,9 +346,7 @@ def pm_probability(
 Kets = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
-def _resolved_backend(w: ProcessMatrix, backend: str) -> str:
-    if backend == "auto":
-        return "factorized" if w.factor is not None else "dense"
+def _resolved_backend(backend: str) -> str:
     if backend not in ("factorized", "dense"):
         raise ProcmatError(f"unknown backend {backend!r}")
     return backend
@@ -425,12 +385,9 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     """Factorized backend of the outcome tables: contract the pure factor with
     each party's stacked conjugate measure and reprepare kets in turn,
     keeping the trial axis in front."""
-    f = w.factor
-    if f is None:
-        raise ProcmatError("factorized backend needs a factored process matrix")
-    amp = f.pure.as_tensor()[None]
+    amp = w.pure.as_tensor()[None]
     # axis label per non-trial axis of amp: a register qubit, or None for an element axis
-    labels: list[int | None] = list(range(f.pure.num_qubits))
+    labels: list[int | None] = list(range(w.pure.num_qubits))
     for i, party in enumerate(w.parties):
         measure, reprepare = kets[party]
         # <u| on the party's pure qubits, one row per (trial, element); a mixed
@@ -453,13 +410,12 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
 
     The parties are traced in the order k-1, 0, 1, ..., k-2.  The slab
     party k-1 owns the register's last qubit, which is maximally mixed
-    whenever the factor has a mixed qubit, so that half of its slabs are
-    exactly zero.  The first two traced parties are traced by one kernel
+    whenever W has a mixed qubit, so that half of its slabs are exactly
+    zero.  The first two traced parties are traced by one kernel
     (``_trace_slabs``) over the 16 slabs W[v] that fix the slab party's row
-    and column indices, whatever their source: views of W when W is held,
-    and otherwise slabs written one mirrored pair at a time from the factor
-    (``_written_slabs``), which skips the zero ones, so a factored W is
-    never held whole.  Each slab is gathered into one buffer of 1/16 of W
+    and column indices, written one mirrored pair at a time from the pure
+    factor (``_written_slabs``), which skips the zero ones, so W is never
+    held whole.  Each slab is gathered into one buffer of 1/16 of W
     with the second traced party's four axes first and the others in
     register order, and one matmul contracts it; every later step's input
     holds at most 1/256 of W's entries per trial and pair of elements.  The
@@ -468,18 +424,13 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     k = len(w.parties)
     order = [k - 1] + list(range(k - 1))
     party = w.qubits(order[0])
-    first = _traced_labels(party)
     second = _traced_labels(w.qubits(order[1])) if k > 1 else []
     others = [q for q in range(w.num_qubits) if q not in party]
     # W's axes left once the first two traced parties are, in register order
     rest = [(side, q) for side in "rc" for q in others if (side, q) not in second]
-    if w._op is None:
-        w._require_dense_cap()  # before a buffer the size of a slab is allocated
+    w._require_dense_cap()  # before a buffer the size of a slab is allocated
     gather = np.empty(4 ** len(others), dtype=np.complex128)
-    slabs = (
-        _held_slabs(w, first + second + rest) if w._op is not None
-        else _written_slabs(w, party, second + rest, gather)
-    )
+    slabs = _written_slabs(w, party, second + rest, gather)
     cj = _choi_tensors(*kets[w.parties[order[0]]])
     trials, elements = cj.shape[:2]
     # the second traced party's CJ tensors, flat over the four axes they
@@ -530,21 +481,13 @@ _SLAB_PAIRS = tuple(
 Slabs = Iterator[tuple[tuple[int, ...], np.ndarray]]
 
 
-def _held_slabs(w: ProcessMatrix, order: Sequence[tuple[str, int]]) -> Slabs:
-    """(v, W[v]) in the order of ``_SLAB_PAIRS``: views of the held W with its
-    axes in ``order`` of labels, the slab party's four traced ones first."""
-    labels = [(side, q) for side in "rc" for q in range(w.num_qubits)]
-    wt = w.dense().as_tensor().transpose([labels.index(lab) for lab in order])
-    return ((v, wt[v]) for pair in _SLAB_PAIRS for v in pair)
-
-
 def _written_slabs(
     w: ProcessMatrix, party: tuple[int, int], order: Sequence[tuple[str, int]],
     scratch: np.ndarray,
 ) -> Slabs:
-    """(v, W[v]) in the order of ``_SLAB_PAIRS`` for a factored W, each pair
-    written from ``factor.pure`` by the writer of ``dense()``; v fixes the
-    indices of the slab party on (input, output) qubits ``party``.
+    """(v, W[v]) in the order of ``_SLAB_PAIRS``, each pair written from
+    ``w.pure`` by the writer of ``dense()``; v fixes the indices of the slab
+    party on (input, output) qubits ``party``.
 
     A slab is the operator that W induces on the other qubits once the slab
     party's indices are fixed: coeff * (left * right) (x) I, where ``left``
@@ -564,7 +507,7 @@ def _written_slabs(
     mixed output that is 4 of the 10 pairs, 8 of the 20 writes.  The slabs
     are yielded as views of the buffers with axes in ``order`` of labels.
     """
-    amp = w.factor.pure.as_tensor()
+    amp = w.pure.as_tensor()
     mixed = [i for i, q in enumerate(party) if q >= amp.ndim]
     others = [q for q in range(w.num_qubits) if q not in party]
     m = len(others)
@@ -681,64 +624,31 @@ def _trace_slabs(slabs: Slabs, cj: np.ndarray, pair: np.ndarray, gather: np.ndar
 _BLOCK_BYTES = 4 << 20
 
 
-def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> int:
+def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily) -> int:
     """Bytes that one trial adds to a block: what its draw allocates besides
     its kets (``family.draw_bytes``), its measure and reprepare kets, two
-    copies of one stack of them for the block's unit-ket check, the most
-    that its contraction steps hold at once and, for the dense backend, the
-    Choi tensors and left operands of its first step.
-
-    A factorized ``_batched_tensordot`` step holds its input, the transposed
-    copy that is multiplied, and its output, so three copies of the largest
-    intermediate bound every step.  The dense backend's first step traces
-    the first two traced parties through slabs and holds its table and one
-    product of the table's size; each later step holds its input, a
-    transposed copy and its output, and the C-ordered copy of the last
-    output's real part, in party order, is smaller than either.  The slab
-    buffers do not grow with the trials (``_fixed_bytes``).
+    copies of one stack of them for the block's unit-ket check, and the most
+    that its factorized contraction steps hold at once.  A
+    ``_batched_tensordot`` step holds its input, the transposed copy that is
+    multiplied, and its output, so three copies of the largest intermediate
+    bound every step.
     """
     elements = family.elements
     stack = elements * 2  # entries of one party's measure or reprepare kets
     # the block's kets, and two copies of one stack in its unit-ket check
     kets = (2 * len(w.parties) + 2) * stack
-    itemsize = np.dtype(np.complex128).itemsize
-    if backend == "factorized":
-        p = w.factor.pure.num_qubits
-        size = 2**p
-        largest = 0
-        for i in range(len(w.parties)):
-            size = size // 2 ** sum(q < p for q in w.qubits(i)) * elements
-            largest = max(largest, size)
-        return itemsize * (3 * largest + kets) + family.draw_bytes
-    # the table of the first two traced parties' step, and each later output
-    first = min(len(w.parties), 2)
-    outs = [4**w.num_qubits // 16**first * elements**first]
-    for _ in w.parties[2:]:
-        outs.append(outs[-1] // 16 * elements)
-    # what each step holds: the first its table and one product, each later
-    # one its input, a transposed copy of it and its output
-    held = [2 * outs[0]] + [2 * a + b for a, b in zip(outs, outs[1:])]
-    # two traced parties' Choi tensors of 16 entries per element, |r><r|, one
-    # product term and one coefficient while the second is built, and the
-    # matmul's left operand of 16 entries per pair of elements
-    choi = (2 * 16 + 4 + 4 + 1) * elements + 16 * elements**2
-    return itemsize * (max(held) + kets + choi) + family.draw_bytes
+    p = w.pure.num_qubits
+    size = 2**p
+    largest = 0
+    for i in range(len(w.parties)):
+        size = size // 2 ** sum(q < p for q in w.qubits(i)) * elements
+        largest = max(largest, size)
+    return np.dtype(np.complex128).itemsize * (3 * largest + kets) + family.draw_bytes
 
 
-def _fixed_bytes(w: ProcessMatrix, backend: str) -> int:
-    """Bytes that a block holds whatever its trials: for the dense backend,
-    the buffer that gathers one slab of 1/16 of W and, when W is written from
-    its factor, the two buffers of a mirrored pair of slabs."""
-    if backend == "factorized":
-        return 0
-    slabs = 1 if w._op is not None else 3
-    return np.dtype(np.complex128).itemsize * slabs * 4**w.num_qubits // 16
-
-
-def _block_trials(w: ProcessMatrix, family: InstrumentFamily, backend: str) -> int:
+def _block_trials(w: ProcessMatrix, family: InstrumentFamily) -> int:
     """Trials per block, the most that keep a block within ``_BLOCK_BYTES``."""
-    spare = _BLOCK_BYTES - _fixed_bytes(w, backend)
-    return max(1, spare // _trial_bytes(w, family, backend))
+    return max(1, _BLOCK_BYTES // _trial_bytes(w, family))
 
 
 @dataclass(frozen=True)
@@ -802,11 +712,10 @@ class PmValidityReport:
 
 def _trial_totals(w: ProcessMatrix, family: InstrumentFamily, trials: int, rng: np.random.Generator):
     """Yield (block, totals) per drawn block: the total probability of each of its trials."""
-    backend = _resolved_backend(w, "auto")
-    size = _block_trials(w, family, backend)
+    size = _block_trials(w, family)
     for start in range(0, trials, size):
         block = family.draw(rng, min(size, trials - start))
-        tables = _trial_tables(w, block.kets, backend, first_trial=start)
+        tables = _trial_tables(w, block.kets, "factorized", first_trial=start)
         totals = tables.reshape(len(tables), -1).sum(axis=1)
         del tables
         yield block, totals
@@ -933,19 +842,3 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     # the complex i*x terms and sums that make g and vec (16), the copy, tau,
     # Q and R of numpy's QR (14) and d/|d| (2)
     return InstrumentFamily(parties, 2, draw, len(parties) * (8 * 26 + 16 * 32))
-
-
-def density_process_matrix(rho: HermOp) -> ProcessMatrix:
-    """W = 2^k rho (x) (I/2)^k = rho (x) I^k, each party reading one qubit of
-    rho as its input: P1 the first, P2 the second and so on.
-
-    With measure-reprepare instruments this reproduces the Born probabilities
-    of rho exactly; the repreparations meet the maximally mixed outputs and
-    drop out.
-    """
-    k = rho.num_qubits
-    trace = float(rho.trace().real)
-    if abs(trace - 1.0) > 1e-10:
-        raise ProcmatError(f"rho must have unit trace, got {trace}")
-    op = _embed(rho.entries, np.ones(()), 2 * k, 1.0)
-    return ProcessMatrix([f"P{i + 1}" for i in range(k)], op=op)

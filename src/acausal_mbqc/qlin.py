@@ -85,12 +85,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "Ket":
-        n = self.norm()
-        if n < config.MIN_FORCE_PROBABILITY:
-            raise QlinError("cannot normalize a (numerically) zero vector")
-        return Ket(self.amplitudes / n)
-
     def as_tensor(self) -> np.ndarray:
         """Read-only view shaped ``(2,)*num_qubits`` with qubit i on axis i."""
         return self.amplitudes.reshape((2,) * self.num_qubits)
@@ -131,22 +125,17 @@ def _require_finite(mat: np.ndarray) -> None:
         raise QlinError("operator entries must be finite")
 
 
-def _require_hermitian(defect: float, hint: str = "") -> None:
-    """Refuse an operator whose ``_hermitian_defect`` exceeds ``HERMITIAN_ATOL``;
-    ``hint`` ends the error."""
+def _require_hermitian(defect: float) -> None:
+    """Refuse an operator whose ``_hermitian_defect`` exceeds ``HERMITIAN_ATOL``."""
     if defect > config.HERMITIAN_ATOL:
         raise QlinError(
-            f"operator is not Hermitian within {config.HERMITIAN_ATOL} "
-            f"(defect {defect:.3e}){hint}"
+            f"operator is not Hermitian within {config.HERMITIAN_ATOL} (defect {defect:.3e})"
         )
 
 
 class HermOp:
-    """Linear operator on an ordered qubit register, stored dense.
-
-    Flagged-Hermitian by default: ``||M - M^dag||_max <= config.HERMITIAN_ATOL``
-    is enforced unless ``require_hermitian=False`` (used for general linear
-    maps such as basis-change unitaries).
+    """Hermitian operator on an ordered qubit register, stored dense:
+    ``||M - M^dag||_max <= config.HERMITIAN_ATOL`` is enforced.
 
     The operator keeps a frozen copy of ``entries``.  Package code that has
     just built a complex128 array nobody else holds passes ``_owned=True``:
@@ -154,21 +143,17 @@ class HermOp:
     large operator is never held twice.
     """
 
-    __slots__ = ("entries", "num_qubits", "hermitian")
+    __slots__ = ("entries", "num_qubits")
 
-    def __init__(self, entries, *, require_hermitian: bool = True, _owned: bool = False):
+    def __init__(self, entries, *, _owned: bool = False):
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QlinError(f"operator must be square, got shape {mat.shape}")
         k = _num_qubits_for(mat.shape[0])
         _require_finite(mat)
-        if require_hermitian:
-            _require_hermitian(
-                _hermitian_defect(mat), "; pass require_hermitian=False for general maps"
-            )
+        _require_hermitian(_hermitian_defect(mat))
         self.entries = _frozen_array(mat, mat.shape, copy=not _owned)
         self.num_qubits = k
-        self.hermitian = bool(require_hermitian)
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -178,7 +163,7 @@ class HermOp:
         return self.entries.reshape((2,) * (2 * self.num_qubits))
 
     def __repr__(self) -> str:
-        return f"HermOp(num_qubits={self.num_qubits}, hermitian={self.hermitian})"
+        return f"HermOp(num_qubits={self.num_qubits})"
 
 
 # ---------------------------------------------------------------------------
@@ -219,30 +204,13 @@ def equatorial_basis(phi: float) -> tuple[Ket, Ket]:
     return equatorial_ket(phi, 0), equatorial_ket(phi, 1)
 
 
-def projector(state: Ket) -> HermOp:
-    """|psi><psi| for a unit ket."""
-    return HermOp(np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
-def identity_op(num_qubits: int) -> HermOp:
-    return HermOp(np.eye(2**num_qubits))
-
-
-def maximally_mixed(num_qubits: int) -> HermOp:
-    return HermOp(np.eye(2**num_qubits) / 2**num_qubits)
-
-
 KET0 = basis_ket([0])
 KET1 = basis_ket([1])
 PLUS = equatorial_ket(0.0, 0)
-MINUS = equatorial_ket(0.0, 1)
 COMPUTATIONAL_BASIS = (KET0, KET1)
 
-ID2 = identity_op(1)
 PAULI_X = HermOp([[0, 1], [1, 0]])
-PAULI_Y = HermOp([[0, -1j], [1j, 0]])
 PAULI_Z = HermOp([[1, 0], [0, -1]])
-HADAMARD = HermOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
 CZ = HermOp(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
@@ -271,10 +239,9 @@ def kron_all(factors: Sequence[Ket] | Sequence[HermOp]):
         return Ket(vec, require_normalized=False) if _norm_off(vec) else Ket(vec)
     if all(isinstance(f, HermOp) for f in factors):
         mat = factors[0].entries
-        hermitian = all(f.hermitian for f in factors)
         for f in factors[1:]:
             mat = np.kron(mat, f.entries)
-        return HermOp(mat, require_hermitian=hermitian)
+        return HermOp(mat)
     raise QlinError("kron_all factors must be all Ket or all HermOp")
 
 
@@ -305,17 +272,17 @@ def permute_qubits(obj, perm: Sequence[int]):
         src = list(range(2 * k))
         dst = list(perm) + [k + p for p in perm]
         arr = np.moveaxis(obj.as_tensor(), src, dst)
-        return HermOp(arr.reshape(2**k, 2**k), require_hermitian=obj.hermitian)
+        return HermOp(arr.reshape(2**k, 2**k))
     raise QlinError(f"cannot permute {type(obj).__name__}")
 
 
-def apply_on_qubits(op: HermOp, targets: Sequence[int], state: Ket) -> Ket:
-    """Apply a j-qubit operator to the listed register positions of a state.
+def apply_on_qubits(op: np.ndarray, targets: Sequence[int], state: Ket) -> Ket:
+    """Apply a j-qubit matrix to the listed register positions of a state.
 
     Parameters
     ----------
-    op : HermOp
-        Operator on ``len(targets)`` qubits (need not be Hermitian).
+    op : array_like
+        (2^j, 2^j) matrix on j = ``len(targets)`` qubits; need not be Hermitian.
     targets : sequence of int
         Distinct register positions; ``targets[i]`` receives op qubit ``i``.
     state : Ket
@@ -331,10 +298,11 @@ def apply_on_qubits(op: HermOp, targets: Sequence[int], state: Ket) -> Ket:
         raise QlinError(f"targets must be distinct, got {targets}")
     if any(t < 0 or t >= k for t in targets):
         raise QlinError(f"targets {targets} out of range for {k} qubits")
-    j = op.num_qubits
-    if j != len(targets):
-        raise QlinError(f"operator acts on {j} qubits but {len(targets)} targets given")
-    op_t = op.as_tensor()
+    j = len(targets)
+    op = np.asarray(op, dtype=np.complex128)
+    if op.shape != (2**j, 2**j):
+        raise QlinError(f"operator of shape {op.shape} does not act on {j} targets")
+    op_t = op.reshape((2,) * (2 * j))
     arr = np.tensordot(op_t, state.as_tensor(), axes=(list(range(j, 2 * j)), targets))
     # tensordot left the op's row axes in front; put them back at the targets
     arr = np.moveaxis(arr, range(j), targets)
@@ -356,13 +324,11 @@ def partial_trace(op: HermOp, discard: Iterable[int]) -> HermOp:
     out = [row[i] for i in keep] + [col[i] for i in keep]
     spec = "".join(row + col) + "->" + "".join(out)
     reduced = np.einsum(spec, op.as_tensor()).reshape(2 ** len(keep), 2 ** len(keep))
-    return HermOp(reduced, require_hermitian=op.hermitian)
+    return HermOp(reduced)
 
 
 def min_eigenvalue(op: HermOp) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
-    if not op.hermitian:
-        raise QlinError("min_eigenvalue requires a Hermitian-flagged operator")
     return float(np.linalg.eigvalsh(op.entries)[0])
 
 

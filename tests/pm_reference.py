@@ -15,11 +15,12 @@ transposed copy of all of W.
 
 ``kron_cz_decorated_state`` is the reference for ``acausal._pendant_route``:
 the plain graph state with N |+> pendants appended by ``qlin.kron_all`` and
-one ``qlin.apply_on_qubits(CZ)`` per computation vertex and its pendant.
+one ``qlin.apply_on_qubits`` of CZ per computation vertex and its pendant.
 
 ``branch_probability`` is the non-adaptive Born probability of one outcome
 tuple, read from the graph state with one product bra, and ``cptp_check``
-tests an instrument's summed Choi operator.  ``random_ket``,
+tests an instrument's summed Choi operator.  ``density_pm`` is the process
+matrix that hands each party one qubit of a state.  ``random_ket``,
 ``random_density`` and ``random_single_qubit_basis`` draw the random states
 of the test families.
 """
@@ -42,6 +43,15 @@ def random_density(rng: np.random.Generator, num_qubits: int) -> qlin.HermOp:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return qlin.HermOp(rho / np.trace(rho).real)
+
+
+def density_pm(psi: qlin.Ket) -> procmat.ProcessMatrix:
+    """W = 2^k |psi><psi| (x) (I/2)^k = |psi><psi| (x) I^k on k parties, party
+    Pi reading qubit i of psi as its input: with measure-reprepare
+    instruments it gives the Born probabilities of psi, and it is normalized
+    for every CPTP instrument tuple."""
+    k = psi.num_qubits
+    return procmat.ProcessMatrix([f"P{i + 1}" for i in range(k)], pure=psi, scale=2.0**k)
 
 
 def random_single_qubit_basis(rng: np.random.Generator) -> tuple[qlin.Ket, qlin.Ket]:
@@ -79,7 +89,7 @@ def kron_cz_decorated_state(g) -> qlin.Ket:
     n_comp, n_out = g.n_computation, g.n_output
     state = qlin.kron_all([graphstate.graph_state(g)] + [qlin.PLUS] * n_comp)
     for j in range(n_comp):
-        state = qlin.apply_on_qubits(qlin.CZ, [j, n_comp + n_out + j], state)
+        state = qlin.apply_on_qubits(qlin.CZ.entries, [j, n_comp + n_out + j], state)
     return state
 
 

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
-from acausal_mbqc.procmat import ProcessMatrix, PureMixedFactor
+from acausal_mbqc.procmat import ProcessMatrix
 from pm_reference import kron_cz_decorated_state
 
 
 def perturbed_pure_ancilla(r):
     """Control: replace each maximally mixed ancilla with a pure |0>."""
-    f = r.w.factor
-    pure = qlin.kron_all([f.pure] + [qlin.KET0] * r.n_output)
-    w = ProcessMatrix(r.w.parties, factor=PureMixedFactor(pure, f.scale))
+    pure = qlin.kron_all([r.w.pure] + [qlin.KET0] * r.n_output)
+    w = ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
     return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
 
 
@@ -22,7 +21,7 @@ def perturbed_no_decoration(r):
     """Control: skip the pendant entangling step (pendants stay |+>)."""
     gs = graphstate.graph_state(r.base_graph)
     pure = qlin.kron_all([gs] + [qlin.PLUS] * r.n_computation)
-    w = ProcessMatrix(r.w.parties, factor=PureMixedFactor(pure, r.w.factor.scale))
+    w = ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
     return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
 
 
@@ -297,12 +296,11 @@ def test_dense_oracle_refuses_chain7_before_allocating():
 
 
 def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
-    """The factored floor reads the spectrum; no projector, HermOp or eigvalsh."""
+    """The factored floor reads the spectrum; no HermOp or eigvalsh."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("factored min_eigenvalue must not build or diagonalize W")
 
-    monkeypatch.setattr(qlin, "projector", refuse)
     monkeypatch.setattr(qlin.HermOp, "__init__", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert acausal.build_resource_pm(graphstate.chain(4)).min_eigenvalue() == 0.0

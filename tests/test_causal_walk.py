@@ -45,9 +45,9 @@ def _one_run(g, p, rng, correct, forced=None):
         live.remove(v)
     for o in g.output if correct else ():
         if _parity(m_by, p.out_x_deps.get(o, ())):
-            state = qlin.apply_on_qubits(qlin.PAULI_X, [live.index(o)], state)
+            state = qlin.apply_on_qubits(qlin.PAULI_X.entries, [live.index(o)], state)
         if _parity(m_by, p.out_z_deps.get(o, ())):
-            state = qlin.apply_on_qubits(qlin.PAULI_Z, [live.index(o)], state)
+            state = qlin.apply_on_qubits(qlin.PAULI_Z.entries, [live.index(o)], state)
     return m_by, state, weight
 
 

@@ -94,12 +94,13 @@ def test_custom_pattern_accepted():
 
 
 def test_game_report_builds_no_projector(monkeypatch):
-    """p0_boys_first is the squared norm of the z = 0^n column of |G>."""
+    """p0_boys_first is the squared norm of the z = 0^n column of |G>: no
+    projector, nor any other operator, is built."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("game_report must not build a projector")
 
-    monkeypatch.setattr(qlin, "projector", refuse)
+    monkeypatch.setattr(qlin.HermOp, "__init__", refuse)
     for g, boys in [(graphstate.chain(4), 0.5), (graphstate.parallel_chains([2, 2]), 0.25)]:
         rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
         assert rep["violated"] is True

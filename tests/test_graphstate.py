@@ -15,7 +15,7 @@ def cz_circuit_state(g):
     pos = {v: i for i, v in enumerate(order)}
     state = qlin.kron_all([qlin.PLUS] * len(order))
     for a, b in g.edges:
-        state = qlin.apply_on_qubits(qlin.CZ, [pos[a], pos[b]], state)
+        state = qlin.apply_on_qubits(qlin.CZ.entries, [pos[a], pos[b]], state)
     return state
 
 

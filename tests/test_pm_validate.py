@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, graphstate, procmat, qlin
-from pm_reference import mbqc_sampler, random_density, rank_one_sampler, reference_sweep
+from pm_reference import density_pm, mbqc_sampler, random_ket, rank_one_sampler, reference_sweep
 
 
 @st.composite
 def sweeps(draw):
-    """A W (a factored resource with N + n <= 5, or a density process matrix),
+    """A W (a resource with N + n <= 5, or a density process matrix),
     a family with its per-trial reference sampler, a block size and a trial
     count that is not a multiple of it."""
     family = draw(st.sampled_from(["mbqc", "rank1"]))
@@ -34,8 +34,7 @@ def sweeps(draw):
         w, alices, bobs = r.w, r.alice_parties, r.bob_parties
     else:
         k = draw(st.integers(1, 3))
-        rho = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
-        w = procmat.density_process_matrix(rho)
+        w = density_pm(random_ket(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k))
         split = draw(st.integers(0, k))
         alices, bobs = w.parties[:split], w.parties[split:]
     if family == "mbqc":
@@ -50,13 +49,8 @@ def sweeps(draw):
 
 def small_blocks(monkeypatch, w, family, block):
     """Shrink the byte budget so that ``pm_validate`` draws ``block`` trials at a time."""
-    backend = "factorized" if w.factor is not None else "dense"
-    monkeypatch.setattr(
-        procmat,
-        "_BLOCK_BYTES",
-        procmat._fixed_bytes(w, backend) + block * procmat._trial_bytes(w, family, backend),
-    )
-    assert procmat._block_trials(w, family, backend) == block
+    monkeypatch.setattr(procmat, "_BLOCK_BYTES", block * procmat._trial_bytes(w, family))
+    assert procmat._block_trials(w, family) == block
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -99,7 +93,7 @@ def test_sweep_memory_is_bounded_by_the_block_budget(family, length):
         else procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
     )
     trials = 20_000
-    assert procmat._block_trials(r.w, fam, "factorized") < trials
+    assert procmat._block_trials(r.w, fam) < trials
     procmat.pm_validate(r.w, fam, 3, 1e-9, np.random.default_rng(0))  # warm caches
     tracemalloc.start()
     try:
@@ -112,46 +106,19 @@ def test_sweep_memory_is_bounded_by_the_block_budget(family, length):
     assert peak < procmat._BLOCK_BYTES + procmat._BLOCK_BYTES // 16, peak
 
 
-@pytest.mark.parametrize("family", ["mbqc", "rank1"])
-def test_dense_sweep_memory_is_bounded_by_the_block_budget(family):
-    """The same bound for a W given only as a dense operator, which the dense
-    backend contracts; W itself is built before the sweep is measured."""
-    w = procmat.density_process_matrix(random_density(np.random.default_rng(8), 4))
-    fam = (
-        procmat.mbqc_instrument_family(w.parties[:2], w.parties[2:])
-        if family == "mbqc"
-        else procmat.rank_one_instrument_family(w.parties)
-    )
-    trials = 200
-    assert 1 < procmat._block_trials(w, fam, "dense") < trials
-    procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # builds W, warms caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        report = procmat.pm_validate(w, fam, trials, 1e-9, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert report.trials == trials and report.passed
-    assert peak < procmat._BLOCK_BYTES + procmat._BLOCK_BYTES // 16, peak
-
-
-def test_dense_sweep_peak_is_near_the_block_budget():
+def test_sweep_peak_is_near_the_block_budget():
     """``_trial_bytes`` counts what a block holds, its draw included: a sweep
-    of two full blocks and one more trial over a W given only as a dense
-    operator, of 1 to 5 parties, stays within the budget for either family
-    and on one of them fills more than 0.9 of it (three copies of the largest
-    intermediate, an older count, left such sweeps below 0.8; a count
-    without the draw let small W overrun the budget by up to 1.44 times)."""
+    of two full blocks and one more trial over a density process matrix of
+    1 to 5 parties stays within the budget for either family."""
     ratios = []
     for k in range(1, 6):
-        w = procmat.density_process_matrix(random_density(np.random.default_rng(8), k))
+        w = density_pm(random_ket(np.random.default_rng(8), k))
         for fam in (
             procmat.mbqc_instrument_family(w.parties[: k // 2], w.parties[k // 2:]),
             procmat.rank_one_instrument_family(w.parties),
         ):
-            trials = 2 * procmat._block_trials(w, fam, "dense") + 1
-            procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # builds W, warms caches
+            trials = 2 * procmat._block_trials(w, fam) + 1
+            procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # warm caches
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -162,7 +129,6 @@ def test_dense_sweep_peak_is_near_the_block_budget():
             assert report.trials == trials and report.passed
             ratios.append(peak / procmat._BLOCK_BYTES)
     assert max(ratios) < 1 + 1 / 16, ratios
-    assert max(ratios) > 0.9, ratios
 
 
 def chain2_sweep(monkeypatch, raw_trial):

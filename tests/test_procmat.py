@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from acausal_mbqc import acausal, graphstate, procmat, qlin
-from acausal_mbqc.procmat import (
-    ProcmatError,
-    ProcessMatrix,
-    PureMixedFactor,
-)
-from pm_reference import cptp_check, random_density, random_ket, random_single_qubit_basis
+from acausal_mbqc.procmat import ProcmatError, ProcessMatrix
+from pm_reference import cptp_check, density_pm, random_ket, random_single_qubit_basis
 
 
 def choi_operator(measure, reprepare):
@@ -106,10 +102,11 @@ def test_instrument_arrays_are_checked_copied_and_frozen():
 
 
 def test_density_pm_reproduces_born_rule():
-    """Measure-reprepare parties on 2^k rho (x) (I/2)^k recover <b|rho|b>."""
+    """Measure-reprepare parties on 2^k rho (x) (I/2)^k recover <b|rho|b>
+    for rho = |psi><psi|."""
     rng = np.random.default_rng(53)
-    rho = random_density(rng, 2)
-    w = procmat.density_process_matrix(rho)
+    psi = random_ket(rng, 2)
+    w = density_pm(psi)
     basis_a = random_single_qubit_basis(rng)
     basis_b = random_single_qubit_basis(rng)
     total = 0.0
@@ -121,7 +118,7 @@ def test_density_pm_reproduces_born_rule():
             }
             p = procmat.pm_probability(w, assignment)
             bra = np.kron(basis_a[ka].amplitudes, basis_b[kb].amplitudes)
-            born = float(np.real(bra.conj() @ rho.entries @ bra))
+            born = float(abs(np.vdot(bra, psi.amplitudes)) ** 2)
             assert p == pytest.approx(born, abs=1e-12)
             total += p
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -129,7 +126,7 @@ def test_density_pm_reproduces_born_rule():
 
 def test_density_pm_normalizes_for_arbitrary_rank1_instruments():
     rng = np.random.default_rng(59)
-    w = procmat.density_process_matrix(random_density(rng, 2))
+    w = density_pm(random_ket(rng, 2))
     report = procmat.pm_validate(
         w, procmat.rank_one_instrument_family(["P1", "P2"]), 20, 1e-9, rng
     )
@@ -140,7 +137,7 @@ def test_density_pm_normalizes_for_arbitrary_rank1_instruments():
 def small_factored_pm(rng):
     """W = 2 |psi><psi|_{in} (x) (I/2)_{out} for one party."""
     psi = random_ket(rng, 1)
-    return ProcessMatrix(["A"], factor=PureMixedFactor(pure=psi, scale=2.0)), psi
+    return ProcessMatrix(["A"], pure=psi, scale=2.0), psi
 
 
 def test_factorized_and_dense_backends_agree():
@@ -179,15 +176,14 @@ def test_pm_probability_validates_parties():
 @pytest.mark.parametrize(
     "parties, kwargs, message",
     [
-        (["A", "B"], dict(op=qlin.identity_op(2)), "does not match 2 parties"),
-        (["A"], dict(op=qlin.identity_op(2), factor=PureMixedFactor(qlin.KET0, 1.0)), "exactly one"),
-        (["A"], {}, "exactly one"),
-        (["A", "A"], dict(op=qlin.identity_op(4)), "duplicate party names"),
-        ([], dict(op=qlin.identity_op(0)), "at least one party"),
-        (["A"], dict(factor=PureMixedFactor(qlin.basis_ket([0] * 3), 1.0)), "exceeds the 2-qubit"),
-        (["A"], dict(factor=PureMixedFactor(qlin.KET0, 0.0)), "scale must be positive"),
+        (["A", "A"], dict(pure=qlin.KET0, scale=1.0), "duplicate party names"),
+        ([], dict(pure=qlin.KET0, scale=1.0), "at least one party"),
+        (["A"], dict(pure=qlin.basis_ket([0] * 3), scale=1.0), "exceeds the 2-qubit"),
+        (["A"], dict(pure=qlin.KET0, scale=0.0), "scale must be finite and positive"),
+        (["A"], dict(pure=qlin.KET0, scale=float("nan")), "scale must be finite and positive"),
+        (["A"], dict(pure=qlin.KET0, scale=float("inf")), "scale must be finite and positive"),
     ],
-    ids=["op-size", "both", "neither", "duplicate", "no-party", "pure-too-large", "scale"],
+    ids=["duplicate", "no-party", "pure-too-large", "scale", "scale-nan", "scale-inf"],
 )
 def test_process_matrix_refuses_a_malformed_register(parties, kwargs, message):
     with pytest.raises(ProcmatError, match=message):
@@ -226,7 +222,7 @@ def test_clamp_counter_and_range_guard():
 
 def test_pm_validate_worst_assignment_is_reported():
     rng = np.random.default_rng(79)
-    w = procmat.density_process_matrix(random_density(rng, 1))
+    w = density_pm(random_ket(rng, 1))
     report = procmat.pm_validate(
         w, procmat.mbqc_instrument_family(["P1"], []), 5, 1e-9, rng
     )
@@ -247,19 +243,17 @@ def test_pm_validate_names_the_failing_trial():
     assert all(desc.startswith("measure ") for desc in report.worst_assignment.values())
 
 
-def test_backend_dispatch_on_a_dense_only_process_matrix():
-    rng = np.random.default_rng(89)
-    w = procmat.density_process_matrix(random_density(rng, 2))
+def test_unknown_backend_is_refused():
+    """Two backends are named, "factorized" and "dense"; any other name,
+    "auto" included, is refused."""
+    w = density_pm(random_ket(np.random.default_rng(89), 2))
     instruments = {"P1": procmat.alice_instrument(0.4), "P2": procmat.bob_instrument()}
-    with pytest.raises(ProcmatError, match="needs a factored process matrix"):
-        procmat.outcome_table(w, instruments, backend="factorized")
-    dense = procmat.outcome_table(w, instruments, backend="dense")
-    assert np.array_equal(procmat.outcome_table(w, instruments), dense)
-    with pytest.raises(ProcmatError, match="unknown backend"):
-        procmat.outcome_table(w, instruments, backend="sparse")
+    for backend in ("auto", "sparse"):
+        with pytest.raises(ProcmatError, match="unknown backend"):
+            procmat.outcome_table(w, instruments, backend=backend)
 
 
-@pytest.mark.parametrize("backend", ["auto", "factorized"])
+@pytest.mark.parametrize("backend", [None, "factorized"], ids=["default", "factorized"])
 def test_factorized_table_never_builds_a_choi_operator(monkeypatch, backend):
     r = acausal.build_resource_pm(graphstate.chain(4))
 
@@ -267,5 +261,6 @@ def test_factorized_table_never_builds_a_choi_operator(monkeypatch, backend):
         raise AssertionError("the factorized backend built Choi tensors")
 
     monkeypatch.setattr(procmat, "_choi_tensors", refuse)
-    table = acausal.outcome_probabilities(r, 0.7, backend=backend)
+    kwargs = {} if backend is None else {"backend": backend}
+    table = acausal.outcome_probabilities(r, 0.7, **kwargs)
     assert float(table.sum()) == pytest.approx(1.0, abs=1e-10)

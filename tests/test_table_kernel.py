@@ -5,7 +5,7 @@ agree with each other and with the first-principles Born amplitude of
 criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
 guard must clamp and count each tiny negative entry once.  The dense kernel
 must equal the one-tensordot-per-party reference and trace W without
-copying it.  The trace and positivity floor that a factored W reads off its
+building it.  The trace and positivity floor that W reads off its pure
 factor must match the materialized dense operator, and that operator must
 equal, entry for entry, the plain kron of the projector with I/2 per mixed
 qubit, built with one ``HermOp``.
@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, procmat, qlin
-from pm_reference import random_density, random_ket, rank_one_sampler, tensordot_dense_probability
+from pm_reference import density_pm, random_ket, rank_one_sampler, tensordot_dense_probability
 from test_acceptance import born_oracle
 
 ATOL = 1e-12
@@ -74,12 +74,12 @@ def factored_w(n_parties, n_pure, scale, seed):
     rng = np.random.default_rng(seed)
     pure = random_ket(rng, n_pure) if n_pure else qlin.Ket([1.0])
     parties = [f"P{i + 1}" for i in range(n_parties)]
-    return procmat.ProcessMatrix(parties, factor=procmat.PureMixedFactor(pure, scale))
+    return procmat.ProcessMatrix(parties, pure=pure, scale=scale)
 
 
 @st.composite
 def factored_process_matrices(draw):
-    """A random factored W whose dense form fits the operator cap, with a
+    """A random W whose dense form fits the operator cap, with a
     pure prefix of any length: none, up to the first party's output, or all."""
     n_parties = draw(st.integers(1, min(4, config.DENSE_OPERATOR_CAP // 2)))
     return factored_w(
@@ -94,22 +94,22 @@ def factored_process_matrices(draw):
 @given(factored_process_matrices())
 @example(factored_w(n_parties=2, n_pure=0, scale=3.0, seed=0))
 def test_factored_trace_and_floor_match_dense_oracle(w):
-    f = w.factor
-    tol = ATOL * f.scale
+    tol = ATOL * w.scale
     dense = w.dense()
     assert abs(w.min_eigenvalue() - qlin.min_eigenvalue(dense)) <= tol
     assert abs(w.trace() - float(dense.trace().real)) <= tol
-    if not f.pure.num_qubits:
+    if not w.pure.num_qubits:
         # every qubit mixed: W = scale (I/2)^k has floor scale 2^-k, not 0
-        assert w.min_eigenvalue() == pytest.approx(f.scale * 0.5**w.num_qubits)
+        assert w.min_eigenvalue() == pytest.approx(w.scale * 0.5**w.num_qubits)
 
 
 def kron_dense(w):
     """Reference W: scale times the kron of the projector with I/2 per mixed qubit."""
-    f = w.factor
-    mixed = w.num_qubits - f.pure.num_qubits
-    big = qlin.kron_all([qlin.projector(f.pure)] + [qlin.maximally_mixed(1)] * mixed)
-    return f.scale * big.entries
+    amp = w.pure.amplitudes
+    big = np.outer(amp, amp.conj())
+    for _ in range(w.num_qubits - w.pure.num_qubits):
+        big = np.kron(big, np.eye(2) / 2)
+    return w.scale * big
 
 
 @PROPERTY_SETTINGS
@@ -123,16 +123,18 @@ def test_dense_equals_kron_reference(w):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_density_process_matrix_equals_kron_reference(k):
-    """W = rho (x) I^k: every input, then every output."""
-    rho = random_density(np.random.default_rng(k), k)
-    reference = np.kron(rho.entries, np.eye(2**k))
-    assert np.array_equal(procmat.density_process_matrix(rho).dense().entries, reference)
+    """W = rho (x) I^k for rho = |psi><psi|: every input, then every output."""
+    psi = random_ket(np.random.default_rng(k), k)
+    reference = np.kron(np.outer(psi.amplitudes, psi.amplitudes.conj()), np.eye(2**k))
+    assert np.array_equal(density_pm(psi).dense().entries, reference)
 
 
 @pytest.mark.parametrize("kind", ["factored", "density"])
 def test_dense_builds_one_hermop_and_no_kron_or_permutation(monkeypatch, kind):
-    rho = random_density(np.random.default_rng(5), 3)
-    w = factored_w(n_parties=3, n_pure=4, scale=1.5, seed=3)
+    w = (
+        factored_w(n_parties=3, n_pure=4, scale=1.5, seed=3) if kind == "factored"
+        else density_pm(random_ket(np.random.default_rng(5), 3))
+    )
     calls = {"kron_all": 0, "permute_qubits": 0}
     sizes = []
     real_init = qlin.HermOp.__init__
@@ -148,7 +150,7 @@ def test_dense_builds_one_hermop_and_no_kron_or_permutation(monkeypatch, kind):
 
         monkeypatch.setattr(qlin, name, counted)
     monkeypatch.setattr(qlin.HermOp, "__init__", counted_init)
-    op = w.dense() if kind == "factored" else procmat.density_process_matrix(rho).dense()
+    op = w.dense()
     assert sizes == [2**6] and op.num_qubits == 6
     assert calls == {"kron_all": 0, "permute_qubits": 0}
 
@@ -169,26 +171,6 @@ def test_dense_holds_one_copy_of_w():
     assert peak < 1.25 * w_bytes, peak / w_bytes
 
 
-def test_dense_table_makes_no_copy_of_w():
-    """With W held, the dense table of chain(5) allocates less than a quarter
-    of W beyond it: the slab party is traced through views of W, where a
-    transposed copy alone would be all of W."""
-    r = acausal.build_resource_pm(graphstate.chain(5))
-    held = procmat.ProcessMatrix(r.w.parties, op=r.w.dense())
-    w_bytes = held.dense().entries.nbytes
-    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
-    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        table = procmat.outcome_table(held, instruments, "dense")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (2,) * 5
-    assert peak < w_bytes / 4, peak / w_bytes
-
-
 def unit_kets(rng, shape):
     vecs = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
     return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
@@ -196,13 +178,12 @@ def unit_kets(rng, shape):
 
 @st.composite
 def dense_kernel_cases(draw):
-    """A W with a dense form (factored, or a density process matrix) and a
-    block of 1 to 6 trials of random unit kets, 1 to 3 elements per party."""
+    """A W whose dense form fits the operator cap (a random one, or a density
+    process matrix) and a block of 1 to 6 trials of random unit kets, 1 to 3
+    elements per party."""
     if draw(st.booleans()):
         k = draw(st.integers(1, 3))
-        w = procmat.density_process_matrix(
-            random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
-        )
+        w = density_pm(random_ket(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k))
     else:
         w = draw(factored_process_matrices())
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
@@ -222,7 +203,7 @@ def test_dense_kernel_equals_the_tensordot_reference(case):
 
 @st.composite
 def slab_cases(draw):
-    """A factored W and a block of 1 to 6 trials of random unit kets, 1 to 3
+    """A random W and a block of 1 to 6 trials of random unit kets, 1 to 3
     elements per party."""
     w = draw(factored_process_matrices())
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
@@ -247,15 +228,12 @@ def slab_case(n_parties, n_pure, trials=3, elements=2):
 @example(slab_case(1, n_pure=2, trials=1))  # one party: each slab is a scalar
 @example(slab_case(1, n_pure=1))
 @example(slab_case(1, n_pure=0, elements=1))
-def test_slab_path_equals_the_view_path_and_the_reference(case):
-    """On a factored W, the dense kernel writes W slab by slab, each slab
-    fixing the indices of the last party, whose qubits the examples name;
-    its table must be the bytes of the trace through views of the same W
-    held dense, and match the one-tensordot-per-party reference."""
+def test_slab_path_equals_the_reference(case):
+    """The dense kernel writes W slab by slab, each slab fixing the indices
+    of the last party, whose qubits the examples name; its table must match
+    the one-tensordot-per-party reference, which multiplies all of W."""
     w, kets = case
     table = procmat._dense_probability(w, kets)
-    held = procmat.ProcessMatrix(w.parties, op=w.dense())
-    assert np.array_equal(table, procmat._dense_probability(held, kets))
     ref = tensordot_dense_probability(w, kets)
     assert table.shape == ref.shape
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
@@ -309,14 +287,11 @@ def test_a_mixed_slab_party_output_halves_the_slabs():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", ["written", "held"])
-def test_dense_table_is_c_contiguous_in_party_order(k, kind):
+def test_dense_table_is_c_contiguous_in_party_order(k):
     """The slab party is traced first, but the table comes back with one
     axis per party in party order, as a C-contiguous array: party i has
     i + 1 elements here, so the shape names the order."""
     w = factored_w(k, n_pure=k + 1, scale=1.5, seed=k)
-    if kind == "held":
-        w = procmat.ProcessMatrix(w.parties, op=w.dense())
     rng = np.random.default_rng(k)
     kets = {
         p: (unit_kets(rng, (2, i + 1)), unit_kets(rng, (2, i + 1)))
@@ -370,11 +345,9 @@ def test_slab_checks_refuse_a_planted_entry(planted, message):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(procmat, "_write_embedded", planting)
-            with pytest.raises(qlin.QlinError, match=re.escape(message)) as info:
+            with pytest.raises(qlin.QlinError, match=re.escape(message)):
                 procmat._dense_probability(w, kets)
         assert len(writes) >= max(target)
-        # W here has no require_hermitian option to name
-        assert "require_hermitian" not in str(info.value)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 16, 64, 256, 512])
