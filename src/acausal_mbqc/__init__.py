@@ -18,13 +18,11 @@ from .qlin import (
     Ket,
     QlinError,
     basis_ket,
-    equatorial_basis,
     equatorial_ket,
     fidelity,
     kron_all,
     min_eigenvalue,
     overlap,
-    partial_trace,
     permute_qubits,
     sample_projective,
 )
@@ -34,7 +32,6 @@ from .graphstate import (
     chain,
     cycle_with_output,
     decorate,
-    graph,
     graph_from_json,
     graph_state,
     graph_to_json,
@@ -44,7 +41,6 @@ from .graphstate import (
     parallel_chains,
     random_resource_graph,
     stabilizer_check,
-    validate,
     vee_graph,
 )
 from .mbqc import (
@@ -59,7 +55,6 @@ from .mbqc import (
     make_pattern,
     pattern_from_json,
     pattern_to_json,
-    positive_branch_output,
     run_causal,
     sample_causal,
     validate_pattern,

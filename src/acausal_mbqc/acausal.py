@@ -107,7 +107,6 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     plain graph state, as one product with a sign table.  The cap is resolved
     once here and carried by W, so the dense oracle obeys the same cap.
     """
-    graphstate.validate(g)
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
     n_comp, n_out = g.n_computation, g.n_output
@@ -237,7 +236,7 @@ def postselected_sampler(
     state = r.decorated_state
     for j, c in enumerate(g.computation):
         # basis change: row m is <phi^m|, so basis-state bit j becomes outcome m_j
-        rows = np.array([qlin.equatorial_ket(ang[c], m).amplitudes.conj() for m in (0, 1)])
+        rows = qlin.equatorial_kets(ang[c]).conj()
         state = qlin.apply_on_qubits(rows, [j], state)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()

@@ -12,6 +12,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -339,7 +340,8 @@ def _cmd_game(ns: argparse.Namespace) -> int:
     g = graphstate.load_graph(ns.graph)
     # the resource is the largest register, so a cap refuses it before anything else
     r = acausal.build_resource_pm(g, ns.cap)
-    ang = _angles_arg(ns.angles, g)
+    # without --angles a given pattern plays its own angles
+    ang = None if ns.angles is None else _angles_arg(ns.angles, g)
     pattern = mbqc.load_pattern(ns.pattern) if ns.pattern else None
     inst = game.game_instance(g, ang, pattern, r.w.cap)
     report = game.game_report(inst, r)
@@ -357,16 +359,7 @@ def _cmd_pm_validate(ns: argparse.Namespace) -> int:
         family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
     rng = np.random.default_rng(ns.seed)
     rep = procmat.pm_validate(r.w, family, trials, ns.tol, rng)
-    report = {
-        "family": ns.family,
-        "min_eigenvalue": rep.min_eigenvalue,
-        "max_deviation": rep.max_deviation,
-        "worst_assignment": rep.worst_assignment,
-        "trials": rep.trials,
-        "tolerance": rep.tolerance,
-        "passed": rep.passed,
-    }
-    _emit(report, ns.json)
+    _emit({"family": ns.family, **dataclasses.asdict(rep)}, ns.json)
     if ns.family == "rank1":
         return 0  # exploratory family: violations are report content
     return 0 if rep.passed else 1

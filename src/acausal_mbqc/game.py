@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import acausal, config, graphstate, mbqc, qlin
+from . import acausal, config, graphstate, mbqc
 from .graphstate import Graph
 from .mbqc import Pattern
 
@@ -30,11 +30,15 @@ VIOLATION_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class GameInstance:
-    """Graph, angles, and pattern whose corrected output is |0...0> exactly."""
+    """Graph, angles, and pattern whose corrected output is |0...0> exactly,
+    with the exact girls-first score of each readout, corrected and
+    uncorrected, from the pattern's one split walk."""
 
     graph: Graph
     angles: Mapping[str, float]
     pattern: Pattern
+    p0_corrected: float
+    p0_uncorrected: float
 
     @property
     def n_output(self) -> int:
@@ -42,27 +46,46 @@ class GameInstance:
 
 
 def game_instance(
-    g: Graph, angles=0.0, pattern: Pattern | None = None, cap: int | None = None
+    g: Graph, angles=None, pattern: Pattern | None = None, cap: int | None = None
 ) -> GameInstance:
-    """Build an instance, enforcing the validity gate.
+    """Build an instance from one split walk of its pattern, enforcing the validity gate.
 
-    The positive-branch output must have fidelity >= 1 - 1e-10 with |0^n>;
-    chains of even total length at angle 0 qualify, odd ones do not.
+    Without a pattern, ``angles`` (default 0) drive the chain pattern; with
+    one, the instance plays the pattern's angles, and ``angles`` may only
+    repeat them.  The walk's all-zeros history must have nonzero weight and
+    an output with fidelity >= 1 - 1e-10 with |0^n>; chains of even total
+    length at angle 0 qualify, odd ones do not.
     """
-    graphstate.validate(g)
-    ang = mbqc.as_angle_map(g, angles)
     if pattern is None:
+        ang = mbqc.as_angle_map(g, 0.0 if angles is None else angles)
         pattern = mbqc.chain_pattern(g, ang)
     else:
-        mbqc.validate_pattern(g, pattern)
-    target = qlin.basis_ket([0] * g.n_output)
-    fid = qlin.fidelity(mbqc.positive_branch_output(g, ang, cap), target)
+        ang = mbqc.validate_pattern(g, pattern).angles
+        # compared as the pattern stores its angles, mod 2 pi
+        for v, a in ({} if angles is None else mbqc.as_angle_map(g, angles)).items():
+            if a % mbqc.TWO_PI != ang[v]:
+                raise GameError(
+                    f"angle {a!r} at vertex {v!r} differs from the pattern's {ang[v]!r}; "
+                    "the game plays the pattern's angles"
+                )
+    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(
+        g, pattern, correct=(True, False), cap=cap
+    )
+    if weight[0] == 0.0:
+        raise mbqc.PatternError("positive branch has zero probability at these angles")
+    fid = float(corrected[0, 0])
     if fid < 1.0 - VALIDITY_ATOL:
         raise GameError(
             f"positive-branch output has fidelity {fid!r} with |0^n|; "
             "not a deterministic game instance"
         )
-    return GameInstance(graph=g, angles=ang, pattern=pattern)
+    return GameInstance(
+        graph=g,
+        angles=ang,
+        pattern=pattern,
+        p0_corrected=_exact_p0(weight, corrected),
+        p0_uncorrected=_exact_p0(weight, uncorrected),
+    )
 
 
 def causal_bound(n: int) -> float:
@@ -94,12 +117,12 @@ def girls_first_p0(
 ) -> float:
     """Success probability when all measurements happen before readout.
 
-    shots = 0 evaluates the exact branch enumeration; shots > 0 estimates it
-    from that many seeded causal runs, sampled in one batched walk.
+    shots = 0 reads the exact score the instance holds from its split walk;
+    shots > 0 estimates it from that many seeded causal runs, sampled in one
+    batched walk under ``cap``.
     """
     if shots == 0:
-        _, weight, dist = mbqc.enumerate_causal(inst.graph, inst.pattern, correct=correct, cap=cap)
-        return _exact_p0(weight, dist)
+        return inst.p0_corrected if correct else inst.p0_uncorrected
     if shots < 0:
         raise GameError("shots must be nonnegative")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
@@ -115,24 +138,21 @@ def boys_first_p0(inst: GameInstance, cap: int | None = None) -> float:
 
 
 def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
-    """Full comparison for one instance on its graph's resource, whose cap every
-    walk obeys; ``violated`` is the headline.
+    """Full comparison for one instance on its graph's resource, whose cap the
+    boys-first read obeys; ``violated`` is the headline.
 
-    Both exact girls-first scores come from one split walk of the instance's
-    pattern, which keeps the uncorrected and the corrected readout of every
-    history; each equals ``girls_first_p0(inst, correct=...)`` bit for bit.
+    Both exact girls-first scores are the ones the instance holds from its
+    split walk, which kept the uncorrected and the corrected readout of every
+    history; the report walks no more.
     """
     if r.base_graph != inst.graph:
         raise GameError("the resource was built from a different graph than the instance")
     bound = causal_bound(inst.n_output)
     p0 = acausal_p0(r, inst.angles)
-    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(
-        inst.graph, inst.pattern, correct=(True, False), cap=r.w.cap
-    )
     return {
         "p0_acausal": p0,
-        "p0_girls_first_corrected": _exact_p0(weight, corrected),
-        "p0_girls_first_uncorrected": _exact_p0(weight, uncorrected),
+        "p0_girls_first_corrected": inst.p0_corrected,
+        "p0_girls_first_uncorrected": inst.p0_uncorrected,
         "p0_boys_first": boys_first_p0(inst, r.w.cap),
         "bound": bound,
         "violated": bool(p0 > bound + VIOLATION_ATOL),

@@ -3,7 +3,9 @@
 A resource graph splits its vertices into computation vertices C (measured)
 and output vertices O (read out).  Decoration attaches one fresh pendant
 vertex to every C vertex; the pendant carries the measured vertex's outcome
-in the acausal construction.
+in the acausal construction.  A ``Graph`` checks its structure once, when it
+is built, and raises ``GraphError`` naming every problem; the functions here
+take that check as given.
 
 Register order for ``graph_state``: C vertices in input order, then O
 vertices, then (for decorated graphs) the pendant vertices in C order.
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config, qlin
+from . import config
 from .qlin import Ket
 
 
@@ -35,8 +37,10 @@ class Graph:
     """Undirected simple graph with a computation/output split.
 
     ``decoration`` maps each C vertex to its pendant partner and is only
-    present on graphs produced by :func:`decorate`.  Construction normalizes
-    edge endpoint order but performs no validation; use :func:`validate`.
+    present on graphs produced by :func:`decorate`.  Construction takes any
+    sequences and stores them as tuples of strings, each edge's endpoints
+    sorted; it raises GraphError with every structural problem, so a Graph
+    that exists is valid and no caller checks it again.
     """
 
     vertices: tuple[str, ...]
@@ -58,6 +62,9 @@ class Graph:
             object.__setattr__(
                 self, "decoration", tuple((str(c), str(r)) for c, r in self.decoration)
             )
+        problems = _violations(self)
+        if problems:
+            raise GraphError(problems)
 
     @property
     def n_computation(self) -> int:
@@ -79,12 +86,7 @@ class Graph:
         )
 
 
-def graph(vertices, edges, computation, output) -> Graph:
-    """Build and validate an undecorated graph."""
-    return validate(Graph(tuple(vertices), tuple(edges), tuple(computation), tuple(output)))
-
-
-def violations(g: Graph) -> list[str]:
+def _violations(g: Graph) -> list[str]:
     """All structural problems of ``g``; empty list means valid."""
     problems: list[str] = []
     verts = g.vertices
@@ -143,14 +145,6 @@ def violations(g: Graph) -> list[str]:
     return problems
 
 
-def validate(g: Graph) -> Graph:
-    """Return ``g`` unchanged, raising GraphError with every violation otherwise."""
-    problems = violations(g)
-    if problems:
-        raise GraphError(problems)
-    return g
-
-
 def _adjacency_sets(g: Graph) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
     for a, b in g.edges:
@@ -158,14 +152,6 @@ def _adjacency_sets(g: Graph) -> dict[str, set[str]]:
             adj[a].add(b)
             adj[b].add(a)
     return adj
-
-
-def neighbors(g: Graph, v: str) -> tuple[str, ...]:
-    """Neighbors of ``v`` ordered by register position."""
-    if v not in set(g.vertices):
-        raise GraphError([f"unknown vertex {v!r}"])
-    idx = qubit_index(g)
-    return tuple(sorted(_adjacency_sets(g)[v], key=idx.__getitem__))
 
 
 def ket_order(g: Graph) -> tuple[str, ...]:
@@ -184,7 +170,6 @@ def decorate(g: Graph) -> Graph:
     Pendant labels are the C label plus apostrophes, extended until fresh.
     Decorating twice is an error.
     """
-    validate(g)
     if g.decoration is not None:
         raise GraphError(["graph is already decorated"])
     used = set(g.vertices)
@@ -195,14 +180,12 @@ def decorate(g: Graph) -> Graph:
             red += "'"
         used.add(red)
         pairs.append((c, red))
-    return validate(
-        Graph(
-            vertices=g.vertices + tuple(r for _, r in pairs),
-            edges=g.edges + tuple((c, r) for c, r in pairs),
-            computation=g.computation,
-            output=g.output,
-            decoration=tuple(pairs),
-        )
+    return Graph(
+        vertices=g.vertices + tuple(r for _, r in pairs),
+        edges=g.edges + tuple((c, r) for c, r in pairs),
+        computation=g.computation,
+        output=g.output,
+        decoration=tuple(pairs),
     )
 
 
@@ -212,7 +195,6 @@ def graph_state(g: Graph, cap: int | None = None) -> Ket:
     CZ application order is irrelevant (they commute), and the implementation
     is an exact sign flip, so the result is bit-identical for any edge order.
     """
-    validate(g)
     order = ket_order(g)
     k = len(order)
     config.check_cap(k, cap, what=f"graph state on {k} vertices")
@@ -228,19 +210,21 @@ def graph_state(g: Graph, cap: int | None = None) -> Ket:
 
 
 def stabilizer_check(state: Ket, g: Graph) -> float:
-    """max over vertices v of || K_v |state> - |state> ||, K_v = X_v prod_{u~v} Z_u."""
-    validate(g)
+    """max over vertices v of || K_v |state> - |state> ||, K_v = X_v prod_{u~v} Z_u:
+    X_v flips axis v of the state tensor, and each Z_u negates its half where
+    qubit u is 1, both exactly."""
     idx = qubit_index(g)
     if state.num_qubits != len(idx):
         raise GraphError(
             [f"state has {state.num_qubits} qubits but graph has {len(idx)} vertices"]
         )
+    adj = _adjacency_sets(g)
     worst = 0.0
     for v in g.vertices:
-        moved = qlin.apply_on_qubits(qlin.PAULI_X.entries, [idx[v]], state)
-        for u in _adjacency_sets(g)[v]:
-            moved = qlin.apply_on_qubits(qlin.PAULI_Z.entries, [idx[u]], moved)
-        worst = max(worst, float(np.linalg.norm(moved.amplitudes - state.amplitudes)))
+        moved = np.flip(state.as_tensor(), idx[v]).copy()
+        for u in adj[v]:
+            moved[(slice(None),) * idx[u] + (1,)] *= -1.0
+        worst = max(worst, float(np.linalg.norm(moved.reshape(-1) - state.amplitudes)))
     return worst
 
 
@@ -255,7 +239,6 @@ def _gf2_survivors(g: Graph) -> list[tuple[str, ...]]:
     are exactly the obstructions to outcome uniformity for generic equatorial
     angles (each contributes an X/Y-type parity constraint on the outcomes).
     """
-    validate(g)
     if g.decoration is not None:
         raise GraphError(["uniformity predicate applies to undecorated graphs"])
     n = g.n_computation
@@ -297,7 +280,7 @@ def chain(length: int, *, prefix: str = "") -> Graph:
     verts = comp + out
     path = comp + out
     edges = tuple((path[i], path[i + 1]) for i in range(length - 1))
-    return graph(verts, edges, comp, out)
+    return Graph(verts, edges, comp, out)
 
 
 def parallel_chains(lengths: Sequence[int]) -> Graph:
@@ -305,7 +288,7 @@ def parallel_chains(lengths: Sequence[int]) -> Graph:
     if not lengths:
         raise GraphError(["parallel_chains needs at least one chain"])
     parts = [chain(ln, prefix=f"{i}.") for i, ln in enumerate(lengths)]
-    return graph(
+    return Graph(
         tuple(itertools.chain.from_iterable(p.vertices for p in parts)),
         tuple(itertools.chain.from_iterable(p.edges for p in parts)),
         tuple(itertools.chain.from_iterable(p.computation for p in parts)),
@@ -321,25 +304,12 @@ def cycle_with_output(length: int) -> Graph:
     out = ("o0",)
     ring = comp + out
     edges = tuple((ring[i], ring[(i + 1) % length]) for i in range(length))
-    return graph(ring, edges, comp, out)
+    return Graph(ring, edges, comp, out)
 
 
 def vee_graph() -> Graph:
     """Two computation vertices sharing one output neighbor; branches are not uniform."""
-    return graph(("c0", "c1", "o0"), (("c0", "o0"), ("c1", "o0")), ("c0", "c1"), ("o0",))
-
-
-def is_connected(g: Graph) -> bool:
-    if not g.vertices:
-        return False
-    adj = _adjacency_sets(g)
-    seen = {g.vertices[0]}
-    frontier = [g.vertices[0]]
-    while frontier:
-        reach = {u for v in frontier for u in adj[v]} - seen
-        seen |= reach
-        frontier = list(reach)
-    return len(seen) == len(g.vertices)
+    return Graph(("c0", "c1", "o0"), (("c0", "o0"), ("c1", "o0")), ("c0", "c1"), ("o0",))
 
 
 def random_connected_graph(
@@ -363,7 +333,7 @@ def random_connected_graph(
     for pair in itertools.combinations(sorted(verts), 2):
         if pair not in edges and rng.random() < edge_probability:
             edges.add(pair)
-    return graph(verts, sorted(edges), verts[:n_computation], verts[n_computation:])
+    return Graph(verts, sorted(edges), verts[:n_computation], verts[n_computation:])
 
 
 def random_resource_graph(
@@ -416,11 +386,10 @@ def graph_from_json(obj) -> Graph:
         isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
     ):
         raise GraphError(["edges must be a list of [a, b] label pairs"])
-    return graph(obj["vertices"], [tuple(e) for e in edges], obj["computation"], obj["output"])
+    return Graph(obj["vertices"], edges, obj["computation"], obj["output"])
 
 
 def graph_to_json(g: Graph) -> dict:
-    validate(g)
     if g.decoration is not None:
         raise GraphError(["only undecorated graphs serialize to JSON"])
     return {

@@ -5,13 +5,13 @@ Computation vertices are measured one at a time in equatorial bases
 outcomes through X/Z dependency sets, and the surviving output register gets
 a final Pauli byproduct correction before computational-basis readout.
 
-One measurement walk serves all three uses.  Sampled, it keeps one outcome
-per row and step (``sample_causal``, ``run_causal``).  Split, it keeps both,
-so one start row ends as all 2^N adaptive histories while every step holds
+One measurement walk serves both uses.  Sampled, it keeps one outcome per
+row and step (``sample_causal``, ``run_causal``).  Split, it keeps both, so
+one start row ends as all 2^N adaptive histories while every step holds
 2^(N+n) amplitudes: O(N 2^(N+n)) work in all.  ``enumerate_causal`` returns
 those histories as the walk's arrays, one row per history (outcome bits,
 weight, readout distribution), corrected, uncorrected or both from the same
-walk, and ``positive_branch_output`` reads the all-zeros one.
+walk; row 0 is the all-zeros history, the positive branch.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import config, graphstate
+from . import config, graphstate, qlin
 from .graphstate import Graph
-from .qlin import Ket
 
 
 class PatternError(ValueError):
@@ -87,7 +86,6 @@ def make_pattern(
 
 
 def validate_pattern(g: Graph, p: Pattern) -> Pattern:
-    graphstate.validate(g)
     cset = set(g.computation)
     oset = set(g.output)
     if len(set(p.order)) != len(p.order) or set(p.order) != cset:
@@ -233,9 +231,8 @@ def _walk(g: Graph, p: Pattern, rows: int = 1, *, correct: bool, rng=None, cap=N
             phi = adapted_angle(
                 p.angles[v], parity(p.x_deps.get(v, ())), parity(p.z_deps.get(v, ()))
             )
-            e = np.exp(1j * phi)
-            bras = (np.stack([np.ones_like(e), e, np.ones_like(e), -e], 1) / np.sqrt(2.0)).conj()
-            row, m, state, w = step(state, live.index(v), bras.reshape(-1, 2, 2), i)
+            bras = qlin.equatorial_kets(phi).conj()
+            row, m, state, w = step(state, live.index(v), bras, i)
             bits = np.column_stack([bits[row], m])
             weight = weight[row] * w
             live.remove(v)
@@ -294,17 +291,6 @@ def enumerate_causal(g: Graph, p: Pattern, *, correct=True, cap=None):
     return m, weight, dist(correct)
 
 
-def positive_branch_output(g: Graph, angles, cap=None) -> Ket:
-    """Normalized output state of the all-zeros outcome branch (no corrections
-    needed), row 0 of the uncorrected split; errors if that branch has
-    (numerically) zero probability."""
-    p = make_pattern(g.computation, as_angle_map(g, angles))
-    _, weight, amps = _walk(g, p, correct=False, cap=cap)
-    if weight[0] == 0.0:
-        raise PatternError("positive branch has zero probability at these angles")
-    return Ket(amps[0])
-
-
 # ---------------------------------------------------------------------------
 # chain presets
 
@@ -316,7 +302,6 @@ def chain_pattern(g: Graph, angles=0.0) -> Pattern:
     the one before that; the output correction is X^(last outcome) *
     Z^(second-to-last outcome).
     """
-    graphstate.validate(g)
     ang = as_angle_map(g, angles)
     adj = {v: set() for v in g.vertices}
     for a, b in g.edges:

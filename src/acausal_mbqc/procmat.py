@@ -131,16 +131,22 @@ def mbqc_kets(phis: np.ndarray, alices: Sequence[str], bobs: Sequence[str]) -> K
     return kets
 
 
+def _mbqc_description(phi: float | None = None) -> str:
+    """The description of an MBQC instrument: an Alice's equatorial
+    measurement at angle ``phi``, or without one a Bob's readout."""
+    return "computational readout" if phi is None else f"equatorial(phi={float(phi):.6f})"
+
+
 def alice_instrument(phi: float) -> Instrument:
     """Equatorial measurement at angle phi, reprepared as the outcome bit."""
     measure, reprepare = mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())["A"]
-    return Instrument(measure[0], reprepare[0], f"equatorial(phi={float(phi):.6f})")
+    return Instrument(measure[0], reprepare[0], _mbqc_description(phi))
 
 
 def bob_instrument() -> Instrument:
     """Computational-basis readout, reprepared as the outcome bit."""
     measure, reprepare = mbqc_kets(np.zeros((1, 0)), (), ("B",))["B"]
-    return Instrument(measure[0], reprepare[0], "computational readout")
+    return Instrument(measure[0], reprepare[0], _mbqc_description())
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +782,8 @@ def mbqc_instrument_family(
         phis = rng.uniform(0.0, TWO_PI, size=(trials, len(alices)))
 
         def describe(t: int) -> dict[str, str]:
-            out = {a: alice_instrument(phis[t, i]).description for i, a in enumerate(alices)}
-            out.update({b: bob_instrument().description for b in bobs})
+            out = {a: _mbqc_description(phis[t, i]) for i, a in enumerate(alices)}
+            out.update({b: _mbqc_description() for b in bobs})
             return out
 
         return InstrumentBlock(mbqc_kets(phis, alices, bobs), describe)

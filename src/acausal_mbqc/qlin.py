@@ -13,9 +13,8 @@ random state; samplers take a ``numpy.random.Generator`` from the caller.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,7 +166,7 @@ class HermOp:
 
 
 # ---------------------------------------------------------------------------
-# constructors and constants
+# constructors
 
 def basis_ket(bits: Sequence[int]) -> Ket:
     """Computational basis state |b0 b1 ... b_{k-1}>."""
@@ -200,20 +199,6 @@ def equatorial_ket(phi: float, outcome: int = 0) -> Ket:
     return Ket(equatorial_kets(float(phi))[outcome])
 
 
-def equatorial_basis(phi: float) -> tuple[Ket, Ket]:
-    return equatorial_ket(phi, 0), equatorial_ket(phi, 1)
-
-
-KET0 = basis_ket([0])
-KET1 = basis_ket([1])
-PLUS = equatorial_ket(0.0, 0)
-COMPUTATIONAL_BASIS = (KET0, KET1)
-
-PAULI_X = HermOp([[0, 1], [1, 0]])
-PAULI_Z = HermOp([[1, 0], [0, -1]])
-CZ = HermOp(np.diag([1.0, 1.0, 1.0, -1.0]))
-
-
 # ---------------------------------------------------------------------------
 # register operations
 
@@ -236,17 +221,13 @@ def kron_all(factors: Sequence[Ket] | Sequence[HermOp]):
         vec = factors[0].amplitudes
         for f in factors[1:]:
             vec = np.kron(vec, f.amplitudes)
-        return Ket(vec, require_normalized=False) if _norm_off(vec) else Ket(vec)
+        return Ket(vec, require_normalized=False)
     if all(isinstance(f, HermOp) for f in factors):
         mat = factors[0].entries
         for f in factors[1:]:
             mat = np.kron(mat, f.entries)
         return HermOp(mat)
     raise QlinError("kron_all factors must be all Ket or all HermOp")
-
-
-def _norm_off(vec: np.ndarray) -> bool:
-    return abs(float(np.linalg.norm(vec)) - 1.0) > config.NORM_ATOL
 
 
 def _check_perm(perm: Sequence[int], k: int) -> tuple[int, ...]:
@@ -307,24 +288,6 @@ def apply_on_qubits(op: np.ndarray, targets: Sequence[int], state: Ket) -> Ket:
     # tensordot left the op's row axes in front; put them back at the targets
     arr = np.moveaxis(arr, range(j), targets)
     return Ket(arr.reshape(-1), require_normalized=False)
-
-
-def partial_trace(op: HermOp, discard: Iterable[int]) -> HermOp:
-    """Trace out the listed register positions; kept qubits keep their relative order."""
-    k = op.num_qubits
-    discard = sorted({int(q) for q in discard})
-    if any(q < 0 or q >= k for q in discard):
-        raise QlinError(f"discard positions {discard} out of range for {k} qubits")
-    keep = [q for q in range(k) if q not in discard]
-    letters = string.ascii_lowercase + string.ascii_uppercase
-    if 2 * k > len(letters):
-        raise QlinError(f"partial_trace supports up to {len(letters) // 2} qubits")
-    row = [letters[i] for i in range(k)]
-    col = [row[i] if i in discard else letters[k + i] for i in range(k)]
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    spec = "".join(row + col) + "->" + "".join(out)
-    reduced = np.einsum(spec, op.as_tensor()).reshape(2 ** len(keep), 2 ** len(keep))
-    return HermOp(reduced)
 
 
 def min_eigenvalue(op: HermOp) -> float:

@@ -19,11 +19,13 @@ one ``qlin.apply_on_qubits`` of CZ per computation vertex and its pendant.
 
 ``branch_probability`` is the non-adaptive Born probability of one outcome
 tuple, read from the graph state with one product bra, and ``cptp_check``
-tests an instrument's summed Choi operator.  ``density_pm`` is the process
-matrix that hands each party one qubit of a state.  ``random_ket``,
-``random_density`` and ``random_single_qubit_basis`` draw the random states
-of the test families.
+tests an instrument's summed Choi operator, traced down by
+``partial_trace``.  ``density_pm`` is the process matrix that hands each
+party one qubit of a state.  ``random_ket``, ``random_density`` and
+``random_single_qubit_basis`` draw the random states of the test families.
 """
+
+import string
 
 import numpy as np
 
@@ -69,7 +71,6 @@ def branch_probability(g, angles, m, z) -> float:
     Summing over all (m, z) gives exactly 1 for any graph (the projectors form
     a complete orthonormal basis).
     """
-    graphstate.validate(g)
     ang = mbqc.as_angle_map(g, angles)
     m = tuple(int(b) for b in m)
     z = tuple(int(b) for b in z)
@@ -87,17 +88,35 @@ def kron_cz_decorated_state(g) -> qlin.Ket:
     """The decorated graph state of an undecorated graph ``g``, built gate by
     gate: |G> (x) |+>^N, then CZ between computation vertex j and pendant j."""
     n_comp, n_out = g.n_computation, g.n_output
-    state = qlin.kron_all([graphstate.graph_state(g)] + [qlin.PLUS] * n_comp)
+    state = qlin.kron_all([graphstate.graph_state(g)] + [qlin.equatorial_ket(0.0)] * n_comp)
     for j in range(n_comp):
-        state = qlin.apply_on_qubits(qlin.CZ.entries, [j, n_comp + n_out + j], state)
+        state = qlin.apply_on_qubits(np.diag([1, 1, 1, -1]), [j, n_comp + n_out + j], state)
     return state
+
+
+def partial_trace(op: qlin.HermOp, discard) -> qlin.HermOp:
+    """Trace out the listed register positions; kept qubits keep their relative order."""
+    k = op.num_qubits
+    discard = sorted({int(q) for q in discard})
+    if any(q < 0 or q >= k for q in discard):
+        raise qlin.QlinError(f"discard positions {discard} out of range for {k} qubits")
+    keep = [q for q in range(k) if q not in discard]
+    letters = string.ascii_lowercase + string.ascii_uppercase
+    if 2 * k > len(letters):
+        raise qlin.QlinError(f"partial_trace supports up to {len(letters) // 2} qubits")
+    row = [letters[i] for i in range(k)]
+    col = [row[i] if i in discard else letters[k + i] for i in range(k)]
+    out = [row[i] for i in keep] + [col[i] for i in keep]
+    spec = "".join(row + col) + "->" + "".join(out)
+    reduced = np.einsum(spec, op.as_tensor()).reshape(2 ** len(keep), 2 ** len(keep))
+    return qlin.HermOp(reduced)
 
 
 def cptp_check(inst: procmat.Instrument) -> tuple[float, float]:
     """(identity deviation, min eigenvalue) of an instrument's summed Choi
     operator: CPTP iff it traces out to the identity and is PSD."""
     total = qlin.HermOp(procmat._choi_tensors(inst.measure, inst.reprepare).sum(0).reshape(4, 4))
-    reduced = qlin.partial_trace(total, [1])  # trace out the output qubit
+    reduced = partial_trace(total, [1])  # trace out the output qubit
     dev = float(np.max(np.abs(reduced.entries - np.eye(2))))
     return dev, qlin.min_eigenvalue(total)
 

@@ -12,7 +12,7 @@ from pm_reference import kron_cz_decorated_state
 
 def perturbed_pure_ancilla(r):
     """Control: replace each maximally mixed ancilla with a pure |0>."""
-    pure = qlin.kron_all([r.w.pure] + [qlin.KET0] * r.n_output)
+    pure = qlin.kron_all([r.w.pure] + [qlin.basis_ket([0])] * r.n_output)
     w = ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
     return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
 
@@ -20,7 +20,7 @@ def perturbed_pure_ancilla(r):
 def perturbed_no_decoration(r):
     """Control: skip the pendant entangling step (pendants stay |+>)."""
     gs = graphstate.graph_state(r.base_graph)
-    pure = qlin.kron_all([gs] + [qlin.PLUS] * r.n_computation)
+    pure = qlin.kron_all([gs] + [qlin.equatorial_ket(0.0)] * r.n_computation)
     w = ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
     return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
 

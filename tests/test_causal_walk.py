@@ -22,6 +22,7 @@ from acausal_mbqc import acausal, config, game, graphstate, mbqc, qlin
 
 ATOL = 1e-12
 WALK_GRAPHS = [graphstate.chain(k) for k in range(2, 7)] + [graphstate.parallel_chains([2, 2])]
+READOUT_BASIS = (qlin.basis_ket([0]), qlin.basis_ket([1]))
 
 
 def _parity(bits, deps):
@@ -38,16 +39,16 @@ def _one_run(g, p, rng, correct, forced=None):
             p.angles[v], _parity(m_by, p.x_deps.get(v, ())), _parity(m_by, p.z_deps.get(v, ()))
         )
         force = None if forced is None else forced[v]
-        basis = qlin.equatorial_basis(phi)
+        basis = (qlin.equatorial_ket(phi, 0), qlin.equatorial_ket(phi, 1))
         res = qlin.sample_projective(state, basis, live.index(v), rng, force=force)
         state, m_by[v] = res.state, res.outcome
         weight *= res.probability
         live.remove(v)
     for o in g.output if correct else ():
         if _parity(m_by, p.out_x_deps.get(o, ())):
-            state = qlin.apply_on_qubits(qlin.PAULI_X.entries, [live.index(o)], state)
+            state = qlin.apply_on_qubits(np.array([[0, 1], [1, 0]]), [live.index(o)], state)
         if _parity(m_by, p.out_z_deps.get(o, ())):
-            state = qlin.apply_on_qubits(qlin.PAULI_Z.entries, [live.index(o)], state)
+            state = qlin.apply_on_qubits(np.diag([1, -1]), [live.index(o)], state)
     return m_by, state, weight
 
 
@@ -58,7 +59,7 @@ def per_shot_oracle(g, p, shots, rng, correct):
         m_by, state, _ = _one_run(g, p, rng, correct)
         z = []
         for _ in g.output:  # only O is left, so each readout is position 0
-            res = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, 0, rng)
+            res = qlin.sample_projective(state, READOUT_BASIS, 0, rng)
             state = res.state
             z.append(res.outcome)
         ms.append([m_by[c] for c in g.computation])
@@ -167,7 +168,7 @@ def random_patterns(draw):
 
 
 def _five_alices_one_bob(edges, order, x_deps, z_deps, out_x, out_z, angles, correct):
-    g = graphstate.graph(
+    g = graphstate.Graph(
         ("c0", "c1", "c2", "c3", "c4", "o0"), edges, ("c0", "c1", "c2", "c3", "c4"), ("o0",)
     )
     return g, mbqc.make_pattern(order, angles, x_deps, z_deps, out_x, out_z), correct
@@ -291,8 +292,11 @@ def test_uncorrected_girls_first_equals_boys_first(monkeypatch, g, angles):
     shares no code with the walk."""
     monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
     ang = mbqc.as_angle_map(g, angles)
+    pattern = mbqc.chain_pattern(g, ang)
+    _, weight, dist = mbqc.enumerate_causal(g, pattern, correct=False)
+    girls = game._exact_p0(weight, dist)
     # built directly: the validity gate refuses nonzero angles
-    inst = game.GameInstance(graph=g, angles=ang, pattern=mbqc.chain_pattern(g, ang))
+    inst = game.GameInstance(g, ang, pattern, p0_corrected=np.nan, p0_uncorrected=girls)
     assert abs(game.girls_first_p0(inst, correct=False) - game.boys_first_p0(inst)) <= ATOL
 
 
@@ -309,9 +313,13 @@ def test_enumerate_causal_drops_zero_weight_branches():
 
 
 def test_positive_branch_output_raises_on_a_zero_weight_branch():
+    """The game's gate reads the all-zeros history of its one split walk and
+    refuses it when that history cannot happen."""
     g = graphstate.cycle_with_output(4)
-    with pytest.raises(mbqc.PatternError, match="zero probability"):
-        mbqc.positive_branch_output(g, [math.pi / 2, 0.0, math.pi / 2])
+    angles = mbqc.as_angle_map(g, [math.pi / 2, 0.0, math.pi / 2])
+    pattern = mbqc.make_pattern(g.computation, angles)
+    with pytest.raises(mbqc.PatternError, match="positive branch has zero probability"):
+        game.game_instance(g, None, pattern)
 
 
 @pytest.mark.parametrize(

@@ -63,7 +63,7 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
         (["verify", "--shots", "1000"], 1, 2, 1, 1, 0),
         (["verify"], 1, 2, 1, 1, 0),
         (["postselect"], 1, 2, 1, 0, 0),
-        (["game"], 1, 5, 1, 0, 2),
+        (["game"], 1, 4, 1, 0, 1),
         (["signal"], 1, 2, 1, 0, 0),
     ],
     ids=["verify-shots", "verify", "postselect", "game", "signal"],
@@ -73,8 +73,8 @@ def test_builds_and_contractions_per_command(
 ):
     """On chain(4) each command builds one resource and contracts one outcome
     table, its angle sets stacked as trials; only the dense oracle adds its
-    own dense table.  ``game`` walks twice: the validity gate, and one split
-    walk for both girls-first scores."""
+    own dense table.  ``game`` walks once: one split walk gives the validity
+    gate and both girls-first scores."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
@@ -176,6 +176,30 @@ def test_game_subcommand_pass_and_custom_pattern(capsys, p2_file, tmp_path):
     )
     assert code2 == 0
     assert rep2 == rep
+
+
+@pytest.mark.parametrize(
+    "angles, message",
+    [
+        ([], "positive-branch output has fidelity"),
+        (["--angles", "0"], "angle 0.0 at vertex 'c0' differs from the pattern's 1.0"),
+        (["--angles", "1.0,0,0"], "positive-branch output has fidelity"),
+    ],
+    ids=["pattern-angles", "other-angles", "same-angles"],
+)
+def test_game_plays_the_angles_of_its_pattern(capsys, tmp_path, angles, message):
+    """chain(4) with angle 1.0 at c0 is not a deterministic instance (its
+    corrected girls-first score is 0.770): without --angles the gate tests
+    the pattern's own angles, and --angles may only repeat them."""
+    g = graphstate.chain(4)
+    path = graph_file(tmp_path, g, "p4")
+    ppath = tmp_path / "pat.json"
+    ppath.write_text(json.dumps(mbqc.pattern_to_json(mbqc.chain_pattern(g, [1.0, 0.0, 0.0]))))
+    code = cli.main(["game", "--graph", path, "--pattern", str(ppath), *angles, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_game_rejects_invalid_instance(capsys, p3_file):
@@ -323,8 +347,8 @@ def test_cap_flag_behaves_like_the_env_var(
 
 
 def test_cap_flag_wins_over_the_env_var_in_every_game_walk(capsys, tmp_path, monkeypatch):
-    """The flag's cap reaches the positive-branch gate, the split walk of both
-    girls-first scores and the boys-first read, each on the 4-qubit graph
+    """The flag's cap reaches the split walk of the validity gate and both
+    girls-first scores, and the boys-first read, each on the 4-qubit graph
     state, above the env's 3."""
     path = graph_file(tmp_path, graphstate.parallel_chains([2, 2]), "pc22")
     monkeypatch.setenv(config.CAP_ENV_VAR, "3")

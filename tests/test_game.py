@@ -146,9 +146,63 @@ GAME_CASES = {
 
 @pytest.mark.parametrize("g, pattern", GAME_CASES.values(), ids=GAME_CASES.keys())
 def test_game_report_scores_are_girls_first_p0(g, pattern):
-    """The report's two girls-first scores come from one split walk, and each
-    is exactly the score of its own walk."""
-    inst = game.game_instance(g, 0.0, pattern)
+    """The two girls-first scores of one split walk are each exactly the
+    score of a walk with that flag alone; a deterministic instance holds them,
+    and its report prints them."""
+    p = mbqc.chain_pattern(g) if pattern is None else pattern
+    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, p, correct=(True, False))
+    alone = {
+        flag: game._exact_p0(*mbqc.enumerate_causal(g, p, correct=flag)[1:])
+        for flag in (True, False)
+    }
+    assert game._exact_p0(weight, corrected) == alone[True]
+    assert game._exact_p0(weight, uncorrected) == alone[False]
+    if pattern is not None:  # not deterministic: the gate refuses it
+        with pytest.raises(GameError, match="not a deterministic game instance"):
+            game.game_instance(g, None, pattern)
+        return
+    inst = game.game_instance(g, None, pattern)
     rep = game.game_report(inst, acausal.build_resource_pm(g))
-    assert rep["p0_girls_first_corrected"] == game.girls_first_p0(inst, correct=True)
-    assert rep["p0_girls_first_uncorrected"] == game.girls_first_p0(inst, correct=False)
+    assert rep["p0_girls_first_corrected"] == alone[True] == game.girls_first_p0(inst)
+    assert rep["p0_girls_first_uncorrected"] == alone[False]
+    assert alone[False] == game.girls_first_p0(inst, correct=False)
+
+
+def test_game_walks_once_and_the_report_not_at_all(monkeypatch):
+    """``mbqc._walk`` calls by mode: split (no rng) and sampled."""
+    g = graphstate.chain(4)
+    r = acausal.build_resource_pm(g)
+    calls = {"split": 0, "sampled": 0}
+    real = mbqc._walk
+
+    def counted(*args, rng=None, **kwargs):
+        calls["split" if rng is None else "sampled"] += 1
+        return real(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(mbqc, "_walk", counted)
+    inst = game.game_instance(g)
+    assert calls == {"split": 1, "sampled": 0}
+    rep = game.game_report(inst, r)
+    assert game.girls_first_p0(inst) == rep["p0_girls_first_corrected"]
+    assert game.girls_first_p0(inst, correct=False) == rep["p0_girls_first_uncorrected"]
+    assert calls == {"split": 1, "sampled": 0}
+    game.girls_first_p0(inst, shots=10, seed=1)
+    assert calls == {"split": 1, "sampled": 1}
+
+
+def test_a_pattern_plays_its_own_angles():
+    """Without angles the instance takes the pattern's, so the acausal score
+    and both walks see the same angles; an equal angle set is accepted."""
+    g = graphstate.chain(4)
+    p = mbqc.chain_pattern(g, 2 * np.pi)
+    assert game.game_instance(g, None, p).angles == p.angles == {c: 0.0 for c in g.computation}
+    assert game.game_instance(g, 2 * np.pi, p).angles == p.angles
+
+
+def test_angles_that_differ_from_the_pattern_are_refused():
+    g = graphstate.chain(4)
+    p = mbqc.make_pattern(g.computation, {"c0": 0.0, "c1": 0.5, "c2": 0.0})
+    with pytest.raises(GameError, match="vertex 'c1' differs from the pattern's 0.5"):
+        game.game_instance(g, 0.0, p)
+    with pytest.raises(GameError, match="vertex 'c0' differs"):
+        game.game_instance(g, [0.1, 0.6, 0.0], p)

@@ -7,46 +7,94 @@ import pytest
 
 from acausal_mbqc import graphstate, qlin
 from acausal_mbqc.graphstate import GraphError
+from pm_reference import random_ket
+
+
+PLUS = qlin.equatorial_ket(0.0)
+CZ = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 def cz_circuit_state(g):
     """Independent oracle: start from |+>^k and apply a CZ matrix per edge."""
     order = graphstate.ket_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    state = qlin.kron_all([qlin.PLUS] * len(order))
+    state = qlin.kron_all([PLUS] * len(order))
     for a, b in g.edges:
-        state = qlin.apply_on_qubits(qlin.CZ.entries, [pos[a], pos[b]], state)
+        state = qlin.apply_on_qubits(CZ, [pos[a], pos[b]], state)
     return state
 
 
+def is_connected(g):
+    seen, frontier = {g.vertices[0]}, [g.vertices[0]]
+    while frontier:
+        v = frontier.pop()
+        for e in g.edges:
+            if v in e:
+                u = e[0] if e[1] == v else e[1]
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+    return len(seen) == len(g.vertices)
+
+
 def test_graph_builder_normalizes_edges():
-    g = graphstate.graph(("a", "b"), (("b", "a"),), ("a",), ("b",))
+    g = graphstate.Graph(["a", "b"], [["b", "a"]], ["a"], ["b"])
     assert g.edges == (("a", "b"),)
+    assert g.vertices == ("a", "b") and g.computation == ("a",) and g.output == ("b",)
 
 
-@pytest.mark.parametrize(
-    "vertices,edges,comp,out",
-    [
-        (("a", "a"), (), ("a",), ("a",)),  # duplicate vertex
-        (("a", "b"), (("a", "a"),), ("a",), ("b",)),  # self loop
-        (("a", "b"), (("a", "b"), ("b", "a")), ("a",), ("b",)),  # duplicate edge
-        (("a", "b"), (("a", "c"),), ("a",), ("b",)),  # unknown endpoint
-        (("a", "b"), (("a", "b"),), ("a",), ("a",)),  # overlap C and O
-        (("a", "b"), (("a", "b"),), (), ("b",)),  # empty computation
-        (("a", "b"), (("a", "b"),), ("a",), ()),  # empty output
-        (("a", "b", "c"), (("a", "b"),), ("a",), ("b",)),  # vertex in no part
+# each malformed graph with every violation it is refused for, in order
+MALFORMED = {
+    (("a", "a"), (), ("a",), ("a",)): [  # duplicate vertex
+        "duplicate vertex labels",
+        "computation and output overlap: ['a']",
     ],
-)
+    (("a", "b"), (("a", "a"),), ("a",), ("b",)): ["self-loop at 'a'"],
+    (("a", "b"), (("a", "b"), ("b", "a")), ("a",), ("b",)): ["duplicate edge ('a', 'b')"],
+    (("a", "b"), (("a", "c"),), ("a",), ("b",)): [  # unknown endpoint
+        "edge ('a', 'c') references unknown vertex"
+    ],
+    (("a", "b"), (("a", "b"),), ("a",), ("a",)): [  # overlap C and O
+        "computation and output overlap: ['a']",
+        "vertices outside computation/output partition: ['b']",
+    ],
+    (("a", "b"), (("a", "b"),), (), ("b",)): [
+        "computation set is empty",
+        "vertices outside computation/output partition: ['a']",
+    ],
+    (("a", "b"), (("a", "b"),), ("a",), ()): [
+        "output set is empty",
+        "vertices outside computation/output partition: ['b']",
+    ],
+    (("a", "b", "c"), (("a", "b"),), ("a",), ("b",)): [  # vertex in no part
+        "vertices outside computation/output partition: ['c']"
+    ],
+}
+
+
+@pytest.mark.parametrize("vertices,edges,comp,out", list(MALFORMED))
 def test_validate_rejects_malformed(vertices, edges, comp, out):
-    g = graphstate.Graph(
-        vertices=tuple(vertices),
-        edges=tuple(tuple(e) for e in edges),
-        computation=tuple(comp),
-        output=tuple(out),
-    )
-    assert graphstate.violations(g)
-    with pytest.raises(GraphError):
-        graphstate.validate(g)
+    """A Graph cannot exist unchecked: construction names every violation."""
+    with pytest.raises(GraphError) as err:
+        graphstate.Graph(
+            vertices=tuple(vertices),
+            edges=tuple(tuple(e) for e in edges),
+            computation=tuple(comp),
+            output=tuple(out),
+        )
+    assert err.value.violations == MALFORMED[vertices, edges, comp, out]
+    assert str(err.value) == "; ".join(MALFORMED[vertices, edges, comp, out])
+
+
+def test_graph_refuses_a_pendant_with_a_second_neighbor():
+    with pytest.raises(GraphError, match="pendant \"c0'\" must connect to 'c0' and nothing else"):
+        graphstate.Graph(
+            vertices=("c0", "o0", "c0'"),
+            edges=(("c0", "o0"), ("c0", "c0'"), ("c0'", "o0")),
+            computation=("c0",),
+            output=("o0",),
+            decoration=(("c0", "c0'"),),
+        )
 
 
 @pytest.mark.parametrize(
@@ -82,8 +130,28 @@ def test_stabilizers_fix_graph_state(g):
 
 def test_stabilizer_check_detects_wrong_state():
     g = graphstate.chain(3)
-    wrong = qlin.kron_all([qlin.PLUS] * 3)  # no entanglement
+    wrong = qlin.kron_all([PLUS] * 3)  # no entanglement
     assert graphstate.stabilizer_check(wrong, g) > 0.5
+
+
+@pytest.mark.parametrize(
+    "g", [graphstate.chain(3), graphstate.vee_graph(), graphstate.decorate(graphstate.chain(3))]
+)
+def test_stabilizer_check_equals_pauli_matrices_applied(g):
+    """The flip-and-sign defect equals the one from X and Z matrices applied
+    by ``qlin.apply_on_qubits``, bit for bit, on states the stabilizers move."""
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    idx = graphstate.qubit_index(g)
+    for seed in range(3):
+        state = random_ket(np.random.default_rng(seed), len(idx))
+        worst = 0.0
+        for v in g.vertices:
+            moved = qlin.apply_on_qubits(x, [idx[v]], state)
+            for e in g.edges:
+                if v in e:
+                    moved = qlin.apply_on_qubits(z, [idx[e[0] if e[1] == v else e[1]]], moved)
+            worst = max(worst, float(np.linalg.norm(moved.amplitudes - state.amplitudes)))
+        assert graphstate.stabilizer_check(state, g) == worst
 
 
 def test_decorate_adds_one_pendant_per_computation_vertex():
@@ -96,7 +164,7 @@ def test_decorate_adds_one_pendant_per_computation_vertex():
     for c, red in dm.items():
         assert (tuple(sorted((c, red)))) in d.edges
         # pendant has exactly one neighbor
-        assert graphstate.neighbors(d, red) == (c,)
+        assert [e for e in d.edges if red in e] == [tuple(sorted((c, red)))]
 
 
 def test_decorate_refuses_double_decoration():
@@ -157,10 +225,9 @@ def test_random_resource_graph_respects_predicate_and_sizes():
     rng = np.random.default_rng(37)
     for _ in range(10):
         g = graphstate.random_resource_graph(rng, 3, 2)
-        graphstate.validate(g)
         assert g.n_computation == 3
         assert g.n_output == 2
-        assert graphstate.is_connected(g)
+        assert is_connected(g)
         assert graphstate.has_uniform_branches(g)
 
 
@@ -186,8 +253,7 @@ def test_cycle_preset_shape():
     g = graphstate.cycle_with_output(4)
     assert len(g.edges) == 4
     assert g.n_computation == 3
-    deg = {v: len(graphstate.neighbors(g, v)) for v in g.vertices}
-    assert all(d == 2 for d in deg.values())
+    assert all(sum(v in e for e in g.edges) == 2 for v in g.vertices)
 
 
 def test_json_roundtrip(tmp_path):

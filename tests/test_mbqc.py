@@ -99,14 +99,16 @@ def test_branch_probabilities_always_total_one(g):
 
 @pytest.mark.parametrize("length", [2, 3, 4, 5])
 def test_positive_branch_output_of_chain_is_hadamard_power(length):
-    """All-plus measurement of a chain teleports |+> through H per link."""
+    """All-plus measurement of a chain teleports |+> through H per link: row 0
+    of the uncorrected split, the all-zeros history, holds that state."""
     g = graphstate.chain(length)
-    out = mbqc.positive_branch_output(g, 0.0)
-    expect = qlin.PLUS.amplitudes
+    _, weight, amps = mbqc._walk(g, mbqc.chain_pattern(g), correct=False)
+    assert weight[0] > 0.0
+    expect = qlin.equatorial_ket(0.0).amplitudes
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
     for _ in range(length - 1):
         expect = hadamard @ expect
-    assert abs(np.vdot(expect, out.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(expect, amps[0])) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("length", [2, 4, 6])

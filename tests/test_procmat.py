@@ -7,6 +7,8 @@ from acausal_mbqc import acausal, graphstate, procmat, qlin
 from acausal_mbqc.procmat import ProcmatError, ProcessMatrix
 from pm_reference import cptp_check, density_pm, random_ket, random_single_qubit_basis
 
+KET0 = qlin.basis_ket([0])
+
 
 def choi_operator(measure, reprepare):
     """The 4x4 Choi operator on (input, output) of one element, from its kets."""
@@ -41,7 +43,7 @@ def test_conjugated_measure_ket_equals_negated_angle():
     for m in (0, 1):
         conj = qlin.equatorial_ket(phi, m).amplitudes.conj()
         neg = qlin.equatorial_ket(-phi, m).amplitudes
-        ket0 = qlin.KET0.amplitudes
+        ket0 = KET0.amplitudes
         assert np.allclose(choi_operator(conj, ket0), choi_operator(neg, ket0), atol=1e-12)
 
 
@@ -164,24 +166,24 @@ def test_trace_and_min_eigenvalue_from_factor_match_dense():
 def test_pm_probability_validates_parties():
     rng = np.random.default_rng(73)
     w, _ = small_factored_pm(rng)
-    element = (qlin.KET0.amplitudes, qlin.KET0.amplitudes)
+    element = (KET0.amplitudes, KET0.amplitudes)
     with pytest.raises(ProcmatError):
         procmat.pm_probability(w, {"B": element})
     with pytest.raises(ProcmatError):
         procmat.pm_probability(w, {"A": element, "B": element})
     with pytest.raises(ProcmatError, match="measure must stack"):
-        procmat.pm_probability(w, {"A": (np.eye(2), qlin.KET0.amplitudes)})
+        procmat.pm_probability(w, {"A": (np.eye(2), KET0.amplitudes)})
 
 
 @pytest.mark.parametrize(
     "parties, kwargs, message",
     [
-        (["A", "A"], dict(pure=qlin.KET0, scale=1.0), "duplicate party names"),
-        ([], dict(pure=qlin.KET0, scale=1.0), "at least one party"),
+        (["A", "A"], dict(pure=KET0, scale=1.0), "duplicate party names"),
+        ([], dict(pure=KET0, scale=1.0), "at least one party"),
         (["A"], dict(pure=qlin.basis_ket([0] * 3), scale=1.0), "exceeds the 2-qubit"),
-        (["A"], dict(pure=qlin.KET0, scale=0.0), "scale must be finite and positive"),
-        (["A"], dict(pure=qlin.KET0, scale=float("nan")), "scale must be finite and positive"),
-        (["A"], dict(pure=qlin.KET0, scale=float("inf")), "scale must be finite and positive"),
+        (["A"], dict(pure=KET0, scale=0.0), "scale must be finite and positive"),
+        (["A"], dict(pure=KET0, scale=float("nan")), "scale must be finite and positive"),
+        (["A"], dict(pure=KET0, scale=float("inf")), "scale must be finite and positive"),
     ],
     ids=["duplicate", "no-party", "pure-too-large", "scale", "scale-nan", "scale-inf"],
 )

@@ -5,7 +5,12 @@ import pytest
 
 from acausal_mbqc import qlin
 from acausal_mbqc.qlin import HermOp, Ket, QlinError
-from pm_reference import random_density, random_ket, random_single_qubit_basis
+from pm_reference import partial_trace, random_density, random_ket, random_single_qubit_basis
+
+PLUS = qlin.equatorial_ket(0.0)
+READOUT_BASIS = (qlin.basis_ket([0]), qlin.basis_ket([1]))
+PAULI_X = np.array([[0, 1], [1, 0]])
+CZ = np.diag([1, 1, 1, -1])
 
 
 def test_basis_ket_index_convention():
@@ -93,7 +98,7 @@ def test_kron_all_matches_numpy():
 
 def test_kron_all_rejects_mixed_types():
     with pytest.raises(QlinError):
-        qlin.kron_all([qlin.KET0, HermOp(np.eye(2))])
+        qlin.kron_all([qlin.basis_ket([0]), HermOp(np.eye(2))])
 
 
 def test_permute_qubits_roundtrip_and_oracle():
@@ -119,11 +124,11 @@ def test_apply_on_qubits_matches_kron_oracle():
     rng = np.random.default_rng(7)
     state = random_ket(rng, 3)
     # single-qubit op on middle qubit
-    got = qlin.apply_on_qubits(qlin.PAULI_X.entries, [1], state)
-    big = np.kron(np.kron(np.eye(2), qlin.PAULI_X.entries), np.eye(2))
+    got = qlin.apply_on_qubits(PAULI_X, [1], state)
+    big = np.kron(np.kron(np.eye(2), PAULI_X), np.eye(2))
     assert np.allclose(got.amplitudes, big @ state.amplitudes)
     # two-qubit op on (2, 0): build the oracle by permuting targets to front
-    u = qlin.CZ.entries
+    u = CZ
     got2 = qlin.apply_on_qubits(u, [2, 0], state)
     # oracle: permute qubits (2, 0, 1) -> positions (targets first), apply, undo
     front = qlin.permute_qubits(state, (1, 2, 0))
@@ -133,14 +138,14 @@ def test_apply_on_qubits_matches_kron_oracle():
     undone = qlin.permute_qubits(acted, (2, 0, 1))
     assert np.allclose(got2.amplitudes, undone.amplitudes)
     with pytest.raises(QlinError, match=r"shape \(2, 2\) does not act on 2 targets"):
-        qlin.apply_on_qubits(qlin.PAULI_X.entries, [0, 1], state)
+        qlin.apply_on_qubits(PAULI_X, [0, 1], state)
 
 
 def test_apply_cz_symmetric():
     rng = np.random.default_rng(11)
     state = random_ket(rng, 2)
-    a = qlin.apply_on_qubits(qlin.CZ.entries, [0, 1], state)
-    b = qlin.apply_on_qubits(qlin.CZ.entries, [1, 0], state)
+    a = qlin.apply_on_qubits(CZ, [0, 1], state)
+    b = qlin.apply_on_qubits(CZ, [1, 0], state)
     assert np.allclose(a.amplitudes, b.amplitudes)
 
 
@@ -149,11 +154,11 @@ def test_partial_trace_oracle():
     rho_a = random_density(rng, 1)
     rho_b = random_density(rng, 2)
     joint = HermOp(np.kron(rho_a.entries, rho_b.entries))
-    keep_a = qlin.partial_trace(joint, [1, 2])
-    keep_b = qlin.partial_trace(joint, [0])
+    keep_a = partial_trace(joint, [1, 2])
+    keep_b = partial_trace(joint, [0])
     assert np.allclose(keep_a.entries, rho_a.entries)
     assert np.allclose(keep_b.entries, rho_b.entries)
-    assert qlin.partial_trace(joint, []).entries == pytest.approx(joint.entries)
+    assert partial_trace(joint, []).entries == pytest.approx(joint.entries)
 
 
 def test_min_eigenvalue_matches_numpy():
@@ -166,16 +171,16 @@ def test_min_eigenvalue_matches_numpy():
 
 def test_fidelity():
     minus = qlin.equatorial_ket(0.0, 1)
-    assert qlin.fidelity(qlin.PLUS, minus) == pytest.approx(0.0, abs=1e-12)
-    assert qlin.fidelity(qlin.PLUS, qlin.PLUS) == pytest.approx(1.0)
+    assert qlin.fidelity(PLUS, minus) == pytest.approx(0.0, abs=1e-12)
+    assert qlin.fidelity(PLUS, PLUS) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_sample_projective_forced_branches(target):
     rng = np.random.default_rng(19)
     state = random_ket(rng, 3)
-    r0 = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, target, force=0)
-    r1 = qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, target, force=1)
+    r0 = qlin.sample_projective(state, READOUT_BASIS, target, force=0)
+    r1 = qlin.sample_projective(state, READOUT_BASIS, target, force=1)
     assert r0.probability + r1.probability == pytest.approx(1.0)
     assert r0.state.num_qubits == 2
     # oracle: marginal of |amplitudes|^2 over the target bit
@@ -188,27 +193,27 @@ def test_sample_projective_statistics_seeded():
     rng = np.random.default_rng(23)
     state = Ket(np.array([np.sqrt(0.8), np.sqrt(0.2)]))
     outcomes = [
-        qlin.sample_projective(state, qlin.COMPUTATIONAL_BASIS, 0, rng).outcome
+        qlin.sample_projective(state, READOUT_BASIS, 0, rng).outcome
         for _ in range(4000)
     ]
     assert np.mean(outcomes) == pytest.approx(0.2, abs=0.03)
 
 
 def test_sample_projective_last_qubit_gives_scalar_ket():
-    res = qlin.sample_projective(qlin.PLUS, qlin.COMPUTATIONAL_BASIS, 0, force=1)
+    res = qlin.sample_projective(PLUS, READOUT_BASIS, 0, force=1)
     assert res.state.num_qubits == 0
     assert res.probability == pytest.approx(0.5)
 
 
 def test_sample_projective_force_zero_branch_errors():
     with pytest.raises(QlinError):
-        qlin.sample_projective(qlin.KET0, qlin.COMPUTATIONAL_BASIS, 0, force=1)
+        qlin.sample_projective(READOUT_BASIS[0], READOUT_BASIS, 0, force=1)
 
 
 def test_sample_projective_rejects_sloppy_basis():
-    skew = (qlin.KET0, qlin.equatorial_ket(0.3, 0))
+    skew = (READOUT_BASIS[0], qlin.equatorial_ket(0.3, 0))
     with pytest.raises(QlinError):
-        qlin.sample_projective(qlin.PLUS, skew, 0, force=0)
+        qlin.sample_projective(PLUS, skew, 0, force=0)
 
 
 def test_random_single_qubit_basis_orthonormal():

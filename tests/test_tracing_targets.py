@@ -4,10 +4,15 @@
 ``_targets`` through ``owner.__dict__``, so a missing name would break every
 ``--trace 1`` run without touching a Tier-1 test.  ``benchmark/workloads.py``
 builds each operation's CLI argv, so a flag its command no longer accepts
-would fail every pass.  Both modules are loaded from their files without
-writing bytecode next to them.
+would fail every pass.  ``benchmark/run.py`` and ``benchmark/workloads.py``
+also call the library by name (``pkg.<module>.<name>``, ``gs.<name>``), so a
+renamed library function would break a library operation; an AST scan of
+both files finds every such name.  The modules are loaded from their files
+without writing bytecode next to them.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -63,3 +68,40 @@ def test_every_benchmark_cli_operation_parses(tmp_path):
                 pytest.fail(f"{workload} operation {op.name!r} refused: {argv}")
             parsed += 1
     assert parsed
+
+
+def library_names(path):
+    """Every ``pkg.<module>.<name>`` and ``gs.<name>`` a benchmark file reads,
+    as (module, name), where ``gs`` is the file's alias of ``graphstate``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id == "gs":
+            names.add(("graphstate", node.attr))
+        elif (
+            isinstance(owner, ast.Attribute)
+            and isinstance(owner.value, ast.Name)
+            and owner.value.id == "pkg"
+        ):
+            names.add((owner.attr, node.attr))
+    return names
+
+
+def test_every_library_name_the_benchmark_calls_exists():
+    names = library_names(BENCHMARK / "run.py") | library_names(BENCHMARK / "workloads.py")
+    for expected in [
+        ("game", "game_instance"),
+        ("game", "girls_first_p0"),
+        ("graphstate", "load_graph"),
+        ("procmat", "clamped_probability_count"),
+        ("graphstate", "graph_to_json"),
+    ]:
+        assert expected in names
+    missing = sorted(
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"acausal_mbqc.{module}"), name)
+    )
+    assert not missing, f"the benchmark calls names missing from the package: {missing}"
