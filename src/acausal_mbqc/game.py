@@ -118,8 +118,8 @@ def girls_first_p0(
     """Success probability when all measurements happen before readout.
 
     shots = 0 reads the exact score the instance holds from its split walk;
-    shots > 0 estimates it from that many seeded causal runs, sampled in one
-    batched walk under ``cap``.
+    shots > 0 estimates it from that many seeded causal runs, each descending
+    the tree of one split walk under ``cap`` (``mbqc.sample_causal``).
     """
     if shots == 0:
         return inst.p0_corrected if correct else inst.p0_uncorrected

@@ -5,13 +5,16 @@ Computation vertices are measured one at a time in equatorial bases
 outcomes through X/Z dependency sets, and the surviving output register gets
 a final Pauli byproduct correction before computational-basis readout.
 
-One measurement walk serves both uses.  Sampled, it keeps one outcome per
-row and step (``sample_causal``, ``run_causal``).  Split, it keeps both, so
-one start row ends as all 2^N adaptive histories while every step holds
-2^(N+n) amplitudes: O(N 2^(N+n)) work in all.  ``enumerate_causal`` returns
-those histories as the walk's arrays, one row per history (outcome bits,
-weight, readout distribution), corrected, uncorrected or both from the same
-walk; row 0 is the all-zeros history, the positive branch.
+One measurement walk serves every use.  Each step splits every node into
+both outcomes, so one start row ends as all 2^N adaptive histories while
+every step holds 2^(N+n) amplitudes: O(N 2^(N+n)) work in all.
+``enumerate_causal`` returns those histories as the walk's arrays, one row
+per history (outcome bits, weight, readout distribution), corrected,
+uncorrected or both from the same walk; row 0 is the all-zeros history, the
+positive branch.  ``sample_causal`` (and ``run_causal``, its one-shot view)
+splits the n readouts too and keeps each node's probability of outcome 0;
+every shot then descends that tree with one uniform per level, so S shots
+cost O(N 2^(N+n) + S (N+n)).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import config, graphstate, qlin
+from . import graphstate, qlin
 from .graphstate import Graph
 
 
@@ -186,66 +189,37 @@ def _byproducts(g: Graph, p: Pattern, m: np.ndarray, state: np.ndarray) -> np.nd
     return state
 
 
-def _walk(g: Graph, p: Pattern, rows: int = 1, *, correct: bool, rng=None, cap=None):
-    """The one measurement walk: ``rows`` runs of pattern ``p`` side by side.
+def _walk(g: Graph, p: Pattern, cap=None):
+    """The one measurement walk: every step splits every node into both outcomes.
 
-    Every row measures ``p.order`` at its adapted angles, then, if ``correct``,
-    applies the output byproducts (``_byproducts``).  Sampled (``rng``
-    given): each step keeps one child per row, outcome 0 exactly when a uniform
-    ``u < p0``, and each row finally reads out O.  The uniforms ``rng.random((block,
-    N + n))`` are drawn row-major block after block, as ``rows`` single runs
-    draw them, so no result depends on the block size (at most 2^cap
-    amplitudes).  Split (no ``rng``): each step keeps both children, so one
-    start row ends as all 2^N histories, the first vertex of ``p.order`` most
-    significant, and every step holds 2^(N+n) amplitudes; ``enumerate_causal``
-    splits uncorrected and applies the byproducts to the split's final
-    amplitudes itself, so one walk serves both flags.  Returns outcome bits
-    (rows, N) in C order, history weights (rows,), and readout bits (rows, n)
-    in O order (sampled) or output amplitudes (rows, 2^n) (split).
+    Each vertex of ``p.order`` is measured at each node's adapted angle and
+    both renormalized children are kept, so the one start row ends as all 2^N
+    histories, the first vertex of ``p.order`` most significant, while every
+    step holds 2^(N+n) amplitudes: O(N 2^(N+n)) work.  Returns outcome bits
+    (2^N, N) in C order, history weights (2^N,), output amplitudes (2^N, 2^n)
+    in O order before any byproduct, and a list holding, per step i, the
+    outcome-0 weight (2^i,) of each node the step measured.
     """
     validate_pattern(g, p)
-    base = graphstate.graph_state(g, cap).amplitudes
-    n_comp, n_out = g.n_computation, g.n_output
+    state = graphstate.graph_state(g, cap).amplitudes[None]
+    live = list(graphstate.ket_order(g))
     col = {v: i for i, v in enumerate(p.order)}
-    block = max(1, 2 ** config.qubit_cap(cap) // base.size)
-    parts = []
-    for start in range(0, rows, block):
-        b = min(block, rows - start)
-        u = None if rng is None else rng.random((b, n_comp + n_out))
-        state, live = np.broadcast_to(base, (b, base.size)), list(graphstate.ket_order(g))
-        bits, weight = np.zeros((b, 0), dtype=np.int64), np.ones(b)
+    weight, p0, bits = np.ones(1), [], np.zeros((1, 0), dtype=np.int64)
 
-        def parity(deps):
-            return bits[:, [col[x] for x in deps]].sum(axis=1) % 2
+    def parity(deps):
+        return bits[:, [col[x] for x in deps]].sum(axis=1) % 2
 
-        def step(state, pos, bras, t):
-            """Measure; return the (parent row, outcome) pairs kept, their states and weights."""
-            amps, w = _measure(state, pos, bras)
-            if u is None:
-                row, m = np.repeat(np.arange(len(w)), 2), np.tile([0, 1], len(w))
-            else:
-                row, m = np.arange(len(w)), (u[:, t] >= w[:, 0]).astype(np.int64)
-            return row, m, amps[row, m], w[row, m]
+    for v in p.order:
+        phi = adapted_angle(p.angles[v], parity(p.x_deps.get(v, ())), parity(p.z_deps.get(v, ())))
+        amps, w = _measure(state, live.index(v), qlin.equatorial_kets(phi).conj())
+        p0.append(w[:, 0])
+        state, weight = amps.reshape(-1, amps.shape[-1]), (weight[:, None] * w).ravel()
+        bits = np.column_stack([bits.repeat(2, axis=0), np.tile([0, 1], len(bits))])
+        live.remove(v)
+    return bits[:, [col[c] for c in g.computation]], weight, state, p0
 
-        for i, v in enumerate(p.order):
-            phi = adapted_angle(
-                p.angles[v], parity(p.x_deps.get(v, ())), parity(p.z_deps.get(v, ()))
-            )
-            bras = qlin.equatorial_kets(phi).conj()
-            row, m, state, w = step(state, live.index(v), bras, i)
-            bits = np.column_stack([bits[row], m])
-            weight = weight[row] * w
-            live.remove(v)
-        outcomes = bits[:, [col[c] for c in g.computation]]
-        if correct:
-            state = _byproducts(g, p, outcomes, state)
-        if u is not None:  # only O is left, in O order, so each readout is axis 0
-            z = np.zeros((b, n_out), dtype=np.int64)
-            for t in range(n_out):
-                _, z[:, t], state, _ = step(state, 0, np.eye(2)[None], n_comp + t)
-            state = z
-        parts.append((outcomes, weight, state))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+SHOT_BLOCK = 2**16  # shots per block of uniforms: a block's draws stay a few MB
 
 
 def sample_causal(
@@ -253,11 +227,35 @@ def sample_causal(
 ):
     """``shots`` adaptive runs (measure C in order, correct, read out O): outcome
     bits (shots, N) in C order, readout bits (shots, n) in O order and each C
-    history's Born weight.  Row r equals the r-th of ``shots`` single runs."""
+    history's Born weight.  Row r equals the r-th of ``shots`` single runs.
+
+    One split walk, its output byproducts applied if ``correct`` and its n
+    readouts split the same way, is a tree of N + n levels holding each
+    node's probability of outcome 0: O(N 2^(N+n)) work, once.  Each shot
+    then descends the tree, taking outcome 0 at a level exactly when its
+    uniform ``u < p0``: O(shots (N + n)) work.  The uniforms ``rng.random((block,
+    N + n))`` are drawn row-major block after block, as ``shots`` single runs
+    draw them, so no result depends on the block size.
+    """
     if shots < 1:
         raise ValueError("shots must be positive")
-    m, weight, z = _walk(g, p, shots, correct=correct, rng=rng, cap=cap)
-    return m, z, weight
+    m, weight, state, p0 = _walk(g, p, cap)
+    if correct:
+        state = _byproducts(g, p, m, state)
+    for _ in g.output:  # only O is left, in O order, so each readout is axis 0
+        amps, w = _measure(state, 0, np.eye(2)[None])
+        p0.append(w[:, 0])
+        state = amps.reshape(-1, amps.shape[-1])
+    leaf = np.empty(shots, dtype=np.int64)
+    for start in range(0, shots, SHOT_BLOCK):
+        u = rng.random((min(SHOT_BLOCK, shots - start), len(p0)))
+        node = np.zeros(len(u), dtype=np.int64)
+        for level, q in enumerate(p0):
+            node = 2 * node + (u[:, level] >= q[node])
+        leaf[start : start + len(u)] = node
+    history = leaf >> g.n_output
+    z = (leaf[:, None] >> np.arange(g.n_output - 1, -1, -1)) & 1
+    return m[history], z, weight[history]
 
 
 def run_causal(g: Graph, p: Pattern, rng, *, correct: bool = True) -> RunRecord:
@@ -281,7 +279,7 @@ def enumerate_causal(g: Graph, p: Pattern, *, correct=True, cap=None):
     histories share every measurement step, so one walk serves them all, and
     each distribution equals the single-flag one bit for bit.
     """
-    m, weight, amps = _walk(g, p, correct=False, cap=cap)
+    m, weight, amps, _ = _walk(g, p, cap)
 
     def dist(flag):
         return np.abs(_byproducts(g, p, m, amps) if flag else amps) ** 2

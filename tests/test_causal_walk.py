@@ -1,10 +1,10 @@
-"""The shot-batched measurement walk of ``mbqc`` and the multinomial sampler.
+"""The split measurement walk of ``mbqc`` and the multinomial sampler.
 
 ``sample_causal`` must reproduce, bit for bit, a causal run written one shot
-at a time on ``qlin.sample_projective`` with the same Generator, whatever the
-block size the register cap allows.  ``enumerate_causal`` must equal the same
-run with every outcome forced, on chain and on random patterns, and its split
-must hold one state's worth of amplitudes per step.  The postselected sampler
+at a time on ``qlin.sample_projective`` with the same Generator, on chain and
+on random patterns, from one walk whatever the shots.  ``enumerate_causal``
+must equal the same run with every outcome forced, on chain and on random
+patterns, and its split must hold one state's worth of amplitudes per step.  The postselected sampler
 must be calibrated: acceptance near 2^-(N+n) and its accepted counts near the
 exact table.
 """
@@ -71,8 +71,8 @@ def per_shot_oracle(g, p, shots, rng, correct):
 @pytest.mark.parametrize("correct", [True, False])
 @pytest.mark.parametrize("g", WALK_GRAPHS, ids=lambda g: f"{g.n_computation}+{g.n_output}")
 def test_sample_causal_equals_per_shot_runs(monkeypatch, g, correct, cap):
-    """Same outcome arrays and the same stream position as one run per shot;
-    under cap 6 the blocks hold 2^(6 - N - n) rows, under the default 2^(14 - N - n)."""
+    """Same outcome arrays and the same stream position as one run per shot,
+    under cap 6 (the largest graph's size) and under the default cap."""
     if cap is not None:
         monkeypatch.setenv(config.CAP_ENV_VAR, cap)
     for seed, angle in [(3, 0.0), (4, 0.9), (5, 2.2)]:
@@ -107,6 +107,27 @@ def test_sampled_game_builds_the_graph_state_once(monkeypatch):
     )
     assert game.girls_first_p0(inst, shots=3000, seed=1) == 1.0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shots", [1, 70, 3000])
+@pytest.mark.parametrize(
+    "g", [graphstate.chain(4), graphstate.parallel_chains([2, 2])], ids=["chain4", "pc22"]
+)
+def test_sample_causal_walks_once_whatever_the_shots(monkeypatch, g, shots):
+    """One split walk, N + n measurement steps and one graph state per call:
+    the shots descend the walk's tree, and no state is walked per shot."""
+    calls = {"_walk": 0, "_measure": 0, "graph_state": 0}
+    for owner, name in [(mbqc, "_walk"), (mbqc, "_measure"), (graphstate, "graph_state")]:
+        real = getattr(owner, name)
+
+        def counted(*a, _real=real, _name=name, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(owner, name, counted)
+    m, z, _ = mbqc.sample_causal(g, mbqc.chain_pattern(g, 0.4), shots, np.random.default_rng(1))
+    assert m.shape == (shots, g.n_computation) and z.shape == (shots, g.n_output)
+    assert calls == {"_walk": 1, "_measure": g.n_computation + g.n_output, "graph_state": 1}
 
 
 def histories(g, p, correct):
@@ -298,6 +319,49 @@ def test_uncorrected_girls_first_equals_boys_first(monkeypatch, g, angles):
     # built directly: the validity gate refuses nonzero angles
     inst = game.GameInstance(g, ang, pattern, p0_corrected=np.nan, p0_uncorrected=girls)
     assert abs(game.girls_first_p0(inst, correct=False) - game.boys_first_p0(inst)) <= ATOL
+
+
+def _assert_sampled_like_per_shot_runs(g, p, correct, shots, seed):
+    """``sample_causal`` gives the per-shot oracle's outcomes and stream
+    position, and each row's weight is ``enumerate_causal``'s weight of that
+    history, bit for bit."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    m, z, weight = mbqc.sample_causal(g, p, shots, a, correct=correct)
+    m_ref, z_ref = per_shot_oracle(g, p, shots, b, correct)
+    assert np.array_equal(m, m_ref) and np.array_equal(z, z_ref)
+    assert a.random() == b.random()
+    branches = histories(g, p, correct)
+    assert [branches[row][0] for row in map(tuple, m.tolist())] == weight.tolist()
+
+
+# the vee graph's branches are not uniform: at these angles its four histories
+# weigh about 0.15, 0.35, 0.35 and 0.15
+VEE_CASE = (
+    graphstate.vee_graph(),
+    mbqc.make_pattern(("c0", "c1"), {"c0": 0.8, "c1": 2.2}, out_z_deps={"o0": ["c0"]}),
+    True,
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(random_patterns(), st.integers(0, 2**32 - 1))
+@example(VEE_CASE, 11)
+@example(SMALL_ANGLE_CASES[0], 12)
+def test_sample_causal_equals_per_shot_runs_on_random_patterns(case, seed):
+    g, p, correct = case
+    _assert_sampled_like_per_shot_runs(g, p, correct, 40, seed)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_sample_causal_through_zero_weight_branches(correct):
+    """cycle_with_output(4) at the angles of the zero-weight test: the walk's
+    third step has nodes whose outcome 0 has probability 0, and others where
+    it is 1 up to round-off, and every shot still matches the per-shot oracle."""
+    g = graphstate.cycle_with_output(4)
+    p = mbqc.make_pattern(g.computation, mbqc.as_angle_map(g, [math.pi / 2, 0.0, math.pi / 2]))
+    p0 = mbqc._walk(g, p)[3][2]
+    assert p0.min() == 0.0 and p0.max() == pytest.approx(1.0, abs=1e-15)
+    _assert_sampled_like_per_shot_runs(g, p, correct, 500, 21)
 
 
 def test_enumerate_causal_drops_zero_weight_branches():

@@ -3,6 +3,7 @@
 import json
 import re
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -356,6 +357,22 @@ def test_cap_flag_wins_over_the_env_var_in_every_game_walk(capsys, tmp_path, mon
     assert code == 0
     assert rep["p0_girls_first_corrected"] == pytest.approx(1.0, abs=1e-12)
     assert rep["p0_boys_first"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_a_huge_cap_costs_nothing(capsys, tmp_path):
+    """The cap is only compared with register sizes: ``game --cap 10^9`` on
+    chain(4) passes with no cap-sized integer, or any other allocation above
+    1 MiB, on the way."""
+    path = graph_file(tmp_path, graphstate.chain(4), "p4")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["game", "--graph", path, "--json", "--cap", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["violated"] is True
+    assert peak < 2**20
 
 
 def test_help_exits_zero(capsys):

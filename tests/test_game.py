@@ -169,25 +169,23 @@ def test_game_report_scores_are_girls_first_p0(g, pattern):
 
 
 def test_game_walks_once_and_the_report_not_at_all(monkeypatch):
-    """``mbqc._walk`` calls by mode: split (no rng) and sampled."""
+    """``mbqc._walk`` calls: one for the instance, none for the report or the
+    exact scores, one for each sampled estimate, whatever its shots."""
     g = graphstate.chain(4)
     r = acausal.build_resource_pm(g)
-    calls = {"split": 0, "sampled": 0}
+    walks = []
     real = mbqc._walk
-
-    def counted(*args, rng=None, **kwargs):
-        calls["split" if rng is None else "sampled"] += 1
-        return real(*args, rng=rng, **kwargs)
-
-    monkeypatch.setattr(mbqc, "_walk", counted)
+    monkeypatch.setattr(mbqc, "_walk", lambda *a, **k: walks.append(1) or real(*a, **k))
     inst = game.game_instance(g)
-    assert calls == {"split": 1, "sampled": 0}
+    assert len(walks) == 1
     rep = game.game_report(inst, r)
     assert game.girls_first_p0(inst) == rep["p0_girls_first_corrected"]
     assert game.girls_first_p0(inst, correct=False) == rep["p0_girls_first_uncorrected"]
-    assert calls == {"split": 1, "sampled": 0}
+    assert len(walks) == 1
     game.girls_first_p0(inst, shots=10, seed=1)
-    assert calls == {"split": 1, "sampled": 1}
+    assert len(walks) == 2
+    game.girls_first_p0(inst, shots=3000, seed=1)
+    assert len(walks) == 3
 
 
 def test_a_pattern_plays_its_own_angles():

@@ -102,7 +102,7 @@ def test_positive_branch_output_of_chain_is_hadamard_power(length):
     """All-plus measurement of a chain teleports |+> through H per link: row 0
     of the uncorrected split, the all-zeros history, holds that state."""
     g = graphstate.chain(length)
-    _, weight, amps = mbqc._walk(g, mbqc.chain_pattern(g), correct=False)
+    _, weight, amps, _ = mbqc._walk(g, mbqc.chain_pattern(g))
     assert weight[0] > 0.0
     expect = qlin.equatorial_ket(0.0).amplitudes
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
