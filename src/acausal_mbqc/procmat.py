@@ -23,14 +23,16 @@ are kept deliberately independent: a dense trace of W against each element's
 Choi operator, built from its double-sum definition (the oracle), and a
 factorized overlap of each element's kets with the pure factor.  The dense
 trace takes the last party first, whose output is the register's last qubit,
-and reads W as the 16 slabs that fix that party's indices, written from the
-factor one mirrored pair at a time, so W is never held whole; the mirror is
-written transposed, so the pair's Hermiticity and finiteness are one
-elementwise check of every entry.  When the last qubit is maximally mixed,
-the 8 slabs whose row and column indices differ there are exactly zero and
-are never written.  Each slab is gathered into one buffer, the next traced
-party's axes first, and one matrix product contracts it with the first two
-traced parties' Choi tensors.
+and reads W as the 16 slabs that fix that party's indices, one mirrored pair
+at a time.  Each slab is streamed from the factor through tiles that fix
+its leading pure qubits, of at most ``_TILE_BYTES`` where it has enough of
+them (on the resource it does), so W is never held whole; the mirror's
+tile is written in the transposed layout, so the pair's Hermiticity and
+finiteness are one elementwise check of every entry.  When the last qubit is
+maximally mixed, the 8 slabs whose row and column indices differ there are
+exactly zero and are never written.  A tile holds the next traced party's
+indices in the middle of its layout, so one batched matrix product contracts
+it in place with the first two traced parties' Choi tensors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -207,15 +209,16 @@ class ProcessMatrix:
 
     def dense(self) -> HermOp:
         """W written as kron(scale |pure><pure|, (I/2)^m), capped by
-        ``self.cap`` and the operator cap.  ``_write_embedded`` writes it into
-        one zeroed array that the HermOp keeps, so the full operator is
-        allocated once and no block or kron copy of it is made."""
+        ``self.cap`` and the operator cap.  The tile writer of the dense
+        oracle writes it as one tile over the whole register, rows then
+        columns, into one zeroed array that the HermOp keeps, so the full
+        operator is allocated once and no block or kron copy of it is made."""
         self._require_dense_cap()
-        amp = self.pure.amplitudes
-        out = np.zeros((2**self.num_qubits,) * 2, dtype=np.complex128)
-        # |pure><pure| as the broadcast product of a column and a conjugated row
-        _write_embedded(out, amp[:, None], amp.conj()[None, :], self._mixed_coeff())
-        return HermOp(out, _owned=True)
+        labels = [(side, q) for side in "rc" for q in range(self.num_qubits)]
+        tile, write = _tile_writer(self, labels, ())
+        with _small_iterator_buffers():
+            write(())
+        return HermOp(tile.reshape((2**self.num_qubits,) * 2), _owned=True)
 
     def trace(self) -> float:
         return float(self.scale * np.sum(np.abs(self.pure.amplitudes) ** 2))
@@ -233,9 +236,13 @@ class ProcessMatrix:
         return self.trace() * 0.5 ** self.num_qubits
 
 
-# elements per operand buffer of numpy's iterator while W or a slab of it is
-# written or traced: strided operands are copied through these buffers, and
-# small ones keep that scratch near 50 KB instead of 400 KB
+# byte budget of one tile of a slab of W in the dense oracle: a tile, its
+# mirror and the scratch of their check are what the oracle holds of W
+_TILE_BYTES = 256 << 10
+
+# elements per operand buffer of numpy's iterator while a tile is written:
+# the strided diagonal is written through these buffers, and small ones keep
+# that scratch near 50 KB instead of 400 KB
 _ITER_BUFSIZE = 1024
 
 
@@ -248,25 +255,73 @@ def _small_iterator_buffers():
         np.setbufsize(bufsize)
 
 
-def _write_embedded(out: np.ndarray, left: np.ndarray, right: np.ndarray, coeff: float) -> None:
-    """Write coeff * B (x) I into the square array ``out``, B on its leading
-    qubits and I on the trailing ones; entries off the diagonal of the
-    trailing qubits keep their values, so ``out`` must be zero there.
+Label = tuple[str, int]
 
-    B = left * right, the broadcast product of two arrays broadcastable to
-    B's (b, b) shape.  It is written through the view of ``out`` with axes
-    (B's row, B's column, the trailing qubits' diagonal).
-    """
-    b = np.broadcast_shapes(left.shape, right.shape)[0]
-    d = len(out) // b
-    view = np.einsum("ajbj->abj", out.reshape(b, d, b, d))
-    with _small_iterator_buffers():
-        np.multiply(left[..., None], right[..., None], out=view)
+
+def _write_tile(
+    out: np.ndarray, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, coeff: float
+) -> None:
+    """Write coeff * rows * cols into the tile ``out`` through ``diagonal``,
+    its view over the free mixed qubits' diagonal; the entries off that
+    diagonal keep their values, so ``out`` must be zero there.  Callers
+    write under ``_small_iterator_buffers``."""
+    np.multiply(rows, cols, out=diagonal)
     # coeff after the product: since its 2^-m part is exact, every entry has
     # the value of scale * (|pure><pure| (x) (I/2)^m) taken factor by factor.
-    # It scales the whole contiguous array in place; numpy would buffer a copy
+    # It scales the whole contiguous tile in place; numpy would buffer a copy
     # of the strided diagonal view for an in-place product
     out *= coeff
+
+
+def _tile_writer(
+    w: ProcessMatrix, labels: Sequence[Label], fixed: Sequence[Label]
+) -> tuple[np.ndarray, Callable[[tuple[int, ...]], None]]:
+    """A zeroed tile of W with one axis per label of ``labels``, and
+    ``write(values)``, which writes into it the entries of W whose indices
+    at the labels ``fixed`` have ``values``.
+
+    A label ("r", q) or ("c", q) is the row or column index of register
+    qubit q, and each qubit is labelled once per side, in ``labels`` or in
+    ``fixed``; a fixed mixed qubit must take equal row and column values.
+    Each entry is (rows * cols) * coeff, rows the pure ket at the entry's
+    row indices, cols its conjugate at the column indices and coeff
+    scale 2^-m, written through a strided view of the tile over the free
+    mixed qubits' diagonal, in whatever order the labels put the axes.
+    """
+    p = w.pure.num_qubits
+    tile = np.zeros((2,) * len(labels), dtype=np.complex128)
+    # one axis of the diagonal view per free pure label and per free mixed
+    # qubit, whose row and column axes it walks at once
+    keys = [lab if lab[1] < p else ("rc", lab[1]) for lab in labels]
+    axes = list(dict.fromkeys(keys))
+    strides = [0] * len(axes)
+    for key, stride in zip(keys, tile.strides):
+        strides[axes.index(key)] += stride
+    diagonal = np.lib.stride_tricks.as_strided(tile, (2,) * len(axes), strides)
+
+    def operand(factor: np.ndarray, side: str) -> tuple[list[int], np.ndarray]:
+        """Where ``values`` holds the side's fixed pure indices, and ``factor``
+        with one leading axis per such index, then the diagonal's axes: the
+        side's own pure qubits, and length 1 elsewhere.  The copy is
+        C-ordered, so numpy walks a run of the side's axes as one loop."""
+        at = [i for i, (s, q) in enumerate(fixed) if s == side and q < p]
+        own = [key[0] == side for key in axes]
+        order = [fixed[i][1] for i in at] + [key[1] for key in axes if key[0] == side]
+        copy = factor.transpose(order).copy()
+        return at, copy[(slice(None),) * len(at) + tuple(slice(None) if o else None for o in own)]
+
+    amp = w.pure.as_tensor()
+    row_at, rows = operand(amp, "r")
+    col_at, cols = operand(amp.conj(), "c")
+    coeff = w._mixed_coeff()
+
+    def write(values: tuple[int, ...]) -> None:
+        _write_tile(
+            tile, diagonal, rows[tuple(values[i] for i in row_at)],
+            cols[tuple(values[i] for i in col_at)], coeff,
+        )
+
+    return tile, write
 
 
 # ---------------------------------------------------------------------------
@@ -417,41 +472,104 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     The parties are traced in the order k-1, 0, 1, ..., k-2.  The slab
     party k-1 owns the register's last qubit, which is maximally mixed
     whenever W has a mixed qubit, so that half of its slabs are exactly
-    zero.  The first two traced parties are traced by one kernel
-    (``_trace_slabs``) over the 16 slabs W[v] that fix the slab party's row
-    and column indices, written one mirrored pair at a time from the pure
-    factor (``_written_slabs``), which skips the zero ones, so W is never
-    held whole.  Each slab is gathered into one buffer of 1/16 of W
-    with the second traced party's four axes first and the others in
-    register order, and one matmul contracts it; every later step's input
-    holds at most 1/256 of W's entries per trial and pair of elements.  The
-    table comes back C-contiguous with its element axes in party order.
+    zero.  The first two traced parties are traced together over the 16
+    slabs W[v] that fix the slab party's row and column indices, one
+    mirrored pair at a time (``_SLAB_PAIRS``), skipping the zero ones, and
+    each slab is streamed from the pure factor through tiles of at most
+    ``_TILE_BYTES`` (``_tile_writer``), so W is never held whole, nor is a
+    slab that has enough pure qubits to be tiled.
+
+    A tile of W[v] is written columns-major: its rows are the column indices
+    of the rest (every qubit outside the first two traced parties), then of
+    the second traced party, and its columns the row indices of that party,
+    then of the rest.  The second party's 16 index values thus sit in the
+    middle, and one batched matmul of the products cj[t, e1, v] *
+    pair[t, e2, :] against the tile, a stack of (16, C) matrices, contracts
+    it in place.  A tile fixes only the leading pure qubits of the rest on
+    its column side, so no 16-term sum is split across tiles and every
+    entry adds the same terms in the same order whatever the tile size.
+    The tile of the mirror W[v'] is written rows-major over the same groups,
+    so W[v] - W[v']^dag is one elementwise check (``_pair_defect``) of the
+    two tiles; W[v'] is then streamed again columns-major if it is traced.
+    The largest tile defect is W's own ``_hermitian_defect``, held to
+    ``HERMITIAN_ATOL``: W passes the checks its ``HermOp`` would run.
+
+    Every later step's input holds at most 1/256 of W's entries per trial
+    and pair of elements.  The table comes back C-contiguous with its
+    element axes in party order.
     """
     k = len(w.parties)
     order = [k - 1] + list(range(k - 1))
     party = w.qubits(order[0])
-    second = _traced_labels(w.qubits(order[1])) if k > 1 else []
-    others = [q for q in range(w.num_qubits) if q not in party]
-    # W's axes left once the first two traced parties are, in register order
-    rest = [(side, q) for side in "rc" for q in others if (side, q) not in second]
-    w._require_dense_cap()  # before a buffer the size of a slab is allocated
-    gather = np.empty(4 ** len(others), dtype=np.complex128)
-    slabs = _written_slabs(w, party, second + rest, gather)
+    second = list(w.qubits(order[1])) if k > 1 else []
+    rest = [q for q in range(w.num_qubits) if q not in party and q not in second]
+    p = w.pure.num_qubits
+    w._require_dense_cap()  # before a tile is allocated
+    # the leading pure qubits of the rest that a tile fixes: as few as keep
+    # it within the budget, which a W with too few of them may exceed
+    slab_bytes = np.dtype(np.complex128).itemsize * 4 ** (w.num_qubits - 2)
+    tiled = 0
+    while tiled < sum(q < p for q in rest) and slab_bytes >> tiled > _TILE_BYTES:
+        tiled += 1
+    cols_major = [("c", q) for q in rest + second] + [("r", q) for q in second + rest]
+    rows_major = [("r", q) for q in rest + second] + [("c", q) for q in second + rest]
+    slab, write_slab = _tile_writer(w, cols_major[tiled:], _traced_labels(party) + cols_major[:tiled])
+    mirror, write_mirror = _tile_writer(w, rows_major[tiled:], _traced_labels(party) + rows_major[:tiled])
     cj = _choi_tensors(*kets[w.parties[order[0]]])
     trials, elements = cj.shape[:2]
     # the second traced party's CJ tensors, flat over the four axes they
-    # contract; with one party the slabs are scalars and a factor of 1
+    # contract; with one party the tiles are scalars and a factor of 1
     # contracts them
     pair = (
         _choi_tensors(*kets[w.parties[order[1]]]).reshape(trials, -1, 16) if k > 1
         else np.ones((trials, 1, 1), dtype=np.complex128)
     )
-    table = _trace_slabs(slabs, cj, pair, gather)
-    del gather
-    # one element axis per traced party, then W's axes left
-    table = table.reshape((trials, elements) + pair.shape[1:2] * (k > 1) + (2,) * len(rest))
-    # axis label per non-trial axis of table: a label of W, or None for an element axis
-    labels: list[tuple[str, int] | None] = [None] * min(k, 2) + rest
+    # the products cj[t, e1, v] * pair[t, e2, :] of one v, and their rows
+    lhs = np.empty((trials, elements) + pair.shape[1:], dtype=np.complex128)
+    products = lhs.reshape(-1, pair.shape[2])
+    # the tile as a stack of (16, C) matrices, C the row indices of the rest,
+    # and the mirror tile and the scratch of their check in that shape
+    stack = slab.reshape(-1, pair.shape[2], 2 ** len(rest))
+    mirrored = mirror.reshape(stack.shape)
+    scratch = np.empty_like(stack)
+    # the table's axes: the rest's column indices, the elements, the rest's row indices
+    table = np.zeros((2 ** len(rest), len(products), stack.shape[2]), dtype=np.complex128)
+    contracted = np.empty((len(stack),) + table.shape[1:], dtype=np.complex128)
+    tiles = list(itertools.product((0, 1), repeat=tiled))
+    mixed = [i for i, q in enumerate(party) if q >= p]
+    defect = 0.0
+    with _small_iterator_buffers():
+        for values in _SLAB_PAIRS:
+            v, u = values[0], values[-1]
+            # a mixed qubit of the slab party with unequal row and column
+            # indices: W[v] and its mirror are exactly zero
+            if any(v[i] != v[2 + i] for i in mixed):
+                continue
+            # W[v] checked against its mirror tile by tile, then W[u] alone
+            for x, check in [(v, True)] + [(u, False)] * (u != v):
+                coeff = cj[(slice(None), slice(None)) + x]
+                traced = bool(coeff.any())
+                if not (check or traced):
+                    continue
+                if traced:
+                    np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
+                for j, bits in enumerate(tiles):
+                    write_slab(x + bits)
+                    if check:
+                        write_mirror(u + bits)
+                        defect = max(defect, _pair_defect(stack, mirrored, scratch))
+                    if traced:
+                        np.matmul(products, stack, out=contracted)
+                        table[j * len(stack):(j + 1) * len(stack)] += contracted
+    qlin._require_hermitian(defect)
+    del slab, mirror, scratch, stack, mirrored, contracted
+    n = len(rest)
+    elements_axes = (trials, elements) + pair.shape[1:2] * (k > 1)
+    # one element axis per traced party, then the rest's row and column indices
+    table = np.moveaxis(
+        table.reshape((2,) * n + elements_axes + (2,) * n), range(n), range(-n, 0)
+    )
+    labels: list[Label | None] = [None] * min(k, 2) + [(side, q) for side in "rc" for q in rest]
     for i in order[2:]:
         cj = _choi_tensors(*kets[w.parties[i]])
         axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
@@ -465,7 +583,7 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(table.real, 1, -1))
 
 
-def _traced_labels(qubits: tuple[int, int]) -> list[tuple[str, int]]:
+def _traced_labels(qubits: tuple[int, int]) -> list[Label]:
     """W's axes that the CJ tensor [r_in, r_out, c_in, c_out] of a party on
     (input, output) ``qubits`` contracts, in that order: Tr[W X] pairs W's
     column indices with X's row indices and vice versa."""
@@ -484,83 +602,13 @@ _SLAB_PAIRS = tuple(
 )
 
 
-Slabs = Iterator[tuple[tuple[int, ...], np.ndarray]]
-
-
-def _written_slabs(
-    w: ProcessMatrix, party: tuple[int, int], order: Sequence[tuple[str, int]],
-    scratch: np.ndarray,
-) -> Slabs:
-    """(v, W[v]) in the order of ``_SLAB_PAIRS``, each pair written from
-    ``w.pure`` by the writer of ``dense()``; v fixes the indices of the slab
-    party on (input, output) qubits ``party``.
-
-    A slab is the operator that W induces on the other qubits once the slab
-    party's indices are fixed: coeff * (left * right) (x) I, where ``left``
-    is the pure ket with the party's row indices fixed and ``right`` its
-    conjugate with the column indices fixed; the other pure qubits still
-    lead the others in register order.  Each pair v, v' is written into the
-    same two zeroed buffers of 1/16 of W, square matrices over the others in
-    register order: W[v] as it is, and W[v'] transposed, by the same writer
-    with its operands transposed, so every entry has the value ``dense()``
-    gives it.  W[v] - W[v']^dag is then the elementwise difference of the
-    first buffer and the conjugate of the second, and ``_pair_defect``
-    checks every entry of the pair in ``scratch``; a slab that is its own
-    mirror is written both ways too.  The largest pair defect, which is W's
-    own ``_hermitian_defect``, is held to ``HERMITIAN_ATOL``: W passes the
-    checks its ``HermOp`` would run.  A pair with a mixed party qubit whose
-    row and column indices differ is exactly zero and is skipped: for a
-    mixed output that is 4 of the 10 pairs, 8 of the 20 writes.  The slabs
-    are yielded as views of the buffers with axes in ``order`` of labels.
-    """
-    amp = w.pure.as_tensor()
-    mixed = [i for i, q in enumerate(party) if q >= amp.ndim]
-    others = [q for q in range(w.num_qubits) if q not in party]
-    m = len(others)
-    slab, mirror = (np.zeros((2**m, 2**m), dtype=np.complex128) for _ in range(2))
-    # axis labels of the two buffers: the transposed mirror's rows are its columns
-    views = [
-        buf.reshape((2,) * (2 * m)).transpose(
-            [[(side, q) for side in sides for q in others].index(lab) for lab in order]
-        )
-        for buf, sides in ((slab, "rc"), (mirror, "cr"))
-    ]
-    coeff = w._mixed_coeff()
-
-    def fixed(tensor: np.ndarray, values: tuple[int, ...]) -> np.ndarray:
-        """``tensor`` with the party's pure qubits fixed to ``values``, flat;
-        the trailing Ellipsis keeps a fully indexed tensor an array."""
-        index = [values[party.index(q)] if q in party else slice(None) for q in range(amp.ndim)]
-        return tensor[tuple(index) + (...,)].reshape(-1)
-
-    # the row factor per value of the party's (r_in, r_out), the column factor
-    # per value of its (c_in, c_out), shaped as dense() shapes them
-    values = list(itertools.product((0, 1), repeat=2))
-    rows = {u: fixed(amp, u)[:, None] for u in values}
-    conj = amp.conj()
-    cols = {u: fixed(conj, u)[None, :] for u in values}
-
-    def pairs() -> Slabs:
-        defect = 0.0
-        for pair in _SLAB_PAIRS:
-            v, u = pair[0], pair[-1]
-            if any(v[i] != v[2 + i] for i in mixed):
-                continue
-            _write_embedded(slab, rows[v[2:]], cols[v[:2]], coeff)
-            _write_embedded(mirror, rows[u[2:]].T, cols[u[:2]].T, coeff)
-            defect = max(defect, _pair_defect(slab, mirror, scratch))
-            yield from zip(pair, views)
-        qlin._require_hermitian(defect)
-
-    return pairs()
-
-
 def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> float:
     """max |slab - conj(mirror)| over two arrays of one shape, computed by
     elementwise passes in place in ``scratch`` (as many entries, overwritten),
-    so no array of the pair's size is allocated.  For a slab W[v] and its
-    mirror W[v'] written transposed, this is max |W[v] - W[v']^dag|, entry
-    for entry the values that ``qlin._hermitian_defect`` takes over W.
+    so no array of the pair's size is allocated.  For a tile of a slab W[v]
+    written columns-major and the tile of its mirror W[v'] written
+    rows-major, this is max |W[v] - W[v']^dag| over the tile, entry for
+    entry the values that ``qlin._hermitian_defect`` takes over W.
     A difference that is exactly zero everywhere (signed zeros included)
     gives 0.0 after the subtraction pass alone.
 
@@ -589,38 +637,6 @@ def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> f
         qlin._require_finite(mirror)
         return math.inf
     return defect
-
-
-def _trace_slabs(slabs: Slabs, cj: np.ndarray, pair: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """sum over v of cj[t, e1, v] * sum_s pair[t, e2, s] slab_v[s, ...], for
-    every trial t and elements e1, e2, over the (v, slab_v) pairs of
-    ``slabs``: v is a value of the slab party's (c_in, c_out, r_in, r_out),
-    and slab_v is W[v] with the axes that ``pair`` contracts first.  A v
-    that ``slabs`` leaves out adds nothing.
-
-    ``cj`` is (trials, E1, 2, 2, 2, 2) and ``pair`` is (trials, E2, s) for
-    the s entries of slab_v's first axes; the result is (trials * E1 * E2,
-    rest), rest the entries of a slab per s.  Each slab whose coefficient
-    is nonzero in some trial is copied once into ``gather``, which holds a
-    slab's entries, and one matmul contracts the copy with every trial's
-    products cj[t, e1, v] * pair[t, e2, :]; the products are summed into the
-    table, so the step holds the table, one product of its size and one
-    slab.
-    """
-    trials, elements = cj.shape[:2]
-    flat = gather.reshape(pair.shape[2], -1)
-    lhs = np.empty((trials, elements) + pair.shape[1:], dtype=np.complex128)
-    table = np.zeros((lhs.size // len(flat), flat.shape[1]), dtype=np.complex128)
-    product = np.empty_like(table)
-    with _small_iterator_buffers():
-        for v, slab in slabs:
-            coeff = cj[(slice(None), slice(None)) + v]
-            if coeff.any():
-                np.copyto(gather.reshape(slab.shape), slab)
-                np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
-                np.matmul(lhs.reshape(-1, len(flat)), flat, out=product)
-                table += product
-    return table
 
 
 # ---------------------------------------------------------------------------

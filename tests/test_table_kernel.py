@@ -258,10 +258,12 @@ def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
     assert max(defects, default=0.0) == qlin._hermitian_defect(w.dense().entries)
 
 
-def dense_table_calls(w, instruments):
-    """How often one dense table of ``w`` writes a slab and checks a pair."""
-    calls = {"_write_embedded": 0, "_pair_defect": 0}
+def dense_table_calls(w, instruments, tile_bytes):
+    """How often one dense table of ``w`` writes a tile and checks a pair of
+    tiles, with each tile of a slab within ``tile_bytes``."""
+    calls = {"_write_tile": 0, "_pair_defect": 0}
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(procmat, "_TILE_BYTES", tile_bytes)
         for name in calls:
             def counted(*args, _name=name, _real=getattr(procmat, name)):
                 calls[_name] += 1
@@ -275,15 +277,65 @@ def dense_table_calls(w, instruments):
 def test_a_mixed_slab_party_output_halves_the_slabs():
     """The slab party is the last, whose output is the register's last qubit:
     on the resource it is maximally mixed, so the 4 pairs whose rows and
-    columns differ there are never written (12 writes and 6 pair checks, not
-    20 and 10).  A W with no mixed qubit still writes every pair."""
+    columns differ there are never written (12 slab writes and 6 pair
+    checks, not 20 and 10).  Streamed through tiles of 256 KiB, each of the
+    1 MiB slabs of chain(5) is written and checked as 4 tiles.  A W with no
+    mixed qubit still writes every pair."""
     r = acausal.build_resource_pm(graphstate.chain(5))
     instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
     instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
-    assert dense_table_calls(r.w, instruments) == {"_write_embedded": 12, "_pair_defect": 6}
+    whole = dense_table_calls(r.w, instruments, 1 << 62)
+    assert whole == {"_write_tile": 12, "_pair_defect": 6}
+    assert dense_table_calls(r.w, instruments, 256 << 10) == {k: 4 * n for k, n in whole.items()}
     pure = factored_w(2, n_pure=4, scale=1.5, seed=4)
     instruments = {p: procmat.bob_instrument() for p in pure.parties}
-    assert dense_table_calls(pure, instruments) == {"_write_embedded": 20, "_pair_defect": 10}
+    assert dense_table_calls(pure, instruments, 1 << 62) == {"_write_tile": 20, "_pair_defect": 10}
+
+
+def tiled_table(w, kets, tile_bytes):
+    """The dense table of ``w`` with each slab streamed through tiles of at
+    most ``tile_bytes``, and the defect of every pair of tiles checked."""
+    defects = []
+    real = procmat._pair_defect
+
+    def spy(*args):
+        defects.append(real(*args))
+        return defects[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(procmat, "_TILE_BYTES", tile_bytes)
+        mp.setattr(procmat, "_pair_defect", spy)
+        table = procmat._dense_probability(w, kets)
+    return table, defects
+
+
+@PROPERTY_SETTINGS
+@given(slab_cases())
+@example(slab_case(3, n_pure=6))  # the rest's two qubits pure: 4 tiles
+@example(slab_case(4, n_pure=8, trials=2))  # 16 tiles
+@example(slab_case(4, n_pure=3))  # 4 tiles, the rest's last two qubits mixed
+@example(slab_case(4, n_pure=6, trials=2, elements=3))  # 8 tiles, one mixed rest qubit
+@example(slab_case(3, n_pure=2))  # too short to tile: 2 tiles, one mixed rest qubit
+@example(slab_case(4, n_pure=1))  # no pure rest qubit: 1 tile
+@example(slab_case(2, n_pure=4))  # no rest
+@example(slab_case(1, n_pure=1))
+def test_tiles_change_no_bit_of_the_table(case):
+    """Streamed through the smallest tiles, which fix every pure qubit of the
+    rest, each slab spans 2^(pure rest qubits) tiles, at least 4 whenever it
+    has two such qubits.  The table is the one-tile table bit for bit, since
+    no sum is split across tiles, and the largest tile defect is W's own
+    ``_hermitian_defect``, bit for bit."""
+    w, kets = case
+    k = len(w.parties)
+    rest = [q for q in range(w.num_qubits) if q not in w.qubits(k - 1) + w.qubits(0)]
+    pure_rest = sum(q < w.pure.num_qubits for q in rest)
+    whole, pairs = tiled_table(w, kets, 1 << 62)
+    table, defects = tiled_table(w, kets, 16)
+    assert len(defects) == 2**pure_rest * len(pairs)
+    assert table.tobytes() == whole.tobytes() and table.shape == whole.shape
+    ref = tensordot_dense_probability(w, kets)
+    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
+    assert max(defects, default=0.0) == qlin._hermitian_defect(w.dense().entries)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -315,24 +367,26 @@ def test_dense_table_is_c_contiguous_in_party_order(k):
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_slab_checks_refuse_a_planted_entry(planted, message):
-    """An entry planted after it is written into either buffer of a mirrored
-    pair, or into a self-mirrored slab, makes the dense oracle refuse W; so
-    does the same non-finite entry planted into both buffers of a pair, with
-    no warning from the inf - inf on the way to the refusal."""
+    """An entry planted after it is written into either tile of a mirrored
+    pair, or into a self-mirrored slab's tile, makes the dense oracle refuse
+    W; so does the same non-finite entry planted into both tiles of a pair,
+    with no warning from the inf - inf on the way to the refusal."""
     w = acausal.build_resource_pm(graphstate.chain(2)).w
     rng = np.random.default_rng(11)
     kets = {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
-    real = procmat._write_embedded
+    real = procmat._write_tile
     # the output of B1, the slab party, is maximally mixed, so the pairs
-    # whose rows and columns differ there are skipped; the others are each
-    # written as the slab W[v] and then its mirror transposed: writes 1 and 2
-    # are the self-mirrored slab (0, 0, 0, 0) and its transpose, writes 3 and
-    # 4 the slab (0, 0, 1, 0) and its mirror (1, 0, 0, 0).  Every pair of
-    # this W is bit-exact, so the planted entry is its only difference
+    # whose rows and columns differ there are skipped; each slab of this W
+    # is one tile, and the others are each written as the tile of W[v]
+    # columns-major and then that of its mirror rows-major: writes 1 and 2
+    # are the self-mirrored slab (0, 0, 0, 0) both ways, writes 3 and 4 the
+    # slab (0, 0, 1, 0) and its mirror (1, 0, 0, 0).  Every pair of this W is
+    # bit-exact, so the planted entry is its only difference
     targets = [{1}, {3}, {4}]
     if not math.isfinite(planted):
-        # the same entry at mirrored positions, so that A == conj(B) holds
-        # entry by entry: the difference is NaN, not zero, and is not passed
+        # the same entry at the same position of both tiles, which mirror
+        # each other there, so that A == conj(B) holds entry by entry: the
+        # difference is NaN, not zero, and is not passed
         targets += [{1, 2}, {3, 4}]
     for target in targets:
         writes = []
@@ -341,10 +395,10 @@ def test_slab_checks_refuse_a_planted_entry(planted, message):
             real(out, *args)
             writes.append(len(writes))
             if len(writes) in target:
-                out[0, 1] += planted
+                out.reshape(-1)[1] += planted
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(procmat, "_write_embedded", planting)
+            mp.setattr(procmat, "_write_tile", planting)
             with pytest.raises(qlin.QlinError, match=re.escape(message)):
                 procmat._dense_probability(w, kets)
         assert len(writes) >= max(target)
@@ -387,8 +441,8 @@ def test_pair_defect_of_an_overflowing_difference_is_infinite():
 
 
 def test_slab_path_refuses_above_the_cap_before_allocating():
-    """W of chain(7) has 14 qubits, above the dense operator cap: its slab
-    buffers would be 256 MiB each, and none is allocated."""
+    """W of chain(7) has 14 qubits, above the dense operator cap: no tile,
+    table or Choi tensor is allocated."""
     r = acausal.build_resource_pm(graphstate.chain(7))
     tracemalloc.start()
     try:
@@ -423,6 +477,25 @@ def test_dense_table_of_a_factored_w_never_builds_w(monkeypatch):
         tracemalloc.stop()
     assert table.shape == (2,) * 5
     assert peak < w_bytes / 4, peak / w_bytes
+
+
+def test_dense_table_of_chain6_holds_less_than_a_sixteenth_of_w():
+    """W of chain(6), the largest under the cap, takes 256 MiB and each of
+    its slabs 16 MiB; streamed through tiles, one dense table allocates less
+    than one slab."""
+    r = acausal.build_resource_pm(graphstate.chain(6))
+    w_bytes = np.dtype(np.complex128).itemsize * 4**r.w.num_qubits
+    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
+    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = procmat.outcome_table(r.w, instruments, "dense")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2,) * 6
+    assert peak < w_bytes / 16, peak / w_bytes
 
 
 def with_raw_table(monkeypatch, backend, raw):
