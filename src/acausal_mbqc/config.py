@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 # Absolute tolerances used across the package.
-HERMITIAN_ATOL = 1e-10        # allowed ||M - M^dag||_max for flagged-Hermitian operators
+HERMITIAN_ATOL = 1e-10        # allowed ||M - M^dag||_max of a HermOp
 NORM_ATOL = 1e-12             # allowed |norm - 1| for physical state vectors
 BASIS_ORTHO_ATOL = 1e-10      # allowed overlap between measurement basis kets
 MIN_FORCE_PROBABILITY = 1e-14 # forcing an outcome below this branch weight is an error

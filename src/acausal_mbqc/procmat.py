@@ -23,16 +23,16 @@ are kept deliberately independent: a dense trace of W against each element's
 Choi operator, built from its double-sum definition (the oracle), and a
 factorized overlap of each element's kets with the pure factor.  The dense
 trace takes the last party first, whose output is the register's last qubit,
-and reads W as the 16 slabs that fix that party's indices, one mirrored pair
-at a time.  Each slab is streamed from the factor through tiles that fix
-its leading pure qubits, of at most ``_TILE_BYTES`` where it has enough of
-them (on the resource it does), so W is never held whole; the mirror's
-tile is written in the transposed layout, so the pair's Hermiticity and
-finiteness are one elementwise check of every entry.  When the last qubit is
-maximally mixed, the 8 slabs whose row and column indices differ there are
-exactly zero and are never written.  A tile holds the next traced party's
+and reads W as the 16 slabs that fix that party's indices.  Each slab is
+streamed from the factor through tiles that fix its leading pure qubits, of
+at most ``_TILE_BYTES`` where it has enough of them (on the resource it
+does), so W is never held whole, and each tile is written once.  When the
+last qubit is maximally mixed, the 8 slabs whose row and column indices
+differ there are exactly zero and are never written; nor is a slab whose
+Choi entry is zero in every trial.  A tile holds the next traced party's
 indices in the middle of its layout, so one batched matrix product contracts
-it in place with the first two traced parties' Choi tensors.
+it in place with the first two traced parties' Choi tensors.  W is Hermitian
+by its form; ``dense()`` checks that as a ``HermOp``.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ class ProcessMatrix:
         return self.trace() * 0.5 ** self.num_qubits
 
 
-# byte budget of one tile of a slab of W in the dense oracle: a tile, its
-# mirror and the scratch of their check are what the oracle holds of W
+# byte budget of one tile of a slab of W in the dense oracle, the one piece
+# of W that the oracle holds
 _TILE_BYTES = 256 << 10
 
 # elements per operand buffer of numpy's iterator while a tile is written:
@@ -471,11 +471,12 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
 
     The parties are traced in the order k-1, 0, 1, ..., k-2.  The slab
     party k-1 owns the register's last qubit, which is maximally mixed
-    whenever W has a mixed qubit, so that half of its slabs are exactly
-    zero.  The first two traced parties are traced together over the 16
-    slabs W[v] that fix the slab party's row and column indices, one
-    mirrored pair at a time (``_SLAB_PAIRS``), skipping the zero ones, and
-    each slab is streamed from the pure factor through tiles of at most
+    whenever W has a mixed qubit.  The first two traced parties are traced
+    together over the 16 slabs W[v] that fix the slab party's column and row
+    indices v, in product order.  A slab is skipped when it is exactly zero
+    (its row and column indices differ on a maximally mixed qubit of the
+    slab party) or when its Choi entry is zero in every trial; each other
+    slab is streamed from the pure factor through tiles of at most
     ``_TILE_BYTES`` (``_tile_writer``), so W is never held whole, nor is a
     slab that has enough pure qubits to be tiled.
 
@@ -488,11 +489,9 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     it in place.  A tile fixes only the leading pure qubits of the rest on
     its column side, so no 16-term sum is split across tiles and every
     entry adds the same terms in the same order whatever the tile size.
-    The tile of the mirror W[v'] is written rows-major over the same groups,
-    so W[v] - W[v']^dag is one elementwise check (``_pair_defect``) of the
-    two tiles; W[v'] is then streamed again columns-major if it is traced.
-    The largest tile defect is W's own ``_hermitian_defect``, held to
-    ``HERMITIAN_ATOL``: W passes the checks its ``HermOp`` would run.
+    W is Hermitian by its form, and ``dense()`` checks it as a ``HermOp``;
+    a non-finite entry reaches the table, where ``_validated_table``
+    refuses it.
 
     Every later step's input holds at most 1/256 of W's entries per trial
     and pair of elements.  The table comes back C-contiguous with its
@@ -512,9 +511,7 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     while tiled < sum(q < p for q in rest) and slab_bytes >> tiled > _TILE_BYTES:
         tiled += 1
     cols_major = [("c", q) for q in rest + second] + [("r", q) for q in second + rest]
-    rows_major = [("r", q) for q in rest + second] + [("c", q) for q in second + rest]
     slab, write_slab = _tile_writer(w, cols_major[tiled:], _traced_labels(party) + cols_major[:tiled])
-    mirror, write_mirror = _tile_writer(w, rows_major[tiled:], _traced_labels(party) + rows_major[:tiled])
     cj = _choi_tensors(*kets[w.parties[order[0]]])
     trials, elements = cj.shape[:2]
     # the second traced party's CJ tensors, flat over the four axes they
@@ -527,42 +524,26 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     # the products cj[t, e1, v] * pair[t, e2, :] of one v, and their rows
     lhs = np.empty((trials, elements) + pair.shape[1:], dtype=np.complex128)
     products = lhs.reshape(-1, pair.shape[2])
-    # the tile as a stack of (16, C) matrices, C the row indices of the rest,
-    # and the mirror tile and the scratch of their check in that shape
+    # the tile as a stack of (16, C) matrices, C the row indices of the rest
     stack = slab.reshape(-1, pair.shape[2], 2 ** len(rest))
-    mirrored = mirror.reshape(stack.shape)
-    scratch = np.empty_like(stack)
     # the table's axes: the rest's column indices, the elements, the rest's row indices
     table = np.zeros((2 ** len(rest), len(products), stack.shape[2]), dtype=np.complex128)
     contracted = np.empty((len(stack),) + table.shape[1:], dtype=np.complex128)
     tiles = list(itertools.product((0, 1), repeat=tiled))
     mixed = [i for i, q in enumerate(party) if q >= p]
-    defect = 0.0
     with _small_iterator_buffers():
-        for values in _SLAB_PAIRS:
-            v, u = values[0], values[-1]
+        for v in itertools.product((0, 1), repeat=4):
+            coeff = cj[(slice(None), slice(None)) + v]
             # a mixed qubit of the slab party with unequal row and column
-            # indices: W[v] and its mirror are exactly zero
-            if any(v[i] != v[2 + i] for i in mixed):
+            # indices: W[v] is exactly zero; a zero Choi entry: it adds nothing
+            if any(v[i] != v[2 + i] for i in mixed) or not coeff.any():
                 continue
-            # W[v] checked against its mirror tile by tile, then W[u] alone
-            for x, check in [(v, True)] + [(u, False)] * (u != v):
-                coeff = cj[(slice(None), slice(None)) + x]
-                traced = bool(coeff.any())
-                if not (check or traced):
-                    continue
-                if traced:
-                    np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
-                for j, bits in enumerate(tiles):
-                    write_slab(x + bits)
-                    if check:
-                        write_mirror(u + bits)
-                        defect = max(defect, _pair_defect(stack, mirrored, scratch))
-                    if traced:
-                        np.matmul(products, stack, out=contracted)
-                        table[j * len(stack):(j + 1) * len(stack)] += contracted
-    qlin._require_hermitian(defect)
-    del slab, mirror, scratch, stack, mirrored, contracted
+            np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
+            for j, bits in enumerate(tiles):
+                write_slab(v + bits)
+                np.matmul(products, stack, out=contracted)
+                table[j * len(stack):(j + 1) * len(stack)] += contracted
+    del slab, stack, contracted
     n = len(rest)
     elements_axes = (trials, elements) + pair.shape[1:2] * (k > 1)
     # one element axis per traced party, then the rest's row and column indices
@@ -589,54 +570,6 @@ def _traced_labels(qubits: tuple[int, int]) -> list[Label]:
     column indices with X's row indices and vice versa."""
     q_in, q_out = qubits
     return [("c", q_in), ("c", q_out), ("r", q_in), ("r", q_out)]
-
-
-# The 16 values v = (c_in, c_out, r_in, r_out) of a party's column and row
-# indices, in product order, each followed at once by its mirror, which swaps
-# the row and column indices: W[v] must be the conjugate transpose of
-# W[mirror], and a slab that is its own mirror must be Hermitian itself
-_SLAB_PAIRS = tuple(
-    (v,) if v == v[2:] + v[:2] else (v, v[2:] + v[:2])
-    for v in itertools.product((0, 1), repeat=4)
-    if v <= v[2:] + v[:2]
-)
-
-
-def _pair_defect(slab: np.ndarray, mirror: np.ndarray, scratch: np.ndarray) -> float:
-    """max |slab - conj(mirror)| over two arrays of one shape, computed by
-    elementwise passes in place in ``scratch`` (as many entries, overwritten),
-    so no array of the pair's size is allocated.  For a tile of a slab W[v]
-    written columns-major and the tile of its mirror W[v'] written
-    rows-major, this is max |W[v] - W[v']^dag| over the tile, entry for
-    entry the values that ``qlin._hermitian_defect`` takes over W.
-    A difference that is exactly zero everywhere (signed zeros included)
-    gives 0.0 after the subtraction pass alone.
-
-    A non-finite entry of either array makes the maximum non-finite, and is
-    then refused as ``HermOp`` refuses it; finite entries whose difference
-    overflows give an infinite defect.  The result is never NaN, which
-    Python's ``max`` over the pairs would drop.
-    """
-    out = scratch.reshape(slab.shape)
-    np.conjugate(mirror, out=out)
-    # inf - inf is NaN, which the finiteness check below refuses; numpy's
-    # warning about it would only repeat that refusal
-    with np.errstate(invalid="ignore"):
-        np.subtract(slab, out, out=out)
-    # exactly zero everywhere, as most pairs written from one factor are: no
-    # defect, without the abs and max passes.  NaN counts as nonzero, so a
-    # non-finite entry, even one that equals its mirror, goes on to the check
-    if not out.any():
-        return 0.0
-    # |.| into the same array: numpy casts it back to complex a buffer at a time
-    np.absolute(out, out=out)
-    # the imaginary parts are now zero, so the flat real view has the same maximum
-    defect = float(np.max(out.view(np.float64)))
-    if not math.isfinite(defect):
-        qlin._require_finite(slab)
-        qlin._require_finite(mirror)
-        return math.inf
-    return defect
 
 
 # ---------------------------------------------------------------------------

@@ -119,19 +119,6 @@ def _hermitian_defect(mat: np.ndarray) -> float:
     return defect
 
 
-def _require_finite(mat: np.ndarray) -> None:
-    if not np.all(np.isfinite(mat)):
-        raise QlinError("operator entries must be finite")
-
-
-def _require_hermitian(defect: float) -> None:
-    """Refuse an operator whose ``_hermitian_defect`` exceeds ``HERMITIAN_ATOL``."""
-    if defect > config.HERMITIAN_ATOL:
-        raise QlinError(
-            f"operator is not Hermitian within {config.HERMITIAN_ATOL} (defect {defect:.3e})"
-        )
-
-
 class HermOp:
     """Hermitian operator on an ordered qubit register, stored dense:
     ``||M - M^dag||_max <= config.HERMITIAN_ATOL`` is enforced.
@@ -149,8 +136,13 @@ class HermOp:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise QlinError(f"operator must be square, got shape {mat.shape}")
         k = _num_qubits_for(mat.shape[0])
-        _require_finite(mat)
-        _require_hermitian(_hermitian_defect(mat))
+        if not np.all(np.isfinite(mat)):
+            raise QlinError("operator entries must be finite")
+        defect = _hermitian_defect(mat)
+        if defect > config.HERMITIAN_ATOL:
+            raise QlinError(
+                f"operator is not Hermitian within {config.HERMITIAN_ATOL} (defect {defect:.3e})"
+            )
         self.entries = _frozen_array(mat, mat.shape, copy=not _owned)
         self.num_qubits = k
 

@@ -239,74 +239,42 @@ def test_slab_path_equals_the_reference(case):
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
-@PROPERTY_SETTINGS
-@given(slab_cases())
-def test_slab_checks_see_the_hermitian_defect_of_all_of_w(case):
-    """The largest defect over the mirrored slab pairs is W's own
-    ``_hermitian_defect``, bit for bit."""
-    w, kets = case
-    defects = []
-    real = procmat._pair_defect
+def dense_table_writes(w, kets, tile_bytes):
+    """One dense table of ``w`` with each tile of a slab within
+    ``tile_bytes``, and how many tiles it wrote."""
+    writes = 0
+    real = procmat._write_tile
 
-    def spy(*args):
-        defects.append(real(*args))
-        return defects[-1]
+    def counted(*args):
+        nonlocal writes
+        writes += 1
+        real(*args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(procmat, "_pair_defect", spy)
-        procmat._dense_probability(w, kets)
-    assert max(defects, default=0.0) == qlin._hermitian_defect(w.dense().entries)
-
-
-def dense_table_calls(w, instruments, tile_bytes):
-    """How often one dense table of ``w`` writes a tile and checks a pair of
-    tiles, with each tile of a slab within ``tile_bytes``."""
-    calls = {"_write_tile": 0, "_pair_defect": 0}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(procmat, "_TILE_BYTES", tile_bytes)
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(procmat, name)):
-                calls[_name] += 1
-                return _real(*args)
-
-            mp.setattr(procmat, name, counted)
-        procmat.outcome_table(w, instruments, "dense")
-    return calls
+        mp.setattr(procmat, "_write_tile", counted)
+        table = procmat._dense_probability(w, kets)
+    return table, writes
 
 
 def test_a_mixed_slab_party_output_halves_the_slabs():
     """The slab party is the last, whose output is the register's last qubit:
-    on the resource it is maximally mixed, so the 4 pairs whose rows and
-    columns differ there are never written (12 slab writes and 6 pair
-    checks, not 20 and 10).  Streamed through tiles of 256 KiB, each of the
-    1 MiB slabs of chain(5) is written and checked as 4 tiles.  A W with no
-    mixed qubit still writes every pair."""
+    on the resource it is maximally mixed, so the 8 slabs whose rows and
+    columns differ there are never written, and each other slab is written
+    once, if its Choi entry is nonzero in some trial.  A Bob's readout has
+    2 such slabs, each streamed through 4 tiles of 256 KiB on chain(5);
+    random kets trace all 8 nonzero slabs.  A W with no mixed qubit writes
+    all 16."""
     r = acausal.build_resource_pm(graphstate.chain(5))
-    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
-    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
-    whole = dense_table_calls(r.w, instruments, 1 << 62)
-    assert whole == {"_write_tile": 12, "_pair_defect": 6}
-    assert dense_table_calls(r.w, instruments, 256 << 10) == {k: 4 * n for k, n in whole.items()}
+    phis = np.full((1, len(r.alice_parties)), 0.7)
+    mbqc = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    assert dense_table_writes(r.w, mbqc, 256 << 10)[1] == 2 * 4
+    rng = np.random.default_rng(5)
+    kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in r.w.parties}
+    assert dense_table_writes(r.w, kets, 1 << 62)[1] == 8
     pure = factored_w(2, n_pure=4, scale=1.5, seed=4)
-    instruments = {p: procmat.bob_instrument() for p in pure.parties}
-    assert dense_table_calls(pure, instruments, 1 << 62) == {"_write_tile": 20, "_pair_defect": 10}
-
-
-def tiled_table(w, kets, tile_bytes):
-    """The dense table of ``w`` with each slab streamed through tiles of at
-    most ``tile_bytes``, and the defect of every pair of tiles checked."""
-    defects = []
-    real = procmat._pair_defect
-
-    def spy(*args):
-        defects.append(real(*args))
-        return defects[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(procmat, "_TILE_BYTES", tile_bytes)
-        mp.setattr(procmat, "_pair_defect", spy)
-        table = procmat._dense_probability(w, kets)
-    return table, defects
+    kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in pure.parties}
+    assert dense_table_writes(pure, kets, 1 << 62)[1] == 16
 
 
 @PROPERTY_SETTINGS
@@ -323,19 +291,17 @@ def test_tiles_change_no_bit_of_the_table(case):
     """Streamed through the smallest tiles, which fix every pure qubit of the
     rest, each slab spans 2^(pure rest qubits) tiles, at least 4 whenever it
     has two such qubits.  The table is the one-tile table bit for bit, since
-    no sum is split across tiles, and the largest tile defect is W's own
-    ``_hermitian_defect``, bit for bit."""
+    no sum is split across tiles."""
     w, kets = case
     k = len(w.parties)
     rest = [q for q in range(w.num_qubits) if q not in w.qubits(k - 1) + w.qubits(0)]
     pure_rest = sum(q < w.pure.num_qubits for q in rest)
-    whole, pairs = tiled_table(w, kets, 1 << 62)
-    table, defects = tiled_table(w, kets, 16)
-    assert len(defects) == 2**pure_rest * len(pairs)
+    whole, slabs = dense_table_writes(w, kets, 1 << 62)
+    table, tiles = dense_table_writes(w, kets, 16)
+    assert tiles == 2**pure_rest * slabs
     assert table.tobytes() == whole.tobytes() and table.shape == whole.shape
     ref = tensordot_dense_probability(w, kets)
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
-    assert max(defects, default=0.0) == qlin._hermitian_defect(w.dense().entries)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -356,88 +322,23 @@ def test_dense_table_is_c_contiguous_in_party_order(k):
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
-@pytest.mark.parametrize(
-    "planted, message",
-    [
-        (1e-6, "operator is not Hermitian within"),
-        (math.nan, "operator entries must be finite"),
-        (math.inf, "operator entries must be finite"),
-    ],
-    ids=["asymmetric", "nan", "inf"],
-)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_slab_checks_refuse_a_planted_entry(planted, message):
-    """An entry planted after it is written into either tile of a mirrored
-    pair, or into a self-mirrored slab's tile, makes the dense oracle refuse
-    W; so does the same non-finite entry planted into both tiles of a pair,
-    with no warning from the inf - inf on the way to the refusal."""
+@pytest.mark.parametrize("planted", [math.nan], ids=["nan"])
+def test_slab_checks_refuse_a_planted_entry(planted):
+    """An entry planted into each tile after it is written reaches the table,
+    whose range check refuses it, naming the outcome and the trial."""
     w = acausal.build_resource_pm(graphstate.chain(2)).w
     rng = np.random.default_rng(11)
     kets = {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
     real = procmat._write_tile
-    # the output of B1, the slab party, is maximally mixed, so the pairs
-    # whose rows and columns differ there are skipped; each slab of this W
-    # is one tile, and the others are each written as the tile of W[v]
-    # columns-major and then that of its mirror rows-major: writes 1 and 2
-    # are the self-mirrored slab (0, 0, 0, 0) both ways, writes 3 and 4 the
-    # slab (0, 0, 1, 0) and its mirror (1, 0, 0, 0).  Every pair of this W is
-    # bit-exact, so the planted entry is its only difference
-    targets = [{1}, {3}, {4}]
-    if not math.isfinite(planted):
-        # the same entry at the same position of both tiles, which mirror
-        # each other there, so that A == conj(B) holds entry by entry: the
-        # difference is NaN, not zero, and is not passed
-        targets += [{1, 2}, {3, 4}]
-    for target in targets:
-        writes = []
 
-        def planting(out, *args):
-            real(out, *args)
-            writes.append(len(writes))
-            if len(writes) in target:
-                out.reshape(-1)[1] += planted
+    def planting(out, *args):
+        real(out, *args)
+        out.reshape(-1)[1] += planted
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(procmat, "_write_tile", planting)
-            with pytest.raises(qlin.QlinError, match=re.escape(message)):
-                procmat._dense_probability(w, kets)
-        assert len(writes) >= max(target)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 16, 64, 256, 512])
-def test_pair_defect_equals_one_shot(dim):
-    """The pair check is max |A - conj(B)| over every entry, computed in a
-    scratch of the pair's size; A against conj(A) has no defect."""
-    rng = np.random.default_rng(dim)
-    a, b = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
-    scratch = np.empty(dim * dim, dtype=np.complex128)
-    assert procmat._pair_defect(a, b, scratch) == float(np.max(np.abs(a - b.conj())))
-    assert procmat._pair_defect(a, a.conj(), scratch) == 0.0
-    # signed zeros: every difference is a zero of some sign, and there is no defect
-    zeros = np.zeros((dim, dim), dtype=np.complex128)
-    zeros.real[::2] = -0.0
-    zeros.imag[:, ::2] = -0.0
-    assert procmat._pair_defect(zeros, zeros, scratch) == 0.0
-    assert procmat._pair_defect(zeros, np.zeros_like(zeros), scratch) == 0.0
-    # one ulp apart in one part of one entry: the zero test must not hide it
-    for part in ("real", "imag"):
-        near = a.conj()
-        getattr(near, part)[-1, -1] = np.nextafter(getattr(near, part)[-1, -1], math.inf)
-        one_shot = float(np.max(np.abs(a - near.conj())))
-        assert one_shot > 0.0
-        assert procmat._pair_defect(a, near, scratch) == one_shot
-
-
-def test_pair_defect_of_an_overflowing_difference_is_infinite():
-    """Finite entries whose difference overflows give an infinite defect,
-    which the Hermiticity check refuses; they are not reported as
-    non-finite entries."""
-    a = np.full((4, 4), 1.5e308 + 0j)
-    with np.errstate(over="ignore"):
-        defect = procmat._pair_defect(a, -a, np.empty(16, dtype=np.complex128))
-    assert defect == math.inf
-    with pytest.raises(qlin.QlinError, match=re.escape("defect inf")):
-        qlin._require_hermitian(defect)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(procmat, "_write_tile", planting)
+        with pytest.raises(procmat.ProcmatError, match=r"probability nan at outcome \(\d, \d\) of trial \d"):
+            procmat._trial_tables(w, kets, "dense")
 
 
 def test_slab_path_refuses_above_the_cap_before_allocating():
