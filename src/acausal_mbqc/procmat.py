@@ -29,10 +29,11 @@ at most ``_TILE_BYTES`` where it has enough of them (on the resource it
 does), so W is never held whole, and each tile is written once.  When the
 last qubit is maximally mixed, the 8 slabs whose row and column indices
 differ there are exactly zero and are never written; nor is a slab whose
-Choi entry is zero in every trial.  A tile holds the next traced party's
-indices in the middle of its layout, so one batched matrix product contracts
-it in place with the first two traced parties' Choi tensors.  W is Hermitian
-by its form; ``dense()`` checks that as a ``HermOp``.
+Choi entry is zero in every trial.  Every party's Choi tensors come from one
+``_choi_tensors`` call.  A tile holds the next traced party's indices in the
+middle of its layout, so one batched matrix product contracts it in place
+with the first two traced parties' Choi tensors.  W is Hermitian by its
+form; ``dense()`` checks that as a ``HermOp``.
 """
 
 from __future__ import annotations
@@ -63,19 +64,20 @@ TWO_PI = 2.0 * np.pi
 def _choi_tensors(measure: np.ndarray, reprepare: np.ndarray) -> np.ndarray:
     """Choi tensors [..., r_in, r_out, c_in, c_out] of a stack of elements
     given by their kets (each shaped (..., 2)), every one built as the
-    literal double sum sum_{k,l} |k><l| (x) M(|l><k|)."""
+    literal double sum sum_{k,l} |k><l| (x) M(|l><k|), all four terms in
+    one broadcast pass."""
     rr = reprepare[..., :, None] * reprepare.conj()[..., None, :]
+    # M(|l><k|) = <phi|l><k|phi> |r><r|, coefficient [..., k, l].  It is
+    # multiplied out in real arithmetic, one rounding per product and sum, so
+    # it does not depend on whether numpy's complex loop fuses them
+    re_k, im_k = measure.real[..., :, None], measure.imag[..., :, None]
+    re_l, im_l = measure.real[..., None, :], measure.imag[..., None, :]
+    coeff = np.empty(measure.shape[:-1] + (2, 2), dtype=np.complex128)
+    coeff.real = re_l * re_k + im_l * im_k
+    coeff.imag = re_l * im_k - im_l * re_k
+    # added into zeros, so a -0.0 product is stored as 0.0, as a sum of terms stores it
     op = np.zeros(measure.shape[:-1] + (2, 2, 2, 2), dtype=np.complex128)
-    re, im = measure.real, measure.imag
-    for k in range(2):
-        for l in range(2):
-            # M(|l><k|) = <phi|l><k|phi> |r><r|.  The coefficient is multiplied
-            # out in real arithmetic, one rounding per product and sum, so it
-            # does not depend on whether numpy's complex loop fuses them
-            coeff = np.empty(measure.shape[:-1], dtype=np.complex128)
-            coeff.real = re[..., l] * re[..., k] + im[..., l] * im[..., k]
-            coeff.imag = re[..., l] * im[..., k] - im[..., l] * re[..., k]
-            op[..., k, :, l, :] += coeff[..., None, None] * rr
+    op += coeff[..., :, None, :, None] * rr[..., None, :, None, :]
     return op
 
 
@@ -480,18 +482,24 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     ``_TILE_BYTES`` (``_tile_writer``), so W is never held whole, nor is a
     slab that has enough pure qubits to be tiled.
 
-    A tile of W[v] is written columns-major: its rows are the column indices
-    of the rest (every qubit outside the first two traced parties), then of
-    the second traced party, and its columns the row indices of that party,
-    then of the rest.  The second party's 16 index values thus sit in the
-    middle, and one batched matmul of the products cj[t, e1, v] *
-    pair[t, e2, :] against the tile, a stack of (16, C) matrices, contracts
-    it in place.  A tile fixes only the leading pure qubits of the rest on
-    its column side, so no 16-term sum is split across tiles and every
-    entry adds the same terms in the same order whatever the tile size.
-    W is Hermitian by its form, and ``dense()`` checks it as a ``HermOp``;
-    a non-finite entry reaches the table, where ``_validated_table``
-    refuses it.
+    Every party's CJ tensors come from one ``_choi_tensors`` call over all
+    the parties' kets, joined along the element axis, and the slabs kept are
+    read off one mask of the slab party's nonzero Choi entries.  A tile of
+    W[v] is written columns-major: its rows are the column indices of the
+    rest (every qubit outside the first two traced parties), then of the
+    second traced party, and its columns the row indices of that party, then
+    of the rest.  The second party's 16 index values thus sit in the middle,
+    and one batched matmul of the products cj[t, e1, v] * pair[t, e2, :]
+    against the tile, a stack of (16, C) matrices, contracts it in place.
+    (With those 16 values first, the tile would be one (16, span) matrix,
+    but its row and column axes would interleave, and numpy's product that
+    writes it takes 29 rather than 11 us per tile of chain(6).)  A tile
+    fixes only the leading pure qubits of the rest on its column side, so
+    no 16-term sum is split across tiles and every entry adds the same terms
+    in the same order whatever the tile size.  W is Hermitian by its form,
+    and ``dense()`` checks it as a ``HermOp``; a non-finite entry reaches
+    the table without a numpy warning, and ``_validated_table`` or the
+    imaginary-part check refuses it.
 
     Every later step's input holds at most 1/256 of W's entries per trial
     and pair of elements.  The table comes back C-contiguous with its
@@ -512,13 +520,19 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
         tiled += 1
     cols_major = [("c", q) for q in rest + second] + [("r", q) for q in second + rest]
     slab, write_slab = _tile_writer(w, cols_major[tiled:], _traced_labels(party) + cols_major[:tiled])
-    cj = _choi_tensors(*kets[w.parties[order[0]]])
+    # every party's CJ tensors from one call, and one view of them per party
+    every = _choi_tensors(
+        *(np.concatenate([kets[name][i] for name in w.parties], axis=1) for i in range(2))
+    )
+    sizes = [kets[name][0].shape[1] for name in w.parties]
+    cjs = [every[:, end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))]
+    cj = cjs[order[0]]
     trials, elements = cj.shape[:2]
     # the second traced party's CJ tensors, flat over the four axes they
     # contract; with one party the tiles are scalars and a factor of 1
     # contracts them
     pair = (
-        _choi_tensors(*kets[w.parties[order[1]]]).reshape(trials, -1, 16) if k > 1
+        cjs[order[1]].reshape(trials, -1, 16) if k > 1
         else np.ones((trials, 1, 1), dtype=np.complex128)
     )
     # the products cj[t, e1, v] * pair[t, e2, :] of one v, and their rows
@@ -531,33 +545,39 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     contracted = np.empty((len(stack),) + table.shape[1:], dtype=np.complex128)
     tiles = list(itertools.product((0, 1), repeat=tiled))
     mixed = [i for i, q in enumerate(party) if q >= p]
-    with _small_iterator_buffers():
-        for v in itertools.product((0, 1), repeat=4):
-            coeff = cj[(slice(None), slice(None)) + v]
-            # a mixed qubit of the slab party with unequal row and column
-            # indices: W[v] is exactly zero; a zero Choi entry: it adds nothing
-            if any(v[i] != v[2 + i] for i in mixed) or not coeff.any():
+    # the slabs whose Choi entry is nonzero in some trial, in product order of v
+    nonzero = cj.any(axis=(0, 1)).reshape(-1)
+    # a non-finite entry of W makes inf or NaN (inf times a zero product),
+    # which the table's checks refuse, so numpy need not warn of it
+    with _small_iterator_buffers(), np.errstate(invalid="ignore", over="ignore"):
+        for v, kept in zip(itertools.product((0, 1), repeat=4), nonzero):
+            # a zero Choi entry: it adds nothing; a mixed qubit of the slab
+            # party with unequal row and column indices: W[v] is exactly zero
+            if not kept or any(v[i] != v[2 + i] for i in mixed):
                 continue
+            coeff = cj[(slice(None), slice(None)) + v]
             np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
             for j, bits in enumerate(tiles):
                 write_slab(v + bits)
                 np.matmul(products, stack, out=contracted)
                 table[j * len(stack):(j + 1) * len(stack)] += contracted
-    del slab, stack, contracted
-    n = len(rest)
-    elements_axes = (trials, elements) + pair.shape[1:2] * (k > 1)
-    # one element axis per traced party, then the rest's row and column indices
-    table = np.moveaxis(
-        table.reshape((2,) * n + elements_axes + (2,) * n), range(n), range(-n, 0)
-    )
-    labels: list[Label | None] = [None] * min(k, 2) + [(side, q) for side in "rc" for q in rest]
-    for i in order[2:]:
-        cj = _choi_tensors(*kets[w.parties[i]])
-        axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
-        table = _batched_tensordot(table, cj, axes)
-        labels = [lab for a, lab in enumerate(labels) if a not in axes] + [None]
+        del slab, stack, contracted
+        n = len(rest)
+        elements_axes = (trials, elements) + pair.shape[1:2] * (k > 1)
+        # one element axis per traced party, then the rest's row and column indices
+        table = np.moveaxis(
+            table.reshape((2,) * n + elements_axes + (2,) * n), range(n), range(-n, 0)
+        )
+        labels: list[Label | None] = [None] * min(k, 2) + [(side, q) for side in "rc" for q in rest]
+        for i in order[2:]:
+            axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
+            table = _batched_tensordot(table, cjs[i], axes)
+            labels = [lab for a, lab in enumerate(labels) if a not in axes] + [None]
+    # NaN fails every comparison, so ``worst_imag > 1e-10`` alone would pass
+    # it; a non-finite real part is left to ``_validated_table``, which names
+    # its outcome and trial
     worst_imag = float(np.max(np.abs(table.imag)))
-    if worst_imag > 1e-10:
+    if not worst_imag <= 1e-10 and np.isfinite(table.real).all():
         raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
     # the slab party's element axis back to the end, in a C-ordered copy: a
     # strided view would change the order in which a caller's sum adds entries

@@ -11,7 +11,9 @@ same worst trial and its descriptions, and the same random stream.
 ``tensordot_dense_probability`` is the reference for
 ``procmat._dense_probability``: every party, the first included, is one
 ``procmat._batched_tensordot`` step, so its first step multiplies a
-transposed copy of all of W.
+transposed copy of all of W.  Its Choi tensors come from
+``double_sum_choi``, the reference for ``procmat._choi_tensors``: the double
+sum built one (k, l) term at a time.
 
 ``kron_cz_decorated_state`` is the reference for ``acausal._pendant_route``:
 the plain graph state with N |+> pendants appended by ``qlin.kron_all`` and
@@ -165,13 +167,30 @@ def reference_sweep(w, sample, trials, rng):
     return np.array(totals), worst_trial, worst_desc
 
 
+def double_sum_choi(measure, reprepare):
+    """Choi tensors [..., r_in, r_out, c_in, c_out] of a stack of elements
+    given by their kets, as the double sum sum_{k,l} |k><l| (x) M(|l><k|),
+    one term at a time; each coefficient <phi|l><k|phi> is multiplied out in
+    real arithmetic, with the rounding ``procmat._choi_tensors`` has."""
+    rr = reprepare[..., :, None] * reprepare.conj()[..., None, :]
+    op = np.zeros(measure.shape[:-1] + (2, 2, 2, 2), dtype=np.complex128)
+    re, im = measure.real, measure.imag
+    for k in range(2):
+        for l in range(2):
+            coeff = np.empty(measure.shape[:-1], dtype=np.complex128)
+            coeff.real = re[..., l] * re[..., k] + im[..., l] * im[..., k]
+            coeff.imag = re[..., l] * im[..., k] - im[..., l] * re[..., k]
+            op[..., k, :, l, :] += coeff[..., None, None] * rr
+    return op
+
+
 def tensordot_dense_probability(w, kets):
     """(trials, E_0, ..., E_{k-1}) tables of Tr[W (x) CJ], one tensordot step per party."""
     k = w.num_qubits
     table = w.dense().as_tensor()[None]
     labels = [("r", q) for q in range(k)] + [("c", q) for q in range(k)]
     for i, party in enumerate(w.parties):
-        cj = procmat._choi_tensors(*kets[party])
+        cj = double_sum_choi(*kets[party])
         q_in, q_out = w.qubits(i)
         axes = [
             labels.index(("c", q_in)),

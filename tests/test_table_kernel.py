@@ -22,7 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, procmat, qlin
-from pm_reference import density_pm, random_ket, rank_one_sampler, tensordot_dense_probability
+from pm_reference import (
+    density_pm,
+    double_sum_choi,
+    random_ket,
+    rank_one_sampler,
+    tensordot_dense_probability,
+)
 from test_acceptance import born_oracle
 
 ATOL = 1e-12
@@ -304,28 +310,84 @@ def test_tiles_change_no_bit_of_the_table(case):
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
+# components whose products and sums round differently by sign or zero
+SIGNED_COMPONENTS = np.array([0.0, -0.0, 1.0, -1.0, math.sqrt(0.5), -math.sqrt(0.5), 0.6, -0.8])
+
+
+@st.composite
+def choi_ket_stacks(draw):
+    """Measure and reprepare kets shaped (trials, elements, 2), 1 to 3000
+    trials and 1 to 3 elements: MBQC equatorial kets with the readout as a
+    broadcast reprepare stack, random unit (rank-1) kets, or components
+    drawn from signed zeros, units and a few fractions."""
+    trials = draw(st.integers(1, 3000))
+    elements = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["mbqc", "rank1", "signed"]))
+    shape = (trials, elements)
+    if family == "mbqc":
+        kets = qlin.equatorial_kets(rng.uniform(0.0, 2.0 * math.pi, size=shape))
+        measure = kets[:, :, draw(st.integers(0, 1))]
+        readout = np.eye(2, dtype=np.complex128)[np.arange(elements) % 2]
+        return measure, np.broadcast_to(readout, shape + (2,))
+    if family == "rank1":
+        return unit_kets(rng, shape), unit_kets(rng, shape)
+
+    def signed():
+        parts = rng.choice(SIGNED_COMPONENTS, size=shape + (2, 2))
+        return parts[..., 0] + 1j * parts[..., 1]
+
+    return signed(), signed()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(choi_ket_stacks())
+@example((np.array([[[-0.0, 0.0]]], dtype=complex), np.array([[[0.0, -0.0]]], dtype=complex)))
+def test_choi_tensors_equal_the_double_sum_bit_for_bit(stacks):
+    """The one broadcast pass of ``_choi_tensors`` gives the bits of the
+    term-by-term double sum, signed zeros included."""
+    measure, reprepare = stacks
+    cj = procmat._choi_tensors(measure, reprepare)
+    ref = double_sum_choi(measure, reprepare)
+    assert cj.shape == ref.shape == measure.shape[:-1] + (2, 2, 2, 2)
+    assert cj.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_dense_table_is_c_contiguous_in_party_order(k):
+def test_dense_table_is_c_contiguous_in_party_order(monkeypatch, k):
     """The slab party is traced first, but the table comes back with one
     axis per party in party order, as a C-contiguous array: party i has
-    i + 1 elements here, so the shape names the order."""
+    i + 1 elements here, so the shape names the order.  Every party's CJ
+    tensors come from one ``_choi_tensors`` call, over all 1 + ... + k
+    elements."""
     w = factored_w(k, n_pure=k + 1, scale=1.5, seed=k)
     rng = np.random.default_rng(k)
     kets = {
         p: (unit_kets(rng, (2, i + 1)), unit_kets(rng, (2, i + 1)))
         for i, p in enumerate(w.parties)
     }
+    calls = []
+    real = procmat._choi_tensors
+
+    def counted(measure, reprepare):
+        calls.append(measure.shape)
+        return real(measure, reprepare)
+
+    monkeypatch.setattr(procmat, "_choi_tensors", counted)
     table = procmat._dense_probability(w, kets)
+    assert calls == [(2, k * (k + 1) // 2, 2)]
     assert table.shape == (2,) + tuple(range(1, k + 1))
     assert table.flags.c_contiguous
     ref = tensordot_dense_probability(w, kets)
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
-@pytest.mark.parametrize("planted", [math.nan], ids=["nan"])
+@pytest.mark.parametrize("planted", [math.nan, math.inf], ids=["nan", "inf"])
 def test_slab_checks_refuse_a_planted_entry(planted):
     """An entry planted into each tile after it is written reaches the table,
-    whose range check refuses it, naming the outcome and the trial."""
+    whose range check refuses it, naming the outcome and the trial; an
+    infinite one makes NaN (inf times a zero product) with no numpy warning
+    on the way."""
     w = acausal.build_resource_pm(graphstate.chain(2)).w
     rng = np.random.default_rng(11)
     kets = {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
@@ -339,6 +401,20 @@ def test_slab_checks_refuse_a_planted_entry(planted):
         mp.setattr(procmat, "_write_tile", planting)
         with pytest.raises(procmat.ProcmatError, match=r"probability nan at outcome \(\d, \d\) of trial \d"):
             procmat._trial_tables(w, kets, "dense")
+
+
+def test_a_nan_imaginary_part_is_refused(monkeypatch):
+    """A table entry with a finite real part and a NaN imaginary part fails
+    the imaginary-part check, which NaN would pass as ``> 1e-10``."""
+    w = acausal.build_resource_pm(graphstate.chain(3)).w
+    rng = np.random.default_rng(3)
+    kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in w.parties}
+    real = procmat._batched_tensordot
+    monkeypatch.setattr(
+        procmat, "_batched_tensordot", lambda a, b, axes: real(a, b, axes) + complex(0.0, math.nan)
+    )
+    with pytest.raises(procmat.ProcmatError, match="imaginary part nan"):
+        procmat._trial_tables(w, kets, "dense")
 
 
 def test_slab_path_refuses_above_the_cap_before_allocating():

@@ -7,13 +7,16 @@ builds each operation's CLI argv, so a flag its command no longer accepts
 would fail every pass.  ``benchmark/run.py`` and ``benchmark/workloads.py``
 also call the library by name (``pkg.<module>.<name>``, ``gs.<name>``), so a
 renamed library function would break a library operation; an AST scan of
-both files finds every such name.  The modules are loaded from their files
-without writing bytecode next to them.
+both files finds every such name.  One untraced pass of every workload runs
+in-process through ``run.run_pass``, so an operation whose output check
+fails, fails here too.  The modules are loaded from their files without
+writing bytecode next to them.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -105,3 +108,21 @@ def test_every_library_name_the_benchmark_calls_exists():
         if not hasattr(importlib.import_module(f"acausal_mbqc.{module}"), name)
     )
     assert not missing, f"the benchmark calls names missing from the package: {missing}"
+
+
+def test_one_pass_of_every_workload_passes_its_checks(monkeypatch, tmp_path):
+    """``benchmark/run.py`` imports its sibling modules by plain name and sets
+    ``OPENBLAS_NUM_THREADS`` when loaded; both are undone after the test."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    for name in ("tracing", "workloads"):
+        monkeypatch.setitem(sys.modules, name, load_benchmark_module(name))
+    run = load_benchmark_module("run")
+    workloads = sys.modules["workloads"]
+    for workload in workloads.WORKLOADS:
+        directory = tmp_path / workload
+        directory.mkdir()
+        manifest = workloads.write_inputs(workload, 1, str(directory))
+        ops = workloads.operations(workload, manifest)
+        walls, _, failures = run.run_pass(acausal_mbqc, ops, manifest)
+        assert len(walls) == len(ops) > 0
+        assert failures == [], f"{workload}: {failures}"
