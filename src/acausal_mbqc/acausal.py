@@ -12,6 +12,27 @@ the decorated state's own order (computation, output, pendants) is its
 prefix, the ancillas are its last n qubits, and W is literally the kron
 above.
 
+The resource holds only the plain graph state |G> on N+n qubits.  Each
+pendant hangs on its vertex by one CZ, so an Alice element with measure ket
+a and reprepare ket r folds into one row on her vertex c:
+
+    <a|_c <r|_p CZ_cp |+>_p = sum_x conj(a[x]) conj((H r)[x]) <x|_c,
+
+the standard CZ algebra of graph states (Hein, Eisert & Briegel, PRA 69,
+062311, 2004).  Every entry of a table is then 2^(N+n) 2^-n = 2^N times the
+squared overlap of |G> with the Alices' rows conj(a) * conj(H r) and the
+Bobs' rows conj(measure), each Bob's ancilla giving 1/2 for his unit
+reprepare ket.  The fold holds for every rank-1 element, and
+``outcome_probabilities`` contracts it by default ("folded"), through the
+same factorized kernel as W's own table, on half as many qubits.
+
+The literal W is built on the first read of ``ResourcePM.w`` (or of
+``decorated_graph`` or ``decorated_state``), and that build checks the
+decoration identity two ways.  The commands that check the paper's
+identities (``verify``, ``resource-pm``, ``pm-validate``) read it: on the
+fold every branch m contracts the same rows of |G>, so a branch-independence
+figure computed there would read 0.0 by construction and show nothing.
+
 When every Alice measures equatorially and reprepares her outcome bit, the
 pendant projection turns into a Z^m byproduct on the measured vertex, which
 the outcome-signed basis absorbs: every outcome branch m yields the same
@@ -22,6 +43,7 @@ process matrix; the package verifies both sides of that boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,13 +58,16 @@ class AcausalError(RuntimeError):
     """Internal construction identity failed; indicates a genuine bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourcePM:
-    """Resource process matrix plus the graphs and layout it was built from."""
+    """The resource of a graph: its plain graph state, the graph and the
+    resolved cap.  The literal W (``w``), the decorated graph and the
+    decorated state are built on first read; W's build checks the
+    decoration identity."""
 
-    w: ProcessMatrix
+    plain: qlin.Ket
     base_graph: Graph
-    decorated_graph: Graph
+    cap: int
 
     @property
     def n_computation(self) -> int:
@@ -52,9 +77,30 @@ class ResourcePM:
     def n_output(self) -> int:
         return self.base_graph.n_output
 
+    @functools.cached_property
+    def decorated_graph(self) -> Graph:
+        return graphstate.decorate(self.base_graph)
+
+    @functools.cached_property
+    def w(self) -> ProcessMatrix:
+        """The literal W, built on first read and checked two ways.
+
+        Route a, which W keeps, is the graph state of the decorated graph;
+        route b (``_pendant_route``) entangles fresh |+> pendants onto the
+        plain state the resource holds, as one product with a sign table, and
+        never reads the decorated graph.  They must agree to fidelity
+        >= 1 - 1e-12, else AcausalError.
+        """
+        route_a = graphstate.graph_state(self.decorated_graph, self.cap)
+        fid = qlin.fidelity(route_a, _pendant_route(self.base_graph, self.plain))
+        if fid < 1.0 - 1e-12:
+            raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
+        scale = float(2 ** (self.n_computation + self.n_output))
+        return ProcessMatrix(self.alice_parties + self.bob_parties, route_a, scale, self.cap)
+
     @property
     def decorated_state(self) -> qlin.Ket:
-        """W's pure factor: the decorated graph state the build checked against the cap."""
+        """W's pure factor: the decorated graph state, built with W."""
         return self.w.pure
 
     @property
@@ -83,66 +129,87 @@ class ResourcePM:
         return out
 
 
-def _pendant_route(g: Graph, cap: int) -> qlin.Ket:
+def _pendant_route(g: Graph, plain: qlin.Ket) -> qlin.Ket:
     """The decorated state from the plain graph state alone: CZ(c_j, p_j) on
     fresh |+> pendants.  On the register (c, o, p) those CZs flip the sign
     wherever c and p share an odd number of set bits, so the state is
     plain[c, o] (-1)^(c.p) 2^(-N/2): one product with a (2^N, 2^N) sign table."""
     n_comp, n_out = g.n_computation, g.n_output
-    plain = graphstate.graph_state(g, cap).amplitudes.reshape(2**n_comp, 2**n_out, 1)
+    amps = plain.amplitudes.reshape(2**n_comp, 2**n_out, 1)
     bits = np.arange(2**n_comp)
     scale = 2.0 ** (-n_comp / 2)
     pendants = np.where(np.bitwise_count(bits[:, None] & bits) & 1, -scale, scale)
-    return qlin.Ket(plain * pendants[:, None, :])
+    return qlin.Ket(amps * pendants[:, None, :])
 
 
 def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
-    """Build W for an undecorated graph, verifying the decoration identity.
+    """The resource of an undecorated graph: its plain graph state.
 
-    Two routes give the decorated state, and they must agree (fidelity
-    >= 1 - 1e-12) on every build.  Route a, which W keeps, is the graph state
-    of the decorated graph; it runs first, so the cap refuses an oversized
-    register before anything is allocated.  Route b (``_pendant_route``)
-    never reads the decorated graph: it entangles fresh |+> pendants onto the
-    plain graph state, as one product with a sign table.  The cap is resolved
-    once here and carried by W, so the dense oracle obeys the same cap.
+    The cap is resolved once here and carried by the resource, so the literal
+    W, its dense oracle and the sampler obey the same cap.  It is checked
+    against the decorated state's 2N + n qubits, the largest register the
+    literal W allocates, before anything is allocated.
     """
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
-    n_comp, n_out = g.n_computation, g.n_output
     cap = config.qubit_cap(cap)
+    k = 2 * g.n_computation + g.n_output
+    config.check_cap(k, cap, what=f"graph state on {k} vertices")
+    return ResourcePM(plain=graphstate.graph_state(g, cap), base_graph=g, cap=cap)
 
-    # W stays factored; the largest array is the decorated state on 2N + n
-    # qubits, which graph_state caps before allocating
-    decorated = graphstate.decorate(g)
-    route_a = graphstate.graph_state(decorated, cap)
-    # independent route: the plain graph state and the pendants' CZ signs
-    fid = qlin.fidelity(route_a, _pendant_route(g, cap))
-    if fid < 1.0 - 1e-12:
-        raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
 
-    parties = [f"A{j + 1}" for j in range(n_comp)] + [f"B{t + 1}" for t in range(n_out)]
-    w = ProcessMatrix(parties, pure=route_a, scale=float(2 ** (n_comp + n_out)), cap=cap)
-    return ResourcePM(w=w, base_graph=g, decorated_graph=decorated)
+# sqrt(2) H, symmetric: r @ it is (r0 + r1, r0 - r1), exactly
+_ROOT2_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _folded_table(r: ResourcePM, kets: procmat.Kets) -> np.ndarray:
+    """Validated outcome tables of a block of trials, as ``procmat._trial_tables``
+    gives them for W, contracted on the plain graph state.
+
+    Each Alice's measure ket a becomes a * (sqrt(2) H r), r her reprepare
+    ket: the factorized kernel conjugates it into her folded row, scaled by
+    sqrt(2); for a reprepared bit, (r0 + r1, r0 - r1) = (1, +-1) exactly.  The
+    kernel reads the fold as the process matrix
+    2^(N+n) |G><G| (x) (I/2)^(N+n): party i's input qubit is its vertex, and
+    its output qubit, which no folded row reads, is I/2.  The Alices' N
+    halves cancel the rows' 2^N, and the Bobs' n halves are the ancillas',
+    so every entry carries the exact coefficient 2^N of the fold.
+    """
+    folded = dict(kets)
+    for party in r.alice_parties:
+        measure, reprepare = kets[party]
+        folded[party] = (measure * (reprepare @ _ROOT2_HADAMARD), reprepare)
+    scale = float(2 ** (r.n_computation + r.n_output))
+    fold = ProcessMatrix(r.alice_parties + r.bob_parties, r.plain, scale, r.cap)
+    return procmat._trial_tables(fold, folded, "factorized")
 
 
 def _table(r: ResourcePM, angle_sets, backend: str) -> np.ndarray:
     """P(m, z) for each angle set, shaped (sets, one axis per party: Alices,
     then Bobs), from one contraction over the kets of ``procmat.mbqc_kets``
     with one trial per set."""
+    if backend == "dense":
+        # refused from (N, n, cap) alone, before the literal W is first built
+        procmat._require_dense_cap(2 * (r.n_computation + r.n_output), r.cap)
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    if backend == "folded":
+        return _folded_table(r, kets)
     return procmat._trial_tables(r.w, kets, procmat._resolved_backend(backend))
 
 
-def outcome_probabilities(r: ResourcePM, angles, backend: str = "factorized") -> np.ndarray:
+def outcome_probabilities(r: ResourcePM, angles, backend: str = "folded") -> np.ndarray:
     """All P(m, z) as a (2^N, 2^n) array, bit 0 most significant.
 
     ``angles`` is one angle set (as ``mbqc.as_angle_map`` reads it), or a
     list of angle mappings: then each set is one trial of the same
     contraction, and the result is (sets, 2^N, 2^n), every table equal bit
     for bit to the one its set gives alone.
+
+    backend: "folded" (the plain graph state, every pendant folded into its
+    vertex's row), "factorized" (the literal W's pure factor) or "dense"
+    (the oracle's trace against the literal W).
     """
     stacked = isinstance(angles, list) and bool(angles) and all(
         isinstance(a, Mapping) for a in angles
@@ -209,8 +276,9 @@ class PostselectResult:
 def postselected_sampler(
     r: ResourcePM, angles, shots: int, seed: int | None = None
 ) -> PostselectResult:
-    """Sample the resource's decorated state, keep runs where pendants echo
-    outcomes and ancilla bits match the readout.
+    """Sample the resource's decorated state (built with the literal W on
+    first read), keep runs where pendants echo outcomes and ancilla bits
+    match the readout.
 
     Every computation vertex is rotated into its equatorial basis once, so a
     basis-state draw of the whole register is exactly a joint Born sample of

@@ -273,12 +273,14 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     g = graphstate.load_graph(ns.graph)
     r = acausal.build_resource_pm(g, ns.cap)
     ang = _angles_arg(ns.angles, g)
+    # the checks read the literal W: on the folded table every branch m
+    # contracts the same rows, so branch independence would hold by construction
     if ns.shots > 0:
         # the signaling check's second angle set is a second trial of one contraction
         ang_b = _second_angles(ns, g, ang)
-        probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b])
+        probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b], "factorized")
     else:
-        probs = acausal.outcome_probabilities(r, ang)
+        probs = acausal.outcome_probabilities(r, ang, "factorized")
     report = {
         "branch_independence_max_dev": acausal.branch_independence_report(probs),
         "normalization_dev": acausal.normalization_report(probs),
@@ -343,7 +345,7 @@ def _cmd_game(ns: argparse.Namespace) -> int:
     # without --angles a given pattern plays its own angles
     ang = None if ns.angles is None else _angles_arg(ns.angles, g)
     pattern = mbqc.load_pattern(ns.pattern) if ns.pattern else None
-    inst = game.game_instance(g, ang, pattern, r.w.cap)
+    inst = game.game_instance(g, ang, pattern, r.cap)
     report = game.game_report(inst, r)
     _emit(report, ns.json)
     return 0 if report["violated"] else 1

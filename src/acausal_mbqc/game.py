@@ -18,6 +18,7 @@ import numpy as np
 from . import acausal, config, graphstate, mbqc
 from .graphstate import Graph
 from .mbqc import Pattern
+from .qlin import Ket
 
 
 class GameError(ValueError):
@@ -132,18 +133,25 @@ def girls_first_p0(
 
 def boys_first_p0(inst: GameInstance, cap: int | None = None) -> float:
     """Success probability when the outputs are read out first: <0^n| Tr_C |G><G| |0^n>."""
-    g = inst.graph  # the squared norm of the z = 0^n column of |G> as a (2^N, 2^n) array
-    amps = graphstate.graph_state(g, cap).amplitudes.reshape(2**g.n_computation, 2**g.n_output)
+    return _boys_first(inst.graph, graphstate.graph_state(inst.graph, cap))
+
+
+def _boys_first(g: Graph, state: Ket) -> float:
+    """The squared norm of the z = 0^n column of ``state``, the graph state
+    of ``g`` as a (2^N, 2^n) array."""
+    amps = state.amplitudes.reshape(2**g.n_computation, 2**g.n_output)
     return float(np.sum(np.abs(amps[:, 0]) ** 2))
 
 
 def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
-    """Full comparison for one instance on its graph's resource, whose cap the
-    boys-first read obeys; ``violated`` is the headline.
+    """Full comparison for one instance on its graph's resource; ``violated``
+    is the headline.
 
     Both exact girls-first scores are the ones the instance holds from its
     split walk, which kept the uncorrected and the corrected readout of every
-    history; the report walks no more.
+    history; the report walks no more.  The boys-first score reads the plain
+    graph state the resource holds, and the acausal score its folded table,
+    so the report builds no state.
     """
     if r.base_graph != inst.graph:
         raise GameError("the resource was built from a different graph than the instance")
@@ -153,7 +161,7 @@ def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
         "p0_acausal": p0,
         "p0_girls_first_corrected": inst.p0_corrected,
         "p0_girls_first_uncorrected": inst.p0_uncorrected,
-        "p0_boys_first": boys_first_p0(inst, r.w.cap),
+        "p0_boys_first": _boys_first(inst.graph, r.plain),
         "bound": bound,
         "violated": bool(p0 > bound + VIOLATION_ATOL),
     }

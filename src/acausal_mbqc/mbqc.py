@@ -125,8 +125,13 @@ def adapted_angle(phi: float, s_x, s_z):
     s_x, s_z = np.asarray(s_x), np.asarray(s_z)
     if not (((s_x == 0) | (s_x == 1)).all() and ((s_z == 0) | (s_z == 1)).all()):
         raise PatternError(f"parities must be bits, got s_x={s_x}, s_z={s_z}")
-    angle = (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % TWO_PI
+    angle = _adapted(phi, s_x, s_z)
     return float(angle) if angle.ndim == 0 else angle
+
+
+def _adapted(phi: float, s_x: np.ndarray, s_z: np.ndarray) -> np.ndarray:
+    """``adapted_angle``'s arithmetic on parity arrays known to be bits."""
+    return (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % TWO_PI
 
 
 def as_angle_map(g: Graph, angles) -> dict[str, float]:
@@ -210,7 +215,8 @@ def _walk(g: Graph, p: Pattern, cap=None):
         return bits[:, [col[x] for x in deps]].sum(axis=1) % 2
 
     for v in p.order:
-        phi = adapted_angle(p.angles[v], parity(p.x_deps.get(v, ())), parity(p.z_deps.get(v, ())))
+        # the parities are sums of the walk's own bits mod 2, so unchecked
+        phi = _adapted(p.angles[v], parity(p.x_deps.get(v, ())), parity(p.z_deps.get(v, ())))
         amps, w = _measure(state, live.index(v), qlin.equatorial_kets(phi).conj())
         p0.append(w[:, 0])
         state, weight = amps.reshape(-1, amps.shape[-1]), (weight[:, None] * w).ravel()

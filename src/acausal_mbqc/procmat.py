@@ -21,7 +21,12 @@ W has one form, scale * |pure><pure| (x) (I/2)^m: the pure ket on the
 first qubits of the register and I/2 on the m after them.  The two backends
 are kept deliberately independent: a dense trace of W against each element's
 Choi operator, built from its double-sum definition (the oracle), and a
-factorized overlap of each element's kets with the pure factor.  The dense
+factorized overlap of each element's kets with the pure factor.  The
+factorized kernel is the one contraction loop of the package: the resource's
+default table (``acausal``) runs it too, on the plain graph state with every
+pendant folded into its vertex's row, read as a process matrix whose output
+qubits are all maximally mixed; the literal W of the resource is then built
+only when a caller reads it.  The dense
 trace takes the last party first, whose output is the register's last qubit,
 and reads W as the 16 slabs that fix that party's indices.  Each slab is
 streamed from the factor through tiles that fix its leading pure qubits, of
@@ -200,22 +205,13 @@ class ProcessMatrix:
         """scale * 2^-m, m the number of maximally mixed qubits."""
         return self.scale * 0.5 ** (self.num_qubits - self.pure.num_qubits)
 
-    def _require_dense_cap(self) -> None:
-        """Refuse a dense W above ``self.cap`` or the operator cap, before anything is allocated."""
-        k = self.num_qubits
-        limit = min(config.qubit_cap(self.cap), config.DENSE_OPERATOR_CAP)
-        if k > limit:
-            raise config.RegisterCapError(
-                f"dense process matrix needs {k} qubits, above the operator cap {limit}"
-            )
-
     def dense(self) -> HermOp:
         """W written as kron(scale |pure><pure|, (I/2)^m), capped by
         ``self.cap`` and the operator cap.  The tile writer of the dense
         oracle writes it as one tile over the whole register, rows then
         columns, into one zeroed array that the HermOp keeps, so the full
         operator is allocated once and no block or kron copy of it is made."""
-        self._require_dense_cap()
+        _require_dense_cap(self.num_qubits, self.cap)
         labels = [(side, q) for side in "rc" for q in range(self.num_qubits)]
         tile, write = _tile_writer(self, labels, ())
         with _small_iterator_buffers():
@@ -236,6 +232,17 @@ class ProcessMatrix:
         if self.pure.num_qubits:
             return 0.0
         return self.trace() * 0.5 ** self.num_qubits
+
+
+def _require_dense_cap(num_qubits: int, cap: int | None) -> None:
+    """Refuse a dense W on ``num_qubits`` register qubits above ``cap`` or
+    the operator cap; it reads only those numbers, so a caller refuses
+    before anything is allocated."""
+    limit = min(config.qubit_cap(cap), config.DENSE_OPERATOR_CAP)
+    if num_qubits > limit:
+        raise config.RegisterCapError(
+            f"dense process matrix needs {num_qubits} qubits, above the operator cap {limit}"
+        )
 
 
 # byte budget of one tile of a slab of W in the dense oracle, the one piece
@@ -447,20 +454,24 @@ def _batched_tensordot(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.
 def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     """Factorized backend of the outcome tables: contract the pure factor with
     each party's stacked conjugate measure and reprepare kets in turn,
-    keeping the trial axis in front."""
+    keeping the trial axis in front.  ``acausal``'s folded table calls it
+    with the plain graph state and the folded kets."""
     amp = w.pure.as_tensor()[None]
     # axis label per non-trial axis of amp: a register qubit, or None for an element axis
     labels: list[int | None] = list(range(w.pure.num_qubits))
     for i, party in enumerate(w.parties):
         measure, reprepare = kets[party]
         # <u| on the party's pure qubits, one row per (trial, element); a mixed
-        # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below
-        bra = np.ones(measure.shape[:2], dtype=np.complex128)
-        axes = []
+        # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below.
+        # The first pure qubit's rows are the bra itself, as their product
+        # with ones would be, bit for bit
+        bra, axes = None, []
         for qubit, rows in zip(w.qubits(i), (measure, reprepare)):
             if qubit in labels:
-                bra = np.einsum("te...,tef->te...f", bra, rows.conj())
+                bra = rows.conj() if bra is None else np.einsum("te...,tef->te...f", bra, rows.conj())
                 axes.append(labels.index(qubit))
+        if bra is None:
+            bra = np.ones(measure.shape[:2], dtype=np.complex128)
         amp = _batched_tensordot(amp, bra, axes)
         labels = [q for a, q in enumerate(labels) if a not in axes] + [None]
     return w._mixed_coeff() * np.abs(amp) ** 2
@@ -511,7 +522,7 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     second = list(w.qubits(order[1])) if k > 1 else []
     rest = [q for q in range(w.num_qubits) if q not in party and q not in second]
     p = w.pure.num_qubits
-    w._require_dense_cap()  # before a tile is allocated
+    _require_dense_cap(w.num_qubits, w.cap)  # before a tile is allocated
     # the leading pure qubits of the rest that a tile fixes: as few as keep
     # it within the budget, which a W with too few of them may exceed
     slab_bytes = np.dtype(np.complex128).itemsize * 4 ** (w.num_qubits - 2)

@@ -11,18 +11,28 @@ from pm_reference import kron_cz_decorated_state
 
 
 def perturbed_pure_ancilla(r):
-    """Control: replace each maximally mixed ancilla with a pure |0>."""
+    """Control: the literal W with each maximally mixed ancilla replaced by a pure |0>."""
     pure = qlin.kron_all([r.w.pure] + [qlin.basis_ket([0])] * r.n_output)
-    w = ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
-    return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
+    return ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
 
 
 def perturbed_no_decoration(r):
-    """Control: skip the pendant entangling step (pendants stay |+>)."""
+    """Control: the literal W without the pendant entangling step (pendants stay |+>)."""
     gs = graphstate.graph_state(r.base_graph)
     pure = qlin.kron_all([gs] + [qlin.equatorial_ket(0.0)] * r.n_computation)
-    w = ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
-    return acausal.ResourcePM(w=w, base_graph=r.base_graph, decorated_graph=r.decorated_graph)
+    return ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
+
+
+def literal_table(r, w, angle):
+    """P(m, z) at one uniform angle, contracted on the process matrix ``w``
+    by the factorized kernel, as ``outcome_probabilities(r, angle,
+    "factorized")`` contracts the resource's literal W; the folded table
+    never reads W, so a perturbed W is contracted here."""
+    phis = np.full((1, r.n_computation), float(angle))
+    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    return procmat._trial_tables(w, kets, "factorized")[0].reshape(
+        2**r.n_computation, 2**r.n_output
+    )
 
 
 def test_build_resource_pm_layout_and_shape():
@@ -118,16 +128,19 @@ def test_branch_independence_holds_even_without_uniform_branches():
 
 def test_pure_ancilla_control_breaks_only_normalization():
     r = acausal.build_resource_pm(graphstate.chain(2))
-    bad = perturbed_pure_ancilla(r)
-    assert acausal.branch_independence_report(acausal.outcome_probabilities(bad, 0.0)) < 1e-10
-    assert acausal.normalization_report(acausal.outcome_probabilities(bad, 0.0)) > 0.5
+    assert np.array_equal(
+        literal_table(r, r.w, 0.0), acausal.outcome_probabilities(r, 0.0, "factorized")
+    )
+    bad = literal_table(r, perturbed_pure_ancilla(r), 0.0)
+    assert acausal.branch_independence_report(bad) < 1e-10
+    assert acausal.normalization_report(bad) > 0.5
 
 
 def test_missing_decoration_control_breaks_only_branch_independence():
     r = acausal.build_resource_pm(graphstate.chain(2))
-    bad = perturbed_no_decoration(r)
-    assert acausal.branch_independence_report(acausal.outcome_probabilities(bad, 0.0)) > 0.1
-    assert acausal.normalization_report(acausal.outcome_probabilities(bad, 0.0)) < 1e-10
+    bad = literal_table(r, perturbed_no_decoration(r), 0.0)
+    assert acausal.branch_independence_report(bad) > 0.1
+    assert acausal.normalization_report(bad) < 1e-10
 
 
 def test_angle_negation_leaves_probabilities_unchanged():
@@ -235,22 +248,42 @@ def test_pendant_route_is_the_kron_and_cz_route(g):
     """The build's independent route, one product with a sign table, is the
     gate-by-gate construction to within 1e-15 per amplitude, and it is the
     decorated graph state."""
-    new = acausal._pendant_route(g, config.qubit_cap(None)).amplitudes
+    new = acausal._pendant_route(g, graphstate.graph_state(g)).amplitudes
     reference = kron_cz_decorated_state(g).amplitudes
     assert np.max(np.abs(new - reference)) <= 1e-15
     assert qlin.fidelity(qlin.Ket(new), graphstate.graph_state(graphstate.decorate(g))) >= 1 - 1e-12
 
 
 def test_pendant_route_reads_no_decorated_graph(monkeypatch):
-    """Route b builds only the plain graph state and never decorates."""
+    """Route b reads the plain graph state the resource holds: it builds no
+    graph state and never decorates."""
+    r = acausal.build_resource_pm(graphstate.chain(4))
     calls = []
     real = graphstate.graph_state
     monkeypatch.setattr(
         graphstate, "graph_state", lambda h, *a: calls.append(h.decoration) or real(h, *a)
     )
     monkeypatch.setattr(graphstate, "decorate", None)
-    acausal._pendant_route(graphstate.chain(4), config.qubit_cap(None))
+    acausal._pendant_route(r.base_graph, r.plain)
+    assert calls == []
+
+
+def test_the_literal_w_is_built_once_on_first_read(monkeypatch):
+    """``build_resource_pm`` builds the plain graph state alone; the first
+    read of ``w`` builds the decorated state (route a) and no other state,
+    since route b reads the held plain state, and later reads build nothing."""
+    calls = []
+    real = graphstate.graph_state
+    monkeypatch.setattr(
+        graphstate, "graph_state", lambda h, *a: calls.append(h.decoration) or real(h, *a)
+    )
+    r = acausal.build_resource_pm(graphstate.chain(4))
     assert calls == [None]
+    acausal.outcome_probabilities(r, 0.3)
+    assert calls == [None]
+    w = r.w
+    assert [c is not None for c in calls] == [False, True]
+    assert r.w is w and r.decorated_state is w.pure and len(calls) == 2
 
 
 def _flip_one_sign(amps):
@@ -266,8 +299,9 @@ def _z_on_last_pendant(amps):
 @pytest.mark.parametrize("perturb", [_flip_one_sign, _z_on_last_pendant], ids=["one-sign", "z"])
 @pytest.mark.parametrize("g", [graphstate.chain(2), graphstate.chain(5)], ids=["chain2", "chain5"])
 def test_a_perturbed_decorated_state_is_refused(monkeypatch, g, perturb):
-    """The build compares its two routes: a decorated graph state with one
-    amplitude's sign flipped, or with Z on a pendant, raises AcausalError."""
+    """The literal W's build, on its first read, compares its two routes: a
+    decorated graph state with one amplitude's sign flipped, or with Z on a
+    pendant, raises AcausalError."""
     real = graphstate.graph_state
 
     def perturbed(h, *a):
@@ -275,8 +309,9 @@ def test_a_perturbed_decorated_state_is_refused(monkeypatch, g, perturb):
         return qlin.Ket(perturb(state.amplitudes)) if h.decoration else state
 
     monkeypatch.setattr(graphstate, "graph_state", perturbed)
+    r = acausal.build_resource_pm(g)
     with pytest.raises(acausal.AcausalError, match="decoration identity violated"):
-        acausal.build_resource_pm(g)
+        r.w
 
 
 def test_build_rejects_decorated_graph():
@@ -293,6 +328,21 @@ def test_dense_oracle_refuses_chain7_before_allocating():
     with pytest.raises(config.RegisterCapError):
         acausal.backend_agreement(r, 0.0, probs)
     assert time.perf_counter() - start < 1.0
+
+
+def test_dense_refusal_builds_no_literal_w(monkeypatch):
+    """Above the dense operator cap the dense table and ``backend_agreement``
+    refuse from (N, n, cap) alone, with the operator cap's message, before
+    the literal W, or any graph state, is built."""
+    r = acausal.build_resource_pm(graphstate.chain(7))
+    probs = acausal.outcome_probabilities(r, 0.0)
+    monkeypatch.setattr(graphstate, "graph_state", None)
+    message = "dense process matrix needs 14 qubits, above the operator cap 12"
+    with pytest.raises(config.RegisterCapError, match=message):
+        acausal.backend_agreement(r, 0.0, probs)
+    with pytest.raises(config.RegisterCapError, match=message):
+        acausal.outcome_probabilities(r, [{c: 0.0 for c in r.base_graph.computation}], "dense")
+    assert "w" not in vars(r)
 
 
 def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):

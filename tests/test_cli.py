@@ -64,8 +64,8 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
         (["verify", "--shots", "1000"], 1, 2, 1, 1, 0),
         (["verify"], 1, 2, 1, 1, 0),
         (["postselect"], 1, 2, 1, 0, 0),
-        (["game"], 1, 4, 1, 0, 1),
-        (["signal"], 1, 2, 1, 0, 0),
+        (["game"], 1, 2, 1, 0, 1),
+        (["signal"], 1, 1, 1, 0, 0),
     ],
     ids=["verify-shots", "verify", "postselect", "game", "signal"],
 )
@@ -75,7 +75,10 @@ def test_builds_and_contractions_per_command(
     """On chain(4) each command builds one resource and contracts one outcome
     table, its angle sets stacked as trials; only the dense oracle adds its
     own dense table.  ``game`` walks once: one split walk gives the validity
-    gate and both girls-first scores."""
+    gate and both girls-first scores.  Every command builds the plain graph
+    state; ``verify`` and ``postselect`` also build the decorated one, with
+    the literal W (``verify``'s checks) or for the sampler; ``signal`` and
+    ``game`` read the folded table and build no other state but ``game``'s walk."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
@@ -141,10 +144,15 @@ def test_parser_built_once_survives_usage_errors(capsys, p2_file):
 
 
 def test_table_output_lists_sorted_keys(capsys, p2_file):
+    """The table prints the --json document's value as Python prints it; on
+    chain(2) the folded table gives 1 to within rounding."""
+    code, rep = run_json(capsys, ["signal", "--graph", p2_file, "--json"])
+    assert code == 0 and set(rep) == {"signaling_tv"}
+    assert abs(rep["signaling_tv"] - 1.0) <= 1e-15
     code = cli.main(["signal", "--graph", p2_file])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.strip() == "signaling_tv = 1.0"
+    assert out.strip() == f"signaling_tv = {rep['signaling_tv']}"
 
 
 def test_graph_state_subcommand(capsys, p2_file):

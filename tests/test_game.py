@@ -107,6 +107,20 @@ def test_game_report_builds_no_projector(monkeypatch):
         assert rep["p0_boys_first"] == pytest.approx(boys, abs=1e-12)
 
 
+def test_game_report_builds_no_graph_state(monkeypatch):
+    """The report reads the boys-first score off the plain graph state the
+    resource holds, bit for bit ``boys_first_p0``'s, and the acausal score
+    off the folded table: it builds no state and no literal W."""
+    for g in [graphstate.chain(4), graphstate.parallel_chains([2, 2])]:
+        inst, r = game.game_instance(g), acausal.build_resource_pm(g)
+        boys = game.boys_first_p0(inst)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphstate, "graph_state", None)
+            rep = game.game_report(inst, r)
+        assert rep["p0_boys_first"] == boys
+        assert "w" not in vars(r)
+
+
 def test_game_report_rejects_a_resource_of_another_graph():
     inst = game.game_instance(graphstate.chain(2))
     with pytest.raises(GameError, match="different graph"):

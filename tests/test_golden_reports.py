@@ -1,0 +1,34 @@
+"""The checking commands' ``--json`` reports, pinned byte for byte.
+
+``verify``, ``resource-pm`` and ``pm-validate`` check the paper's identities
+on the literal W, so their reports must not move when the commands that only
+use the resource read the folded table instead.  ``golden_reports.json``
+holds, per case, the graph preset, the argv, the exit code and the stdout,
+captured at commit 76832be, whose every table contracted the literal W; each
+case here reruns its argv on a fresh graph file and compares.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from acausal_mbqc import cli, graphstate
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text(encoding="utf-8"))
+# on chain(3) and pc22 the folded table equals W's bit for bit; on chain(4)
+# it does not, so a checking command that read the fold would move its bytes
+GRAPHS = {
+    "chain3": graphstate.chain(3),
+    "pc22": graphstate.parallel_chains([2, 2]),
+    "chain4": graphstate.chain(4),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
+def test_checking_reports_keep_their_bytes(capsys, tmp_path, case):
+    path = tmp_path / f"{case['graph']}.json"
+    path.write_text(json.dumps(graphstate.graph_to_json(GRAPHS[case["graph"]])))
+    code = cli.main([*case["argv"], "--graph", str(path)])
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+

@@ -16,6 +16,27 @@ def test_adapted_angle_table():
     assert mbqc.adapted_angle(phi, 1, 1) == pytest.approx((np.pi - phi) % (2 * np.pi))
 
 
+def test_adapted_angle_refuses_parities_that_are_not_bits():
+    with pytest.raises(PatternError, match="parities must be bits"):
+        mbqc.adapted_angle(0.9, np.array([0, 2]), np.array([0, 1]))
+    with pytest.raises(PatternError, match="parities must be bits"):
+        mbqc.adapted_angle(0.9, 0, 0.5)
+
+
+def test_the_walk_adapts_its_angles_without_the_bit_check(monkeypatch):
+    """The walk's parities are sums of its own bits mod 2: it takes the angle
+    from ``adapted_angle``'s arithmetic, bit for bit, and never calls the
+    checked function."""
+    s_x, s_z = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    assert mbqc._adapted(0.7, s_x, s_z).tobytes() == mbqc.adapted_angle(0.7, s_x, s_z).tobytes()
+    g = graphstate.chain(4)
+    p = mbqc.chain_pattern(g, 0.7)
+    expected = mbqc.enumerate_causal(g, p)
+    monkeypatch.setattr(mbqc, "adapted_angle", None)
+    for want, got in zip(expected, mbqc.enumerate_causal(g, p)):
+        assert np.array_equal(want, got)
+
+
 def test_as_angle_map_forms():
     g = graphstate.chain(3)
     assert mbqc.as_angle_map(g, 0.3) == {"c0": 0.3, "c1": 0.3}

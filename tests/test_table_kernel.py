@@ -75,6 +75,43 @@ def test_backends_agree_on_random_rank_one_instruments(case, seed):
     assert float(np.max(np.abs(fact - dense))) <= ATOL
 
 
+@st.composite
+def any_resources(draw):
+    """A random graph with N + n <= 5, with or without uniform branches (the
+    fold needs none), and its resource."""
+    n_comp = draw(st.integers(1, 4))
+    n_out = draw(st.integers(1, 5 - n_comp))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = graphstate.random_resource_graph(rng, n_comp, n_out)
+    else:
+        g = graphstate.random_connected_graph(rng, n_comp, n_out)
+    return g, acausal.build_resource_pm(g)
+
+
+@PROPERTY_SETTINGS
+@given(any_resources(), st.integers(0, 2**32 - 1))
+def test_folded_table_equals_the_literal_w(case, seed):
+    """Every pendant folded into its vertex's row, on the plain graph state,
+    gives the literal W's table to 1e-14, against both its factorized kernel
+    and the dense oracle, for the MBQC kets and for random rank-1 kets; the
+    default table of ``outcome_probabilities`` is the fold."""
+    g, r = case
+    rng = np.random.default_rng(seed)
+    phis = rng.uniform(0.0, 2.0 * math.pi, size=(2, g.n_computation))
+    mbqc_kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+    for kets in (mbqc_kets, family.draw(rng, 3).kets):
+        folded = acausal._folded_table(r, kets)
+        for backend in ("factorized", "dense"):
+            literal = procmat._trial_tables(r.w, kets, backend)
+            assert folded.shape == literal.shape
+            assert float(np.max(np.abs(folded - literal))) <= 1e-14, backend
+    sets = [dict(zip(g.computation, row)) for row in phis.tolist()]
+    table = acausal.outcome_probabilities(r, sets)
+    assert np.array_equal(table, acausal._folded_table(r, mbqc_kets).reshape(table.shape))
+
+
 def factored_w(n_parties, n_pure, scale, seed):
     """W = scale |pure><pure| (x) (I/2)^m with the pure ket on the first ``n_pure`` qubits."""
     rng = np.random.default_rng(seed)
