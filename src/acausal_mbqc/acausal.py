@@ -188,15 +188,18 @@ def _table(r: ResourcePM, angle_sets, backend: str) -> np.ndarray:
     """P(m, z) for each angle set, shaped (sets, one axis per party: Alices,
     then Bobs), from one contraction over the kets of ``procmat.mbqc_kets``
     with one trial per set."""
+    # an unknown backend, and a dense W above the operator cap, are refused
+    # from the name and (N, n, cap) alone, before the literal W is first built
+    if backend != "folded":
+        backend = procmat._resolved_backend(backend)
     if backend == "dense":
-        # refused from (N, n, cap) alone, before the literal W is first built
         procmat._require_dense_cap(2 * (r.n_computation + r.n_output), r.cap)
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
     if backend == "folded":
         return _folded_table(r, kets)
-    return procmat._trial_tables(r.w, kets, procmat._resolved_backend(backend))
+    return procmat._trial_tables(r.w, kets, backend)
 
 
 def outcome_probabilities(r: ResourcePM, angles, backend: str = "folded") -> np.ndarray:

@@ -462,16 +462,13 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     for i, party in enumerate(w.parties):
         measure, reprepare = kets[party]
         # <u| on the party's pure qubits, one row per (trial, element); a mixed
-        # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below.
-        # The first pure qubit's rows are the bra itself, as their product
-        # with ones would be, bit for bit
-        bra, axes = None, []
+        # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below
+        bra = np.ones(measure.shape[:2], dtype=np.complex128)
+        axes = []
         for qubit, rows in zip(w.qubits(i), (measure, reprepare)):
             if qubit in labels:
-                bra = rows.conj() if bra is None else np.einsum("te...,tef->te...f", bra, rows.conj())
+                bra = np.einsum("te...,tef->te...f", bra, rows.conj())
                 axes.append(labels.index(qubit))
-        if bra is None:
-            bra = np.ones(measure.shape[:2], dtype=np.complex128)
         amp = _batched_tensordot(amp, bra, axes)
         labels = [q for a, q in enumerate(labels) if a not in axes] + [None]
     return w._mixed_coeff() * np.abs(amp) ** 2

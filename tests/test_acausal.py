@@ -95,7 +95,8 @@ def test_acausal_matches_causal_enumeration_per_branch():
     for g in [graphstate.chain(3), graphstate.chain(4)]:
         r = acausal.build_resource_pm(g)
         p = mbqc.chain_pattern(g, angles=0.9)
-        probs = acausal.outcome_probabilities(r, 0.9)
+        # the literal W: on the fold every branch m contracts the same rows
+        probs = acausal.outcome_probabilities(r, 0.9, "factorized")
         bits, _, dists = mbqc.enumerate_causal(g, p)
         by_m = {tuple(row): dist for row, dist in zip(bits.tolist(), dists)}
         n_comp = g.n_computation
@@ -111,8 +112,9 @@ def test_identities_on_random_resource_graphs(seed):
     g = graphstate.random_resource_graph(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
     r = acausal.build_resource_pm(g)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
-    assert acausal.branch_independence_report(acausal.outcome_probabilities(r, angles)) < 1e-10
-    assert acausal.normalization_report(acausal.outcome_probabilities(r, angles)) < 1e-10
+    probs = acausal.outcome_probabilities(r, angles, "factorized")  # the literal W
+    assert acausal.branch_independence_report(probs) < 1e-10
+    assert acausal.normalization_report(probs) < 1e-10
     assert r.min_eigenvalue() >= -1e-10
 
 
@@ -122,8 +124,9 @@ def test_branch_independence_holds_even_without_uniform_branches():
     r = acausal.build_resource_pm(g)
     rng = np.random.default_rng(89)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
-    assert acausal.branch_independence_report(acausal.outcome_probabilities(r, angles)) < 1e-10
-    assert acausal.normalization_report(acausal.outcome_probabilities(r, angles)) > 0.01
+    probs = acausal.outcome_probabilities(r, angles, "factorized")  # the literal W
+    assert acausal.branch_independence_report(probs) < 1e-10
+    assert acausal.normalization_report(probs) > 0.01
 
 
 def test_pure_ancilla_control_breaks_only_normalization():
@@ -342,6 +345,14 @@ def test_dense_refusal_builds_no_literal_w(monkeypatch):
         acausal.backend_agreement(r, 0.0, probs)
     with pytest.raises(config.RegisterCapError, match=message):
         acausal.outcome_probabilities(r, [{c: 0.0 for c in r.base_graph.computation}], "dense")
+    assert "w" not in vars(r)
+
+
+def test_an_unknown_backend_is_refused_before_the_literal_w_is_built(monkeypatch):
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    monkeypatch.setattr(graphstate, "graph_state", None)
+    with pytest.raises(procmat.ProcmatError, match="unknown backend 'factorised'"):
+        acausal.outcome_probabilities(r, 0.0, "factorised")
     assert "w" not in vars(r)
 
 
