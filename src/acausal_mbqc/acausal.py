@@ -39,6 +39,14 @@ the outcome-signed basis absorbs: every outcome branch m yields the same
 output statistics as the positive branch, with no causal order among the
 parties.  For graphs with uniformly random branches this makes W a normalized
 process matrix; the package verifies both sides of that boundary.
+
+In closed form, P_W(m, z) = P_G(0^N, z) for every m: the Born probability of
+the plain graph state under <phi_j^0| on every computation vertex.
+``backend_agreement`` checks a table against that right side, read off the
+positive branch of the unadapted causal walk in ``mbqc``, which builds its
+own graph state: a wrong kernel and a wrong W both break it, and it runs at
+every size within the cap.  The dense-trace oracle stays the opt-in "dense"
+backend; no command contracts it.
 """
 
 from __future__ import annotations
@@ -146,9 +154,9 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     """The resource of an undecorated graph: its plain graph state.
 
     The cap is resolved once here and carried by the resource, so the literal
-    W, its dense oracle and the sampler obey the same cap.  It is checked
-    against the decorated state's 2N + n qubits, the largest register the
-    literal W allocates, before anything is allocated.
+    W, its dense oracle, the sampler and ``backend_agreement``'s walk obey the
+    same cap.  It is checked against the decorated state's 2N + n qubits, the
+    largest register the literal W allocates, before anything is allocated.
     """
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
@@ -242,11 +250,22 @@ def signaling_tv(probs_a: np.ndarray, probs_b: np.ndarray) -> float:
 
 
 def backend_agreement(r: ResourcePM, angles, probs: np.ndarray) -> float:
-    """max over (m, z) of |dense - probs| for the caller's table ``probs`` at
-    ``angles``; only the dense-trace oracle is contracted here, so it checks
-    the very numbers the caller reports."""
-    dense = outcome_probabilities(r, angles, backend="dense")
-    return float(np.max(np.abs(dense - probs)))
+    """max over (m, z) of |probs[m, z] - P_G(0^N, z)| for the caller's table
+    ``probs`` at ``angles``.
+
+    P_G(0^N, z) is the Born probability of the plain graph state under
+    <phi_j^0| on every computation vertex and <z| on the outputs: row 0, the
+    positive branch, of the unadapted causal walk (``mbqc.enumerate_causal``
+    with ``correct=False``), which builds its own graph state and shares no
+    code with ``procmat``.  The paper's result is P_W(m, z) = P_G(0^N, z)
+    for every m, so a wrong kernel and a wrong W both show here, at every
+    size within the cap; only the walk is run, so it checks the very numbers
+    the caller reports.
+    """
+    g = r.base_graph
+    pattern = mbqc.make_pattern(g.computation, mbqc.as_angle_map(g, angles))
+    _, weight, dist = mbqc.enumerate_causal(g, pattern, correct=False, cap=r.cap)
+    return float(np.max(np.abs(probs - weight[0] * dist[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -326,26 +326,69 @@ def test_build_rejects_decorated_graph():
 def test_dense_oracle_refuses_chain7_before_allocating():
     """W of chain(7) is above the dense cap; the oracle must refuse at once."""
     r = acausal.build_resource_pm(graphstate.chain(7))
-    probs = acausal.outcome_probabilities(r, 0.0)
     start = time.perf_counter()
     with pytest.raises(config.RegisterCapError):
-        acausal.backend_agreement(r, 0.0, probs)
+        acausal.outcome_probabilities(r, 0.0, "dense")
     assert time.perf_counter() - start < 1.0
 
 
 def test_dense_refusal_builds_no_literal_w(monkeypatch):
-    """Above the dense operator cap the dense table and ``backend_agreement``
-    refuse from (N, n, cap) alone, with the operator cap's message, before
-    the literal W, or any graph state, is built."""
+    """Above the dense operator cap the dense table refuses from (N, n, cap)
+    alone, with the operator cap's message, before the literal W, or any
+    graph state, is built."""
     r = acausal.build_resource_pm(graphstate.chain(7))
-    probs = acausal.outcome_probabilities(r, 0.0)
     monkeypatch.setattr(graphstate, "graph_state", None)
     message = "dense process matrix needs 14 qubits, above the operator cap 12"
     with pytest.raises(config.RegisterCapError, match=message):
-        acausal.backend_agreement(r, 0.0, probs)
+        acausal.outcome_probabilities(r, 0.0, "dense")
     with pytest.raises(config.RegisterCapError, match=message):
         acausal.outcome_probabilities(r, [{c: 0.0 for c in r.base_graph.computation}], "dense")
     assert "w" not in vars(r)
+
+
+def test_backend_agreement_walks_the_positive_branch_on_chain7(monkeypatch):
+    """On chain(7), whose W is above the dense operator cap, the agreement is
+    a number: one unadapted walk of the plain graph state, which contracts
+    no table and leaves the literal W unbuilt."""
+    r = acausal.build_resource_pm(graphstate.chain(7))
+    probs = acausal.outcome_probabilities(r, 0.7)
+    walks = []
+    real_walk = mbqc._walk
+
+    def counted(*a, **k):
+        walks.append(a[1])
+        return real_walk(*a, **k)
+
+    monkeypatch.setattr(mbqc, "_walk", counted)
+    monkeypatch.setattr(procmat, "_trial_tables", None)
+    assert acausal.backend_agreement(r, 0.7, probs) <= 1e-12
+    (pattern,) = walks
+    assert not any(pattern.x_deps.values()) and not any(pattern.z_deps.values())
+    assert "w" not in vars(r)
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [perturbed_no_decoration, perturbed_pure_ancilla],
+    ids=["no-decoration", "pure-ancilla"],
+)
+@pytest.mark.parametrize(
+    "g",
+    [graphstate.chain(3), graphstate.chain(4), graphstate.parallel_chains([2, 2])],
+    ids=["chain3", "chain4", "pc22"],
+)
+def test_backend_agreement_catches_a_wrong_w_that_the_dense_oracle_passes(g, perturb):
+    """The dense oracle traces the W it is given, so it agrees with a wrong
+    W's factorized table; the positive-branch walk never reads W and reports
+    the wrong W's table as off by more than 0.05."""
+    r = acausal.build_resource_pm(g)
+    bad_w = perturb(r)
+    bad = literal_table(r, bad_w, 0.7)
+    phis = np.full((1, r.n_computation), 0.7)
+    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    dense = procmat._trial_tables(bad_w, kets, "dense")[0].reshape(bad.shape)
+    assert float(np.max(np.abs(dense - bad))) <= 1e-12
+    assert acausal.backend_agreement(r, 0.7, bad) > 0.05
 
 
 def test_an_unknown_backend_is_refused_before_the_literal_w_is_built(monkeypatch):

@@ -293,9 +293,27 @@ def test_criterion_10_backend_agreement():
         if g.n_computation + g.n_output > 5:
             continue
         for ang in angle_sets_for(g, count=3):
-            probs = acausal.outcome_probabilities(r, ang)
-            worst = max(worst, acausal.backend_agreement(r, ang, probs))
+            dense = acausal.outcome_probabilities(r, ang, "dense")
+            factorized = acausal.outcome_probabilities(r, ang, "factorized")
+            worst = max(worst, float(np.max(np.abs(dense - factorized))))
         checked += 1
     print(f"criterion 10: worst backend disagreement {worst:.2e} over {checked} graphs")
     assert checked >= 3
+    assert worst <= ATOL
+
+
+def test_criterion_11_every_branch_is_the_positive_branch():
+    """Every branch m of the literal W's table is the positive branch of the
+    plain graph state, P_W(m, z) = P_G(0^N, z), walked causally: the route of
+    ``verify``'s ``backend_agreement_max_dev``, on every suite graph, the
+    non-uniform 5-cycle included."""
+    worst = 0.0
+    checked = 0
+    for name, g, r in resource_suite():
+        for ang in angle_sets_for(g, count=3):
+            probs = acausal.outcome_probabilities(r, ang, "factorized")
+            worst = max(worst, acausal.backend_agreement(r, ang, probs))
+        checked += 1
+    print(f"criterion 11: worst positive-branch deviation {worst:.2e} over {checked} graphs")
+    assert checked == len(graph_suite())
     assert worst <= ATOL

@@ -61,8 +61,8 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
 @pytest.mark.parametrize(
     "argv, builds, graph_states, factorized, dense, walks",
     [
-        (["verify", "--shots", "1000"], 1, 2, 1, 1, 0),
-        (["verify"], 1, 2, 1, 1, 0),
+        (["verify", "--shots", "1000"], 1, 3, 1, 0, 1),
+        (["verify"], 1, 3, 1, 0, 1),
         (["postselect"], 1, 2, 1, 0, 0),
         (["game"], 1, 2, 1, 0, 1),
         (["signal"], 1, 1, 1, 0, 0),
@@ -73,12 +73,14 @@ def test_builds_and_contractions_per_command(
     capsys, tmp_path, monkeypatch, argv, builds, graph_states, factorized, dense, walks
 ):
     """On chain(4) each command builds one resource and contracts one outcome
-    table, its angle sets stacked as trials; only the dense oracle adds its
-    own dense table.  ``game`` walks once: one split walk gives the validity
-    gate and both girls-first scores.  Every command builds the plain graph
-    state; ``verify`` and ``postselect`` also build the decorated one, with
-    the literal W (``verify``'s checks) or for the sampler; ``signal`` and
-    ``game`` read the folded table and build no other state but ``game``'s walk."""
+    table, its angle sets stacked as trials; no command contracts the dense
+    oracle.  ``verify`` and ``game`` walk once each: ``verify``'s agreement
+    is the positive branch of one unadapted walk, and ``game``'s one split
+    walk gives the validity gate and both girls-first scores.  Every command
+    builds the plain graph state; ``verify`` and ``postselect`` also build
+    the decorated one, with the literal W (``verify``'s checks) or for the
+    sampler; ``signal`` and ``game`` read the folded table and build no other
+    state but a walk's."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
@@ -303,6 +305,29 @@ def test_decorated_state_above_the_default_cap_exits_2(capsys, tmp_path, monkeyp
     assert f"above the cap of {config.DEFAULT_QUBIT_CAP}" in err
 
 
+@pytest.mark.parametrize(
+    "length, cap", [(7, None), (8, 15)], ids=["chain7-default-cap", "chain8-cap15"]
+)
+def test_verify_checks_the_agreement_above_the_dense_operator_cap(
+    capsys, tmp_path, monkeypatch, length, cap
+):
+    """W of chain(7) and chain(8) is above the dense operator cap; ``verify``
+    still prints a number, from the positive-branch walk, and never
+    contracts the dense oracle."""
+    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+
+    def refuse(*a, **k):
+        raise AssertionError("verify must not contract the dense oracle")
+
+    monkeypatch.setattr(procmat, "_dense_probability", refuse)
+    path = graph_file(tmp_path, graphstate.chain(length), f"chain{length}")
+    flags = [] if cap is None else ["--cap", str(cap)]
+    code, rep = run_json(capsys, ["verify", "--graph", path, "--json", *flags])
+    assert code == 0
+    assert rep["backend_agreement_max_dev"] is not None
+    assert rep["backend_agreement_max_dev"] <= 1e-12
+
+
 @pytest.mark.parametrize("command", ["resource-pm", "verify"])
 def test_chain7_positivity_floor_is_exact_and_fast(capsys, tmp_path, command):
     """W of chain(7) is 2^14-square; its floor comes from the factor, not from an eigvalsh."""
@@ -351,8 +376,9 @@ def test_cap_flag_behaves_like_the_env_var(
         qubits = 2 * graph.n_computation + graph.n_output
         assert f"needs {qubits} qubits, above the cap of {cap}" in flag.err
     if argv == ["verify"] and exit_code == 0:
-        # W of chain(3) has 6 qubits, above the cap of 5: the dense oracle is refused
-        assert json.loads(flag.out)["backend_agreement_max_dev"] is None
+        # W of chain(3) has 6 qubits, above the cap of 5, but the walk's
+        # plain graph state has 3: the agreement is checked all the same
+        assert json.loads(flag.out)["backend_agreement_max_dev"] <= 1e-9
 
 
 def test_cap_flag_wins_over_the_env_var_in_every_game_walk(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,10 @@ on the literal W, so their reports must not move when the commands that only
 use the resource read the folded table instead.  ``golden_reports.json``
 holds, per case, the graph preset, the argv, the exit code and the stdout,
 captured at commit 76832be, whose every table contracted the literal W; each
-case here reruns its argv on a fresh graph file and compares.
+case here reruns its argv on a fresh graph file and compares.  The
+``backend_agreement_max_dev`` line of the chain(3) and chain(4) ``verify``
+cases was re-captured when that field moved from the dense oracle to the
+positive-branch walk; every other byte is the 76832be capture.
 """
 
 import json

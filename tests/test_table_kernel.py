@@ -8,7 +8,9 @@ must equal the one-tensordot-per-party reference and trace W without
 building it.  The trace and positivity floor that W reads off its pure
 factor must match the materialized dense operator, and that operator must
 equal, entry for entry, the plain kron of the projector with I/2 per mixed
-qubit, built with one ``HermOp``.
+qubit, built with one ``HermOp``.  Every backend's table of a resource must
+equal, in every branch, the positive branch of the causal walk, which is
+``backend_agreement``'s route, with or without uniform branches.
 """
 
 import itertools
@@ -110,6 +112,37 @@ def test_folded_table_equals_the_literal_w(case, seed):
     sets = [dict(zip(g.computation, row)) for row in phis.tolist()]
     table = acausal.outcome_probabilities(r, sets)
     assert np.array_equal(table, acausal._folded_table(r, mbqc_kets).reshape(table.shape))
+
+
+@st.composite
+def walk_cases(draw):
+    """A graph with N + n <= 6 and random angles: a uniform-branch draw
+    (N <= 4), any connected draw (uniform or not), or the 5-cycle."""
+    kind = draw(st.sampled_from(["uniform", "connected", "cycle5"]))
+    if kind == "cycle5":
+        g = graphstate.cycle_with_output(5)
+    else:
+        n_comp = draw(st.integers(1, 4 if kind == "uniform" else 5))
+        n_out = draw(st.integers(1, 6 - n_comp))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "uniform":
+            g = graphstate.random_resource_graph(rng, n_comp, n_out)
+        else:
+            g = graphstate.random_connected_graph(rng, n_comp, n_out)
+    angle = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
+    return acausal.build_resource_pm(g), {c: draw(angle) for c in g.computation}
+
+
+@PROPERTY_SETTINGS
+@given(walk_cases())
+def test_positive_branch_walk_agrees_with_every_backend(case):
+    """``backend_agreement``'s route, the walk's positive branch, equals every
+    branch of the literal W's factorized table, of the dense oracle's and of
+    the fold to 1e-12, on graphs with and without uniform branches."""
+    r, ang = case
+    for backend in ("factorized", "dense", "folded"):
+        table = acausal.outcome_probabilities(r, ang, backend)
+        assert acausal.backend_agreement(r, ang, table) <= ATOL, backend
 
 
 def factored_w(n_parties, n_pure, scale, seed):
