@@ -45,8 +45,8 @@ the plain graph state under <phi_j^0| on every computation vertex.
 ``backend_agreement`` checks a table against that right side, read off the
 positive branch of the unadapted causal walk in ``mbqc``, which builds its
 own graph state: a wrong kernel and a wrong W both break it, and it runs at
-every size within the cap.  The dense-trace oracle stays the opt-in "dense"
-backend; no command contracts it.
+every size within the cap.  The dense-trace oracle, the opt-in "dense"
+backend, traces the whole literal W one party at a time; no command calls it.
 """
 
 from __future__ import annotations

@@ -26,25 +26,13 @@ factorized kernel is the one contraction loop of the package: the resource's
 default table (``acausal``) runs it too, on the plain graph state with every
 pendant folded into its vertex's row, read as a process matrix whose output
 qubits are all maximally mixed; the literal W of the resource is then built
-only when a caller reads it.  The dense
-trace takes the last party first, whose output is the register's last qubit,
-and reads W as the 16 slabs that fix that party's indices.  Each slab is
-streamed from the factor through tiles that fix its leading pure qubits, of
-at most ``_TILE_BYTES`` where it has enough of them (on the resource it
-does), so W is never held whole, and each tile is written once.  When the
-last qubit is maximally mixed, the 8 slabs whose row and column indices
-differ there are exactly zero and are never written; nor is a slab whose
-Choi entry is zero in every trial.  Every party's Choi tensors come from one
-``_choi_tensors`` call.  A tile holds the next traced party's indices in the
-middle of its layout, so one batched matrix product contracts it in place
-with the first two traced parties' Choi tensors.  W is Hermitian by its
-form; ``dense()`` checks that as a ``HermOp``.
+only when a caller reads it.  The oracle is the definition as written: it
+builds W whole with ``dense()``, which checks it as a ``HermOp``, and
+traces one party at a time.  No command calls it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -168,7 +156,7 @@ class ProcessMatrix:
     first qubits and I/2 on each of the m qubits after them.  The register
     holds every input, then every output: party i owns input qubit i and
     output qubit k + i (``qubits(i)``).  ``cap`` bounds the register of the
-    dense operator that ``dense()`` and the dense oracle write; None reads
+    dense operator that ``dense()`` writes for the dense oracle; None reads
     the environment or the default.
     """
 
@@ -207,16 +195,22 @@ class ProcessMatrix:
 
     def dense(self) -> HermOp:
         """W written as kron(scale |pure><pure|, (I/2)^m), capped by
-        ``self.cap`` and the operator cap.  The tile writer of the dense
-        oracle writes it as one tile over the whole register, rows then
-        columns, into one zeroed array that the HermOp keeps, so the full
-        operator is allocated once and no block or kron copy of it is made."""
+        ``self.cap`` and the operator cap.  Row (a, x) of a zeroed
+        (P, M, P, M) array, P and M the dimensions of the pure and the mixed
+        qubits, gets pure[a] * conj(pure) at its columns (:, x), and the
+        array is then scaled by scale 2^-m: each entry is the value of W
+        taken factor by factor, written in place into the one array that the
+        HermOp keeps, so no block or kron copy of W is made."""
         _require_dense_cap(self.num_qubits, self.cap)
-        labels = [(side, q) for side in "rc" for q in range(self.num_qubits)]
-        tile, write = _tile_writer(self, labels, ())
-        with _small_iterator_buffers():
-            write(())
-        return HermOp(tile.reshape((2**self.num_qubits,) * 2), _owned=True)
+        amp = self.pure.amplitudes
+        conj = amp.conj()
+        pure, mixed = len(amp), 2 ** (self.num_qubits - self.pure.num_qubits)
+        op = np.zeros((pure, mixed, pure, mixed), dtype=np.complex128)
+        for a in range(pure):
+            for x in range(mixed):
+                np.multiply(amp[a], conj, out=op[a, x, :, x])
+        op *= self._mixed_coeff()
+        return HermOp(op.reshape((pure * mixed,) * 2), _owned=True)
 
     def trace(self) -> float:
         return float(self.scale * np.sum(np.abs(self.pure.amplitudes) ** 2))
@@ -243,94 +237,6 @@ def _require_dense_cap(num_qubits: int, cap: int | None) -> None:
         raise config.RegisterCapError(
             f"dense process matrix needs {num_qubits} qubits, above the operator cap {limit}"
         )
-
-
-# byte budget of one tile of a slab of W in the dense oracle, the one piece
-# of W that the oracle holds
-_TILE_BYTES = 256 << 10
-
-# elements per operand buffer of numpy's iterator while a tile is written:
-# the strided diagonal is written through these buffers, and small ones keep
-# that scratch near 50 KB instead of 400 KB
-_ITER_BUFSIZE = 1024
-
-
-@contextlib.contextmanager
-def _small_iterator_buffers():
-    bufsize = np.setbufsize(_ITER_BUFSIZE)
-    try:
-        yield
-    finally:
-        np.setbufsize(bufsize)
-
-
-Label = tuple[str, int]
-
-
-def _write_tile(
-    out: np.ndarray, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, coeff: float
-) -> None:
-    """Write coeff * rows * cols into the tile ``out`` through ``diagonal``,
-    its view over the free mixed qubits' diagonal; the entries off that
-    diagonal keep their values, so ``out`` must be zero there.  Callers
-    write under ``_small_iterator_buffers``."""
-    np.multiply(rows, cols, out=diagonal)
-    # coeff after the product: since its 2^-m part is exact, every entry has
-    # the value of scale * (|pure><pure| (x) (I/2)^m) taken factor by factor.
-    # It scales the whole contiguous tile in place; numpy would buffer a copy
-    # of the strided diagonal view for an in-place product
-    out *= coeff
-
-
-def _tile_writer(
-    w: ProcessMatrix, labels: Sequence[Label], fixed: Sequence[Label]
-) -> tuple[np.ndarray, Callable[[tuple[int, ...]], None]]:
-    """A zeroed tile of W with one axis per label of ``labels``, and
-    ``write(values)``, which writes into it the entries of W whose indices
-    at the labels ``fixed`` have ``values``.
-
-    A label ("r", q) or ("c", q) is the row or column index of register
-    qubit q, and each qubit is labelled once per side, in ``labels`` or in
-    ``fixed``; a fixed mixed qubit must take equal row and column values.
-    Each entry is (rows * cols) * coeff, rows the pure ket at the entry's
-    row indices, cols its conjugate at the column indices and coeff
-    scale 2^-m, written through a strided view of the tile over the free
-    mixed qubits' diagonal, in whatever order the labels put the axes.
-    """
-    p = w.pure.num_qubits
-    tile = np.zeros((2,) * len(labels), dtype=np.complex128)
-    # one axis of the diagonal view per free pure label and per free mixed
-    # qubit, whose row and column axes it walks at once
-    keys = [lab if lab[1] < p else ("rc", lab[1]) for lab in labels]
-    axes = list(dict.fromkeys(keys))
-    strides = [0] * len(axes)
-    for key, stride in zip(keys, tile.strides):
-        strides[axes.index(key)] += stride
-    diagonal = np.lib.stride_tricks.as_strided(tile, (2,) * len(axes), strides)
-
-    def operand(factor: np.ndarray, side: str) -> tuple[list[int], np.ndarray]:
-        """Where ``values`` holds the side's fixed pure indices, and ``factor``
-        with one leading axis per such index, then the diagonal's axes: the
-        side's own pure qubits, and length 1 elsewhere.  The copy is
-        C-ordered, so numpy walks a run of the side's axes as one loop."""
-        at = [i for i, (s, q) in enumerate(fixed) if s == side and q < p]
-        own = [key[0] == side for key in axes]
-        order = [fixed[i][1] for i in at] + [key[1] for key in axes if key[0] == side]
-        copy = factor.transpose(order).copy()
-        return at, copy[(slice(None),) * len(at) + tuple(slice(None) if o else None for o in own)]
-
-    amp = w.pure.as_tensor()
-    row_at, rows = operand(amp, "r")
-    col_at, cols = operand(amp.conj(), "c")
-    coeff = w._mixed_coeff()
-
-    def write(values: tuple[int, ...]) -> None:
-        _write_tile(
-            tile, diagonal, rows[tuple(values[i] for i in row_at)],
-            cols[tuple(values[i] for i in col_at)], coeff,
-        )
-
-    return tile, write
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +294,7 @@ def outcome_table(
     batched kernel that ``pm_validate`` runs.
 
     backend: "factorized" (overlap against the pure factor) or "dense" (the
-    oracle's trace against W, written slab by slab).
+    oracle's trace against the dense W, one party at a time).
     """
     if set(instruments) != set(w.parties):
         raise ProcmatError(
@@ -474,125 +380,34 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     return w._mixed_coeff() * np.abs(amp) ** 2
 
 
+# the oracle stays in src/ because benchmark/tracing.py wraps it by name
 def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
-    """Dense backend of the outcome tables and the independent oracle: trace
-    W against each party's stacked CJ tensors [t, e, r_in, r_out, c_in, c_out],
-    built from the kets by the double-sum definition.
-
-    The parties are traced in the order k-1, 0, 1, ..., k-2.  The slab
-    party k-1 owns the register's last qubit, which is maximally mixed
-    whenever W has a mixed qubit.  The first two traced parties are traced
-    together over the 16 slabs W[v] that fix the slab party's column and row
-    indices v, in product order.  A slab is skipped when it is exactly zero
-    (its row and column indices differ on a maximally mixed qubit of the
-    slab party) or when its Choi entry is zero in every trial; each other
-    slab is streamed from the pure factor through tiles of at most
-    ``_TILE_BYTES`` (``_tile_writer``), so W is never held whole, nor is a
-    slab that has enough pure qubits to be tiled.
-
-    Every party's CJ tensors come from one ``_choi_tensors`` call over all
-    the parties' kets, joined along the element axis, and the slabs kept are
-    read off one mask of the slab party's nonzero Choi entries.  A tile of
-    W[v] is written columns-major: its rows are the column indices of the
-    rest (every qubit outside the first two traced parties), then of the
-    second traced party, and its columns the row indices of that party, then
-    of the rest.  The second party's 16 index values thus sit in the middle,
-    and one batched matmul of the products cj[t, e1, v] * pair[t, e2, :]
-    against the tile, a stack of (16, C) matrices, contracts it in place.
-    (With those 16 values first, the tile would be one (16, span) matrix,
-    but its row and column axes would interleave, and numpy's product that
-    writes it takes 29 rather than 11 us per tile of chain(6).)  A tile
-    fixes only the leading pure qubits of the rest on its column side, so
-    no 16-term sum is split across tiles and every entry adds the same terms
-    in the same order whatever the tile size.  W is Hermitian by its form,
-    and ``dense()`` checks it as a ``HermOp``; a non-finite entry reaches
-    the table without a numpy warning, and ``_validated_table`` or the
-    imaginary-part check refuses it.
-
-    Every later step's input holds at most 1/256 of W's entries per trial
-    and pair of elements.  The table comes back C-contiguous with its
-    element axes in party order.
+    """Dense backend of the outcome tables and the independent oracle,
+    Tr[W (x)_parties CJ] by its definition: W written whole by ``dense()``,
+    then traced against each party's stacked CJ tensors
+    [t, e, r_in, r_out, c_in, c_out], built from the kets by the double-sum
+    definition, one ``_batched_tensordot`` step per party in party order.
+    The table comes back C-contiguous with its element axes in party order.
     """
-    k = len(w.parties)
-    order = [k - 1] + list(range(k - 1))
-    party = w.qubits(order[0])
-    second = list(w.qubits(order[1])) if k > 1 else []
-    rest = [q for q in range(w.num_qubits) if q not in party and q not in second]
-    p = w.pure.num_qubits
-    _require_dense_cap(w.num_qubits, w.cap)  # before a tile is allocated
-    # the leading pure qubits of the rest that a tile fixes: as few as keep
-    # it within the budget, which a W with too few of them may exceed
-    slab_bytes = np.dtype(np.complex128).itemsize * 4 ** (w.num_qubits - 2)
-    tiled = 0
-    while tiled < sum(q < p for q in rest) and slab_bytes >> tiled > _TILE_BYTES:
-        tiled += 1
-    cols_major = [("c", q) for q in rest + second] + [("r", q) for q in second + rest]
-    slab, write_slab = _tile_writer(w, cols_major[tiled:], _traced_labels(party) + cols_major[:tiled])
-    # every party's CJ tensors from one call, and one view of them per party
-    every = _choi_tensors(
-        *(np.concatenate([kets[name][i] for name in w.parties], axis=1) for i in range(2))
-    )
-    sizes = [kets[name][0].shape[1] for name in w.parties]
-    cjs = [every[:, end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))]
-    cj = cjs[order[0]]
-    trials, elements = cj.shape[:2]
-    # the second traced party's CJ tensors, flat over the four axes they
-    # contract; with one party the tiles are scalars and a factor of 1
-    # contracts them
-    pair = (
-        cjs[order[1]].reshape(trials, -1, 16) if k > 1
-        else np.ones((trials, 1, 1), dtype=np.complex128)
-    )
-    # the products cj[t, e1, v] * pair[t, e2, :] of one v, and their rows
-    lhs = np.empty((trials, elements) + pair.shape[1:], dtype=np.complex128)
-    products = lhs.reshape(-1, pair.shape[2])
-    # the tile as a stack of (16, C) matrices, C the row indices of the rest
-    stack = slab.reshape(-1, pair.shape[2], 2 ** len(rest))
-    # the table's axes: the rest's column indices, the elements, the rest's row indices
-    table = np.zeros((2 ** len(rest), len(products), stack.shape[2]), dtype=np.complex128)
-    contracted = np.empty((len(stack),) + table.shape[1:], dtype=np.complex128)
-    tiles = list(itertools.product((0, 1), repeat=tiled))
-    mixed = [i for i, q in enumerate(party) if q >= p]
-    # the slabs whose Choi entry is nonzero in some trial, in product order of v
-    nonzero = cj.any(axis=(0, 1)).reshape(-1)
-    # a non-finite entry of W makes inf or NaN (inf times a zero product),
-    # which the table's checks refuse, so numpy need not warn of it
-    with _small_iterator_buffers(), np.errstate(invalid="ignore", over="ignore"):
-        for v, kept in zip(itertools.product((0, 1), repeat=4), nonzero):
-            # a zero Choi entry: it adds nothing; a mixed qubit of the slab
-            # party with unequal row and column indices: W[v] is exactly zero
-            if not kept or any(v[i] != v[2 + i] for i in mixed):
-                continue
-            coeff = cj[(slice(None), slice(None)) + v]
-            np.multiply(coeff[:, :, None, None], pair[:, None], out=lhs)
-            for j, bits in enumerate(tiles):
-                write_slab(v + bits)
-                np.matmul(products, stack, out=contracted)
-                table[j * len(stack):(j + 1) * len(stack)] += contracted
-        del slab, stack, contracted
-        n = len(rest)
-        elements_axes = (trials, elements) + pair.shape[1:2] * (k > 1)
-        # one element axis per traced party, then the rest's row and column indices
-        table = np.moveaxis(
-            table.reshape((2,) * n + elements_axes + (2,) * n), range(n), range(-n, 0)
-        )
-        labels: list[Label | None] = [None] * min(k, 2) + [(side, q) for side in "rc" for q in rest]
-        for i in order[2:]:
-            axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
-            table = _batched_tensordot(table, cjs[i], axes)
-            labels = [lab for a, lab in enumerate(labels) if a not in axes] + [None]
+    table = w.dense().as_tensor()[None]
+    labels: list[tuple[str, int] | None] = [
+        (side, q) for side in "rc" for q in range(w.num_qubits)
+    ]
+    for i, party in enumerate(w.parties):
+        axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
+        table = _batched_tensordot(table, _choi_tensors(*kets[party]), axes)
+        labels = [lab for a, lab in enumerate(labels) if a not in axes] + [None]
     # NaN fails every comparison, so ``worst_imag > 1e-10`` alone would pass
     # it; a non-finite real part is left to ``_validated_table``, which names
     # its outcome and trial
     worst_imag = float(np.max(np.abs(table.imag)))
     if not worst_imag <= 1e-10 and np.isfinite(table.real).all():
         raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
-    # the slab party's element axis back to the end, in a C-ordered copy: a
-    # strided view would change the order in which a caller's sum adds entries
-    return np.ascontiguousarray(np.moveaxis(table.real, 1, -1))
+    # C-ordered, as the factorized backend's table is
+    return np.ascontiguousarray(table.real)
 
 
-def _traced_labels(qubits: tuple[int, int]) -> list[Label]:
+def _traced_labels(qubits: tuple[int, int]) -> list[tuple[str, int]]:
     """W's axes that the CJ tensor [r_in, r_out, c_in, c_out] of a party on
     (input, output) ``qubits`` contracts, in that order: Tr[W X] pairs W's
     column indices with X's row indices and vice versa."""

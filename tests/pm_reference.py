@@ -8,12 +8,8 @@ keeps the first trial whose deviation is strictly larger than every earlier
 one.  The batched ``pm_validate`` must reproduce it: the same totals, the
 same worst trial and its descriptions, and the same random stream.
 
-``tensordot_dense_probability`` is the reference for
-``procmat._dense_probability``: every party, the first included, is one
-``procmat._batched_tensordot`` step, so its first step multiplies a
-transposed copy of all of W.  Its Choi tensors come from
-``double_sum_choi``, the reference for ``procmat._choi_tensors``: the double
-sum built one (k, l) term at a time.
+``double_sum_choi`` is the reference for ``procmat._choi_tensors``: the
+double sum built one (k, l) term at a time.
 
 ``kron_cz_decorated_state`` is the reference for ``acausal._pendant_route``:
 the plain graph state with N |+> pendants appended by ``qlin.kron_all`` and
@@ -183,21 +179,3 @@ def double_sum_choi(measure, reprepare):
             op[..., k, :, l, :] += coeff[..., None, None] * rr
     return op
 
-
-def tensordot_dense_probability(w, kets):
-    """(trials, E_0, ..., E_{k-1}) tables of Tr[W (x) CJ], one tensordot step per party."""
-    k = w.num_qubits
-    table = w.dense().as_tensor()[None]
-    labels = [("r", q) for q in range(k)] + [("c", q) for q in range(k)]
-    for i, party in enumerate(w.parties):
-        cj = double_sum_choi(*kets[party])
-        q_in, q_out = w.qubits(i)
-        axes = [
-            labels.index(("c", q_in)),
-            labels.index(("c", q_out)),
-            labels.index(("r", q_in)),
-            labels.index(("r", q_out)),
-        ]
-        table = procmat._batched_tensordot(table, cj, axes)
-        labels = [lab for i, lab in enumerate(labels) if i not in axes] + [None]
-    return table.real

@@ -3,14 +3,16 @@
 Its two backends, the factorized overlap and the dense-trace oracle, must
 agree with each other and with the first-principles Born amplitude of
 criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
-guard must clamp and count each tiny negative entry once.  The dense kernel
-must equal the one-tensordot-per-party reference and trace W without
-building it.  The trace and positivity floor that W reads off its pure
-factor must match the materialized dense operator, and that operator must
-equal, entry for entry, the plain kron of the projector with I/2 per mixed
-qubit, built with one ``HermOp``.  Every backend's table of a resource must
-equal, in every branch, the positive branch of the causal walk, which is
-``backend_agreement``'s route, with or without uniform branches.
+guard must clamp and count each tiny negative entry once.  The dense kernel,
+the definition Tr[W (x) CJ] traced one party at a time, must equal the
+factorized kernel on random W, come back C-contiguous in party order, and
+peak below 2.25 copies of W.  The trace and positivity floor that W reads
+off its pure factor must match the materialized dense operator, and that
+operator must equal, entry for entry, the plain kron of the projector with
+I/2 per mixed qubit, built with one ``HermOp``.  Every backend's table of a
+resource must equal, in every branch, the positive branch of the causal
+walk, which is ``backend_agreement``'s route, with or without uniform
+branches.
 """
 
 import itertools
@@ -29,7 +31,6 @@ from pm_reference import (
     double_sum_choi,
     random_ket,
     rank_one_sampler,
-    tensordot_dense_probability,
 )
 from test_acceptance import born_oracle
 
@@ -267,117 +268,35 @@ def dense_kernel_cases(draw):
     return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
 
 
-@PROPERTY_SETTINGS
-@given(dense_kernel_cases())
-def test_dense_kernel_equals_the_tensordot_reference(case):
-    w, kets = case
-    ref = tensordot_dense_probability(w, kets)
-    table = procmat._dense_probability(w, kets)
-    assert table.shape == ref.shape
-    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
-
-
-@st.composite
-def slab_cases(draw):
-    """A random W and a block of 1 to 6 trials of random unit kets, 1 to 3
-    elements per party."""
-    w = draw(factored_process_matrices())
-    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
-
-
-def slab_case(n_parties, n_pure, trials=3, elements=2):
+def kernel_case(n_parties, n_pure, trials=3, elements=2):
     w = factored_w(n_parties, n_pure=n_pure, scale=1.5, seed=n_parties + n_pure)
     rng = np.random.default_rng(11)
     shape = (trials, elements)
     return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
 
 
-@PROPERTY_SETTINGS
-@given(slab_cases())
-@example(slab_case(2, n_pure=0))  # every qubit mixed
-@example(slab_case(2, n_pure=1))  # both of P2's qubits mixed, P1's input pure
-@example(slab_case(2, n_pure=2))  # P2's output qubit mixed, its input pure
-@example(slab_case(3, n_pure=4, trials=6, elements=3))  # P3's output mixed, a third step
-@example(slab_case(3, n_pure=6, trials=2, elements=3))  # every qubit pure
-@example(slab_case(1, n_pure=2, trials=1))  # one party: each slab is a scalar
-@example(slab_case(1, n_pure=1))
-@example(slab_case(1, n_pure=0, elements=1))
-def test_slab_path_equals_the_reference(case):
-    """The dense kernel writes W slab by slab, each slab fixing the indices
-    of the last party, whose qubits the examples name; its table must match
-    the one-tensordot-per-party reference, which multiplies all of W."""
-    w, kets = case
-    table = procmat._dense_probability(w, kets)
-    ref = tensordot_dense_probability(w, kets)
+def assert_equals_factorized(w, kets, table):
+    ref = procmat._factorized_probability(w, kets)
     assert table.shape == ref.shape
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
 
-def dense_table_writes(w, kets, tile_bytes):
-    """One dense table of ``w`` with each tile of a slab within
-    ``tile_bytes``, and how many tiles it wrote."""
-    writes = 0
-    real = procmat._write_tile
-
-    def counted(*args):
-        nonlocal writes
-        writes += 1
-        real(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(procmat, "_TILE_BYTES", tile_bytes)
-        mp.setattr(procmat, "_write_tile", counted)
-        table = procmat._dense_probability(w, kets)
-    return table, writes
-
-
-def test_a_mixed_slab_party_output_halves_the_slabs():
-    """The slab party is the last, whose output is the register's last qubit:
-    on the resource it is maximally mixed, so the 8 slabs whose rows and
-    columns differ there are never written, and each other slab is written
-    once, if its Choi entry is nonzero in some trial.  A Bob's readout has
-    2 such slabs, each streamed through 4 tiles of 256 KiB on chain(5);
-    random kets trace all 8 nonzero slabs.  A W with no mixed qubit writes
-    all 16."""
-    r = acausal.build_resource_pm(graphstate.chain(5))
-    phis = np.full((1, len(r.alice_parties)), 0.7)
-    mbqc = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    assert dense_table_writes(r.w, mbqc, 256 << 10)[1] == 2 * 4
-    rng = np.random.default_rng(5)
-    kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in r.w.parties}
-    assert dense_table_writes(r.w, kets, 1 << 62)[1] == 8
-    pure = factored_w(2, n_pure=4, scale=1.5, seed=4)
-    kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in pure.parties}
-    assert dense_table_writes(pure, kets, 1 << 62)[1] == 16
-
-
 @PROPERTY_SETTINGS
-@given(slab_cases())
-@example(slab_case(3, n_pure=6))  # the rest's two qubits pure: 4 tiles
-@example(slab_case(4, n_pure=8, trials=2))  # 16 tiles
-@example(slab_case(4, n_pure=3))  # 4 tiles, the rest's last two qubits mixed
-@example(slab_case(4, n_pure=6, trials=2, elements=3))  # 8 tiles, one mixed rest qubit
-@example(slab_case(3, n_pure=2))  # too short to tile: 2 tiles, one mixed rest qubit
-@example(slab_case(4, n_pure=1))  # no pure rest qubit: 1 tile
-@example(slab_case(2, n_pure=4))  # no rest
-@example(slab_case(1, n_pure=1))
-def test_tiles_change_no_bit_of_the_table(case):
-    """Streamed through the smallest tiles, which fix every pure qubit of the
-    rest, each slab spans 2^(pure rest qubits) tiles, at least 4 whenever it
-    has two such qubits.  The table is the one-tile table bit for bit, since
-    no sum is split across tiles."""
+@given(dense_kernel_cases())
+@example(kernel_case(2, n_pure=0))  # every qubit mixed
+@example(kernel_case(2, n_pure=1))  # both of P2's qubits mixed, P1's input pure
+@example(kernel_case(2, n_pure=2))  # P2's output qubit mixed, its input pure
+@example(kernel_case(3, n_pure=4, trials=6, elements=3))  # P3's output mixed, a third step
+@example(kernel_case(3, n_pure=6, trials=2, elements=3))  # every qubit pure
+@example(kernel_case(1, n_pure=2, trials=1))  # one party: one step
+@example(kernel_case(1, n_pure=1))
+@example(kernel_case(1, n_pure=0, elements=1))
+def test_dense_kernel_equals_the_factorized_kernel(case):
+    """The oracle's trace of the whole W, one party at a time, equals the
+    overlap of the kets with the pure factor, which shares no arithmetic
+    with it, on random W and density process matrices."""
     w, kets = case
-    k = len(w.parties)
-    rest = [q for q in range(w.num_qubits) if q not in w.qubits(k - 1) + w.qubits(0)]
-    pure_rest = sum(q < w.pure.num_qubits for q in rest)
-    whole, slabs = dense_table_writes(w, kets, 1 << 62)
-    table, tiles = dense_table_writes(w, kets, 16)
-    assert tiles == 2**pure_rest * slabs
-    assert table.tobytes() == whole.tobytes() and table.shape == whole.shape
-    ref = tensordot_dense_probability(w, kets)
-    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
+    assert_equals_factorized(w, kets, procmat._dense_probability(w, kets))
 
 
 # components whose products and sums round differently by sign or zero
@@ -424,72 +343,47 @@ def test_choi_tensors_equal_the_double_sum_bit_for_bit(stacks):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_dense_table_is_c_contiguous_in_party_order(monkeypatch, k):
-    """The slab party is traced first, but the table comes back with one
-    axis per party in party order, as a C-contiguous array: party i has
-    i + 1 elements here, so the shape names the order.  Every party's CJ
-    tensors come from one ``_choi_tensors`` call, over all 1 + ... + k
-    elements."""
+def test_dense_table_is_c_contiguous_in_party_order(k):
+    """The table comes back with one axis per party in party order, as a
+    C-contiguous array: party i has i + 1 elements here, so the shape names
+    the order."""
     w = factored_w(k, n_pure=k + 1, scale=1.5, seed=k)
     rng = np.random.default_rng(k)
     kets = {
         p: (unit_kets(rng, (2, i + 1)), unit_kets(rng, (2, i + 1)))
         for i, p in enumerate(w.parties)
     }
-    calls = []
-    real = procmat._choi_tensors
-
-    def counted(measure, reprepare):
-        calls.append(measure.shape)
-        return real(measure, reprepare)
-
-    monkeypatch.setattr(procmat, "_choi_tensors", counted)
     table = procmat._dense_probability(w, kets)
-    assert calls == [(2, k * (k + 1) // 2, 2)]
     assert table.shape == (2,) + tuple(range(1, k + 1))
     assert table.flags.c_contiguous
-    ref = tensordot_dense_probability(w, kets)
-    assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
-
-
-@pytest.mark.parametrize("planted", [math.nan, math.inf], ids=["nan", "inf"])
-def test_slab_checks_refuse_a_planted_entry(planted):
-    """An entry planted into each tile after it is written reaches the table,
-    whose range check refuses it, naming the outcome and the trial; an
-    infinite one makes NaN (inf times a zero product) with no numpy warning
-    on the way."""
-    w = acausal.build_resource_pm(graphstate.chain(2)).w
-    rng = np.random.default_rng(11)
-    kets = {p: (unit_kets(rng, (3, 2)), unit_kets(rng, (3, 2))) for p in w.parties}
-    real = procmat._write_tile
-
-    def planting(out, *args):
-        real(out, *args)
-        out.reshape(-1)[1] += planted
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(procmat, "_write_tile", planting)
-        with pytest.raises(procmat.ProcmatError, match=r"probability nan at outcome \(\d, \d\) of trial \d"):
-            procmat._trial_tables(w, kets, "dense")
+    assert_equals_factorized(w, kets, table)
 
 
 def test_a_nan_imaginary_part_is_refused(monkeypatch):
     """A table entry with a finite real part and a NaN imaginary part fails
-    the imaginary-part check, which NaN would pass as ``> 1e-10``."""
+    the imaginary-part check, which NaN would pass as ``> 1e-10``.  The NaN
+    is planted on the last party's step only: an earlier one would reach
+    the real part through the later products."""
     w = acausal.build_resource_pm(graphstate.chain(3)).w
     rng = np.random.default_rng(3)
     kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in w.parties}
     real = procmat._batched_tensordot
-    monkeypatch.setattr(
-        procmat, "_batched_tensordot", lambda a, b, axes: real(a, b, axes) + complex(0.0, math.nan)
-    )
+    steps = []
+
+    def planting(a, b, axes):
+        steps.append(None)
+        out = real(a, b, axes)
+        return out + complex(0.0, math.nan) if len(steps) == len(w.parties) else out
+
+    monkeypatch.setattr(procmat, "_batched_tensordot", planting)
     with pytest.raises(procmat.ProcmatError, match="imaginary part nan"):
         procmat._trial_tables(w, kets, "dense")
+    assert len(steps) == len(w.parties)
 
 
-def test_slab_path_refuses_above_the_cap_before_allocating():
-    """W of chain(7) has 14 qubits, above the dense operator cap: no tile,
-    table or Choi tensor is allocated."""
+def test_dense_table_refuses_above_the_cap_before_allocating():
+    """W of chain(7) has 14 qubits, above the dense operator cap: neither W
+    nor a table or Choi tensor is allocated."""
     r = acausal.build_resource_pm(graphstate.chain(7))
     tracemalloc.start()
     try:
@@ -502,47 +396,24 @@ def test_slab_path_refuses_above_the_cap_before_allocating():
     assert peak < 64 << 10, peak
 
 
-def test_dense_table_of_a_factored_w_never_builds_w(monkeypatch):
-    """The dense table of a chain(5) resource is written slab by slab:
-    ``dense()`` is never called, and the table allocates less than a quarter
-    of the 16 MiB that W would take."""
+def test_dense_table_of_chain5_peaks_below_2_25_copies_of_w():
+    """The oracle holds W whole (16 MiB on chain(5)) and, while it traces the
+    first party, the transposed copy that the step multiplies: one MBQC table
+    peaks near 2.1x the bytes of W, and below 2.25x."""
     r = acausal.build_resource_pm(graphstate.chain(5))
-    w_bytes = np.dtype(np.complex128).itemsize * 4**r.w.num_qubits
+    w = r.w
+    w_bytes = np.dtype(np.complex128).itemsize * 4**w.num_qubits
     instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
     instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
-
-    def refuse(self):
-        raise AssertionError("the dense table of a factored W must not build W")
-
-    monkeypatch.setattr(procmat.ProcessMatrix, "dense", refuse)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        table = procmat.outcome_table(r.w, instruments, "dense")
+        table = procmat.outcome_table(w, instruments, "dense")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert table.shape == (2,) * 5
-    assert peak < w_bytes / 4, peak / w_bytes
-
-
-def test_dense_table_of_chain6_holds_less_than_a_sixteenth_of_w():
-    """W of chain(6), the largest under the cap, takes 256 MiB and each of
-    its slabs 16 MiB; streamed through tiles, one dense table allocates less
-    than one slab."""
-    r = acausal.build_resource_pm(graphstate.chain(6))
-    w_bytes = np.dtype(np.complex128).itemsize * 4**r.w.num_qubits
-    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
-    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        table = procmat.outcome_table(r.w, instruments, "dense")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (2,) * 6
-    assert peak < w_bytes / 16, peak / w_bytes
+    assert peak < 2.25 * w_bytes, peak / w_bytes
 
 
 def with_raw_table(monkeypatch, backend, raw):
