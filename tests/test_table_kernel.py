@@ -283,20 +283,32 @@ def assert_equals_factorized(w, kets, table):
 
 @PROPERTY_SETTINGS
 @given(dense_kernel_cases())
-@example(kernel_case(2, n_pure=0))  # every qubit mixed
-@example(kernel_case(2, n_pure=1))  # both of P2's qubits mixed, P1's input pure
-@example(kernel_case(2, n_pure=2))  # P2's output qubit mixed, its input pure
-@example(kernel_case(3, n_pure=4, trials=6, elements=3))  # P3's output mixed, a third step
-@example(kernel_case(3, n_pure=6, trials=2, elements=3))  # every qubit pure
-@example(kernel_case(1, n_pure=2, trials=1))  # one party: one step
-@example(kernel_case(1, n_pure=1))
-@example(kernel_case(1, n_pure=0, elements=1))
-def test_dense_kernel_equals_the_factorized_kernel(case):
-    """The oracle's trace of the whole W, one party at a time, equals the
-    overlap of the kets with the pure factor, which shares no arithmetic
-    with it, on random W and density process matrices."""
+def test_dense_kernel_equals_the_tensordot_reference(case):
+    """The dense kernel, the one-tensordot-per-party trace of the whole W,
+    equals the overlap of the kets with the pure factor, which shares no
+    arithmetic with it, on random W and density process matrices."""
     w, kets = case
     assert_equals_factorized(w, kets, procmat._dense_probability(w, kets))
+
+
+KERNEL_CASES = [
+    kernel_case(2, n_pure=0),  # every qubit mixed
+    kernel_case(2, n_pure=1),  # both of P2's qubits mixed, P1's input pure
+    kernel_case(2, n_pure=2),  # P2's output qubit mixed, its input pure
+    kernel_case(3, n_pure=4, trials=6, elements=3),  # P3's output mixed, a third step
+    kernel_case(3, n_pure=6, trials=2, elements=3),  # every qubit pure
+    kernel_case(1, n_pure=2, trials=1),  # one party: one step
+    kernel_case(1, n_pure=1),
+    kernel_case(1, n_pure=0, elements=1),
+]
+
+
+def test_slab_path_equals_the_reference():
+    """On eight fixed W that name which of the last party's qubits are
+    mixed (the split a slab-by-slab writer of W was tested on), one, two
+    and three parties, the dense kernel equals the factorized kernel."""
+    for w, kets in KERNEL_CASES:
+        assert_equals_factorized(w, kets, procmat._dense_probability(w, kets))
 
 
 # components whose products and sums round differently by sign or zero
