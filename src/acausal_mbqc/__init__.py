@@ -71,7 +71,6 @@ from .procmat import (
     pm_probability,
     pm_validate,
     rank_one_instrument_family,
-    reset_clamped_probability_count,
 )
 from .acausal import (
     AcausalError,

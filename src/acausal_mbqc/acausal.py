@@ -23,8 +23,9 @@ the standard CZ algebra of graph states (Hein, Eisert & Briegel, PRA 69,
 squared overlap of |G> with the Alices' rows conj(a) * conj(H r) and the
 Bobs' rows conj(measure), each Bob's ancilla giving 1/2 for his unit
 reprepare ket.  The fold holds for every rank-1 element, and
-``outcome_probabilities`` contracts it by default ("folded"), through the
-same factorized kernel as W's own table, on half as many qubits.
+``outcome_probabilities`` contracts it by default, through the same
+factorized kernel as W's own table (``literal=True``), on half as many
+qubits.
 
 The literal W is built on the first read of ``ResourcePM.w`` (or of
 ``decorated_graph`` or ``decorated_state``), and that build checks the
@@ -45,8 +46,7 @@ the plain graph state under <phi_j^0| on every computation vertex.
 ``backend_agreement`` checks a table against that right side, read off the
 positive branch of the unadapted causal walk in ``mbqc``, which builds its
 own graph state: a wrong kernel and a wrong W both break it, and it runs at
-every size within the cap.  The dense-trace oracle, the opt-in "dense"
-backend, traces the whole literal W one party at a time; no command calls it.
+every size within the cap.
 """
 
 from __future__ import annotations
@@ -104,18 +104,18 @@ class ResourcePM:
         if fid < 1.0 - 1e-12:
             raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
         scale = float(2 ** (self.n_computation + self.n_output))
-        return ProcessMatrix(self.alice_parties + self.bob_parties, route_a, scale, self.cap)
+        return ProcessMatrix(self.alice_parties + self.bob_parties, route_a, scale)
 
     @property
     def decorated_state(self) -> qlin.Ket:
         """W's pure factor: the decorated graph state, built with W."""
         return self.w.pure
 
-    @property
+    @functools.cached_property
     def alice_parties(self) -> tuple[str, ...]:
         return tuple(f"A{j + 1}" for j in range(self.n_computation))
 
-    @property
+    @functools.cached_property
     def bob_parties(self) -> tuple[str, ...]:
         return tuple(f"B{t + 1}" for t in range(self.n_output))
 
@@ -154,9 +154,9 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     """The resource of an undecorated graph: its plain graph state.
 
     The cap is resolved once here and carried by the resource, so the literal
-    W, its dense oracle, the sampler and ``backend_agreement``'s walk obey the
-    same cap.  It is checked against the decorated state's 2N + n qubits, the
-    largest register the literal W allocates, before anything is allocated.
+    W, the sampler and ``backend_agreement``'s walk obey the same cap.  It is
+    checked against the decorated state's 2N + n qubits, the largest
+    register the literal W allocates, before anything is allocated.
     """
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
@@ -188,29 +188,23 @@ def _folded_table(r: ResourcePM, kets: procmat.Kets) -> np.ndarray:
         measure, reprepare = kets[party]
         folded[party] = (measure * (reprepare @ _ROOT2_HADAMARD), reprepare)
     scale = float(2 ** (r.n_computation + r.n_output))
-    fold = ProcessMatrix(r.alice_parties + r.bob_parties, r.plain, scale, r.cap)
-    return procmat._trial_tables(fold, folded, "factorized")
+    fold = ProcessMatrix(r.alice_parties + r.bob_parties, r.plain, scale)
+    return procmat._trial_tables(fold, folded)
 
 
-def _table(r: ResourcePM, angle_sets, backend: str) -> np.ndarray:
+def _table(r: ResourcePM, angle_sets, literal: bool) -> np.ndarray:
     """P(m, z) for each angle set, shaped (sets, one axis per party: Alices,
     then Bobs), from one contraction over the kets of ``procmat.mbqc_kets``
-    with one trial per set."""
-    # an unknown backend, and a dense W above the operator cap, are refused
-    # from the name and (N, n, cap) alone, before the literal W is first built
-    if backend != "folded":
-        backend = procmat._resolved_backend(backend)
-    if backend == "dense":
-        procmat._require_dense_cap(2 * (r.n_computation + r.n_output), r.cap)
+    with one trial per set, on the literal W or on the fold."""
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    if backend == "folded":
-        return _folded_table(r, kets)
-    return procmat._trial_tables(r.w, kets, backend)
+    if literal:
+        return procmat._trial_tables(r.w, kets)
+    return _folded_table(r, kets)
 
 
-def outcome_probabilities(r: ResourcePM, angles, backend: str = "folded") -> np.ndarray:
+def outcome_probabilities(r: ResourcePM, angles, *, literal: bool = False) -> np.ndarray:
     """All P(m, z) as a (2^N, 2^n) array, bit 0 most significant.
 
     ``angles`` is one angle set (as ``mbqc.as_angle_map`` reads it), or a
@@ -218,14 +212,14 @@ def outcome_probabilities(r: ResourcePM, angles, backend: str = "folded") -> np.
     contraction, and the result is (sets, 2^N, 2^n), every table equal bit
     for bit to the one its set gives alone.
 
-    backend: "folded" (the plain graph state, every pendant folded into its
-    vertex's row), "factorized" (the literal W's pure factor) or "dense"
-    (the oracle's trace against the literal W).
+    By default the table is contracted on the plain graph state, every
+    pendant folded into its vertex's row; ``literal=True`` contracts the
+    literal W's pure factor, which a branch-independence figure needs.
     """
     stacked = isinstance(angles, list) and bool(angles) and all(
         isinstance(a, Mapping) for a in angles
     )
-    table = _table(r, angles if stacked else [angles], backend)
+    table = _table(r, angles if stacked else [angles], literal)
     shape = (2**r.n_computation, 2**r.n_output)
     return table.reshape((len(table), *shape) if stacked else shape)
 

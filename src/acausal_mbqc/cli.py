@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, help_text in flags.items():
             p.add_argument(flag, help=help_text, **_FLAG_KWARGS[flag])
         p.add_argument("--json", action="store_true", help="emit the JSON document")
-        p.add_argument("--cap", metavar="N", type=int, help="dense register-size cap")
+        p.add_argument("--cap", metavar="N", type=int, help="qubit cap on state vectors")
     return parser
 
 
@@ -278,9 +278,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.shots > 0:
         # the signaling check's second angle set is a second trial of one contraction
         ang_b = _second_angles(ns, g, ang)
-        probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b], "factorized")
+        probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b], literal=True)
     else:
-        probs = acausal.outcome_probabilities(r, ang, "factorized")
+        probs = acausal.outcome_probabilities(r, ang, literal=True)
     report = {
         "branch_independence_max_dev": acausal.branch_independence_report(probs),
         "normalization_dev": acausal.normalization_report(probs),

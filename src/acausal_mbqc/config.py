@@ -25,11 +25,11 @@ DEFAULT_SEED = 123456789
 
 
 class RegisterCapError(RuntimeError):
-    """Raised when an operation would exceed the dense register-size cap."""
+    """Raised when an operation would exceed the register-size cap."""
 
 
 def qubit_cap(override: int | None = None) -> int:
-    """Effective cap on dense register size: explicit override, else env var, else default."""
+    """Effective qubit cap on state vectors: explicit override, else env var, else default."""
     if override is not None:
         cap, source = int(override), "qubit cap"
     else:

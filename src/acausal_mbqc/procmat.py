@@ -18,17 +18,17 @@ k + i.  Probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 instrument at once, as one contraction sweep over the parties, and
 ``pm_validate`` runs the same sweep over a leading axis of sampled trials.
 W has one form, scale * |pure><pure| (x) (I/2)^m: the pure ket on the
-first qubits of the register and I/2 on the m after them.  The two backends
-are kept deliberately independent: a dense trace of W against each element's
-Choi operator, built from its double-sum definition (the oracle), and a
-factorized overlap of each element's kets with the pure factor.  The
-factorized kernel is the one contraction loop of the package: the resource's
-default table (``acausal``) runs it too, on the plain graph state with every
-pendant folded into its vertex's row, read as a process matrix whose output
-qubits are all maximally mixed; the literal W of the resource is then built
-only when a caller reads it.  The oracle is the definition as written: it
-builds W whole with ``dense()``, which checks it as a ``HermOp``, and
-traces one party at a time.  No command calls it.
+first qubits of the register and I/2 on the m after them.  Every table is
+the factorized overlap of each element's kets with the pure factor, the one
+contraction loop of the package: the resource's tables (``acausal``) run it
+too, by default on the plain graph state with every pendant folded into its
+vertex's row, read as a process matrix whose output qubits are all
+maximally mixed; the literal W of the resource is then built only when a
+caller reads it.  The dense oracle, ``_dense_probability``, is kept
+independent of it and is called only by the tests: the definition as
+written, a trace of W, built whole with ``dense()`` and checked as a
+``HermOp``, against each element's Choi operator from its double-sum
+definition, one party at a time.
 """
 
 from __future__ import annotations
@@ -155,14 +155,10 @@ class ProcessMatrix:
     W = scale * |pure><pure| (x) (I/2)^m: the ``pure`` ket on the register's
     first qubits and I/2 on each of the m qubits after them.  The register
     holds every input, then every output: party i owns input qubit i and
-    output qubit k + i (``qubits(i)``).  ``cap`` bounds the register of the
-    dense operator that ``dense()`` writes for the dense oracle; None reads
-    the environment or the default.
+    output qubit k + i (``qubits(i)``).
     """
 
-    def __init__(
-        self, parties: Sequence[str], pure: Ket, scale: float, cap: int | None = None
-    ):
+    def __init__(self, parties: Sequence[str], pure: Ket, scale: float):
         parties = tuple(parties)
         if not parties:
             raise ProcmatError("process matrix needs at least one party")
@@ -179,7 +175,6 @@ class ProcessMatrix:
         self.parties = parties
         self.pure = pure
         self.scale = scale
-        self.cap = cap
 
     @property
     def num_qubits(self) -> int:
@@ -194,14 +189,20 @@ class ProcessMatrix:
         return self.scale * 0.5 ** (self.num_qubits - self.pure.num_qubits)
 
     def dense(self) -> HermOp:
-        """W written as kron(scale |pure><pure|, (I/2)^m), capped by
-        ``self.cap`` and the operator cap.  Row (a, x) of a zeroed
+        """W written as kron(scale |pure><pure|, (I/2)^m), refused above
+        ``min(config.qubit_cap(), DENSE_OPERATOR_CAP)`` qubits before
+        anything is allocated.  Row (a, x) of a zeroed
         (P, M, P, M) array, P and M the dimensions of the pure and the mixed
         qubits, gets pure[a] * conj(pure) at its columns (:, x), and the
         array is then scaled by scale 2^-m: each entry is the value of W
         taken factor by factor, written in place into the one array that the
         HermOp keeps, so no block or kron copy of W is made."""
-        _require_dense_cap(self.num_qubits, self.cap)
+        limit = min(config.qubit_cap(), config.DENSE_OPERATOR_CAP)
+        if self.num_qubits > limit:
+            raise config.RegisterCapError(
+                f"dense process matrix needs {self.num_qubits} qubits, above the "
+                f"operator cap {limit}"
+            )
         amp = self.pure.amplitudes
         conj = amp.conj()
         pure, mixed = len(amp), 2 ** (self.num_qubits - self.pure.num_qubits)
@@ -228,17 +229,6 @@ class ProcessMatrix:
         return self.trace() * 0.5 ** self.num_qubits
 
 
-def _require_dense_cap(num_qubits: int, cap: int | None) -> None:
-    """Refuse a dense W on ``num_qubits`` register qubits above ``cap`` or
-    the operator cap; it reads only those numbers, so a caller refuses
-    before anything is allocated."""
-    limit = min(config.qubit_cap(cap), config.DENSE_OPERATOR_CAP)
-    if num_qubits > limit:
-        raise config.RegisterCapError(
-            f"dense process matrix needs {num_qubits} qubits, above the operator cap {limit}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # probabilities
 
@@ -250,12 +240,6 @@ def clamped_probability_count() -> int:
     """How many tiny-negative probabilities were clamped to zero so far."""
     with _clamp_lock:
         return _clamp_count
-
-
-def reset_clamped_probability_count() -> None:
-    global _clamp_count
-    with _clamp_lock:
-        _clamp_count = 0
 
 
 def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
@@ -284,30 +268,23 @@ def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
     return values
 
 
-def outcome_table(
-    w: ProcessMatrix, instruments: Mapping[str, Instrument], backend: str = "factorized"
-) -> np.ndarray:
+def outcome_table(w: ProcessMatrix, instruments: Mapping[str, Instrument]) -> np.ndarray:
     """P[e_0, ..., e_{k-1}] = Tr[W (x)_parties CJ], every element of every instrument.
 
     The table has one axis per party of ``w``, in party order, with one entry
     per element of that party's instrument.  It is the one-trial case of the
     batched kernel that ``pm_validate`` runs.
-
-    backend: "factorized" (overlap against the pure factor) or "dense" (the
-    oracle's trace against the dense W, one party at a time).
     """
     if set(instruments) != set(w.parties):
         raise ProcmatError(
             f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
         )
     kets = {party: (inst.measure[None], inst.reprepare[None]) for party, inst in instruments.items()}
-    return _trial_tables(w, kets, _resolved_backend(backend))[0]
+    return _trial_tables(w, kets)[0]
 
 
 def pm_probability(
-    w: ProcessMatrix,
-    assignment: Mapping[str, tuple[np.ndarray, np.ndarray]],
-    backend: str = "factorized",
+    w: ProcessMatrix, assignment: Mapping[str, tuple[np.ndarray, np.ndarray]]
 ) -> float:
     """P = Tr[W (x)_parties CJ] for one element per party, given as its
     (measure, reprepare) pair of single-qubit amplitude arrays (see
@@ -316,26 +293,19 @@ def pm_probability(
         party: Instrument(np.asarray(measure)[None], np.asarray(reprepare)[None])
         for party, (measure, reprepare) in assignment.items()
     }
-    return float(outcome_table(w, instruments, backend).reshape(-1)[0])
+    return float(outcome_table(w, instruments).reshape(-1)[0])
 
 
 Kets = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
-def _resolved_backend(backend: str) -> str:
-    if backend not in ("factorized", "dense"):
-        raise ProcmatError(f"unknown backend {backend!r}")
-    return backend
-
-
-def _trial_tables(w: ProcessMatrix, kets: Kets, backend: str, first_trial: int = 0) -> np.ndarray:
+def _trial_tables(w: ProcessMatrix, kets: Kets, *, first_trial: int = 0) -> np.ndarray:
     """Validated outcome tables of a block of trials, shaped (trials, E_0, ..., E_{k-1}).
 
     ``kets`` maps each party to its stacked measure and reprepare kets, each
-    shaped (trials, elements, 2); ``backend`` is "factorized" or "dense".
+    shaped (trials, elements, 2).
     """
-    kernel = _factorized_probability if backend == "factorized" else _dense_probability
-    return _validated_table(kernel(w, kets), first_trial)
+    return _validated_table(_factorized_probability(w, kets), first_trial)
 
 
 def _batched_tensordot(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -358,7 +328,7 @@ def _batched_tensordot(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.
 
 
 def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
-    """Factorized backend of the outcome tables: contract the pure factor with
+    """The kernel of the outcome tables: contract the pure factor with
     each party's stacked conjugate measure and reprepare kets in turn,
     keeping the trial axis in front.  ``acausal``'s folded table calls it
     with the plain graph state and the folded kets."""
@@ -382,9 +352,9 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
 
 # the oracle stays in src/ because benchmark/tracing.py wraps it by name
 def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
-    """Dense backend of the outcome tables and the independent oracle,
-    Tr[W (x)_parties CJ] by its definition: W written whole by ``dense()``,
-    then traced against each party's stacked CJ tensors
+    """The independent oracle of the outcome tables, which only the tests
+    call: Tr[W (x)_parties CJ] by its definition, W written whole by
+    ``dense()``, then traced against each party's stacked CJ tensors
     [t, e, r_in, r_out, c_in, c_out], built from the kets by the double-sum
     definition, one ``_batched_tensordot`` step per party in party order.
     The table comes back C-contiguous with its element axes in party order.
@@ -403,7 +373,7 @@ def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     worst_imag = float(np.max(np.abs(table.imag)))
     if not worst_imag <= 1e-10 and np.isfinite(table.real).all():
         raise ProcmatError(f"probability has imaginary part {worst_imag:.3e}")
-    # C-ordered, as the factorized backend's table is
+    # C-ordered, as the factorized kernel's table is
     return np.ascontiguousarray(table.real)
 
 
@@ -513,7 +483,7 @@ def _trial_totals(w: ProcessMatrix, family: InstrumentFamily, trials: int, rng: 
     size = _block_trials(w, family)
     for start in range(0, trials, size):
         block = family.draw(rng, min(size, trials - start))
-        tables = _trial_tables(w, block.kets, "factorized", first_trial=start)
+        tables = _trial_tables(w, block.kets, first_trial=start)
         totals = tables.reshape(len(tables), -1).sum(axis=1)
         del tables
         yield block, totals

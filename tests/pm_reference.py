@@ -8,6 +8,12 @@ keeps the first trial whose deviation is strictly larger than every earlier
 one.  The batched ``pm_validate`` must reproduce it: the same totals, the
 same worst trial and its descriptions, and the same random stream.
 
+``dense_tables`` is the one way the tests reach the dense oracle
+``procmat._dense_probability``, under the range guard every table gets.
+``backend_table`` gives a resource's MBQC table by a named route: the
+default fold, the literal W's factorized kernel, or the dense oracle on the
+literal W; ``instrument_kets`` stacks ``Instrument`` objects as one trial.
+
 ``double_sum_choi`` is the reference for ``procmat._choi_tensors``: the
 double sum built one (k, l) term at a time.
 
@@ -27,7 +33,38 @@ import string
 
 import numpy as np
 
-from acausal_mbqc import graphstate, mbqc, procmat, qlin
+from acausal_mbqc import acausal, graphstate, mbqc, procmat, qlin
+
+
+def dense_tables(w: procmat.ProcessMatrix, kets: procmat.Kets) -> np.ndarray:
+    """The dense oracle's validated outcome tables of a block of trials,
+    shaped (trials, E_0, ..., E_{k-1}), as ``procmat._trial_tables`` gives
+    the factorized kernel's."""
+    return procmat._validated_table(procmat._dense_probability(w, kets))
+
+
+def instrument_kets(instruments) -> procmat.Kets:
+    """One trial's kets of a mapping of party to ``Instrument``, as
+    ``procmat.outcome_table`` stacks them."""
+    return {party: (inst.measure[None], inst.reprepare[None]) for party, inst in instruments.items()}
+
+
+def backend_table(r, angles, backend: str) -> np.ndarray:
+    """``acausal.outcome_probabilities(r, angles)`` by the route ``backend``
+    names: "folded" (the default), "factorized" (``literal=True``) or
+    "dense" (``dense_tables`` on the literal W's MBQC kets, shaped as
+    ``outcome_probabilities`` shapes its tables)."""
+    if backend == "folded":
+        return acausal.outcome_probabilities(r, angles)
+    if backend == "factorized":
+        return acausal.outcome_probabilities(r, angles, literal=True)
+    assert backend == "dense", backend
+    stacked = isinstance(angles, list) and all(isinstance(a, dict) for a in angles)
+    maps = [mbqc.as_angle_map(r.base_graph, a) for a in (angles if stacked else [angles])]
+    phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
+    tables = dense_tables(r.w, procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties))
+    shape = (2**r.n_computation, 2**r.n_output)
+    return tables.reshape((len(tables), *shape) if stacked else shape)
 
 
 def random_ket(rng: np.random.Generator, num_qubits: int) -> qlin.Ket:

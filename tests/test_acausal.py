@@ -7,7 +7,7 @@ import pytest
 
 from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
-from pm_reference import kron_cz_decorated_state
+from pm_reference import backend_table, dense_tables, instrument_kets, kron_cz_decorated_state
 
 
 def perturbed_pure_ancilla(r):
@@ -26,11 +26,11 @@ def perturbed_no_decoration(r):
 def literal_table(r, w, angle):
     """P(m, z) at one uniform angle, contracted on the process matrix ``w``
     by the factorized kernel, as ``outcome_probabilities(r, angle,
-    "factorized")`` contracts the resource's literal W; the folded table
+    literal=True)`` contracts the resource's literal W; the folded table
     never reads W, so a perturbed W is contracted here."""
     phis = np.full((1, r.n_computation), float(angle))
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    return procmat._trial_tables(w, kets, "factorized")[0].reshape(
+    return procmat._trial_tables(w, kets)[0].reshape(
         2**r.n_computation, 2**r.n_output
     )
 
@@ -96,7 +96,7 @@ def test_acausal_matches_causal_enumeration_per_branch():
         r = acausal.build_resource_pm(g)
         p = mbqc.chain_pattern(g, angles=0.9)
         # the literal W: on the fold every branch m contracts the same rows
-        probs = acausal.outcome_probabilities(r, 0.9, "factorized")
+        probs = acausal.outcome_probabilities(r, 0.9, literal=True)
         bits, _, dists = mbqc.enumerate_causal(g, p)
         by_m = {tuple(row): dist for row, dist in zip(bits.tolist(), dists)}
         n_comp = g.n_computation
@@ -112,7 +112,7 @@ def test_identities_on_random_resource_graphs(seed):
     g = graphstate.random_resource_graph(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
     r = acausal.build_resource_pm(g)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
-    probs = acausal.outcome_probabilities(r, angles, "factorized")  # the literal W
+    probs = acausal.outcome_probabilities(r, angles, literal=True)
     assert acausal.branch_independence_report(probs) < 1e-10
     assert acausal.normalization_report(probs) < 1e-10
     assert r.min_eigenvalue() >= -1e-10
@@ -124,7 +124,7 @@ def test_branch_independence_holds_even_without_uniform_branches():
     r = acausal.build_resource_pm(g)
     rng = np.random.default_rng(89)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
-    probs = acausal.outcome_probabilities(r, angles, "factorized")  # the literal W
+    probs = acausal.outcome_probabilities(r, angles, literal=True)
     assert acausal.branch_independence_report(probs) < 1e-10
     assert acausal.normalization_report(probs) > 0.01
 
@@ -132,7 +132,7 @@ def test_branch_independence_holds_even_without_uniform_branches():
 def test_pure_ancilla_control_breaks_only_normalization():
     r = acausal.build_resource_pm(graphstate.chain(2))
     assert np.array_equal(
-        literal_table(r, r.w, 0.0), acausal.outcome_probabilities(r, 0.0, "factorized")
+        literal_table(r, r.w, 0.0), acausal.outcome_probabilities(r, 0.0, literal=True)
     )
     bad = literal_table(r, perturbed_pure_ancilla(r), 0.0)
     assert acausal.branch_independence_report(bad) < 1e-10
@@ -323,27 +323,16 @@ def test_build_rejects_decorated_graph():
         acausal.build_resource_pm(d)
 
 
-def test_dense_oracle_refuses_chain7_before_allocating():
-    """W of chain(7) is above the dense cap; the oracle must refuse at once."""
-    r = acausal.build_resource_pm(graphstate.chain(7))
-    start = time.perf_counter()
-    with pytest.raises(config.RegisterCapError):
-        acausal.outcome_probabilities(r, 0.0, "dense")
-    assert time.perf_counter() - start < 1.0
-
-
-def test_dense_refusal_builds_no_literal_w(monkeypatch):
-    """Above the dense operator cap the dense table refuses from (N, n, cap)
-    alone, with the operator cap's message, before the literal W, or any
-    graph state, is built."""
-    r = acausal.build_resource_pm(graphstate.chain(7))
-    monkeypatch.setattr(graphstate, "graph_state", None)
+def test_dense_oracle_refuses_chain7_before_allocating(monkeypatch):
+    """W of chain(7) is above the dense operator cap; its ``dense()`` refuses
+    at once, with the operator cap's message, before it allocates."""
+    w = acausal.build_resource_pm(graphstate.chain(7)).w
+    monkeypatch.setattr(np, "zeros", None)
     message = "dense process matrix needs 14 qubits, above the operator cap 12"
+    start = time.perf_counter()
     with pytest.raises(config.RegisterCapError, match=message):
-        acausal.outcome_probabilities(r, 0.0, "dense")
-    with pytest.raises(config.RegisterCapError, match=message):
-        acausal.outcome_probabilities(r, [{c: 0.0 for c in r.base_graph.computation}], "dense")
-    assert "w" not in vars(r)
+        w.dense()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_backend_agreement_walks_the_positive_branch_on_chain7(monkeypatch):
@@ -386,17 +375,9 @@ def test_backend_agreement_catches_a_wrong_w_that_the_dense_oracle_passes(g, per
     bad = literal_table(r, bad_w, 0.7)
     phis = np.full((1, r.n_computation), 0.7)
     kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    dense = procmat._trial_tables(bad_w, kets, "dense")[0].reshape(bad.shape)
+    dense = dense_tables(bad_w, kets)[0].reshape(bad.shape)
     assert float(np.max(np.abs(dense - bad))) <= 1e-12
     assert acausal.backend_agreement(r, 0.7, bad) > 0.05
-
-
-def test_an_unknown_backend_is_refused_before_the_literal_w_is_built(monkeypatch):
-    r = acausal.build_resource_pm(graphstate.chain(3))
-    monkeypatch.setattr(graphstate, "graph_state", None)
-    with pytest.raises(procmat.ProcmatError, match="unknown backend 'factorised'"):
-        acausal.outcome_probabilities(r, 0.0, "factorised")
-    assert "w" not in vars(r)
 
 
 def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
@@ -413,7 +394,8 @@ def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
 @pytest.mark.parametrize("backend", ["factorized", "dense"])
 def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
     """``outcome_probabilities`` builds no instrument objects, yet gives the
-    bytes of ``outcome_table`` over ``alice_instrument``/``bob_instrument``."""
+    bytes of the table over ``alice_instrument``/``bob_instrument``, by the
+    literal W's factorized kernel and by the dense oracle."""
     rng = np.random.default_rng(23)
     graphs = [graphstate.chain(3), graphstate.parallel_chains([2, 2])]
     graphs += [graphstate.random_resource_graph(rng, 3, 2) for _ in range(3)]
@@ -425,9 +407,23 @@ def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
             for party, c in zip(r.alice_parties, g.computation)
         }
         instruments.update({party: procmat.bob_instrument() for party in r.bob_parties})
-        reference = procmat.outcome_table(r.w, instruments, backend)
-        table = acausal.outcome_probabilities(r, ang, backend)
+        if backend == "dense":
+            reference = dense_tables(r.w, instrument_kets(instruments))
+        else:
+            reference = procmat.outcome_table(r.w, instruments)
+        table = backend_table(r, ang, backend)
         assert np.array_equal(table, reference.reshape(table.shape)), (g.edges, ang)
+
+
+def test_table_options_are_keyword_only():
+    """A stale positional backend name is refused: taken positionally, the
+    string would be a truthy ``literal`` or a ``first_trial``."""
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    with pytest.raises(TypeError):
+        acausal.outcome_probabilities(r, 0.0, "dense")
+    kets = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.alice_parties, r.bob_parties)
+    with pytest.raises(TypeError):
+        procmat._trial_tables(r.w, kets, "dense")
 
 
 def test_table_kets_get_the_ket_tests(monkeypatch):
@@ -459,7 +455,7 @@ def test_stacked_angle_sets_equal_their_single_tables(g):
     sets.append({c: 0.0 for c in g.computation})
     backends = ["factorized", "dense"] if r.w.num_qubits <= 8 else ["factorized"]
     for backend in backends:
-        stacked = acausal.outcome_probabilities(r, sets, backend)
+        stacked = backend_table(r, sets, backend)
         assert stacked.shape == (len(sets), 2**g.n_computation, 2**g.n_output)
         for ang, table in zip(sets, stacked):
-            assert np.array_equal(table, acausal.outcome_probabilities(r, ang, backend))
+            assert np.array_equal(table, backend_table(r, ang, backend))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from acausal_mbqc import acausal, config, game, graphstate, mbqc, procmat
+from pm_reference import backend_table
 
 ATOL = 1e-10
 BREAKDOWN_DEV = 0.01  # a non-uniform-branch graph must deviate by more at some angle set
@@ -85,7 +86,7 @@ def test_criterion_02_branch_independence_sweep():
     worst_at = ""
     for name, g, r in resource_suite():
         for ang in angle_sets_for(g):
-            probs = acausal.outcome_probabilities(r, ang, "factorized")
+            probs = acausal.outcome_probabilities(r, ang, literal=True)
             dev = acausal.branch_independence_report(probs)
             if dev > worst:
                 worst, worst_at = dev, name
@@ -293,8 +294,8 @@ def test_criterion_10_backend_agreement():
         if g.n_computation + g.n_output > 5:
             continue
         for ang in angle_sets_for(g, count=3):
-            dense = acausal.outcome_probabilities(r, ang, "dense")
-            factorized = acausal.outcome_probabilities(r, ang, "factorized")
+            dense = backend_table(r, ang, "dense")
+            factorized = acausal.outcome_probabilities(r, ang, literal=True)
             worst = max(worst, float(np.max(np.abs(dense - factorized))))
         checked += 1
     print(f"criterion 10: worst backend disagreement {worst:.2e} over {checked} graphs")
@@ -311,7 +312,7 @@ def test_criterion_11_every_branch_is_the_positive_branch():
     checked = 0
     for name, g, r in resource_suite():
         for ang in angle_sets_for(g, count=3):
-            probs = acausal.outcome_probabilities(r, ang, "factorized")
+            probs = acausal.outcome_probabilities(r, ang, literal=True)
             worst = max(worst, acausal.backend_agreement(r, ang, probs))
         checked += 1
     print(f"criterion 11: worst positive-branch deviation {worst:.2e} over {checked} graphs")

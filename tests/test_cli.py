@@ -328,6 +328,43 @@ def test_verify_checks_the_agreement_above_the_dense_operator_cap(
     assert rep["backend_agreement_max_dev"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph-state"],
+        ["resource-pm"],
+        ["verify"],
+        ["verify", "--shots", "1000"],
+        ["signal"],
+        ["postselect"],
+        # at angle 0 chain(3) is no deterministic game instance (exit 2)
+        ["game", "--angles", "1.5707963267948966"],
+        ["pm-validate"],
+        ["pm-validate", "--family", "rank1"],
+    ],
+    ids=[
+        "graph-state", "resource-pm", "verify", "verify-shots", "signal", "postselect",
+        "game", "pm-validate", "pm-validate-rank1",
+    ],
+)
+def test_no_command_reaches_the_dense_oracle(capsys, p3_file, monkeypatch, argv):
+    """With the dense oracle's entry points (its table, ``dense()`` and the
+    Choi tensors) made to raise, every command on chain(3) prints the report
+    and exits 0, as it does unpatched."""
+    argv = [*argv, "--graph", p3_file, "--json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*a, **k):
+        raise AssertionError("a command reached the dense oracle")
+
+    monkeypatch.setattr(procmat, "_dense_probability", refuse)
+    monkeypatch.setattr(procmat.ProcessMatrix, "dense", refuse)
+    monkeypatch.setattr(procmat, "_choi_tensors", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("command", ["resource-pm", "verify"])
 def test_chain7_positivity_floor_is_exact_and_fast(capsys, tmp_path, command):
     """W of chain(7) is 2^14-square; its floor comes from the factor, not from an eigvalsh."""

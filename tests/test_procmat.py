@@ -5,7 +5,13 @@ import pytest
 
 from acausal_mbqc import acausal, graphstate, procmat, qlin
 from acausal_mbqc.procmat import ProcmatError, ProcessMatrix
-from pm_reference import cptp_check, density_pm, random_ket, random_single_qubit_basis
+from pm_reference import (
+    cptp_check,
+    dense_tables,
+    density_pm,
+    random_ket,
+    random_single_qubit_basis,
+)
 
 KET0 = qlin.basis_ket([0])
 
@@ -148,8 +154,8 @@ def test_factorized_and_dense_backends_agree():
     basis = random_single_qubit_basis(rng)
     for k in (0, 1):
         element = (basis[k].amplitudes, random_ket(rng, 1).amplitudes)
-        pf = procmat.pm_probability(w, {"A": element}, backend="factorized")
-        pd = procmat.pm_probability(w, {"A": element}, backend="dense")
+        pf = procmat.pm_probability(w, {"A": element})
+        pd = dense_tables(w, {"A": (element[0][None, None], element[1][None, None])}).item()
         born = float(abs(np.vdot(basis[k].amplitudes, psi.amplitudes)) ** 2)
         assert pf == pytest.approx(pd, abs=1e-12)
         assert pf == pytest.approx(born, abs=1e-12)
@@ -208,7 +214,6 @@ def test_instrument_errors_name_the_field_and_no_foreign_option():
 
 
 def test_clamp_counter_and_range_guard():
-    procmat.reset_clamped_probability_count()
     before = procmat.clamped_probability_count()
     assert procmat._validated_table(-5e-11) == 0.0
     assert procmat.clamped_probability_count() == before + 1
@@ -218,8 +223,6 @@ def test_clamp_counter_and_range_guard():
         procmat._validated_table(-2e-8)
     with pytest.raises(ProcmatError):
         procmat._validated_table(1.0 + 2e-8)
-    procmat.reset_clamped_probability_count()
-    assert procmat.clamped_probability_count() == 0
 
 
 def test_pm_validate_worst_assignment_is_reported():
@@ -245,24 +248,13 @@ def test_pm_validate_names_the_failing_trial():
     assert all(desc.startswith("measure ") for desc in report.worst_assignment.values())
 
 
-def test_unknown_backend_is_refused():
-    """Two backends are named, "factorized" and "dense"; any other name,
-    "auto" included, is refused."""
-    w = density_pm(random_ket(np.random.default_rng(89), 2))
-    instruments = {"P1": procmat.alice_instrument(0.4), "P2": procmat.bob_instrument()}
-    for backend in ("auto", "sparse"):
-        with pytest.raises(ProcmatError, match="unknown backend"):
-            procmat.outcome_table(w, instruments, backend=backend)
-
-
-@pytest.mark.parametrize("backend", [None, "factorized"], ids=["default", "factorized"])
-def test_factorized_table_never_builds_a_choi_operator(monkeypatch, backend):
+@pytest.mark.parametrize("kwargs", [{}, {"literal": True}], ids=["default", "factorized"])
+def test_factorized_table_never_builds_a_choi_operator(monkeypatch, kwargs):
     r = acausal.build_resource_pm(graphstate.chain(4))
 
     def refuse(measure, reprepare):
         raise AssertionError("the factorized backend built Choi tensors")
 
     monkeypatch.setattr(procmat, "_choi_tensors", refuse)
-    kwargs = {} if backend is None else {"backend": backend}
     table = acausal.outcome_probabilities(r, 0.7, **kwargs)
     assert float(table.sum()) == pytest.approx(1.0, abs=1e-10)

@@ -1,18 +1,19 @@
 """Property tests for the outcome-table kernel ``procmat.outcome_table``.
 
-Its two backends, the factorized overlap and the dense-trace oracle, must
-agree with each other and with the first-principles Born amplitude of
-criterion 05 on random uniform-branch graphs with N + n <= 5, and its range
-guard must clamp and count each tiny negative entry once.  The dense kernel,
+The factorized overlap and the dense-trace oracle, which the tests reach
+through ``pm_reference.dense_tables``, must agree with each other and with
+the first-principles Born amplitude of criterion 05 on random uniform-branch
+graphs with N + n <= 5, and the range guard must clamp and count each tiny
+negative entry once.  The dense kernel,
 the definition Tr[W (x) CJ] traced one party at a time, must equal the
 factorized kernel on random W, come back C-contiguous in party order, and
 peak below 2.25 copies of W.  The trace and positivity floor that W reads
 off its pure factor must match the materialized dense operator, and that
 operator must equal, entry for entry, the plain kron of the projector with
-I/2 per mixed qubit, built with one ``HermOp``.  Every backend's table of a
-resource must equal, in every branch, the positive branch of the causal
-walk, which is ``backend_agreement``'s route, with or without uniform
-branches.
+I/2 per mixed qubit, built with one ``HermOp``.  Every route's table of a
+resource (``pm_reference.backend_table``) must equal, in every branch, the
+positive branch of the causal walk, which is ``backend_agreement``'s route,
+with or without uniform branches.
 """
 
 import itertools
@@ -27,8 +28,11 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, procmat, qlin
 from pm_reference import (
+    backend_table,
+    dense_tables,
     density_pm,
     double_sum_choi,
+    instrument_kets,
     random_ket,
     rank_one_sampler,
 )
@@ -61,7 +65,7 @@ def test_backends_match_first_principles_born_rule(case):
         ]
     )
     for backend in ("factorized", "dense"):
-        table = acausal.outcome_probabilities(r, ang, backend=backend)
+        table = backend_table(r, ang, backend)
         assert table.shape == born.shape
         assert float(np.max(np.abs(table - born))) <= ATOL, backend
 
@@ -72,8 +76,8 @@ def test_backends_agree_on_random_rank_one_instruments(case, seed):
     _, r, _ = case
     parties = r.alice_parties + r.bob_parties
     instruments = rank_one_sampler(parties)(np.random.default_rng(seed))
-    fact = procmat.outcome_table(r.w, instruments, backend="factorized")
-    dense = procmat.outcome_table(r.w, instruments, backend="dense")
+    fact = procmat.outcome_table(r.w, instruments)
+    dense = dense_tables(r.w, instrument_kets(instruments))[0]
     assert fact.shape == (2,) * len(parties)
     assert float(np.max(np.abs(fact - dense))) <= ATOL
 
@@ -106,8 +110,8 @@ def test_folded_table_equals_the_literal_w(case, seed):
     family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
     for kets in (mbqc_kets, family.draw(rng, 3).kets):
         folded = acausal._folded_table(r, kets)
-        for backend in ("factorized", "dense"):
-            literal = procmat._trial_tables(r.w, kets, backend)
+        for backend, kernel in (("factorized", procmat._trial_tables), ("dense", dense_tables)):
+            literal = kernel(r.w, kets)
             assert folded.shape == literal.shape
             assert float(np.max(np.abs(folded - literal))) <= 1e-14, backend
     sets = [dict(zip(g.computation, row)) for row in phis.tolist()]
@@ -142,7 +146,7 @@ def test_positive_branch_walk_agrees_with_every_backend(case):
     the fold to 1e-12, on graphs with and without uniform branches."""
     r, ang = case
     for backend in ("factorized", "dense", "folded"):
-        table = acausal.outcome_probabilities(r, ang, backend)
+        table = backend_table(r, ang, backend)
         assert acausal.backend_agreement(r, ang, table) <= ATOL, backend
 
 
@@ -389,19 +393,20 @@ def test_a_nan_imaginary_part_is_refused(monkeypatch):
 
     monkeypatch.setattr(procmat, "_batched_tensordot", planting)
     with pytest.raises(procmat.ProcmatError, match="imaginary part nan"):
-        procmat._trial_tables(w, kets, "dense")
+        dense_tables(w, kets)
     assert len(steps) == len(w.parties)
 
 
 def test_dense_table_refuses_above_the_cap_before_allocating():
-    """W of chain(7) has 14 qubits, above the dense operator cap: neither W
-    nor a table or Choi tensor is allocated."""
-    r = acausal.build_resource_pm(graphstate.chain(7))
+    """W of chain(7) has 14 qubits, above the dense operator cap: its
+    ``dense()`` refuses, and neither W nor a table or Choi tensor is
+    allocated."""
+    w = acausal.build_resource_pm(graphstate.chain(7)).w
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with pytest.raises(config.RegisterCapError):
-            acausal.outcome_probabilities(r, 0.0, backend="dense")
+            w.dense()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -420,7 +425,7 @@ def test_dense_table_of_chain5_peaks_below_2_25_copies_of_w():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        table = procmat.outcome_table(w, instruments, "dense")
+        table = dense_tables(w, instrument_kets(instruments))[0]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -429,8 +434,8 @@ def test_dense_table_of_chain5_peaks_below_2_25_copies_of_w():
 
 
 def with_raw_table(monkeypatch, backend, raw):
-    """Make ``backend`` return ``raw`` as its one-trial stack, so that only the
-    table's range guard acts on it."""
+    """Make the ``backend`` kernel return ``raw`` as its one-trial stack, so
+    that only the table's range guard acts on it."""
     monkeypatch.setattr(procmat, f"_{backend}_probability", lambda w, kets: raw[None].copy())
     return acausal.build_resource_pm(graphstate.chain(2))
 
@@ -439,7 +444,7 @@ def with_raw_table(monkeypatch, backend, raw):
 def test_table_clamps_and_counts_each_tiny_negative_entry(monkeypatch, backend):
     r = with_raw_table(monkeypatch, backend, np.array([[-5e-11, 0.5], [-1e-9, 0.5]]))
     before = procmat.clamped_probability_count()
-    table = acausal.outcome_probabilities(r, 0.0, backend=backend)
+    table = backend_table(r, 0.0, backend)
     assert procmat.clamped_probability_count() == before + 2
     assert table.tolist() == [[0.0, 0.5], [0.0, 0.5]]
 
@@ -450,5 +455,5 @@ def test_table_rejects_out_of_range_entry(monkeypatch, backend, value):
     r = with_raw_table(monkeypatch, backend, np.array([[0.25, 0.25], [value, 0.25]]))
     before = procmat.clamped_probability_count()
     with pytest.raises(procmat.ProcmatError, match=re.escape(f"{value!r} at outcome (1, 0)")):
-        acausal.outcome_probabilities(r, 0.0, backend=backend)
+        backend_table(r, 0.0, backend)
     assert procmat.clamped_probability_count() == before
