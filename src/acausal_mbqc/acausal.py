@@ -27,9 +27,9 @@ reprepare ket.  The fold holds for every rank-1 element, and
 factorized kernel as W's own table (``literal=True``), on half as many
 qubits.
 
-The literal W is built on the first read of ``ResourcePM.w`` (or of
-``decorated_graph`` or ``decorated_state``), and that build checks the
-decoration identity two ways.  The commands that check the paper's
+The literal W is built on the first read of ``ResourcePM.w``, and that
+build checks the decoration identity two ways; its pure factor
+``r.w.pure`` is the decorated state.  The commands that check the paper's
 identities (``verify``, ``resource-pm``, ``pm-validate``) read it: on the
 fold every branch m contracts the same rows of |G>, so a branch-independence
 figure computed there would read 0.0 by construction and show nothing.
@@ -69,9 +69,8 @@ class AcausalError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class ResourcePM:
     """The resource of a graph: its plain graph state, the graph and the
-    resolved cap.  The literal W (``w``), the decorated graph and the
-    decorated state are built on first read; W's build checks the
-    decoration identity."""
+    resolved cap.  The literal W (``w``) and the decorated graph are built
+    on first read; W's build checks the decoration identity."""
 
     plain: qlin.Ket
     base_graph: Graph
@@ -106,11 +105,6 @@ class ResourcePM:
         scale = float(2 ** (self.n_computation + self.n_output))
         return ProcessMatrix(self.alice_parties + self.bob_parties, route_a, scale)
 
-    @property
-    def decorated_state(self) -> qlin.Ket:
-        """W's pure factor: the decorated graph state, built with W."""
-        return self.w.pure
-
     @functools.cached_property
     def alice_parties(self) -> tuple[str, ...]:
         return tuple(f"A{j + 1}" for j in range(self.n_computation))
@@ -118,12 +112,6 @@ class ResourcePM:
     @functools.cached_property
     def bob_parties(self) -> tuple[str, ...]:
         return tuple(f"B{t + 1}" for t in range(self.n_output))
-
-    def trace(self) -> float:
-        return self.w.trace()
-
-    def min_eigenvalue(self) -> float:
-        return self.w.min_eigenvalue()
 
     def layout(self) -> dict[str, dict[str, str]]:
         """Party -> {input: vertex, output: vertex-or-ancilla}, in party order:
@@ -292,9 +280,9 @@ class PostselectResult:
 def postselected_sampler(
     r: ResourcePM, angles, shots: int, seed: int | None = None
 ) -> PostselectResult:
-    """Sample the resource's decorated state (built with the literal W on
-    first read), keep runs where pendants echo outcomes and ancilla bits
-    match the readout.
+    """Sample the resource's decorated state, the literal W's pure factor
+    (built on first read), keep runs where pendants echo outcomes and
+    ancilla bits match the readout.
 
     Every computation vertex is rotated into its equatorial basis once, so a
     basis-state draw of the whole register is exactly a joint Born sample of
@@ -317,7 +305,7 @@ def postselected_sampler(
     n_comp, n_out = g.n_computation, g.n_output
     seed = config.DEFAULT_SEED if seed is None else int(seed)
 
-    state = r.decorated_state
+    state = r.w.pure
     for j, c in enumerate(g.computation):
         # basis change: row m is <phi^m|, so basis-state bit j becomes outcome m_j
         rows = qlin.equatorial_kets(ang[c]).conj()

@@ -259,8 +259,8 @@ def _cmd_resource_pm(ns: argparse.Namespace) -> int:
     r = acausal.build_resource_pm(g, ns.cap)
     expected = float(2 ** (g.n_computation + g.n_output))
     report = {
-        "trace": r.trace(),
-        "min_eigenvalue": r.min_eigenvalue(),
+        "trace": r.w.trace(),
+        "min_eigenvalue": r.w.min_eigenvalue(),
         "num_qubits": r.w.num_qubits,
         "layout": r.layout(),
     }
@@ -284,8 +284,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     report = {
         "branch_independence_max_dev": acausal.branch_independence_report(probs),
         "normalization_dev": acausal.normalization_report(probs),
-        "min_eigenvalue": r.min_eigenvalue(),
-        "trace": r.trace(),
+        "min_eigenvalue": r.w.min_eigenvalue(),
+        "trace": r.w.trace(),
         # the positive-branch walk, on the plain graph state: it fits wherever W does
         "backend_agreement_max_dev": acausal.backend_agreement(r, ang, probs),
     }

@@ -114,26 +114,25 @@ def girls_first_p0(
     correct: bool = True,
     shots: int = 0,
     seed: int | None = None,
-    cap: int | None = None,
 ) -> float:
     """Success probability when all measurements happen before readout.
 
     shots = 0 reads the exact score the instance holds from its split walk;
     shots > 0 estimates it from that many seeded causal runs, each descending
-    the tree of one split walk under ``cap`` (``mbqc.sample_causal``).
+    the tree of one split walk (``mbqc.sample_causal``).
     """
     if shots == 0:
         return inst.p0_corrected if correct else inst.p0_uncorrected
     if shots < 0:
         raise GameError("shots must be nonnegative")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
-    _, z, _ = mbqc.sample_causal(inst.graph, inst.pattern, shots, rng, correct=correct, cap=cap)
+    _, z, _ = mbqc.sample_causal(inst.graph, inst.pattern, shots, rng, correct=correct)
     return int(np.count_nonzero(~z.any(axis=1))) / shots
 
 
-def boys_first_p0(inst: GameInstance, cap: int | None = None) -> float:
+def boys_first_p0(inst: GameInstance) -> float:
     """Success probability when the outputs are read out first: <0^n| Tr_C |G><G| |0^n>."""
-    return _boys_first(inst.graph, graphstate.graph_state(inst.graph, cap))
+    return _boys_first(inst.graph, graphstate.graph_state(inst.graph))
 
 
 def _boys_first(g: Graph, state: Ket) -> float:

@@ -312,17 +312,11 @@ def vee_graph() -> Graph:
     return Graph(("c0", "c1", "o0"), (("c0", "o0"), ("c1", "o0")), ("c0", "c1"), ("o0",))
 
 
-def random_connected_graph(
-    rng: np.random.Generator,
-    n_computation: int,
-    n_output: int,
-    *,
-    edge_probability: float = 0.3,
-) -> Graph:
+def random_connected_graph(rng: np.random.Generator, n_computation: int, n_output: int) -> Graph:
     """Random simple connected graph on labeled C and O vertices.
 
     A random spanning tree guarantees connectivity; every remaining pair is
-    then added independently with ``edge_probability``.
+    then added independently with probability 0.3.
     """
     if n_computation < 1 or n_output < 1:
         raise GraphError(["need at least one computation and one output vertex"])
@@ -331,7 +325,7 @@ def random_connected_graph(
     rng.shuffle(order)
     edges = {tuple(sorted((order[i], order[int(rng.integers(0, i))]))) for i in range(1, len(order))}
     for pair in itertools.combinations(sorted(verts), 2):
-        if pair not in edges and rng.random() < edge_probability:
+        if pair not in edges and rng.random() < 0.3:
             edges.add(pair)
     return Graph(verts, sorted(edges), verts[:n_computation], verts[n_computation:])
 
@@ -404,6 +398,6 @@ def load_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphError([f"invalid JSON in {path}: {exc}"]) from exc
     return graph_from_json(obj)

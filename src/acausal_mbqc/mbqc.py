@@ -228,9 +228,7 @@ def _walk(g: Graph, p: Pattern, cap=None):
 SHOT_BLOCK = 2**16  # shots per block of uniforms: a block's draws stay a few MB
 
 
-def sample_causal(
-    g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *, correct=True, cap=None
-):
+def sample_causal(g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *, correct=True):
     """``shots`` adaptive runs (measure C in order, correct, read out O): outcome
     bits (shots, N) in C order, readout bits (shots, n) in O order and each C
     history's Born weight.  Row r equals the r-th of ``shots`` single runs.
@@ -245,7 +243,7 @@ def sample_causal(
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    m, weight, state, p0 = _walk(g, p, cap)
+    m, weight, state, p0 = _walk(g, p)
     if correct:
         state = _byproducts(g, p, m, state)
     for _ in g.output:  # only O is left, in O order, so each readout is axis 0
@@ -384,7 +382,18 @@ def pattern_from_json(obj) -> Pattern:
         ):
             raise PatternError(f"{name} must map vertex labels to lists of labels")
         deps[name] = block
-    return make_pattern(obj["order"], obj["angles"], **deps)
+    angles = {v: _json_angle(v, a) for v, a in obj["angles"].items()}
+    return make_pattern(obj["order"], angles, **deps)
+
+
+def _json_angle(v: str, a) -> float:
+    """A pattern document's angle at ``v``: JSON true/false refused, ints must fit a float."""
+    if isinstance(a, bool):
+        raise PatternError(f"angle for {v!r} must be a number, got {json.dumps(a)}")
+    try:
+        return float(a)
+    except OverflowError:
+        raise PatternError(f"angle for {v!r} is an integer too large for a float") from None
 
 
 def pattern_to_json(p: Pattern) -> dict:
@@ -402,6 +411,6 @@ def load_pattern(path) -> Pattern:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PatternError(f"invalid JSON in {path}: {exc}") from exc
     return pattern_from_json(obj)

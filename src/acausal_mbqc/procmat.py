@@ -401,7 +401,7 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily) -> int:
     multiplied, and its output, so three copies of the largest intermediate
     bound every step.
     """
-    elements = family.elements
+    elements = 2  # every family draws two-outcome instruments
     stack = elements * 2  # entries of one party's measure or reprepare kets
     # the block's kets, and two copies of one stack in its unit-ket check
     kets = (2 * len(w.parties) + 2) * stack
@@ -449,7 +449,7 @@ class InstrumentFamily:
     """A distribution over instrument tuples, sampled a block of trials at a time.
 
     ``draw(rng, trials)`` returns an ``InstrumentBlock`` over ``parties``
-    whose instruments each have ``elements`` outcomes.  Drawing T trials
+    whose instruments each have two outcomes.  Drawing T trials
     consumes ``rng`` exactly as T one-trial draws do, so the block size
     never changes which instruments a seed gives.  ``draw_bytes`` is what
     a draw allocates per trial besides the kets it returns, counted from the
@@ -457,7 +457,6 @@ class InstrumentFamily:
     """
 
     parties: tuple[str, ...]
-    elements: int
     draw: Callable[[np.random.Generator, int], InstrumentBlock]
     draw_bytes: int
 
@@ -553,7 +552,7 @@ def mbqc_instrument_family(
     # per Alice: her angle, its phase, her equatorial kets before their
     # 1/sqrt(2) scaling and the two copies of them that ``mbqc_kets``'s check
     # makes; the readouts are one broadcast array
-    return InstrumentFamily(alices + bobs, 2, draw, len(alices) * (8 + 16 * (1 + 4 + 8)))
+    return InstrumentFamily(alices + bobs, draw, len(alices) * (8 + 16 * (1 + 4 + 8)))
 
 
 def _vector_norms(vecs: np.ndarray) -> np.ndarray:
@@ -609,4 +608,4 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     # per party: 16 normals, |d| and 4 pairs of norm sums (26 reals), and
     # the complex i*x terms and sums that make g and vec (16), the copy, tau,
     # Q and R of numpy's QR (14) and d/|d| (2)
-    return InstrumentFamily(parties, 2, draw, len(parties) * (8 * 26 + 16 * 32))
+    return InstrumentFamily(parties, draw, len(parties) * (8 * 26 + 16 * 32))

@@ -54,8 +54,8 @@ def test_build_resource_pm_layout_and_shape():
 )
 def test_trace_and_positivity(g):
     r = acausal.build_resource_pm(g)
-    assert r.trace() == pytest.approx(2.0 ** (g.n_computation + g.n_output), abs=1e-9)
-    assert r.min_eigenvalue() >= -1e-10
+    assert r.w.trace() == pytest.approx(2.0 ** (g.n_computation + g.n_output), abs=1e-9)
+    assert r.w.min_eigenvalue() >= -1e-10
 
 
 PAPER_GRAPHS = {f"chain{n}": graphstate.chain(n) for n in range(2, 6)}
@@ -115,7 +115,7 @@ def test_identities_on_random_resource_graphs(seed):
     probs = acausal.outcome_probabilities(r, angles, literal=True)
     assert acausal.branch_independence_report(probs) < 1e-10
     assert acausal.normalization_report(probs) < 1e-10
-    assert r.min_eigenvalue() >= -1e-10
+    assert r.w.min_eigenvalue() >= -1e-10
 
 
 def test_branch_independence_holds_even_without_uniform_branches():
@@ -286,7 +286,8 @@ def test_the_literal_w_is_built_once_on_first_read(monkeypatch):
     assert calls == [None]
     w = r.w
     assert [c is not None for c in calls] == [False, True]
-    assert r.w is w and r.decorated_state is w.pure and len(calls) == 2
+    # W's pure factor is the decorated state, on 2N + n = 7 qubits
+    assert r.w is w and r.w.pure.num_qubits == 7 and len(calls) == 2
 
 
 def _flip_one_sign(amps):
@@ -388,7 +389,7 @@ def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
 
     monkeypatch.setattr(qlin.HermOp, "__init__", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    assert acausal.build_resource_pm(graphstate.chain(4)).min_eigenvalue() == 0.0
+    assert acausal.build_resource_pm(graphstate.chain(4)).w.min_eigenvalue() == 0.0
 
 
 @pytest.mark.parametrize("backend", ["factorized", "dense"])

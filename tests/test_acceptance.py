@@ -70,7 +70,7 @@ def test_criterion_01_resource_construction_and_trace():
     rows = []
     for name, g, r in resource_suite():
         expected = 2.0 ** (g.n_computation + g.n_output)
-        rows.append((name, abs(r.trace() - expected)))
+        rows.append((name, abs(r.w.trace() - expected)))
     elapsed = time.perf_counter() - start
     worst = max(dev for _, dev in rows)
     print(f"criterion 01: {len(rows)} graphs built, worst trace dev {worst:.2e}, {elapsed:.2f}s")
@@ -150,9 +150,9 @@ def test_criterion_04_pm_validity():
     worst_eig = 0.0
     worst_trace = 0.0
     for name, g, r in resource_suite():
-        worst_eig = min(worst_eig, r.min_eigenvalue())
+        worst_eig = min(worst_eig, r.w.min_eigenvalue())
         worst_trace = max(
-            worst_trace, abs(r.trace() - 2.0 ** (g.n_computation + g.n_output))
+            worst_trace, abs(r.w.trace() - 2.0 ** (g.n_computation + g.n_output))
         )
     print(f"criterion 04: min eigenvalue {worst_eig:.2e}, worst trace dev {worst_trace:.2e}")
     assert worst_eig >= -ATOL

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
+import acausal_mbqc
 from acausal_mbqc import acausal, cli, config, graphstate, mbqc, procmat
 
 
@@ -255,6 +260,25 @@ def test_malformed_graph_payload_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": ["a"], "edges": []}))
     assert cli.main(["verify", "--graph", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--pattern"])
+def test_deeply_nested_json_file_exits_2_without_a_traceback(tmp_path, p2_file, flag):
+    """The JSON decoder's RecursionError is an input error, not a crash (exit 1)."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    files = {"--graph": p2_file, flag: str(nested)}
+    argv = ["game", *(part for item in files.items() for part in item)]
+    src = str(Path(acausal_mbqc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "acausal_mbqc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: invalid JSON in {nested}")
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_angle_csv_exits_2(capsys, p2_file):

@@ -1,14 +1,20 @@
-"""The checking commands' ``--json`` reports, pinned byte for byte.
+"""Every command's ``--json`` report, pinned byte for byte.
 
 ``verify``, ``resource-pm`` and ``pm-validate`` check the paper's identities
 on the literal W, so their reports must not move when the commands that only
 use the resource read the folded table instead.  ``golden_reports.json``
-holds, per case, the graph preset, the argv, the exit code and the stdout,
-captured at commit 76832be, whose every table contracted the literal W; each
-case here reruns its argv on a fresh graph file and compares.  The
-``backend_agreement_max_dev`` line of the chain(3) and chain(4) ``verify``
-cases was re-captured when that field moved from the dense oracle to the
-positive-branch walk; every other byte is the 76832be capture.
+holds, per case, the graph preset, the argv, the exit code and the stdout;
+each case here reruns its argv on a fresh graph file and compares.
+
+The checking commands' cases were captured at commit 76832be, whose every
+table contracted the literal W.  The ``backend_agreement_max_dev`` line of
+the chain(3) and chain(4) ``verify`` cases was re-captured when that field
+moved from the dense oracle to the positive-branch walk; every other byte of
+those cases is the 76832be capture.  The use commands' cases (``signal``,
+``game``, ``postselect`` and ``graph-state``) were captured at commit
+2ba7c17; ``game`` on chain(3) exits 2 with empty stdout, since an odd chain
+is no deterministic game instance, and ``postselect`` at 20 000 shots exits
+1, its TV above the 0.02 limit.
 """
 
 import json

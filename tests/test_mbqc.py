@@ -200,3 +200,10 @@ def test_pattern_json_roundtrip(tmp_path):
 def test_pattern_from_json_rejects_unknown_keys():
     with pytest.raises(PatternError):
         mbqc.pattern_from_json({"order": ["c0"], "angles": {"c0": 0.0}, "bogus": 1})
+
+
+@pytest.mark.parametrize("angle", [True, 10**400], ids=["true", "1e400-int"])
+def test_pattern_from_json_refuses_angles_that_are_no_finite_float(angle):
+    """JSON ``true`` is a Python int, and an integer may overflow a float."""
+    with pytest.raises(PatternError, match="angle for 'c1'"):
+        mbqc.pattern_from_json({"order": ["c0", "c1"], "angles": {"c0": 0.0, "c1": angle}})

@@ -1,10 +1,15 @@
 """The README's ``## Library`` example runs as printed, on the names the package exports.
 
 A trimmed ``__init__`` or a renamed function must fail here rather than
-leave the documented API broken.
+leave the documented API broken, and a name exported beyond the README's
+``am.<name>`` set must fail too.
 """
 
+import os
 import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,6 +35,34 @@ def test_every_name_the_readme_uses_is_exported():
     assert not missing, f"README uses names acausal_mbqc does not export: {missing}"
 
 
+def test_every_name_the_package_exports_is_in_the_readme():
+    """The reverse: the top level holds the README's API and no more."""
+    used = set(re.findall(r"\bam\.(\w+)", README.read_text(encoding="utf-8")))
+    exported = {
+        name
+        for name, value in vars(acausal_mbqc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    extra = sorted(exported - used)
+    assert not extra, f"acausal_mbqc exports names README does not use: {extra}"
+
+
+def test_importing_the_package_alone_loads_every_module():
+    """A fresh interpreter, so no other test's imports help: ``import
+    acausal_mbqc`` binds every module that ``pkg.<module>`` readers use."""
+    modules = ["acausal", "config", "game", "graphstate", "mbqc", "procmat", "qlin"]
+    src = str(Path(acausal_mbqc.__file__).resolve().parents[1])
+    code = f"import acausal_mbqc as pkg; print([getattr(pkg, m).__name__ for m in {modules!r}])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == f"{[f'acausal_mbqc.{m}' for m in modules]!r}\n"
+
+
 def test_library_block_runs_and_gives_the_documented_results():
     namespace: dict = {}
     exec(compile(library_block(), str(README), "exec"), namespace)
@@ -44,3 +77,4 @@ def test_library_block_runs_and_gives_the_documented_results():
     assert report["p0_acausal"] == pytest.approx(1.0, abs=1e-12)
     assert report["bound"] == 0.75 and report["violated"]
     assert am.postselection_report(s, p)["shots"] == 1_000_000
+    assert am.backend_agreement(r, 0.7, p) <= 1e-12
