@@ -70,7 +70,8 @@ class AcausalError(RuntimeError):
 class ResourcePM:
     """The resource of a graph: its plain graph state, the graph and the
     resolved cap.  The literal W (``w``) and the decorated graph are built
-    on first read; W's build checks the decoration identity."""
+    on first read; W's build checks the decoration identity, and its
+    decorated state on 2N + n qubits meets the cap then, not before."""
 
     plain: qlin.Ket
     base_graph: Graph
@@ -142,15 +143,14 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     """The resource of an undecorated graph: its plain graph state.
 
     The cap is resolved once here and carried by the resource, so the literal
-    W, the sampler and ``backend_agreement``'s walk obey the same cap.  It is
-    checked against the decorated state's 2N + n qubits, the largest
-    register the literal W allocates, before anything is allocated.
+    W, the sampler and ``backend_agreement``'s walk obey the same cap.  Each
+    register meets it where ``graphstate.graph_state`` allocates it: the
+    plain state here on N + n qubits, the decorated state on 2N + n on the
+    first read of ``w``.
     """
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
     cap = config.qubit_cap(cap)
-    k = 2 * g.n_computation + g.n_output
-    config.check_cap(k, cap, what=f"graph state on {k} vertices")
     return ResourcePM(plain=graphstate.graph_state(g, cap), base_graph=g, cap=cap)
 
 

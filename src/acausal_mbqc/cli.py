@@ -337,7 +337,7 @@ def _cmd_postselect(ns: argparse.Namespace) -> int:
 
 def _cmd_game(ns: argparse.Namespace) -> int:
     g = graphstate.load_graph(ns.graph)
-    # the resource is the largest register, so a cap refuses it before anything else
+    # the plain state is as large as any register the game holds (N + n qubits)
     r = acausal.build_resource_pm(g, ns.cap)
     # without --angles a given pattern plays its own angles
     ang = None if ns.angles is None else _angles_arg(ns.angles, g)

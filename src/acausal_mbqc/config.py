@@ -43,13 +43,3 @@ def qubit_cap(override: int | None = None) -> int:
     if cap < 1:
         raise ValueError(f"{source} must be >= 1, got {cap}")
     return cap
-
-
-def check_cap(num_qubits: int, override: int | None = None, *, what: str = "register") -> None:
-    """Raise RegisterCapError if a ``num_qubits``-qubit dense object exceeds the cap."""
-    cap = qubit_cap(override)
-    if num_qubits > cap:
-        raise RegisterCapError(
-            f"{what} needs {num_qubits} qubits, above the cap of {cap}; "
-            f"raise it via the cap argument or {CAP_ENV_VAR}"
-        )

@@ -194,10 +194,15 @@ def graph_state(g: Graph, cap: int | None = None) -> Ket:
 
     CZ application order is irrelevant (they commute), and the implementation
     is an exact sign flip, so the result is bit-identical for any edge order.
+    This is the one place a state register meets the cap, before allocation.
     """
     order = ket_order(g)
-    k = len(order)
-    config.check_cap(k, cap, what=f"graph state on {k} vertices")
+    k, cap = len(order), config.qubit_cap(cap)
+    if k > cap:
+        raise config.RegisterCapError(
+            f"graph state on {k} vertices needs {k} qubits, above the cap of {cap}; "
+            f"raise it via the cap argument or {config.CAP_ENV_VAR}"
+        )
     idx = {v: i for i, v in enumerate(order)}
     amps = np.full(2**k, 2 ** (-k / 2), dtype=np.complex128)
     view = amps.reshape((2,) * k)
@@ -398,6 +403,6 @@ def load_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise GraphError([f"invalid JSON in {path}: {exc}"]) from exc
     return graph_from_json(obj)

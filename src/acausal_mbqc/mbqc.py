@@ -411,6 +411,6 @@ def load_pattern(path) -> Pattern:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise PatternError(f"invalid JSON in {path}: {exc}") from exc
     return pattern_from_json(obj)

@@ -175,8 +175,9 @@ def basis_ket(bits: Sequence[int]) -> Ket:
 
 def equatorial_kets(phis) -> np.ndarray:
     """Amplitudes of |phi^m> = (|0> + (-1)^m e^{i phi} |1>) / sqrt(2) for an
-    array of angles, shaped ``phis.shape + (2, 2)``: outcome m, then amplitude."""
-    phase = np.exp(1j * np.asarray(phis, dtype=float))
+    array of angles, shaped ``phis.shape + (2, 2)``: outcome m, then amplitude;
+    each angle is first reduced mod 2 pi, as ``mbqc.make_pattern`` reduces it."""
+    phase = np.exp(1j * (np.asarray(phis, dtype=float) % (2.0 * np.pi)))
     kets = np.empty(phase.shape + (2, 2), dtype=np.complex128)
     kets[..., 0] = 1.0
     kets[..., 0, 1] = phase

@@ -291,9 +291,8 @@ def test_split_holds_one_state_of_amplitudes_per_step(monkeypatch, g):
     assert sizes == [2 ** (g.n_computation + g.n_output)] * (2 * g.n_computation)
 
 
-def test_exact_game_on_chain14_under_the_default_cap(monkeypatch):
+def test_exact_game_on_chain14_under_the_default_cap():
     """2^13 histories of a 14-qubit state, split in 13 steps."""
-    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
     start = time.perf_counter()
     inst = game.game_instance(graphstate.chain(14))
     assert game.girls_first_p0(inst, correct=True) == pytest.approx(1.0, abs=ATOL)
@@ -307,11 +306,10 @@ def test_exact_game_on_chain14_under_the_default_cap(monkeypatch):
     ids=["chain2", "chain4", "chain6", "chain14", "pc22"],
 )
 @pytest.mark.parametrize("angles", [0.0, 1.3], ids=["angle0", "angle1.3"])
-def test_uncorrected_girls_first_equals_boys_first(monkeypatch, g, angles):
+def test_uncorrected_girls_first_equals_boys_first(g, angles):
     """No signaling: measuring C cannot move O's marginal, so without
     corrections the split's p0 equals the z = 0 column of |G>, a route that
     shares no code with the walk."""
-    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
     ang = mbqc.as_angle_map(g, angles)
     pattern = mbqc.chain_pattern(g, ang)
     _, weight, dist = mbqc.enumerate_causal(g, pattern, correct=False)

@@ -281,6 +281,37 @@ def test_deeply_nested_json_file_exits_2_without_a_traceback(tmp_path, p2_file, 
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"1" * 5000, b"\xff{}"],
+    ids=["integer-of-5000-digits", "not-utf-8"],
+)
+@pytest.mark.parametrize("flag", ["--graph", "--pattern"])
+def test_undecodable_json_file_is_named(capsys, tmp_path, p2_file, flag, content):
+    """A file the JSON decoder refuses with a plain ValueError (an integer
+    past Python's 4300-digit limit) or whose bytes are not UTF-8 exits 2
+    naming the file, as any other invalid JSON does."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files = {"--graph": p2_file, flag: str(bad)}
+    argv = ["verify" if flag == "--graph" else "game"]
+    argv += [part for item in files.items() for part in item]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid JSON in {bad}: "), captured.err
+
+
+@pytest.mark.parametrize("angle", ["1e6", "3e8", "1e17", "1e300", "-0.5"])
+def test_verify_passes_at_angles_outside_one_turn(capsys, tmp_path, angle):
+    """Every route reduces an angle mod 2 pi before it becomes a ket, so the
+    table and the positive-branch walk agree however large the angle."""
+    path = graph_file(tmp_path, graphstate.chain(4), "p4")
+    code, rep = run_json(capsys, ["verify", "--graph", path, "--json", "--angles", angle])
+    assert code == 0
+    assert rep["backend_agreement_max_dev"] <= 1e-15
+
+
 def test_bad_angle_csv_exits_2(capsys, p2_file):
     assert cli.main(["verify", "--graph", p2_file, "--angles", "abc"]) == 2
 
@@ -307,9 +338,8 @@ def test_cap_flag_blocks_oversized_build(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["resource-pm", "verify"])
-def test_cap_counts_the_decorated_state_not_w(capsys, tmp_path, monkeypatch, command):
+def test_cap_counts_the_decorated_state_not_w(capsys, tmp_path, command):
     """W of parallel_chains([2]*4) has 16 qubits, its decorated state 12."""
-    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
     path = graph_file(tmp_path, graphstate.parallel_chains([2] * 4), "pc4")
     code, rep = run_json(capsys, [command, "--graph", path, "--json"])
     assert code == 0
@@ -319,14 +349,73 @@ def test_cap_counts_the_decorated_state_not_w(capsys, tmp_path, monkeypatch, com
     assert "needs 12 qubits, above the cap of 11" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["resource-pm", "verify"])
-def test_decorated_state_above_the_default_cap_exits_2(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
+@pytest.mark.parametrize("command", ["resource-pm", "verify", "postselect", "pm-validate"])
+def test_decorated_state_above_the_default_cap_exits_2(capsys, tmp_path, command):
     path = graph_file(tmp_path, graphstate.chain(8), "chain8")  # 2N + n = 15
     assert cli.main([command, "--graph", path, "--json"]) == 2
-    err = capsys.readouterr().err
-    assert "graph state on 15 vertices needs 15 qubits" in err
-    assert f"above the cap of {config.DEFAULT_QUBIT_CAP}" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "graph state on 15 vertices needs 15 qubits" in captured.err
+    assert f"above the cap of {config.DEFAULT_QUBIT_CAP}" in captured.err
+
+
+# every command with the flags that keep it quick; the first three never
+# build the decorated state on 2N + n qubits, only the plain one on N + n
+_CAP_COMMANDS = {
+    "signal": [],
+    "game": [],
+    "graph-state": [],
+    "resource-pm": [],
+    "verify": [],
+    "postselect": ["--shots", "1000"],
+    "pm-validate": ["--shots", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(_CAP_COMMANDS))
+@pytest.mark.parametrize("cap", [4, 6, 3], ids=["cap-N+n", "cap-2N+n-1", "cap-N+n-1"])
+def test_each_register_meets_the_cap_where_it_is_allocated(capsys, tmp_path, command, cap):
+    """On chain(4), N + n = 4 and 2N + n = 7.  A cap from N + n up to
+    2N + n - 1 passes the plain state and refuses the decorated one, so only
+    the commands that read the literal W exit 2; below N + n every command
+    exits 2.  A refusal names the register's qubits and prints no report."""
+    path = graph_file(tmp_path, graphstate.chain(4), "p4")
+    argv = [command, "--graph", path, "--json", "--cap", str(cap), *_CAP_COMMANDS[command]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    if cap < 4:
+        refused = 4
+    elif command in ("signal", "game", "graph-state"):
+        refused = None
+    else:
+        refused = 7
+    if refused is None:
+        assert code == 0, captured.err
+        assert captured.err == ""
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: graph state on {refused} vertices needs {refused} qubits, above the "
+            f"cap of {cap}; raise it via the cap argument or {config.CAP_ENV_VAR}\n"
+        )
+
+
+def test_verify_on_chain14_refuses_the_decorated_state_before_allocating(capsys, tmp_path):
+    """The decorated state of chain(14) has 27 qubits, 2 GiB of amplitudes;
+    under the default cap ``verify`` refuses it on the way to W, having held
+    no more than the 14-qubit plain state and its table."""
+    path = graph_file(tmp_path, graphstate.chain(14), "chain14")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["verify", "--graph", path, "--json"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "graph state on 27 vertices needs 27 qubits, above the cap of 14" in captured.err
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -338,7 +427,6 @@ def test_verify_checks_the_agreement_above_the_dense_operator_cap(
     """W of chain(7) and chain(8) is above the dense operator cap; ``verify``
     still prints a number, from the positive-branch walk, and never
     contracts the dense oracle."""
-    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
 
     def refuse(*a, **k):
         raise AssertionError("verify must not contract the dense oracle")
@@ -403,7 +491,7 @@ def test_chain7_positivity_floor_is_exact_and_fast(capsys, tmp_path, command):
 @pytest.mark.parametrize(
     "graph, cap, argv, exit_code",
     [
-        (graphstate.chain(4), 6, [command], 2)
+        (graphstate.chain(4), 6, [command], 0 if command in ("signal", "game") else 2)
         for command in ("resource-pm", "verify", "signal", "postselect", "game")
     ]
     + [
@@ -423,7 +511,6 @@ def test_cap_flag_behaves_like_the_env_var(
 ):
     """--cap N and ACAUSAL_MBQC_CAP=N give the same exit code, stdout and stderr."""
     path = graph_file(tmp_path, graph, "g")
-    monkeypatch.delenv(config.CAP_ENV_VAR, raising=False)
     flag_code = cli.main([*argv, "--graph", path, "--json", "--cap", str(cap)])
     flag = capsys.readouterr()
     monkeypatch.setenv(config.CAP_ENV_VAR, str(cap))
@@ -433,8 +520,11 @@ def test_cap_flag_behaves_like_the_env_var(
     assert flag.out == env.out
     assert flag.err == env.err
     if exit_code == 2:
-        # the decorated state on 2N + n qubits is the register the cap refuses
-        qubits = 2 * graph.n_computation + graph.n_output
+        # the first register above the cap: the plain state on N + n qubits,
+        # else the decorated state on 2N + n that the literal W reads
+        qubits = graph.n_computation + graph.n_output
+        if qubits <= cap:
+            qubits += graph.n_computation
         assert f"needs {qubits} qubits, above the cap of {cap}" in flag.err
     if argv == ["verify"] and exit_code == 0:
         # W of chain(3) has 6 qubits, above the cap of 5, but the walk's

@@ -31,6 +31,23 @@ def test_equatorial_ket_components():
     assert abs(qlin.overlap(k0, k1)) < 1e-12
 
 
+def test_equatorial_kets_take_the_angle_mod_2pi():
+    """An angle's ket is its reduced angle's, bit for bit, and an angle in
+    [0, 2 pi) is not moved; a whole number of turns changes the ket only by
+    the rounding of the shifted angle itself."""
+    two_pi = 2.0 * np.pi
+    for phi in [3e8, 1e17, 1e300, -0.5, -1e6, 7.0]:
+        assert np.array_equal(qlin.equatorial_kets(phi), qlin.equatorial_kets(phi % two_pi))
+    phis = np.random.default_rng(7).uniform(0.0, two_pi, size=50)
+    phase = np.exp(1j * phis)
+    kets = qlin.equatorial_kets(phis)
+    assert np.array_equal(kets[:, 0, 1], phase / np.sqrt(2.0))
+    assert np.array_equal(kets[:, 1, 1], -phase / np.sqrt(2.0))
+    for k in (-3, -1, 1, 2, 1000):
+        shifted = qlin.equatorial_kets(phis + k * two_pi)
+        assert np.allclose(shifted, kets, rtol=0.0, atol=4e-16 * (1 + abs(k) * two_pi))
+
+
 def test_ket_normalization_enforced():
     with pytest.raises(QlinError):
         Ket([1.0, 1.0])
