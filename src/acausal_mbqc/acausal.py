@@ -43,10 +43,10 @@ process matrix; the package verifies both sides of that boundary.
 
 In closed form, P_W(m, z) = P_G(0^N, z) for every m: the Born probability of
 the plain graph state under <phi_j^0| on every computation vertex.
-``backend_agreement`` checks a table against that right side, read off the
-positive branch of the unadapted causal walk in ``mbqc``, which builds its
-own graph state: a wrong kernel and a wrong W both break it, and it runs at
-every size within the cap.
+``backend_agreement`` checks a table against that right side, the positive
+branch contracted straight from the plain state, one computation qubit at a
+time: it never reads W nor runs ``procmat``'s kernel, so a wrong kernel and
+a wrong W both break it, and it runs at every size within the cap.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     """The resource of an undecorated graph: its plain graph state.
 
     The cap is resolved once here and carried by the resource, so the literal
-    W, the sampler and ``backend_agreement``'s walk obey the same cap.  Each
-    register meets it where ``graphstate.graph_state`` allocates it: the
-    plain state here on N + n qubits, the decorated state on 2N + n on the
-    first read of ``w``.
+    W and the sampler obey the same cap, and ``backend_agreement`` contracts
+    the plain state built under it.  Each register meets it where
+    ``graphstate.graph_state`` allocates it: the plain state here on N + n
+    qubits, the decorated state on 2N + n on the first read of ``w``.
     """
     if g.decoration is not None:
         raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
@@ -236,18 +236,22 @@ def backend_agreement(r: ResourcePM, angles, probs: np.ndarray) -> float:
     ``probs`` at ``angles``.
 
     P_G(0^N, z) is the Born probability of the plain graph state under
-    <phi_j^0| on every computation vertex and <z| on the outputs: row 0, the
-    positive branch, of the unadapted causal walk (``mbqc.enumerate_causal``
-    with ``correct=False``), which builds its own graph state and shares no
-    code with ``procmat``.  The paper's result is P_W(m, z) = P_G(0^N, z)
-    for every m, so a wrong kernel and a wrong W both show here, at every
-    size within the cap; only the walk is run, so it checks the very numbers
+    <phi_j^0| on every computation vertex and <z| on the outputs: the
+    positive branch, contracted here straight from ``r.plain`` one leading
+    computation qubit at a time, O(2^(N+n)) work in all.  It never reads W
+    and shares no code with ``procmat``'s kernel.  The paper's result is
+    P_W(m, z) = P_G(0^N, z) for every m, so a wrong kernel and a wrong W both
+    show here, at every size within the cap, and it checks the very numbers
     the caller reports.
     """
     g = r.base_graph
-    pattern = mbqc.make_pattern(g.computation, mbqc.as_angle_map(g, angles))
-    _, weight, dist = mbqc.enumerate_causal(g, pattern, correct=False, cap=r.cap)
-    return float(np.max(np.abs(probs - weight[0] * dist[0])))
+    # make_pattern refuses a non-finite angle, naming its vertex
+    ang = mbqc.make_pattern(g.computation, mbqc.as_angle_map(g, angles)).angles
+    bras = qlin.equatorial_kets([ang[c] for c in g.computation])[:, 0].conj()
+    amps = r.plain.amplitudes
+    for bra in bras:  # the plain state's leading qubits are C, in C order
+        amps = bra @ amps.reshape(2, -1)
+    return float(np.max(np.abs(probs - np.abs(amps) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         "normalization_dev": acausal.normalization_report(probs),
         "min_eigenvalue": r.w.min_eigenvalue(),
         "trace": r.w.trace(),
-        # the positive-branch walk, on the plain graph state: it fits wherever W does
+        # the positive branch, contracted on the plain graph state: it fits wherever W does
         "backend_agreement_max_dev": acausal.backend_agreement(r, ang, probs),
     }
     if ns.shots > 0:

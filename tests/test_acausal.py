@@ -1,9 +1,12 @@
 """Resource process matrix: construction, identities, controls, and the sampler."""
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
@@ -336,25 +339,67 @@ def test_dense_oracle_refuses_chain7_before_allocating(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
-def test_backend_agreement_walks_the_positive_branch_on_chain7(monkeypatch):
+def test_backend_agreement_contracts_the_positive_branch_on_chain7(monkeypatch):
     """On chain(7), whose W is above the dense operator cap, the agreement is
-    a number: one unadapted walk of the plain graph state, which contracts
-    no table and leaves the literal W unbuilt."""
+    a number: one contraction of the plain graph state the resource holds,
+    which runs no walk, builds no other state, contracts no table and leaves
+    the literal W unbuilt."""
     r = acausal.build_resource_pm(graphstate.chain(7))
     probs = acausal.outcome_probabilities(r, 0.7)
-    walks = []
-    real_walk = mbqc._walk
+    calls = {}
+    for owner, name in [(mbqc, "_walk"), (graphstate, "graph_state"), (procmat, "_trial_tables")]:
+        real = getattr(owner, name)
+        calls[name] = 0
 
-    def counted(*a, **k):
-        walks.append(a[1])
-        return real_walk(*a, **k)
+        def counted(*a, _real=real, _name=name, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
 
-    monkeypatch.setattr(mbqc, "_walk", counted)
-    monkeypatch.setattr(procmat, "_trial_tables", None)
+        monkeypatch.setattr(owner, name, counted)
     assert acausal.backend_agreement(r, 0.7, probs) <= 1e-12
-    (pattern,) = walks
-    assert not any(pattern.x_deps.values()) and not any(pattern.z_deps.values())
+    assert calls == {"_walk": 0, "graph_state": 0, "_trial_tables": 0}
     assert "w" not in vars(r)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_backend_agreement_refuses_a_non_finite_angle(bad):
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    probs = acausal.outcome_probabilities(r, 0.7)
+    with pytest.raises(mbqc.PatternError, match="angle for 'c1' must be finite"):
+        acausal.backend_agreement(r, [0.7, bad], probs)
+
+
+@st.composite
+def agreement_cases(draw):
+    """A graph with N + n <= 8, uniform-branch (N <= 4) or any connected
+    draw, and random angles, some of them at 1e8 or above."""
+    uniform = draw(st.booleans())
+    n_comp = draw(st.integers(1, 4 if uniform else 7))
+    n_out = draw(st.integers(1, 8 - n_comp))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if uniform:
+        g = graphstate.random_resource_graph(rng, n_comp, n_out)
+    else:
+        g = graphstate.random_connected_graph(rng, n_comp, n_out)
+    angle = st.one_of(
+        st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False),
+        st.floats(1e8, 1e17, allow_nan=False, allow_infinity=False),
+    )
+    return g, {c: draw(angle) for c in g.computation}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(agreement_cases())
+def test_backend_agreement_equals_the_walks_positive_branch(case):
+    """The contraction agrees with row 0 of the unadapted causal walk, which
+    reduces each angle mod 2 pi in ``make_pattern`` as the contraction does
+    in ``equatorial_kets``, to 1e-15 at every readout z."""
+    g, ang = case
+    r = acausal.build_resource_pm(g)
+    _, weight, dist = mbqc.enumerate_causal(
+        g, mbqc.make_pattern(g.computation, ang), correct=False
+    )
+    assert acausal.backend_agreement(r, ang, weight[0] * dist[0]) <= 1e-15
 
 
 @pytest.mark.parametrize(

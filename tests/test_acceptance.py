@@ -305,7 +305,7 @@ def test_criterion_10_backend_agreement():
 
 def test_criterion_11_every_branch_is_the_positive_branch():
     """Every branch m of the literal W's table is the positive branch of the
-    plain graph state, P_W(m, z) = P_G(0^N, z), walked causally: the route of
+    plain graph state, P_W(m, z) = P_G(0^N, z), contracted directly: the route of
     ``verify``'s ``backend_agreement_max_dev``, on every suite graph, the
     non-uniform 5-cycle included."""
     worst = 0.0

@@ -66,8 +66,8 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
 @pytest.mark.parametrize(
     "argv, builds, graph_states, factorized, dense, walks",
     [
-        (["verify", "--shots", "1000"], 1, 3, 1, 0, 1),
-        (["verify"], 1, 3, 1, 0, 1),
+        (["verify", "--shots", "1000"], 1, 2, 1, 0, 0),
+        (["verify"], 1, 2, 1, 0, 0),
         (["postselect"], 1, 2, 1, 0, 0),
         (["game"], 1, 2, 1, 0, 1),
         (["signal"], 1, 1, 1, 0, 0),
@@ -79,13 +79,13 @@ def test_builds_and_contractions_per_command(
 ):
     """On chain(4) each command builds one resource and contracts one outcome
     table, its angle sets stacked as trials; no command contracts the dense
-    oracle.  ``verify`` and ``game`` walk once each: ``verify``'s agreement
-    is the positive branch of one unadapted walk, and ``game``'s one split
-    walk gives the validity gate and both girls-first scores.  Every command
-    builds the plain graph state; ``verify`` and ``postselect`` also build
-    the decorated one, with the literal W (``verify``'s checks) or for the
-    sampler; ``signal`` and ``game`` read the folded table and build no other
-    state but a walk's."""
+    oracle.  Only ``game`` walks, once: its one split walk gives the
+    validity gate and both girls-first scores, while ``verify``'s agreement
+    contracts the positive branch of the plain state the resource holds.
+    Every command builds the plain graph state; ``verify`` and ``postselect``
+    also build the decorated one, with the literal W (``verify``'s checks) or
+    for the sampler; ``signal`` and ``game`` read the folded table and build
+    no other state but a walk's."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),

@@ -10,11 +10,14 @@ The checking commands' cases were captured at commit 76832be, whose every
 table contracted the literal W.  The ``backend_agreement_max_dev`` line of
 the chain(3) and chain(4) ``verify`` cases was re-captured when that field
 moved from the dense oracle to the positive-branch walk; every other byte of
-those cases is the 76832be capture.  The use commands' cases (``signal``,
-``game``, ``postselect`` and ``graph-state``) were captured at commit
-2ba7c17; ``game`` on chain(3) exits 2 with empty stdout, since an odd chain
-is no deterministic game instance, and ``postselect`` at 20 000 shots exits
-1, its TV above the 0.02 limit.
+those cases is the 76832be capture.  That line of the chain(3) and chain(4)
+``verify`` and ``verify --shots`` cases was re-captured once more when the
+agreement moved from the walk to a direct contraction of the positive
+branch on the plain state; the pc22 cases did not move.  The use commands'
+cases (``signal``, ``game``, ``postselect`` and ``graph-state``) were
+captured at commit 2ba7c17; ``game`` on chain(3) exits 2 with empty stdout,
+since an odd chain is no deterministic game instance, and ``postselect`` at
+20 000 shots exits 1, its TV above the 0.02 limit.
 """
 
 import json

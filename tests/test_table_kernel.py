@@ -12,8 +12,8 @@ off its pure factor must match the materialized dense operator, and that
 operator must equal, entry for entry, the plain kron of the projector with
 I/2 per mixed qubit, built with one ``HermOp``.  Every route's table of a
 resource (``pm_reference.backend_table``) must equal, in every branch, the
-positive branch of the causal walk, which is ``backend_agreement``'s route,
-with or without uniform branches.
+positive branch of the plain graph state, which is ``backend_agreement``'s
+route, with or without uniform branches.
 """
 
 import itertools
@@ -141,9 +141,10 @@ def walk_cases(draw):
 @PROPERTY_SETTINGS
 @given(walk_cases())
 def test_positive_branch_walk_agrees_with_every_backend(case):
-    """``backend_agreement``'s route, the walk's positive branch, equals every
-    branch of the literal W's factorized table, of the dense oracle's and of
-    the fold to 1e-12, on graphs with and without uniform branches."""
+    """``backend_agreement``'s route, the plain state's positive branch,
+    equals every branch of the literal W's factorized table, of the dense
+    oracle's and of the fold to 1e-12, on graphs with and without uniform
+    branches."""
     r, ang = case
     for backend in ("factorized", "dense", "folded"):
         table = backend_table(r, ang, backend)
