@@ -158,38 +158,43 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
 _ROOT2_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _folded_table(r: ResourcePM, kets: procmat.Kets) -> np.ndarray:
-    """Validated outcome tables of a block of trials, as ``procmat._trial_tables``
-    gives them for W, contracted on the plain graph state.
+def _folded_table(r: ResourcePM, block: procmat.InstrumentBlock) -> np.ndarray:
+    """Validated outcome tables of a block of trials over the resource's
+    parties (Alices, then Bobs), as ``procmat._trial_tables`` gives them for
+    W, contracted on the plain graph state.
 
     Each Alice's measure ket a becomes a * (sqrt(2) H r), r her reprepare
-    ket: the factorized kernel conjugates it into her folded row, scaled by
-    sqrt(2); for a reprepared bit, (r0 + r1, r0 - r1) = (1, +-1) exactly.  The
+    ket, in one product over the Alices' slots of the block's arrays: the
+    factorized kernel conjugates it into her folded row, scaled by sqrt(2);
+    for a reprepared bit, (r0 + r1, r0 - r1) = (1, +-1) exactly.  The
     kernel reads the fold as the process matrix
     2^(N+n) |G><G| (x) (I/2)^(N+n): party i's input qubit is its vertex, and
     its output qubit, which no folded row reads, is I/2.  The Alices' N
     halves cancel the rows' 2^N, and the Bobs' n halves are the ancillas',
     so every entry carries the exact coefficient 2^N of the fold.
     """
-    folded = dict(kets)
-    for party in r.alice_parties:
-        measure, reprepare = kets[party]
-        folded[party] = (measure * (reprepare @ _ROOT2_HADAMARD), reprepare)
+    parties = r.alice_parties + r.bob_parties
+    if block.parties != parties:
+        raise procmat.ProcmatError(f"block parties {list(block.parties)} are not {list(parties)}")
+    n = r.n_computation
+    reprepare = block.reprepare
+    rows = block.measure[:, :n] * (reprepare[:, :n] @ _ROOT2_HADAMARD)
+    folded = dict(block.kets)
+    folded.update((a, (rows[:, i], reprepare[:, i])) for i, a in enumerate(r.alice_parties))
     scale = float(2 ** (r.n_computation + r.n_output))
-    fold = ProcessMatrix(r.alice_parties + r.bob_parties, r.plain, scale)
-    return procmat._trial_tables(fold, folded)
+    return procmat._trial_tables(ProcessMatrix(parties, r.plain, scale), folded)
 
 
 def _table(r: ResourcePM, angle_sets, literal: bool) -> np.ndarray:
     """P(m, z) for each angle set, shaped (sets, one axis per party: Alices,
-    then Bobs), from one contraction over the kets of ``procmat.mbqc_kets``
+    then Bobs), from one contraction over the block of ``procmat.mbqc_kets``
     with one trial per set, on the literal W or on the fold."""
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
-    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
     if literal:
-        return procmat._trial_tables(r.w, kets)
-    return _folded_table(r, kets)
+        return procmat._trial_tables(r.w, block.kets)
+    return _folded_table(r, block)
 
 
 def outcome_probabilities(r: ResourcePM, angles, *, literal: bool = False) -> np.ndarray:

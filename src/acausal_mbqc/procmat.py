@@ -3,13 +3,13 @@
 Every party's local operation is a measure-and-reprepare instrument: element
 ``a`` maps rho -> |r_a><phi_a| rho |phi_a><r_a|, and an ``Instrument`` is
 just those single-qubit kets, stacked into (elements, 2) arrays ``measure``
-and ``reprepare``; an ``InstrumentBlock`` stacks them over a leading axis of
-trials, and ``mbqc_kets`` is the one definition of the MBQC instruments in
-that form.  The element's Choi-Jamiolkowski (CJ) operator
-sum_{k,l} |k><l| (x) M(|l><k|), which evaluates exactly to
-|phi><phi| (x) |r><r|, is built only by the dense oracle, through
-``_choi_tensors``; CJ registers are ordered input qubit first, then output
-qubit.
+and ``reprepare``; an ``InstrumentBlock`` stacks every party's kets into
+two arrays with a leading axis of trials, checked once each, and
+``mbqc_kets`` is the one definition of the MBQC instruments in that form.
+The element's Choi-Jamiolkowski (CJ) operator sum_{k,l} |k><l| (x) M(|l><k|),
+which evaluates exactly to |phi><phi| (x) |r><r|, is built only by the dense
+oracle, through ``_choi_tensors``; CJ registers are ordered input qubit
+first, then output qubit.
 
 A process matrix W of k parties acts on one register of 2k qubits that holds
 every input, then every output: party i owns input qubit i and output qubit
@@ -20,7 +20,8 @@ instrument at once, as one contraction sweep over the parties, and
 W has one form, scale * |pure><pure| (x) (I/2)^m: the pure ket on the
 first qubits of the register and I/2 on the m after them.  Every table is
 the factorized overlap of each element's kets with the pure factor, the one
-contraction loop of the package: the resource's tables (``acausal``) run it
+contraction loop of the package, whose steps are planned once per register
+shape (``_contraction_plan``): the resource's tables (``acausal``) run it
 too, by default on the plain graph state with every pendant folded into its
 vertex's row, read as a process matrix whose output qubits are all
 maximally mixed; the literal W of the resource is then built only when a
@@ -33,6 +34,7 @@ definition, one party at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -107,25 +109,68 @@ class Instrument:
             )
 
 
+@dataclass(frozen=True)
+class InstrumentBlock:
+    """The instrument tuples of a block of trials, as the two arrays drawn for them.
+
+    ``measure`` and ``reprepare`` stack every party's kets in ``parties``
+    order, each shaped (trials, parties, elements, 2); ``kets`` maps each
+    party to its two (trials, elements, 2) slices, the form the kernel
+    reads, and ``describe(t)`` names each party's instrument in trial t.
+    Construction runs ``Ket``'s tests once on each array, reading an axis
+    of stride 0 (a broadcast, such as one readout shared by every trial) at
+    its first index only: every ket of the block is tested, each stored ket
+    once.
+    """
+
+    parties: tuple[str, ...]
+    measure: np.ndarray
+    reprepare: np.ndarray
+    describe: Callable[[int], dict[str, str]]
+
+    def __post_init__(self):
+        shape = self.measure.shape
+        parties = len(self.parties)
+        if len(shape) != 4 or shape[1:4:2] != (parties, 2) or self.reprepare.shape != shape:
+            raise ProcmatError(
+                f"block kets must share one (trials, {parties} parties, elements, 2) "
+                f"shape, got {self.measure.shape} and {self.reprepare.shape}"
+            )
+        for kets in (self.measure, self.reprepare):
+            qlin.check_unit_kets(kets[tuple(slice(None if s else 1) for s in kets.strides[:3])])
+
+    @property
+    def kets(self) -> Kets:
+        return {p: (self.measure[:, i], self.reprepare[:, i]) for i, p in enumerate(self.parties)}
+
+
 # |z>, measured and reprepared for outcome z
 _READOUT = np.eye(2, dtype=np.complex128)
 
 
-def mbqc_kets(phis: np.ndarray, alices: Sequence[str], bobs: Sequence[str]) -> Kets:
-    """The MBQC instrument tuple of each trial of a block, as stacked kets.
+def mbqc_kets(phis: np.ndarray, alices: Sequence[str], bobs: Sequence[str]) -> InstrumentBlock:
+    """The MBQC instrument tuple of each trial of a block, as a block of stacked kets.
 
     ``phis`` is (trials, N): in trial t, Alice i measures the equatorial kets
     |phi^m> at angle ``phis[t, i]`` and reprepares her outcome bit |m>, and
     every Bob reads out |z> in the computational basis and reprepares it.
-    Every stack is (trials, 2, 2); the equatorial kets get ``Ket``'s tests
-    here, in one pass, and the readout is the exact basis.
+    The measure array holds the Alices' equatorial kets, then the readout
+    once per Bob; the reprepare array is the readout, the exact basis
+    broadcast over every trial and party.  The block runs ``Ket``'s tests on
+    both.
     """
-    measure = qlin.equatorial_kets(phis)
-    qlin.check_unit_kets(measure)
-    readout = np.broadcast_to(_READOUT, (len(phis), 2, 2))
-    kets = {a: (measure[:, i], readout) for i, a in enumerate(alices)}
-    kets.update({b: (readout, readout) for b in bobs})
-    return kets
+    alices, bobs = tuple(alices), tuple(bobs)
+    measure = np.empty((len(phis), len(alices) + len(bobs), 2, 2), dtype=np.complex128)
+    measure[:, : len(alices)] = qlin.equatorial_kets(phis)
+    measure[:, len(alices):] = _READOUT
+    reprepare = np.broadcast_to(_READOUT, measure.shape)
+
+    def describe(t: int) -> dict[str, str]:
+        out = {a: _mbqc_description(phis[t, i]) for i, a in enumerate(alices)}
+        out.update({b: _mbqc_description() for b in bobs})
+        return out
+
+    return InstrumentBlock(alices + bobs, measure, reprepare, describe)
 
 
 def _mbqc_description(phi: float | None = None) -> str:
@@ -136,14 +181,14 @@ def _mbqc_description(phi: float | None = None) -> str:
 
 def alice_instrument(phi: float) -> Instrument:
     """Equatorial measurement at angle phi, reprepared as the outcome bit."""
-    measure, reprepare = mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())["A"]
-    return Instrument(measure[0], reprepare[0], _mbqc_description(phi))
+    block = mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())
+    return Instrument(block.measure[0, 0], block.reprepare[0, 0], _mbqc_description(phi))
 
 
 def bob_instrument() -> Instrument:
     """Computational-basis readout, reprepared as the outcome bit."""
-    measure, reprepare = mbqc_kets(np.zeros((1, 0)), (), ("B",))["B"]
-    return Instrument(measure[0], reprepare[0], _mbqc_description())
+    block = mbqc_kets(np.zeros((1, 0)), (), ("B",))
+    return Instrument(block.measure[0, 0], block.reprepare[0, 0], _mbqc_description())
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +296,20 @@ def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
     lo = -config.PROBABILITY_RANGE_SLACK
     hi = 1.0 + config.PROBABILITY_RANGE_SLACK
     values = np.asarray(values, dtype=float)
-    bad = ~((values >= lo) & (values <= hi))
-    if bad.any():
+    low = values.min(initial=np.inf)
+    # a NaN makes ``low`` NaN, which fails ``>=``
+    if not (low >= lo and values.max(initial=-np.inf) <= hi):
+        bad = ~((values >= lo) & (values <= hi))
         by_trial = values.reshape((-1,) + values.shape[1:])
         at = tuple(int(i) for i in np.argwhere(bad.reshape(by_trial.shape))[0])
         raise ProcmatError(
             f"probability {float(by_trial[at])!r} at outcome {at[1:]} of trial "
             f"{first_trial + at[0]} outside [{lo}, {hi}]"
         )
-    negative = values < 0.0
-    clamped = int(negative.sum())
-    if clamped:
+    if low < 0.0:
+        negative = values < 0.0
         with _clamp_lock:
-            _clamp_count += clamped
+            _clamp_count += int(negative.sum())
         values = np.where(negative, 0.0, values)
     return values
 
@@ -327,27 +373,68 @@ def _batched_tensordot(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.
     return out.reshape((out.shape[0],) + tuple(a.shape[i] for i in free) + (b.shape[1],))
 
 
+@functools.cache
+def _contraction_plan(parties: int, pure: int) -> tuple[tuple, ...]:
+    """The steps of ``_factorized_probability`` on k = ``parties`` parties and a
+    pure factor on ``pure`` qubits, one per party: (transpose order, contracted
+    size 2^j for the party's j pure qubits, free shape).
+
+    Before step i the amplitudes are (trials, the uncontracted pure qubits in
+    register order..., one element axis over the parties before i), and
+    before step 0 without that axis.  The order moves the party's pure qubits
+    last, as ``_batched_tensordot`` does; the free shape is the qubit axes
+    that stay, to which the caller appends the element axis.
+    """
+    qubits = list(range(pure))
+    steps = []
+    for i in range(parties):
+        owned = [q for q in (i, parties + i) if q < pure]
+        axes = [qubits.index(q) + 1 for q in owned]
+        free = [a for a in range(1, len(qubits) + 1 + (i > 0)) if a not in axes]
+        qubits = [q for q in qubits if q not in owned]
+        steps.append(((0, *free, *axes), 2 ** len(owned), (2,) * len(qubits)))
+    return tuple(steps)
+
+
 def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     """The kernel of the outcome tables: contract the pure factor with
     each party's stacked conjugate measure and reprepare kets in turn,
     keeping the trial axis in front.  ``acausal``'s folded table calls it
-    with the plain graph state and the folded kets."""
+    with the plain graph state and the folded kets.
+
+    Each step is one batched matrix product, read off the cached
+    ``_contraction_plan`` of the register's shape: the party's bra <u| on
+    its pure qubits, one row per (trial, element), against the amplitudes
+    with those qubits moved last.  A mixed qubit contributes <k|I/2|k> = 1/2
+    for its unit ket, counted in ``_mixed_coeff``; a party with no pure qubit
+    contracts a bra of ones.  The element axes so far are kept as one axis,
+    split into one per party at the end.  Every product has the operands of
+    a ``_batched_tensordot`` per party, so the tables are bit for bit those
+    of that per-party sweep (``tests/pm_reference.py``).
+    """
     amp = w.pure.as_tensor()[None]
-    # axis label per non-trial axis of amp: a register qubit, or None for an element axis
-    labels: list[int | None] = list(range(w.pure.num_qubits))
-    for i, party in enumerate(w.parties):
+    elements = 1
+    shape = []
+    plan = _contraction_plan(len(w.parties), w.pure.num_qubits)
+    for party, (order, contracted, free) in zip(w.parties, plan):
         measure, reprepare = kets[party]
-        # <u| on the party's pure qubits, one row per (trial, element); a mixed
-        # qubit contributes <k|I/2|k> = 1/2 for its unit ket, counted below
-        bra = np.ones(measure.shape[:2], dtype=np.complex128)
-        axes = []
-        for qubit, rows in zip(w.qubits(i), (measure, reprepare)):
-            if qubit in labels:
-                bra = np.einsum("te...,tef->te...f", bra, rows.conj())
-                axes.append(labels.index(qubit))
-        amp = _batched_tensordot(amp, bra, axes)
-        labels = [q for a, q in enumerate(labels) if a not in axes] + [None]
-    return w._mixed_coeff() * np.abs(amp) ** 2
+        trials, count = measure.shape[:2]
+        if contracted == 4:
+            # einsum's products: numpy's complex multiply loop may fuse a
+            # multiply-add, which rounds some entries differently
+            bra = np.einsum("tea,teb->teab", measure.conj(), reprepare.conj()).reshape(
+                trials, count, 4
+            )
+        elif contracted == 2:  # its input qubit alone, as the pure qubits come first
+            bra = measure.conj()
+        else:
+            bra = np.ones((trials, count, 1), dtype=np.complex128)
+        lhs = amp.transpose(order).reshape(len(amp), elements << len(free), contracted)
+        amp = np.matmul(lhs, bra.transpose(0, 2, 1))
+        elements *= count
+        shape.append(count)
+        amp = amp.reshape((len(amp), *free, elements))
+    return w._mixed_coeff() * np.abs(amp.reshape((len(amp), *shape))) ** 2
 
 
 # the oracle stays in src/ because benchmark/tracing.py wraps it by name
@@ -394,17 +481,16 @@ _BLOCK_BYTES = 4 << 20
 
 def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily) -> int:
     """Bytes that one trial adds to a block: what its draw allocates besides
-    its kets (``family.draw_bytes``), its measure and reprepare kets, two
-    copies of one stack of them for the block's unit-ket check, and the most
-    that its factorized contraction steps hold at once.  A
-    ``_batched_tensordot`` step holds its input, the transposed copy that is
-    multiplied, and its output, so three copies of the largest intermediate
-    bound every step.
+    its kets (``family.draw_bytes``), the block's measure and reprepare
+    arrays, the two copies of one of them that the block's unit-ket check
+    holds, and the most that its factorized contraction steps hold at once.
+    A step holds its input, the transposed copy that is multiplied, and its
+    output, so three copies of the largest intermediate bound every step.
     """
     elements = 2  # every family draws two-outcome instruments
     stack = elements * 2  # entries of one party's measure or reprepare kets
-    # the block's kets, and two copies of one stack in its unit-ket check
-    kets = (2 * len(w.parties) + 2) * stack
+    # the block's two arrays, and the check's two copies of one of them
+    kets = 4 * len(w.parties) * stack
     p = w.pure.num_qubits
     size = 2**p
     largest = 0
@@ -417,31 +503,6 @@ def _trial_bytes(w: ProcessMatrix, family: InstrumentFamily) -> int:
 def _block_trials(w: ProcessMatrix, family: InstrumentFamily) -> int:
     """Trials per block, the most that keep a block within ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // _trial_bytes(w, family))
-
-
-@dataclass(frozen=True)
-class InstrumentBlock:
-    """The instrument tuples of a block of trials, as arrays.
-
-    ``kets`` maps each party to its stacked measure and reprepare kets, each
-    shaped (trials, elements, 2); ``describe(t)`` names each party's
-    instrument in trial t of the block.  Construction runs ``Ket``'s tests
-    once over every ket of the block.
-    """
-
-    kets: Kets
-    describe: Callable[[int], dict[str, str]]
-
-    def __post_init__(self):
-        stacks = [stack for pair in self.kets.values() for stack in pair]
-        shape = stacks[0].shape
-        if len(shape) != 3 or shape[2] != 2 or any(s.shape != shape for s in stacks):
-            raise ProcmatError(
-                f"block kets must share one (trials, elements, 2) shape, got "
-                f"{sorted({s.shape for s in stacks})}"
-            )
-        for stack in stacks:
-            qlin.check_unit_kets(stack)
 
 
 @dataclass(frozen=True)
@@ -540,19 +601,11 @@ def mbqc_instrument_family(
 
     def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
         # one uniform angle per trial and Alice, in the order of one-trial draws
-        phis = rng.uniform(0.0, TWO_PI, size=(trials, len(alices)))
+        return mbqc_kets(rng.uniform(0.0, TWO_PI, size=(trials, len(alices))), alices, bobs)
 
-        def describe(t: int) -> dict[str, str]:
-            out = {a: _mbqc_description(phis[t, i]) for i, a in enumerate(alices)}
-            out.update({b: _mbqc_description() for b in bobs})
-            return out
-
-        return InstrumentBlock(mbqc_kets(phis, alices, bobs), describe)
-
-    # per Alice: her angle, its phase, her equatorial kets before their
-    # 1/sqrt(2) scaling and the two copies of them that ``mbqc_kets``'s check
-    # makes; the readouts are one broadcast array
-    return InstrumentFamily(alices + bobs, draw, len(alices) * (8 + 16 * (1 + 4 + 8)))
+    # per Alice: her angle, its phase and her equatorial kets before and after
+    # their 1/sqrt(2) scaling; the block's arrays are counted by ``_trial_bytes``
+    return InstrumentFamily(alices + bobs, draw, len(alices) * (8 + 16 * (1 + 4 + 4)))
 
 
 def _vector_norms(vecs: np.ndarray) -> np.ndarray:
@@ -594,7 +647,6 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
         parts = x[..., 8:16].reshape(trials, len(parties), 2, 2, 2)
         vec = parts[..., 0, :] + 1j * parts[..., 1, :]
         reprepare = vec / _vector_norms(vec)[..., None]
-        kets = {p: (measure[:, i], reprepare[:, i]) for i, p in enumerate(parties)}
 
         def describe(t: int) -> dict[str, str]:
             return {
@@ -603,7 +655,7 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
                 for i, p in enumerate(parties)
             }
 
-        return InstrumentBlock(kets, describe)
+        return InstrumentBlock(parties, measure, reprepare, describe)
 
     # per party: 16 normals, |d| and 4 pairs of norm sums (26 reals), and
     # the complex i*x terms and sums that make g and vec (16), the copy, tau,

@@ -14,6 +14,13 @@ same worst trial and its descriptions, and the same random stream.
 default fold, the literal W's factorized kernel, or the dense oracle on the
 literal W; ``instrument_kets`` stacks ``Instrument`` objects as one trial.
 
+``labelled_factorized_probability`` is the reference for
+``procmat._factorized_probability``: the same contraction, but each step
+works out its axes from a list of register labels and builds its bra as an
+``einsum`` of ones with every conjugated ket on a pure qubit, one
+``procmat._batched_tensordot`` per party.  The planned kernel must equal it
+bit for bit.
+
 ``double_sum_choi`` is the reference for ``procmat._choi_tensors``: the
 double sum built one (k, l) term at a time.
 
@@ -62,9 +69,30 @@ def backend_table(r, angles, backend: str) -> np.ndarray:
     stacked = isinstance(angles, list) and all(isinstance(a, dict) for a in angles)
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in (angles if stacked else [angles])]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
-    tables = dense_tables(r.w, procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties))
+    tables = dense_tables(r.w, procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties).kets)
     shape = (2**r.n_computation, 2**r.n_output)
     return tables.reshape((len(tables), *shape) if stacked else shape)
+
+
+def labelled_factorized_probability(w: procmat.ProcessMatrix, kets: procmat.Kets) -> np.ndarray:
+    """The factorized tables of a block of trials, (trials, E_0, ..., E_{k-1}),
+    with the axes of every step looked up in a list of labels."""
+    amp = w.pure.as_tensor()[None]
+    # axis label per non-trial axis of amp: a register qubit, or None for an element axis
+    labels: list[int | None] = list(range(w.pure.num_qubits))
+    for i, party in enumerate(w.parties):
+        measure, reprepare = kets[party]
+        # <u| on the party's pure qubits, one row per (trial, element); a mixed
+        # qubit contributes <k|I/2|k> = 1/2 for its unit ket
+        bra = np.ones(measure.shape[:2], dtype=np.complex128)
+        axes = []
+        for qubit, rows in zip(w.qubits(i), (measure, reprepare)):
+            if qubit in labels:
+                bra = np.einsum("te...,tef->te...f", bra, rows.conj())
+                axes.append(labels.index(qubit))
+        amp = procmat._batched_tensordot(amp, bra, axes)
+        labels = [q for a, q in enumerate(labels) if a not in axes] + [None]
+    return w._mixed_coeff() * np.abs(amp) ** 2
 
 
 def random_ket(rng: np.random.Generator, num_qubits: int) -> qlin.Ket:

@@ -32,7 +32,7 @@ def literal_table(r, w, angle):
     literal=True)`` contracts the resource's literal W; the folded table
     never reads W, so a perturbed W is contracted here."""
     phis = np.full((1, r.n_computation), float(angle))
-    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties).kets
     return procmat._trial_tables(w, kets)[0].reshape(
         2**r.n_computation, 2**r.n_output
     )
@@ -420,7 +420,7 @@ def test_backend_agreement_catches_a_wrong_w_that_the_dense_oracle_passes(g, per
     bad_w = perturb(r)
     bad = literal_table(r, bad_w, 0.7)
     phis = np.full((1, r.n_computation), 0.7)
-    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties).kets
     dense = dense_tables(bad_w, kets)[0].reshape(bad.shape)
     assert float(np.max(np.abs(dense - bad))) <= 1e-12
     assert acausal.backend_agreement(r, 0.7, bad) > 0.05
@@ -467,7 +467,7 @@ def test_table_options_are_keyword_only():
     r = acausal.build_resource_pm(graphstate.chain(3))
     with pytest.raises(TypeError):
         acausal.outcome_probabilities(r, 0.0, "dense")
-    kets = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.alice_parties, r.bob_parties)
+    kets = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.alice_parties, r.bob_parties).kets
     with pytest.raises(TypeError):
         procmat._trial_tables(r.w, kets, "dense")
 

@@ -3,7 +3,8 @@
 It must agree with the per-trial reference loop of ``pm_reference`` (totals,
 worst trial, descriptions and random stream) across block boundaries, hold
 at most one block in memory, clamp and count each batched entry once, and
-name the trial of an out-of-range entry.
+name the trial of an out-of-range entry.  A drawn block checks each of its
+two ket arrays once, and still refuses a bad ket of any party.
 """
 
 import re
@@ -174,18 +175,75 @@ def test_range_error_names_the_trial(monkeypatch):
 
 
 def test_block_kets_get_the_ket_tests():
-    kets = np.tile(np.eye(2, dtype=np.complex128), (3, 1, 1))
-    procmat.InstrumentBlock({"P1": (kets, kets)}, lambda t: {"P1": ""})
+    kets = np.tile(np.eye(2, dtype=np.complex128), (3, 1, 1, 1))
+    procmat.InstrumentBlock(("P1",), kets, kets, lambda t: {"P1": ""})
     long = kets.copy()
-    long[2, 1] *= 1.0 + 1e-9
+    long[2, 0, 1] *= 1.0 + 1e-9
     with pytest.raises(qlin.QlinError, match="deviates from 1"):
-        procmat.InstrumentBlock({"P1": (kets, long)}, lambda t: {"P1": ""})
+        procmat.InstrumentBlock(("P1",), kets, long, lambda t: {"P1": ""})
     bad = kets.copy()
-    bad[0, 0, 0] = np.nan
+    bad[0, 0, 0, 0] = np.nan
     with pytest.raises(qlin.QlinError, match="finite"):
-        procmat.InstrumentBlock({"P1": (bad, kets)}, lambda t: {"P1": ""})
+        procmat.InstrumentBlock(("P1",), bad, kets, lambda t: {"P1": ""})
     with pytest.raises(procmat.ProcmatError, match="shape"):
-        procmat.InstrumentBlock({"P1": (kets, kets[:2])}, lambda t: {"P1": ""})
+        procmat.InstrumentBlock(("P1",), kets, kets[:2], lambda t: {"P1": ""})
+
+
+def chain4_family(name):
+    r = acausal.build_resource_pm(graphstate.chain(4))
+    if name == "mbqc":
+        return r, procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
+    return r, procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+
+
+@pytest.mark.parametrize("name", ["mbqc", "rank1"])
+def test_a_block_checks_each_drawn_array_once(monkeypatch, name):
+    """Each family draws two arrays a block: ``mbqc`` its Alices' equatorial
+    kets with one readout per Bob, and the readout broadcast as every
+    reprepare ket, which is checked on its one shared pair; ``rank1`` its
+    measure bases and its reprepare kets.  So each block makes two checks,
+    one per array, whatever its trials and parties."""
+    r, family = chain4_family(name)
+    small_blocks(monkeypatch, r.w, family, 3)  # and builds W before the spy
+    seen = []
+    real = qlin.check_unit_kets
+
+    def spy(vecs, *args, **kwargs):
+        seen.append(vecs.shape)
+        return real(vecs, *args, **kwargs)
+
+    monkeypatch.setattr(qlin, "check_unit_kets", spy)
+    family.draw(np.random.default_rng(3), 7)
+    parties = len(r.alice_parties + r.bob_parties)
+    shared = (1, 1, 2, 2) if name == "mbqc" else (7, parties, 2, 2)
+    assert seen == [(7, parties, 2, 2), shared]
+    seen.clear()
+    procmat.pm_validate(r.w, family, 8, 1e-9, np.random.default_rng(3))
+    assert len(seen) == 2 * 3
+
+
+@pytest.mark.parametrize("side", ["measure", "reprepare"])
+@pytest.mark.parametrize("name", ["mbqc", "rank1"])
+def test_a_bad_ket_of_any_party_in_a_drawn_block_is_refused(name, side):
+    """A ket off the unit sphere, or a NaN, planted in one party's measure or
+    reprepare stack of a drawn block, in any trial, is refused; so is a bad
+    ket in a broadcast shared by every trial, which is checked once."""
+    r, family = chain4_family(name)
+    block = family.draw(np.random.default_rng(5), 3)
+    for i in range(len(block.parties)):
+        for defect, message in ((1.0 + 1e-9, "deviates from 1"), (np.nan, "finite")):
+            arrays = {"measure": np.array(block.measure), "reprepare": np.array(block.reprepare)}
+            arrays[side][i % 3, i, 1, 1] *= defect
+            with pytest.raises(qlin.QlinError, match=message):
+                procmat.InstrumentBlock(
+                    block.parties, arrays["measure"], arrays["reprepare"], block.describe
+                )
+    long = np.eye(2, dtype=np.complex128)
+    long[1] *= 1.0 + 1e-9
+    arrays = {"measure": block.measure, "reprepare": block.reprepare}
+    arrays[side] = np.broadcast_to(long, block.measure.shape)
+    with pytest.raises(qlin.QlinError, match="deviates from 1"):
+        procmat.InstrumentBlock(block.parties, arrays["measure"], arrays["reprepare"], block.describe)
 
 
 def test_family_must_cover_every_party():

@@ -82,7 +82,7 @@ def test_mbqc_kets_are_the_instruments_of_the_paper():
     bob = procmat.bob_instrument()
     assert bob.description == "computational readout"
     assert np.array_equal(bob.measure, np.eye(2)) and np.array_equal(bob.reprepare, np.eye(2))
-    kets = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), ("A1", "A2"), ("B1",))
+    kets = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), ("A1", "A2"), ("B1",)).kets
     assert list(kets) == ["A1", "A2", "B1"]
     assert all(stack.shape == (2, 2, 2) for pair in kets.values() for stack in pair)
     assert np.array_equal(kets["A1"][0][0], alice.measure)
@@ -207,9 +207,9 @@ def test_instrument_errors_name_the_field_and_no_foreign_option():
         procmat.Instrument(np.eye(2), np.full((2, 2), np.nan))
     with pytest.raises(qlin.QlinError, match="pass require_normalized=False"):
         qlin.Ket([1.0, 1.0])
-    kets = np.broadcast_to(np.eye(2) * 1.001, (1, 2, 2))
+    kets = np.broadcast_to(np.eye(2) * 1.001, (1, 1, 2, 2))
     with pytest.raises(qlin.QlinError) as info:
-        procmat.InstrumentBlock({"A": (kets, kets)}, lambda t: {})
+        procmat.InstrumentBlock(("A",), kets, kets, lambda t: {})
     assert "require_normalized" not in str(info.value)
 
 

@@ -13,7 +13,9 @@ operator must equal, entry for entry, the plain kron of the projector with
 I/2 per mixed qubit, built with one ``HermOp``.  Every route's table of a
 resource (``pm_reference.backend_table``) must equal, in every branch, the
 positive branch of the plain graph state, which is ``backend_agreement``'s
-route, with or without uniform branches.
+route, with or without uniform branches.  The factorized kernel, planned
+once per register shape, must equal bit for bit the per-party sweep that
+works its axes out from register labels (``pm_reference``).
 """
 
 import itertools
@@ -33,6 +35,7 @@ from pm_reference import (
     density_pm,
     double_sum_choi,
     instrument_kets,
+    labelled_factorized_probability,
     random_ket,
     rank_one_sampler,
 )
@@ -106,17 +109,27 @@ def test_folded_table_equals_the_literal_w(case, seed):
     g, r = case
     rng = np.random.default_rng(seed)
     phis = rng.uniform(0.0, 2.0 * math.pi, size=(2, g.n_computation))
-    mbqc_kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    mbqc_block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
     family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
-    for kets in (mbqc_kets, family.draw(rng, 3).kets):
-        folded = acausal._folded_table(r, kets)
+    for block in (mbqc_block, family.draw(rng, 3)):
+        folded = acausal._folded_table(r, block)
         for backend, kernel in (("factorized", procmat._trial_tables), ("dense", dense_tables)):
-            literal = kernel(r.w, kets)
+            literal = kernel(r.w, block.kets)
             assert folded.shape == literal.shape
             assert float(np.max(np.abs(folded - literal))) <= 1e-14, backend
     sets = [dict(zip(g.computation, row)) for row in phis.tolist()]
     table = acausal.outcome_probabilities(r, sets)
-    assert np.array_equal(table, acausal._folded_table(r, mbqc_kets).reshape(table.shape))
+    assert np.array_equal(table, acausal._folded_table(r, mbqc_block).reshape(table.shape))
+
+
+def test_folded_table_refuses_a_block_in_another_party_order():
+    """The fold reads the Alices' slots as the block's first N, so a block
+    whose parties are not the resource's Alices, then Bobs, is refused."""
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    parties = r.bob_parties + r.alice_parties
+    block = procmat.rank_one_instrument_family(parties).draw(np.random.default_rng(2), 1)
+    with pytest.raises(procmat.ProcmatError, match="block parties"):
+        acausal._folded_table(r, block)
 
 
 @st.composite
@@ -256,6 +269,56 @@ def test_dense_holds_one_copy_of_w():
 def unit_kets(rng, shape):
     vecs = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
     return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+
+@st.composite
+def planned_kernel_cases(draw):
+    """A random W of 1 to 4 parties, its pure factor a random ket on 0 to 2k
+    qubits at a random scale, and a block of 1, 2 or 5 trials in which each
+    party takes MBQC kets (an Alice's or a Bob's), the rank-1 family's
+    drawn kets, or one random element."""
+    n_parties = draw(st.integers(1, 4))
+    w = factored_w(
+        n_parties,
+        n_pure=draw(st.integers(0, 2 * n_parties)),
+        scale=draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    trials = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    split = draw(st.integers(0, n_parties))
+    phis = rng.uniform(0.0, 2.0 * math.pi, size=(trials, split))
+    routes = {
+        "mbqc": procmat.mbqc_kets(phis, w.parties[:split], w.parties[split:]).kets,
+        "rank1": procmat.rank_one_instrument_family(w.parties).draw(rng, trials).kets,
+        "one": {p: (unit_kets(rng, (trials, 1)), unit_kets(rng, (trials, 1))) for p in w.parties},
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(routes)), min_size=n_parties, max_size=n_parties))
+    return w, {p: routes[kind][p] for p, kind in zip(w.parties, kinds)}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(planned_kernel_cases())
+def test_planned_kernel_equals_the_labelled_reference_bit_for_bit(case):
+    """The kernel that reads its steps off the cached plan, with its bras
+    built from the pure qubits alone, gives every bit of the kernel that
+    works its axes out from register labels and builds each bra from ones."""
+    w, kets = case
+    table = procmat._factorized_probability(w, kets)
+    assert np.array_equal(table, labelled_factorized_probability(w, kets))
+
+
+def test_the_plan_is_made_once_per_register_shape():
+    """A table reads the plan of its (parties, pure qubits) shape: the fold
+    of chain(5) and its literal W are two shapes, planned once each however
+    many tables are contracted."""
+    procmat._contraction_plan.cache_clear()
+    r = acausal.build_resource_pm(graphstate.chain(5))
+    for angle in (0.1, 0.2, 0.3):
+        acausal.outcome_probabilities(r, angle)
+        acausal.outcome_probabilities(r, angle, literal=True)
+    info = procmat._contraction_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 @st.composite
