@@ -25,7 +25,9 @@ Bobs' rows conj(measure), each Bob's ancilla giving 1/2 for his unit
 reprepare ket.  The fold holds for every rank-1 element, and
 ``outcome_probabilities`` contracts it by default, through the same
 factorized kernel as W's own table (``literal=True``), on half as many
-qubits.
+qubits: both read the two ket arrays of the MBQC ``InstrumentBlock``, the
+fold with a copy of its measure array whose Alice slots are multiplied by
+sqrt(2) H r.
 
 The literal W is built on the first read of ``ResourcePM.w``, and that
 build checks the decoration identity two ways; its pure factor
@@ -164,25 +166,24 @@ def _folded_table(r: ResourcePM, block: procmat.InstrumentBlock) -> np.ndarray:
     W, contracted on the plain graph state.
 
     Each Alice's measure ket a becomes a * (sqrt(2) H r), r her reprepare
-    ket, in one product over the Alices' slots of the block's arrays: the
-    factorized kernel conjugates it into her folded row, scaled by sqrt(2);
-    for a reprepared bit, (r0 + r1, r0 - r1) = (1, +-1) exactly.  The
-    kernel reads the fold as the process matrix
-    2^(N+n) |G><G| (x) (I/2)^(N+n): party i's input qubit is its vertex, and
-    its output qubit, which no folded row reads, is I/2.  The Alices' N
-    halves cancel the rows' 2^N, and the Bobs' n halves are the ancillas',
-    so every entry carries the exact coefficient 2^N of the fold.
+    ket, in one product over the Alices' slots of a copy of the block's
+    measure array: the factorized kernel conjugates it into her folded row,
+    scaled by sqrt(2); for a reprepared bit, (r0 + r1, r0 - r1) = (1, +-1)
+    exactly.  The rows of general rank-1 kets are not unit kets, so they go
+    to the kernel as raw arrays, not as a block.  The kernel reads the fold
+    as the process matrix 2^(N+n) |G><G| (x) (I/2)^(N+n): party i's input
+    qubit is its vertex, and its output qubit, which no folded row reads, is
+    I/2.  The Alices' N halves cancel the rows' 2^N, and the Bobs' n halves
+    are the ancillas', so every entry carries the exact coefficient 2^N of
+    the fold.
     """
     parties = r.alice_parties + r.bob_parties
     if block.parties != parties:
         raise procmat.ProcmatError(f"block parties {list(block.parties)} are not {list(parties)}")
-    n = r.n_computation
-    reprepare = block.reprepare
-    rows = block.measure[:, :n] * (reprepare[:, :n] @ _ROOT2_HADAMARD)
-    folded = dict(block.kets)
-    folded.update((a, (rows[:, i], reprepare[:, i])) for i, a in enumerate(r.alice_parties))
+    measure = block.measure.copy()
+    measure[:, : r.n_computation] *= block.reprepare[:, : r.n_computation] @ _ROOT2_HADAMARD
     scale = float(2 ** (r.n_computation + r.n_output))
-    return procmat._trial_tables(ProcessMatrix(parties, r.plain, scale), folded)
+    return procmat._trial_tables(ProcessMatrix(parties, r.plain, scale), measure, block.reprepare)
 
 
 def _table(r: ResourcePM, angle_sets, literal: bool) -> np.ndarray:
@@ -193,7 +194,7 @@ def _table(r: ResourcePM, angle_sets, literal: bool) -> np.ndarray:
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
     block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
     if literal:
-        return procmat._trial_tables(r.w, block.kets)
+        return procmat._trial_tables(r.w, block.measure, block.reprepare)
     return _folded_table(r, block)
 
 

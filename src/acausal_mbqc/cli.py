@@ -342,8 +342,7 @@ def _cmd_game(ns: argparse.Namespace) -> int:
     # without --angles a given pattern plays its own angles
     ang = None if ns.angles is None else _angles_arg(ns.angles, g)
     pattern = mbqc.load_pattern(ns.pattern) if ns.pattern else None
-    inst = game.game_instance(g, ang, pattern, r.cap)
-    report = game.game_report(inst, r)
+    report = game.game_report(game.game_instance(r, ang, pattern))
     _emit(report, ns.json)
     return 0 if report["violated"] else 1
 

@@ -6,6 +6,12 @@ first ("girls first") allows perfect play, readout first ("boys first")
 reduces the outputs to their unconditioned marginal.  A causal strategy
 averaging the two orders scores at most (1 + 2^-n)/2; the acausal resource
 scores 1 in both orders simultaneously.
+
+An instance holds the resource of its graph (``acausal.build_resource_pm``),
+built once under the instance's cap: the split walk that gives its exact
+girls-first scores, the sampled girls-first runs, the boys-first score and
+the acausal score of ``game_report`` all read the one plain graph state it
+holds.
 """
 
 from __future__ import annotations
@@ -15,10 +21,9 @@ from typing import Mapping
 
 import numpy as np
 
-from . import acausal, config, graphstate, mbqc
+from . import acausal, config, mbqc
 from .graphstate import Graph
 from .mbqc import Pattern
-from .qlin import Ket
 
 
 class GameError(ValueError):
@@ -31,15 +36,20 @@ VIOLATION_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class GameInstance:
-    """Graph, angles, and pattern whose corrected output is |0...0> exactly,
-    with the exact girls-first score of each readout, corrected and
-    uncorrected, from the pattern's one split walk."""
+    """The resource of a graph, the angles and the pattern whose corrected
+    output is |0...0> exactly, with the exact girls-first score of each
+    readout, corrected and uncorrected, from the pattern's one split walk of
+    the plain graph state that the resource holds."""
 
-    graph: Graph
+    resource: acausal.ResourcePM
     angles: Mapping[str, float]
     pattern: Pattern
     p0_corrected: float
     p0_uncorrected: float
+
+    @property
+    def graph(self) -> Graph:
+        return self.resource.base_graph
 
     @property
     def n_output(self) -> int:
@@ -47,16 +57,22 @@ class GameInstance:
 
 
 def game_instance(
-    g: Graph, angles=None, pattern: Pattern | None = None, cap: int | None = None
+    g: Graph | acausal.ResourcePM, angles=None, pattern: Pattern | None = None,
+    cap: int | None = None,
 ) -> GameInstance:
     """Build an instance from one split walk of its pattern, enforcing the validity gate.
 
-    Without a pattern, ``angles`` (default 0) drive the chain pattern; with
-    one, the instance plays the pattern's angles, and ``angles`` may only
-    repeat them.  The walk's all-zeros history must have nonzero weight and
-    an output with fidelity >= 1 - 1e-10 with |0^n>; chains of even total
-    length at angle 0 qualify, odd ones do not.
+    ``g`` is the graph, whose resource is built here under ``cap``, or a
+    resource already built, which carries its own cap.  Every later score of
+    the instance reads the plain graph state of that resource, so no state
+    is built again.  Without a pattern, ``angles`` (default 0) drive the
+    chain pattern; with one, the instance plays the pattern's angles, and
+    ``angles`` may only repeat them.  The walk's all-zeros history must have
+    nonzero weight and an output with fidelity >= 1 - 1e-10 with |0^n>;
+    chains of even total length at angle 0 qualify, odd ones do not.
     """
+    r = g if isinstance(g, acausal.ResourcePM) else acausal.build_resource_pm(g, cap)
+    g = r.base_graph
     if pattern is None:
         ang = mbqc.as_angle_map(g, 0.0 if angles is None else angles)
         pattern = mbqc.chain_pattern(g, ang)
@@ -70,7 +86,7 @@ def game_instance(
                     "the game plays the pattern's angles"
                 )
     _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(
-        g, pattern, correct=(True, False), cap=cap
+        g, pattern, r.plain, correct=(True, False)
     )
     if weight[0] == 0.0:
         raise mbqc.PatternError("positive branch has zero probability at these angles")
@@ -81,7 +97,7 @@ def game_instance(
             "not a deterministic game instance"
         )
     return GameInstance(
-        graph=g,
+        resource=r,
         angles=ang,
         pattern=pattern,
         p0_corrected=_exact_p0(weight, corrected),
@@ -126,24 +142,22 @@ def girls_first_p0(
     if shots < 0:
         raise GameError("shots must be nonnegative")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
-    _, z, _ = mbqc.sample_causal(inst.graph, inst.pattern, shots, rng, correct=correct)
+    _, z, _ = mbqc.sample_causal(
+        inst.graph, inst.pattern, inst.resource.plain, shots, rng, correct=correct
+    )
     return int(np.count_nonzero(~z.any(axis=1))) / shots
 
 
 def boys_first_p0(inst: GameInstance) -> float:
-    """Success probability when the outputs are read out first: <0^n| Tr_C |G><G| |0^n>."""
-    return _boys_first(inst.graph, graphstate.graph_state(inst.graph))
-
-
-def _boys_first(g: Graph, state: Ket) -> float:
-    """The squared norm of the z = 0^n column of ``state``, the graph state
-    of ``g`` as a (2^N, 2^n) array."""
-    amps = state.amplitudes.reshape(2**g.n_computation, 2**g.n_output)
+    """Success probability when the outputs are read out first: <0^n| Tr_C |G><G| |0^n>,
+    the squared norm of the z = 0^n column of the plain graph state that the
+    instance's resource holds, read as a (2^N, 2^n) array."""
+    amps = inst.resource.plain.amplitudes.reshape(-1, 2**inst.n_output)
     return float(np.sum(np.abs(amps[:, 0]) ** 2))
 
 
-def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
-    """Full comparison for one instance on its graph's resource; ``violated``
+def game_report(inst: GameInstance) -> dict:
+    """Full comparison for one instance on the resource it holds; ``violated``
     is the headline.
 
     Both exact girls-first scores are the ones the instance holds from its
@@ -152,16 +166,13 @@ def game_report(inst: GameInstance, r: acausal.ResourcePM) -> dict:
     graph state the resource holds, and the acausal score its folded table,
     so the report builds no state.
     """
-    if r.base_graph != inst.graph:
-        raise GameError("the resource was built from a different graph than the instance")
     bound = causal_bound(inst.n_output)
-    p0 = acausal_p0(r, inst.angles)
+    p0 = acausal_p0(inst.resource, inst.angles)
     return {
         "p0_acausal": p0,
         "p0_girls_first_corrected": inst.p0_corrected,
         "p0_girls_first_uncorrected": inst.p0_uncorrected,
-        "p0_boys_first": _boys_first(inst.graph, r.plain),
+        "p0_boys_first": boys_first_p0(inst),
         "bound": bound,
         "violated": bool(p0 > bound + VIOLATION_ATOL),
     }
-

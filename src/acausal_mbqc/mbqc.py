@@ -5,9 +5,11 @@ Computation vertices are measured one at a time in equatorial bases
 outcomes through X/Z dependency sets, and the surviving output register gets
 a final Pauli byproduct correction before computational-basis readout.
 
-One measurement walk serves every use.  Each step splits every node into
-both outcomes, so one start row ends as all 2^N adaptive histories while
-every step holds 2^(N+n) amplitudes: O(N 2^(N+n)) work in all.
+One measurement walk serves every use.  It starts from the caller's graph
+state (``game`` passes the one its resource holds), so it builds no state
+and meets no cap.  Each step splits every node into both outcomes, so one
+start row ends as all 2^N adaptive histories while every step holds
+2^(N+n) amplitudes: O(N 2^(N+n)) work in all.
 ``enumerate_causal`` returns those histories as the walk's arrays, one row
 per history (outcome bits, weight, readout distribution), corrected,
 uncorrected or both from the same walk; row 0 is the all-zeros history, the
@@ -194,11 +196,12 @@ def _byproducts(g: Graph, p: Pattern, m: np.ndarray, state: np.ndarray) -> np.nd
     return state
 
 
-def _walk(g: Graph, p: Pattern, cap=None):
+def _walk(g: Graph, p: Pattern, state: qlin.Ket):
     """The one measurement walk: every step splits every node into both outcomes.
 
-    Each vertex of ``p.order`` is measured at each node's adapted angle and
-    both renormalized children are kept, so the one start row ends as all 2^N
+    It starts from ``state``, the caller's graph state of ``g``.  Each
+    vertex of ``p.order`` is measured at each node's adapted angle and both
+    renormalized children are kept, so the one start row ends as all 2^N
     histories, the first vertex of ``p.order`` most significant, while every
     step holds 2^(N+n) amplitudes: O(N 2^(N+n)) work.  Returns outcome bits
     (2^N, N) in C order, history weights (2^N,), output amplitudes (2^N, 2^n)
@@ -206,7 +209,9 @@ def _walk(g: Graph, p: Pattern, cap=None):
     outcome-0 weight (2^i,) of each node the step measured.
     """
     validate_pattern(g, p)
-    state = graphstate.graph_state(g, cap).amplitudes[None]
+    if state.num_qubits != len(g.vertices):
+        raise PatternError(f"the walk needs the {len(g.vertices)}-qubit state of g, not {state}")
+    state = state.amplitudes[None]
     live = list(graphstate.ket_order(g))
     col = {v: i for i, v in enumerate(p.order)}
     weight, p0, bits = np.ones(1), [], np.zeros((1, 0), dtype=np.int64)
@@ -228,10 +233,11 @@ def _walk(g: Graph, p: Pattern, cap=None):
 SHOT_BLOCK = 2**16  # shots per block of uniforms: a block's draws stay a few MB
 
 
-def sample_causal(g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *, correct=True):
-    """``shots`` adaptive runs (measure C in order, correct, read out O): outcome
-    bits (shots, N) in C order, readout bits (shots, n) in O order and each C
-    history's Born weight.  Row r equals the r-th of ``shots`` single runs.
+def sample_causal(g: Graph, p: Pattern, state: qlin.Ket, shots: int, rng, *, correct=True):
+    """``shots`` adaptive runs (measure C in order, correct, read out O) on
+    ``state``, the graph state of ``g``: outcome bits (shots, N) in C order,
+    readout bits (shots, n) in O order and each C history's Born weight.
+    Row r equals the r-th of ``shots`` single runs.
 
     One split walk, its output byproducts applied if ``correct`` and its n
     readouts split the same way, is a tree of N + n levels holding each
@@ -243,7 +249,7 @@ def sample_causal(g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *,
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    m, weight, state, p0 = _walk(g, p)
+    m, weight, state, p0 = _walk(g, p, state)
     if correct:
         state = _byproducts(g, p, m, state)
     for _ in g.output:  # only O is left, in O order, so each readout is axis 0
@@ -262,15 +268,16 @@ def sample_causal(g: Graph, p: Pattern, shots: int, rng: np.random.Generator, *,
     return m[history], z, weight[history]
 
 
-def run_causal(g: Graph, p: Pattern, rng, *, correct: bool = True) -> RunRecord:
+def run_causal(g: Graph, p: Pattern, state: qlin.Ket, rng, *, correct: bool = True) -> RunRecord:
     """One adaptive run: the ``shots=1`` view of :func:`sample_causal`."""
-    m, z, weight = sample_causal(g, p, 1, rng, correct=correct)
+    m, z, weight = sample_causal(g, p, state, 1, rng, correct=correct)
     return RunRecord(tuple(m[0].tolist()), tuple(z[0].tolist()), float(weight[0]), correct)
 
 
-def enumerate_causal(g: Graph, p: Pattern, *, correct=True, cap=None):
-    """Exact walk over all 2^N adaptive outcome histories, the first vertex of
-    ``p.order`` most significant: one split walk, O(N 2^(N+n)) work.
+def enumerate_causal(g: Graph, p: Pattern, state: qlin.Ket, *, correct=True):
+    """Exact walk over all 2^N adaptive outcome histories of ``state``, the
+    graph state of ``g``, the first vertex of ``p.order`` most significant:
+    one split walk, O(N 2^(N+n)) work.
 
     Returns the histories as arrays, one row each: outcome bits (2^N, N) in
     C order, Born weights (2^N,), and exact readout distributions (2^N, 2^n),
@@ -283,7 +290,7 @@ def enumerate_causal(g: Graph, p: Pattern, *, correct=True, cap=None):
     histories share every measurement step, so one walk serves them all, and
     each distribution equals the single-flag one bit for bit.
     """
-    m, weight, amps, _ = _walk(g, p, cap)
+    m, weight, amps, _ = _walk(g, p, state)
 
     def dist(flag):
         return np.abs(_byproducts(g, p, m, amps) if flag else amps) ** 2

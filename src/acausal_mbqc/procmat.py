@@ -1,11 +1,11 @@
 """Process matrices and local instruments in the Choi representation.
 
 Every party's local operation is a measure-and-reprepare instrument: element
-``a`` maps rho -> |r_a><phi_a| rho |phi_a><r_a|, and an ``Instrument`` is
-just those single-qubit kets, stacked into (elements, 2) arrays ``measure``
-and ``reprepare``; an ``InstrumentBlock`` stacks every party's kets into
-two arrays with a leading axis of trials, checked once each, and
-``mbqc_kets`` is the one definition of the MBQC instruments in that form.
+``a`` maps rho -> |r_a><phi_a| rho |phi_a><r_a|.  Instruments have one form,
+an ``InstrumentBlock``: every party's single-qubit kets phi and r stacked
+into two arrays ``measure`` and ``reprepare``, shaped (trials, parties,
+elements, 2) with party i at index i, checked once each; ``mbqc_kets`` is
+the one definition of the MBQC instruments in that form.
 The element's Choi-Jamiolkowski (CJ) operator sum_{k,l} |k><l| (x) M(|l><k|),
 which evaluates exactly to |phi><phi| (x) |r><r|, is built only by the dense
 oracle, through ``_choi_tensors``; CJ registers are ordered input qubit
@@ -14,9 +14,11 @@ first, then output qubit.
 A process matrix W of k parties acts on one register of 2k qubits that holds
 every input, then every output: party i owns input qubit i and output qubit
 k + i.  Probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
-``outcome_table`` computes them for every element of every party's
-instrument at once, as one contraction sweep over the parties, and
-``pm_validate`` runs the same sweep over a leading axis of sampled trials.
+``_trial_tables`` computes them for every element of every party's
+instrument in every trial of a block at once, as one contraction sweep over
+the parties, reading a block's two arrays in W's party order;
+``pm_validate`` runs it over blocks of sampled trials, and
+``pm_probability`` over the one-trial block of one element per party.
 W has one form, scale * |pure><pure| (x) (I/2)^m: the pure ket on the
 first qubits of the register and I/2 on the m after them.  Every table is
 the factorized overlap of each element's kets with the pure factor, the one
@@ -25,11 +27,11 @@ shape (``_contraction_plan``): the resource's tables (``acausal``) run it
 too, by default on the plain graph state with every pendant folded into its
 vertex's row, read as a process matrix whose output qubits are all
 maximally mixed; the literal W of the resource is then built only when a
-caller reads it.  The dense oracle, ``_dense_probability``, is kept
-independent of it and is called only by the tests: the definition as
-written, a trace of W, built whole with ``dense()`` and checked as a
-``HermOp``, against each element's Choi operator from its double-sum
-definition, one party at a time.
+caller reads it.  The dense oracle, ``_dense_probability``, reads the same
+two arrays but is kept independent of the kernel and is called only by the
+tests: the definition as written, a trace of W, built whole with
+``dense()`` and checked as a ``HermOp``, against each element's Choi
+operator from its double-sum definition, one party at a time.
 """
 
 from __future__ import annotations
@@ -77,50 +79,18 @@ def _choi_tensors(measure: np.ndarray, reprepare: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Instrument:
-    """All outcome elements of one party's local operation.
-
-    Element e maps rho -> |r_e><phi_e| rho |phi_e><r_e|, where phi_e is
-    ``measure[e]`` and r_e is ``reprepare[e]``: single-qubit kets stacked
-    into two (elements, 2) arrays, the one-trial form of
-    ``InstrumentBlock.kets``.  Construction copies and freezes both arrays
-    and runs ``Ket``'s tests once over every ket.
-    """
-
-    measure: np.ndarray
-    reprepare: np.ndarray
-    description: str = ""
-
-    def __post_init__(self):
-        for name in ("measure", "reprepare"):
-            kets = np.array(getattr(self, name), dtype=np.complex128)
-            if kets.ndim != 2 or kets.shape[1] != 2 or not len(kets):
-                raise ProcmatError(
-                    f"{name} must stack at least one single-qubit ket as an "
-                    f"(elements, 2) array, got shape {kets.shape}"
-                )
-            qlin.check_unit_kets(kets, f"{name} ket")
-            kets.flags.writeable = False
-            object.__setattr__(self, name, kets)
-        if len(self.measure) != len(self.reprepare):
-            raise ProcmatError(
-                f"measure has {len(self.measure)} elements but reprepare has "
-                f"{len(self.reprepare)}"
-            )
-
-
-@dataclass(frozen=True)
 class InstrumentBlock:
     """The instrument tuples of a block of trials, as the two arrays drawn for them.
 
-    ``measure`` and ``reprepare`` stack every party's kets in ``parties``
-    order, each shaped (trials, parties, elements, 2); ``kets`` maps each
-    party to its two (trials, elements, 2) slices, the form the kernel
-    reads, and ``describe(t)`` names each party's instrument in trial t.
-    Construction runs ``Ket``'s tests once on each array, reading an axis
-    of stride 0 (a broadcast, such as one readout shared by every trial) at
-    its first index only: every ket of the block is tested, each stored ket
-    once.
+    In trial t, party i's element e maps rho -> |r><phi| rho |phi><r|, where
+    phi is ``measure[t, i, e]`` and r is ``reprepare[t, i, e]``: both arrays
+    are (trials, parties, elements, 2), party i the i-th of ``parties``,
+    the one form of instruments that the kernel and the dense oracle read.
+    ``describe(t)`` names each party's instrument in trial t.  Construction
+    refuses a block without elements, and runs ``Ket``'s tests once on each
+    array, reading an axis of stride 0 (a broadcast, such as one readout
+    shared by every trial) at its first index only: every ket of the block
+    is tested, each stored ket once.
     """
 
     parties: tuple[str, ...]
@@ -129,19 +99,16 @@ class InstrumentBlock:
     describe: Callable[[int], dict[str, str]]
 
     def __post_init__(self):
-        shape = self.measure.shape
-        parties = len(self.parties)
-        if len(shape) != 4 or shape[1:4:2] != (parties, 2) or self.reprepare.shape != shape:
+        shape, parties = self.measure.shape, len(self.parties)
+        ok = len(shape) == 4 and shape[1:4:2] == (parties, 2) and shape[2] > 0
+        if not ok or self.reprepare.shape != shape:
             raise ProcmatError(
-                f"block kets must share one (trials, {parties} parties, elements, 2) "
+                f"block kets must share one (trials, {parties} parties, elements >= 1, 2) "
                 f"shape, got {self.measure.shape} and {self.reprepare.shape}"
             )
-        for kets in (self.measure, self.reprepare):
-            qlin.check_unit_kets(kets[tuple(slice(None if s else 1) for s in kets.strides[:3])])
-
-    @property
-    def kets(self) -> Kets:
-        return {p: (self.measure[:, i], self.reprepare[:, i]) for i, p in enumerate(self.parties)}
+        for name, kets in (("measure", self.measure), ("reprepare", self.reprepare)):
+            index = tuple(slice(None if s else 1) for s in kets.strides[:3])
+            qlin.check_unit_kets(kets[index], f"{name} ket")
 
 
 # |z>, measured and reprepared for outcome z
@@ -166,29 +133,22 @@ def mbqc_kets(phis: np.ndarray, alices: Sequence[str], bobs: Sequence[str]) -> I
     reprepare = np.broadcast_to(_READOUT, measure.shape)
 
     def describe(t: int) -> dict[str, str]:
-        out = {a: _mbqc_description(phis[t, i]) for i, a in enumerate(alices)}
-        out.update({b: _mbqc_description() for b in bobs})
-        return out
+        out = {a: f"equatorial(phi={float(phis[t, i]):.6f})" for i, a in enumerate(alices)}
+        return out | dict.fromkeys(bobs, "computational readout")
 
     return InstrumentBlock(alices + bobs, measure, reprepare, describe)
 
 
-def _mbqc_description(phi: float | None = None) -> str:
-    """The description of an MBQC instrument: an Alice's equatorial
-    measurement at angle ``phi``, or without one a Bob's readout."""
-    return "computational readout" if phi is None else f"equatorial(phi={float(phi):.6f})"
+def alice_instrument(phi: float) -> InstrumentBlock:
+    """Equatorial measurement at angle phi, reprepared as the outcome bit:
+    the one-trial block of party "A"."""
+    return mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())
 
 
-def alice_instrument(phi: float) -> Instrument:
-    """Equatorial measurement at angle phi, reprepared as the outcome bit."""
-    block = mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())
-    return Instrument(block.measure[0, 0], block.reprepare[0, 0], _mbqc_description(phi))
-
-
-def bob_instrument() -> Instrument:
-    """Computational-basis readout, reprepared as the outcome bit."""
-    block = mbqc_kets(np.zeros((1, 0)), (), ("B",))
-    return Instrument(block.measure[0, 0], block.reprepare[0, 0], _mbqc_description())
+def bob_instrument() -> InstrumentBlock:
+    """Computational-basis readout, reprepared as the outcome bit: the
+    one-trial block of party "B"."""
+    return mbqc_kets(np.zeros((1, 0)), (), ("B",))
 
 
 # ---------------------------------------------------------------------------
@@ -314,44 +274,28 @@ def _validated_table(values: np.ndarray, first_trial: int = 0) -> np.ndarray:
     return values
 
 
-def outcome_table(w: ProcessMatrix, instruments: Mapping[str, Instrument]) -> np.ndarray:
-    """P[e_0, ..., e_{k-1}] = Tr[W (x)_parties CJ], every element of every instrument.
-
-    The table has one axis per party of ``w``, in party order, with one entry
-    per element of that party's instrument.  It is the one-trial case of the
-    batched kernel that ``pm_validate`` runs.
-    """
-    if set(instruments) != set(w.parties):
-        raise ProcmatError(
-            f"instrument parties {sorted(instruments)} do not match {sorted(w.parties)}"
-        )
-    kets = {party: (inst.measure[None], inst.reprepare[None]) for party, inst in instruments.items()}
-    return _trial_tables(w, kets)[0]
-
-
 def pm_probability(
     w: ProcessMatrix, assignment: Mapping[str, tuple[np.ndarray, np.ndarray]]
 ) -> float:
     """P = Tr[W (x)_parties CJ] for one element per party, given as its
-    (measure, reprepare) pair of single-qubit amplitude arrays (see
-    ``outcome_table``)."""
-    instruments = {
-        party: Instrument(np.asarray(measure)[None], np.asarray(reprepare)[None])
-        for party, (measure, reprepare) in assignment.items()
-    }
-    return float(outcome_table(w, instruments).reshape(-1)[0])
+    (measure, reprepare) pair of single-qubit amplitude arrays: the table of
+    the one-trial block of those one-element instruments."""
+    if set(assignment) != set(w.parties):
+        raise ProcmatError(f"parties {sorted(assignment)} do not match {sorted(w.parties)}")
+    kets = [np.array([[[assignment[p][j]] for p in w.parties]], dtype=complex) for j in (0, 1)]
+    block = InstrumentBlock(w.parties, *kets, lambda t: {})
+    return float(_trial_tables(w, block.measure, block.reprepare).item())
 
 
-Kets = Mapping[str, tuple[np.ndarray, np.ndarray]]
-
-
-def _trial_tables(w: ProcessMatrix, kets: Kets, *, first_trial: int = 0) -> np.ndarray:
-    """Validated outcome tables of a block of trials, shaped (trials, E_0, ..., E_{k-1}).
-
-    ``kets`` maps each party to its stacked measure and reprepare kets, each
-    shaped (trials, elements, 2).
+def _trial_tables(
+    w: ProcessMatrix, measure: np.ndarray, reprepare: np.ndarray, *, first_trial: int = 0
+) -> np.ndarray:
+    """Validated outcome tables of a block of trials, shaped (trials, E, ..., E),
+    one axis of E elements per party of ``w``, from the (trials, parties, E, 2)
+    arrays of an ``InstrumentBlock`` in W's party order (the trials numbered
+    from ``first_trial``): the one entry to the kernel.
     """
-    return _validated_table(_factorized_probability(w, kets), first_trial)
+    return _validated_table(_factorized_probability(w, measure, reprepare), first_trial)
 
 
 def _batched_tensordot(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -396,9 +340,12 @@ def _contraction_plan(parties: int, pure: int) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
+def _factorized_probability(
+    w: ProcessMatrix, measure: np.ndarray, reprepare: np.ndarray
+) -> np.ndarray:
     """The kernel of the outcome tables: contract the pure factor with
     each party's stacked conjugate measure and reprepare kets in turn,
+    party i's at index i of the (trials, parties, elements, 2) arrays,
     keeping the trial axis in front.  ``acausal``'s folded table calls it
     with the plain graph state and the folded kets.
 
@@ -413,46 +360,45 @@ def _factorized_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
     of that per-party sweep (``tests/pm_reference.py``).
     """
     amp = w.pure.as_tensor()[None]
+    trials, parties, count = measure.shape[:3]
     elements = 1
-    shape = []
-    plan = _contraction_plan(len(w.parties), w.pure.num_qubits)
-    for party, (order, contracted, free) in zip(w.parties, plan):
-        measure, reprepare = kets[party]
-        trials, count = measure.shape[:2]
+    plan = _contraction_plan(parties, w.pure.num_qubits)
+    for i, (order, contracted, free) in enumerate(plan):
+        m, r = measure[:, i].conj(), reprepare[:, i].conj()
         if contracted == 4:
             # einsum's products: numpy's complex multiply loop may fuse a
             # multiply-add, which rounds some entries differently
-            bra = np.einsum("tea,teb->teab", measure.conj(), reprepare.conj()).reshape(
-                trials, count, 4
-            )
+            bra = np.einsum("tea,teb->teab", m, r).reshape(trials, count, 4)
         elif contracted == 2:  # its input qubit alone, as the pure qubits come first
-            bra = measure.conj()
+            bra = m
         else:
             bra = np.ones((trials, count, 1), dtype=np.complex128)
         lhs = amp.transpose(order).reshape(len(amp), elements << len(free), contracted)
         amp = np.matmul(lhs, bra.transpose(0, 2, 1))
         elements *= count
-        shape.append(count)
         amp = amp.reshape((len(amp), *free, elements))
-    return w._mixed_coeff() * np.abs(amp.reshape((len(amp), *shape))) ** 2
+    return w._mixed_coeff() * np.abs(amp.reshape((len(amp),) + (count,) * parties)) ** 2
 
 
 # the oracle stays in src/ because benchmark/tracing.py wraps it by name
-def _dense_probability(w: ProcessMatrix, kets: Kets) -> np.ndarray:
+def _dense_probability(
+    w: ProcessMatrix, measure: np.ndarray, reprepare: np.ndarray
+) -> np.ndarray:
     """The independent oracle of the outcome tables, which only the tests
     call: Tr[W (x)_parties CJ] by its definition, W written whole by
     ``dense()``, then traced against each party's stacked CJ tensors
-    [t, e, r_in, r_out, c_in, c_out], built from the kets by the double-sum
-    definition, one ``_batched_tensordot`` step per party in party order.
+    [t, e, r_in, r_out, c_in, c_out], built by the double-sum definition
+    from the kets the kernel reads, one ``_batched_tensordot`` step per
+    party in party order.
     The table comes back C-contiguous with its element axes in party order.
     """
     table = w.dense().as_tensor()[None]
     labels: list[tuple[str, int] | None] = [
         (side, q) for side in "rc" for q in range(w.num_qubits)
     ]
-    for i, party in enumerate(w.parties):
+    for i in range(len(w.parties)):
         axes = [labels.index(lab) for lab in _traced_labels(w.qubits(i))]
-        table = _batched_tensordot(table, _choi_tensors(*kets[party]), axes)
+        table = _batched_tensordot(table, _choi_tensors(measure[:, i], reprepare[:, i]), axes)
         labels = [lab for a, lab in enumerate(labels) if a not in axes] + [None]
     # NaN fails every comparison, so ``worst_imag > 1e-10`` alone would pass
     # it; a non-finite real part is left to ``_validated_table``, which names
@@ -543,7 +489,7 @@ def _trial_totals(w: ProcessMatrix, family: InstrumentFamily, trials: int, rng: 
     size = _block_trials(w, family)
     for start in range(0, trials, size):
         block = family.draw(rng, min(size, trials - start))
-        tables = _trial_tables(w, block.kets, first_trial=start)
+        tables = _trial_tables(w, block.measure, block.reprepare, first_trial=start)
         totals = tables.reshape(len(tables), -1).sum(axis=1)
         del tables
         yield block, totals
@@ -569,8 +515,11 @@ def pm_validate(
     """
     if trials < 1:
         raise ProcmatError("pm_validate needs at least one trial")
-    if set(family.parties) != set(w.parties):
-        raise ProcmatError("family must assign an instrument to every party")
+    # the kernel reads party i's kets at index i, so the order must match too
+    if family.parties != w.parties:
+        raise ProcmatError(
+            f"family parties {list(family.parties)} are not W's parties {list(w.parties)} in order"
+        )
     worst = -1.0
     worst_desc: dict[str, str] = {}
     for block, totals in _trial_totals(w, family, trials, rng):

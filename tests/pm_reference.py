@@ -1,18 +1,19 @@
 """Reference constructions that the tests compare the package against.
 
 ``reference_sweep`` is the per-trial reference for ``pm_validate``.  Each
-trial draws one instrument tuple as ``Instrument`` objects, with the random
-samplers below and in the order that the instrument families used before
-they drew whole blocks, contracts it through ``procmat.outcome_table``, and
-keeps the first trial whose deviation is strictly larger than every earlier
-one.  The batched ``pm_validate`` must reproduce it: the same totals, the
-same worst trial and its descriptions, and the same random stream.
+trial draws one instrument tuple as a one-trial ``InstrumentBlock``, with
+the random samplers below and in the order that the instrument families
+used before they drew whole blocks, contracts it through
+``procmat._trial_tables``, and keeps the first trial whose deviation is
+strictly larger than every earlier one.  The batched ``pm_validate`` must
+reproduce it: the same totals, the same worst trial and its descriptions,
+and the same random stream.
 
 ``dense_tables`` is the one way the tests reach the dense oracle
 ``procmat._dense_probability``, under the range guard every table gets.
 ``backend_table`` gives a resource's MBQC table by a named route: the
 default fold, the literal W's factorized kernel, or the dense oracle on the
-literal W; ``instrument_kets`` stacks ``Instrument`` objects as one trial.
+literal W.
 
 ``labelled_factorized_probability`` is the reference for
 ``procmat._factorized_probability``: the same contraction, but each step
@@ -43,17 +44,11 @@ import numpy as np
 from acausal_mbqc import acausal, graphstate, mbqc, procmat, qlin
 
 
-def dense_tables(w: procmat.ProcessMatrix, kets: procmat.Kets) -> np.ndarray:
+def dense_tables(w: procmat.ProcessMatrix, measure, reprepare) -> np.ndarray:
     """The dense oracle's validated outcome tables of a block of trials,
-    shaped (trials, E_0, ..., E_{k-1}), as ``procmat._trial_tables`` gives
-    the factorized kernel's."""
-    return procmat._validated_table(procmat._dense_probability(w, kets))
-
-
-def instrument_kets(instruments) -> procmat.Kets:
-    """One trial's kets of a mapping of party to ``Instrument``, as
-    ``procmat.outcome_table`` stacks them."""
-    return {party: (inst.measure[None], inst.reprepare[None]) for party, inst in instruments.items()}
+    shaped (trials, E, ..., E), from the block's two (trials, parties, E, 2)
+    arrays, as ``procmat._trial_tables`` gives the factorized kernel's."""
+    return procmat._validated_table(procmat._dense_probability(w, measure, reprepare))
 
 
 def backend_table(r, angles, backend: str) -> np.ndarray:
@@ -69,24 +64,27 @@ def backend_table(r, angles, backend: str) -> np.ndarray:
     stacked = isinstance(angles, list) and all(isinstance(a, dict) for a in angles)
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in (angles if stacked else [angles])]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
-    tables = dense_tables(r.w, procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties).kets)
+    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    tables = dense_tables(r.w, block.measure, block.reprepare)
     shape = (2**r.n_computation, 2**r.n_output)
     return tables.reshape((len(tables), *shape) if stacked else shape)
 
 
-def labelled_factorized_probability(w: procmat.ProcessMatrix, kets: procmat.Kets) -> np.ndarray:
-    """The factorized tables of a block of trials, (trials, E_0, ..., E_{k-1}),
-    with the axes of every step looked up in a list of labels."""
+def labelled_factorized_probability(
+    w: procmat.ProcessMatrix, measure: np.ndarray, reprepare: np.ndarray
+) -> np.ndarray:
+    """The factorized tables of a block of trials, (trials, E, ..., E), from
+    the block's two (trials, parties, E, 2) arrays, with the axes of every
+    step looked up in a list of labels."""
     amp = w.pure.as_tensor()[None]
     # axis label per non-trial axis of amp: a register qubit, or None for an element axis
     labels: list[int | None] = list(range(w.pure.num_qubits))
-    for i, party in enumerate(w.parties):
-        measure, reprepare = kets[party]
+    for i in range(len(w.parties)):
         # <u| on the party's pure qubits, one row per (trial, element); a mixed
         # qubit contributes <k|I/2|k> = 1/2 for its unit ket
-        bra = np.ones(measure.shape[:2], dtype=np.complex128)
+        bra = np.ones(measure.shape[:1] + measure.shape[2:3], dtype=np.complex128)
         axes = []
-        for qubit, rows in zip(w.qubits(i), (measure, reprepare)):
+        for qubit, rows in zip(w.qubits(i), (measure[:, i], reprepare[:, i])):
             if qubit in labels:
                 bra = np.einsum("te...,tef->te...f", bra, rows.conj())
                 axes.append(labels.index(qubit))
@@ -175,40 +173,47 @@ def partial_trace(op: qlin.HermOp, discard) -> qlin.HermOp:
     return qlin.HermOp(reduced)
 
 
-def cptp_check(inst: procmat.Instrument) -> tuple[float, float]:
-    """(identity deviation, min eigenvalue) of an instrument's summed Choi
-    operator: CPTP iff it traces out to the identity and is PSD."""
-    total = qlin.HermOp(procmat._choi_tensors(inst.measure, inst.reprepare).sum(0).reshape(4, 4))
+def cptp_check(block: procmat.InstrumentBlock) -> tuple[float, float]:
+    """(identity deviation, min eigenvalue) of the summed Choi operator of
+    the instrument of a one-trial, one-party block: CPTP iff it traces out
+    to the identity and is PSD."""
+    choi = procmat._choi_tensors(block.measure[0, 0], block.reprepare[0, 0])
+    total = qlin.HermOp(choi.sum(0).reshape(4, 4))
     reduced = partial_trace(total, [1])  # trace out the output qubit
     dev = float(np.max(np.abs(reduced.entries - np.eye(2))))
     return dev, qlin.min_eigenvalue(total)
 
 
 def mbqc_sampler(alices, bobs):
+    """One trial's MBQC block: one scalar uniform angle per Alice, in order."""
+
     def sample(rng):
-        out = {a: procmat.alice_instrument(float(rng.uniform(0.0, procmat.TWO_PI))) for a in alices}
-        out.update({b: procmat.bob_instrument() for b in bobs})
-        return out
+        phis = [float(rng.uniform(0.0, procmat.TWO_PI)) for _ in alices]
+        return procmat.mbqc_kets(np.array([phis]), alices, bobs)
 
     return sample
 
 
 def rank_one_sampler(parties):
+    """One trial's rank-1 block: per party, in order, a Haar-random measure
+    basis and then two Haar-random reprepare kets."""
+    parties = tuple(parties)
+
     def fmt(ket):
         a, b = ket.amplitudes
         return f"({a.real:+.3f}{a.imag:+.3f}j, {b.real:+.3f}{b.imag:+.3f}j)"
 
     def sample(rng):
-        out = {}
+        measure, reprepare, desc = [], [], {}
         for p in parties:
             mk = random_single_qubit_basis(rng)
             rk = (random_ket(rng, 1), random_ket(rng, 1))
-            out[p] = procmat.Instrument(
-                np.array([k.amplitudes for k in mk]),
-                np.array([k.amplitudes for k in rk]),
-                f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}",
-            )
-        return out
+            measure.append([k.amplitudes for k in mk])
+            reprepare.append([k.amplitudes for k in rk])
+            desc[p] = f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}"
+        return procmat.InstrumentBlock(
+            parties, np.array([measure]), np.array([reprepare]), lambda t: desc
+        )
 
     return sample
 
@@ -218,13 +223,15 @@ def reference_sweep(w, sample, trials, rng):
     totals = []
     worst, worst_trial, worst_desc = -1.0, None, {}
     for t in range(trials):
-        instruments = sample(rng)
-        total = float(procmat.outcome_table(w, instruments).sum())
+        block = sample(rng)
+        assert block.parties == w.parties
+        total = float(procmat._trial_tables(w, block.measure, block.reprepare).sum())
         totals.append(total)
         dev = abs(total - 1.0)
         if dev > worst:
             worst, worst_trial = dev, t
-            worst_desc = {p: instruments[p].description for p in w.parties}
+            desc = block.describe(0)
+            worst_desc = {p: desc[p] for p in w.parties}
     return np.array(totals), worst_trial, worst_desc
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
-from pm_reference import backend_table, dense_tables, instrument_kets, kron_cz_decorated_state
+from pm_reference import backend_table, dense_tables, kron_cz_decorated_state
 
 
 def perturbed_pure_ancilla(r):
@@ -32,8 +32,8 @@ def literal_table(r, w, angle):
     literal=True)`` contracts the resource's literal W; the folded table
     never reads W, so a perturbed W is contracted here."""
     phis = np.full((1, r.n_computation), float(angle))
-    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties).kets
-    return procmat._trial_tables(w, kets)[0].reshape(
+    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    return procmat._trial_tables(w, block.measure, block.reprepare)[0].reshape(
         2**r.n_computation, 2**r.n_output
     )
 
@@ -100,7 +100,7 @@ def test_acausal_matches_causal_enumeration_per_branch():
         p = mbqc.chain_pattern(g, angles=0.9)
         # the literal W: on the fold every branch m contracts the same rows
         probs = acausal.outcome_probabilities(r, 0.9, literal=True)
-        bits, _, dists = mbqc.enumerate_causal(g, p)
+        bits, _, dists = mbqc.enumerate_causal(g, p, r.plain)
         by_m = {tuple(row): dist for row, dist in zip(bits.tolist(), dists)}
         n_comp = g.n_computation
         for mi in range(2**n_comp):
@@ -397,7 +397,7 @@ def test_backend_agreement_equals_the_walks_positive_branch(case):
     g, ang = case
     r = acausal.build_resource_pm(g)
     _, weight, dist = mbqc.enumerate_causal(
-        g, mbqc.make_pattern(g.computation, ang), correct=False
+        g, mbqc.make_pattern(g.computation, ang), r.plain, correct=False
     )
     assert acausal.backend_agreement(r, ang, weight[0] * dist[0]) <= 1e-15
 
@@ -420,8 +420,8 @@ def test_backend_agreement_catches_a_wrong_w_that_the_dense_oracle_passes(g, per
     bad_w = perturb(r)
     bad = literal_table(r, bad_w, 0.7)
     phis = np.full((1, r.n_computation), 0.7)
-    kets = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties).kets
-    dense = dense_tables(bad_w, kets)[0].reshape(bad.shape)
+    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    dense = dense_tables(bad_w, block.measure, block.reprepare)[0].reshape(bad.shape)
     assert float(np.max(np.abs(dense - bad))) <= 1e-12
     assert acausal.backend_agreement(r, 0.7, bad) > 0.05
 
@@ -439,8 +439,9 @@ def test_factored_min_eigenvalue_builds_no_operator(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["factorized", "dense"])
 def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
-    """``outcome_probabilities`` builds no instrument objects, yet gives the
-    bytes of the table over ``alice_instrument``/``bob_instrument``, by the
+    """``outcome_probabilities`` contracts one block of every party's kets,
+    yet gives the bytes of the table over the one-party blocks of
+    ``alice_instrument``/``bob_instrument`` put side by side, by the
     literal W's factorized kernel and by the dense oracle."""
     rng = np.random.default_rng(23)
     graphs = [graphstate.chain(3), graphstate.parallel_chains([2, 2])]
@@ -448,15 +449,14 @@ def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
     for g in graphs:
         r = acausal.build_resource_pm(g)
         ang = {c: float(rng.uniform(-10.0, 10.0)) for c in g.computation}
-        instruments = {
-            party: procmat.alice_instrument(ang[c])
-            for party, c in zip(r.alice_parties, g.computation)
-        }
-        instruments.update({party: procmat.bob_instrument() for party in r.bob_parties})
-        if backend == "dense":
-            reference = dense_tables(r.w, instrument_kets(instruments))
-        else:
-            reference = procmat.outcome_table(r.w, instruments)
+        instruments = [procmat.alice_instrument(ang[c]) for c in g.computation]
+        instruments += [procmat.bob_instrument() for _ in r.bob_parties]
+        measure, reprepare = (
+            np.concatenate([getattr(inst, side) for inst in instruments], axis=1)
+            for side in ("measure", "reprepare")
+        )
+        kernel = dense_tables if backend == "dense" else procmat._trial_tables
+        reference = kernel(r.w, measure, reprepare)
         table = backend_table(r, ang, backend)
         assert np.array_equal(table, reference.reshape(table.shape)), (g.edges, ang)
 
@@ -467,9 +467,9 @@ def test_table_options_are_keyword_only():
     r = acausal.build_resource_pm(graphstate.chain(3))
     with pytest.raises(TypeError):
         acausal.outcome_probabilities(r, 0.0, "dense")
-    kets = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.alice_parties, r.bob_parties).kets
+    block = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.alice_parties, r.bob_parties)
     with pytest.raises(TypeError):
-        procmat._trial_tables(r.w, kets, "dense")
+        procmat._trial_tables(r.w, block.measure, block.reprepare, "dense")
 
 
 def test_table_kets_get_the_ket_tests(monkeypatch):

@@ -217,7 +217,7 @@ def test_criterion_06_acausal_equals_corrected_causal():
         for angles in [0.0, 1.1]:
             p = mbqc.chain_pattern(g, angles=angles)
             probs = acausal.outcome_probabilities(r, angles)
-            _, weight, dists = mbqc.enumerate_causal(g, p)
+            _, weight, dists = mbqc.enumerate_causal(g, p, r.plain)
             dist = sum(w * d for w, d in zip(weight, dists))
             scaled = (2.0**g.n_computation) * probs[0, :]
             worst = max(worst, float(np.max(np.abs(scaled - dist))))
@@ -229,10 +229,8 @@ def test_criterion_07_game_violates_causal_bound():
     """The acausal strategy beats the causal bound; causal strategies do not."""
     start = time.perf_counter()
     p2_graph, pair_graph = graphstate.chain(2), graphstate.parallel_chains([2, 2])
-    p2 = game.game_report(game.game_instance(p2_graph), acausal.build_resource_pm(p2_graph))
-    pair = game.game_report(
-        game.game_instance(pair_graph), acausal.build_resource_pm(pair_graph)
-    )
+    p2 = game.game_report(game.game_instance(p2_graph))
+    pair = game.game_report(game.game_instance(pair_graph))
     elapsed = time.perf_counter() - start
     print(
         f"criterion 07: p0 {p2['p0_acausal']:.6f} vs bound {p2['bound']} (1 output); "

@@ -78,7 +78,7 @@ def test_sample_causal_equals_per_shot_runs(monkeypatch, g, correct, cap):
     for seed, angle in [(3, 0.0), (4, 0.9), (5, 2.2)]:
         p = mbqc.chain_pattern(g, angle)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        m, z, weight = mbqc.sample_causal(g, p, 70, a, correct=correct)
+        m, z, weight = mbqc.sample_causal(g, p, graphstate.graph_state(g), 70, a, correct=correct)
         m_ref, z_ref = per_shot_oracle(g, p, 70, b, correct)
         assert np.array_equal(m, m_ref), (seed, angle)
         assert np.array_equal(z, z_ref), (seed, angle)
@@ -91,21 +91,26 @@ def test_run_causal_is_one_row_of_sample_causal():
     g = graphstate.chain(4)
     p = mbqc.chain_pattern(g, 0.4)
     a, b = np.random.default_rng(8), np.random.default_rng(8)
-    m, z, weight = mbqc.sample_causal(g, p, 5, a, correct=False)
+    state = graphstate.graph_state(g)
+    m, z, weight = mbqc.sample_causal(g, p, state, 5, a, correct=False)
     for row in range(5):
-        rec = mbqc.run_causal(g, p, b, correct=False)
+        rec = mbqc.run_causal(g, p, state, b, correct=False)
         assert rec.m == tuple(m[row]) and rec.z == tuple(z[row])
         assert rec.branch_probability == weight[row] and not rec.corrected
 
 
 def test_sampled_game_builds_the_graph_state_once(monkeypatch):
-    inst = game.game_instance(graphstate.chain(4))
+    """The instance builds the plain graph state with its resource; the
+    sampled and exact girls-first scores and the boys-first score read it."""
     calls = []
     real = graphstate.graph_state
     monkeypatch.setattr(
         graphstate, "graph_state", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
+    inst = game.game_instance(graphstate.chain(4))
     assert game.girls_first_p0(inst, shots=3000, seed=1) == 1.0
+    assert game.girls_first_p0(inst) == pytest.approx(1.0, abs=ATOL)
+    assert game.boys_first_p0(inst) == pytest.approx(0.5, abs=ATOL)
     assert len(calls) == 1
 
 
@@ -114,8 +119,10 @@ def test_sampled_game_builds_the_graph_state_once(monkeypatch):
     "g", [graphstate.chain(4), graphstate.parallel_chains([2, 2])], ids=["chain4", "pc22"]
 )
 def test_sample_causal_walks_once_whatever_the_shots(monkeypatch, g, shots):
-    """One split walk, N + n measurement steps and one graph state per call:
-    the shots descend the walk's tree, and no state is walked per shot."""
+    """One split walk and N + n measurement steps per call, on the caller's
+    graph state: the shots descend the walk's tree, no state is walked per
+    shot, and none is built."""
+    state = graphstate.graph_state(g)
     calls = {"_walk": 0, "_measure": 0, "graph_state": 0}
     for owner, name in [(mbqc, "_walk"), (mbqc, "_measure"), (graphstate, "graph_state")]:
         real = getattr(owner, name)
@@ -125,14 +132,15 @@ def test_sample_causal_walks_once_whatever_the_shots(monkeypatch, g, shots):
             return _real(*a, **k)
 
         monkeypatch.setattr(owner, name, counted)
-    m, z, _ = mbqc.sample_causal(g, mbqc.chain_pattern(g, 0.4), shots, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    m, z, _ = mbqc.sample_causal(g, mbqc.chain_pattern(g, 0.4), state, shots, rng)
     assert m.shape == (shots, g.n_computation) and z.shape == (shots, g.n_output)
-    assert calls == {"_walk": 1, "_measure": g.n_computation + g.n_output, "graph_state": 1}
+    assert calls == {"_walk": 1, "_measure": g.n_computation + g.n_output, "graph_state": 0}
 
 
 def histories(g, p, correct):
     """``enumerate_causal``'s rows keyed by outcome bits: (weight, readout distribution)."""
-    m, weight, dist = mbqc.enumerate_causal(g, p, correct=correct)
+    m, weight, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g), correct=correct)
     return {tuple(row): (w, d) for row, w, d in zip(m.tolist(), weight, dist)}
 
 
@@ -267,10 +275,11 @@ def test_one_split_walk_gives_every_correction_flag(monkeypatch, g):
     walks = []
     real = mbqc._walk
     monkeypatch.setattr(mbqc, "_walk", lambda *a, **k: walks.append(1) or real(*a, **k))
-    m, weight, both = mbqc.enumerate_causal(g, p, correct=(True, False))
+    state = graphstate.graph_state(g)
+    m, weight, both = mbqc.enumerate_causal(g, p, state, correct=(True, False))
     assert len(walks) == 1 and both.shape == (2, 2**g.n_computation, 2**g.n_output)
     for flag, dist in zip((True, False), both):
-        m_1, weight_1, dist_1 = mbqc.enumerate_causal(g, p, correct=flag)
+        m_1, weight_1, dist_1 = mbqc.enumerate_causal(g, p, state, correct=flag)
         assert np.array_equal(m, m_1) and np.array_equal(weight, weight_1)
         assert np.array_equal(dist, dist_1)
     assert not np.array_equal(both[0], both[1])
@@ -286,8 +295,9 @@ def test_split_holds_one_state_of_amplitudes_per_step(monkeypatch, g):
     monkeypatch.setattr(
         mbqc, "_measure", lambda state, *a: sizes.append(state.size) or real(state, *a)
     )
+    p, state = mbqc.chain_pattern(g, 0.7), graphstate.graph_state(g)
     for correct in (True, False):
-        mbqc.enumerate_causal(g, mbqc.chain_pattern(g, 0.7), correct=correct)
+        mbqc.enumerate_causal(g, p, state, correct=correct)
     assert sizes == [2 ** (g.n_computation + g.n_output)] * (2 * g.n_computation)
 
 
@@ -312,10 +322,11 @@ def test_uncorrected_girls_first_equals_boys_first(g, angles):
     shares no code with the walk."""
     ang = mbqc.as_angle_map(g, angles)
     pattern = mbqc.chain_pattern(g, ang)
-    _, weight, dist = mbqc.enumerate_causal(g, pattern, correct=False)
+    r = acausal.build_resource_pm(g)
+    _, weight, dist = mbqc.enumerate_causal(g, pattern, r.plain, correct=False)
     girls = game._exact_p0(weight, dist)
     # built directly: the validity gate refuses nonzero angles
-    inst = game.GameInstance(g, ang, pattern, p0_corrected=np.nan, p0_uncorrected=girls)
+    inst = game.GameInstance(r, ang, pattern, p0_corrected=np.nan, p0_uncorrected=girls)
     assert abs(game.girls_first_p0(inst, correct=False) - game.boys_first_p0(inst)) <= ATOL
 
 
@@ -324,7 +335,7 @@ def _assert_sampled_like_per_shot_runs(g, p, correct, shots, seed):
     position, and each row's weight is ``enumerate_causal``'s weight of that
     history, bit for bit."""
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    m, z, weight = mbqc.sample_causal(g, p, shots, a, correct=correct)
+    m, z, weight = mbqc.sample_causal(g, p, graphstate.graph_state(g), shots, a, correct=correct)
     m_ref, z_ref = per_shot_oracle(g, p, shots, b, correct)
     assert np.array_equal(m, m_ref) and np.array_equal(z, z_ref)
     assert a.random() == b.random()
@@ -357,7 +368,7 @@ def test_sample_causal_through_zero_weight_branches(correct):
     it is 1 up to round-off, and every shot still matches the per-shot oracle."""
     g = graphstate.cycle_with_output(4)
     p = mbqc.make_pattern(g.computation, mbqc.as_angle_map(g, [math.pi / 2, 0.0, math.pi / 2]))
-    p0 = mbqc._walk(g, p)[3][2]
+    p0 = mbqc._walk(g, p, graphstate.graph_state(g))[3][2]
     assert p0.min() == 0.0 and p0.max() == pytest.approx(1.0, abs=1e-15)
     _assert_sampled_like_per_shot_runs(g, p, correct, 500, 21)
 

@@ -69,7 +69,7 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
         (["verify", "--shots", "1000"], 1, 2, 1, 0, 0),
         (["verify"], 1, 2, 1, 0, 0),
         (["postselect"], 1, 2, 1, 0, 0),
-        (["game"], 1, 2, 1, 0, 1),
+        (["game"], 1, 1, 1, 0, 1),
         (["signal"], 1, 1, 1, 0, 0),
     ],
     ids=["verify-shots", "verify", "postselect", "game", "signal"],
@@ -85,7 +85,8 @@ def test_builds_and_contractions_per_command(
     Every command builds the plain graph state; ``verify`` and ``postselect``
     also build the decorated one, with the literal W (``verify``'s checks) or
     for the sampler; ``signal`` and ``game`` read the folded table and build
-    no other state but a walk's."""
+    no other state, ``game``'s walk starting from the plain state of the
+    resource its instance holds."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
@@ -533,9 +534,10 @@ def test_cap_flag_behaves_like_the_env_var(
 
 
 def test_cap_flag_wins_over_the_env_var_in_every_game_walk(capsys, tmp_path, monkeypatch):
-    """The flag's cap reaches the split walk of the validity gate and both
-    girls-first scores, and the boys-first read, each on the 4-qubit graph
-    state, above the env's 3."""
+    """The flag's cap reaches the resource the game instance holds, whose
+    4-qubit plain graph state, above the env's 3, the split walk of the
+    validity gate and both girls-first scores and the boys-first read all
+    read."""
     path = graph_file(tmp_path, graphstate.parallel_chains([2, 2]), "pc22")
     monkeypatch.setenv(config.CAP_ENV_VAR, "3")
     code, rep = run_json(capsys, ["game", "--graph", path, "--json", "--cap", "6"])

@@ -48,7 +48,7 @@ def test_two_chain_game_numbers():
 
 def test_game_report_declares_violation():
     g = graphstate.chain(4)
-    rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
+    rep = game.game_report(game.game_instance(g))
     assert rep["violated"] is True
     assert rep["p0_acausal"] > rep["bound"] + 1e-9
     assert rep["p0_boys_first"] <= rep["bound"] + 1e-10
@@ -81,7 +81,7 @@ def test_girls_first_sampling_is_seeded():
 def test_standard_instances_all_violate():
     """Single chains of length 2 and 4, and two parallel 2-chains."""
     for g in [graphstate.chain(2), graphstate.chain(4), graphstate.parallel_chains([2, 2])]:
-        rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
+        rep = game.game_report(game.game_instance(g))
         assert rep["violated"], g
 
 
@@ -102,7 +102,7 @@ def test_game_report_builds_no_projector(monkeypatch):
 
     monkeypatch.setattr(qlin.HermOp, "__init__", refuse)
     for g, boys in [(graphstate.chain(4), 0.5), (graphstate.parallel_chains([2, 2]), 0.25)]:
-        rep = game.game_report(game.game_instance(g), acausal.build_resource_pm(g))
+        rep = game.game_report(game.game_instance(g))
         assert rep["violated"] is True
         assert rep["p0_boys_first"] == pytest.approx(boys, abs=1e-12)
 
@@ -112,19 +112,35 @@ def test_game_report_builds_no_graph_state(monkeypatch):
     resource holds, bit for bit ``boys_first_p0``'s, and the acausal score
     off the folded table: it builds no state and no literal W."""
     for g in [graphstate.chain(4), graphstate.parallel_chains([2, 2])]:
-        inst, r = game.game_instance(g), acausal.build_resource_pm(g)
+        inst = game.game_instance(g)
         boys = game.boys_first_p0(inst)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphstate, "graph_state", None)
-            rep = game.game_report(inst, r)
+            rep = game.game_report(inst)
         assert rep["p0_boys_first"] == boys
-        assert "w" not in vars(r)
+        assert "w" not in vars(inst.resource)
 
 
-def test_game_report_rejects_a_resource_of_another_graph():
-    inst = game.game_instance(graphstate.chain(2))
-    with pytest.raises(GameError, match="different graph"):
-        game.game_report(inst, acausal.build_resource_pm(graphstate.chain(4)))
+def test_an_instance_scores_under_the_cap_it_was_built_with():
+    """chain(16) is above the default cap of 14: an instance made under cap
+    16 holds its resource, so its sampled girls-first and its boys-first
+    scores read that resource's plain state and build none under the
+    default cap."""
+    inst = game.game_instance(graphstate.chain(16), cap=16)
+    assert game.girls_first_p0(inst) == pytest.approx(1.0, abs=1e-10)
+    assert game.girls_first_p0(inst, shots=10, seed=1) == 1.0
+    assert game.boys_first_p0(inst) == pytest.approx(0.5, abs=1e-12)
+    assert inst.resource.cap == 16
+
+
+def test_an_instance_of_a_built_resource_holds_that_resource(monkeypatch):
+    """Given a resource, the instance walks the plain state that resource
+    holds and builds no other."""
+    r = acausal.build_resource_pm(graphstate.chain(4))
+    monkeypatch.setattr(graphstate, "graph_state", None)
+    inst = game.game_instance(r)
+    assert inst.resource is r and inst.graph is r.base_graph
+    assert game.game_report(inst)["violated"] is True
 
 
 def _random_pattern(g, seed):
@@ -164,9 +180,10 @@ def test_game_report_scores_are_girls_first_p0(g, pattern):
     score of a walk with that flag alone; a deterministic instance holds them,
     and its report prints them."""
     p = mbqc.chain_pattern(g) if pattern is None else pattern
-    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, p, correct=(True, False))
+    state = graphstate.graph_state(g)
+    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, p, state, correct=(True, False))
     alone = {
-        flag: game._exact_p0(*mbqc.enumerate_causal(g, p, correct=flag)[1:])
+        flag: game._exact_p0(*mbqc.enumerate_causal(g, p, state, correct=flag)[1:])
         for flag in (True, False)
     }
     assert game._exact_p0(weight, corrected) == alone[True]
@@ -176,7 +193,7 @@ def test_game_report_scores_are_girls_first_p0(g, pattern):
             game.game_instance(g, None, pattern)
         return
     inst = game.game_instance(g, None, pattern)
-    rep = game.game_report(inst, acausal.build_resource_pm(g))
+    rep = game.game_report(inst)
     assert rep["p0_girls_first_corrected"] == alone[True] == game.girls_first_p0(inst)
     assert rep["p0_girls_first_uncorrected"] == alone[False]
     assert alone[False] == game.girls_first_p0(inst, correct=False)
@@ -186,13 +203,12 @@ def test_game_walks_once_and_the_report_not_at_all(monkeypatch):
     """``mbqc._walk`` calls: one for the instance, none for the report or the
     exact scores, one for each sampled estimate, whatever its shots."""
     g = graphstate.chain(4)
-    r = acausal.build_resource_pm(g)
     walks = []
     real = mbqc._walk
     monkeypatch.setattr(mbqc, "_walk", lambda *a, **k: walks.append(1) or real(*a, **k))
     inst = game.game_instance(g)
     assert len(walks) == 1
-    rep = game.game_report(inst, r)
+    rep = game.game_report(inst)
     assert game.girls_first_p0(inst) == rep["p0_girls_first_corrected"]
     assert game.girls_first_p0(inst, correct=False) == rep["p0_girls_first_uncorrected"]
     assert len(walks) == 1

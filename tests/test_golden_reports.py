@@ -17,7 +17,10 @@ branch on the plain state; the pc22 cases did not move.  The use commands'
 cases (``signal``, ``game``, ``postselect`` and ``graph-state``) were
 captured at commit 2ba7c17; ``game`` on chain(3) exits 2 with empty stdout,
 since an odd chain is no deterministic game instance, and ``postselect`` at
-20 000 shots exits 1, its TV above the 0.02 limit.
+20 000 shots exits 1, its TV above the 0.02 limit.  The vee cases were
+captured at commit 5e53d4c: the vee's branches are not uniform, so its
+``verify`` and mbqc ``pm-validate`` reports are the failing ones (exit 1,
+the latter naming its worst trial), and its rank-1 sweep runs 300 trials.
 """
 
 import json
@@ -34,6 +37,8 @@ GRAPHS = {
     "chain3": graphstate.chain(3),
     "pc22": graphstate.parallel_chains([2, 2]),
     "chain4": graphstate.chain(4),
+    # branches that are not uniform: verify and the mbqc pm-validate fail here
+    "vee": graphstate.vee_graph(),
 }
 
 

@@ -31,9 +31,9 @@ def test_the_walk_adapts_its_angles_without_the_bit_check(monkeypatch):
     assert mbqc._adapted(0.7, s_x, s_z).tobytes() == mbqc.adapted_angle(0.7, s_x, s_z).tobytes()
     g = graphstate.chain(4)
     p = mbqc.chain_pattern(g, 0.7)
-    expected = mbqc.enumerate_causal(g, p)
+    expected = mbqc.enumerate_causal(g, p, graphstate.graph_state(g))
     monkeypatch.setattr(mbqc, "adapted_angle", None)
-    for want, got in zip(expected, mbqc.enumerate_causal(g, p)):
+    for want, got in zip(expected, mbqc.enumerate_causal(g, p, graphstate.graph_state(g))):
         assert np.array_equal(want, got)
 
 
@@ -123,7 +123,7 @@ def test_positive_branch_output_of_chain_is_hadamard_power(length):
     """All-plus measurement of a chain teleports |+> through H per link: row 0
     of the uncorrected split, the all-zeros history, holds that state."""
     g = graphstate.chain(length)
-    _, weight, amps, _ = mbqc._walk(g, mbqc.chain_pattern(g))
+    _, weight, amps, _ = mbqc._walk(g, mbqc.chain_pattern(g), graphstate.graph_state(g))
     assert weight[0] > 0.0
     expect = qlin.equatorial_ket(0.0).amplitudes
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
@@ -138,7 +138,7 @@ def test_corrected_even_chain_reads_zero_deterministically(length):
     angle 0 ends in readout 0."""
     g = graphstate.chain(length)
     p = mbqc.chain_pattern(g)
-    _, weight, dist = mbqc.enumerate_causal(g, p, correct=True)
+    _, weight, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g), correct=True)
     assert np.allclose(weight, 2.0 ** -g.n_computation, rtol=0, atol=1e-12)
     assert np.allclose(dist[:, 0], 1.0, rtol=0, atol=1e-10)
 
@@ -146,7 +146,7 @@ def test_corrected_even_chain_reads_zero_deterministically(length):
 def test_uncorrected_chain_branches_disagree():
     g = graphstate.chain(4)
     p = mbqc.chain_pattern(g)
-    _, probs, dist = mbqc.enumerate_causal(g, p, correct=False)
+    _, probs, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g), correct=False)
     dists = dist[:, 0]
     assert max(dists) == pytest.approx(1.0, abs=1e-10)
     assert min(dists) == pytest.approx(0.0, abs=1e-10)
@@ -157,7 +157,7 @@ def test_uncorrected_chain_branches_disagree():
 def test_enumerate_causal_probabilities_total_one():
     g = graphstate.chain(3)
     p = mbqc.chain_pattern(g, angles=1.234)
-    m, weight, dist = mbqc.enumerate_causal(g, p)
+    m, weight, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g))
     assert sum(weight) == pytest.approx(1.0, abs=1e-12)
     assert m.shape == (2**g.n_computation, g.n_computation)
     assert weight.shape == (2**g.n_computation,)
@@ -170,8 +170,8 @@ def test_enumerate_causal_probabilities_total_one():
 def test_run_causal_matches_enumeration_statistics():
     g = graphstate.chain(2)
     p = mbqc.chain_pattern(g)
-    rng = np.random.default_rng(43)
-    wins = sum(mbqc.run_causal(g, p, rng).z == (0,) for _ in range(600))
+    rng, state = np.random.default_rng(43), graphstate.graph_state(g)
+    wins = sum(mbqc.run_causal(g, p, state, rng).z == (0,) for _ in range(600))
     assert wins == 600  # corrected 2-chain at angle 0 is deterministic
 
 
@@ -179,7 +179,7 @@ def test_run_causal_branch_probability_is_history_weight():
     g = graphstate.chain(3)
     p = mbqc.chain_pattern(g)
     rng = np.random.default_rng(47)
-    rec = mbqc.run_causal(g, p, rng)
+    rec = mbqc.run_causal(g, p, graphstate.graph_state(g), rng)
     assert rec.branch_probability == pytest.approx(0.25, abs=1e-12)
     assert rec.corrected
 
@@ -207,3 +207,11 @@ def test_pattern_from_json_refuses_angles_that_are_no_finite_float(angle):
     """JSON ``true`` is a Python int, and an integer may overflow a float."""
     with pytest.raises(PatternError, match="angle for 'c1'"):
         mbqc.pattern_from_json({"order": ["c0", "c1"], "angles": {"c0": 0.0, "c1": angle}})
+
+
+def test_the_walk_refuses_a_state_of_another_size():
+    """The walk starts from the caller's graph state and builds none, so a
+    state on another number of qubits than the graph's is refused."""
+    g, other = graphstate.chain(3), graphstate.graph_state(graphstate.chain(4))
+    with pytest.raises(PatternError, match=r"3-qubit state of g, not Ket\(num_qubits=4\)"):
+        mbqc.enumerate_causal(g, mbqc.chain_pattern(g, 0.0), other)

@@ -140,9 +140,9 @@ def chain2_sweep(monkeypatch, raw_trial):
     small_blocks(monkeypatch, r.w, family, 2)
     seen = []
 
-    def fake(w, kets):
+    def fake(w, measure, reprepare):
         first = len(seen)
-        trials = len(kets[w.parties[0]][0])
+        trials = len(measure)
         seen.extend(range(first, first + trials))
         return np.stack([raw_trial(t) for t in range(first, first + trials)])
 
@@ -249,5 +249,18 @@ def test_a_bad_ket_of_any_party_in_a_drawn_block_is_refused(name, side):
 def test_family_must_cover_every_party():
     r = acausal.build_resource_pm(graphstate.chain(2))
     family = procmat.rank_one_instrument_family(r.alice_parties)
-    with pytest.raises(procmat.ProcmatError, match="every party"):
+    with pytest.raises(procmat.ProcmatError, match=r"family parties \['A1'\] are not W's"):
+        procmat.pm_validate(r.w, family, 3, 1e-9, np.random.default_rng(0))
+
+
+def test_family_in_another_party_order_is_refused():
+    """The kernel reads party i's kets at index i of a block, so a family that
+    covers every party in another order would be contracted against the
+    wrong parties: it is refused, and the error names both orders."""
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    family = procmat.rank_one_instrument_family(r.bob_parties + r.alice_parties)
+    message = (
+        r"family parties \['B1', 'A1', 'A2'\] are not W's parties \['A1', 'A2', 'B1'\] in order"
+    )
+    with pytest.raises(procmat.ProcmatError, match=message):
         procmat.pm_validate(r.w, family, 3, 1e-9, np.random.default_rng(0))

@@ -67,7 +67,9 @@ def test_bob_instrument_is_cptp():
 
 def test_cptp_check_flags_dropped_element():
     full = procmat.alice_instrument(0.3)
-    half = procmat.Instrument(full.measure[:1], full.reprepare[:1], "half")
+    half = procmat.InstrumentBlock(
+        full.parties, full.measure[:, :, :1], full.reprepare[:, :, :1], full.describe
+    )
     identity_deviation, _ = cptp_check(half)
     assert identity_deviation == pytest.approx(0.5, abs=1e-12)
 
@@ -75,38 +77,48 @@ def test_cptp_check_flags_dropped_element():
 def test_mbqc_kets_are_the_instruments_of_the_paper():
     """Alice measures |phi^m> and reprepares |m>; Bob reads out and reprepares |z>."""
     alice = procmat.alice_instrument(0.9)
-    assert alice.description == "equatorial(phi=0.900000)"
+    assert alice.parties == ("A",) and alice.measure.shape == (1, 1, 2, 2)
+    assert alice.describe(0) == {"A": "equatorial(phi=0.900000)"}
     for m in (0, 1):
-        assert np.array_equal(alice.measure[m], qlin.equatorial_ket(0.9, m).amplitudes)
-        assert np.array_equal(alice.reprepare[m], qlin.basis_ket([m]).amplitudes)
+        assert np.array_equal(alice.measure[0, 0, m], qlin.equatorial_ket(0.9, m).amplitudes)
+        assert np.array_equal(alice.reprepare[0, 0, m], qlin.basis_ket([m]).amplitudes)
     bob = procmat.bob_instrument()
-    assert bob.description == "computational readout"
-    assert np.array_equal(bob.measure, np.eye(2)) and np.array_equal(bob.reprepare, np.eye(2))
-    kets = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), ("A1", "A2"), ("B1",)).kets
-    assert list(kets) == ["A1", "A2", "B1"]
-    assert all(stack.shape == (2, 2, 2) for pair in kets.values() for stack in pair)
-    assert np.array_equal(kets["A1"][0][0], alice.measure)
-    assert np.array_equal(kets["A1"][1][1], alice.reprepare)
-    assert np.array_equal(kets["A2"][0][1], procmat.alice_instrument(0.2).measure)
-    assert np.array_equal(kets["B1"][0][1], bob.measure)
-    assert np.array_equal(kets["B1"][1][0], bob.reprepare)
+    assert bob.parties == ("B",) and bob.describe(0) == {"B": "computational readout"}
+    assert np.array_equal(bob.measure[0, 0], np.eye(2))
+    assert np.array_equal(bob.reprepare[0, 0], np.eye(2))
+    block = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), ("A1", "A2"), ("B1",))
+    assert block.parties == ("A1", "A2", "B1")
+    assert block.measure.shape == block.reprepare.shape == (2, 3, 2, 2)
+    assert np.array_equal(block.measure[0, 0], alice.measure[0, 0])
+    assert np.array_equal(block.reprepare[1, 0], alice.reprepare[0, 0])
+    assert np.array_equal(block.measure[1, 1], procmat.alice_instrument(0.2).measure[0, 0])
+    assert np.array_equal(block.measure[1, 2], bob.measure[0, 0])
+    assert np.array_equal(block.reprepare[0, 2], bob.reprepare[0, 0])
 
 
-def test_instrument_arrays_are_checked_copied_and_frozen():
-    kets = np.eye(2, dtype=np.complex128)
-    inst = procmat.Instrument(kets, kets)
-    kets[0, 0] = 5.0  # the instrument holds a copy
-    assert inst.measure[0, 0] == 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        inst.measure[0, 0] = 0.0
-    with pytest.raises(ProcmatError, match="reprepare must stack"):
-        procmat.Instrument(np.eye(2), np.ones(2))
-    with pytest.raises(ProcmatError, match="measure must stack"):
-        procmat.Instrument(np.zeros((0, 2)), np.eye(2))
-    with pytest.raises(ProcmatError, match="measure has 2 elements but reprepare has 1"):
-        procmat.Instrument(np.eye(2), np.eye(2)[:1])
-    with pytest.raises(qlin.QlinError, match="deviates from 1"):
-        procmat.Instrument(np.eye(2), np.eye(2) * (1.0 + 1e-9))
+@pytest.mark.parametrize(
+    "measure, reprepare",
+    [
+        (np.zeros((1, 1, 0, 2)), np.zeros((1, 1, 0, 2))),
+        (np.eye(2)[None, None], np.eye(2)[None, None, :1]),
+        (np.eye(2)[None, None], np.ones((1, 1, 2))),
+        (np.eye(2)[None, None], np.eye(2)[None]),
+        (np.eye(3)[None, None], np.eye(3)[None, None]),
+    ],
+    ids=["no-element", "element-counts", "reprepare-rank", "no-party-axis", "not-a-qubit"],
+)
+def test_instrument_block_refuses_a_malformed_shape(measure, reprepare):
+    """Every party holds one instrument of at least one element, each element
+    a measure and a reprepare single-qubit ket."""
+    with pytest.raises(ProcmatError, match=r"elements >= 1, 2\) shape"):
+        procmat.InstrumentBlock(("A",), measure, reprepare, lambda t: {})
+
+
+def test_instrument_block_refuses_a_ket_that_is_not_unit():
+    with pytest.raises(qlin.QlinError, match="^reprepare ket norm deviates from 1"):
+        procmat.InstrumentBlock(
+            ("A",), np.eye(2)[None, None], np.eye(2)[None, None] * (1.0 + 1e-9), lambda t: {}
+        )
 
 
 def test_density_pm_reproduces_born_rule():
@@ -155,7 +167,7 @@ def test_factorized_and_dense_backends_agree():
     for k in (0, 1):
         element = (basis[k].amplitudes, random_ket(rng, 1).amplitudes)
         pf = procmat.pm_probability(w, {"A": element})
-        pd = dense_tables(w, {"A": (element[0][None, None], element[1][None, None])}).item()
+        pd = dense_tables(w, element[0][None, None, None], element[1][None, None, None]).item()
         born = float(abs(np.vdot(basis[k].amplitudes, psi.amplitudes)) ** 2)
         assert pf == pytest.approx(pd, abs=1e-12)
         assert pf == pytest.approx(born, abs=1e-12)
@@ -177,7 +189,7 @@ def test_pm_probability_validates_parties():
         procmat.pm_probability(w, {"B": element})
     with pytest.raises(ProcmatError):
         procmat.pm_probability(w, {"A": element, "B": element})
-    with pytest.raises(ProcmatError, match="measure must stack"):
+    with pytest.raises(ProcmatError, match="block kets must share"):
         procmat.pm_probability(w, {"A": (np.eye(2), KET0.amplitudes)})
 
 
@@ -199,12 +211,15 @@ def test_process_matrix_refuses_a_malformed_register(parties, kwargs, message):
 
 
 def test_instrument_errors_name_the_field_and_no_foreign_option():
+    def block(measure, reprepare):
+        return procmat.InstrumentBlock(("A",), measure[None, None], reprepare[None, None], None)
+
     with pytest.raises(qlin.QlinError) as info:
-        procmat.Instrument(np.eye(2) * 1.001, np.eye(2))
+        block(np.eye(2) * 1.001, np.eye(2))
     assert str(info.value).startswith("measure ket norm deviates from 1")
     assert "require_normalized" not in str(info.value)
     with pytest.raises(qlin.QlinError, match="^reprepare ket amplitudes must be finite$"):
-        procmat.Instrument(np.eye(2), np.full((2, 2), np.nan))
+        block(np.eye(2), np.full((2, 2), np.nan))
     with pytest.raises(qlin.QlinError, match="pass require_normalized=False"):
         qlin.Ket([1.0, 1.0])
     kets = np.broadcast_to(np.eye(2) * 1.001, (1, 1, 2, 2))

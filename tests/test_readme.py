@@ -73,7 +73,8 @@ def test_library_block_runs_and_gives_the_documented_results():
     assert am.normalization_report(p) == pytest.approx(0.0, abs=1e-12)
     tables = [am.outcome_probabilities(r, a) for a in (0.0, [3.14159, 0.0, 0.0])]
     assert am.signaling_tv(*tables) == pytest.approx(1.0, abs=1e-9)
-    report = am.game_report(namespace["inst"], r)
+    assert namespace["inst"].resource is r
+    report = am.game_report(namespace["inst"])
     assert report["p0_acausal"] == pytest.approx(1.0, abs=1e-12)
     assert report["bound"] == 0.75 and report["violated"]
     assert am.postselection_report(s, p)["shots"] == 1_000_000

@@ -1,4 +1,4 @@
-"""Property tests for the outcome-table kernel ``procmat.outcome_table``.
+"""Property tests for the outcome-table kernel ``procmat._trial_tables``.
 
 The factorized overlap and the dense-trace oracle, which the tests reach
 through ``pm_reference.dense_tables``, must agree with each other and with
@@ -34,7 +34,6 @@ from pm_reference import (
     dense_tables,
     density_pm,
     double_sum_choi,
-    instrument_kets,
     labelled_factorized_probability,
     random_ket,
     rank_one_sampler,
@@ -78,9 +77,9 @@ def test_backends_match_first_principles_born_rule(case):
 def test_backends_agree_on_random_rank_one_instruments(case, seed):
     _, r, _ = case
     parties = r.alice_parties + r.bob_parties
-    instruments = rank_one_sampler(parties)(np.random.default_rng(seed))
-    fact = procmat.outcome_table(r.w, instruments)
-    dense = dense_tables(r.w, instrument_kets(instruments))[0]
+    block = rank_one_sampler(parties)(np.random.default_rng(seed))
+    fact = procmat._trial_tables(r.w, block.measure, block.reprepare)[0]
+    dense = dense_tables(r.w, block.measure, block.reprepare)[0]
     assert fact.shape == (2,) * len(parties)
     assert float(np.max(np.abs(fact - dense))) <= ATOL
 
@@ -114,7 +113,7 @@ def test_folded_table_equals_the_literal_w(case, seed):
     for block in (mbqc_block, family.draw(rng, 3)):
         folded = acausal._folded_table(r, block)
         for backend, kernel in (("factorized", procmat._trial_tables), ("dense", dense_tables)):
-            literal = kernel(r.w, block.kets)
+            literal = kernel(r.w, block.measure, block.reprepare)
             assert folded.shape == literal.shape
             assert float(np.max(np.abs(folded - literal))) <= 1e-14, backend
     sets = [dict(zip(g.computation, row)) for row in phis.tolist()]
@@ -271,12 +270,23 @@ def unit_kets(rng, shape):
     return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
 
 
+def block_kets(rng, parties, shape):
+    """Random unit measure and reprepare kets for ``parties`` parties, drawn
+    party by party as (trials, elements) stacks, stacked into the kernel's
+    two (trials, parties, elements, 2) arrays."""
+    pairs = [(unit_kets(rng, shape), unit_kets(rng, shape)) for _ in range(parties)]
+    return tuple(np.stack(arrays, axis=1) for arrays in zip(*pairs))
+
+
 @st.composite
 def planned_kernel_cases(draw):
     """A random W of 1 to 4 parties, its pure factor a random ket on 0 to 2k
-    qubits at a random scale, and a block of 1, 2 or 5 trials in which each
-    party takes MBQC kets (an Alice's or a Bob's), the rank-1 family's
-    drawn kets, or one random element."""
+    qubits at a random scale, and a block of 1, 2 or 5 trials.  A block has
+    one element count: either every party takes one random element, or each
+    party takes two-element kets by a route of its own: MBQC kets (an
+    Alice's or a Bob's), the rank-1 family's drawn kets, or two random
+    elements.  A block of one route is passed as that route's arrays, so
+    the MBQC readout keeps its broadcast stride."""
     n_parties = draw(st.integers(1, 4))
     w = factored_w(
         n_parties,
@@ -288,13 +298,21 @@ def planned_kernel_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     split = draw(st.integers(0, n_parties))
     phis = rng.uniform(0.0, 2.0 * math.pi, size=(trials, split))
+    mbqc = procmat.mbqc_kets(phis, w.parties[:split], w.parties[split:])
+    rank1 = procmat.rank_one_instrument_family(w.parties).draw(rng, trials)
     routes = {
-        "mbqc": procmat.mbqc_kets(phis, w.parties[:split], w.parties[split:]).kets,
-        "rank1": procmat.rank_one_instrument_family(w.parties).draw(rng, trials).kets,
-        "one": {p: (unit_kets(rng, (trials, 1)), unit_kets(rng, (trials, 1))) for p in w.parties},
+        "mbqc": (mbqc.measure, mbqc.reprepare),
+        "rank1": (rank1.measure, rank1.reprepare),
+        "random": block_kets(rng, n_parties, (trials, 2)),
     }
+    if draw(st.booleans()):
+        return w, block_kets(rng, n_parties, (trials, 1))
     kinds = draw(st.lists(st.sampled_from(sorted(routes)), min_size=n_parties, max_size=n_parties))
-    return w, {p: routes[kind][p] for p, kind in zip(w.parties, kinds)}
+    if len(set(kinds)) == 1:
+        return w, routes[kinds[0]]
+    return w, tuple(
+        np.stack([routes[kind][j][:, i] for i, kind in enumerate(kinds)], axis=1) for j in (0, 1)
+    )
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -304,8 +322,8 @@ def test_planned_kernel_equals_the_labelled_reference_bit_for_bit(case):
     built from the pure qubits alone, gives every bit of the kernel that
     works its axes out from register labels and builds each bra from ones."""
     w, kets = case
-    table = procmat._factorized_probability(w, kets)
-    assert np.array_equal(table, labelled_factorized_probability(w, kets))
+    table = procmat._factorized_probability(w, *kets)
+    assert np.array_equal(table, labelled_factorized_probability(w, *kets))
 
 
 def test_the_plan_is_made_once_per_register_shape():
@@ -333,18 +351,16 @@ def dense_kernel_cases(draw):
         w = draw(factored_process_matrices())
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
+    return w, block_kets(rng, len(w.parties), shape)
 
 
 def kernel_case(n_parties, n_pure, trials=3, elements=2):
     w = factored_w(n_parties, n_pure=n_pure, scale=1.5, seed=n_parties + n_pure)
-    rng = np.random.default_rng(11)
-    shape = (trials, elements)
-    return w, {p: (unit_kets(rng, shape), unit_kets(rng, shape)) for p in w.parties}
+    return w, block_kets(np.random.default_rng(11), n_parties, (trials, elements))
 
 
 def assert_equals_factorized(w, kets, table):
-    ref = procmat._factorized_probability(w, kets)
+    ref = procmat._factorized_probability(w, *kets)
     assert table.shape == ref.shape
     assert float(np.max(np.abs(table - ref))) <= ATOL * max(1.0, float(np.max(np.abs(ref))))
 
@@ -356,7 +372,7 @@ def test_dense_kernel_equals_the_tensordot_reference(case):
     equals the overlap of the kets with the pure factor, which shares no
     arithmetic with it, on random W and density process matrices."""
     w, kets = case
-    assert_equals_factorized(w, kets, procmat._dense_probability(w, kets))
+    assert_equals_factorized(w, kets, procmat._dense_probability(w, *kets))
 
 
 KERNEL_CASES = [
@@ -376,7 +392,7 @@ def test_slab_path_equals_the_reference():
     mixed (the split a slab-by-slab writer of W was tested on), one, two
     and three parties, the dense kernel equals the factorized kernel."""
     for w, kets in KERNEL_CASES:
-        assert_equals_factorized(w, kets, procmat._dense_probability(w, kets))
+        assert_equals_factorized(w, kets, procmat._dense_probability(w, *kets))
 
 
 # components whose products and sums round differently by sign or zero
@@ -425,16 +441,13 @@ def test_choi_tensors_equal_the_double_sum_bit_for_bit(stacks):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_dense_table_is_c_contiguous_in_party_order(k):
     """The table comes back with one axis per party in party order, as a
-    C-contiguous array: party i has i + 1 elements here, so the shape names
-    the order."""
+    C-contiguous array: every party draws its own random kets, so the
+    factorized kernel's table, which reads party i at index i, equals it
+    only in that order."""
     w = factored_w(k, n_pure=k + 1, scale=1.5, seed=k)
-    rng = np.random.default_rng(k)
-    kets = {
-        p: (unit_kets(rng, (2, i + 1)), unit_kets(rng, (2, i + 1)))
-        for i, p in enumerate(w.parties)
-    }
-    table = procmat._dense_probability(w, kets)
-    assert table.shape == (2,) + tuple(range(1, k + 1))
+    kets = block_kets(np.random.default_rng(k), k, (2, 3))
+    table = procmat._dense_probability(w, *kets)
+    assert table.shape == (2,) + (3,) * k
     assert table.flags.c_contiguous
     assert_equals_factorized(w, kets, table)
 
@@ -445,8 +458,7 @@ def test_a_nan_imaginary_part_is_refused(monkeypatch):
     is planted on the last party's step only: an earlier one would reach
     the real part through the later products."""
     w = acausal.build_resource_pm(graphstate.chain(3)).w
-    rng = np.random.default_rng(3)
-    kets = {p: (unit_kets(rng, (1, 2)), unit_kets(rng, (1, 2))) for p in w.parties}
+    kets = block_kets(np.random.default_rng(3), len(w.parties), (1, 2))
     real = procmat._batched_tensordot
     steps = []
 
@@ -457,7 +469,7 @@ def test_a_nan_imaginary_part_is_refused(monkeypatch):
 
     monkeypatch.setattr(procmat, "_batched_tensordot", planting)
     with pytest.raises(procmat.ProcmatError, match="imaginary part nan"):
-        dense_tables(w, kets)
+        dense_tables(w, *kets)
     assert len(steps) == len(w.parties)
 
 
@@ -484,12 +496,11 @@ def test_dense_table_of_chain5_peaks_below_2_25_copies_of_w():
     r = acausal.build_resource_pm(graphstate.chain(5))
     w = r.w
     w_bytes = np.dtype(np.complex128).itemsize * 4**w.num_qubits
-    instruments = {p: procmat.alice_instrument(0.7) for p in r.alice_parties}
-    instruments.update({p: procmat.bob_instrument() for p in r.bob_parties})
+    block = procmat.mbqc_kets(np.full((1, r.n_computation), 0.7), r.alice_parties, r.bob_parties)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        table = dense_tables(w, instrument_kets(instruments))[0]
+        table = dense_tables(w, block.measure, block.reprepare)[0]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -500,7 +511,7 @@ def test_dense_table_of_chain5_peaks_below_2_25_copies_of_w():
 def with_raw_table(monkeypatch, backend, raw):
     """Make the ``backend`` kernel return ``raw`` as its one-trial stack, so
     that only the table's range guard acts on it."""
-    monkeypatch.setattr(procmat, f"_{backend}_probability", lambda w, kets: raw[None].copy())
+    monkeypatch.setattr(procmat, f"_{backend}_probability", lambda w, *kets: raw[None].copy())
     return acausal.build_resource_pm(graphstate.chain(2))
 
 
