@@ -175,9 +175,7 @@ def _parse_csv(text: str | None, flag: str) -> list[float] | None:
 def _angles_arg(values: list[float] | None, g) -> dict[str, float]:
     if values is None:
         return mbqc.as_angle_map(g, 0.0)
-    if len(values) == 1:
-        return mbqc.as_angle_map(g, values[0])
-    return mbqc.as_angle_map(g, values)
+    return mbqc.as_angle_map(g, values[0] if len(values) == 1 else values)
 
 
 def _second_angles(ns: argparse.Namespace, g, ang: dict[str, float]) -> dict[str, float]:
@@ -187,16 +185,6 @@ def _second_angles(ns: argparse.Namespace, g, ang: dict[str, float]) -> dict[str
     out = dict(ang)
     out[first] = ang[first] + math.pi
     return out
-
-
-def _finite(value):
-    """Floats must be finite in reports; None passes through."""
-    if value is None:
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {value!r} in report")
-    return value
 
 
 def _sanitize(obj):
@@ -209,7 +197,10 @@ def _sanitize(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _finite(obj)
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} in report")
+        return value
     if obj is None or isinstance(obj, str):
         return obj
     raise ValueError(f"cannot serialize {type(obj).__name__} in report")
@@ -238,6 +229,13 @@ def _table_lines(obj, prefix: str) -> list[str]:
     return lines
 
 
+def _trace_and_floor_ok(report: dict, g, tol: float) -> bool:
+    """W's reported trace is 2^(N+n) and its positivity floor is >= 0, both
+    within ``tol``."""
+    expected = float(2 ** (g.n_computation + g.n_output))
+    return report["min_eigenvalue"] >= -tol and abs(report["trace"] - expected) <= tol
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -257,7 +255,6 @@ def _cmd_graph_state(ns: argparse.Namespace) -> int:
 def _cmd_resource_pm(ns: argparse.Namespace) -> int:
     g = graphstate.load_graph(ns.graph)
     r = acausal.build_resource_pm(g, ns.cap)
-    expected = float(2 ** (g.n_computation + g.n_output))
     report = {
         "trace": r.w.trace(),
         "min_eigenvalue": r.w.min_eigenvalue(),
@@ -265,8 +262,7 @@ def _cmd_resource_pm(ns: argparse.Namespace) -> int:
         "layout": r.layout(),
     }
     _emit(report, ns.json)
-    ok = report["min_eigenvalue"] >= -ns.tol and abs(report["trace"] - expected) <= ns.tol
-    return 0 if ok else 1
+    return 0 if _trace_and_floor_ok(report, g, ns.tol) else 1
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
@@ -294,13 +290,11 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         sample = acausal.postselected_sampler(r, ang, ns.shots, ns.seed)
         report["postselect"] = acausal.postselection_report(sample, probs)
     _emit(report, ns.json)
-    expected = float(2 ** (g.n_computation + g.n_output))
     ok = (
         report["branch_independence_max_dev"] <= ns.tol
         and report["normalization_dev"] <= ns.tol
         and report["backend_agreement_max_dev"] <= ns.tol
-        and report["min_eigenvalue"] >= -ns.tol
-        and abs(report["trace"] - expected) <= ns.tol
+        and _trace_and_floor_ok(report, g, ns.tol)
     )
     return 0 if ok else 1
 

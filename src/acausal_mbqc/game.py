@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import acausal, config, mbqc
+from . import acausal, config, mbqc, qlin
 from .graphstate import Graph
 from .mbqc import Pattern
 
@@ -80,7 +80,7 @@ def game_instance(
         ang = mbqc.validate_pattern(g, pattern).angles
         # compared as the pattern stores its angles, mod 2 pi
         for v, a in ({} if angles is None else mbqc.as_angle_map(g, angles)).items():
-            if a % mbqc.TWO_PI != ang[v]:
+            if a % qlin.TWO_PI != ang[v]:
                 raise GameError(
                     f"angle {a!r} at vertex {v!r} differs from the pattern's {ang[v]!r}; "
                     "the game plays the pattern's angles"

@@ -35,9 +35,6 @@ class PatternError(ValueError):
     """Invalid measurement pattern or pattern/graph mismatch."""
 
 
-TWO_PI = 2.0 * np.pi
-
-
 @dataclass(frozen=True)
 class Pattern:
     """Adaptive measurement schedule for the computation vertices of a graph.
@@ -79,7 +76,7 @@ def make_pattern(
         a = float(a)
         if not np.isfinite(a):
             raise PatternError(f"angle for {v!r} must be finite, got {a}")
-        ang[str(v)] = a % TWO_PI
+        ang[str(v)] = a % qlin.TWO_PI
     return Pattern(
         order=tuple(str(v) for v in order),
         angles=ang,
@@ -133,7 +130,7 @@ def adapted_angle(phi: float, s_x, s_z):
 
 def _adapted(phi: float, s_x: np.ndarray, s_z: np.ndarray) -> np.ndarray:
     """``adapted_angle``'s arithmetic on parity arrays known to be bits."""
-    return (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % TWO_PI
+    return (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % qlin.TWO_PI
 
 
 def as_angle_map(g: Graph, angles) -> dict[str, float]:

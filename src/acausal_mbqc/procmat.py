@@ -52,9 +52,6 @@ class ProcmatError(ValueError):
     """Violation of a process-matrix or instrument precondition."""
 
 
-TWO_PI = 2.0 * np.pi
-
-
 # ---------------------------------------------------------------------------
 # instruments
 
@@ -550,7 +547,7 @@ def mbqc_instrument_family(
 
     def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
         # one uniform angle per trial and Alice, in the order of one-trial draws
-        return mbqc_kets(rng.uniform(0.0, TWO_PI, size=(trials, len(alices))), alices, bobs)
+        return mbqc_kets(rng.uniform(0.0, qlin.TWO_PI, size=(trials, len(alices))), alices, bobs)
 
     # per Alice: her angle, its phase and her equatorial kets before and after
     # their 1/sqrt(2) scaling; the block's arrays are counted by ``_trial_bytes``

@@ -21,6 +21,9 @@ import numpy as np
 from . import config
 
 
+TWO_PI = 2.0 * np.pi
+
+
 class QlinError(ValueError):
     """Violation of a register-algebra precondition."""
 
@@ -179,7 +182,7 @@ def equatorial_kets(phis) -> np.ndarray:
     """Amplitudes of |phi^m> = (|0> + (-1)^m e^{i phi} |1>) / sqrt(2) for an
     array of angles, shaped ``phis.shape + (2, 2)``: outcome m, then amplitude;
     each angle is first reduced mod 2 pi, as ``mbqc.make_pattern`` reduces it."""
-    phase = np.exp(1j * (np.asarray(phis, dtype=float) % (2.0 * np.pi)))
+    phase = np.exp(1j * (np.asarray(phis, dtype=float) % TWO_PI))
     kets = np.empty(phase.shape + (2, 2), dtype=np.complex128)
     kets[..., 0] = 1.0
     kets[..., 0, 1] = phase

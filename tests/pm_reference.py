@@ -188,7 +188,7 @@ def mbqc_sampler(alices, bobs):
     """One trial's MBQC block: one scalar uniform angle per Alice, in order."""
 
     def sample(rng):
-        phis = [float(rng.uniform(0.0, procmat.TWO_PI)) for _ in alices]
+        phis = [float(rng.uniform(0.0, qlin.TWO_PI)) for _ in alices]
         return procmat.mbqc_kets(np.array([phis]), alices, bobs)
 
     return sample
