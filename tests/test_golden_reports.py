@@ -1,10 +1,13 @@
-"""Every command's ``--json`` report, pinned byte for byte.
+"""The 30 golden ``--json`` reports, each a record of the CLI byte corpus.
 
 ``verify``, ``resource-pm`` and ``pm-validate`` check the paper's identities
 on the literal W, so their reports must not move when the commands that only
-use the resource read the folded table instead.  ``golden_reports.json``
-holds, per case, the graph preset, the argv, the exit code and the stdout;
-each case here reruns its argv on a fresh graph file and compares.
+use the resource read the folded table instead.  Each case names a graph of
+``cli_corpus.GRAPHS`` and an argv without its ``--graph FILE``; its corpus
+key is the argv with ``--graph GRAPH.json`` after the command.  The case
+must be a record of ``cli_corpus.json``, and the corpus rebuilt in this
+session must give it the same exit code, stdout and stderr, so the corpus
+file stays the one pin of the bytes.
 
 The checking commands' cases were captured at commit 76832be, whose every
 table contracted the literal W.  The ``backend_agreement_max_dev`` line of
@@ -28,24 +31,48 @@ from pathlib import Path
 
 import pytest
 
-from acausal_mbqc import cli, graphstate
+import cli_corpus
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text(encoding="utf-8"))
-# on chain(3) and pc22 the folded table equals W's bit for bit; on chain(4)
-# it does not, so a checking command that read the fold would move its bytes
-GRAPHS = {
-    "chain3": graphstate.chain(3),
-    "pc22": graphstate.parallel_chains([2, 2]),
-    "chain4": graphstate.chain(4),
-    # branches that are not uniform: verify and the mbqc pm-validate fail here
-    "vee": graphstate.vee_graph(),
+PINNED = json.loads((Path(__file__).parent / "cli_corpus.json").read_text(encoding="utf-8"))
+
+
+def _cases(graph: str, angles: str) -> dict[str, tuple[str, str]]:
+    """The 9 golden cases of a graph with one angle per computation vertex."""
+    return {
+        f"game-{graph}": (graph, "game --json"),
+        f"graph-state-{graph}": (graph, "graph-state --json"),
+        f"pm-validate-{graph}": (graph, "pm-validate --json --shots 50 --seed 11"),
+        f"pm-validate-rank1-{graph}":
+            (graph, "pm-validate --json --family rank1 --shots 50 --seed 11"),
+        f"postselect-{graph}":
+            (graph, f"postselect --json --angles {angles} --shots 20000 --seed 7"),
+        f"resource-pm-{graph}": (graph, "resource-pm --json"),
+        f"signal-{graph}": (graph, f"signal --json --angles {angles}"),
+        f"verify-{graph}": (graph, f"verify --json --angles {angles}"),
+        f"verify-shots-{graph}":
+            (graph, f"verify --json --angles {angles} --shots 2000 --seed 7"),
+    }
+
+
+GOLDEN = {
+    **_cases("chain3", "0.3,1.1"),
+    **_cases("chain4", "0.3,0.7,1.1"),
+    **_cases("pc22", "0.3,1.1"),
+    "pm-validate-rank1-vee": ("vee", "pm-validate --json --family rank1 --shots 300 --seed 3"),
+    "pm-validate-vee": ("vee", "pm-validate --json --shots 50 --seed 11"),
+    "verify-vee": ("vee", "verify --json --angles 0.7"),
 }
 
 
-@pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
-def test_checking_reports_keep_their_bytes(capsys, tmp_path, case):
-    path = tmp_path / f"{case['graph']}.json"
-    path.write_text(json.dumps(graphstate.graph_to_json(GRAPHS[case["graph"]])))
-    code = cli.main([*case["argv"], "--graph", str(path)])
-    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+def corpus_key(graph: str, argv: str) -> str:
+    command, _, flags = argv.partition(" ")
+    return f"{command} --graph {graph}.json {flags}"
 
+
+@pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
+def test_checking_reports_keep_their_bytes(corpus_build, case):
+    graph, argv = case
+    assert graph in cli_corpus.GRAPHS
+    key = corpus_key(graph, argv)
+    assert key in PINNED, f"golden case {key!r} is no corpus record"
+    assert corpus_build[0][key] == PINNED[key]
