@@ -30,7 +30,7 @@ fold with a copy of its measure array whose Alice slots are multiplied by
 sqrt(2) H r.
 
 The literal W is built on the first read of ``ResourcePM.w``, and that
-build checks the decoration identity two ways; its pure factor
+build checks the decorated state two ways; its pure factor
 ``r.w.pure`` is the decorated state.  The commands that check the paper's
 identities (``verify``, ``resource-pm``, ``pm-validate``) read it: on the
 fold every branch m contracts the same rows of |G>, so a branch-independence
@@ -72,8 +72,8 @@ class AcausalError(RuntimeError):
 class ResourcePM:
     """The resource of a graph: its plain graph state, the graph and the
     resolved cap.  The literal W (``w``) and the decorated graph are built
-    on first read; W's build checks the decoration identity, and its
-    decorated state on 2N + n qubits meets the cap then, not before."""
+    on first read; W's build checks its decorated state two ways, and that
+    state on 2N + n qubits meets the cap then, not before."""
 
     plain: qlin.Ket
     base_graph: Graph
@@ -104,7 +104,7 @@ class ResourcePM:
         route_a = graphstate.graph_state(self.decorated_graph, self.cap)
         fid = qlin.fidelity(route_a, _pendant_route(self.base_graph, self.plain))
         if fid < 1.0 - 1e-12:
-            raise AcausalError(f"decoration identity violated: fidelity {fid!r}")
+            raise AcausalError(f"decorated state identity violated: fidelity {fid!r}")
         scale = float(2 ** (self.n_computation + self.n_output))
         return ProcessMatrix(self.alice_parties + self.bob_parties, route_a, scale)
 
@@ -119,10 +119,10 @@ class ResourcePM:
     def layout(self) -> dict[str, dict[str, str]]:
         """Party -> {input: vertex, output: vertex-or-ancilla}, in party order:
         party i of k holds register qubits i (input) and k + i (output)."""
-        dec = self.decorated_graph.decoration_map
+        pendants = self.decorated_graph.output[self.n_output :]
         out: dict[str, dict[str, str]] = {}
         for j, c in enumerate(self.base_graph.computation):
-            out[f"A{j + 1}"] = {"input": c, "output": dec[c]}
+            out[f"A{j + 1}"] = {"input": c, "output": pendants[j]}
         for t, o in enumerate(self.base_graph.output):
             out[f"B{t + 1}"] = {"input": o, "output": f"ancilla{t}"}
         return out
@@ -142,7 +142,7 @@ def _pendant_route(g: Graph, plain: qlin.Ket) -> qlin.Ket:
 
 
 def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
-    """The resource of an undecorated graph: its plain graph state.
+    """The resource of a graph: its plain graph state.
 
     The cap is resolved once here and carried by the resource, so the literal
     W and the sampler obey the same cap, and ``backend_agreement`` contracts
@@ -150,8 +150,6 @@ def build_resource_pm(g: Graph, cap: int | None = None) -> ResourcePM:
     ``graphstate.graph_state`` allocates it: the plain state here on N + n
     qubits, the decorated state on 2N + n on the first read of ``w``.
     """
-    if g.decoration is not None:
-        raise graphstate.GraphError(["build_resource_pm expects an undecorated graph"])
     cap = config.qubit_cap(cap)
     return ResourcePM(plain=graphstate.graph_state(g, cap), base_graph=g, cap=cap)
 
@@ -251,8 +249,7 @@ def backend_agreement(r: ResourcePM, angles, probs: np.ndarray) -> float:
     the caller reports.
     """
     g = r.base_graph
-    # make_pattern refuses a non-finite angle, naming its vertex
-    ang = mbqc.make_pattern(g.computation, mbqc.as_angle_map(g, angles)).angles
+    ang = mbqc.as_angle_map(g, angles)
     bras = qlin.equatorial_kets([ang[c] for c in g.computation])[:, 0].conj()
     amps = r.plain.amplitudes
     for bra in bras:  # the plain state's leading qubits are C, in C order

@@ -1,14 +1,16 @@
-"""Open graphs (computation/output partition), decoration, and graph states.
+"""Open graphs (computation/output partition), decorated graphs, and graph states.
 
 A resource graph splits its vertices into computation vertices C (measured)
-and output vertices O (read out).  Decoration attaches one fresh pendant
+and output vertices O (read out).  Decorating it attaches one fresh pendant
 vertex to every C vertex; the pendant carries the measured vertex's outcome
-in the acausal construction.  A ``Graph`` checks its structure once, when it
-is built, and raises ``GraphError`` naming every problem; the functions here
-take that check as given.
+in the acausal construction.  No pendant is measured, so the decorated graph
+is an open graph like any other: its outputs are O, then the pendants in C
+order.  A ``Graph`` checks its structure once, when it is built, and raises
+``GraphError`` naming every problem; the functions here take that check as
+given.
 
 Register order for ``graph_state``: C vertices in input order, then O
-vertices, then (for decorated graphs) the pendant vertices in C order.
+vertices in output order.
 """
 
 from __future__ import annotations
@@ -36,18 +38,15 @@ class GraphError(ValueError):
 class Graph:
     """Undirected simple graph with a computation/output split.
 
-    ``decoration`` maps each C vertex to its pendant partner and is only
-    present on graphs produced by :func:`decorate`.  Construction takes any
-    sequences and stores them as tuples of strings, each edge's endpoints
-    sorted; it raises GraphError with every structural problem, so a Graph
-    that exists is valid and no caller checks it again.
+    Construction takes any sequences and stores them as tuples of strings,
+    each edge's endpoints sorted; it raises GraphError with every structural
+    problem, so a Graph that exists is valid and no caller checks it again.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     computation: tuple[str, ...]
     output: tuple[str, ...]
-    decoration: tuple[tuple[str, str], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
@@ -58,10 +57,6 @@ class Graph:
         )
         object.__setattr__(self, "computation", tuple(str(v) for v in self.computation))
         object.__setattr__(self, "output", tuple(str(v) for v in self.output))
-        if self.decoration is not None:
-            object.__setattr__(
-                self, "decoration", tuple((str(c), str(r)) for c, r in self.decoration)
-            )
         problems = _violations(self)
         if problems:
             raise GraphError(problems)
@@ -74,15 +69,10 @@ class Graph:
     def n_output(self) -> int:
         return len(self.output)
 
-    @property
-    def decoration_map(self) -> dict[str, str]:
-        return dict(self.decoration) if self.decoration else {}
-
     def __repr__(self) -> str:
-        tag = ", decorated" if self.decoration else ""
         return (
             f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges, "
-            f"N={self.n_computation}, n={self.n_output}{tag})"
+            f"N={self.n_computation}, n={self.n_output})"
         )
 
 
@@ -119,45 +109,24 @@ def _violations(g: Graph) -> list[str]:
             problems.append(f"duplicate edge ({a!r}, {b!r})")
         seen.add((a, b))
 
-    if g.decoration is None:
-        if vset - cset - oset:
-            problems.append(
-                f"vertices outside computation/output partition: {sorted(vset - cset - oset)}"
-            )
-    else:
-        dec = g.decoration
-        dkeys = [c for c, _ in dec]
-        reds = [r for _, r in dec]
-        if dkeys != list(g.computation):
-            problems.append("decoration keys must be exactly the computation vertices in order")
-        if len(set(reds)) != len(reds):
-            problems.append("duplicate pendant labels")
-        if set(reds) & (cset | oset):
-            problems.append("pendant labels collide with computation/output labels")
-        if vset - cset - oset - set(reds):
-            problems.append("vertices outside computation/output/pendant partition")
-        adj = _adjacency_sets(g)
-        for c, r in dec:
-            if r not in vset:
-                problems.append(f"pendant {r!r} missing from vertex set")
-            elif adj.get(r, set()) != {c}:
-                problems.append(f"pendant {r!r} must connect to {c!r} and nothing else")
+    if vset - cset - oset:
+        problems.append(
+            f"vertices outside computation/output partition: {sorted(vset - cset - oset)}"
+        )
     return problems
 
 
 def _adjacency_sets(g: Graph) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
     for a, b in g.edges:
-        if a in adj and b in adj and a != b:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj[a].add(b)
+        adj[b].add(a)
     return adj
 
 
 def ket_order(g: Graph) -> tuple[str, ...]:
-    """Register order: C vertices, then O vertices, then pendants in C order."""
-    reds = tuple(r for _, r in g.decoration) if g.decoration else ()
-    return g.computation + g.output + reds
+    """Register order: C vertices, then O vertices."""
+    return g.computation + g.output
 
 
 def qubit_index(g: Graph) -> dict[str, int]:
@@ -168,24 +137,22 @@ def decorate(g: Graph) -> Graph:
     """Attach one fresh pendant vertex to every computation vertex.
 
     Pendant labels are the C label plus apostrophes, extended until fresh.
-    Decorating twice is an error.
+    The pendants are outputs, after O in C order, so the decorated state's
+    register is (C, O, pendants).
     """
-    if g.decoration is not None:
-        raise GraphError(["graph is already decorated"])
     used = set(g.vertices)
-    pairs = []
+    reds = []
     for c in g.computation:
         red = c + "'"
         while red in used:
             red += "'"
         used.add(red)
-        pairs.append((c, red))
+        reds.append(red)
     return Graph(
-        vertices=g.vertices + tuple(r for _, r in pairs),
-        edges=g.edges + tuple((c, r) for c, r in pairs),
+        vertices=g.vertices + tuple(reds),
+        edges=g.edges + tuple(zip(g.computation, reds)),
         computation=g.computation,
-        output=g.output,
-        decoration=tuple(pairs),
+        output=g.output + tuple(reds),
     )
 
 
@@ -244,8 +211,6 @@ def _gf2_survivors(g: Graph) -> list[tuple[str, ...]]:
     are exactly the obstructions to outcome uniformity for generic equatorial
     angles (each contributes an X/Y-type parity constraint on the outcomes).
     """
-    if g.decoration is not None:
-        raise GraphError(["uniformity predicate applies to undecorated graphs"])
     n = g.n_computation
     if n > 20:
         raise GraphError([f"uniformity enumeration capped at 20 computation vertices, got {n}"])
@@ -389,8 +354,6 @@ def graph_from_json(obj) -> Graph:
 
 
 def graph_to_json(g: Graph) -> dict:
-    if g.decoration is not None:
-        raise GraphError(["only undecorated graphs serialize to JSON"])
     return {
         "vertices": list(g.vertices),
         "edges": [list(e) for e in g.edges],

@@ -22,6 +22,7 @@ cost O(N 2^(N+n) + S (N+n)).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -134,17 +135,22 @@ def _adapted(phi: float, s_x: np.ndarray, s_z: np.ndarray) -> np.ndarray:
 
 
 def as_angle_map(g: Graph, angles) -> dict[str, float]:
-    """Accept a scalar (broadcast), a sequence over C in order, or a full mapping."""
+    """Accept a scalar or 0-d array (broadcast), a sequence over C in order,
+    or a full mapping.  This is the one finiteness check of every route that
+    reads angles: a non-finite angle raises PatternError naming its vertex."""
     comp = g.computation
     if isinstance(angles, Mapping):
         if set(angles) != set(comp):
             raise PatternError("angle mapping must cover exactly the computation vertices")
-        return {v: float(angles[v]) for v in comp}
-    if np.isscalar(angles):
-        return {v: float(angles) for v in comp}
+        angles = [angles[v] for v in comp]
+    elif np.isscalar(angles) or (isinstance(angles, np.ndarray) and angles.ndim == 0):
+        angles = [angles] * len(comp)
     vals = [float(a) for a in angles]
     if len(vals) != len(comp):
         raise PatternError(f"expected {len(comp)} angles, got {len(vals)}")
+    for v, a in zip(comp, vals):
+        if not math.isfinite(a):
+            raise PatternError(f"angle for {v!r} must be finite, got {a}")
     return dict(zip(comp, vals))
 
 

@@ -146,7 +146,7 @@ def branch_probability(g, angles, m, z) -> float:
 
 
 def kron_cz_decorated_state(g) -> qlin.Ket:
-    """The decorated graph state of an undecorated graph ``g``, built gate by
+    """The decorated graph state of a graph ``g``, built gate by
     gate: |G> (x) |+>^N, then CZ between computation vertex j and pendant j."""
     n_comp, n_out = g.n_computation, g.n_output
     state = qlin.kron_all([graphstate.graph_state(g)] + [qlin.equatorial_ket(0.0)] * n_comp)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acausal_mbqc import acausal, config, graphstate, mbqc, procmat, qlin
+from acausal_mbqc import acausal, config, game, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
 from pm_reference import backend_table, dense_tables, kron_cz_decorated_state
 
@@ -46,7 +46,7 @@ def test_build_resource_pm_layout_and_shape():
     assert r.w.num_qubits == 4
     layout = r.layout()
     assert layout["A1"]["input"] == "c0"
-    assert layout["A1"]["output"] == r.decorated_graph.decoration_map["c0"]
+    assert layout["A1"]["output"] == r.decorated_graph.output[g.n_output :][0] == "c0'"
     assert layout["B1"]["input"] == "o0"
     assert layout["B1"]["output"] == "ancilla0"
 
@@ -266,9 +266,7 @@ def test_pendant_route_reads_no_decorated_graph(monkeypatch):
     r = acausal.build_resource_pm(graphstate.chain(4))
     calls = []
     real = graphstate.graph_state
-    monkeypatch.setattr(
-        graphstate, "graph_state", lambda h, *a: calls.append(h.decoration) or real(h, *a)
-    )
+    monkeypatch.setattr(graphstate, "graph_state", lambda h, *a: calls.append(h) or real(h, *a))
     monkeypatch.setattr(graphstate, "decorate", None)
     acausal._pendant_route(r.base_graph, r.plain)
     assert calls == []
@@ -281,14 +279,15 @@ def test_the_literal_w_is_built_once_on_first_read(monkeypatch):
     calls = []
     real = graphstate.graph_state
     monkeypatch.setattr(
-        graphstate, "graph_state", lambda h, *a: calls.append(h.decoration) or real(h, *a)
+        graphstate, "graph_state", lambda h, *a: calls.append(h.n_output) or real(h, *a)
     )
     r = acausal.build_resource_pm(graphstate.chain(4))
-    assert calls == [None]
+    assert calls == [1]
     acausal.outcome_probabilities(r, 0.3)
-    assert calls == [None]
+    assert calls == [1]
     w = r.w
-    assert [c is not None for c in calls] == [False, True]
+    # the decorated graph's outputs are the base output and the 3 pendants
+    assert calls == [1, 4]
     # W's pure factor is the decorated state, on 2N + n = 7 qubits
     assert r.w is w and r.w.pure.num_qubits == 7 and len(calls) == 2
 
@@ -313,18 +312,12 @@ def test_a_perturbed_decorated_state_is_refused(monkeypatch, g, perturb):
 
     def perturbed(h, *a):
         state = real(h, *a)
-        return qlin.Ket(perturb(state.amplitudes)) if h.decoration else state
+        return qlin.Ket(perturb(state.amplitudes)) if h.n_output > g.n_output else state
 
     monkeypatch.setattr(graphstate, "graph_state", perturbed)
     r = acausal.build_resource_pm(g)
-    with pytest.raises(acausal.AcausalError, match="decoration identity violated"):
+    with pytest.raises(acausal.AcausalError, match="decorated state identity violated"):
         r.w
-
-
-def test_build_rejects_decorated_graph():
-    d = graphstate.decorate(graphstate.chain(2))
-    with pytest.raises(graphstate.GraphError):
-        acausal.build_resource_pm(d)
 
 
 def test_dense_oracle_refuses_chain7_before_allocating(monkeypatch):
@@ -367,6 +360,26 @@ def test_backend_agreement_refuses_a_non_finite_angle(bad):
     probs = acausal.outcome_probabilities(r, 0.7)
     with pytest.raises(mbqc.PatternError, match="angle for 'c1' must be finite"):
         acausal.backend_agreement(r, [0.7, bad], probs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda r, a: acausal.outcome_probabilities(r, a),
+        lambda r, a: acausal.outcome_probabilities(r, a, literal=True),
+        lambda r, a: acausal.postselected_sampler(r, a, 100),
+        lambda r, a: acausal.backend_agreement(r, a, np.zeros((4, 2))),
+        lambda r, a: game.game_instance(r, a),
+    ],
+    ids=["folded", "literal", "sampler", "agreement", "game"],
+)
+def test_every_route_refuses_a_non_finite_angle_naming_its_vertex(route, bad):
+    """One check, in ``mbqc.as_angle_map``, before any ket is built: the
+    same PatternError on every route, and no numpy warning."""
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    with pytest.raises(mbqc.PatternError, match=f"^angle for 'c0' must be finite, got {bad}$"):
+        route(r, [bad, 0.0])
 
 
 @st.composite

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acausal_mbqc import graphstate, qlin
 from acausal_mbqc.graphstate import GraphError
-from pm_reference import random_ket
+from pm_reference import kron_cz_decorated_state, random_ket
 
 
 PLUS = qlin.equatorial_ket(0.0)
@@ -86,17 +88,6 @@ def test_validate_rejects_malformed(vertices, edges, comp, out):
     assert str(err.value) == "; ".join(MALFORMED[vertices, edges, comp, out])
 
 
-def test_graph_refuses_a_pendant_with_a_second_neighbor():
-    with pytest.raises(GraphError, match="pendant \"c0'\" must connect to 'c0' and nothing else"):
-        graphstate.Graph(
-            vertices=("c0", "o0", "c0'"),
-            edges=(("c0", "o0"), ("c0", "c0'"), ("c0'", "o0")),
-            computation=("c0",),
-            output=("o0",),
-            decoration=(("c0", "c0'"),),
-        )
-
-
 @pytest.mark.parametrize(
     "g",
     [
@@ -159,7 +150,7 @@ def test_decorate_adds_one_pendant_per_computation_vertex():
     d = graphstate.decorate(g)
     assert d.n_computation == g.n_computation
     assert len(d.vertices) == len(g.vertices) + g.n_computation
-    dm = d.decoration_map
+    dm = dict(zip(g.computation, d.output[g.n_output :]))
     assert set(dm) == set(g.computation)
     for c, red in dm.items():
         assert (tuple(sorted((c, red)))) in d.edges
@@ -167,19 +158,46 @@ def test_decorate_adds_one_pendant_per_computation_vertex():
         assert [e for e in d.edges if red in e] == [tuple(sorted((c, red)))]
 
 
-def test_decorate_refuses_double_decoration():
-    d = graphstate.decorate(graphstate.chain(2))
-    with pytest.raises(GraphError):
-        graphstate.decorate(d)
-
-
 def test_ket_order_is_computation_then_output_then_pendants():
-    d = graphstate.decorate(graphstate.chain(3))
+    g = graphstate.chain(3)
+    d = graphstate.decorate(g)
     order = graphstate.ket_order(d)
     assert order[: d.n_computation] == d.computation
-    assert order[d.n_computation : d.n_computation + d.n_output] == d.output
-    reds = order[d.n_computation + d.n_output :]
-    assert set(reds) == set(d.decoration_map.values())
+    assert order[d.n_computation : d.n_computation + g.n_output] == g.output
+    reds = order[d.n_computation + g.n_output :]
+    assert reds == ("c0'", "c1'")
+
+
+def assert_decorated(g):
+    """``decorate(g)`` keeps C, appends one fresh pendant per C vertex to the
+    outputs in C order, hangs each on its own vertex alone, and its graph
+    state is the gate-by-gate decorated state to 1e-15 per amplitude."""
+    d = graphstate.decorate(g)
+    reds = d.output[g.n_output :]
+    assert d.computation == g.computation
+    assert d.output[: g.n_output] == g.output
+    assert len(reds) == g.n_computation == len(set(reds))
+    assert not set(reds) & set(g.vertices)
+    assert d.vertices == g.vertices + reds
+    for c, red in zip(g.computation, reds):
+        assert red.startswith(c + "'") and set(red[len(c) :]) == {"'"}
+        assert [e for e in d.edges if red in e] == [tuple(sorted((c, red)))]
+    assert set(d.edges) - set(g.edges) == {tuple(sorted(e)) for e in zip(g.computation, reds)}
+    built = graphstate.graph_state(d).amplitudes
+    assert np.max(np.abs(built - kron_cz_decorated_state(g).amplitudes)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_decorate_is_the_open_graph_with_pendant_outputs(n_comp, n_out, seed):
+    assert_decorated(graphstate.random_connected_graph(np.random.default_rng(seed), n_comp, n_out))
+
+
+def test_decorate_skips_a_label_already_taken():
+    """An output named ``c0'`` pushes c0's pendant to ``c0''``; c1's stays ``c1'``."""
+    g = graphstate.Graph(("c0", "c1", "c0'"), (("c0", "c1"), ("c1", "c0'")), ("c0", "c1"), ("c0'",))
+    assert_decorated(g)
+    assert graphstate.decorate(g).output == ("c0'", "c0''", "c1'")
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,9 @@ def test_as_angle_map_forms():
         mbqc.as_angle_map(g, [0.1])  # wrong length
     with pytest.raises(PatternError):
         mbqc.as_angle_map(g, {"c0": 0.1})  # missing vertex
+    assert mbqc.as_angle_map(g, np.array(0.3)) == {"c0": 0.3, "c1": 0.3}  # 0-d array
+    with pytest.raises(PatternError, match="^angle for 'c0' must be finite, got nan$"):
+        mbqc.as_angle_map(g, np.array(np.nan))
 
 
 def test_pattern_validation_rejects_forward_deps():

@@ -2,9 +2,12 @@
 
 A trimmed ``__init__`` or a renamed function must fail here rather than
 leave the documented API broken, and a name exported beyond the README's
-``am.<name>`` set must fail too.
+``am.<name>`` set must fail too.  Every ``<module>.<name>`` and
+``tests/pm_reference.<name>`` the README names must exist, so a deletion
+cannot leave a dead name in the docs.
 """
 
+import importlib
 import os
 import re
 import subprocess
@@ -15,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import acausal_mbqc
+import pm_reference
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ["acausal", "config", "game", "graphstate", "mbqc", "procmat", "qlin"]
 
 
 def library_block() -> str:
@@ -47,12 +52,21 @@ def test_every_name_the_package_exports_is_in_the_readme():
     assert not extra, f"acausal_mbqc exports names README does not use: {extra}"
 
 
+def test_every_module_name_the_readme_names_resolves():
+    text = README.read_text(encoding="utf-8")
+    pattern = rf"(?<![\w/.])(?:am\.)?({'|'.join(MODULES + ['cli'])})\.(\w+)"
+    named = {(importlib.import_module(f"acausal_mbqc.{m}"), n) for m, n in re.findall(pattern, text)}
+    named |= {(pm_reference, n) for n in re.findall(r"tests/pm_reference\.(?!py\b)(\w+)", text)}
+    assert named
+    dead = sorted(f"{m.__name__}.{n}" for m, n in named if not hasattr(m, n))
+    assert not dead, f"README names that do not exist: {dead}"
+
+
 def test_importing_the_package_alone_loads_every_module():
     """A fresh interpreter, so no other test's imports help: ``import
     acausal_mbqc`` binds every module that ``pkg.<module>`` readers use."""
-    modules = ["acausal", "config", "game", "graphstate", "mbqc", "procmat", "qlin"]
     src = str(Path(acausal_mbqc.__file__).resolve().parents[1])
-    code = f"import acausal_mbqc as pkg; print([getattr(pkg, m).__name__ for m in {modules!r}])"
+    code = f"import acausal_mbqc as pkg; print([getattr(pkg, m).__name__ for m in {MODULES!r}])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -60,7 +74,7 @@ def test_importing_the_package_alone_loads_every_module():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out == f"{[f'acausal_mbqc.{m}' for m in modules]!r}\n"
+    assert out == f"{[f'acausal_mbqc.{m}' for m in MODULES]!r}\n"
 
 
 def test_library_block_runs_and_gives_the_documented_results():
