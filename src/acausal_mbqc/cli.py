@@ -1,7 +1,9 @@
 """Verification command line.
 
-Every subcommand loads a graph JSON file, runs one family of checks, and
-prints a report (table by default, ``--json`` for the canonical document).
+``main`` loads the graph JSON file and builds its resource once; every
+subcommand runs one family of checks on it and returns its report and
+verdict, and ``main`` prints the report (table by default, ``--json`` for
+the canonical document) and maps the verdict to the exit code.
 Exit codes: 0 all assertions passed, 1 an assertion failed (deviation above
 tolerance or an expected violation absent), 2 usage or input error.
 
@@ -237,37 +239,31 @@ def _trace_and_floor_ok(report: dict, g, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the resource main built and returns (report, ok)
 
-def _cmd_graph_state(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    state = graphstate.graph_state(g, ns.cap)
+def _cmd_graph_state(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
+    g, state = r.base_graph, r.plain
     defect = graphstate.stabilizer_check(state, g)
     report = {
         "vertices": list(graphstate.ket_order(g)),
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
         "stabilizer_max_deviation": defect,
     }
-    _emit(report, ns.json)
-    return 0 if defect <= ns.tol else 1
+    return report, defect <= ns.tol
 
 
-def _cmd_resource_pm(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    r = acausal.build_resource_pm(g, ns.cap)
+def _cmd_resource_pm(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
     report = {
         "trace": r.w.trace(),
         "min_eigenvalue": r.w.min_eigenvalue(),
         "num_qubits": r.w.num_qubits,
         "layout": r.layout(),
     }
-    _emit(report, ns.json)
-    return 0 if _trace_and_floor_ok(report, g, ns.tol) else 1
+    return report, _trace_and_floor_ok(report, r.base_graph, ns.tol)
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    r = acausal.build_resource_pm(g, ns.cap)
+def _cmd_verify(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
+    g = r.base_graph
     ang = _angles_arg(ns.angles, g)
     # the checks read the literal W: on the folded table every branch m
     # contracts the same rows, so branch independence would hold by construction
@@ -286,39 +282,32 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         "backend_agreement_max_dev": acausal.backend_agreement(r, ang, probs),
     }
     if ns.shots > 0:
+        # reported only: the exit code reads the identities below
         report["signaling_tv"] = acausal.signaling_tv(probs, probs_b)
         sample = acausal.postselected_sampler(r, ang, ns.shots, ns.seed)
         report["postselect"] = acausal.postselection_report(sample, probs)
-    _emit(report, ns.json)
     ok = (
         report["branch_independence_max_dev"] <= ns.tol
         and report["normalization_dev"] <= ns.tol
         and report["backend_agreement_max_dev"] <= ns.tol
         and _trace_and_floor_ok(report, g, ns.tol)
     )
-    return 0 if ok else 1
+    return report, ok
 
 
-def _cmd_signal(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    r = acausal.build_resource_pm(g, ns.cap)
-    ang = _angles_arg(ns.angles, g)
-    ang_b = _second_angles(ns, g, ang)
+def _cmd_signal(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
+    ang = _angles_arg(ns.angles, r.base_graph)
+    ang_b = _second_angles(ns, r.base_graph, ang)
     probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b])
-    report = {"signaling_tv": acausal.signaling_tv(probs, probs_b)}
-    _emit(report, ns.json)
-    return 0
+    return {"signaling_tv": acausal.signaling_tv(probs, probs_b)}, True
 
 
-def _cmd_postselect(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    r = acausal.build_resource_pm(g, ns.cap)
-    ang = _angles_arg(ns.angles, g)
+def _cmd_postselect(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
+    ang = _angles_arg(ns.angles, r.base_graph)
     shots = ns.shots if ns.shots > 0 else POSTSELECT_DEFAULT_SHOTS
     sample = acausal.postselected_sampler(r, ang, shots, ns.seed)
     probs = acausal.outcome_probabilities(r, ang)
     block = acausal.postselection_report(sample, probs)
-    _emit({"postselect": block}, ns.json)
     p = block["expected"]
     sigma = math.sqrt(p * (1.0 - p) / shots)
     ok = (
@@ -326,24 +315,18 @@ def _cmd_postselect(ns: argparse.Namespace) -> int:
         and block["tv"] is not None
         and block["tv"] <= POSTSELECT_TV_LIMIT
     )
-    return 0 if ok else 1
+    return {"postselect": block}, ok
 
 
-def _cmd_game(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    # the plain state is as large as any register the game holds (N + n qubits)
-    r = acausal.build_resource_pm(g, ns.cap)
+def _cmd_game(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
     # without --angles a given pattern plays its own angles
-    ang = None if ns.angles is None else _angles_arg(ns.angles, g)
+    ang = None if ns.angles is None else _angles_arg(ns.angles, r.base_graph)
     pattern = mbqc.load_pattern(ns.pattern) if ns.pattern else None
     report = game.game_report(game.game_instance(r, ang, pattern))
-    _emit(report, ns.json)
-    return 0 if report["violated"] else 1
+    return report, report["violated"]
 
 
-def _cmd_pm_validate(ns: argparse.Namespace) -> int:
-    g = graphstate.load_graph(ns.graph)
-    r = acausal.build_resource_pm(g, ns.cap)
+def _cmd_pm_validate(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
     trials = ns.shots if ns.shots > 0 else PM_VALIDATE_DEFAULT_TRIALS
     if ns.family == "mbqc":
         family = procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
@@ -351,10 +334,8 @@ def _cmd_pm_validate(ns: argparse.Namespace) -> int:
         family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
     rng = np.random.default_rng(ns.seed)
     rep = procmat.pm_validate(r.w, family, trials, ns.tol, rng)
-    _emit({"family": ns.family, **dataclasses.asdict(rep)}, ns.json)
-    if ns.family == "rank1":
-        return 0  # exploratory family: violations are report content
-    return 0 if rep.passed else 1
+    # rank1 is exploratory: its violations are report content
+    return {"family": ns.family, **dataclasses.asdict(rep)}, rep.passed or ns.family == "rank1"
 
 
 _COMMANDS = {
@@ -381,10 +362,16 @@ _INPUT_ERRORS = (
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Refusals come in the order flags, graph file,
+    cap, then the command's own angles or pattern, and a refused run prints
+    no report."""
     try:
         ns = build_parser().parse_args(argv)
         _validate_numeric_flags(ns)
-        return _COMMANDS[ns.command](ns)
+        r = acausal.build_resource_pm(graphstate.load_graph(ns.graph), ns.cap)
+        report, ok = _COMMANDS[ns.command](ns, r)
+        _emit(report, ns.json)
+        return 0 if ok else 1
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -214,16 +214,17 @@ def _gf2_survivors(g: Graph) -> list[tuple[str, ...]]:
     n = g.n_computation
     if n > 20:
         raise GraphError([f"uniformity enumeration capped at 20 computation vertices, got {n}"])
+    # S and each vertex's C-neighbourhood as bitmasks, bit j for computation vertex j
+    bit = {c: 1 << j for j, c in enumerate(g.computation)}
     adj = _adjacency_sets(g)
-    cset = list(g.computation)
+    nbrs = {v: sum(bit.get(u, 0) for u in adj[v]) for v in g.vertices}
     survivors = []
     for mask in range(1, 2**n):
-        inside = {cset[j] for j in range(n) if (mask >> j) & 1}
-        ok = all(len(adj[o] & inside) % 2 == 0 for o in g.output) and all(
-            len(adj[c] & inside) % 2 == 0 for c in cset if c not in inside
+        ok = all((nbrs[o] & mask).bit_count() % 2 == 0 for o in g.output) and all(
+            (nbrs[c] & mask).bit_count() % 2 == 0 for c in g.computation if not bit[c] & mask
         )
         if ok:
-            survivors.append(tuple(sorted(inside)))
+            survivors.append(tuple(sorted(c for c in g.computation if bit[c] & mask)))
     return survivors
 
 

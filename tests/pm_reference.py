@@ -29,6 +29,10 @@ double sum built one (k, l) term at a time.
 the plain graph state with N |+> pendants appended by ``qlin.kron_all`` and
 one ``qlin.apply_on_qubits`` of CZ per computation vertex and its pendant.
 
+``set_gf2_survivors`` is the reference for ``graphstate._gf2_survivors``:
+the same enumeration of computation subsets, with each neighbourhood and
+each subset held as a set of vertex names.
+
 ``branch_probability`` is the non-adaptive Born probability of one outcome
 tuple, read from the graph state with one product bra, and ``cptp_check``
 tests an instrument's summed Choi operator, traced down by
@@ -143,6 +147,25 @@ def branch_probability(g, angles, m, z) -> float:
     factors += [qlin.basis_ket([bit]) for bit in z]
     bra = qlin.kron_all(factors)
     return float(abs(qlin.overlap(bra, graphstate.graph_state(g))) ** 2)
+
+
+def set_gf2_survivors(g) -> list[tuple[str, ...]]:
+    """Computation subsets S, in mask order, such that every output and every
+    computation vertex outside S has even adjacency into S."""
+    adj = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    cset = list(g.computation)
+    survivors = []
+    for mask in range(1, 2**len(cset)):
+        inside = {c for j, c in enumerate(cset) if (mask >> j) & 1}
+        ok = all(len(adj[o] & inside) % 2 == 0 for o in g.output) and all(
+            len(adj[c] & inside) % 2 == 0 for c in cset if c not in inside
+        )
+        if ok:
+            survivors.append(tuple(sorted(inside)))
+    return survivors
 
 
 def kron_cz_decorated_state(g) -> qlin.Ket:

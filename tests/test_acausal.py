@@ -354,15 +354,11 @@ def test_backend_agreement_contracts_the_positive_branch_on_chain7(monkeypatch):
     assert "w" not in vars(r)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
-def test_backend_agreement_refuses_a_non_finite_angle(bad):
-    r = acausal.build_resource_pm(graphstate.chain(3))
-    probs = acausal.outcome_probabilities(r, 0.7)
-    with pytest.raises(mbqc.PatternError, match="angle for 'c1' must be finite"):
-        acausal.backend_agreement(r, [0.7, bad], probs)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "bad, at",
+    [(bad, at) for at in (0, -1) for bad in (float("nan"), float("inf"), float("-inf"))],
+    ids=["nan", "inf", "-inf", "nan-last", "inf-last", "-inf-last"],
+)
 @pytest.mark.parametrize(
     "route",
     [
@@ -374,12 +370,16 @@ def test_backend_agreement_refuses_a_non_finite_angle(bad):
     ],
     ids=["folded", "literal", "sampler", "agreement", "game"],
 )
-def test_every_route_refuses_a_non_finite_angle_naming_its_vertex(route, bad):
+def test_every_route_refuses_a_non_finite_angle_naming_its_vertex(route, bad, at):
     """One check, in ``mbqc.as_angle_map``, before any ket is built: the
-    same PatternError on every route, and no numpy warning."""
+    same PatternError on every route, naming the first or the last
+    computation vertex, and no numpy warning."""
     r = acausal.build_resource_pm(graphstate.chain(3))
-    with pytest.raises(mbqc.PatternError, match=f"^angle for 'c0' must be finite, got {bad}$"):
-        route(r, [bad, 0.0])
+    angles = [0.0, 0.0]
+    angles[at] = bad
+    vertex = r.base_graph.computation[at]
+    with pytest.raises(mbqc.PatternError, match=f"^angle for '{vertex}' must be finite, got {bad}$"):
+        route(r, angles)
 
 
 @st.composite

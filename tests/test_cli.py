@@ -71,22 +71,29 @@ def test_verify_with_shots_includes_sampler_and_signaling(capsys, p2_file):
         (["postselect"], 1, 2, 1, 0, 0),
         (["game"], 1, 1, 1, 0, 1),
         (["signal"], 1, 1, 1, 0, 0),
+        (["graph-state"], 1, 1, 0, 0, 0),
+        (["resource-pm"], 1, 2, 0, 0, 0),
+        (["pm-validate", "--shots", "5"], 1, 2, 1, 0, 0),
     ],
-    ids=["verify-shots", "verify", "postselect", "game", "signal"],
+    ids=[
+        "verify-shots", "verify", "postselect", "game", "signal",
+        "graph-state", "resource-pm", "pm-validate",
+    ],
 )
 def test_builds_and_contractions_per_command(
     capsys, tmp_path, monkeypatch, argv, builds, graph_states, factorized, dense, walks
 ):
-    """On chain(4) each command builds one resource and contracts one outcome
-    table, its angle sets stacked as trials; no command contracts the dense
-    oracle.  Only ``game`` walks, once: its one split walk gives the
-    validity gate and both girls-first scores, while ``verify``'s agreement
-    contracts the positive branch of the plain state the resource holds.
-    Every command builds the plain graph state; ``verify`` and ``postselect``
-    also build the decorated one, with the literal W (``verify``'s checks) or
-    for the sampler; ``signal`` and ``game`` read the folded table and build
-    no other state, ``game``'s walk starting from the plain state of the
-    resource its instance holds."""
+    """On chain(4) every command builds one resource, in ``cli.main``, and
+    contracts at most one outcome table, its angle sets (or ``pm-validate``'s
+    trials) stacked as trials; no command contracts the dense oracle.  Only
+    ``game`` walks, once: its one split walk gives the validity gate and both
+    girls-first scores, while ``verify``'s agreement contracts the positive
+    branch of the plain state the resource holds.  Every command builds the
+    plain graph state, and ``graph-state`` reports it; ``verify``,
+    ``postselect``, ``resource-pm`` and ``pm-validate`` also build the
+    decorated one, with the literal W or for the sampler; ``signal`` and
+    ``game`` read the folded table and build no other state, ``game``'s walk
+    starting from the plain state of the resource its instance holds."""
     calls = {}
     for owner, name in [
         (acausal, "build_resource_pm"),
@@ -698,7 +705,7 @@ def test_non_finite_angles_exit_2(capsys, p2_file, flag, value):
 
 
 def test_memory_error_exits_2(capsys, p2_file, monkeypatch):
-    def out_of_memory(cfg):
+    def out_of_memory(ns, r):
         raise MemoryError()
 
     monkeypatch.setitem(cli._COMMANDS, "verify", out_of_memory)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import graphstate, qlin
 from acausal_mbqc.graphstate import GraphError
-from pm_reference import kron_cz_decorated_state, random_ket
+from pm_reference import kron_cz_decorated_state, random_ket, set_gf2_survivors
 
 
 PLUS = qlin.equatorial_ket(0.0)
@@ -214,6 +214,35 @@ def test_decorate_skips_a_label_already_taken():
 )
 def test_has_uniform_branches(g, expected):
     assert graphstate.has_uniform_branches(g) is expected
+
+
+PRESETS = [
+    graphstate.chain(2),
+    graphstate.chain(6),
+    graphstate.parallel_chains([2, 3]),
+    graphstate.vee_graph(),
+    graphstate.cycle_with_output(3),
+    graphstate.cycle_with_output(4),
+    graphstate.cycle_with_output(5),
+]
+
+
+def test_gf2_survivors_equal_the_set_reference_on_presets():
+    for g in PRESETS:
+        assert graphstate._gf2_survivors(g) == set_gf2_survivors(g)
+    assert graphstate._gf2_survivors(graphstate.vee_graph())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_gf2_survivors_equal_the_set_reference_on_random_graphs(n_comp, n_out, seed):
+    g = graphstate.random_connected_graph(np.random.default_rng(seed), n_comp, n_out)
+    assert graphstate._gf2_survivors(g) == set_gf2_survivors(g)
+
+
+def test_gf2_survivors_refuse_more_than_20_computation_vertices():
+    with pytest.raises(GraphError, match="capped at 20 computation vertices, got 21"):
+        graphstate._gf2_survivors(graphstate.chain(22))
 
 
 def test_uniform_branch_predicate_matches_numeric_sweep():
