@@ -42,7 +42,6 @@ _ANGLES_HELP = (
     "comma-separated radians for the computation vertices in order; "
     "one value broadcasts (default 0)"
 )
-_ANGLES_B_HELP = "second angle set; default adds pi at the first vertex"
 
 # subcommand -> (summary, {flag: help}); every subcommand also takes --graph,
 # --json and --cap, and argparse refuses any flag not listed for it
@@ -56,20 +55,15 @@ _SUBCOMMANDS = {
         {"--tol": "tolerance on the trace and the positivity floor"},
     ),
     "verify": (
-        "branch independence, normalization, and backend agreement",
-        {
-            "--angles": _ANGLES_HELP,
-            "--angles-b": "second angle set of the signaling check, read only with "
-            "--shots; default adds pi at the first vertex",
-            "--seed": "sampler seed, read only with --shots",
-            "--shots": "postselected-sampler shots; 0 (default) skips the sampler "
-            "and the signaling check",
-            "--tol": "tolerance on every identity the command checks",
-        },
+        "branch independence, normalization, backend agreement, trace and positivity floor",
+        {"--angles": _ANGLES_HELP, "--tol": "tolerance on every identity the command checks"},
     ),
     "signal": (
         "total variation between readout marginals for two angle sets",
-        {"--angles": _ANGLES_HELP, "--angles-b": _ANGLES_B_HELP},
+        {
+            "--angles": _ANGLES_HELP,
+            "--angles-b": "second angle set; default adds pi at the first vertex",
+        },
     ),
     "postselect": (
         "postselected sampler versus the exact distribution",
@@ -180,15 +174,6 @@ def _angles_arg(values: list[float] | None, g) -> dict[str, float]:
     return mbqc.as_angle_map(g, values[0] if len(values) == 1 else values)
 
 
-def _second_angles(ns: argparse.Namespace, g, ang: dict[str, float]) -> dict[str, float]:
-    if ns.angles_b is not None:
-        return _angles_arg(ns.angles_b, g)
-    first = g.computation[0]
-    out = dict(ang)
-    out[first] = ang[first] + math.pi
-    return out
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
@@ -267,12 +252,7 @@ def _cmd_verify(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bo
     ang = _angles_arg(ns.angles, g)
     # the checks read the literal W: on the folded table every branch m
     # contracts the same rows, so branch independence would hold by construction
-    if ns.shots > 0:
-        # the signaling check's second angle set is a second trial of one contraction
-        ang_b = _second_angles(ns, g, ang)
-        probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b], literal=True)
-    else:
-        probs = acausal.outcome_probabilities(r, ang, literal=True)
+    probs = acausal.outcome_probabilities(r, ang, literal=True)
     report = {
         "branch_independence_max_dev": acausal.branch_independence_report(probs),
         "normalization_dev": acausal.normalization_report(probs),
@@ -281,11 +261,6 @@ def _cmd_verify(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bo
         # the positive branch, contracted on the plain graph state: it fits wherever W does
         "backend_agreement_max_dev": acausal.backend_agreement(r, ang, probs),
     }
-    if ns.shots > 0:
-        # reported only: the exit code reads the identities below
-        report["signaling_tv"] = acausal.signaling_tv(probs, probs_b)
-        sample = acausal.postselected_sampler(r, ang, ns.shots, ns.seed)
-        report["postselect"] = acausal.postselection_report(sample, probs)
     ok = (
         report["branch_independence_max_dev"] <= ns.tol
         and report["normalization_dev"] <= ns.tol
@@ -296,8 +271,14 @@ def _cmd_verify(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bo
 
 
 def _cmd_signal(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
-    ang = _angles_arg(ns.angles, r.base_graph)
-    ang_b = _second_angles(ns, r.base_graph, ang)
+    g = r.base_graph
+    ang = _angles_arg(ns.angles, g)
+    if ns.angles_b is not None:
+        ang_b = _angles_arg(ns.angles_b, g)
+    else:
+        ang_b = dict(ang)
+        ang_b[g.computation[0]] += math.pi
+    # both angle sets are trials of one contraction
     probs, probs_b = acausal.outcome_probabilities(r, [ang, ang_b])
     return {"signaling_tv": acausal.signaling_tv(probs, probs_b)}, True
 

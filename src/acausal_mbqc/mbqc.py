@@ -72,12 +72,7 @@ def make_pattern(
     def freeze(deps):
         return {str(v): frozenset(str(u) for u in us) for v, us in (deps or {}).items()}
 
-    ang = {}
-    for v, a in angles.items():
-        a = float(a)
-        if not np.isfinite(a):
-            raise PatternError(f"angle for {v!r} must be finite, got {a}")
-        ang[str(v)] = a % qlin.TWO_PI
+    ang = {str(v): _real_angle(v, a) % qlin.TWO_PI for v, a in angles.items()}
     return Pattern(
         order=tuple(str(v) for v in order),
         angles=ang,
@@ -136,8 +131,9 @@ def _adapted(phi: float, s_x: np.ndarray, s_z: np.ndarray) -> np.ndarray:
 
 def as_angle_map(g: Graph, angles) -> dict[str, float]:
     """Accept a scalar or 0-d array (broadcast), a sequence over C in order,
-    or a full mapping.  This is the one finiteness check of every route that
-    reads angles: a non-finite angle raises PatternError naming its vertex."""
+    or a full mapping.  This is the one angle check of every route that
+    reads angles: an angle that is no finite real number (a bool, a string,
+    a complex, an infinity or NaN) raises PatternError naming its vertex."""
     comp = g.computation
     if isinstance(angles, Mapping):
         if set(angles) != set(comp):
@@ -145,13 +141,27 @@ def as_angle_map(g: Graph, angles) -> dict[str, float]:
         angles = [angles[v] for v in comp]
     elif np.isscalar(angles) or (isinstance(angles, np.ndarray) and angles.ndim == 0):
         angles = [angles] * len(comp)
-    vals = [float(a) for a in angles]
-    if len(vals) != len(comp):
-        raise PatternError(f"expected {len(comp)} angles, got {len(vals)}")
-    for v, a in zip(comp, vals):
-        if not math.isfinite(a):
-            raise PatternError(f"angle for {v!r} must be finite, got {a}")
-    return dict(zip(comp, vals))
+    angles = list(angles)
+    if len(angles) != len(comp):
+        raise PatternError(f"expected {len(comp)} angles, got {len(angles)}")
+    return {v: _real_angle(v, a) for v, a in zip(comp, angles)}
+
+
+def _real_angle(v: str, a) -> float:
+    """The angle ``a`` at vertex ``v`` as a float.  Only a Python or numpy
+    int or float (no bool), or a 0-d array of one, finite as a float, passes;
+    anything else raises PatternError naming ``v``."""
+    if isinstance(a, np.ndarray) and a.ndim == 0:
+        a = a[()]
+    if isinstance(a, bool) or not isinstance(a, (float, int, np.floating, np.integer)):
+        raise PatternError(f"angle for {v!r} must be a real number, got {a!r}")
+    try:
+        value = float(a)
+    except OverflowError:
+        raise PatternError(f"angle for {v!r} is an integer too large for a float") from None
+    if not math.isfinite(value):
+        raise PatternError(f"angle for {v!r} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -315,10 +325,7 @@ def chain_pattern(g: Graph, angles=0.0) -> Pattern:
     Z^(second-to-last outcome).
     """
     ang = as_angle_map(g, angles)
-    adj = {v: set() for v in g.vertices}
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = graphstate._adjacency_sets(g)
     cset, oset = set(g.computation), set(g.output)
 
     order: list[str] = []
@@ -379,9 +386,8 @@ def pattern_from_json(obj) -> Pattern:
         raise PatternError(f"missing pattern fields: {sorted(missing)}")
     if not isinstance(obj["order"], list) or not all(isinstance(v, str) for v in obj["order"]):
         raise PatternError("order must be a list of strings")
-    if not isinstance(obj["angles"], dict) or not all(
-        isinstance(v, str) and isinstance(a, (int, float)) for v, a in obj["angles"].items()
-    ):
+    # make_pattern checks each angle, naming its vertex
+    if not isinstance(obj["angles"], dict) or not all(isinstance(v, str) for v in obj["angles"]):
         raise PatternError("angles must map vertex labels to numbers")
     deps = {}
     for name in _PATTERN_OPTIONAL:
@@ -392,18 +398,7 @@ def pattern_from_json(obj) -> Pattern:
         ):
             raise PatternError(f"{name} must map vertex labels to lists of labels")
         deps[name] = block
-    angles = {v: _json_angle(v, a) for v, a in obj["angles"].items()}
-    return make_pattern(obj["order"], angles, **deps)
-
-
-def _json_angle(v: str, a) -> float:
-    """A pattern document's angle at ``v``: JSON true/false refused, ints must fit a float."""
-    if isinstance(a, bool):
-        raise PatternError(f"angle for {v!r} must be a number, got {json.dumps(a)}")
-    try:
-        return float(a)
-    except OverflowError:
-        raise PatternError(f"angle for {v!r} is an integer too large for a float") from None
+    return make_pattern(obj["order"], obj["angles"], **deps)
 
 
 def pattern_to_json(p: Pattern) -> dict:

@@ -118,7 +118,6 @@ def _checking_argvs(angles: str) -> list[list[str]]:
     the flagless ``--json`` runs of the other commands are ``FLAG_SETS`` runs."""
     return [
         ["verify", "--json", "--angles", angles],
-        ["verify", "--json", "--angles", angles, "--shots", "2000", "--seed", "7"],
         ["signal", "--json", "--angles", angles],
         ["postselect", "--json", "--angles", angles, "--shots", "20000", "--seed", "7"],
         ["pm-validate", "--json", "--shots", "50", "--seed", "11"],

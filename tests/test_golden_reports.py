@@ -1,4 +1,4 @@
-"""The 30 golden ``--json`` reports, each a record of the CLI byte corpus.
+"""The 27 golden ``--json`` reports, each a record of the CLI byte corpus.
 
 ``verify``, ``resource-pm`` and ``pm-validate`` check the paper's identities
 on the literal W, so their reports must not move when the commands that only
@@ -14,9 +14,9 @@ table contracted the literal W.  The ``backend_agreement_max_dev`` line of
 the chain(3) and chain(4) ``verify`` cases was re-captured when that field
 moved from the dense oracle to the positive-branch walk; every other byte of
 those cases is the 76832be capture.  That line of the chain(3) and chain(4)
-``verify`` and ``verify --shots`` cases was re-captured once more when the
-agreement moved from the walk to a direct contraction of the positive
-branch on the plain state; the pc22 cases did not move.  The use commands'
+``verify`` cases was re-captured once more when the agreement moved from
+the walk to a direct contraction of the positive branch on the plain
+state; the pc22 cases did not move.  The use commands'
 cases (``signal``, ``game``, ``postselect`` and ``graph-state``) were
 captured at commit 2ba7c17; ``game`` on chain(3) exits 2 with empty stdout,
 since an odd chain is no deterministic game instance, and ``postselect`` at
@@ -37,7 +37,7 @@ PINNED = json.loads((Path(__file__).parent / "cli_corpus.json").read_text(encodi
 
 
 def _cases(graph: str, angles: str) -> dict[str, tuple[str, str]]:
-    """The 9 golden cases of a graph with one angle per computation vertex."""
+    """The 8 golden cases of a graph with one angle per computation vertex."""
     return {
         f"game-{graph}": (graph, "game --json"),
         f"graph-state-{graph}": (graph, "graph-state --json"),
@@ -49,8 +49,6 @@ def _cases(graph: str, angles: str) -> dict[str, tuple[str, str]]:
         f"resource-pm-{graph}": (graph, "resource-pm --json"),
         f"signal-{graph}": (graph, f"signal --json --angles {angles}"),
         f"verify-{graph}": (graph, f"verify --json --angles {angles}"),
-        f"verify-shots-{graph}":
-            (graph, f"verify --json --angles {angles} --shots 2000 --seed 7"),
     }
 
 

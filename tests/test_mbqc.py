@@ -49,6 +49,20 @@ def test_as_angle_map_forms():
     assert mbqc.as_angle_map(g, np.array(0.3)) == {"c0": 0.3, "c1": 0.3}  # 0-d array
     with pytest.raises(PatternError, match="^angle for 'c0' must be finite, got nan$"):
         mbqc.as_angle_map(g, np.array(np.nan))
+    # ints and numpy reals are real numbers; a bool, a string or a complex is not
+    assert mbqc.as_angle_map(g, [1, np.float32(0.5)]) == {"c0": 1.0, "c1": 0.5}
+    assert mbqc.as_angle_map(g, np.array([0.1, 0.2])) == {"c0": 0.1, "c1": 0.2}
+    for bad, vertex in [
+        (True, "c0"), (np.True_, "c0"), ([True, 0.5], "c0"), ([0.5, False], "c1"),
+        ("0.5", "c0"), (1j, "c0"), ({"c0": 0.1, "c1": np.array(True)}, "c1"),
+    ]:
+        with pytest.raises(PatternError, match=f"^angle for '{vertex}' must be a real number"):
+            mbqc.as_angle_map(g, bad)
+    with pytest.raises(PatternError, match="^angle for 'c1' is an integer too large"):
+        mbqc.as_angle_map(g, [0.0, 10**400])
+    # patterns built in code take the same check as pattern files
+    with pytest.raises(PatternError, match="^angle for 'c0' must be a real number"):
+        mbqc.make_pattern(["c0"], {"c0": True})
 
 
 def test_pattern_validation_rejects_forward_deps():

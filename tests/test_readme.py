@@ -4,7 +4,8 @@ A trimmed ``__init__`` or a renamed function must fail here rather than
 leave the documented API broken, and a name exported beyond the README's
 ``am.<name>`` set must fail too.  Every ``<module>.<name>`` and
 ``tests/pm_reference.<name>`` the README names must exist, so a deletion
-cannot leave a dead name in the docs.
+cannot leave a dead name in the docs, and the ``## CLI`` synopsis must name
+the flags each command takes.
 """
 
 import importlib
@@ -19,6 +20,7 @@ import pytest
 
 import acausal_mbqc
 import pm_reference
+from acausal_mbqc import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["acausal", "config", "game", "graphstate", "mbqc", "procmat", "qlin"]
@@ -60,6 +62,21 @@ def test_every_module_name_the_readme_names_resolves():
     assert named
     dead = sorted(f"{m.__name__}.{n}" for m, n in named if not hasattr(m, n))
     assert not dead, f"README names that do not exist: {dead}"
+
+
+def test_cli_synopsis_names_exactly_the_flags_each_command_takes():
+    """One ``acausal-mbqc <command>`` line per subcommand in the first sh
+    block of ``## CLI``, naming ``--graph`` and the flags ``cli._SUBCOMMANDS``
+    gives that command (``--json`` and ``--cap``, which every command takes,
+    are stated once below the block)."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        command, *rest = line.removeprefix("acausal-mbqc ").split()
+        synopsis[command] = set(re.findall(r"--[\w-]+", " ".join(rest)))
+    wanted = {name: {"--graph", *flags} for name, (_, flags) in cli._SUBCOMMANDS.items()}
+    assert synopsis == wanted
 
 
 def test_importing_the_package_alone_loads_every_module():
