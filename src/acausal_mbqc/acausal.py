@@ -106,26 +106,23 @@ class ResourcePM:
         if fid < 1.0 - 1e-12:
             raise AcausalError(f"decorated state identity violated: fidelity {fid!r}")
         scale = float(2 ** (self.n_computation + self.n_output))
-        return ProcessMatrix(self.alice_parties + self.bob_parties, route_a, scale)
+        return ProcessMatrix(self.parties, route_a, scale)
 
     @functools.cached_property
-    def alice_parties(self) -> tuple[str, ...]:
-        return tuple(f"A{j + 1}" for j in range(self.n_computation))
-
-    @functools.cached_property
-    def bob_parties(self) -> tuple[str, ...]:
-        return tuple(f"B{t + 1}" for t in range(self.n_output))
+    def parties(self) -> tuple[str, ...]:
+        """W's party names, the Alices A1..AN, then the Bobs B1..Bn: party i
+        of W reads index i of every instrument block."""
+        alices = tuple(f"A{j + 1}" for j in range(self.n_computation))
+        return alices + tuple(f"B{t + 1}" for t in range(self.n_output))
 
     def layout(self) -> dict[str, dict[str, str]]:
         """Party -> {input: vertex, output: vertex-or-ancilla}, in party order:
         party i of k holds register qubits i (input) and k + i (output)."""
+        g = self.base_graph
         pendants = self.decorated_graph.output[self.n_output :]
-        out: dict[str, dict[str, str]] = {}
-        for j, c in enumerate(self.base_graph.computation):
-            out[f"A{j + 1}"] = {"input": c, "output": pendants[j]}
-        for t, o in enumerate(self.base_graph.output):
-            out[f"B{t + 1}"] = {"input": o, "output": f"ancilla{t}"}
-        return out
+        ancillas = tuple(f"ancilla{t}" for t in range(self.n_output))
+        pairs = zip(g.computation + g.output, pendants + ancillas)
+        return {p: {"input": i, "output": o} for p, (i, o) in zip(self.parties, pairs)}
 
 
 def _pendant_route(g: Graph, plain: qlin.Ket) -> qlin.Ket:
@@ -160,8 +157,9 @@ _ROOT2_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 def _folded_table(r: ResourcePM, block: procmat.InstrumentBlock) -> np.ndarray:
     """Validated outcome tables of a block of trials over the resource's
-    parties (Alices, then Bobs), as ``procmat._trial_tables`` gives them for
-    W, contracted on the plain graph state.
+    parties (Alices, then Bobs, index-ordered), as ``procmat._trial_tables``
+    gives them for W, contracted on the plain graph state; the kernel refuses
+    a block of another party count.
 
     Each Alice's measure ket a becomes a * (sqrt(2) H r), r her reprepare
     ket, in one product over the Alices' slots of a copy of the block's
@@ -175,13 +173,11 @@ def _folded_table(r: ResourcePM, block: procmat.InstrumentBlock) -> np.ndarray:
     are the ancillas', so every entry carries the exact coefficient 2^N of
     the fold.
     """
-    parties = r.alice_parties + r.bob_parties
-    if block.parties != parties:
-        raise procmat.ProcmatError(f"block parties {list(block.parties)} are not {list(parties)}")
     measure = block.measure.copy()
     measure[:, : r.n_computation] *= block.reprepare[:, : r.n_computation] @ _ROOT2_HADAMARD
     scale = float(2 ** (r.n_computation + r.n_output))
-    return procmat._trial_tables(ProcessMatrix(parties, r.plain, scale), measure, block.reprepare)
+    w = ProcessMatrix(r.parties, r.plain, scale)
+    return procmat._trial_tables(w, measure, block.reprepare)
 
 
 def _table(r: ResourcePM, angle_sets, literal: bool) -> np.ndarray:
@@ -190,7 +186,7 @@ def _table(r: ResourcePM, angle_sets, literal: bool) -> np.ndarray:
     with one trial per set, on the literal W or on the fold."""
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in angle_sets]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
-    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(phis, r.n_output)
     if literal:
         return procmat._trial_tables(r.w, block.measure, block.reprepare)
     return _folded_table(r, block)
@@ -230,7 +226,10 @@ def signaling_tv(probs_a: np.ndarray, probs_b: np.ndarray) -> float:
     """Total variation between the Bobs' z-marginals of tables at two Alice angle choices.
 
     Any positive value certifies Alice-to-Bob signaling within the process.
+    Tables of different shapes are refused.
     """
+    if probs_a.shape != probs_b.shape:
+        raise ValueError(f"tables of shapes {probs_a.shape} and {probs_b.shape} differ")
     za, zb = probs_a.sum(axis=0), probs_b.sum(axis=0)
     return float(0.5 * np.sum(np.abs(za - zb)))
 
@@ -303,8 +302,11 @@ def postselected_sampler(
     ``binomial(kept, 2^-n)`` per (m, z) cell keeps the runs whose n ancilla
     coins equal the readout.  The accepted counts have exactly the joint law
     of ``shots`` independent per-run draws, and a fixed seed gives identical
-    counts.
+    counts.  ``shots`` must be a Python or numpy int (not a bool), checked
+    before any draw.
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be positive")
     g = r.base_graph
@@ -325,7 +327,7 @@ def postselected_sampler(
     cells = rng.multinomial(shots, probs).reshape(2**n_comp, 2**n_out, 2**n_comp)
     kept = cells[np.arange(2**n_comp), :, np.arange(2**n_comp)]
     counts = rng.binomial(kept, 2.0**-n_out)
-    return PostselectResult(counts=counts, shots=shots, accepted=int(counts.sum()), seed=seed)
+    return PostselectResult(counts=counts, shots=int(shots), accepted=int(counts.sum()), seed=seed)
 
 
 def postselection_report(result: PostselectResult, exact: np.ndarray) -> dict:

@@ -310,9 +310,9 @@ def _cmd_game(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool
 def _cmd_pm_validate(ns: argparse.Namespace, r: acausal.ResourcePM) -> tuple[dict, bool]:
     trials = ns.shots if ns.shots > 0 else PM_VALIDATE_DEFAULT_TRIALS
     if ns.family == "mbqc":
-        family = procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
+        family = procmat.mbqc_instrument_family(r.n_computation, r.n_output)
     else:
-        family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+        family = procmat.rank_one_instrument_family(r.n_computation + r.n_output)
     rng = np.random.default_rng(ns.seed)
     rep = procmat.pm_validate(r.w, family, trials, ns.tol, rng)
     # rank1 is exploratory: its violations are report content

@@ -135,8 +135,11 @@ def girls_first_p0(
 
     shots = 0 reads the exact score the instance holds from its split walk;
     shots > 0 estimates it from that many seeded causal runs, each descending
-    the tree of one split walk (``mbqc.sample_causal``).
+    the tree of one split walk (``mbqc.sample_causal``).  ``shots`` must be a
+    Python or numpy int (not a bool).
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise GameError(f"shots must be an int, got {shots!r}")
     if shots == 0:
         return inst.p0_corrected if correct else inst.p0_uncorrected
     if shots < 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,9 +131,10 @@ def _adapted(phi: float, s_x: np.ndarray, s_z: np.ndarray) -> np.ndarray:
 
 def as_angle_map(g: Graph, angles) -> dict[str, float]:
     """Accept a scalar or 0-d array (broadcast), a sequence over C in order,
-    or a full mapping.  This is the one angle check of every route that
-    reads angles: an angle that is no finite real number (a bool, a string,
-    a complex, an infinity or NaN) raises PatternError naming its vertex."""
+    or a full mapping; anything else (such as None) raises PatternError.
+    This is the one angle check of every route that reads angles: an angle
+    that is no finite real number (a bool, a string, a complex, an infinity
+    or NaN) raises PatternError naming its vertex."""
     comp = g.computation
     if isinstance(angles, Mapping):
         if set(angles) != set(comp):
@@ -141,6 +142,11 @@ def as_angle_map(g: Graph, angles) -> dict[str, float]:
         angles = [angles[v] for v in comp]
     elif np.isscalar(angles) or (isinstance(angles, np.ndarray) and angles.ndim == 0):
         angles = [angles] * len(comp)
+    elif not isinstance(angles, Iterable):
+        raise PatternError(
+            "angles must be a real number, a sequence over the computation vertices "
+            f"or a mapping of them, got {angles!r}"
+        )
     angles = list(angles)
     if len(angles) != len(comp):
         raise PatternError(f"expected {len(comp)} angles, got {len(angles)}")

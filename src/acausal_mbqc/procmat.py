@@ -5,7 +5,9 @@ Every party's local operation is a measure-and-reprepare instrument: element
 an ``InstrumentBlock``: every party's single-qubit kets phi and r stacked
 into two arrays ``measure`` and ``reprepare``, shaped (trials, parties,
 elements, 2) with party i at index i, checked once each; ``mbqc_kets`` is
-the one definition of the MBQC instruments in that form.
+the one definition of the MBQC instruments in that form.  A block names no
+party: only W (``ProcessMatrix.parties``) does, and party i of W reads index
+i of every block.
 The element's Choi-Jamiolkowski (CJ) operator sum_{k,l} |k><l| (x) M(|l><k|),
 which evaluates exactly to |phi><phi| (x) |r><r|, is built only by the dense
 oracle, through ``_choi_tensors``; CJ registers are ordered input qubit
@@ -16,7 +18,8 @@ every input, then every output: party i owns input qubit i and output qubit
 k + i.  Probabilities are P = Tr[W (Pi_a (x) Pi_b ...)].
 ``_trial_tables`` computes them for every element of every party's
 instrument in every trial of a block at once, as one contraction sweep over
-the parties, reading a block's two arrays in W's party order;
+the parties, reading a block's two arrays in W's party order; it refuses a
+block with another number of parties than W's.
 ``pm_validate`` runs it over blocks of sampled trials, and
 ``pm_probability`` over the one-trial block of one element per party.
 W has one form, scale * |pure><pure| (x) (I/2)^m: the pure ket on the
@@ -81,26 +84,27 @@ class InstrumentBlock:
 
     In trial t, party i's element e maps rho -> |r><phi| rho |phi><r|, where
     phi is ``measure[t, i, e]`` and r is ``reprepare[t, i, e]``: both arrays
-    are (trials, parties, elements, 2), party i the i-th of ``parties``,
-    the one form of instruments that the kernel and the dense oracle read.
-    ``describe(t)`` names each party's instrument in trial t.  Construction
-    refuses a block without elements, and runs ``Ket``'s tests once on each
-    array, reading an axis of stride 0 (a broadcast, such as one readout
-    shared by every trial) at its first index only: every ket of the block
-    is tested, each stored ket once.
+    are (trials, parties, elements, 2), the one form of instruments that the
+    kernel and the dense oracle read.  The block is index-ordered and names
+    no party: party i of the W it is contracted with reads index i, and the
+    kernel refuses a W of another party count.  ``describe(t)`` describes
+    each party's instrument in trial t, a tuple of strings in party order.
+    Construction refuses a block without parties or elements, and runs
+    ``Ket``'s tests once on each array, reading an axis of stride 0 (a
+    broadcast, such as one readout shared by every trial) at its first index
+    only: every ket of the block is tested, each stored ket once.
     """
 
-    parties: tuple[str, ...]
     measure: np.ndarray
     reprepare: np.ndarray
-    describe: Callable[[int], dict[str, str]]
+    describe: Callable[[int], tuple[str, ...]]
 
     def __post_init__(self):
-        shape, parties = self.measure.shape, len(self.parties)
-        ok = len(shape) == 4 and shape[1:4:2] == (parties, 2) and shape[2] > 0
+        shape = self.measure.shape
+        ok = len(shape) == 4 and min(shape[1:3]) > 0 and shape[3] == 2
         if not ok or self.reprepare.shape != shape:
             raise ProcmatError(
-                f"block kets must share one (trials, {parties} parties, elements >= 1, 2) "
+                "block kets must share one (trials, parties >= 1, elements >= 1, 2) "
                 f"shape, got {self.measure.shape} and {self.reprepare.shape}"
             )
         for name, kets in (("measure", self.measure), ("reprepare", self.reprepare)):
@@ -112,40 +116,41 @@ class InstrumentBlock:
 _READOUT = np.eye(2, dtype=np.complex128)
 
 
-def mbqc_kets(phis: np.ndarray, alices: Sequence[str], bobs: Sequence[str]) -> InstrumentBlock:
+def mbqc_kets(phis: np.ndarray, bobs: int) -> InstrumentBlock:
     """The MBQC instrument tuple of each trial of a block, as a block of stacked kets.
 
-    ``phis`` is (trials, N): in trial t, Alice i measures the equatorial kets
-    |phi^m> at angle ``phis[t, i]`` and reprepares her outcome bit |m>, and
-    every Bob reads out |z> in the computational basis and reprepares it.
+    ``phis`` is (trials, N): in trial t, Alice i (party i) measures the
+    equatorial kets |phi^m> at angle ``phis[t, i]`` and reprepares her
+    outcome bit |m>, and each of the ``bobs`` Bobs after her (parties N to
+    N + bobs - 1) reads out |z> in the computational basis and reprepares it.
     The measure array holds the Alices' equatorial kets, then the readout
     once per Bob; the reprepare array is the readout, the exact basis
     broadcast over every trial and party.  The block runs ``Ket``'s tests on
     both.
     """
-    alices, bobs = tuple(alices), tuple(bobs)
-    measure = np.empty((len(phis), len(alices) + len(bobs), 2, 2), dtype=np.complex128)
-    measure[:, : len(alices)] = qlin.equatorial_kets(phis)
-    measure[:, len(alices):] = _READOUT
+    alices = phis.shape[1]
+    measure = np.empty((len(phis), alices + bobs, 2, 2), dtype=np.complex128)
+    measure[:, :alices] = qlin.equatorial_kets(phis)
+    measure[:, alices:] = _READOUT
     reprepare = np.broadcast_to(_READOUT, measure.shape)
 
-    def describe(t: int) -> dict[str, str]:
-        out = {a: f"equatorial(phi={float(phis[t, i]):.6f})" for i, a in enumerate(alices)}
-        return out | dict.fromkeys(bobs, "computational readout")
+    def describe(t: int) -> tuple[str, ...]:
+        out = tuple(f"equatorial(phi={float(phi):.6f})" for phi in phis[t])
+        return out + ("computational readout",) * bobs
 
-    return InstrumentBlock(alices + bobs, measure, reprepare, describe)
+    return InstrumentBlock(measure, reprepare, describe)
 
 
 def alice_instrument(phi: float) -> InstrumentBlock:
     """Equatorial measurement at angle phi, reprepared as the outcome bit:
-    the one-trial block of party "A"."""
-    return mbqc_kets(np.array([[phi]], dtype=float), ("A",), ())
+    the one-trial block of one party."""
+    return mbqc_kets(np.array([[phi]], dtype=float), 0)
 
 
 def bob_instrument() -> InstrumentBlock:
     """Computational-basis readout, reprepared as the outcome bit: the
-    one-trial block of party "B"."""
-    return mbqc_kets(np.zeros((1, 0)), (), ("B",))
+    one-trial block of one party."""
+    return mbqc_kets(np.zeros((1, 0)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,7 @@ def pm_probability(
     if set(assignment) != set(w.parties):
         raise ProcmatError(f"parties {sorted(assignment)} do not match {sorted(w.parties)}")
     kets = [np.array([[[assignment[p][j]] for p in w.parties]], dtype=complex) for j in (0, 1)]
-    block = InstrumentBlock(w.parties, *kets, lambda t: {})
+    block = InstrumentBlock(*kets, lambda t: ())
     return float(_trial_tables(w, block.measure, block.reprepare).item())
 
 
@@ -289,9 +294,13 @@ def _trial_tables(
 ) -> np.ndarray:
     """Validated outcome tables of a block of trials, shaped (trials, E, ..., E),
     one axis of E elements per party of ``w``, from the (trials, parties, E, 2)
-    arrays of an ``InstrumentBlock`` in W's party order (the trials numbered
-    from ``first_trial``): the one entry to the kernel.
+    arrays of an ``InstrumentBlock``, party i of W at index i (the trials
+    numbered from ``first_trial``): the one entry to the kernel.  A block
+    whose party axis is not W's party count is refused before any
+    contraction.
     """
+    if measure.shape[1] != len(w.parties):
+        raise ProcmatError(f"block has {measure.shape[1]} parties, W has {len(w.parties)}")
     return _validated_table(_factorized_probability(w, measure, reprepare), first_trial)
 
 
@@ -452,15 +461,14 @@ def _block_trials(w: ProcessMatrix, family: InstrumentFamily) -> int:
 class InstrumentFamily:
     """A distribution over instrument tuples, sampled a block of trials at a time.
 
-    ``draw(rng, trials)`` returns an ``InstrumentBlock`` over ``parties``
-    whose instruments each have two outcomes.  Drawing T trials
-    consumes ``rng`` exactly as T one-trial draws do, so the block size
-    never changes which instruments a seed gives.  ``draw_bytes`` is what
+    ``draw(rng, trials)`` returns an ``InstrumentBlock`` of a fixed number
+    of parties, index-ordered like every block, whose instruments each have
+    two outcomes.  Drawing T trials consumes ``rng`` exactly as T one-trial
+    draws do, so the block size never changes which instruments a seed gives.  ``draw_bytes`` is what
     a draw allocates per trial besides the kets it returns, counted from the
     shapes of its arrays, so that the block budget covers the draw.
     """
 
-    parties: tuple[str, ...]
     draw: Callable[[np.random.Generator, int], InstrumentBlock]
     draw_bytes: int
 
@@ -512,11 +520,6 @@ def pm_validate(
     """
     if trials < 1:
         raise ProcmatError("pm_validate needs at least one trial")
-    # the kernel reads party i's kets at index i, so the order must match too
-    if family.parties != w.parties:
-        raise ProcmatError(
-            f"family parties {list(family.parties)} are not W's parties {list(w.parties)} in order"
-        )
     worst = -1.0
     worst_desc: dict[str, str] = {}
     for block, totals in _trial_totals(w, family, trials, rng):
@@ -524,8 +527,7 @@ def pm_validate(
         t = int(np.argmax(dev))
         if dev[t] > worst:
             worst = float(dev[t])
-            desc = block.describe(t)
-            worst_desc = {p: desc[p] for p in w.parties}
+            worst_desc = dict(zip(w.parties, block.describe(t)))
         del block  # so that only one block is held while the next is drawn
     min_eig = w.min_eigenvalue()
     return PmValidityReport(
@@ -538,20 +540,17 @@ def pm_validate(
     )
 
 
-def mbqc_instrument_family(
-    alice_parties: Sequence[str], bob_parties: Sequence[str]
-) -> InstrumentFamily:
-    """Random equatorial angles for the Alices, computational readout for the Bobs."""
-    alices = tuple(alice_parties)
-    bobs = tuple(bob_parties)
+def mbqc_instrument_family(alices: int, bobs: int) -> InstrumentFamily:
+    """Random equatorial angles for the ``alices`` first parties, computational
+    readout for the ``bobs`` after them."""
 
     def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
         # one uniform angle per trial and Alice, in the order of one-trial draws
-        return mbqc_kets(rng.uniform(0.0, qlin.TWO_PI, size=(trials, len(alices))), alices, bobs)
+        return mbqc_kets(rng.uniform(0.0, qlin.TWO_PI, size=(trials, alices)), bobs)
 
     # per Alice: her angle, its phase and her equatorial kets before and after
     # their 1/sqrt(2) scaling; the block's arrays are counted by ``_trial_bytes``
-    return InstrumentFamily(alices + bobs, draw, len(alices) * (8 + 16 * (1 + 4 + 4)))
+    return InstrumentFamily(draw, alices * (8 + 16 * (1 + 4 + 4)))
 
 
 def _vector_norms(vecs: np.ndarray) -> np.ndarray:
@@ -563,8 +562,9 @@ def _vector_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
-def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
-    """Haar-random rank-1 measure bases with independent random reprepare kets.
+def rank_one_instrument_family(parties: int) -> InstrumentFamily:
+    """Haar-random rank-1 measure bases with independent random reprepare
+    kets, for ``parties`` parties.
 
     Each party draws its measure basis (the phase-fixed Q of a complex
     Ginibre QR) and two Haar-random reprepare kets from the same normals, in
@@ -575,7 +575,6 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     Exploratory: such instruments are CPTP but can expose operators that are
     only normalized for restricted families.
     """
-    parties = tuple(parties)
 
     def fmt(amplitudes: np.ndarray) -> str:
         a, b = amplitudes
@@ -584,26 +583,25 @@ def rank_one_instrument_family(parties: Sequence[str]) -> InstrumentFamily:
     def draw(rng: np.random.Generator, trials: int) -> InstrumentBlock:
         # per trial and party: 4 + 4 normals for the real and imaginary 2x2
         # matrix of the basis, then 2 + 2 for each of the two reprepare kets
-        x = rng.normal(size=(trials, len(parties), 16))
-        g = (x[..., 0:4] + 1j * x[..., 4:8]).reshape(trials, len(parties), 2, 2)
+        x = rng.normal(size=(trials, parties, 16))
+        g = (x[..., 0:4] + 1j * x[..., 4:8]).reshape(trials, parties, 2, 2)
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         # the basis kets are the columns of the phase-fixed unitary
         measure = np.swapaxes(q * (d / np.abs(d))[..., None, :], -1, -2)
-        parts = x[..., 8:16].reshape(trials, len(parties), 2, 2, 2)
+        parts = x[..., 8:16].reshape(trials, parties, 2, 2, 2)
         vec = parts[..., 0, :] + 1j * parts[..., 1, :]
         reprepare = vec / _vector_norms(vec)[..., None]
 
-        def describe(t: int) -> dict[str, str]:
-            return {
-                p: f"measure {fmt(measure[t, i, 0])}/{fmt(measure[t, i, 1])}, "
-                f"reprepare {fmt(reprepare[t, i, 0])}/{fmt(reprepare[t, i, 1])}"
-                for i, p in enumerate(parties)
-            }
+        def describe(t: int) -> tuple[str, ...]:
+            return tuple(
+                f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}"
+                for mk, rk in zip(measure[t], reprepare[t])
+            )
 
-        return InstrumentBlock(parties, measure, reprepare, describe)
+        return InstrumentBlock(measure, reprepare, describe)
 
     # per party: 16 normals, |d| and 4 pairs of norm sums (26 reals), and
     # the complex i*x terms and sums that make g and vec (16), the copy, tau,
     # Q and R of numpy's QR (14) and d/|d| (2)
-    return InstrumentFamily(parties, draw, len(parties) * (8 * 26 + 16 * 32))
+    return InstrumentFamily(draw, parties * (8 * 26 + 16 * 32))

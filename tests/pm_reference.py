@@ -68,7 +68,7 @@ def backend_table(r, angles, backend: str) -> np.ndarray:
     stacked = isinstance(angles, list) and all(isinstance(a, dict) for a in angles)
     maps = [mbqc.as_angle_map(r.base_graph, a) for a in (angles if stacked else [angles])]
     phis = np.array([[ang[c] for c in r.base_graph.computation] for ang in maps])
-    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(phis, r.n_output)
     tables = dense_tables(r.w, block.measure, block.reprepare)
     shape = (2**r.n_computation, 2**r.n_output)
     return tables.reshape((len(tables), *shape) if stacked else shape)
@@ -208,35 +208,34 @@ def cptp_check(block: procmat.InstrumentBlock) -> tuple[float, float]:
 
 
 def mbqc_sampler(alices, bobs):
-    """One trial's MBQC block: one scalar uniform angle per Alice, in order."""
+    """One trial's MBQC block of ``alices`` Alices, then ``bobs`` Bobs: one
+    scalar uniform angle per Alice, in order."""
 
     def sample(rng):
-        phis = [float(rng.uniform(0.0, qlin.TWO_PI)) for _ in alices]
-        return procmat.mbqc_kets(np.array([phis]), alices, bobs)
+        phis = [float(rng.uniform(0.0, qlin.TWO_PI)) for _ in range(alices)]
+        return procmat.mbqc_kets(np.array([phis]), bobs)
 
     return sample
 
 
 def rank_one_sampler(parties):
-    """One trial's rank-1 block: per party, in order, a Haar-random measure
-    basis and then two Haar-random reprepare kets."""
-    parties = tuple(parties)
+    """One trial's rank-1 block of ``parties`` parties: per party, in order, a
+    Haar-random measure basis and then two Haar-random reprepare kets."""
 
     def fmt(ket):
         a, b = ket.amplitudes
         return f"({a.real:+.3f}{a.imag:+.3f}j, {b.real:+.3f}{b.imag:+.3f}j)"
 
     def sample(rng):
-        measure, reprepare, desc = [], [], {}
-        for p in parties:
+        measure, reprepare, desc = [], [], []
+        for _ in range(parties):
             mk = random_single_qubit_basis(rng)
             rk = (random_ket(rng, 1), random_ket(rng, 1))
             measure.append([k.amplitudes for k in mk])
             reprepare.append([k.amplitudes for k in rk])
-            desc[p] = f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}"
-        return procmat.InstrumentBlock(
-            parties, np.array([measure]), np.array([reprepare]), lambda t: desc
-        )
+            desc.append(f"measure {fmt(mk[0])}/{fmt(mk[1])}, reprepare {fmt(rk[0])}/{fmt(rk[1])}")
+        desc = tuple(desc)
+        return procmat.InstrumentBlock(np.array([measure]), np.array([reprepare]), lambda t: desc)
 
     return sample
 
@@ -247,14 +246,12 @@ def reference_sweep(w, sample, trials, rng):
     worst, worst_trial, worst_desc = -1.0, None, {}
     for t in range(trials):
         block = sample(rng)
-        assert block.parties == w.parties
         total = float(procmat._trial_tables(w, block.measure, block.reprepare).sum())
         totals.append(total)
         dev = abs(total - 1.0)
         if dev > worst:
             worst, worst_trial = dev, t
-            desc = block.describe(0)
-            worst_desc = {p: desc[p] for p in w.parties}
+            worst_desc = dict(zip(w.parties, block.describe(0)))
     return np.array(totals), worst_trial, worst_desc
 
 

@@ -1,6 +1,7 @@
 """Resource process matrix: construction, identities, controls, and the sampler."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -32,7 +33,7 @@ def literal_table(r, w, angle):
     literal=True)`` contracts the resource's literal W; the folded table
     never reads W, so a perturbed W is contracted here."""
     phis = np.full((1, r.n_computation), float(angle))
-    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(phis, r.n_output)
     return procmat._trial_tables(w, block.measure, block.reprepare)[0].reshape(
         2**r.n_computation, 2**r.n_output
     )
@@ -41,10 +42,10 @@ def literal_table(r, w, angle):
 def test_build_resource_pm_layout_and_shape():
     g = graphstate.chain(2)
     r = acausal.build_resource_pm(g)
-    assert r.alice_parties == ("A1",)
-    assert r.bob_parties == ("B1",)
+    assert r.parties == r.w.parties == ("A1", "B1")
     assert r.w.num_qubits == 4
     layout = r.layout()
+    assert tuple(layout) == r.parties
     assert layout["A1"]["input"] == "c0"
     assert layout["A1"]["output"] == r.decorated_graph.output[g.n_output :][0] == "c0'"
     assert layout["B1"]["input"] == "o0"
@@ -173,12 +174,20 @@ def test_signaling_tv_is_maximal_for_p2():
     assert acausal.signaling_tv(p0, p0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_signaling_tv_refuses_tables_of_different_shapes():
+    """A (2, 2) and a (4, 2) table have z-marginals of one length, so their
+    TV would read 0.0; they are refused, naming both shapes."""
+    a, b = np.full((2, 2), 0.25), np.full((4, 2), 0.125)
+    with pytest.raises(ValueError, match=re.escape("shapes (2, 2) and (4, 2)")):
+        acausal.signaling_tv(a, b)
+
+
 def test_rank_one_family_exposes_restricted_normalization():
     """General rank-1 instruments need not normalize on this resource."""
     r = acausal.build_resource_pm(graphstate.chain(2))
     rng = np.random.default_rng(83)
     report = procmat.pm_validate(
-        r.w, procmat.rank_one_instrument_family(list(r.w.parties)), 30, 1e-9, rng
+        r.w, procmat.rank_one_instrument_family(len(r.w.parties)), 30, 1e-9, rng
     )
     assert not report.passed
     assert report.max_deviation > 0.01
@@ -189,7 +198,7 @@ def test_mbqc_family_normalizes_on_resource():
     rng = np.random.default_rng(101)
     report = procmat.pm_validate(
         r.w,
-        procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties),
+        procmat.mbqc_instrument_family(r.n_computation, r.n_output),
         25,
         1e-9,
         rng,
@@ -216,6 +225,29 @@ def test_postselected_sampler_different_seeds_differ():
     a = acausal.postselected_sampler(r, 0.0, 40_000, seed=1)
     b = acausal.postselected_sampler(r, 0.0, 40_000, seed=2)
     assert not np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize("shots", [100000.7, True, 2.5, "10", np.float64(10.0)])
+def test_postselected_sampler_refuses_a_shot_count_that_is_no_int(monkeypatch, shots):
+    """A float shot count was truncated by the draw but reported and divided
+    as given, and True ran one shot: anything but a Python or numpy int is
+    refused before any draw."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler drew before checking its shots")
+
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"^shots must be an int, got {re.escape(repr(shots))}$"):
+        acausal.postselected_sampler(r, 0.1, shots, 1)
+
+
+def test_postselected_sampler_takes_a_numpy_int_and_reports_an_int():
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    want = acausal.postselected_sampler(r, 0.1, 1000, 1)
+    got = acausal.postselected_sampler(r, 0.1, np.int64(1000), 1)
+    assert type(got.shots) is int and got.shots == 1000
+    assert np.array_equal(got.counts, want.counts)
 
 
 def test_postselection_report_tv_small_on_p2():
@@ -433,7 +465,7 @@ def test_backend_agreement_catches_a_wrong_w_that_the_dense_oracle_passes(g, per
     bad_w = perturb(r)
     bad = literal_table(r, bad_w, 0.7)
     phis = np.full((1, r.n_computation), 0.7)
-    block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(phis, r.n_output)
     dense = dense_tables(bad_w, block.measure, block.reprepare)[0].reshape(bad.shape)
     assert float(np.max(np.abs(dense - bad))) <= 1e-12
     assert acausal.backend_agreement(r, 0.7, bad) > 0.05
@@ -463,7 +495,7 @@ def test_table_from_stacked_kets_equals_the_instrument_objects(backend):
         r = acausal.build_resource_pm(g)
         ang = {c: float(rng.uniform(-10.0, 10.0)) for c in g.computation}
         instruments = [procmat.alice_instrument(ang[c]) for c in g.computation]
-        instruments += [procmat.bob_instrument() for _ in r.bob_parties]
+        instruments += [procmat.bob_instrument() for _ in g.output]
         measure, reprepare = (
             np.concatenate([getattr(inst, side) for inst in instruments], axis=1)
             for side in ("measure", "reprepare")
@@ -480,7 +512,7 @@ def test_table_options_are_keyword_only():
     r = acausal.build_resource_pm(graphstate.chain(3))
     with pytest.raises(TypeError):
         acausal.outcome_probabilities(r, 0.0, "dense")
-    block = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(np.zeros((1, r.n_computation)), r.n_output)
     with pytest.raises(TypeError):
         procmat._trial_tables(r.w, block.measure, block.reprepare, "dense")
 

@@ -78,6 +78,27 @@ def test_girls_first_sampling_is_seeded():
     assert a == b
 
 
+@pytest.mark.parametrize("shots", [2.5, 0.0, True, False, "10"])
+def test_girls_first_refuses_a_shot_count_that_is_no_int(monkeypatch, shots):
+    """2.5 failed deep in numpy, and 0.0 or False read as the exact score:
+    anything but a Python or numpy int is refused before any draw."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("girls_first_p0 drew before checking its shots")
+
+    inst = game.game_instance(graphstate.chain(2))
+    monkeypatch.setattr(mbqc, "sample_causal", refuse)
+    with pytest.raises(GameError, match="^shots must be an int, got "):
+        game.girls_first_p0(inst, shots=shots)
+
+
+def test_girls_first_takes_a_numpy_int():
+    inst = game.game_instance(graphstate.chain(2))
+    want = game.girls_first_p0(inst, correct=False, shots=500, seed=21)
+    assert game.girls_first_p0(inst, correct=False, shots=np.int64(500), seed=21) == want
+    assert game.girls_first_p0(inst, shots=np.int64(0)) == game.girls_first_p0(inst)
+
+
 def test_standard_instances_all_violate():
     """Single chains of length 2 and 4, and two parallel 2-chains."""
     for g in [graphstate.chain(2), graphstate.chain(4), graphstate.parallel_chains([2, 2])]:

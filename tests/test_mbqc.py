@@ -60,6 +60,10 @@ def test_as_angle_map_forms():
             mbqc.as_angle_map(g, bad)
     with pytest.raises(PatternError, match="^angle for 'c1' is an integer too large"):
         mbqc.as_angle_map(g, [0.0, 10**400])
+    # no number, sequence or mapping at all
+    for bad in (None, object()):
+        with pytest.raises(PatternError, match="^angles must be a real number, a sequence"):
+            mbqc.as_angle_map(g, bad)
     # patterns built in code take the same check as pattern files
     with pytest.raises(PatternError, match="^angle for 'c0' must be a real number"):
         mbqc.make_pattern(["c0"], {"c0": True})

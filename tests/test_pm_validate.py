@@ -32,12 +32,12 @@ def sweeps(draw):
         r = acausal.build_resource_pm(
             graphstate.random_resource_graph(np.random.default_rng(seed), n_comp, n_out)
         )
-        w, alices, bobs = r.w, r.alice_parties, r.bob_parties
+        w, alices, bobs = r.w, r.n_computation, r.n_output
     else:
         k = draw(st.integers(1, 3))
         w = density_pm(random_ket(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k))
         split = draw(st.integers(0, k))
-        alices, bobs = w.parties[:split], w.parties[split:]
+        alices, bobs = split, k - split
     if family == "mbqc":
         fam, sampler = procmat.mbqc_instrument_family(alices, bobs), mbqc_sampler(alices, bobs)
     else:
@@ -89,9 +89,9 @@ def test_sweep_memory_is_bounded_by_the_block_budget(family, length):
     left the draw out peaked at 2.5 times the budget there."""
     r = acausal.build_resource_pm(graphstate.chain(length))
     fam = (
-        procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
+        procmat.mbqc_instrument_family(r.n_computation, r.n_output)
         if family == "mbqc"
-        else procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+        else procmat.rank_one_instrument_family(r.n_computation + r.n_output)
     )
     trials = 20_000
     assert procmat._block_trials(r.w, fam) < trials
@@ -115,8 +115,8 @@ def test_sweep_peak_is_near_the_block_budget():
     for k in range(1, 6):
         w = density_pm(random_ket(np.random.default_rng(8), k))
         for fam in (
-            procmat.mbqc_instrument_family(w.parties[: k // 2], w.parties[k // 2:]),
-            procmat.rank_one_instrument_family(w.parties),
+            procmat.mbqc_instrument_family(k // 2, k - k // 2),
+            procmat.rank_one_instrument_family(k),
         ):
             trials = 2 * procmat._block_trials(w, fam) + 1
             procmat.pm_validate(w, fam, 3, 1e-9, np.random.default_rng(0))  # warm caches
@@ -136,7 +136,7 @@ def chain2_sweep(monkeypatch, raw_trial):
     """chain(2) with 2-trial blocks and a factorized backend that returns
     ``raw_trial(t)`` for global trial t, so only the range guard acts."""
     r = acausal.build_resource_pm(graphstate.chain(2))
-    family = procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
+    family = procmat.mbqc_instrument_family(r.n_computation, r.n_output)
     small_blocks(monkeypatch, r.w, family, 2)
     seen = []
 
@@ -176,24 +176,24 @@ def test_range_error_names_the_trial(monkeypatch):
 
 def test_block_kets_get_the_ket_tests():
     kets = np.tile(np.eye(2, dtype=np.complex128), (3, 1, 1, 1))
-    procmat.InstrumentBlock(("P1",), kets, kets, lambda t: {"P1": ""})
+    procmat.InstrumentBlock(kets, kets, lambda t: ("",))
     long = kets.copy()
     long[2, 0, 1] *= 1.0 + 1e-9
     with pytest.raises(qlin.QlinError, match="deviates from 1"):
-        procmat.InstrumentBlock(("P1",), kets, long, lambda t: {"P1": ""})
+        procmat.InstrumentBlock(kets, long, lambda t: ("",))
     bad = kets.copy()
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(qlin.QlinError, match="finite"):
-        procmat.InstrumentBlock(("P1",), bad, kets, lambda t: {"P1": ""})
+        procmat.InstrumentBlock(bad, kets, lambda t: ("",))
     with pytest.raises(procmat.ProcmatError, match="shape"):
-        procmat.InstrumentBlock(("P1",), kets, kets[:2], lambda t: {"P1": ""})
+        procmat.InstrumentBlock(kets, kets[:2], lambda t: ("",))
 
 
 def chain4_family(name):
     r = acausal.build_resource_pm(graphstate.chain(4))
     if name == "mbqc":
-        return r, procmat.mbqc_instrument_family(r.alice_parties, r.bob_parties)
-    return r, procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+        return r, procmat.mbqc_instrument_family(r.n_computation, r.n_output)
+    return r, procmat.rank_one_instrument_family(len(r.parties))
 
 
 @pytest.mark.parametrize("name", ["mbqc", "rank1"])
@@ -214,7 +214,7 @@ def test_a_block_checks_each_drawn_array_once(monkeypatch, name):
 
     monkeypatch.setattr(qlin, "check_unit_kets", spy)
     family.draw(np.random.default_rng(3), 7)
-    parties = len(r.alice_parties + r.bob_parties)
+    parties = len(r.parties)
     shared = (1, 1, 2, 2) if name == "mbqc" else (7, parties, 2, 2)
     assert seen == [(7, parties, 2, 2), shared]
     seen.clear()
@@ -230,37 +230,22 @@ def test_a_bad_ket_of_any_party_in_a_drawn_block_is_refused(name, side):
     ket in a broadcast shared by every trial, which is checked once."""
     r, family = chain4_family(name)
     block = family.draw(np.random.default_rng(5), 3)
-    for i in range(len(block.parties)):
+    for i in range(block.measure.shape[1]):
         for defect, message in ((1.0 + 1e-9, "deviates from 1"), (np.nan, "finite")):
             arrays = {"measure": np.array(block.measure), "reprepare": np.array(block.reprepare)}
             arrays[side][i % 3, i, 1, 1] *= defect
             with pytest.raises(qlin.QlinError, match=message):
-                procmat.InstrumentBlock(
-                    block.parties, arrays["measure"], arrays["reprepare"], block.describe
-                )
+                procmat.InstrumentBlock(arrays["measure"], arrays["reprepare"], block.describe)
     long = np.eye(2, dtype=np.complex128)
     long[1] *= 1.0 + 1e-9
     arrays = {"measure": block.measure, "reprepare": block.reprepare}
     arrays[side] = np.broadcast_to(long, block.measure.shape)
     with pytest.raises(qlin.QlinError, match="deviates from 1"):
-        procmat.InstrumentBlock(block.parties, arrays["measure"], arrays["reprepare"], block.describe)
+        procmat.InstrumentBlock(arrays["measure"], arrays["reprepare"], block.describe)
 
 
 def test_family_must_cover_every_party():
     r = acausal.build_resource_pm(graphstate.chain(2))
-    family = procmat.rank_one_instrument_family(r.alice_parties)
-    with pytest.raises(procmat.ProcmatError, match=r"family parties \['A1'\] are not W's"):
-        procmat.pm_validate(r.w, family, 3, 1e-9, np.random.default_rng(0))
-
-
-def test_family_in_another_party_order_is_refused():
-    """The kernel reads party i's kets at index i of a block, so a family that
-    covers every party in another order would be contracted against the
-    wrong parties: it is refused, and the error names both orders."""
-    r = acausal.build_resource_pm(graphstate.chain(3))
-    family = procmat.rank_one_instrument_family(r.bob_parties + r.alice_parties)
-    message = (
-        r"family parties \['B1', 'A1', 'A2'\] are not W's parties \['A1', 'A2', 'B1'\] in order"
-    )
-    with pytest.raises(procmat.ProcmatError, match=message):
+    family = procmat.rank_one_instrument_family(1)
+    with pytest.raises(procmat.ProcmatError, match="^block has 1 parties, W has 2$"):
         procmat.pm_validate(r.w, family, 3, 1e-9, np.random.default_rng(0))

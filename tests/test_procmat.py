@@ -67,9 +67,7 @@ def test_bob_instrument_is_cptp():
 
 def test_cptp_check_flags_dropped_element():
     full = procmat.alice_instrument(0.3)
-    half = procmat.InstrumentBlock(
-        full.parties, full.measure[:, :, :1], full.reprepare[:, :, :1], full.describe
-    )
+    half = procmat.InstrumentBlock(full.measure[:, :, :1], full.reprepare[:, :, :1], full.describe)
     identity_deviation, _ = cptp_check(half)
     assert identity_deviation == pytest.approx(0.5, abs=1e-12)
 
@@ -77,17 +75,19 @@ def test_cptp_check_flags_dropped_element():
 def test_mbqc_kets_are_the_instruments_of_the_paper():
     """Alice measures |phi^m> and reprepares |m>; Bob reads out and reprepares |z>."""
     alice = procmat.alice_instrument(0.9)
-    assert alice.parties == ("A",) and alice.measure.shape == (1, 1, 2, 2)
-    assert alice.describe(0) == {"A": "equatorial(phi=0.900000)"}
+    assert alice.measure.shape == (1, 1, 2, 2)
+    assert alice.describe(0) == ("equatorial(phi=0.900000)",)
     for m in (0, 1):
         assert np.array_equal(alice.measure[0, 0, m], qlin.equatorial_ket(0.9, m).amplitudes)
         assert np.array_equal(alice.reprepare[0, 0, m], qlin.basis_ket([m]).amplitudes)
     bob = procmat.bob_instrument()
-    assert bob.parties == ("B",) and bob.describe(0) == {"B": "computational readout"}
+    assert bob.describe(0) == ("computational readout",)
     assert np.array_equal(bob.measure[0, 0], np.eye(2))
     assert np.array_equal(bob.reprepare[0, 0], np.eye(2))
-    block = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), ("A1", "A2"), ("B1",))
-    assert block.parties == ("A1", "A2", "B1")
+    block = procmat.mbqc_kets(np.array([[0.9, 2.0], [0.1, 0.2]]), 1)
+    assert block.describe(1) == (
+        "equatorial(phi=0.100000)", "equatorial(phi=0.200000)", "computational readout"
+    )
     assert block.measure.shape == block.reprepare.shape == (2, 3, 2, 2)
     assert np.array_equal(block.measure[0, 0], alice.measure[0, 0])
     assert np.array_equal(block.reprepare[1, 0], alice.reprepare[0, 0])
@@ -104,20 +104,25 @@ def test_mbqc_kets_are_the_instruments_of_the_paper():
         (np.eye(2)[None, None], np.ones((1, 1, 2))),
         (np.eye(2)[None, None], np.eye(2)[None]),
         (np.eye(3)[None, None], np.eye(3)[None, None]),
+        (np.zeros((1, 0, 2, 2)), np.zeros((1, 0, 2, 2))),
     ],
-    ids=["no-element", "element-counts", "reprepare-rank", "no-party-axis", "not-a-qubit"],
+    ids=[
+        "no-element", "element-counts", "reprepare-rank", "no-party-axis", "not-a-qubit",
+        "no-party",
+    ],
 )
 def test_instrument_block_refuses_a_malformed_shape(measure, reprepare):
-    """Every party holds one instrument of at least one element, each element
-    a measure and a reprepare single-qubit ket."""
-    with pytest.raises(ProcmatError, match=r"elements >= 1, 2\) shape"):
-        procmat.InstrumentBlock(("A",), measure, reprepare, lambda t: {})
+    """A block has at least one party, and every party holds one instrument
+    of at least one element, each element a measure and a reprepare
+    single-qubit ket."""
+    with pytest.raises(ProcmatError, match=r"parties >= 1, elements >= 1, 2\) shape"):
+        procmat.InstrumentBlock(measure, reprepare, lambda t: ())
 
 
 def test_instrument_block_refuses_a_ket_that_is_not_unit():
     with pytest.raises(qlin.QlinError, match="^reprepare ket norm deviates from 1"):
         procmat.InstrumentBlock(
-            ("A",), np.eye(2)[None, None], np.eye(2)[None, None] * (1.0 + 1e-9), lambda t: {}
+            np.eye(2)[None, None], np.eye(2)[None, None] * (1.0 + 1e-9), lambda t: ()
         )
 
 
@@ -148,7 +153,7 @@ def test_density_pm_normalizes_for_arbitrary_rank1_instruments():
     rng = np.random.default_rng(59)
     w = density_pm(random_ket(rng, 2))
     report = procmat.pm_validate(
-        w, procmat.rank_one_instrument_family(["P1", "P2"]), 20, 1e-9, rng
+        w, procmat.rank_one_instrument_family(2), 20, 1e-9, rng
     )
     assert report.passed
     assert report.max_deviation < 1e-9
@@ -212,7 +217,7 @@ def test_process_matrix_refuses_a_malformed_register(parties, kwargs, message):
 
 def test_instrument_errors_name_the_field_and_no_foreign_option():
     def block(measure, reprepare):
-        return procmat.InstrumentBlock(("A",), measure[None, None], reprepare[None, None], None)
+        return procmat.InstrumentBlock(measure[None, None], reprepare[None, None], None)
 
     with pytest.raises(qlin.QlinError) as info:
         block(np.eye(2) * 1.001, np.eye(2))
@@ -224,7 +229,7 @@ def test_instrument_errors_name_the_field_and_no_foreign_option():
         qlin.Ket([1.0, 1.0])
     kets = np.broadcast_to(np.eye(2) * 1.001, (1, 1, 2, 2))
     with pytest.raises(qlin.QlinError) as info:
-        procmat.InstrumentBlock(("A",), kets, kets, lambda t: {})
+        procmat.InstrumentBlock(kets, kets, lambda t: ())
     assert "require_normalized" not in str(info.value)
 
 
@@ -244,7 +249,7 @@ def test_pm_validate_worst_assignment_is_reported():
     rng = np.random.default_rng(79)
     w = density_pm(random_ket(rng, 1))
     report = procmat.pm_validate(
-        w, procmat.mbqc_instrument_family(["P1"], []), 5, 1e-9, rng
+        w, procmat.mbqc_instrument_family(1, 0), 5, 1e-9, rng
     )
     assert report.trials == 5
     assert report.passed
@@ -255,11 +260,11 @@ def test_pm_validate_worst_assignment_is_reported():
 def test_pm_validate_names_the_failing_trial():
     """Rank-1 instruments break the normalization of the chain(2) resource."""
     r = acausal.build_resource_pm(graphstate.chain(2))
-    family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+    family = procmat.rank_one_instrument_family(len(r.parties))
     report = procmat.pm_validate(r.w, family, 20, 1e-9, np.random.default_rng(83))
     assert not report.passed
     assert report.max_deviation > 0.5
-    assert set(report.worst_assignment) == {"A1", "B1"}
+    assert list(report.worst_assignment) == ["A1", "B1"]
     assert all(desc.startswith("measure ") for desc in report.worst_assignment.values())
 
 

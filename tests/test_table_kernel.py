@@ -76,11 +76,10 @@ def test_backends_match_first_principles_born_rule(case):
 @given(resources(), st.integers(0, 2**32 - 1))
 def test_backends_agree_on_random_rank_one_instruments(case, seed):
     _, r, _ = case
-    parties = r.alice_parties + r.bob_parties
-    block = rank_one_sampler(parties)(np.random.default_rng(seed))
+    block = rank_one_sampler(len(r.parties))(np.random.default_rng(seed))
     fact = procmat._trial_tables(r.w, block.measure, block.reprepare)[0]
     dense = dense_tables(r.w, block.measure, block.reprepare)[0]
-    assert fact.shape == (2,) * len(parties)
+    assert fact.shape == (2,) * len(r.parties)
     assert float(np.max(np.abs(fact - dense))) <= ATOL
 
 
@@ -108,8 +107,8 @@ def test_folded_table_equals_the_literal_w(case, seed):
     g, r = case
     rng = np.random.default_rng(seed)
     phis = rng.uniform(0.0, 2.0 * math.pi, size=(2, g.n_computation))
-    mbqc_block = procmat.mbqc_kets(phis, r.alice_parties, r.bob_parties)
-    family = procmat.rank_one_instrument_family(r.alice_parties + r.bob_parties)
+    mbqc_block = procmat.mbqc_kets(phis, r.n_output)
+    family = procmat.rank_one_instrument_family(len(r.parties))
     for block in (mbqc_block, family.draw(rng, 3)):
         folded = acausal._folded_table(r, block)
         for backend, kernel in (("factorized", procmat._trial_tables), ("dense", dense_tables)):
@@ -121,14 +120,24 @@ def test_folded_table_equals_the_literal_w(case, seed):
     assert np.array_equal(table, acausal._folded_table(r, mbqc_block).reshape(table.shape))
 
 
-def test_folded_table_refuses_a_block_in_another_party_order():
-    """The fold reads the Alices' slots as the block's first N, so a block
-    whose parties are not the resource's Alices, then Bobs, is refused."""
-    r = acausal.build_resource_pm(graphstate.chain(3))
-    parties = r.bob_parties + r.alice_parties
-    block = procmat.rank_one_instrument_family(parties).draw(np.random.default_rng(2), 1)
-    with pytest.raises(procmat.ProcmatError, match="block parties"):
-        acausal._folded_table(r, block)
+@pytest.mark.parametrize("parties", [1, 3, 5])
+def test_a_block_of_another_party_count_is_refused(parties):
+    """Party i of W reads index i of a block, so the kernel's one entry
+    refuses a block of another party count before it contracts, naming both
+    counts, on the literal W, on the fold and in ``pm_validate``.  Unchecked,
+    a 5-party block on chain(4)'s 4-party W gives a table that totals about
+    2, and a 3-party block fails in a reshape."""
+    r = acausal.build_resource_pm(graphstate.chain(4))
+    family = procmat.rank_one_instrument_family(parties)
+    block = family.draw(np.random.default_rng(2), 2)
+    routes = (
+        lambda: procmat._trial_tables(r.w, block.measure, block.reprepare),
+        lambda: acausal._folded_table(r, block),
+        lambda: procmat.pm_validate(r.w, family, 3, 1e-9, np.random.default_rng(0)),
+    )
+    for route in routes:
+        with pytest.raises(procmat.ProcmatError, match=f"^block has {parties} parties, W has 4$"):
+            route()
 
 
 @st.composite
@@ -298,8 +307,8 @@ def planned_kernel_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     split = draw(st.integers(0, n_parties))
     phis = rng.uniform(0.0, 2.0 * math.pi, size=(trials, split))
-    mbqc = procmat.mbqc_kets(phis, w.parties[:split], w.parties[split:])
-    rank1 = procmat.rank_one_instrument_family(w.parties).draw(rng, trials)
+    mbqc = procmat.mbqc_kets(phis, n_parties - split)
+    rank1 = procmat.rank_one_instrument_family(n_parties).draw(rng, trials)
     routes = {
         "mbqc": (mbqc.measure, mbqc.reprepare),
         "rank1": (rank1.measure, rank1.reprepare),
@@ -496,7 +505,7 @@ def test_dense_table_of_chain5_peaks_below_2_25_copies_of_w():
     r = acausal.build_resource_pm(graphstate.chain(5))
     w = r.w
     w_bytes = np.dtype(np.complex128).itemsize * 4**w.num_qubits
-    block = procmat.mbqc_kets(np.full((1, r.n_computation), 0.7), r.alice_parties, r.bob_parties)
+    block = procmat.mbqc_kets(np.full((1, r.n_computation), 0.7), r.n_output)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
