@@ -302,13 +302,15 @@ def postselected_sampler(
     ``binomial(kept, 2^-n)`` per (m, z) cell keeps the runs whose n ancilla
     coins equal the readout.  The accepted counts have exactly the joint law
     of ``shots`` independent per-run draws, and a fixed seed gives identical
-    counts.  ``shots`` must be a Python or numpy int (not a bool), checked
-    before any draw.
+    counts.  ``shots`` and a given ``seed`` must be Python or numpy ints (not
+    bools), checked before any draw.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+    if not config.is_int(shots):
         raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be positive")
+    if seed is not None and not config.is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     g = r.base_graph
     ang = mbqc.as_angle_map(g, angles)
     n_comp, n_out = g.n_computation, g.n_output

@@ -1,8 +1,11 @@
-"""Shared numeric tolerances, register-size caps, and the default seed."""
+"""Shared numeric tolerances, register-size caps, the default seed, and the
+int check of counts and seeds."""
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 # Absolute tolerances used across the package.
 HERMITIAN_ATOL = 1e-10        # allowed ||M - M^dag||_max of a HermOp
@@ -22,6 +25,12 @@ CAP_ENV_VAR = "ACAUSAL_MBQC_CAP"
 
 # Every CLI report and seeded test defaults to this seed so runs are reproducible.
 DEFAULT_SEED = 123456789
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy int, and False for a bool: the check each
+    library count (shots, trials) and seed passes before any work."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class RegisterCapError(RuntimeError):

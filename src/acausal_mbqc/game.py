@@ -57,13 +57,12 @@ class GameInstance:
 
 
 def game_instance(
-    g: Graph | acausal.ResourcePM, angles=None, pattern: Pattern | None = None,
-    cap: int | None = None,
+    g: Graph | acausal.ResourcePM, angles=None, pattern: Pattern | None = None
 ) -> GameInstance:
     """Build an instance from one split walk of its pattern, enforcing the validity gate.
 
-    ``g`` is the graph, whose resource is built here under ``cap``, or a
-    resource already built, which carries its own cap.  Every later score of
+    ``g`` is the graph, whose resource is built here under the default cap,
+    or a resource already built under its own cap.  Every later score of
     the instance reads the plain graph state of that resource, so no state
     is built again.  Without a pattern, ``angles`` (default 0) drive the
     chain pattern; with one, the instance plays the pattern's angles, and
@@ -71,7 +70,7 @@ def game_instance(
     nonzero weight and an output with fidelity >= 1 - 1e-10 with |0^n>;
     chains of even total length at angle 0 qualify, odd ones do not.
     """
-    r = g if isinstance(g, acausal.ResourcePM) else acausal.build_resource_pm(g, cap)
+    r = g if isinstance(g, acausal.ResourcePM) else acausal.build_resource_pm(g)
     g = r.base_graph
     if pattern is None:
         ang = mbqc.as_angle_map(g, 0.0 if angles is None else angles)
@@ -85,9 +84,7 @@ def game_instance(
                     f"angle {a!r} at vertex {v!r} differs from the pattern's {ang[v]!r}; "
                     "the game plays the pattern's angles"
                 )
-    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(
-        g, pattern, r.plain, correct=(True, False)
-    )
+    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, pattern, r.plain)
     if weight[0] == 0.0:
         raise mbqc.PatternError("positive branch has zero probability at these angles")
     fid = float(corrected[0, 0])
@@ -138,7 +135,7 @@ def girls_first_p0(
     the tree of one split walk (``mbqc.sample_causal``).  ``shots`` must be a
     Python or numpy int (not a bool).
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+    if not config.is_int(shots):
         raise GameError(f"shots must be an int, got {shots!r}")
     if shots == 0:
         return inst.p0_corrected if correct else inst.p0_uncorrected

@@ -278,11 +278,6 @@ def cycle_with_output(length: int) -> Graph:
     return Graph(ring, edges, comp, out)
 
 
-def vee_graph() -> Graph:
-    """Two computation vertices sharing one output neighbor; branches are not uniform."""
-    return Graph(("c0", "c1", "o0"), (("c0", "o0"), ("c1", "o0")), ("c0", "c1"), ("o0",))
-
-
 def random_connected_graph(rng: np.random.Generator, n_computation: int, n_output: int) -> Graph:
     """Random simple connected graph on labeled C and O vertices.
 
@@ -301,27 +296,26 @@ def random_connected_graph(rng: np.random.Generator, n_computation: int, n_outpu
     return Graph(verts, sorted(edges), verts[:n_computation], verts[n_computation:])
 
 
-def random_resource_graph(
-    rng: np.random.Generator,
-    n_computation: int,
-    n_output: int,
-    *,
-    max_tries: int = 10_000,
-) -> Graph:
+# draws of ``random_resource_graph`` before it gives up
+RESOURCE_GRAPH_TRIES = 10_000
+
+
+def random_resource_graph(rng: np.random.Generator, n_computation: int, n_output: int) -> Graph:
     """Random connected graph satisfying :func:`has_uniform_branches`.
 
     Returns the first draw that satisfies the predicate, so raising
-    ``max_tries`` never changes the graph of a seed that succeeds.  For N=4,
-    n=1 only about 1.5% of draws satisfy it (seed 246 needs 810 tries); at
-    that rate the default bound misses with odds below 1e-60.
+    ``RESOURCE_GRAPH_TRIES`` never changes the graph of a seed that succeeds.
+    For N=4, n=1 only about 1.5% of draws satisfy it (seed 246 needs 810
+    tries); at that rate 10 000 tries miss with odds below 1e-60.
     """
-    for _ in range(max_tries):
+    for _ in range(RESOURCE_GRAPH_TRIES):
         g = random_connected_graph(rng, n_computation, n_output)
         if has_uniform_branches(g):
             return g
-    raise GraphError(
-        [f"no uniform-branch graph found in {max_tries} tries for N={n_computation}, n={n_output}"]
-    )
+    raise GraphError([
+        f"no uniform-branch graph found in {RESOURCE_GRAPH_TRIES} tries "
+        f"for N={n_computation}, n={n_output}"
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ and meets no cap.  Each step splits every node into both outcomes, so one
 start row ends as all 2^N adaptive histories while every step holds
 2^(N+n) amplitudes: O(N 2^(N+n)) work in all.
 ``enumerate_causal`` returns those histories as the walk's arrays, one row
-per history (outcome bits, weight, readout distribution), corrected,
-uncorrected or both from the same walk; row 0 is the all-zeros history, the
-positive branch.  ``sample_causal`` (and ``run_causal``, its one-shot view)
-splits the n readouts too and keeps each node's probability of outcome 0;
+per history (outcome bits, weight, readout distributions corrected and
+uncorrected); row 0 is the all-zeros history, the positive branch.
+``sample_causal`` (and ``run_causal``, its one-shot view) splits the n
+readouts too and keeps each node's probability of outcome 0;
 every shot then descends that tree with one uniform per level, so S shots
 cost O(N 2^(N+n) + S (N+n)).
 """
@@ -114,18 +114,9 @@ def validate_pattern(g: Graph, p: Pattern) -> Pattern:
     return p
 
 
-def adapted_angle(phi: float, s_x, s_z):
-    """Angle actually measured: (-1)^{s_x} phi + pi * s_z, reduced mod 2*pi;
-    the parities may be equal-shape arrays of bits, one per run."""
-    s_x, s_z = np.asarray(s_x), np.asarray(s_z)
-    if not (((s_x == 0) | (s_x == 1)).all() and ((s_z == 0) | (s_z == 1)).all()):
-        raise PatternError(f"parities must be bits, got s_x={s_x}, s_z={s_z}")
-    angle = _adapted(phi, s_x, s_z)
-    return float(angle) if angle.ndim == 0 else angle
-
-
 def _adapted(phi: float, s_x: np.ndarray, s_z: np.ndarray) -> np.ndarray:
-    """``adapted_angle``'s arithmetic on parity arrays known to be bits."""
+    """The angle actually measured, (-1)^{s_x} phi + pi s_z reduced mod 2 pi,
+    for equal-shape arrays of parity bits, one per node of the walk."""
     return (np.where(s_x == 1, -phi, phi) + np.pi * s_z) % qlin.TWO_PI
 
 
@@ -293,30 +284,21 @@ def run_causal(g: Graph, p: Pattern, state: qlin.Ket, rng, *, correct: bool = Tr
     return RunRecord(tuple(m[0].tolist()), tuple(z[0].tolist()), float(weight[0]), correct)
 
 
-def enumerate_causal(g: Graph, p: Pattern, state: qlin.Ket, *, correct=True):
+def enumerate_causal(g: Graph, p: Pattern, state: qlin.Ket):
     """Exact walk over all 2^N adaptive outcome histories of ``state``, the
     graph state of ``g``, the first vertex of ``p.order`` most significant:
     one split walk, O(N 2^(N+n)) work.
 
     Returns the histories as arrays, one row each: outcome bits (2^N, N) in
-    C order, Born weights (2^N,), and exact readout distributions (2^N, 2^n),
-    indexed by the O-register bits with the first output vertex most
-    significant, after the output byproducts if ``correct``.  A
-    zero-probability history has weight 0 and an all-zero distribution.
-
-    ``correct`` may also be a tuple of flags: the distributions are then
-    stacked (flags, 2^N, 2^n), one per flag.  The corrected and uncorrected
-    histories share every measurement step, so one walk serves them all, and
-    each distribution equals the single-flag one bit for bit.
+    C order, Born weights (2^N,), and exact readout distributions stacked
+    (2, 2^N, 2^n), the first after the output byproducts and the second
+    without them, each indexed by the O-register bits with the first output
+    vertex most significant.  The corrected and uncorrected histories share
+    every measurement step, so one walk gives both.  A zero-probability
+    history has weight 0 and all-zero distributions.
     """
     m, weight, amps, _ = _walk(g, p, state)
-
-    def dist(flag):
-        return np.abs(_byproducts(g, p, m, amps) if flag else amps) ** 2
-
-    if isinstance(correct, tuple):
-        return m, weight, np.stack([dist(flag) for flag in correct])
-    return m, weight, dist(correct)
+    return m, weight, np.abs(np.stack([_byproducts(g, p, m, amps), amps])) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +387,6 @@ def pattern_from_json(obj) -> Pattern:
             raise PatternError(f"{name} must map vertex labels to lists of labels")
         deps[name] = block
     return make_pattern(obj["order"], obj["angles"], **deps)
-
-
-def pattern_to_json(p: Pattern) -> dict:
-    return {
-        "order": list(p.order),
-        "angles": {v: float(a) for v, a in sorted(p.angles.items())},
-        "x_deps": {v: sorted(us) for v, us in sorted(p.x_deps.items()) if us},
-        "z_deps": {v: sorted(us) for v, us in sorted(p.z_deps.items()) if us},
-        "out_x_deps": {v: sorted(us) for v, us in sorted(p.out_x_deps.items()) if us},
-        "out_z_deps": {v: sorted(us) for v, us in sorted(p.out_z_deps.items()) if us},
-    }
 
 
 def load_pattern(path) -> Pattern:

@@ -518,8 +518,8 @@ def pm_validate(
     operator is not a valid process matrix for that instrument family, which
     is legitimate report content for exploratory families.
     """
-    if trials < 1:
-        raise ProcmatError("pm_validate needs at least one trial")
+    if not config.is_int(trials) or trials < 1:
+        raise ProcmatError(f"pm_validate needs a positive int of trials, got {trials!r}")
     worst = -1.0
     worst_desc: dict[str, str] = {}
     for block, totals in _trial_totals(w, family, trials, rng):

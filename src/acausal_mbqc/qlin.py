@@ -151,9 +151,6 @@ class HermOp:
         self.entries = _frozen_array(mat, mat.shape, copy=not _owned)
         self.num_qubits = k
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
     def as_tensor(self) -> np.ndarray:
         """Read-only view shaped ``(2,)*2k``: row axes first, then column axes."""
         return self.entries.reshape((2,) * (2 * self.num_qubits))
@@ -165,19 +162,6 @@ class HermOp:
 # ---------------------------------------------------------------------------
 # constructors
 
-def basis_ket(bits: Sequence[int]) -> Ket:
-    """Computational basis state |b0 b1 ... b_{k-1}>."""
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits) or not bits:
-        raise QlinError(f"bits must be a nonempty 0/1 sequence, got {bits}")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    vec = np.zeros(2 ** len(bits), dtype=np.complex128)
-    vec[idx] = 1.0
-    return Ket(vec)
-
-
 def equatorial_kets(phis) -> np.ndarray:
     """Amplitudes of |phi^m> = (|0> + (-1)^m e^{i phi} |1>) / sqrt(2) for an
     array of angles, shaped ``phis.shape + (2, 2)``: outcome m, then amplitude;
@@ -188,13 +172,6 @@ def equatorial_kets(phis) -> np.ndarray:
     kets[..., 0, 1] = phase
     kets[..., 1, 1] = -phase
     return kets / np.sqrt(2.0)
-
-
-def equatorial_ket(phi: float, outcome: int = 0) -> Ket:
-    """|phi^m> = (|0> + (-1)^m e^{i phi} |1>) / sqrt(2)."""
-    if outcome not in (0, 1):
-        raise QlinError(f"outcome must be 0 or 1, got {outcome}")
-    return Ket(equatorial_kets(float(phi))[outcome])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +294,8 @@ class MeasureResult:
     probability: float
 
 
-def _branch(state: Ket, basis_ket_: Ket, target: int) -> np.ndarray:
-    return np.tensordot(basis_ket_.amplitudes.conj(), state.as_tensor(), axes=(0, target))
+def _branch(state: Ket, ket: Ket, target: int) -> np.ndarray:
+    return np.tensordot(ket.amplitudes.conj(), state.as_tensor(), axes=(0, target))
 
 
 def sample_projective(

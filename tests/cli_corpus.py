@@ -36,6 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from acausal_mbqc import cli, config, graphstate  # noqa: E402
+from pm_reference import VEE  # noqa: E402
 
 GRAPHS = {
     "chain2": graphstate.chain(2),
@@ -46,7 +47,7 @@ GRAPHS = {
     "pc23": graphstate.parallel_chains([2, 3]),
     "pc22": graphstate.parallel_chains([2, 2]),
     "pc222": graphstate.parallel_chains([2, 2, 2]),
-    "vee": graphstate.vee_graph(),
+    "vee": VEE,
     "cycle3": graphstate.cycle_with_output(3),
     "cycle4": graphstate.cycle_with_output(4),
     "cycle5": graphstate.cycle_with_output(5),

@@ -39,6 +39,8 @@ tests an instrument's summed Choi operator, traced down by
 ``partial_trace``.  ``density_pm`` is the process matrix that hands each
 party one qubit of a state.  ``random_ket``, ``random_density`` and
 ``random_single_qubit_basis`` draw the random states of the test families.
+``VEE`` is the vee graph, two computation vertices on one output, whose
+branches are not uniform.
 """
 
 import string
@@ -46,6 +48,9 @@ import string
 import numpy as np
 
 from acausal_mbqc import acausal, graphstate, mbqc, procmat, qlin
+
+# two computation vertices sharing one output neighbour: its branches are not uniform
+VEE = graphstate.Graph(("c0", "c1", "o0"), (("c0", "o0"), ("c1", "o0")), ("c0", "c1"), ("o0",))
 
 
 def dense_tables(w: procmat.ProcessMatrix, measure, reprepare) -> np.ndarray:
@@ -143,8 +148,8 @@ def branch_probability(g, angles, m, z) -> float:
         raise mbqc.PatternError(f"m must be {g.n_computation} bits")
     if len(z) != g.n_output or any(b not in (0, 1) for b in z):
         raise mbqc.PatternError(f"z must be {g.n_output} bits")
-    factors = [qlin.equatorial_ket(ang[c], mc) for c, mc in zip(g.computation, m)]
-    factors += [qlin.basis_ket([bit]) for bit in z]
+    factors = [qlin.Ket(qlin.equatorial_kets(ang[c])[mc]) for c, mc in zip(g.computation, m)]
+    factors += [qlin.Ket(np.eye(2)[bit]) for bit in z]
     bra = qlin.kron_all(factors)
     return float(abs(qlin.overlap(bra, graphstate.graph_state(g))) ** 2)
 
@@ -172,7 +177,8 @@ def kron_cz_decorated_state(g) -> qlin.Ket:
     """The decorated graph state of a graph ``g``, built gate by
     gate: |G> (x) |+>^N, then CZ between computation vertex j and pendant j."""
     n_comp, n_out = g.n_computation, g.n_output
-    state = qlin.kron_all([graphstate.graph_state(g)] + [qlin.equatorial_ket(0.0)] * n_comp)
+    plus = qlin.Ket(qlin.equatorial_kets(0.0)[0])
+    state = qlin.kron_all([graphstate.graph_state(g)] + [plus] * n_comp)
     for j in range(n_comp):
         state = qlin.apply_on_qubits(np.diag([1, 1, 1, -1]), [j, n_comp + n_out + j], state)
     return state

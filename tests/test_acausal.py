@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, game, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
-from pm_reference import backend_table, dense_tables, kron_cz_decorated_state
+from pm_reference import VEE, backend_table, dense_tables, kron_cz_decorated_state
 
 
 def perturbed_pure_ancilla(r):
     """Control: the literal W with each maximally mixed ancilla replaced by a pure |0>."""
-    pure = qlin.kron_all([r.w.pure] + [qlin.basis_ket([0])] * r.n_output)
+    pure = qlin.kron_all([r.w.pure] + [qlin.Ket([1, 0])] * r.n_output)
     return ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
 
 
 def perturbed_no_decoration(r):
     """Control: the literal W without the pendant entangling step (pendants stay |+>)."""
     gs = graphstate.graph_state(r.base_graph)
-    pure = qlin.kron_all([gs] + [qlin.equatorial_ket(0.0)] * r.n_computation)
+    pure = qlin.kron_all([gs] + [qlin.Ket(qlin.equatorial_kets(0.0)[0])] * r.n_computation)
     return ProcessMatrix(r.w.parties, pure=pure, scale=r.w.scale)
 
 
@@ -65,7 +65,7 @@ def test_trace_and_positivity(g):
 PAPER_GRAPHS = {f"chain{n}": graphstate.chain(n) for n in range(2, 6)}
 PAPER_GRAPHS.update(
     pc22=graphstate.parallel_chains([2, 2]),
-    vee=graphstate.vee_graph(),
+    vee=VEE,
     cycle4=graphstate.cycle_with_output(4),
 )
 PAPER_GRAPHS.update(
@@ -101,7 +101,7 @@ def test_acausal_matches_causal_enumeration_per_branch():
         p = mbqc.chain_pattern(g, angles=0.9)
         # the literal W: on the fold every branch m contracts the same rows
         probs = acausal.outcome_probabilities(r, 0.9, literal=True)
-        bits, _, dists = mbqc.enumerate_causal(g, p, r.plain)
+        bits, _, (dists, _) = mbqc.enumerate_causal(g, p, r.plain)
         by_m = {tuple(row): dist for row, dist in zip(bits.tolist(), dists)}
         n_comp = g.n_computation
         for mi in range(2**n_comp):
@@ -124,7 +124,7 @@ def test_identities_on_random_resource_graphs(seed):
 
 def test_branch_independence_holds_even_without_uniform_branches():
     """m-independence is structural; only the total can drift from 1."""
-    g = graphstate.vee_graph()
+    g = VEE
     r = acausal.build_resource_pm(g)
     rng = np.random.default_rng(89)
     angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
@@ -242,11 +242,25 @@ def test_postselected_sampler_refuses_a_shot_count_that_is_no_int(monkeypatch, s
         acausal.postselected_sampler(r, 0.1, shots, 1)
 
 
+@pytest.mark.parametrize("seed", [1.7, True])
+def test_postselected_sampler_refuses_a_seed_that_is_no_int(monkeypatch, seed):
+    """A float or bool seed ran and reported ``seed: 1``: it is refused before any draw."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler drew before checking its seed")
+
+    r = acausal.build_resource_pm(graphstate.chain(3))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+        acausal.postselected_sampler(r, 0.1, 1000, seed)
+
+
 def test_postselected_sampler_takes_a_numpy_int_and_reports_an_int():
     r = acausal.build_resource_pm(graphstate.chain(3))
     want = acausal.postselected_sampler(r, 0.1, 1000, 1)
-    got = acausal.postselected_sampler(r, 0.1, np.int64(1000), 1)
+    got = acausal.postselected_sampler(r, 0.1, np.int64(1000), np.int64(1))
     assert type(got.shots) is int and got.shots == 1000
+    assert type(got.seed) is int and got.seed == 1
     assert np.array_equal(got.counts, want.counts)
 
 
@@ -441,9 +455,7 @@ def test_backend_agreement_equals_the_walks_positive_branch(case):
     in ``equatorial_kets``, to 1e-15 at every readout z."""
     g, ang = case
     r = acausal.build_resource_pm(g)
-    _, weight, dist = mbqc.enumerate_causal(
-        g, mbqc.make_pattern(g.computation, ang), r.plain, correct=False
-    )
+    _, weight, (_, dist) = mbqc.enumerate_causal(g, mbqc.make_pattern(g.computation, ang), r.plain)
     assert acausal.backend_agreement(r, ang, weight[0] * dist[0]) <= 1e-15
 
 

@@ -217,7 +217,7 @@ def test_criterion_06_acausal_equals_corrected_causal():
         for angles in [0.0, 1.1]:
             p = mbqc.chain_pattern(g, angles=angles)
             probs = acausal.outcome_probabilities(r, angles)
-            _, weight, dists = mbqc.enumerate_causal(g, p, r.plain)
+            _, weight, (dists, _) = mbqc.enumerate_causal(g, p, r.plain)
             dist = sum(w * d for w, d in zip(weight, dists))
             scaled = (2.0**g.n_computation) * probs[0, :]
             worst = max(worst, float(np.max(np.abs(scaled - dist))))

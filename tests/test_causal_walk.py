@@ -19,10 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, game, graphstate, mbqc, qlin
+from pm_reference import VEE
 
 ATOL = 1e-12
 WALK_GRAPHS = [graphstate.chain(k) for k in range(2, 7)] + [graphstate.parallel_chains([2, 2])]
-READOUT_BASIS = (qlin.basis_ket([0]), qlin.basis_ket([1]))
+READOUT_BASIS = (qlin.Ket([1, 0]), qlin.Ket([0, 1]))
 
 
 def _parity(bits, deps):
@@ -35,11 +36,11 @@ def _one_run(g, p, rng, correct, forced=None):
     live = list(graphstate.ket_order(g))
     m_by, weight = {}, 1.0
     for v in p.order:
-        phi = mbqc.adapted_angle(
-            p.angles[v], _parity(m_by, p.x_deps.get(v, ())), _parity(m_by, p.z_deps.get(v, ()))
-        )
+        # the adapted angle (-1)^{s_x} phi + pi s_z, reduced mod 2 pi
+        phi = -p.angles[v] if _parity(m_by, p.x_deps.get(v, ())) else p.angles[v]
+        phi = (phi + math.pi * _parity(m_by, p.z_deps.get(v, ()))) % (2 * math.pi)
         force = None if forced is None else forced[v]
-        basis = (qlin.equatorial_ket(phi, 0), qlin.equatorial_ket(phi, 1))
+        basis = tuple(qlin.Ket(ket) for ket in qlin.equatorial_kets(phi))
         res = qlin.sample_projective(state, basis, live.index(v), rng, force=force)
         state, m_by[v] = res.state, res.outcome
         weight *= res.probability
@@ -139,8 +140,10 @@ def test_sample_causal_walks_once_whatever_the_shots(monkeypatch, g, shots):
 
 
 def histories(g, p, correct):
-    """``enumerate_causal``'s rows keyed by outcome bits: (weight, readout distribution)."""
-    m, weight, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g), correct=correct)
+    """``enumerate_causal``'s rows keyed by outcome bits: (weight, readout
+    distribution, corrected if ``correct``)."""
+    m, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, p, graphstate.graph_state(g))
+    dist = corrected if correct else uncorrected
     return {tuple(row): (w, d) for row, w, d in zip(m.tolist(), weight, dist)}
 
 
@@ -264,8 +267,8 @@ def test_enumerate_causal_equals_forced_runs_on_random_patterns(case):
 
 @pytest.mark.parametrize("g", WALK_GRAPHS, ids=lambda g: f"{g.n_computation}+{g.n_output}")
 def test_one_split_walk_gives_every_correction_flag(monkeypatch, g):
-    """``correct=(True, False)`` walks once, and each stacked distribution
-    equals its single-flag call bit for bit."""
+    """``enumerate_causal`` walks once, and its stacked distributions are the
+    walk's output amplitudes with and without the byproducts, bit for bit."""
     p = mbqc.make_pattern(
         g.computation,
         {c: 0.3 + i for i, c in enumerate(g.computation)},
@@ -276,12 +279,12 @@ def test_one_split_walk_gives_every_correction_flag(monkeypatch, g):
     real = mbqc._walk
     monkeypatch.setattr(mbqc, "_walk", lambda *a, **k: walks.append(1) or real(*a, **k))
     state = graphstate.graph_state(g)
-    m, weight, both = mbqc.enumerate_causal(g, p, state, correct=(True, False))
+    m, weight, both = mbqc.enumerate_causal(g, p, state)
     assert len(walks) == 1 and both.shape == (2, 2**g.n_computation, 2**g.n_output)
-    for flag, dist in zip((True, False), both):
-        m_1, weight_1, dist_1 = mbqc.enumerate_causal(g, p, state, correct=flag)
-        assert np.array_equal(m, m_1) and np.array_equal(weight, weight_1)
-        assert np.array_equal(dist, dist_1)
+    m_1, weight_1, amps, _ = real(g, p, state)
+    assert np.array_equal(m, m_1) and np.array_equal(weight, weight_1)
+    assert np.array_equal(both[0], np.abs(mbqc._byproducts(g, p, m, amps)) ** 2)
+    assert np.array_equal(both[1], np.abs(amps) ** 2)
     assert not np.array_equal(both[0], both[1])
 
 
@@ -296,9 +299,8 @@ def test_split_holds_one_state_of_amplitudes_per_step(monkeypatch, g):
         mbqc, "_measure", lambda state, *a: sizes.append(state.size) or real(state, *a)
     )
     p, state = mbqc.chain_pattern(g, 0.7), graphstate.graph_state(g)
-    for correct in (True, False):
-        mbqc.enumerate_causal(g, p, state, correct=correct)
-    assert sizes == [2 ** (g.n_computation + g.n_output)] * (2 * g.n_computation)
+    mbqc.enumerate_causal(g, p, state)
+    assert sizes == [2 ** (g.n_computation + g.n_output)] * g.n_computation
 
 
 def test_exact_game_on_chain14_under_the_default_cap():
@@ -323,7 +325,7 @@ def test_uncorrected_girls_first_equals_boys_first(g, angles):
     ang = mbqc.as_angle_map(g, angles)
     pattern = mbqc.chain_pattern(g, ang)
     r = acausal.build_resource_pm(g)
-    _, weight, dist = mbqc.enumerate_causal(g, pattern, r.plain, correct=False)
+    _, weight, (_, dist) = mbqc.enumerate_causal(g, pattern, r.plain)
     girls = game._exact_p0(weight, dist)
     # built directly: the validity gate refuses nonzero angles
     inst = game.GameInstance(r, ang, pattern, p0_corrected=np.nan, p0_uncorrected=girls)
@@ -346,7 +348,7 @@ def _assert_sampled_like_per_shot_runs(g, p, correct, shots, seed):
 # the vee graph's branches are not uniform: at these angles its four histories
 # weigh about 0.15, 0.35, 0.35 and 0.15
 VEE_CASE = (
-    graphstate.vee_graph(),
+    VEE,
     mbqc.make_pattern(("c0", "c1"), {"c0": 0.8, "c1": 2.2}, out_z_deps={"o0": ["c0"]}),
     True,
 )
@@ -375,7 +377,7 @@ def test_sample_causal_through_zero_weight_branches(correct):
 
 def test_enumerate_causal_drops_zero_weight_branches():
     """On the vee graph at angle 0 two of four histories cannot happen."""
-    g = graphstate.vee_graph()
+    g = VEE
     p = mbqc.make_pattern(g.computation, {c: 0.0 for c in g.computation})
     branches = histories(g, p, False)
     for m in [(0, 1), (1, 0)]:

@@ -14,6 +14,7 @@ import pytest
 
 import acausal_mbqc
 from acausal_mbqc import acausal, cli, config, graphstate, mbqc, procmat
+from pm_reference import VEE
 
 
 def graph_file(tmp_path, g, name):
@@ -34,7 +35,7 @@ def p3_file(tmp_path):
 
 @pytest.fixture
 def vee_file(tmp_path):
-    return graph_file(tmp_path, graphstate.vee_graph(), "vee")
+    return graph_file(tmp_path, VEE, "vee")
 
 
 def run_json(capsys, argv):
@@ -185,9 +186,10 @@ def test_game_subcommand_pass_and_custom_pattern(capsys, p2_file, tmp_path):
     assert code == 0
     assert rep["violated"] is True
 
-    pattern = mbqc.chain_pattern(graphstate.chain(2))
+    # the chain pattern of chain(2)
+    pattern = {"order": ["c0"], "angles": {"c0": 0.0}, "out_x_deps": {"o0": ["c0"]}}
     ppath = tmp_path / "pat.json"
-    ppath.write_text(json.dumps(mbqc.pattern_to_json(pattern)))
+    ppath.write_text(json.dumps(pattern))
     code2, rep2 = run_json(
         capsys, ["game", "--graph", p2_file, "--pattern", str(ppath), "--json"]
     )
@@ -211,7 +213,14 @@ def test_game_plays_the_angles_of_its_pattern(capsys, tmp_path, angles, message)
     g = graphstate.chain(4)
     path = graph_file(tmp_path, g, "p4")
     ppath = tmp_path / "pat.json"
-    ppath.write_text(json.dumps(mbqc.pattern_to_json(mbqc.chain_pattern(g, [1.0, 0.0, 0.0]))))
+    ppath.write_text(json.dumps({  # the chain pattern of chain(4) at angles (1, 0, 0)
+        "order": ["c0", "c1", "c2"],
+        "angles": {"c0": 1.0, "c1": 0.0, "c2": 0.0},
+        "x_deps": {"c1": ["c0"], "c2": ["c1"]},
+        "z_deps": {"c2": ["c0"]},
+        "out_x_deps": {"o0": ["c2"]},
+        "out_z_deps": {"o0": ["c1"]},
+    }))
     code = cli.main(["game", "--graph", path, "--pattern", str(ppath), *angles, "--json"])
     captured = capsys.readouterr()
     assert code == 2

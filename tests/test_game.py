@@ -147,7 +147,7 @@ def test_an_instance_scores_under_the_cap_it_was_built_with():
     16 holds its resource, so its sampled girls-first and its boys-first
     scores read that resource's plain state and build none under the
     default cap."""
-    inst = game.game_instance(graphstate.chain(16), cap=16)
+    inst = game.game_instance(acausal.build_resource_pm(graphstate.chain(16), 16))
     assert game.girls_first_p0(inst) == pytest.approx(1.0, abs=1e-10)
     assert game.girls_first_p0(inst, shots=10, seed=1) == 1.0
     assert game.boys_first_p0(inst) == pytest.approx(0.5, abs=1e-12)
@@ -198,14 +198,15 @@ GAME_CASES = {
 @pytest.mark.parametrize("g, pattern", GAME_CASES.values(), ids=GAME_CASES.keys())
 def test_game_report_scores_are_girls_first_p0(g, pattern):
     """The two girls-first scores of one split walk are each exactly the
-    score of a walk with that flag alone; a deterministic instance holds them,
-    and its report prints them."""
+    score of the walk's amplitudes with and without the byproducts; a
+    deterministic instance holds them, and its report prints them."""
     p = mbqc.chain_pattern(g) if pattern is None else pattern
     state = graphstate.graph_state(g)
-    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, p, state, correct=(True, False))
+    _, weight, (corrected, uncorrected) = mbqc.enumerate_causal(g, p, state)
+    m, _, amps, _ = mbqc._walk(g, p, state)
     alone = {
-        flag: game._exact_p0(*mbqc.enumerate_causal(g, p, state, correct=flag)[1:])
-        for flag in (True, False)
+        True: game._exact_p0(weight, np.abs(mbqc._byproducts(g, p, m, amps)) ** 2),
+        False: game._exact_p0(weight, np.abs(amps) ** 2),
     }
     assert game._exact_p0(weight, corrected) == alone[True]
     assert game._exact_p0(weight, uncorrected) == alone[False]

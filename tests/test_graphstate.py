@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import graphstate, qlin
 from acausal_mbqc.graphstate import GraphError
-from pm_reference import kron_cz_decorated_state, random_ket, set_gf2_survivors
+from pm_reference import VEE, kron_cz_decorated_state, random_ket, set_gf2_survivors
 
 
-PLUS = qlin.equatorial_ket(0.0)
+PLUS = qlin.Ket(qlin.equatorial_kets(0.0)[0])
 CZ = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
@@ -95,7 +95,7 @@ def test_validate_rejects_malformed(vertices, edges, comp, out):
         graphstate.chain(4),
         graphstate.parallel_chains([2, 3]),
         graphstate.cycle_with_output(5),
-        graphstate.vee_graph(),
+        VEE,
     ],
 )
 def test_graph_state_matches_cz_circuit(g):
@@ -112,7 +112,7 @@ def test_graph_state_two_vertices_explicit():
 
 @pytest.mark.parametrize(
     "g",
-    [graphstate.chain(3), graphstate.cycle_with_output(4), graphstate.vee_graph()],
+    [graphstate.chain(3), graphstate.cycle_with_output(4), VEE],
 )
 def test_stabilizers_fix_graph_state(g):
     state = graphstate.graph_state(g)
@@ -126,7 +126,7 @@ def test_stabilizer_check_detects_wrong_state():
 
 
 @pytest.mark.parametrize(
-    "g", [graphstate.chain(3), graphstate.vee_graph(), graphstate.decorate(graphstate.chain(3))]
+    "g", [graphstate.chain(3), VEE, graphstate.decorate(graphstate.chain(3))]
 )
 def test_stabilizer_check_equals_pauli_matrices_applied(g):
     """The flip-and-sign defect equals the one from X and Z matrices applied
@@ -207,7 +207,7 @@ def test_decorate_skips_a_label_already_taken():
         (graphstate.chain(3), True),
         (graphstate.chain(6), True),
         (graphstate.parallel_chains([2, 2]), True),
-        (graphstate.vee_graph(), False),
+        (VEE, False),
         (graphstate.cycle_with_output(3), False),
         (graphstate.cycle_with_output(5), False),
     ],
@@ -220,7 +220,7 @@ PRESETS = [
     graphstate.chain(2),
     graphstate.chain(6),
     graphstate.parallel_chains([2, 3]),
-    graphstate.vee_graph(),
+    VEE,
     graphstate.cycle_with_output(3),
     graphstate.cycle_with_output(4),
     graphstate.cycle_with_output(5),
@@ -230,7 +230,7 @@ PRESETS = [
 def test_gf2_survivors_equal_the_set_reference_on_presets():
     for g in PRESETS:
         assert graphstate._gf2_survivors(g) == set_gf2_survivors(g)
-    assert graphstate._gf2_survivors(graphstate.vee_graph())
+    assert graphstate._gf2_survivors(VEE)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -248,7 +248,7 @@ def test_gf2_survivors_refuse_more_than_20_computation_vertices():
 def test_uniform_branch_predicate_matches_numeric_sweep():
     """The predicate must agree with a brute numeric check of branch uniformity."""
     rng = np.random.default_rng(31)
-    for g in [graphstate.chain(3), graphstate.vee_graph(), graphstate.cycle_with_output(4)]:
+    for g in [graphstate.chain(3), VEE, graphstate.cycle_with_output(4)]:
         angles = {c: float(rng.uniform(0, 2 * np.pi)) for c in g.computation}
         state = graphstate.graph_state(g)
         total = 0.0
@@ -260,8 +260,8 @@ def test_uniform_branch_predicate_matches_numeric_sweep():
             for zi in range(2**n_out):
                 z = [(zi >> (n_out - 1 - t)) & 1 for t in range(n_out)]
                 kets = [
-                    qlin.equatorial_ket(angles[c], b) for c, b in zip(g.computation, m)
-                ] + [qlin.basis_ket([b]) for b in z]
+                    qlin.Ket(qlin.equatorial_kets(angles[c])[b]) for c, b in zip(g.computation, m)
+                ] + [qlin.Ket(np.eye(2)[b]) for b in z]
                 row += abs(qlin.overlap(qlin.kron_all(kets), state)) ** 2
             probs.append(row)
         uniform = max(abs(p - probs[0]) for p in probs) < 1e-9
@@ -279,14 +279,16 @@ def test_random_resource_graph_respects_predicate_and_sizes():
 
 
 @pytest.mark.parametrize("seed, tries", [(246, 810), (1750, 525)])
-def test_random_resource_graph_finds_rare_uniform_branch_graphs(seed, tries):
+def test_random_resource_graph_finds_rare_uniform_branch_graphs(monkeypatch, seed, tries):
     """For N=4, n=1 about 1.5% of draws qualify; these seeds need more than 500 tries."""
     g = graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1)
     assert graphstate.has_uniform_branches(g)
     # the first qualifying draw is returned, so a larger bound keeps every graph
-    assert graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1, max_tries=tries) == g
+    monkeypatch.setattr(graphstate, "RESOURCE_GRAPH_TRIES", tries)
+    assert graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1) == g
+    monkeypatch.setattr(graphstate, "RESOURCE_GRAPH_TRIES", tries - 1)
     with pytest.raises(graphstate.GraphError, match=f"in {tries - 1} tries for N=4, n=1"):
-        graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1, max_tries=tries - 1)
+        graphstate.random_resource_graph(np.random.default_rng(seed), 4, 1)
 
 
 def test_chain_preset_shape():

@@ -5,36 +5,17 @@ import pytest
 
 from acausal_mbqc import graphstate, mbqc, qlin
 from acausal_mbqc.mbqc import PatternError
-from pm_reference import branch_probability
+from pm_reference import VEE, branch_probability
 
 
 def test_adapted_angle_table():
+    """The walk's adapted angle at each of the four parity pairs (s_x, s_z)."""
     phi = 0.9
-    assert mbqc.adapted_angle(phi, 0, 0) == pytest.approx(phi)
-    assert mbqc.adapted_angle(phi, 1, 0) == pytest.approx((-phi) % (2 * np.pi))
-    assert mbqc.adapted_angle(phi, 0, 1) == pytest.approx(phi + np.pi)
-    assert mbqc.adapted_angle(phi, 1, 1) == pytest.approx((np.pi - phi) % (2 * np.pi))
-
-
-def test_adapted_angle_refuses_parities_that_are_not_bits():
-    with pytest.raises(PatternError, match="parities must be bits"):
-        mbqc.adapted_angle(0.9, np.array([0, 2]), np.array([0, 1]))
-    with pytest.raises(PatternError, match="parities must be bits"):
-        mbqc.adapted_angle(0.9, 0, 0.5)
-
-
-def test_the_walk_adapts_its_angles_without_the_bit_check(monkeypatch):
-    """The walk's parities are sums of its own bits mod 2: it takes the angle
-    from ``adapted_angle``'s arithmetic, bit for bit, and never calls the
-    checked function."""
-    s_x, s_z = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-    assert mbqc._adapted(0.7, s_x, s_z).tobytes() == mbqc.adapted_angle(0.7, s_x, s_z).tobytes()
-    g = graphstate.chain(4)
-    p = mbqc.chain_pattern(g, 0.7)
-    expected = mbqc.enumerate_causal(g, p, graphstate.graph_state(g))
-    monkeypatch.setattr(mbqc, "adapted_angle", None)
-    for want, got in zip(expected, mbqc.enumerate_causal(g, p, graphstate.graph_state(g))):
-        assert np.array_equal(want, got)
+    angles = mbqc._adapted(phi, np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+    assert angles[0] == pytest.approx(phi)
+    assert angles[1] == pytest.approx((-phi) % (2 * np.pi))
+    assert angles[2] == pytest.approx(phi + np.pi)
+    assert angles[3] == pytest.approx((np.pi - phi) % (2 * np.pi))
 
 
 def test_as_angle_map_forms():
@@ -96,7 +77,7 @@ def test_chain_pattern_structure():
 
 def test_chain_pattern_rejects_branching_graph():
     with pytest.raises(PatternError):
-        mbqc.chain_pattern(graphstate.vee_graph())
+        mbqc.chain_pattern(VEE)
 
 
 def branch_table_p2(phi):
@@ -123,7 +104,7 @@ def test_branch_probability_against_worked_p2_table(phi):
 
 
 @pytest.mark.parametrize(
-    "g", [graphstate.chain(3), graphstate.vee_graph(), graphstate.cycle_with_output(4)]
+    "g", [graphstate.chain(3), VEE, graphstate.cycle_with_output(4)]
 )
 def test_branch_probabilities_always_total_one(g):
     """Non-adaptive joint outcomes form a complete basis on any graph."""
@@ -146,7 +127,7 @@ def test_positive_branch_output_of_chain_is_hadamard_power(length):
     g = graphstate.chain(length)
     _, weight, amps, _ = mbqc._walk(g, mbqc.chain_pattern(g), graphstate.graph_state(g))
     assert weight[0] > 0.0
-    expect = qlin.equatorial_ket(0.0).amplitudes
+    expect = qlin.equatorial_kets(0.0)[0]
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
     for _ in range(length - 1):
         expect = hadamard @ expect
@@ -159,7 +140,7 @@ def test_corrected_even_chain_reads_zero_deterministically(length):
     angle 0 ends in readout 0."""
     g = graphstate.chain(length)
     p = mbqc.chain_pattern(g)
-    _, weight, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g), correct=True)
+    _, weight, (dist, _) = mbqc.enumerate_causal(g, p, graphstate.graph_state(g))
     assert np.allclose(weight, 2.0 ** -g.n_computation, rtol=0, atol=1e-12)
     assert np.allclose(dist[:, 0], 1.0, rtol=0, atol=1e-10)
 
@@ -167,7 +148,7 @@ def test_corrected_even_chain_reads_zero_deterministically(length):
 def test_uncorrected_chain_branches_disagree():
     g = graphstate.chain(4)
     p = mbqc.chain_pattern(g)
-    _, probs, dist = mbqc.enumerate_causal(g, p, graphstate.graph_state(g), correct=False)
+    _, probs, (_, dist) = mbqc.enumerate_causal(g, p, graphstate.graph_state(g))
     dists = dist[:, 0]
     assert max(dists) == pytest.approx(1.0, abs=1e-10)
     assert min(dists) == pytest.approx(0.0, abs=1e-10)
@@ -182,7 +163,7 @@ def test_enumerate_causal_probabilities_total_one():
     assert sum(weight) == pytest.approx(1.0, abs=1e-12)
     assert m.shape == (2**g.n_computation, g.n_computation)
     assert weight.shape == (2**g.n_computation,)
-    assert dist.shape == (2**g.n_computation, 2**g.n_output)
+    assert dist.shape == (2, 2**g.n_computation, 2**g.n_output)
     # the first vertex of the order is the most significant bit of the row
     rows = [tuple(int(b) for b in bits) for bits in np.ndindex(*(2,) * g.n_computation)]
     assert [tuple(row) for row in m.tolist()] == rows
@@ -208,7 +189,13 @@ def test_run_causal_branch_probability_is_history_weight():
 def test_pattern_json_roundtrip(tmp_path):
     g = graphstate.chain(3)
     p = mbqc.chain_pattern(g, angles=0.77)
-    payload = mbqc.pattern_to_json(p)
+    payload = {
+        "order": ["c0", "c1"],
+        "angles": {"c0": 0.77, "c1": 0.77},
+        "x_deps": {"c1": ["c0"]},
+        "out_x_deps": {"o0": ["c1"]},
+        "out_z_deps": {"o0": ["c0"]},
+    }
     again = mbqc.pattern_from_json(payload)
     assert again == p
     path = tmp_path / "p.json"

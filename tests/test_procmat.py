@@ -1,5 +1,7 @@
 """Instrument Choi operators, CPTP checks, and process-matrix probabilities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from pm_reference import (
     random_single_qubit_basis,
 )
 
-KET0 = qlin.basis_ket([0])
+KET0 = qlin.Ket([1, 0])
 
 
 def choi_operator(measure, reprepare):
@@ -47,8 +49,8 @@ def test_conjugated_measure_ket_equals_negated_angle():
     """Transposing the Choi construction is the same as negating the angle."""
     phi = 1.1
     for m in (0, 1):
-        conj = qlin.equatorial_ket(phi, m).amplitudes.conj()
-        neg = qlin.equatorial_ket(-phi, m).amplitudes
+        conj = qlin.equatorial_kets(phi)[m].conj()
+        neg = qlin.equatorial_kets(-phi)[m]
         ket0 = KET0.amplitudes
         assert np.allclose(choi_operator(conj, ket0), choi_operator(neg, ket0), atol=1e-12)
 
@@ -78,8 +80,8 @@ def test_mbqc_kets_are_the_instruments_of_the_paper():
     assert alice.measure.shape == (1, 1, 2, 2)
     assert alice.describe(0) == ("equatorial(phi=0.900000)",)
     for m in (0, 1):
-        assert np.array_equal(alice.measure[0, 0, m], qlin.equatorial_ket(0.9, m).amplitudes)
-        assert np.array_equal(alice.reprepare[0, 0, m], qlin.basis_ket([m]).amplitudes)
+        assert np.array_equal(alice.measure[0, 0, m], qlin.equatorial_kets(0.9)[m])
+        assert np.array_equal(alice.reprepare[0, 0, m], np.eye(2)[m])
     bob = procmat.bob_instrument()
     assert bob.describe(0) == ("computational readout",)
     assert np.array_equal(bob.measure[0, 0], np.eye(2))
@@ -182,7 +184,7 @@ def test_trace_and_min_eigenvalue_from_factor_match_dense():
     rng = np.random.default_rng(71)
     w, _ = small_factored_pm(rng)
     dense_op = w.dense()
-    assert w.trace() == pytest.approx(float(dense_op.trace().real), abs=1e-12)
+    assert w.trace() == pytest.approx(float(np.trace(dense_op.entries).real), abs=1e-12)
     assert w.min_eigenvalue() == pytest.approx(qlin.min_eigenvalue(dense_op), abs=1e-12)
 
 
@@ -203,7 +205,7 @@ def test_pm_probability_validates_parties():
     [
         (["A", "A"], dict(pure=KET0, scale=1.0), "duplicate party names"),
         ([], dict(pure=KET0, scale=1.0), "at least one party"),
-        (["A"], dict(pure=qlin.basis_ket([0] * 3), scale=1.0), "exceeds the 2-qubit"),
+        (["A"], dict(pure=qlin.Ket(np.eye(8)[0]), scale=1.0), "exceeds the 2-qubit"),
         (["A"], dict(pure=KET0, scale=0.0), "scale must be finite and positive"),
         (["A"], dict(pure=KET0, scale=float("nan")), "scale must be finite and positive"),
         (["A"], dict(pure=KET0, scale=float("inf")), "scale must be finite and positive"),
@@ -266,6 +268,19 @@ def test_pm_validate_names_the_failing_trial():
     assert report.max_deviation > 0.5
     assert list(report.worst_assignment) == ["A1", "B1"]
     assert all(desc.startswith("measure ") for desc in report.worst_assignment.values())
+
+
+@pytest.mark.parametrize("trials", [2.5, True])
+def test_pm_validate_refuses_a_trial_count_that_is_no_int(trials):
+    """2.5 trials failed inside ``range`` with a bare TypeError, and True ran
+    one trial and reported ``trials: true``: both are refused before any draw."""
+    w = density_pm(random_ket(np.random.default_rng(79), 1))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    message = f"^pm_validate needs a positive int of trials, got {re.escape(repr(trials))}$"
+    with pytest.raises(ProcmatError, match=message):
+        procmat.pm_validate(w, procmat.mbqc_instrument_family(1, 0), trials, 1e-9, rng)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"literal": True}], ids=["default", "factorized"])

@@ -7,24 +7,23 @@ from acausal_mbqc import qlin
 from acausal_mbqc.qlin import HermOp, Ket, QlinError
 from pm_reference import partial_trace, random_density, random_ket, random_single_qubit_basis
 
-PLUS = qlin.equatorial_ket(0.0)
-READOUT_BASIS = (qlin.basis_ket([0]), qlin.basis_ket([1]))
+PLUS = Ket(qlin.equatorial_kets(0.0)[0])
+READOUT_BASIS = (Ket([1, 0]), Ket([0, 1]))
 PAULI_X = np.array([[0, 1], [1, 0]])
 CZ = np.diag([1, 1, 1, -1])
 
 
 def test_basis_ket_index_convention():
     # qubit 0 is the most significant bit of the flat index
-    k = qlin.basis_ket([1, 0, 1])
+    k = Ket(np.eye(8)[0b101])
     assert k.num_qubits == 3
-    assert k.amplitudes[0b101] == 1.0
-    assert np.sum(np.abs(k.amplitudes)) == 1.0
+    assert k.as_tensor()[1, 0, 1] == 1.0
+    assert np.sum(np.abs(k.as_tensor())) == 1.0
 
 
 def test_equatorial_ket_components():
     phi = 0.7
-    k0 = qlin.equatorial_ket(phi, 0)
-    k1 = qlin.equatorial_ket(phi, 1)
+    k0, k1 = (Ket(ket) for ket in qlin.equatorial_kets(phi))
     s = 1 / np.sqrt(2)
     assert np.allclose(k0.amplitudes, [s, s * np.exp(1j * phi)])
     assert np.allclose(k1.amplitudes, [s, -s * np.exp(1j * phi)])
@@ -56,7 +55,7 @@ def test_ket_normalization_enforced():
 
 
 def test_ket_arrays_frozen():
-    k = qlin.basis_ket([0])
+    k = Ket([1, 0])
     with pytest.raises(ValueError):
         k.amplitudes[0] = 5.0
 
@@ -115,7 +114,7 @@ def test_kron_all_matches_numpy():
 
 def test_kron_all_rejects_mixed_types():
     with pytest.raises(QlinError):
-        qlin.kron_all([qlin.basis_ket([0]), HermOp(np.eye(2))])
+        qlin.kron_all([Ket([1, 0]), HermOp(np.eye(2))])
 
 
 def test_permute_qubits_roundtrip_and_oracle():
@@ -187,7 +186,7 @@ def test_min_eigenvalue_matches_numpy():
 
 
 def test_fidelity():
-    minus = qlin.equatorial_ket(0.0, 1)
+    minus = Ket(qlin.equatorial_kets(0.0)[1])
     assert qlin.fidelity(PLUS, minus) == pytest.approx(0.0, abs=1e-12)
     assert qlin.fidelity(PLUS, PLUS) == pytest.approx(1.0)
 
@@ -228,7 +227,7 @@ def test_sample_projective_force_zero_branch_errors():
 
 
 def test_sample_projective_rejects_sloppy_basis():
-    skew = (READOUT_BASIS[0], qlin.equatorial_ket(0.3, 0))
+    skew = (READOUT_BASIS[0], Ket(qlin.equatorial_kets(0.3)[0]))
     with pytest.raises(QlinError):
         qlin.sample_projective(PLUS, skew, 0, force=0)
 

@@ -200,7 +200,7 @@ def test_factored_trace_and_floor_match_dense_oracle(w):
     tol = ATOL * w.scale
     dense = w.dense()
     assert abs(w.min_eigenvalue() - qlin.min_eigenvalue(dense)) <= tol
-    assert abs(w.trace() - float(dense.trace().real)) <= tol
+    assert abs(w.trace() - float(np.trace(dense.entries).real)) <= tol
     if not w.pure.num_qubits:
         # every qubit mixed: W = scale (I/2)^k has floor scale 2^-k, not 0
         assert w.min_eigenvalue() == pytest.approx(w.scale * 0.5**w.num_qubits)
