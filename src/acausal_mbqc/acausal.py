@@ -273,15 +273,6 @@ class PostselectResult:
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
-    @property
-    def acceptance(self) -> float:
-        return self.accepted / self.shots if self.shots else 0.0
-
-    def empirical_distribution(self) -> np.ndarray | None:
-        if self.accepted == 0:
-            return None
-        return self.counts / self.accepted
-
 
 def postselected_sampler(
     r: ResourcePM, angles, shots: int, seed: int | None = None
@@ -290,14 +281,18 @@ def postselected_sampler(
     (built on first read), keep runs where pendants echo outcomes and
     ancilla bits match the readout.
 
-    Every computation vertex is rotated into its equatorial basis once, so a
-    basis-state draw of the whole register is exactly a joint Born sample of
-    (outcome bits, readout bits, pendant bits); ancilla bits are fair coins.
+    The Born cells of (outcome bits, readout bits, pendant bits) come from
+    one ``procmat._trial_tables`` call, the kernel of every outcome table:
+    the decorated state is read as the process matrix of its own 2N + n
+    qubits, one party each in register order (C, O, pendants), contracted
+    with the block ``procmat.mbqc_kets(phis, N + n)``, equatorial kets on C
+    and the computational readout on O and the pendants, at scale 2^(2N+n),
+    which cancels every party's output I/2.  Ancilla bits are fair coins.
     Acceptance requires pendant == outcome per vertex and ancilla == readout
     per output, and happens at rate 2^-(N+n) for uniform-branch graphs.
 
     Contract: one ``numpy.random.default_rng(seed)`` Generator draws
-    ``multinomial(shots, probs)`` over the 2^(2N+n) basis states, whose
+    ``multinomial(shots, probs)`` over those 2^(2N+n) cells, whose
     (m, z, pendant = m) cells are the runs that pass the pendant test; then
     ``binomial(kept, 2^-n)`` per (m, z) cell keeps the runs whose n ancilla
     coins equal the readout.  The accepted counts have exactly the joint law
@@ -316,12 +311,10 @@ def postselected_sampler(
     n_comp, n_out = g.n_computation, g.n_output
     seed = config.DEFAULT_SEED if seed is None else int(seed)
 
-    state = r.w.pure
-    for j, c in enumerate(g.computation):
-        # basis change: row m is <phi^m|, so basis-state bit j becomes outcome m_j
-        rows = qlin.equatorial_kets(ang[c]).conj()
-        state = qlin.apply_on_qubits(rows, [j], state)
-    probs = np.abs(state.amplitudes) ** 2
+    scale = 2.0 ** (2 * n_comp + n_out)
+    w = ProcessMatrix(graphstate.ket_order(r.decorated_graph), r.w.pure, scale)
+    block = procmat.mbqc_kets(np.array([[ang[c] for c in g.computation]]), n_comp + n_out)
+    probs = procmat._trial_tables(w, block.measure, block.reprepare).reshape(-1)
     probs = probs / probs.sum()
 
     rng = np.random.default_rng(seed)
@@ -337,10 +330,11 @@ def postselection_report(result: PostselectResult, exact: np.ndarray) -> dict:
     total variation between the accepted empirical distribution and the exact
     outcome table ``exact`` (normalized)."""
     exact = exact / exact.sum()
-    emp = result.empirical_distribution()
-    tv = None if emp is None else float(0.5 * np.sum(np.abs(emp - exact)))
+    tv = None
+    if result.accepted:
+        tv = float(0.5 * np.sum(np.abs(result.counts / result.accepted - exact)))
     return {
-        "acceptance": result.acceptance,
+        "acceptance": result.accepted / result.shots,
         "expected": 1.0 / exact.size,
         "tv": tv,
         "shots": result.shots,

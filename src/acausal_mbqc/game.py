@@ -103,8 +103,9 @@ def game_instance(
 
 
 def causal_bound(n: int) -> float:
-    """Best causal success probability for n output bits: (1 + 2^-n)/2."""
-    if int(n) != n or n < 1:
+    """Best causal success probability for n output bits: (1 + 2^-n)/2; n
+    must be a positive Python or numpy int (not a bool)."""
+    if not config.is_int(n) or n < 1:
         raise GameError(f"n must be a positive integer, got {n!r}")
     return 0.5 * (1.0 + 2.0 ** -int(n))
 
@@ -132,11 +133,14 @@ def girls_first_p0(
 
     shots = 0 reads the exact score the instance holds from its split walk;
     shots > 0 estimates it from that many seeded causal runs, each descending
-    the tree of one split walk (``mbqc.sample_causal``).  ``shots`` must be a
-    Python or numpy int (not a bool).
+    the tree of one split walk (``mbqc.sample_causal``).  ``shots`` and a
+    given ``seed`` must be Python or numpy ints (not bools), checked before
+    any draw.
     """
     if not config.is_int(shots):
         raise GameError(f"shots must be an int, got {shots!r}")
+    if seed is not None and not config.is_int(seed):
+        raise GameError(f"seed must be an int, got {seed!r}")
     if shots == 0:
         return inst.p0_corrected if correct else inst.p0_uncorrected
     if shots < 0:

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import graphstate, qlin
+from . import config, graphstate, qlin
 from .graphstate import Graph
 
 
@@ -255,10 +255,11 @@ def sample_causal(g: Graph, p: Pattern, state: qlin.Ket, shots: int, rng, *, cor
     then descends the tree, taking outcome 0 at a level exactly when its
     uniform ``u < p0``: O(shots (N + n)) work.  The uniforms ``rng.random((block,
     N + n))`` are drawn row-major block after block, as ``shots`` single runs
-    draw them, so no result depends on the block size.
+    draw them, so no result depends on the block size.  ``shots`` must be a
+    positive Python or numpy int (not a bool), checked before the walk.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    if not config.is_int(shots) or shots < 1:
+        raise ValueError(f"shots must be a positive int, got {shots!r}")
     m, weight, state, p0 = _walk(g, p, state)
     if correct:
         state = _byproducts(g, p, m, state)

@@ -232,39 +232,6 @@ def permute_qubits(obj, perm: Sequence[int]):
     raise QlinError(f"cannot permute {type(obj).__name__}")
 
 
-def apply_on_qubits(op: np.ndarray, targets: Sequence[int], state: Ket) -> Ket:
-    """Apply a j-qubit matrix to the listed register positions of a state.
-
-    Parameters
-    ----------
-    op : array_like
-        (2^j, 2^j) matrix on j = ``len(targets)`` qubits; need not be Hermitian.
-    targets : sequence of int
-        Distinct register positions; ``targets[i]`` receives op qubit ``i``.
-    state : Ket
-
-    Returns
-    -------
-    Ket
-        The transformed vector; not renormalized, so non-unitary maps are fine.
-    """
-    k = state.num_qubits
-    targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise QlinError(f"targets must be distinct, got {targets}")
-    if any(t < 0 or t >= k for t in targets):
-        raise QlinError(f"targets {targets} out of range for {k} qubits")
-    j = len(targets)
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (2**j, 2**j):
-        raise QlinError(f"operator of shape {op.shape} does not act on {j} targets")
-    op_t = op.reshape((2,) * (2 * j))
-    arr = np.tensordot(op_t, state.as_tensor(), axes=(list(range(j, 2 * j)), targets))
-    # tensordot left the op's row axes in front; put them back at the targets
-    arr = np.moveaxis(arr, range(j), targets)
-    return Ket(arr.reshape(-1), require_normalized=False)
-
-
 def min_eigenvalue(op: HermOp) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
     return float(np.linalg.eigvalsh(op.entries)[0])

@@ -27,7 +27,14 @@ double sum built one (k, l) term at a time.
 
 ``kron_cz_decorated_state`` is the reference for ``acausal._pendant_route``:
 the plain graph state with N |+> pendants appended by ``qlin.kron_all`` and
-one ``qlin.apply_on_qubits`` of CZ per computation vertex and its pendant.
+one ``apply_on_qubits`` of CZ per computation vertex and its pendant.
+``apply_on_qubits`` applies a matrix to chosen qubits of a ket, by
+``np.tensordot``; the tests' gate-by-gate oracles build on it.
+
+``rotated_born_cells`` is the reference for the Born cells of
+``acausal.postselected_sampler``: the decorated state rotated into the
+equatorial bases, one ``apply_on_qubits`` per computation vertex, then
+squared.
 
 ``set_gf2_survivors`` is the reference for ``graphstate._gf2_survivors``:
 the same enumeration of computation subsets, with each neighbourhood and
@@ -173,6 +180,39 @@ def set_gf2_survivors(g) -> list[tuple[str, ...]]:
     return survivors
 
 
+def apply_on_qubits(op: np.ndarray, targets, state: qlin.Ket) -> qlin.Ket:
+    """Apply a (2^j, 2^j) matrix, not necessarily unitary, to the j register
+    positions ``targets`` of a state, op qubit i on ``targets[i]``; the
+    result is not renormalized."""
+    k = state.num_qubits
+    targets = tuple(int(t) for t in targets)
+    if len(set(targets)) != len(targets):
+        raise qlin.QlinError(f"targets must be distinct, got {targets}")
+    if any(t < 0 or t >= k for t in targets):
+        raise qlin.QlinError(f"targets {targets} out of range for {k} qubits")
+    j = len(targets)
+    op = np.asarray(op, dtype=np.complex128)
+    if op.shape != (2**j, 2**j):
+        raise qlin.QlinError(f"operator of shape {op.shape} does not act on {j} targets")
+    op_t = op.reshape((2,) * (2 * j))
+    arr = np.tensordot(op_t, state.as_tensor(), axes=(list(range(j, 2 * j)), targets))
+    # tensordot left the op's row axes in front; put them back at the targets
+    arr = np.moveaxis(arr, range(j), targets)
+    return qlin.Ket(arr.reshape(-1), require_normalized=False)
+
+
+def rotated_born_cells(r, angles) -> np.ndarray:
+    """The 2^(2N+n) Born cells (m, z, pendant) of the resource's decorated
+    state, flat in its register order (C, O, pendants): every computation
+    vertex rotated into its equatorial basis, row m being <phi^m|, so that
+    basis-state bit j is outcome m_j, then the squared amplitudes."""
+    ang = mbqc.as_angle_map(r.base_graph, angles)
+    state = r.w.pure
+    for j, c in enumerate(r.base_graph.computation):
+        state = apply_on_qubits(qlin.equatorial_kets(ang[c]).conj(), [j], state)
+    return np.abs(state.amplitudes) ** 2
+
+
 def kron_cz_decorated_state(g) -> qlin.Ket:
     """The decorated graph state of a graph ``g``, built gate by
     gate: |G> (x) |+>^N, then CZ between computation vertex j and pendant j."""
@@ -180,7 +220,7 @@ def kron_cz_decorated_state(g) -> qlin.Ket:
     plus = qlin.Ket(qlin.equatorial_kets(0.0)[0])
     state = qlin.kron_all([graphstate.graph_state(g)] + [plus] * n_comp)
     for j in range(n_comp):
-        state = qlin.apply_on_qubits(np.diag([1, 1, 1, -1]), [j, n_comp + n_out + j], state)
+        state = apply_on_qubits(np.diag([1, 1, 1, -1]), [j, n_comp + n_out + j], state)
     return state
 
 

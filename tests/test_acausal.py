@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, game, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
-from pm_reference import VEE, backend_table, dense_tables, kron_cz_decorated_state
+from pm_reference import (
+    VEE, backend_table, dense_tables, kron_cz_decorated_state, rotated_born_cells,
+)
 
 
 def perturbed_pure_ancilla(r):
@@ -217,7 +219,7 @@ def test_postselected_sampler_deterministic_and_calibrated():
     # acceptance ~ 2^-(N+n) = 1/4 within 5 sigma
     p = 0.25
     sigma = np.sqrt(p * (1 - p) / 40_000)
-    assert abs(res1.acceptance - p) < 5 * sigma
+    assert abs(res1.accepted / res1.shots - p) < 5 * sigma
 
 
 def test_postselected_sampler_different_seeds_differ():
@@ -262,6 +264,49 @@ def test_postselected_sampler_takes_a_numpy_int_and_reports_an_int():
     assert type(got.shots) is int and got.shots == 1000
     assert type(got.seed) is int and got.seed == 1
     assert np.array_equal(got.counts, want.counts)
+
+
+@st.composite
+def sampler_cases(draw):
+    """A uniform-branch (N <= 4) or any connected graph whose decorated state
+    has 2N + n <= 13 qubits, and random angles, some of them at 1e8 or above."""
+    uniform = draw(st.booleans())
+    n_comp = draw(st.integers(1, 4 if uniform else 6))
+    n_out = draw(st.integers(1, 13 - 2 * n_comp))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if uniform:
+        g = graphstate.random_resource_graph(rng, n_comp, n_out)
+    else:
+        g = graphstate.random_connected_graph(rng, n_comp, n_out)
+    angle = st.one_of(
+        st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False),
+        st.floats(1e8, 1e17, allow_nan=False, allow_infinity=False),
+    )
+    return g, {c: draw(angle) for c in g.computation}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sampler_cases())
+def test_sampler_cells_come_from_one_kernel_call_and_match_the_rotated_state(case):
+    """The sampler reads its Born cells from one ``procmat._trial_tables``
+    call: within 1e-15 of the decorated state rotated into the equatorial
+    bases one vertex at a time, and totalling 1 within 1e-12."""
+    g, ang = case
+    r = acausal.build_resource_pm(g)
+    tables = []
+
+    def recorded(*args, _real=procmat._trial_tables, **kwargs):
+        tables.append(_real(*args, **kwargs))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(procmat, "_trial_tables", recorded)
+        acausal.postselected_sampler(r, ang, 1, seed=0)
+    (table,) = tables
+    assert table.shape == (1,) + (2,) * (2 * r.n_computation + r.n_output)
+    cells = table.reshape(-1)
+    assert np.max(np.abs(cells - rotated_born_cells(r, ang))) <= 1e-15
+    assert abs(cells.sum() - 1.0) <= 1e-12
 
 
 def test_postselection_report_tv_small_on_p2():

@@ -11,6 +11,7 @@ exact table.
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acausal_mbqc import acausal, config, game, graphstate, mbqc, qlin
-from pm_reference import VEE
+from pm_reference import VEE, apply_on_qubits
 
 ATOL = 1e-12
 WALK_GRAPHS = [graphstate.chain(k) for k in range(2, 7)] + [graphstate.parallel_chains([2, 2])]
@@ -47,9 +48,9 @@ def _one_run(g, p, rng, correct, forced=None):
         live.remove(v)
     for o in g.output if correct else ():
         if _parity(m_by, p.out_x_deps.get(o, ())):
-            state = qlin.apply_on_qubits(np.array([[0, 1], [1, 0]]), [live.index(o)], state)
+            state = apply_on_qubits(np.array([[0, 1], [1, 0]]), [live.index(o)], state)
         if _parity(m_by, p.out_z_deps.get(o, ())):
-            state = qlin.apply_on_qubits(np.diag([1, -1]), [live.index(o)], state)
+            state = apply_on_qubits(np.diag([1, -1]), [live.index(o)], state)
     return m_by, state, weight
 
 
@@ -113,6 +114,23 @@ def test_sampled_game_builds_the_graph_state_once(monkeypatch):
     assert game.girls_first_p0(inst) == pytest.approx(1.0, abs=ATOL)
     assert game.boys_first_p0(inst) == pytest.approx(0.5, abs=ATOL)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shots", [True, 2.5, np.float64(3.0), 0, -1])
+def test_sample_causal_refuses_a_shot_count_that_is_no_positive_int(monkeypatch, shots):
+    """A bool, float or numpy float shot count ran the whole walk and then
+    failed in numpy: anything but a positive Python or numpy int is refused,
+    naming the value, before the walk."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_causal walked before checking its shots")
+
+    g = graphstate.chain(4)
+    p, state = mbqc.chain_pattern(g, 0.4), graphstate.graph_state(g)
+    monkeypatch.setattr(mbqc, "_walk", refuse)
+    want = f"^shots must be a positive int, got {re.escape(repr(shots))}$"
+    with pytest.raises(ValueError, match=want):
+        mbqc.sample_causal(g, p, state, shots, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("shots", [1, 70, 3000])

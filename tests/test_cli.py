@@ -62,7 +62,7 @@ def test_verify_passes_on_p2(capsys, p2_file):
     "argv, builds, graph_states, factorized, dense, walks",
     [
         (["verify"], 1, 2, 1, 0, 0),
-        (["postselect"], 1, 2, 1, 0, 0),
+        (["postselect"], 1, 2, 2, 0, 0),
         (["game"], 1, 1, 1, 0, 1),
         (["signal"], 1, 1, 1, 0, 0),
         (["graph-state"], 1, 1, 0, 0, 0),
@@ -79,9 +79,11 @@ def test_builds_and_contractions_per_command(
 ):
     """On chain(4) every command builds one resource, in ``cli.main``, and
     contracts at most one outcome table, its angle sets (or ``pm-validate``'s
-    trials) stacked as trials; no command contracts the dense oracle.  Only
-    ``game`` walks, once: its one split walk gives the validity gate and both
-    girls-first scores, while ``verify``'s agreement contracts the positive
+    trials) stacked as trials, except ``postselect``, whose sampler contracts
+    its Born cells in the same kernel as the table it is compared with; no
+    command contracts the dense oracle.  Only ``game`` walks, once: its one
+    split walk gives the validity gate and both girls-first scores, while
+    ``verify``'s agreement contracts the positive
     branch of the plain state the resource holds.  Every command builds the
     plain graph state, and ``graph-state`` reports it; ``verify``,
     ``postselect``, ``resource-pm`` and ``pm-validate`` also build the

@@ -1,5 +1,7 @@
 """Causal guessing game: bound, strategies, acausal violation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,13 @@ def test_causal_bound_values(n, expected):
 def test_causal_bound_rejects_nonpositive():
     with pytest.raises(GameError):
         game.causal_bound(0)
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_causal_bound_refuses_a_count_that_is_no_int(n):
+    """True read as 1 (0.75) and 2.0 as 2 (0.625): only an int is a count of outputs."""
+    with pytest.raises(GameError, match=f"^n must be a positive integer, got {re.escape(repr(n))}$"):
+        game.causal_bound(n)
 
 
 def test_game_instance_accepts_even_chain():
@@ -90,6 +99,21 @@ def test_girls_first_refuses_a_shot_count_that_is_no_int(monkeypatch, shots):
     monkeypatch.setattr(mbqc, "sample_causal", refuse)
     with pytest.raises(GameError, match="^shots must be an int, got "):
         game.girls_first_p0(inst, shots=shots)
+
+
+@pytest.mark.parametrize("seed", [True, 1.7])
+def test_girls_first_refuses_a_seed_that_is_no_int(monkeypatch, seed):
+    """True ran as seed 1 and 1.7 failed in numpy's SeedSequence: a seed that
+    is no Python or numpy int is refused, naming it, before any draw."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("girls_first_p0 drew before checking its seed")
+
+    inst = game.game_instance(graphstate.chain(4))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(mbqc, "sample_causal", refuse)
+    with pytest.raises(GameError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+        game.girls_first_p0(inst, correct=False, shots=50, seed=seed)
 
 
 def test_girls_first_takes_a_numpy_int():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from acausal_mbqc import graphstate, qlin
 from acausal_mbqc.graphstate import GraphError
-from pm_reference import VEE, kron_cz_decorated_state, random_ket, set_gf2_survivors
+from pm_reference import (
+    VEE, apply_on_qubits, kron_cz_decorated_state, random_ket, set_gf2_survivors,
+)
 
 
 PLUS = qlin.Ket(qlin.equatorial_kets(0.0)[0])
@@ -22,7 +24,7 @@ def cz_circuit_state(g):
     pos = {v: i for i, v in enumerate(order)}
     state = qlin.kron_all([PLUS] * len(order))
     for a, b in g.edges:
-        state = qlin.apply_on_qubits(CZ, [pos[a], pos[b]], state)
+        state = apply_on_qubits(CZ, [pos[a], pos[b]], state)
     return state
 
 
@@ -130,17 +132,17 @@ def test_stabilizer_check_detects_wrong_state():
 )
 def test_stabilizer_check_equals_pauli_matrices_applied(g):
     """The flip-and-sign defect equals the one from X and Z matrices applied
-    by ``qlin.apply_on_qubits``, bit for bit, on states the stabilizers move."""
+    by ``apply_on_qubits``, bit for bit, on states the stabilizers move."""
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
     idx = graphstate.qubit_index(g)
     for seed in range(3):
         state = random_ket(np.random.default_rng(seed), len(idx))
         worst = 0.0
         for v in g.vertices:
-            moved = qlin.apply_on_qubits(x, [idx[v]], state)
+            moved = apply_on_qubits(x, [idx[v]], state)
             for e in g.edges:
                 if v in e:
-                    moved = qlin.apply_on_qubits(z, [idx[e[0] if e[1] == v else e[1]]], moved)
+                    moved = apply_on_qubits(z, [idx[e[0] if e[1] == v else e[1]]], moved)
             worst = max(worst, float(np.linalg.norm(moved.amplitudes - state.amplitudes)))
         assert graphstate.stabilizer_check(state, g) == worst
 

@@ -5,7 +5,9 @@ import pytest
 
 from acausal_mbqc import qlin
 from acausal_mbqc.qlin import HermOp, Ket, QlinError
-from pm_reference import partial_trace, random_density, random_ket, random_single_qubit_basis
+from pm_reference import (
+    apply_on_qubits, partial_trace, random_density, random_ket, random_single_qubit_basis,
+)
 
 PLUS = Ket(qlin.equatorial_kets(0.0)[0])
 READOUT_BASIS = (Ket([1, 0]), Ket([0, 1]))
@@ -137,15 +139,17 @@ def test_permute_qubits_roundtrip_and_oracle():
 
 
 def test_apply_on_qubits_matches_kron_oracle():
+    """``pm_reference.apply_on_qubits``, which the tests' gate-by-gate
+    oracles build on, against a kron of the matrix with identities."""
     rng = np.random.default_rng(7)
     state = random_ket(rng, 3)
     # single-qubit op on middle qubit
-    got = qlin.apply_on_qubits(PAULI_X, [1], state)
+    got = apply_on_qubits(PAULI_X, [1], state)
     big = np.kron(np.kron(np.eye(2), PAULI_X), np.eye(2))
     assert np.allclose(got.amplitudes, big @ state.amplitudes)
     # two-qubit op on (2, 0): build the oracle by permuting targets to front
     u = CZ
-    got2 = qlin.apply_on_qubits(u, [2, 0], state)
+    got2 = apply_on_qubits(u, [2, 0], state)
     # oracle: permute qubits (2, 0, 1) -> positions (targets first), apply, undo
     front = qlin.permute_qubits(state, (1, 2, 0))
     acted = Ket(
@@ -154,14 +158,14 @@ def test_apply_on_qubits_matches_kron_oracle():
     undone = qlin.permute_qubits(acted, (2, 0, 1))
     assert np.allclose(got2.amplitudes, undone.amplitudes)
     with pytest.raises(QlinError, match=r"shape \(2, 2\) does not act on 2 targets"):
-        qlin.apply_on_qubits(PAULI_X, [0, 1], state)
+        apply_on_qubits(PAULI_X, [0, 1], state)
 
 
 def test_apply_cz_symmetric():
     rng = np.random.default_rng(11)
     state = random_ket(rng, 2)
-    a = qlin.apply_on_qubits(CZ, [0, 1], state)
-    b = qlin.apply_on_qubits(CZ, [1, 0], state)
+    a = apply_on_qubits(CZ, [0, 1], state)
+    b = apply_on_qubits(CZ, [1, 0], state)
     assert np.allclose(a.amplitudes, b.amplitudes)
 
 
