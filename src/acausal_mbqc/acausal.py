@@ -277,51 +277,36 @@ class PostselectResult:
 def postselected_sampler(
     r: ResourcePM, angles, shots: int, seed: int | None = None
 ) -> PostselectResult:
-    """Sample the resource's decorated state, the literal W's pure factor
-    (built on first read), keep runs where pendants echo outcomes and
-    ancilla bits match the readout.
+    """Simulate the protocol on the resource with postselection: measure the
+    decorated state, keep the runs whose pendants echo the outcomes and whose
+    n fair ancilla coins equal the readout.
 
-    The Born cells of (outcome bits, readout bits, pendant bits) come from
-    one ``procmat._trial_tables`` call, the kernel of every outcome table:
-    the decorated state is read as the process matrix of its own 2N + n
-    qubits, one party each in register order (C, O, pendants), contracted
-    with the block ``procmat.mbqc_kets(phis, N + n)``, equatorial kets on C
-    and the computational readout on O and the pendants, at scale 2^(2N+n),
-    which cancels every party's output I/2.  Ancilla bits are fair coins.
-    Acceptance requires pendant == outcome per vertex and ancilla == readout
-    per output, and happens at rate 2^-(N+n) for uniform-branch graphs.
+    A run is accepted with outcomes (m, z) with probability exactly
+    P_W(m, z) 2^-(N+n), P_W the literal W's table (``_table`` with
+    ``literal=True``, the one ``procmat._trial_tables`` call ``verify``
+    reads): W is 2^(N+n) times the decorated state with I/2 on the
+    ancillas, so its table is the decorated state's Born cells with
+    pendant = m, times 2^N, and the coins give the further 2^-n.  These
+    accepted cells total at most 2^-n, so the reject cell holds at least 1/2,
+    and a run is accepted at rate 2^-(N+n) for uniform-branch graphs.
 
     Contract: one ``numpy.random.default_rng(seed)`` Generator draws
-    ``multinomial(shots, probs)`` over those 2^(2N+n) cells, whose
-    (m, z, pendant = m) cells are the runs that pass the pendant test; then
-    ``binomial(kept, 2^-n)`` per (m, z) cell keeps the runs whose n ancilla
-    coins equal the readout.  The accepted counts have exactly the joint law
-    of ``shots`` independent per-run draws, and a fixed seed gives identical
-    counts.  ``shots`` and a given ``seed`` must be Python or numpy ints (not
-    bools), checked before any draw.
+    ``multinomial(shots, [*cells, 1 - sum(cells)])``, cells flat in (m, z)
+    order, and the reject cell is dropped: the accepted counts have exactly
+    the joint law of ``shots`` independent runs, and a fixed seed gives
+    identical counts.  ``shots`` must be a positive and a given ``seed`` a
+    non-negative Python or numpy int (not a bool), checked before any draw.
     """
-    if not config.is_int(shots):
-        raise ValueError(f"shots must be an int, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if seed is not None and not config.is_int(seed):
-        raise ValueError(f"seed must be an int, got {seed!r}")
-    g = r.base_graph
-    ang = mbqc.as_angle_map(g, angles)
-    n_comp, n_out = g.n_computation, g.n_output
+    if not config.is_int(shots) or shots < 1:
+        raise ValueError(f"shots must be a positive int, got {shots!r}")
+    if seed is not None and (not config.is_int(seed) or seed < 0):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     seed = config.DEFAULT_SEED if seed is None else int(seed)
-
-    scale = 2.0 ** (2 * n_comp + n_out)
-    w = ProcessMatrix(graphstate.ket_order(r.decorated_graph), r.w.pure, scale)
-    block = procmat.mbqc_kets(np.array([[ang[c] for c in g.computation]]), n_comp + n_out)
-    probs = procmat._trial_tables(w, block.measure, block.reprepare).reshape(-1)
-    probs = probs / probs.sum()
-
+    n_comp, n_out = r.n_computation, r.n_output
+    cells = _table(r, [angles], literal=True).reshape(-1) * 2.0 ** -(n_comp + n_out)
     rng = np.random.default_rng(seed)
-    # register order is C, O, pendants: axes (m, z, pendant), pendant == m kept
-    cells = rng.multinomial(shots, probs).reshape(2**n_comp, 2**n_out, 2**n_comp)
-    kept = cells[np.arange(2**n_comp), :, np.arange(2**n_comp)]
-    counts = rng.binomial(kept, 2.0**-n_out)
+    counts = rng.multinomial(shots, np.append(cells, 1.0 - cells.sum()))[:-1]
+    counts = counts.reshape(2**n_comp, 2**n_out)
     return PostselectResult(counts=counts, shots=int(shots), accepted=int(counts.sum()), seed=seed)
 
 

@@ -29,11 +29,12 @@ from . import acausal, config, game, graphstate, mbqc, procmat
 ACCEPTANCE_SIGMAS = 5.0
 POSTSELECT_TV_LIMIT = 0.02
 # an exact sampler's TV grows with the 2^(N+n) cells its accepted runs spread
-# over.  At 10^5 shots it passes the limit on chain(4) for only 19 seeds in
-# 20.  At 10^6 it passes for 20 seeds in 20 on chain(4) and chain(5) at angle
-# 0.3, but fails for 3 in 20 on chain(6) at angle 0, 18 to 19 in 20 on
-# chain(6) at 0.3 and 20 in 20 on chain(7) at 0.3: there the limit is below
-# the sampler's own noise, and exit 1 means too few shots, not a wrong sampler
+# over.  On seeds 1 to 20, at 10^5 shots it fails the limit on chain(4) at
+# angle 0 for 4 seeds (23 of seeds 1 to 400).  At 10^6 it passes for 20 seeds
+# in 20 on chain(4) and chain(5) at angle 0.3, but fails for 3 in 20 on
+# chain(6) at angle 0, 19 in 20 on chain(6) at 0.3 and 20 in 20 on chain(7)
+# at 0.3: there the limit is below the sampler's own noise, and exit 1 means
+# too few shots, not a wrong sampler
 POSTSELECT_DEFAULT_SHOTS = 1_000_000
 PM_VALIDATE_DEFAULT_TRIALS = 200
 MAX_SHOTS = 2**63 - 1

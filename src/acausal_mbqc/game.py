@@ -133,18 +133,18 @@ def girls_first_p0(
 
     shots = 0 reads the exact score the instance holds from its split walk;
     shots > 0 estimates it from that many seeded causal runs, each descending
-    the tree of one split walk (``mbqc.sample_causal``).  ``shots`` and a
-    given ``seed`` must be Python or numpy ints (not bools), checked before
-    any draw.
+    the tree of one split walk (``mbqc.sample_causal``).  ``shots`` must be
+    a Python or numpy int (not a bool), and a given ``seed`` a non-negative
+    one, checked before any draw.
     """
     if not config.is_int(shots):
         raise GameError(f"shots must be an int, got {shots!r}")
-    if seed is not None and not config.is_int(seed):
-        raise GameError(f"seed must be an int, got {seed!r}")
+    if seed is not None and (not config.is_int(seed) or seed < 0):
+        raise GameError(f"seed must be a non-negative int, got {seed!r}")
     if shots == 0:
         return inst.p0_corrected if correct else inst.p0_uncorrected
     if shots < 0:
-        raise GameError("shots must be nonnegative")
+        raise GameError(f"shots must be nonnegative, got {shots!r}")
     rng = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
     _, z, _ = mbqc.sample_causal(
         inst.graph, inst.pattern, inst.resource.plain, shots, rng, correct=correct

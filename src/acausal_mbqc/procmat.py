@@ -520,6 +520,9 @@ def pm_validate(
     """
     if not config.is_int(trials) or trials < 1:
         raise ProcmatError(f"pm_validate needs a positive int of trials, got {trials!r}")
+    if math.isnan(tol):
+        # every comparison with NaN is False: the report would fail and name no trial
+        raise ProcmatError(f"pm_validate needs a tolerance that is a number, got {tol!r}")
     worst = -1.0
     worst_desc: dict[str, str] = {}
     for block, totals in _trial_totals(w, family, trials, rng):

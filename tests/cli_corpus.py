@@ -14,8 +14,9 @@ package is imported from the ``src`` directory beside this file, so a corpus
 written from a checkout describes that checkout.
 
 The second form lists every argv whose exit code, stdout or stderr differs
-between two corpora, or that only one of them holds, and exits 1 if there is
-any.
+between two corpora, or that only one of them holds, marks each whose exit
+code moved, ends with ``D of M runs differ, K in exit code`` and exits 1 if
+any differs.
 
 ``cli_corpus.json`` beside this file is the corpus of the current code, and
 ``test_cli_corpus.py`` rebuilds it on every test run, so it pins every byte
@@ -187,11 +188,18 @@ def compare(a: dict, b: dict) -> list[str]:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+def exit_moved(argv: str, a: dict, b: dict) -> bool:
+    """True when both corpora hold the argv and its exit codes differ."""
+    return argv in a and argv in b and a[argv][0] != b[argv][0]
+
+
 def describe(argvs: list[str], a: dict, b: dict, names: tuple[str, str]) -> list[str]:
-    """Each argv with its record in both corpora (None where one lacks it)."""
+    """Each argv with its record in both corpora (None where one lacks it),
+    marked with both exit codes where they differ."""
     lines = []
     for argv in argvs:
-        lines.append(f"differs: {argv}")
+        mark = f"  [exit {a[argv][0]} -> {b[argv][0]}]" if exit_moved(argv, a, b) else ""
+        lines.append(f"differs: {argv}{mark}")
         lines += [f"  {name}: {records.get(argv)!r}" for name, records in zip(names, (a, b))]
     return lines
 
@@ -202,7 +210,8 @@ def main(args: list[str]) -> int:
         differ = compare(a, b)
         for line in describe(differ, a, b, (args[1], args[2])):
             print(line)
-        print(f"{len(differ)} of {len(a.keys() | b.keys())} runs differ")
+        moved = sum(exit_moved(argv, a, b) for argv in differ)
+        print(f"{len(differ)} of {len(a.keys() | b.keys())} runs differ, {moved} in exit code")
         return 1 if differ else 0
     if len(args) == 1:
         records = corpus()

@@ -31,10 +31,10 @@ one ``apply_on_qubits`` of CZ per computation vertex and its pendant.
 ``apply_on_qubits`` applies a matrix to chosen qubits of a ket, by
 ``np.tensordot``; the tests' gate-by-gate oracles build on it.
 
-``rotated_born_cells`` is the reference for the Born cells of
+``rotated_born_cells`` is the reference for the accepted cells of
 ``acausal.postselected_sampler``: the decorated state rotated into the
 equatorial bases, one ``apply_on_qubits`` per computation vertex, then
-squared.
+squared; its pendant = m cells times 2^-n are the sampler's cells.
 
 ``set_gf2_survivors`` is the reference for ``graphstate._gf2_survivors``:
 the same enumeration of computation subsets, with each neighbourhood and
@@ -205,7 +205,9 @@ def rotated_born_cells(r, angles) -> np.ndarray:
     """The 2^(2N+n) Born cells (m, z, pendant) of the resource's decorated
     state, flat in its register order (C, O, pendants): every computation
     vertex rotated into its equatorial basis, row m being <phi^m|, so that
-    basis-state bit j is outcome m_j, then the squared amplitudes."""
+    basis-state bit j is outcome m_j, then the squared amplitudes.  The
+    cells with pendant = m, times 2^-n, are the accepted cells the sampler
+    reads from the literal W's table."""
     ang = mbqc.as_angle_map(r.base_graph, angles)
     state = r.w.pure
     for j, c in enumerate(r.base_graph.computation):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acausal_mbqc import acausal, config, game, graphstate, mbqc, procmat, qlin
+from acausal_mbqc import acausal, cli, config, game, graphstate, mbqc, procmat, qlin
 from acausal_mbqc.procmat import ProcessMatrix
 from pm_reference import (
     VEE, backend_table, dense_tables, kron_cz_decorated_state, rotated_born_cells,
@@ -229,31 +229,41 @@ def test_postselected_sampler_different_seeds_differ():
     assert not np.array_equal(a.counts, b.counts)
 
 
-@pytest.mark.parametrize("shots", [100000.7, True, 2.5, "10", np.float64(10.0)])
+@pytest.mark.parametrize(
+    "shots",
+    [
+        100000.7, True, 2.5, "10", np.float64(10.0),
+        0, -1, pytest.param(np.int64(-1), id="int64(-1)"),
+    ],
+)
 def test_postselected_sampler_refuses_a_shot_count_that_is_no_int(monkeypatch, shots):
     """A float shot count was truncated by the draw but reported and divided
-    as given, and True ran one shot: anything but a Python or numpy int is
-    refused before any draw."""
+    as given, and True ran one shot: anything but a positive Python or numpy
+    int is refused, naming it, before any draw."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sampler drew before checking its shots")
 
     r = acausal.build_resource_pm(graphstate.chain(3))
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    with pytest.raises(ValueError, match=f"^shots must be an int, got {re.escape(repr(shots))}$"):
+    want = f"^shots must be a positive int, got {re.escape(repr(shots))}$"
+    with pytest.raises(ValueError, match=want):
         acausal.postselected_sampler(r, 0.1, shots, 1)
 
 
-@pytest.mark.parametrize("seed", [1.7, True])
+@pytest.mark.parametrize("seed", [1.7, True, -1, pytest.param(np.int64(-1), id="int64(-1)")])
 def test_postselected_sampler_refuses_a_seed_that_is_no_int(monkeypatch, seed):
-    """A float or bool seed ran and reported ``seed: 1``: it is refused before any draw."""
+    """A float or bool seed ran and reported ``seed: 1``, and a negative one
+    failed in numpy naming no seed: anything but a non-negative Python or
+    numpy int is refused, naming it, before any draw."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sampler drew before checking its seed")
 
     r = acausal.build_resource_pm(graphstate.chain(3))
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+    want = f"^seed must be a non-negative int, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=want):
         acausal.postselected_sampler(r, 0.1, 1000, seed)
 
 
@@ -288,11 +298,14 @@ def sampler_cases(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(sampler_cases())
 def test_sampler_cells_come_from_one_kernel_call_and_match_the_rotated_state(case):
-    """The sampler reads its Born cells from one ``procmat._trial_tables``
-    call: within 1e-15 of the decorated state rotated into the equatorial
-    bases one vertex at a time, and totalling 1 within 1e-12."""
+    """The sampler reads its accepted cells from one ``procmat._trial_tables``
+    call, the literal W's table: times 2^-(N+n), within 1e-15 of the
+    decorated state's Born cells rotated into the equatorial bases one
+    vertex at a time, at pendant = m, times 2^-n for the ancilla coins; the
+    reject cell left over holds at least 1/2."""
     g, ang = case
     r = acausal.build_resource_pm(g)
+    n_comp, n_out = r.n_computation, r.n_output
     tables = []
 
     def recorded(*args, _real=procmat._trial_tables, **kwargs):
@@ -303,10 +316,28 @@ def test_sampler_cells_come_from_one_kernel_call_and_match_the_rotated_state(cas
         mp.setattr(procmat, "_trial_tables", recorded)
         acausal.postselected_sampler(r, ang, 1, seed=0)
     (table,) = tables
-    assert table.shape == (1,) + (2,) * (2 * r.n_computation + r.n_output)
-    cells = table.reshape(-1)
-    assert np.max(np.abs(cells - rotated_born_cells(r, ang))) <= 1e-15
-    assert abs(cells.sum() - 1.0) <= 1e-12
+    assert table.shape == (1,) + (2,) * (n_comp + n_out)
+    cells = table.reshape(2**n_comp, 2**n_out) * 2.0 ** -(n_comp + n_out)
+    born = rotated_born_cells(r, ang).reshape(2**n_comp, 2**n_out, 2**n_comp)
+    diagonal = born[np.arange(2**n_comp), :, np.arange(2**n_comp)] * 2.0**-n_out
+    assert np.max(np.abs(cells - diagonal)) <= 1e-15
+    assert 1.0 - cells.sum() >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("shots", [1, 40_000, cli.MAX_SHOTS], ids=["1", "40000", "MAX_SHOTS"])
+@pytest.mark.parametrize("g", [graphstate.chain(3), VEE], ids=["chain3", "vee"])
+def test_sampler_counts_are_one_multinomial_over_the_accepted_cells_and_a_reject_cell(g, shots):
+    """The draw contract: one Generator of the seed draws one multinomial
+    over the 2^(N+n) accepted cells of W's table, times 2^-(N+n), and the
+    reject cell, which is dropped; up to the CLI's largest shot count."""
+    r = acausal.build_resource_pm(g)
+    cells = acausal.outcome_probabilities(r, 0.4, literal=True).reshape(-1)
+    cells = cells * 2.0 ** -(r.n_computation + r.n_output)
+    want = np.random.default_rng(5).multinomial(shots, [*cells, 1.0 - cells.sum()])[:-1]
+    got = acausal.postselected_sampler(r, 0.4, shots, seed=5)
+    assert got.counts.shape == (2**r.n_computation, 2**r.n_output)
+    assert np.array_equal(got.counts, want.reshape(got.counts.shape))
+    assert got.shots == shots and got.accepted == int(want.sum())
 
 
 def test_postselection_report_tv_small_on_p2():

@@ -42,3 +42,24 @@ def test_every_run_exits_0_1_or_2(corpus_build):
 def test_a_build_restores_the_working_directory_and_the_cap_variable(corpus_build):
     _, before, after = corpus_build
     assert after == before
+
+
+def test_compare_marks_and_counts_the_runs_whose_exit_code_moved(tmp_path, capsys):
+    """``--compare`` exits 0 on equal corpora and 1 on different ones, marks
+    each argv whose exit code moved and ends with the count of both."""
+    base = {"a": [0, "x\n", ""], "b": [1, "y\n", ""], "c": [2, "", "e\n"]}
+    moved = {"a": [0, "x!\n", ""], "b": [0, "y\n", ""], "d": [0, "", ""]}
+    paths = []
+    for name, records in (("base", base), ("same", dict(base)), ("moved", {**base, **moved})):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(records), encoding="utf-8")
+
+    assert cli_corpus.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out == "0 of 3 runs differ, 0 in exit code\n"
+
+    assert cli_corpus.main(["--compare", str(paths[0]), str(paths[2])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("differs: ")] == [
+        "differs: a", "differs: b  [exit 1 -> 0]", "differs: d",
+    ]
+    assert lines[-1] == "3 of 4 runs differ, 1 in exit code"

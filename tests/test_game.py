@@ -101,10 +101,18 @@ def test_girls_first_refuses_a_shot_count_that_is_no_int(monkeypatch, shots):
         game.girls_first_p0(inst, shots=shots)
 
 
-@pytest.mark.parametrize("seed", [True, 1.7])
+@pytest.mark.parametrize("shots", [-1, np.int64(-5)], ids=["-1", "int64(-5)"])
+def test_girls_first_refuses_a_negative_shot_count_naming_it(shots):
+    inst = game.game_instance(graphstate.chain(2))
+    with pytest.raises(GameError, match=f"^shots must be nonnegative, got {re.escape(repr(shots))}$"):
+        game.girls_first_p0(inst, shots=shots)
+
+
+@pytest.mark.parametrize("seed", [True, 1.7, -1, pytest.param(np.int64(-1), id="int64(-1)")])
 def test_girls_first_refuses_a_seed_that_is_no_int(monkeypatch, seed):
-    """True ran as seed 1 and 1.7 failed in numpy's SeedSequence: a seed that
-    is no Python or numpy int is refused, naming it, before any draw."""
+    """True ran as seed 1, 1.7 failed in numpy's SeedSequence and a negative
+    seed failed in numpy naming no seed: a seed that is no non-negative
+    Python or numpy int is refused, naming it, before any draw."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("girls_first_p0 drew before checking its seed")
@@ -112,7 +120,8 @@ def test_girls_first_refuses_a_seed_that_is_no_int(monkeypatch, seed):
     inst = game.game_instance(graphstate.chain(4))
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(mbqc, "sample_causal", refuse)
-    with pytest.raises(GameError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+    want = f"^seed must be a non-negative int, got {re.escape(repr(seed))}$"
+    with pytest.raises(GameError, match=want):
         game.girls_first_p0(inst, correct=False, shots=50, seed=seed)
 
 

@@ -283,6 +283,19 @@ def test_pm_validate_refuses_a_trial_count_that_is_no_int(trials):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("tol", [float("nan"), np.float64("nan")], ids=["nan", "float64-nan"])
+def test_pm_validate_refuses_a_nan_tolerance(tol):
+    """A NaN tolerance failed the report and named no trial, since every
+    comparison with it is False: it is refused, naming it, before any draw."""
+    w = density_pm(random_ket(np.random.default_rng(79), 1))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    message = f"^pm_validate needs a tolerance that is a number, got {re.escape(repr(tol))}$"
+    with pytest.raises(ProcmatError, match=message):
+        procmat.pm_validate(w, procmat.mbqc_instrument_family(1, 0), 5, tol, rng)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"literal": True}], ids=["default", "factorized"])
 def test_factorized_table_never_builds_a_choi_operator(monkeypatch, kwargs):
     r = acausal.build_resource_pm(graphstate.chain(4))
